@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolated, CsviuError, MaxIterations, SingularLambda
-from .mu import mu_asymptotic, mu_rollout
+from .mu import frozen_sign_slopes, mu_rollout
 from .riccati import RiccatiSolution
 
 
@@ -72,25 +72,15 @@ def build_subproblem(sol: RiccatiSolution, x, mu) -> ControlSubproblem:
     """Assemble the stage problem at state ``x`` with value slope ``mu``."""
     x = np.asarray(x, dtype=float).reshape(-1)
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    n, m = sol.model.n, sol.model.m
+    n = sol.model.n
     if x.shape != (n,) or mu.shape != (n,):
         raise ValueError(f"x and mu must have length {n}, got {x.size} and {mu.size}")
-    Lambda = sol.Lambda
-    eigs = np.linalg.eigvalsh(0.5 * (Lambda + Lambda.T))
-    if eigs.min() <= 0:
-        raise SingularLambda("control curvature at the fixed point is not positive definite")
-    c = sol.forms.Wud
-    if np.any(c < -1e-12 * max(1.0, float(np.abs(c).max()))):
-        raise AssumptionViolated(
-            "the control deadzone weights came out negative; the noise data "
-            "violates the positivity assumption on the mixed control terms"
-        )
-    W = 0.5 * np.linalg.inv(Lambda)
+    law = sol.law
     return ControlSubproblem(
-        W=0.5 * (W + W.T),
+        W=law.W,
         b=sol.model.B.T @ mu + 2.0 * sol.Sigma @ x,
-        c=np.maximum(c, 0.0),
-        Lambda=Lambda,
+        c=law.c,
+        Lambda=sol.Lambda,
         x=x,
         mu=mu,
     )
@@ -106,22 +96,36 @@ def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
     """Relaxation sweeps over a batch of instances sharing W and C.
 
     B and Z0 are (paths, m); returns (Z, Gamma, Nu, iterations, residual).
+    Coordinates update in place, one column at a time, so the work arrays
+    are column-major and ``S`` carries the running ``Gamma + B``.
     """
     m = W.shape[0]
     Wd = np.diag(W).copy()
     if np.any(Wd <= 0):
         raise SingularLambda("the relaxation matrix must have positive diagonal")
-    Z = Z0.copy()
-    Gamma = np.clip(Z, -C, C)
+    B = np.asfortranarray(B)
+    omega_B = omega * B
+    step = omega / Wd
+    keep = 1.0 - omega
+    Z = np.array(Z0, dtype=float, order="F")
+    Gamma = np.minimum(np.maximum(Z, -C), C, order="F")
+    S = np.add(Gamma, B, order="F")
     offdiag = W.copy()
     np.fill_diagonal(offdiag, 0.0)
     for sweep in range(1, max_iters + 1):
         for i in range(m):
-            coupling = (Gamma + B) @ offdiag[i]
-            Z[:, i] = (1.0 - omega) * Z[:, i] - (omega / Wd[i]) * coupling - omega * B[:, i]
-            Gamma[:, i] = np.clip(Z[:, i], -C[i], C[i])
+            coupling = S @ offdiag[i]
+            coupling *= step[i]
+            z = Z[:, i]
+            z *= keep
+            z -= coupling
+            z -= omega_B[:, i]
+            g = Gamma[:, i]
+            np.maximum(z, -C[i], out=g)
+            np.minimum(g, C[i], out=g)
+            np.add(g, B[:, i], out=S[:, i])
         Nu = np.sign(Z) * np.maximum(0.0, Wd * (np.abs(Z) - C))
-        residual = float(np.abs(Nu + (Gamma + B) @ W.T).max())
+        residual = float(np.abs(Nu + S @ W.T).max(initial=0.0))
         if residual <= tol:
             return Z, Gamma, Nu, sweep, residual
     raise MaxIterations(
@@ -157,9 +161,9 @@ def sor_solve(
 def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=10000):
     """Batch form of :func:`sor_solve` for many right-hand sides at once.
 
-    ``B`` is (paths, m); returns the (paths, m) control batch.  Used by the
-    simulation and region-scan paths where thousands of stage problems share
-    the same curvature.
+    ``B`` is (paths, m); returns the (paths, m) control batch, empty when
+    ``B`` has no rows.  Used by the simulation and region-scan paths where
+    thousands of stage problems share the same curvature.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Z0 = np.zeros_like(B)
@@ -167,13 +171,43 @@ def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=10000):
     return Nu
 
 
-def resolve_mu(sol: RiccatiSolution, x, mu=None, mu_kind: str = "zero", mu_sweeps: int = 3, **rollout_kwargs):
-    """Produce the slope vector used by the stage problem at ``x``.
+def _feedback(sol: RiccatiSolution, X, Mu, mu_sweeps, solve):
+    """Controls and slopes ``(U, Mu)`` for a (rows, n) state batch.
 
-    "zero" ignores the slope, "asymptotic" freezes signs at the current state
-    and runs a few fixed-point sweeps on the control sign pattern, "rollout"
-    delegates to the Monte Carlo series estimator.
+    ``solve(B)`` returns the controls of the stage problems with the (k, m)
+    right-hand sides ``B``.  A given ``Mu`` takes one solve.  ``Mu=None``
+    resolves the frozen-sign slope row by row: each row re-solves until its
+    control sign pattern repeats, for at most ``mu_sweeps`` sweeps, and only
+    the rows whose signs moved take part in the next sweep.  A settled row's
+    last solve already used its returned slope; only rows still moving after
+    the last sweep are solved once more.
     """
+    B = sol.model.B
+    R = 2.0 * X @ sol.Sigma.T
+    if Mu is not None:
+        return solve(Mu @ B + R), Mu
+    Sx = np.sign(X)
+    Mu = frozen_sign_slopes(sol, Sx, np.zeros((X.shape[0], sol.model.m)))
+    U = np.empty((X.shape[0], sol.model.m))
+    # rows whose signs still move, with their states' data
+    live = np.arange(X.shape[0])
+    Sx_l, Su_l, Mu_l, R_l = Sx, 0.0, Mu, R
+    for _ in range(mu_sweeps):
+        U_l = solve(Mu_l @ B + R_l)
+        U[live] = U_l
+        Su_next = np.sign(U_l)
+        moved = np.flatnonzero(np.any(Su_next != Su_l, axis=1))
+        if not moved.size:
+            return U, Mu
+        live, Sx_l, R_l, Su_l = (a.take(moved, axis=0) for a in (live, Sx_l, R_l, Su_next))
+        Mu_l = frozen_sign_slopes(sol, Sx_l, Su_l)
+        Mu[live] = Mu_l
+    U[live] = solve(Mu_l @ B + R_l)
+    return U, Mu
+
+
+def _given_mu(sol: RiccatiSolution, x, mu, mu_kind, rollout_kwargs):
+    """The slope at ``x`` when it takes no stage solves; None for "asymptotic"."""
     n = sol.model.n
     if mu is not None:
         mu = np.asarray(mu, dtype=float).reshape(-1)
@@ -182,23 +216,59 @@ def resolve_mu(sol: RiccatiSolution, x, mu=None, mu_kind: str = "zero", mu_sweep
         return mu
     if mu_kind == "zero":
         return np.zeros(n)
-    if mu_kind == "asymptotic":
-        x = np.asarray(x, dtype=float).reshape(-1)
-        s_x = np.sign(x)
-        s_u = np.zeros(sol.model.m)
-        value = mu_asymptotic(sol, s_x, s_u)
-        for _ in range(mu_sweeps):
-            sub = build_subproblem(sol, x, value)
-            u = sor_solve(sub).nu
-            s_u_next = np.sign(u)
-            value = mu_asymptotic(sol, s_x, s_u_next)
-            if np.array_equal(s_u_next, s_u):
-                break
-            s_u = s_u_next
-        return value
     if mu_kind == "rollout":
         return mu_rollout(sol, x, **rollout_kwargs).value
+    if mu_kind == "asymptotic":
+        return None
     raise ValueError(f"unknown mu_kind {mu_kind!r}")
+
+
+def _solve_state(sol: RiccatiSolution, x, mu, mu_sweeps, omega, tol, max_iters):
+    """One state through :func:`_feedback`: its final subproblem and SorState."""
+    n = sol.model.n
+    if x.shape != (n,):
+        raise ValueError(f"x has length {x.size}, expected {n}")
+    law = sol.law
+    b = state = None
+
+    def solve(B):
+        nonlocal b, state
+        b = B[0]
+        sub = ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda)
+        state = sor_solve(sub, omega=omega, tol=tol, max_iters=max_iters)
+        return state.nu[None]
+
+    _, Mu = _feedback(sol, x[None], None if mu is None else mu[None], mu_sweeps, solve)
+    return ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda, x=x, mu=Mu[0]), state
+
+
+def resolve_mu(
+    sol: RiccatiSolution,
+    x,
+    mu=None,
+    mu_kind: str = "zero",
+    mu_sweeps: int = 3,
+    omega: float = 1.0,
+    tol: float = 1e-10,
+    max_iters: int = 10000,
+    **rollout_kwargs,
+):
+    """Produce the slope vector used by the stage problem at ``x``.
+
+    "zero" ignores the slope, "asymptotic" freezes signs at the current state
+    and runs a few fixed-point sweeps on the control sign pattern, "rollout"
+    delegates to the Monte Carlo series estimator.  The asymptotic sweeps
+    solve the stage problem with ``omega``/``tol``/``max_iters`` and stop as
+    soon as the sign pattern repeats or after ``mu_sweeps`` sweeps; a state
+    on a sign cycle returns the slope of its last pattern.  The slope
+    resolvent and the stage-problem data come from the solution's cached
+    ``slope_map`` and ``law``.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    value = _given_mu(sol, x, mu, mu_kind, rollout_kwargs)
+    if value is None:
+        value = _solve_state(sol, x, None, mu_sweeps, omega, tol, max_iters)[0].mu
+    return value
 
 
 @dataclass(frozen=True)
@@ -219,17 +289,21 @@ def optimal_control(
     omega: float = 1.0,
     tol: float = 1e-10,
     max_iters: int = 10000,
-    **mu_kwargs,
+    mu_sweeps: int = 3,
+    **rollout_kwargs,
 ) -> ControlResult:
     """Optimal stage control at ``x``: solve, then cross-check the closed form.
 
+    The slope is resolved as in :func:`resolve_mu`; with
+    ``mu_kind="asymptotic"`` the sweep's last solve is the returned control.
     The converged clipped vector reconstructs the control through the inverse
     curvature; a mismatch there would mean the sweep settled on a wrong point,
     so it is treated as an internal error.
     """
-    mu_val = resolve_mu(sol, x, mu=mu, mu_kind=mu_kind, **mu_kwargs)
-    sub = build_subproblem(sol, x, mu_val)
-    state = sor_solve(sub, omega=omega, tol=tol, max_iters=max_iters)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    mu_val = _given_mu(sol, x, mu, mu_kind, rollout_kwargs)
+    sub, state = _solve_state(sol, x, mu_val, mu_sweeps, omega, tol, max_iters)
+    mu_val = sub.mu
     u_star = state.nu
     reconstructed = -np.linalg.solve(
         sub.Lambda,
@@ -318,47 +392,24 @@ def optimal_control_batch(
 ):
     """Optimal controls for a whole (paths, n) state batch at once.
 
-    Returns ``(U, Mu)`` with shapes (paths, m) and (paths, n).  Row for row
-    this matches :func:`optimal_control` up to the solver tolerance; the
-    batch exists because simulations and region scans solve thousands of
-    stage problems sharing one curvature matrix.
+    Returns ``(U, Mu)`` with shapes (paths, m) and (paths, n), empty when
+    ``X`` has no rows.  Row for row this matches :func:`optimal_control` up
+    to the solver tolerance: with ``mu_kind="asymptotic"`` every row follows
+    the single-state slope-sweep rule on its own, so a row on a sign cycle
+    costs its own re-solves and leaves the other rows' results unchanged.
+    The batch exists because simulations and region scans solve thousands
+    of stage problems sharing one curvature matrix, taken from the
+    solution's cached ``law``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     paths = X.shape[0]
-    n, m = sol.model.n, sol.model.m
+    n = sol.model.n
     if X.shape[1] != n:
         raise ValueError(f"state batch has width {X.shape[1]}, expected {n}")
-    Lambda = sol.Lambda
-    W = 0.5 * np.linalg.inv(Lambda)
-    W = 0.5 * (W + W.T)
-    c = np.maximum(sol.forms.Wud, 0.0)
-
-    def solve_batch(Mu_batch):
-        B_rhs = Mu_batch @ sol.model.B + 2.0 * X @ sol.Sigma.T
-        return sor_solve_batch(W, B_rhs, c, omega=omega, tol=tol, max_iters=max_iters)
-
     if Mu is None:
         if mu_kind == "zero":
             Mu = np.zeros((paths, n))
-        elif mu_kind == "asymptotic":
-            alpha = sol.alpha
-            resolvent = np.eye(n) - alpha * sol.Acl.T
-            Sx = np.sign(X)
-            Su = np.zeros((paths, m))
-
-            def asym(Su_batch):
-                drive = Sx * sol.forms.Wxd + (Su_batch * sol.forms.Wud) @ sol.G
-                return alpha * np.linalg.solve(resolvent, drive.T).T
-
-            Mu = asym(Su)
-            for _ in range(mu_sweeps):
-                U = solve_batch(Mu)
-                Su_next = np.sign(U)
-                Mu = asym(Su_next)
-                if np.array_equal(Su_next, Su):
-                    break
-                Su = Su_next
-        else:
+        elif mu_kind != "asymptotic":
             raise ValueError(
                 f"mu_kind {mu_kind!r} is not supported in batch mode; pass Mu explicitly"
             )
@@ -366,9 +417,12 @@ def optimal_control_batch(
         Mu = np.atleast_2d(np.asarray(Mu, dtype=float))
         if Mu.shape != (paths, n):
             raise ValueError(f"Mu batch has shape {Mu.shape}, expected {(paths, n)}")
+    law = sol.law
 
-    U = solve_batch(Mu)
-    return U, Mu
+    def solve(B):
+        return sor_solve_batch(law.W, B, law.c, omega=omega, tol=tol, max_iters=max_iters)
+
+    return _feedback(sol, X, Mu, mu_sweeps, solve)
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,23 @@ def mu_bound(sol: RiccatiSolution) -> np.ndarray:
     inside it on well-conditioned problems.
     """
     alpha = sol.alpha
-    _require_contracting(alpha, spectral_radius(sol.Acl), "the slope bound")
-    n = sol.model.n
-    resolvent = np.linalg.inv(np.eye(n) - alpha * sol.Acl.T)
-    amplification = spectral_radius(resolvent)
+    _require_contracting(alpha, sol.closed_loop_radius, "the slope bound")
+    amplification = spectral_radius(sol.slope_map) / alpha
     return alpha * amplification * (np.abs(sol.forms.Wxd) + np.abs(sol.G.T) @ np.abs(sol.forms.Wud))
+
+
+def frozen_sign_slopes(sol: RiccatiSolution, sign_X, sign_U) -> np.ndarray:
+    """Row-wise frozen-sign slopes for (rows, n) state and (rows, m) control sign patterns.
+
+    The slope ``slope_map @ (Wxd o s_x + G' (Wud o s_u))`` is linear in the
+    two sign patterns, so a batch of rows costs two matrix products with
+    gains built from the solution's cached ``slope_map``, and no solve.
+    """
+    _require_contracting(sol.alpha, sol.closed_loop_radius, "the frozen-sign slope")
+    M = sol.slope_map
+    gain_x = M * sol.forms.Wxd
+    gain_u = M @ (sol.G.T * sol.forms.Wud)
+    return sign_X @ gain_x.T + sign_U @ gain_u.T
 
 
 def mu_asymptotic(sol: RiccatiSolution, sign_x, sign_u, resolvent: str = "discounted") -> np.ndarray:
@@ -66,15 +78,12 @@ def mu_asymptotic(sol: RiccatiSolution, sign_x, sign_u, resolvent: str = "discou
     n, m = sol.model.n, sol.model.m
     if sign_x.shape != (n,) or sign_u.shape != (m,):
         raise ValueError(f"expected sign patterns of lengths {n} and {m}")
-    alpha = sol.alpha
-    rho = spectral_radius(sol.Acl)
-    drive = sol.forms.Wxd * sign_x + sol.G.T @ (sol.forms.Wud * sign_u)
     if resolvent == "discounted":
-        _require_contracting(alpha, rho, "the frozen-sign slope")
-        return alpha * np.linalg.solve(np.eye(n) - alpha * sol.Acl.T, drive)
+        return frozen_sign_slopes(sol, sign_x[None], sign_u[None])[0]
     if resolvent == "plain":
-        _require_contracting(1.0, rho, "the plain-resolvent slope")
-        return alpha * np.linalg.solve(np.eye(n) - sol.Acl.T, drive)
+        _require_contracting(1.0, sol.closed_loop_radius, "the plain-resolvent slope")
+        drive = sol.forms.Wxd * sign_x + sol.G.T @ (sol.forms.Wud * sign_u)
+        return sol.alpha * np.linalg.solve(np.eye(n) - sol.Acl.T, drive)
     raise ValueError(f"unknown resolvent form {resolvent!r}")
 
 
@@ -99,7 +108,7 @@ def mu_rollout(
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (model.n,):
         raise ValueError(f"x has length {x.size}, expected {model.n}")
-    rho = spectral_radius(sol.Acl)
+    rho = sol.closed_loop_radius
     if depth is None:
         _require_contracting(alpha, rho, "the rollout slope")
         base = alpha * rho

@@ -8,10 +8,11 @@ blows up; both outcomes are detected and reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import MaxIterations, MonotonicityViolation, SingularLambda
+from .errors import AssumptionViolated, MaxIterations, MonotonicityViolation, SingularLambda
 from .model import CriterionConfig, SystemModel
 from .operators import NoiseForms, OperatorSet, spectral_radius, symmetrize
 from .stability import detectability_search
@@ -28,6 +29,12 @@ class RiccatiSolution:
     ``G`` the induced feedback gain and ``Acl = A + B G`` the mean closed
     loop.  ``Sigma``/``Lambda``/``forms`` are the operator evaluations at
     ``L`` so callers do not recompute them.
+
+    Two derived quantities are built on first use and cached on the
+    instance: ``law``, the checked stage-problem data every feedback solve
+    shares, and ``slope_map``, the resolvent of the frozen-sign value slope.
+    Neither is a field, so they take no part in comparisons, and
+    ``dataclasses.replace`` starts a fresh cache.
     """
 
     model: SystemModel
@@ -47,6 +54,55 @@ class RiccatiSolution:
     @property
     def ops(self) -> OperatorSet:
         return OperatorSet(self.model, self.alpha)
+
+    @cached_property
+    def law(self) -> "FeedbackLaw":
+        """The feedback law's state-independent data, checked once.
+
+        Raises :class:`SingularLambda` when ``Lambda`` is not positive
+        definite and :class:`AssumptionViolated` when a deadzone weight is
+        negative; a failed build is not cached, so every later call raises
+        again.
+        """
+        eigs = np.linalg.eigvalsh(0.5 * (self.Lambda + self.Lambda.T))
+        if eigs.min() <= 0:
+            raise SingularLambda("control curvature at the fixed point is not positive definite")
+        c = self.forms.Wud
+        if np.any(c < -1e-12 * max(1.0, float(np.abs(c).max()))):
+            raise AssumptionViolated(
+                "the control deadzone weights came out negative; the noise data "
+                "violates the positivity assumption on the mixed control terms"
+            )
+        W = 0.5 * np.linalg.inv(self.Lambda)
+        return FeedbackLaw(W=_frozen(0.5 * (W + W.T)), c=_frozen(np.maximum(c, 0.0)))
+
+    @cached_property
+    def slope_map(self) -> np.ndarray:
+        """``alpha (I - alpha Acl')^{-1}``: maps a frozen-sign drive to its slope.
+
+        Meaningful only while ``alpha * closed_loop_radius < 1``; the slope
+        estimators check that before they use it.
+        """
+        n = self.model.n
+        return _frozen(self.alpha * np.linalg.inv(np.eye(n) - self.alpha * self.Acl.T))
+
+
+@dataclass(frozen=True)
+class FeedbackLaw:
+    """Stage-problem data that depends on the solution and not on the state.
+
+    ``W`` is half the inverse control curvature, symmetrized: the matrix the
+    relaxation sweep runs on.  ``c`` holds the deadzone weights clipped at
+    zero.  Both arrays are read-only because every solve shares them.
+    """
+
+    W: np.ndarray
+    c: np.ndarray
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _require_pd_curvature(model: SystemModel):

@@ -414,7 +414,7 @@ def optimal_norms(
     alpha = sol.alpha
     model = sol.model
     varpi = sol.forms.varpi1
-    rho_cl = spectral_radius(sol.Acl)
+    rho_cl = sol.closed_loop_radius
     if alpha * rho_cl * rho_cl >= 1.0 - 1e-9:
         raise SeriesDivergent(
             "the closed loop does not contract in second moment at this discount"

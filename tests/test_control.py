@@ -4,6 +4,7 @@ import pytest
 from csviu import (
     AssumptionViolated,
     ControlSubproblem,
+    MaxIterations,
     SingularLambda,
     build_subproblem,
     cost_Ju,
@@ -16,6 +17,8 @@ from csviu import (
     sor_solve,
     stage_value,
 )
+import csviu.control
+import csviu.mu
 from csviu.control import resolve_mu, sor_solve_batch, stage_value_batch
 
 import oracles
@@ -56,6 +59,8 @@ class TestSubproblemConstruction:
         sol = support.synthetic_solution(A=0.5, B=1.0, G=0.0, Wud=[-0.1])
         with pytest.raises(AssumptionViolated, match="deadzone"):
             build_subproblem(sol, [0.0], [0.0])
+        with pytest.raises(AssumptionViolated, match="deadzone"):
+            optimal_control_batch(sol, np.zeros((3, 1)))
 
     def test_input_length_guard(self):
         sol = support.synthetic_solution(A=0.5, B=1.0, G=0.0)
@@ -213,11 +218,132 @@ class TestOptimalControl:
                 np.testing.assert_allclose(U[row], single.u_star, atol=1e-7)
                 np.testing.assert_allclose(Mu[row], single.mu, atol=1e-7)
 
+    def test_empty_batch_returns_empty_arrays(self, rng):
+        model = support.random_model(rng, n=3, m=2)
+        sol = solve_riccati(model, alpha=0.9)
+        for kind in ("zero", "asymptotic"):
+            U, Mu = optimal_control_batch(sol, np.zeros((0, 3)), mu_kind=kind)
+            assert U.shape == (0, 2) and Mu.shape == (0, 3)
+        assert sor_solve_batch(sol.law.W, np.zeros((0, 2)), sol.law.c).shape == (0, 2)
+
+    def test_single_state_sweeps_use_the_callers_solver_settings(self, rng):
+        model = support.random_model(rng, n=3, m=2)
+        sol = solve_riccati(model, alpha=0.9)
+        X = 2.0 * rng.standard_normal((10, 3))
+        U, Mu = optimal_control_batch(sol, X, mu_kind="asymptotic", omega=1.5, tol=1e-12)
+        for row in range(10):
+            single = optimal_control(sol, X[row], mu_kind="asymptotic", omega=1.5, tol=1e-12)
+            np.testing.assert_allclose(single.u_star, U[row], atol=1e-9)
+            np.testing.assert_allclose(single.mu, Mu[row], atol=1e-9)
+        with pytest.raises(MaxIterations):
+            resolve_mu(sol, X[0], mu_kind="asymptotic", max_iters=1)
+
     def test_batch_rejects_rollout_mode(self, rng):
         model = support.random_model(rng, n=2, m=1)
         sol = solve_riccati(model, alpha=0.9)
         with pytest.raises(ValueError, match="batch"):
             optimal_control_batch(sol, np.zeros((2, 2)), mu_kind="rollout")
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestPerRowSlopeSweeps:
+    """Dense coupled plant with one state on a sign cycle of the frozen-sign slope."""
+
+    CYCLING = 16  # row of the batch below whose control signs never repeat
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(3)
+        model = support.random_model(rng, n=6, m=3)
+        sol = solve_riccati(model, alpha=0.95)
+        X = 1.5 * rng.standard_normal((400, 6))[250:290]
+        return sol, X
+
+    @staticmethod
+    def _on_cycle(sol, x, u, mu):
+        rebuilt = csviu.mu.mu_asymptotic(sol, np.sign(x), np.sign(u))
+        return np.abs(rebuilt - mu).max() > 1e-9 * (1.0 + np.abs(mu).max())
+
+    def test_every_row_matches_the_single_state_rule(self, case):
+        sol, X = case
+        U, Mu = optimal_control_batch(sol, X, mu_kind="asymptotic")
+        cycling = [row for row in range(len(X)) if self._on_cycle(sol, X[row], U[row], Mu[row])]
+        assert cycling == [self.CYCLING]
+        for row in range(len(X)):
+            single = optimal_control(sol, X[row], mu_kind="asymptotic")
+            np.testing.assert_allclose(U[row], single.u_star, atol=1e-9)
+            np.testing.assert_allclose(Mu[row], single.mu, atol=1e-9)
+
+    def test_settled_rows_ignore_the_cycling_row(self, case):
+        sol, X = case
+        settled = np.delete(np.arange(len(X)), self.CYCLING)
+        U, Mu = optimal_control_batch(sol, X, mu_kind="asymptotic")
+        U_alone, Mu_alone = optimal_control_batch(sol, X[settled], mu_kind="asymptotic")
+        np.testing.assert_allclose(U_alone, U[settled], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(Mu_alone, Mu[settled], rtol=0.0, atol=1e-12)
+
+    def test_batch_solves_each_row_as_often_as_the_single_state(self, case, monkeypatch):
+        sol, X = case
+        rows_solved = []
+        batch_solve = csviu.control.sor_solve_batch
+
+        def recording(sub_W, B, *args, **kwargs):
+            rows_solved.append(len(B))
+            return batch_solve(sub_W, B, *args, **kwargs)
+
+        monkeypatch.setattr(csviu.control, "sor_solve_batch", recording)
+        counts = {}
+        _count_calls(monkeypatch, csviu.control, "sor_solve", counts)
+        optimal_control_batch(sol, X, mu_kind="asymptotic")
+        for x in X:
+            optimal_control(sol, x, mu_kind="asymptotic")
+        assert sum(rows_solved) == counts["sor_solve"]
+        # only the cycling row takes the final solve after the last sweep
+        assert rows_solved[-1] == 1 and rows_solved[0] == len(X)
+
+    def test_settled_state_is_not_solved_again(self, monkeypatch):
+        sol = support.synthetic_solution(
+            A=0.5, B=1.0, G=-0.5, alpha=0.9, Wud=[1.0], Sigma=[[2.0]], Lambda=[[1.0]]
+        )
+        counts = {}
+        _count_calls(monkeypatch, csviu.control, "sor_solve", counts)
+        inside = optimal_control(sol, [0.1], mu_kind="asymptotic")  # deadzone: u = 0 at once
+        assert inside.u_star[0] == 0.0 and counts["sor_solve"] == 1
+
+
+class TestCompiledLaw:
+    def test_built_once_per_solution(self, rng, monkeypatch):
+        model = support.random_model(rng, n=3, m=2)
+        sol = solve_riccati(model, alpha=0.9)
+        X = rng.standard_normal((8, 3))
+        optimal_control_batch(sol, X, mu_kind="asymptotic")
+        optimal_control(sol, X[0], mu_kind="asymptotic")
+        csviu.mu.mu_asymptotic(sol, [1.0, -1.0, 1.0], [1.0, 0.0])
+        assert sol.law is sol.law
+        counts = {}
+        _count_calls(monkeypatch, csviu.mu, "spectral_radius", counts)
+        for name in ("inv", "eigvalsh", "eigvals", "solve"):
+            _count_calls(monkeypatch, np.linalg, name, counts)
+        optimal_control_batch(sol, X, mu_kind="asymptotic")
+        csviu.mu.mu_asymptotic(sol, [1.0, -1.0, 1.0], [1.0, 0.0])
+        assert counts == {}
+        optimal_control(sol, X[0], mu_kind="asymptotic")
+        assert counts == {"solve": 1}  # the closed-form reconstruction check
+
+    def test_shared_arrays_are_read_only(self, rng):
+        sol = solve_riccati(support.random_model(rng, n=2, m=2), alpha=0.9)
+        for array in (sol.law.W, sol.law.c, sol.slope_map):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestResolveMu:
