@@ -41,7 +41,6 @@ from .region import scan_region
 from .riccati import solve_riccati
 from .simulator import (
     Policy,
-    estimate_energy,
     estimate_power,
     optimal_norms,
     overtaking_compare,
@@ -277,10 +276,13 @@ def _cmd_simulate(args, run: _Run):
     x0 = np.zeros(run.model.n) if args.x0 is None else np.array(_floats(args.x0))
     kappa = run.kappa if run.kappa is not None else 100
     ens = simulate(run.model, policy, x0, kappa, run.paths, run.seed)
-    sq_y = np.einsum("pkq,pkq->pk", ens.outputs, ens.outputs)
-    sq_x = np.einsum("pkq,pkq->pk", ens.states, ens.states)
-    sq_u = np.einsum("pkq,pkq->pk", ens.controls, ens.controls)
-    energy = estimate_energy(run.model, policy, run.alpha, kappa, x0, run.paths, run.seed)
+    energy = ens.energy_estimate(run.alpha)
+    # per-stage means over paths, taken along contiguous stage rows: a mean
+    # down axis 0 would sum the paths in another order than a stage's column
+    means = [
+        np.ascontiguousarray(np.einsum("pkq,pkq->pk", a, a).T).mean(axis=1).tolist()
+        for a in (ens.outputs, ens.states, ens.controls)
+    ]
     payload = {
         "policy": policy.kind,
         "x0": _jsonable(x0),
@@ -288,15 +290,10 @@ def _cmd_simulate(args, run: _Run):
         "paths": run.paths,
         "energy_mean": energy.mean,
         "energy_stderr": energy.stderr,
-        "final_mean_state_sq": float(sq_x[:, -1].mean()),
+        "final_mean_state_sq": means[1][-1],
     }
-    rows = [
-        {"k": k, "mean_output_sq": float(sq_y[:, k].mean()),
-         "mean_state_sq": float(sq_x[:, k].mean()),
-         "mean_control_sq": float(sq_u[:, k].mean())}
-        for k in range(kappa + 1)
-    ]
-    return payload, [("stages", rows)]
+    header = ["k", "mean_output_sq", "mean_state_sq", "mean_control_sq"]
+    return payload, [("stages", header, list(zip(range(kappa + 1), *means)))]
 
 
 def _cmd_norms(args, run: _Run):
@@ -320,9 +317,9 @@ def _cmd_overtake(args, run: _Run):
         "x0": _jsonable(x0),
         "rows": [_jsonable(r) for r in rows],
     }
-    table = [{"kappa": r.kappa, "diff": r.diff, "stderr": r.stderr,
-              "diff_scaled": r.diff_scaled, "stderr_scaled": r.stderr_scaled} for r in rows]
-    return payload, [("overtake", table)]
+    header = ["kappa", "diff", "stderr", "diff_scaled", "stderr_scaled"]
+    table = [(r.kappa, r.diff, r.stderr, r.diff_scaled, r.stderr_scaled) for r in rows]
+    return payload, [("overtake", header, table)]
 
 
 def _cmd_region(args, run: _Run):
@@ -342,18 +339,16 @@ def _cmd_region(args, run: _Run):
     rmap = scan_region(sol, axes=axes, ranges=ranges, resolution=args.res,
                        mu_kind=run.mu_kind, omega=run.omega, tol=run.config.tol_sor)
     m = run.model.m
-    rows = []
     if rmap.grid_y is None:
-        for i, xv in enumerate(rmap.grid_x):
-            row = {"x1": float(xv)}
-            _region_row(row, rmap.u_star[i], rmap.labels[i], rmap.margins[i], m)
-            rows.append(row)
+        grids = [rmap.grid_x]
     else:
-        for i, xv in enumerate(rmap.grid_x):
-            for j, yv in enumerate(rmap.grid_y):
-                row = {"x1": float(xv), "x2": float(yv)}
-                _region_row(row, rmap.u_star[i, j], rmap.labels[i, j], rmap.margins[i, j], m)
-                rows.append(row)
+        grids = np.meshgrid(rmap.grid_x, rmap.grid_y, indexing="ij")
+    header = [f"x{k + 1}" for k in range(len(grids))]
+    columns = [g.ravel().tolist() for g in grids]
+    for prefix, values in (("u", rmap.u_star), ("label", rmap.labels), ("margin", rmap.margins)):
+        header += [f"{prefix}_{i + 1}" for i in range(m)]
+        columns += values.reshape(-1, m).T.tolist()
+    rows = list(zip(*columns))
     payload = {
         "axes": list(axes),
         "resolution": args.res,
@@ -365,16 +360,7 @@ def _cmd_region(args, run: _Run):
         "invalid_cells": int(rmap.invalid.sum()),
         "inconsistent_cells": int(rmap.inconsistent.any(axis=-1).sum()),
     }
-    return payload, [("region", rows)]
-
-
-def _region_row(row, u, labels, margins, m):
-    for i in range(m):
-        row[f"u_{i + 1}"] = float(u[i])
-    for i in range(m):
-        row[f"label_{i + 1}"] = int(labels[i])
-    for i in range(m):
-        row[f"margin_{i + 1}"] = float(margins[i])
+    return payload, [("region", header, rows)]
 
 
 def _model_sha256(model) -> str:
@@ -391,14 +377,14 @@ def _write_outputs(args, run: _Run, payload: dict, tables, argv, elapsed: float)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "result.json").write_text(text + "\n")
-    for name, rows in tables:
+    for name, header, rows in tables:
         if not rows:
             continue
-        header = {"schema": SCHEMA, "command": args.command, "table": name}
+        meta = {"schema": SCHEMA, "command": args.command, "table": name}
         with (out / f"{name}.csv").open("w", newline="") as fh:
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
+            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
             writer.writerows(rows)
     manifest = {
         "schema": SCHEMA,

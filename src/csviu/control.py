@@ -7,14 +7,20 @@ a weighted l1 term,
 
 whose stationarity condition is a generalized normal equation coupling the
 control to a clipped auxiliary vector.  A Gauss-Seidel style relaxation sweep
-solves that equation; for relaxation factors in (0, 2) the sweep is a
-contraction, so failure to converge indicates corrupted inputs rather than a
-hard problem instance.
+solves that equation.  The relaxation acts on the auxiliary vector before it
+is clipped, and a relaxation factor in (0, 2) does not make every instance
+converge: some instances settle into a cycle at large factors (a two-channel
+instance converges at 0.5, 1 and 1.5 and cycles at 1.9).  A sweep that does
+not reach its tolerance raises :class:`MaxIterations` with its sweep count and
+last residual; a smaller relaxation factor is the first remedy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from math import copysign
+from operator import mul
 
 import numpy as np
 
@@ -96,13 +102,38 @@ def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
     """Relaxation sweeps over a batch of instances sharing W and C.
 
     B and Z0 are (paths, m); returns (Z, Gamma, Nu, iterations, residual).
+    Each sweep updates the coordinates in order,
+    ``z_i = (1 - omega) z_i - omega/W_ii sum_{j != i} W_ij s_j - omega b_i``,
+    clips ``gamma_i = clip(z_i, -c_i, c_i)`` and carries ``s = gamma + b``;
+    the sweeps stop once the normal-equation residual of every row is within
+    ``tol``.  A single row runs on Python floats (:func:`_sweeps_one`), since
+    array calls cost more than the arithmetic at these sizes; a batch runs on
+    columns (:func:`_sweeps_batch`).  The two kernels take the same steps and
+    agree to rounding.
+    """
+    Wd = W.diagonal()
+    if any(d <= 0.0 for d in Wd.tolist()):
+        raise SingularLambda("the relaxation matrix must have positive diagonal")
+    kernel = _sweeps_one if B.shape[0] == 1 else _sweeps_batch
+    Z, Gamma, Nu, sweeps, residual = kernel(W, Wd, B, C, omega, Z0, tol, max_iters)
+    if not residual <= tol:
+        raise MaxIterations(
+            f"relaxation did not reach tol={tol:.1e} in {max_iters} sweeps "
+            f"(residual {residual:.3e}); the sweep does not converge on every "
+            f"instance at every omega in (0, 2), so retry with a smaller omega",
+            iterations=max_iters,
+            residual=residual,
+        )
+    return Z, Gamma, Nu, sweeps, residual
+
+
+def _sweeps_batch(W, Wd, B, C, omega, Z0, tol, max_iters):
+    """The sweeps of :func:`_sor_sweeps` on (paths, m) arrays.
+
     Coordinates update in place, one column at a time, so the work arrays
     are column-major and ``S`` carries the running ``Gamma + B``.
     """
     m = W.shape[0]
-    Wd = np.diag(W).copy()
-    if np.any(Wd <= 0):
-        raise SingularLambda("the relaxation matrix must have positive diagonal")
     B = np.asfortranarray(B)
     omega_B = omega * B
     step = omega / Wd
@@ -112,6 +143,7 @@ def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
     S = np.add(Gamma, B, order="F")
     offdiag = W.copy()
     np.fill_diagonal(offdiag, 0.0)
+    residual = math.inf
     for sweep in range(1, max_iters + 1):
         for i in range(m):
             coupling = S @ offdiag[i]
@@ -128,12 +160,47 @@ def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
         residual = float(np.abs(Nu + S @ W.T).max(initial=0.0))
         if residual <= tol:
             return Z, Gamma, Nu, sweep, residual
-    raise MaxIterations(
-        f"relaxation did not reach tol={tol:.1e} in {max_iters} sweeps "
-        f"(residual {residual:.3e}); with omega in (0, 2) this indicates bad inputs",
-        iterations=max_iters,
-        residual=residual,
-    )
+    return None, None, None, max_iters, residual
+
+
+def _sweeps_one(W, Wd, B, C, omega, Z0, tol, max_iters):
+    """The sweeps of :func:`_sor_sweeps` on one (1, m) row, over Python floats.
+
+    Same update order, clip and residual as :func:`_sweeps_batch`; only the
+    sums of products are formed in a different order.  A NaN residual sticks,
+    so corrupted inputs end in :class:`MaxIterations` as in the batch kernel.
+    """
+    w = W.tolist()
+    b = B[0].tolist()
+    c = C.tolist()
+    z = Z0[0].tolist()
+    keep = 1.0 - omega
+    g = [min(max(zi, -ci), ci) for zi, ci in zip(z, c)]
+    s = [gi + bi for gi, bi in zip(g, b)]
+    coords = [
+        (i, row[:i] + [0.0] + row[i + 1:], omega / row[i], omega * bi, ci, bi)
+        for i, (row, bi, ci) in enumerate(zip(w, b, c))
+    ]
+    rows = list(zip(w, Wd.tolist(), c))
+    residual = math.inf
+    for sweep in range(1, max_iters + 1):
+        for i, offdiag, step, omega_b, ci, bi in coords:
+            zi = keep * z[i] - step * sum(map(mul, offdiag, s)) - omega_b
+            z[i] = zi
+            gi = -ci if zi < -ci else ci if zi > ci else zi
+            g[i] = gi
+            s[i] = gi + bi
+        nu = []
+        residual = 0.0
+        for zi, (row, wd, ci) in zip(z, rows):
+            nui = copysign(max(wd * (abs(zi) - ci), 0.0), zi)
+            nu.append(nui)
+            r = abs(nui + sum(map(mul, row, s)))
+            if r > residual or r != r:
+                residual = r
+        if residual <= tol:
+            return np.array([z]), np.array([g]), np.array([nu]), sweep, residual
+    return None, None, None, max_iters, residual
 
 
 def sor_solve(
@@ -143,19 +210,24 @@ def sor_solve(
     tol: float = 1e-10,
     max_iters: int = 10000,
 ) -> SorState:
-    """Solve the generalized normal equation of one stage problem."""
+    """Solve the generalized normal equation of one stage problem.
+
+    The instance runs on the single-row kernel of :func:`_sor_sweeps`; its
+    result agrees with the batch kernel (:func:`sor_solve_batch`) to
+    rounding, with the same sweep count.
+    """
     if not (0.0 < omega < 2.0):
         raise ValueError(f"omega must lie in (0, 2), got {omega}")
     m = sub.b.size
     Z0 = np.zeros((1, m)) if z0 is None else np.asarray(z0, dtype=float).reshape(1, m)
     Z, Gamma, Nu, iterations, residual = _sor_sweeps(
-        sub.W, sub.b.reshape(1, m), sub.c, omega, Z0, tol, max_iters
+        sub.W, sub.b[None], sub.c, omega, Z0, tol, max_iters
     )
-    z, gamma, nu = Z[0], Gamma[0], Nu[0]
-    Wd = np.diag(sub.W)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.where(sub.c > 0, Wd * np.maximum(0.0, np.abs(z) - sub.c) / sub.c, 0.0)
-    return SorState(z=z, gamma=gamma, nu=nu, theta=theta, iterations=iterations, residual=residual)
+    nu = Nu[0]
+    # theta_i = |nu_i| / c_i = W_ii max(0, |z_i| - c_i) / c_i on weighted channels
+    theta = np.divide(np.abs(nu), sub.c, out=np.zeros(m), where=sub.c > 0)
+    return SorState(z=Z[0], gamma=Gamma[0], nu=nu, theta=theta, iterations=iterations,
+                    residual=residual)
 
 
 def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=10000):
@@ -163,7 +235,9 @@ def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=10000):
 
     ``B`` is (paths, m); returns the (paths, m) control batch, empty when
     ``B`` has no rows.  Used by the simulation and region-scan paths where
-    thousands of stage problems share the same curvature.
+    thousands of stage problems share the same curvature.  A one-row ``B``
+    takes the single-row kernel of :func:`_sor_sweeps`, as in
+    :func:`sor_solve`.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Z0 = np.zeros_like(B)

@@ -147,6 +147,13 @@ class PathEnsemble:
         weights = alpha ** np.arange(sq.shape[1])
         return sq @ weights
 
+    def energy_estimate(self, alpha: float) -> "EnergyEstimate":
+        """Mean and standard error across paths of :meth:`output_energy`."""
+        totals = self.output_energy(alpha)
+        paths = self.paths
+        stderr = float(totals.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+        return EnergyEstimate(mean=float(totals.mean()), stderr=stderr, kappa=self.kappa, paths=paths)
+
 
 def simulate(
     model: SystemModel,
@@ -200,10 +207,7 @@ def estimate_energy(
     noise_kind: str = "gaussian",
 ) -> EnergyEstimate:
     """Discounted output energy over stages 0..kappa, averaged across paths."""
-    ens = simulate(model, policy, x0, kappa, paths, seed, noise_kind)
-    totals = ens.output_energy(alpha)
-    stderr = float(totals.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-    return EnergyEstimate(mean=float(totals.mean()), stderr=stderr, kappa=kappa, paths=paths)
+    return simulate(model, policy, x0, kappa, paths, seed, noise_kind).energy_estimate(alpha)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from csviu import optimal_control, solve_riccati
+import csviu.cli
+import csviu.simulator
+from csviu import Policy, estimate_energy, optimal_control, scan_region, solve_riccati
 from csviu.cli import main
 from csviu.model import load_model
 
@@ -148,6 +150,58 @@ class TestOutputDirectory:
         _, rows = _read_table(out / "region.csv")
         assert len(rows) == 36
         assert {"x1", "x2"} <= set(rows[0])
+
+    @pytest.mark.parametrize("axes", [(1,), (0, 2)])
+    def test_region_table_reads_back_the_scan(self, tmp_path, axes):
+        path = tmp_path / "three-state.json"
+        path.write_text(json.dumps(support.random_model(np.random.default_rng(7), n=3, m=2).to_dict()))
+        out = tmp_path / "scan"
+        argv = ["region", "--model", str(path), "--alpha", "0.9", "--res", "7", "--mu", "asymptotic",
+                "--axes", ",".join(map(str, axes)), "--out", str(out)]
+        assert main(argv) == 0
+        sol = solve_riccati(load_model(str(path)), alpha=0.9)
+        rmap = scan_region(sol, axes=axes, ranges=[(-2.0, 2.0)] * len(axes), resolution=7,
+                           mu_kind="asymptotic")
+        lines = (out / "region.csv").read_text().splitlines()
+        table = list(csv.reader(lines[1:]))
+        grid_names = ["x1", "x2"][: len(axes)]
+        assert table[0] == grid_names + ["u_1", "u_2", "label_1", "label_2", "margin_1", "margin_2"]
+        grids = [rmap.grid_x] if len(axes) == 1 else np.meshgrid(rmap.grid_x, rmap.grid_y, indexing="ij")
+        cells = len(table) - 1
+        assert cells == 7 ** len(axes)
+        expected = np.column_stack(
+            [g.reshape(-1) for g in grids]
+            + [a.reshape(cells, 2) for a in (rmap.u_star, rmap.labels, rmap.margins)]
+        )
+        k = len(axes)
+        for row, want in zip(table[1:], expected):
+            assert [float(v) for v in row[: k + 2]] == want[: k + 2].tolist()
+            assert [int(v) for v in row[k + 2 : k + 4]] == want[k + 2 : k + 4].tolist()
+            assert [float(v) for v in row[k + 4 :]] == want[k + 4 :].tolist()
+
+    def test_simulate_energy_comes_from_its_one_simulation(self, tmp_path, model_file, monkeypatch):
+        calls = []
+        original = csviu.simulator.simulate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(csviu.cli, "simulate", counted)
+        monkeypatch.setattr(csviu.simulator, "simulate", counted)
+        out = tmp_path / "sim"
+        code = main(
+            ["simulate", "--model", model_file, "--alpha", "0.9", "--kappa", "6", "--paths", "8",
+             "--policy", "optimal", "--mu", "asymptotic", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        result = json.loads((out / "result.json").read_text())
+        model = load_model(model_file)
+        policy = Policy.optimal(solve_riccati(model, alpha=0.9), mu_kind="asymptotic", tol=1e-10)
+        energy = estimate_energy(model, policy, 0.9, 6, np.zeros(1), 8, 3)
+        assert result["energy_mean"] == energy.mean
+        assert result["energy_stderr"] == energy.stderr
 
     def test_simulate_writes_stage_table(self, tmp_path, model_file):
         out = tmp_path / "sim"

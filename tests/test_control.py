@@ -25,6 +25,14 @@ import oracles
 import support
 
 
+# converges to nu = [0.01079455, 0] at omega 0.5, 1 and 1.5; cycles at omega 1.9
+CYCLING_AT_LARGE_OMEGA = (
+    [[7.98889531, -5.71263999], [-5.71263999, 9.84118875]],
+    [-1.4654373, 1.25143894],
+    [1.29296426, 1.86936671],
+)
+
+
 def _random_subproblem(rng, m):
     root = rng.standard_normal((m, m))
     Lambda = root @ root.T + m * np.eye(m)
@@ -167,6 +175,68 @@ class TestSorGeneral:
         for row in range(20):
             sub = ControlSubproblem.from_parts(Lambda, B[row], c)
             np.testing.assert_allclose(Nu[row], sor_solve(sub, tol=1e-11).nu, atol=1e-8)
+
+
+    def test_large_omega_cycle_raises_a_typed_error(self):
+        sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
+        with pytest.raises(MaxIterations, match="retry with a smaller omega") as failure:
+            sor_solve(sub, omega=1.9, tol=1e-12, max_iters=1000)
+        assert failure.value.iterations == 1000
+        assert failure.value.residual > 0.05
+        answers = [sor_solve(sub, omega=w, tol=1e-12, max_iters=1000).nu for w in (0.5, 1.0, 1.5)]
+        for nu in answers[1:]:
+            np.testing.assert_allclose(nu, answers[0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(answers[0], [0.01079455, 0.0], rtol=0.0, atol=1e-8)
+
+
+def _sweeps_or_failure(W, B, c, omega):
+    try:
+        return csviu.control._sor_sweeps(W, B, c, omega, np.zeros_like(B), 1e-12, 1000)
+    except MaxIterations as exc:
+        return exc
+
+
+class TestSorKernels:
+    """One-row inputs take the scalar kernel, larger batches the array kernel."""
+
+    def test_kernels_agree_on_criterion_02_style_instances(self):
+        rng = np.random.default_rng(20260418)
+        instances = [ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)]
+        for _ in range(200):
+            m = int(rng.integers(1, 7))
+            root = rng.standard_normal((m, m))
+            c = rng.uniform(0.0, 2.0, size=m)
+            c[rng.random(m) < 0.1] = 0.0
+            instances.append(
+                ControlSubproblem.from_parts(root @ root.T + m * np.eye(m), 3.0 * rng.standard_normal(m), c)
+            )
+        failures = 0
+        for sub in instances:
+            for omega in (0.5, 1.0, 1.5, 1.9):
+                one = _sweeps_or_failure(sub.W, sub.b[None], sub.c, omega)
+                two = _sweeps_or_failure(sub.W, np.stack([sub.b, sub.b]), sub.c, omega)
+                if isinstance(one, MaxIterations):
+                    assert isinstance(two, MaxIterations)
+                    assert one.iterations == two.iterations
+                    failures += 1
+                    continue
+                assert not isinstance(two, MaxIterations)
+                assert one[3] == two[3]
+                for single, batch in zip(one[:3], two[:3]):
+                    for row in batch:
+                        assert np.all(np.abs(single[0] - row) <= 1e-12 * np.maximum(1.0, np.abs(row)))
+        assert failures >= 1
+
+    def test_single_rows_never_reach_the_array_kernel(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("array kernel called for one row")
+
+        monkeypatch.setattr(csviu.control, "_sweeps_batch", refuse)
+        sub = _random_subproblem(rng, 3)
+        nu = sor_solve(sub).nu
+        np.testing.assert_array_equal(sor_solve_batch(sub.W, sub.b[None], sub.c)[0], nu)
+        sol = solve_riccati(support.random_model(rng, n=3, m=2), alpha=0.9)
+        optimal_control(sol, rng.standard_normal(3), mu_kind="asymptotic")
 
 
 class TestOptimalControl:
