@@ -41,7 +41,6 @@ from .region import scan_region
 from .riccati import solve_riccati
 from .simulator import (
     Policy,
-    estimate_power,
     optimal_norms,
     overtaking_compare,
     simulate,

@@ -1,25 +1,29 @@
 """Stability and detectability certificates for the noisy plant.
 
-All tests reduce to properties of the vectorized propagation map.  Strict
+All tests reduce to properties of the second-moment propagation map
+L(U) = alpha*(A'UA + Diag(diag(Sx'USx))), with Sx = ``sigma_bar_x``.  Strict
 inequalities are checked with a margin: values inside the band around the
 threshold give a ``None`` (indeterminate) answer instead of a coin flip.
+
+Nothing here builds an n^2 x n^2 matrix above n*n = 400: radii come from
+:meth:`OperatorSet.map_radius`, and the solves of (I - L)U = Q use that the
+noise term has rank n.  With T(U) = U - alpha*A'UA, one batched Stein solve
+gives Y_j = T^{-1}(e_j e_j') and T^{-1}(Q); then U = T^{-1}(Q) +
+alpha*sum_j z_j Y_j, where z solves the n x n capacitance system
+(I - alpha*M) z = c with M_ij = s_i'Y_j s_i and c_i = s_i'T^{-1}(Q)s_i
+(s_i the columns of Sx).  The nonzero spectrum of the resolvent
+T^{-1} o Diag(diag(Sx'.Sx)) is that of M, so its radius is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CsviuError
 from .model import SystemModel
-from .operators import (
-    OperatorSet,
-    congruence_matrix,
-    diag_congruence_matrix,
-    spectral_radius,
-    symmetrize,
-)
+from .operators import OperatorSet, spectral_radius, stein_solve, symmetrize
 
 MARGIN = 1e-10
 
@@ -43,7 +47,19 @@ def _min_eig_normalized(U):
 
 @dataclass
 class StabilityReport:
-    """Outcome of the five equivalent second-moment stability conditions."""
+    """Outcome of the five equivalent second-moment stability conditions.
+
+    ``radius`` (condition ii/iv) and ``max_abs_eig`` are always computed.
+    When the mean dynamics are stable at this discount (``eig_ok`` True),
+    conditions (i) ``inverse_positive`` and (iii) ``lyapunov_ok`` come from
+    solving (I - L)X = Q for Q = I and ``probes`` random PSD inputs, the
+    Q = I solution is ``lyapunov_witness``, and ``resolvent_radius`` is the
+    exact radius of (I - alpha*K_A)^{-1} K_Z.  When ``eig_ok`` is False,
+    rho(L) >= alpha*rho(A)^2 > 1, so no PSD solution exists: (i), (iii) and
+    the resolvent test are deduced False without a solve, the witness is
+    None and ``resolvent_radius`` is NaN.  When ``eig_ok`` is None (inside
+    the margin band) they are left None and so is the witness.
+    """
 
     alpha: float
     radius: float
@@ -73,82 +89,64 @@ def _combine(a, b):
     return True
 
 
+def _sign_ok(value):
+    return None if abs(value) <= MARGIN else (value > 0)
+
+
 def check_alpha_stability(model: SystemModel, alpha: float, probes: int = 10, seed: int = 0) -> StabilityReport:
     """Run all five stability conditions for the given discount and report each.
 
     The verdict is "stable" / "unstable" only when the applicable equivalence
     holds cleanly; borderline numerics or a failed precondition (for
     alpha >= 1, the eigenvalues of alpha*A must lie in the open unit disk for
-    the five conditions to be conclusive) give "indeterminate".
+    the five conditions to be conclusive) give "indeterminate".  Raises
+    :class:`MaxIterations` when the radius iteration (n > 20) or the Stein
+    doubling does not settle.
     """
     ops = OperatorSet(model, alpha)
     n = model.n
-    M = ops.operator_matrix("lyapunov")
-    radius = spectral_radius(M)
-
+    radius = ops.map_radius()
     d_stable = _strict_below(radius, 1.0)
-
-    eye_vec = np.eye(n).reshape(-1, order="F")
-    IM = np.eye(n * n) - M
-
-    # (iii): positive definite witness of the one-step contraction
-    lyapunov_ok = None
-    witness = None
-    try:
-        u_vec = np.linalg.solve(IM, eye_vec)
-        U = symmetrize(u_vec.reshape((n, n), order="F"), warn_tol=np.inf)
-        witness = U
-        shrink = U - (M @ U.reshape(-1, order="F")).reshape((n, n), order="F")
-        u_min = _min_eig_normalized(U)
-        s_min = _min_eig_normalized(shrink)
-        ok_u = None if abs(u_min) <= MARGIN else (u_min > 0)
-        ok_s = None if abs(s_min) <= MARGIN else (s_min > 0)
-        lyapunov_ok = _combine(ok_u, ok_s)
-    except np.linalg.LinAlgError:
-        lyapunov_ok = None
-        # a singular map also rules out a spectral radius strictly below one
-        if d_stable is None:
-            d_stable = False
-
-    # (i): inverse positivity probed on the identity plus random semidefinite inputs
-    inverse_positive = None
-    try:
-        rng = np.random.default_rng(seed)
-        worst = np.inf
-        for probe in range(probes + 1):
-            if probe == 0:
-                q = np.eye(n)
-            else:
-                root = rng.standard_normal((n, n))
-                q = root @ root.T
-            x_vec = np.linalg.solve(IM, q.reshape(-1, order="F"))
-            X = x_vec.reshape((n, n), order="F")
-            worst = min(worst, _min_eig_normalized(X))
-        if worst < -MARGIN:
-            inverse_positive = False
-        else:
-            inverse_positive = True
-    except np.linalg.LinAlgError:
-        inverse_positive = None
 
     # (v): split into the mean-dynamics eigenvalue test and the resolvent test
     sqrt_alpha = np.sqrt(alpha)
     eig_A = np.linalg.eigvals(model.A)
     max_abs_eig = float(np.abs(eig_A).max()) * sqrt_alpha
     eig_ok = _strict_below(max_abs_eig, 1.0)
+
+    inverse_positive = lyapunov_ok = resolvent_ok = witness = None
     resolvent_radius = np.nan
-    resolvent_ok = None
     if eig_ok:
-        K_A = congruence_matrix(model.A)
-        K_Z = diag_congruence_matrix(model.sigma_bar_x)
+        # right-hand sides: the unit diagonals e_j e_j', then the identity
+        # and the random semidefinite probes of condition (i)
+        rng = np.random.default_rng(seed)
+        eye = np.eye(n)
+        roots = [rng.standard_normal((n, n)) for _ in range(probes)]
+        Q = np.stack([eye] + [root @ root.T for root in roots])
+        Y = stein_solve(sqrt_alpha * model.A, np.concatenate([eye[:, :, None] * eye, Q]))
+        Y_unit, Y_probe = Y[:n], Y[n:]
+        S = model.sigma_bar_x
+        M = np.einsum("pi,jpq,qi->ij", S, Y_unit, S)
+        resolvent_radius = spectral_radius(M, method="eig")
+        resolvent_ok = _strict_below(resolvent_radius, 1.0 / alpha)
         try:
-            resolvent = np.linalg.solve(np.eye(n * n) - alpha * K_A, K_Z)
-            resolvent_radius = spectral_radius(resolvent)
-            resolvent_ok = _strict_below(resolvent_radius, 1.0 / alpha)
+            z = np.linalg.solve(eye - alpha * M, np.einsum("pi,kpq,qi->ik", S, Y_probe, S))
         except np.linalg.LinAlgError:
-            resolvent_ok = None
+            # a singular map also rules out a spectral radius strictly below one
+            if d_stable is None:
+                d_stable = False
+        else:
+            X = Y_probe + alpha * np.tensordot(z, Y_unit, axes=(0, 0))
+            # (iii): positive definite witness of the one-step contraction
+            witness = symmetrize(X[0], warn_tol=np.inf)
+            shrink = witness - ops.lyapunov_step(witness)
+            lyapunov_ok = _combine(_sign_ok(_min_eig_normalized(witness)),
+                                   _sign_ok(_min_eig_normalized(shrink)))
+            # (i): inverse positivity probed on the identity and the random inputs
+            worst = min(_min_eig_normalized(x) for x in X)
+            inverse_positive = not worst < -MARGIN
     elif eig_ok is False:
-        resolvent_ok = False
+        inverse_positive = lyapunov_ok = resolvent_ok = False
 
     counter_discount_eig_ok = None
     if alpha >= 1.0:
@@ -196,11 +194,9 @@ def check_detectability(model: SystemModel, alpha: float, H) -> DetectabilityChe
     n, p = model.n, model.p
     if H.shape != (n, p):
         raise CsviuError(f"H has shape {H.shape}, expected {(n, p)}")
-    M = alpha * (
-        congruence_matrix(model.A + H @ model.C)
-        + diag_congruence_matrix(model.sigma_bar_x)
-    )
-    radius = spectral_radius(M)
+    # the injected loop's map is the Lyapunov map of the plant with A + HC
+    injected = replace(model, A=model.A + H @ model.C)
+    radius = OperatorSet(injected, alpha).map_radius()
     return DetectabilityCheck(ok=bool(radius < 1.0), radius=radius)
 
 
@@ -271,7 +267,7 @@ def closed_loop_check(model: SystemModel, alpha: float, G) -> ClosedLoopCheck:
     """
     ops = OperatorSet(model, alpha)
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    radius = spectral_radius(ops.operator_matrix("closed_loop", G=G))
+    radius = ops.map_radius("closed_loop", G=G)
     Acl = model.A + model.B @ G
     gain_radius = spectral_radius(Acl)
     gain_radius_ok = None

@@ -146,3 +146,99 @@ def vec_matrix_of(op, n):
             E[i, j] = 1.0
             M[:, i + n * j] = np.asarray(op(E)).reshape(-1, order="F")
     return M
+
+
+def kron_diag_matrix(S):
+    """Matrix of U -> Diag(diag(S'US)) on column-stacked vec(U), built row by row."""
+    n, q = S.shape
+    M = np.zeros((q * q, n * n))
+    for i in range(q):
+        M[i + q * i] = np.kron(S[:, i], S[:, i])
+    return M
+
+
+def second_moment_matrix(F, Sx, alpha, G=None, Su=None):
+    """Dense n^2 x n^2 matrix of alpha*(F'UF + Diag(diag(Sx'USx)) + G'Diag(diag(Su'USu))G)."""
+    M = np.kron(F.T, F.T) + kron_diag_matrix(Sx)
+    if G is not None:
+        M = M + np.kron(G.T, G.T) @ kron_diag_matrix(Su)
+    return alpha * M
+
+
+def stability_conditions(A, Sx, alpha, probes=10, seed=0, margin=1e-10):
+    """The five second-moment stability conditions by dense n^2 x n^2 solves.
+
+    Mirrors the documented rules of the package's certificate (strict
+    inequalities with a margin band, normalized eigenvalue signs, the
+    identity plus ``probes`` seeded PSD inputs for inverse positivity, the
+    alpha >= 1 counter-discount gate) but evaluates every condition by
+    solving (I - L) vec(X) = vec(Q) and the resolvent on the full matrices,
+    whatever the mean dynamics.
+    """
+    A = np.atleast_2d(A)
+    n = A.shape[0]
+
+    def below(value, threshold):
+        if not np.isfinite(value):
+            return False
+        if value < threshold - margin:
+            return True
+        if value > threshold + margin:
+            return False
+        return None
+
+    def sign(U):
+        eigs = np.linalg.eigvalsh(0.5 * (U + U.T))
+        value = float(eigs.min()) / max(1.0, float(np.abs(eigs).max()))
+        return value, (None if abs(value) <= margin else value > 0)
+
+    def both(a, b):
+        if a is False or b is False:
+            return False
+        if a is None or b is None:
+            return None
+        return True
+
+    def unvec(v):
+        return v.reshape((n, n), order="F")
+
+    L = second_moment_matrix(A, Sx, alpha)
+    radius = float(np.abs(np.linalg.eigvals(L)).max())
+    d_stable = below(radius, 1.0)
+    rng = np.random.default_rng(seed)
+    rhs = [np.eye(n)]
+    for _ in range(probes):
+        root = rng.standard_normal((n, n))
+        rhs.append(root @ root.T)
+    IL = np.eye(n * n) - L
+    X = np.linalg.solve(IL, np.stack([q.reshape(-1, order="F") for q in rhs], axis=1))
+    U = unvec(X[:, 0])
+    U = 0.5 * (U + U.T)
+    shrink = U - unvec(L @ U.reshape(-1, order="F"))
+    lyapunov_ok = both(sign(U)[1], sign(shrink)[1])
+    worst = min(sign(unvec(X[:, k]))[0] for k in range(X.shape[1]))
+    inverse_positive = not worst < -margin
+    rho_A = float(np.abs(np.linalg.eigvals(A)).max())
+    eig_ok = below(np.sqrt(alpha) * rho_A, 1.0)
+    resolvent_radius = np.nan
+    resolvent_ok = False if eig_ok is False else None
+    if eig_ok:
+        R = np.linalg.solve(np.eye(n * n) - alpha * np.kron(A.T, A.T), kron_diag_matrix(Sx))
+        resolvent_radius = float(np.abs(np.linalg.eigvals(R)).max())
+        resolvent_ok = below(resolvent_radius, 1.0 / alpha)
+    conditions = (inverse_positive, d_stable, lyapunov_ok, d_stable, both(eig_ok, resolvent_ok))
+    if any(c is None for c in conditions):
+        verdict = "indeterminate"
+    elif all(conditions):
+        gate = alpha < 1.0 or below(alpha * rho_A, 1.0) is True
+        verdict = "stable" if gate else "indeterminate"
+    else:
+        verdict = "unstable"
+    return {
+        "radius": radius,
+        "conditions": conditions,
+        "verdict": verdict,
+        "witness": U,
+        "eig_ok": eig_ok,
+        "resolvent_radius": resolvent_radius,
+    }

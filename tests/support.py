@@ -76,6 +76,30 @@ def random_model(
     return SystemModel(A, B, C, D, sigma, sigma_x, sigma_bar_x, sigma_u, sigma_bar_u)
 
 
+def spectral_gap_model(rng: np.random.Generator, n: int, m: int) -> SystemModel:
+    """Random plant of the benchmark's synthesis family, for sizes above n = 20.
+
+    A is symmetric with top eigenvalue 0.8 and the rest in [0.1, 0.7], so the
+    second-moment maps have one dominant real eigenvalue and a spectral gap
+    that power iteration can resolve; C stacks the state over a positive
+    definite control weight.
+    """
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q * np.concatenate(([0.8], rng.uniform(0.1, 0.7, n - 1)))) @ Q.T
+    sigma_u = 0.1 * rng.standard_normal((n, m))
+    return SystemModel(
+        A=A,
+        B=rng.standard_normal((n, m)) / np.sqrt(n),
+        C=np.vstack([np.eye(n), np.zeros((m, n))]),
+        D=np.vstack([np.zeros((n, m)), np.diag(0.5 + 0.5 * rng.random(m))]),
+        sigma=0.1 * rng.standard_normal((n, 1)),
+        sigma_x=0.1 * rng.standard_normal((n, n)) / np.sqrt(n),
+        sigma_bar_x=0.1 * rng.standard_normal((n, n)) / np.sqrt(n),
+        sigma_u=sigma_u,
+        sigma_bar_u=sigma_u * (0.1 * (0.5 + rng.random(m))),
+    )
+
+
 def synthetic_solution(
     A,
     B,

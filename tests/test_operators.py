@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from csviu import OperatorSet, SingularLambda, spectral_radius
-from csviu.operators import congruence_matrix, diag_congruence_matrix, symmetrize
+from csviu import MaxIterations, OperatorSet, SingularLambda, spectral_radius
+from csviu.operators import congruence_matrix, diag_congruence_matrix, stein_solve, symmetrize
 
 import oracles
 import support
@@ -154,6 +154,20 @@ class TestOperatorMatrix:
         M = ops.operator_matrix("closed_loop", G=G)
         np.testing.assert_allclose(M, oracles.vec_matrix_of(direct, 2), atol=1e-12)
 
+    def test_matrix_free_map_on_a_stack(self, rng):
+        model = support.random_model(rng, n=3, m=2)
+        ops = OperatorSet(model, alpha=0.8)
+        G = rng.standard_normal((2, 3))
+        M = ops.operator_matrix("closed_loop", G=G)
+        roots = rng.standard_normal((4, 3, 3))
+        stack = roots @ roots.transpose(0, 2, 1)
+        out = ops.second_moment_map(stack, model.A + model.B @ G, G)
+        assert out.shape == (4, 3, 3)
+        for U, got in zip(stack, out):
+            want = (M @ U.reshape(-1, order="F")).reshape((3, 3), order="F")
+            np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_array_equal(ops.second_moment_map(stack)[1], ops.lyapunov_step(stack[1]))
+
     def test_unknown_kind_rejected(self, scalar_model):
         with pytest.raises(ValueError, match="unknown operator kind"):
             OperatorSet(scalar_model, 1.0).operator_matrix("sideways")
@@ -229,6 +243,23 @@ class TestSpectralRadius:
 
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((4, 4)), method="power") == 0.0
+
+
+class TestSteinSolve:
+    def test_matches_dense_solve_on_a_stack(self, rng):
+        F = rng.standard_normal((4, 4))
+        F *= 0.9 / float(np.abs(np.linalg.eigvals(F)).max())
+        roots = rng.standard_normal((3, 4, 4))
+        Q = roots @ roots.transpose(0, 2, 1)
+        Y = stein_solve(F, Q)
+        dense = np.eye(16) - congruence_matrix(F)
+        for q, y in zip(Q, Y):
+            want = np.linalg.solve(dense, q.reshape(-1, order="F")).reshape((4, 4), order="F")
+            np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_marginal_map_raises(self):
+        with pytest.raises(MaxIterations, match="doubling"):
+            stein_solve(np.array([[1.0]]), np.eye(1))
 
 
 def test_symmetrize_warns_on_visible_asymmetry():

@@ -10,9 +10,11 @@ from csviu import (
     closed_loop_check,
     closed_loop_cost_step,
     detectability_search,
+    solve_riccati,
     spectral_radius,
 )
 
+import oracles
 import support
 
 
@@ -89,6 +91,81 @@ class TestFiveConditions:
                 assert all(settled)
             elif report.verdict == "unstable":
                 assert not any(settled) or len(set(settled)) == 1
+
+
+    def test_unstable_mean_dynamics_rule_out_any_witness(self):
+        # sqrt(alpha) * rho(A) = sqrt(0.9) * 1.1 > 1, so rho(L) >= 0.9 * 1.21 > 1
+        rng = np.random.default_rng(8)
+        model = support.random_model(rng, n=3, m=1, radius=1.1, growth_scale=0.2)
+        report = check_alpha_stability(model, alpha=0.9)
+        assert report.eig_ok is False
+        assert report.lyapunov_ok is False
+        assert report.inverse_positive is False
+        assert report.lyapunov_witness is None
+        assert report.radius > 1.0
+        assert report.verdict == "unstable"
+
+
+def _assert_close(got, want, rtol):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(np.asarray(got) - want))) <= rtol * scale
+
+
+class TestDenseOracle:
+    """The certificates against dense n^2 x n^2 solves written in tests/oracles.py."""
+
+    def test_random_draws_match(self):
+        rng = np.random.default_rng(2718)
+        verdicts = set()
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            alpha = float(rng.uniform(0.5, 1.2))
+            model = support.random_model(
+                rng, n=n, m=1, radius=float(rng.uniform(0.3, 1.3)),
+                growth_scale=float(rng.uniform(0.0, 0.5)),
+            )
+            report = check_alpha_stability(model, alpha)
+            want = oracles.stability_conditions(model.A, model.sigma_bar_x, alpha)
+            assert report.verdict == want["verdict"]
+            assert report.conditions == want["conditions"]
+            assert report.radius == pytest.approx(want["radius"], abs=1e-12)
+            if want["eig_ok"]:
+                _assert_close(report.resolvent_radius, want["resolvent_radius"], 1e-10)
+                _assert_close(report.lyapunov_witness, want["witness"], 1e-10)
+            else:
+                assert report.lyapunov_witness is None
+            verdicts.add(report.verdict)
+        assert {"stable", "unstable"} <= verdicts
+
+    def test_plant_above_the_dense_switch(self):
+        rng = np.random.default_rng(24)
+        model = support.spectral_gap_model(rng, n=24, m=6)
+        report = check_alpha_stability(model, 0.95)
+        want = oracles.stability_conditions(model.A, model.sigma_bar_x, 0.95)
+        assert report.verdict == want["verdict"] == "stable"
+        assert report.conditions == want["conditions"]
+        assert report.radius == pytest.approx(want["radius"], rel=1e-10)
+        _assert_close(report.resolvent_radius, want["resolvent_radius"], 1e-10)
+        _assert_close(report.lyapunov_witness, want["witness"], 1e-10)
+        G = -0.1 * rng.standard_normal((6, 24))
+        dense = oracles.second_moment_matrix(
+            model.A + model.B @ G, model.sigma_bar_x, 0.95, G, model.sigma_bar_u
+        )
+        assert closed_loop_check(model, 0.95, G).radius == pytest.approx(
+            float(np.abs(np.linalg.eigvals(dense)).max()), rel=1e-10
+        )
+
+    def test_n50_benchmark_family_certifies_stable(self):
+        model = support.spectral_gap_model(np.random.default_rng(50), n=50, m=12)
+        report = check_alpha_stability(model, 0.95)
+        assert report.verdict == "stable"
+        U = report.lyapunov_witness
+        S = model.sigma_bar_x
+        image = 0.95 * (model.A.T @ U @ model.A + np.diag(np.einsum("pi,pq,qi->i", S, U, S)))
+        assert oracles.min_eig(U) > 0
+        assert oracles.min_eig(U - image) > 0
+        sol = solve_riccati(model, 0.95)
+        assert closed_loop_check(model, 0.95, sol.G).ok
 
 
 class TestDetectability:
