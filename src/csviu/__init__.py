@@ -18,8 +18,6 @@ from .control import (
     inaction_test,
     optimal_control,
     optimal_control_batch,
-    rho_min,
-    rho_stage,
     sor_solve,
     stage_value,
 )
@@ -34,10 +32,8 @@ from .errors import (
 )
 from .model import (
     CriterionConfig,
-    NoiseModel,
     SystemModel,
     load_model,
-    sign_vector,
 )
 from .mu import MuEstimate, mu_asymptotic, mu_bound, mu_rollout
 from .operators import NoiseForms, OperatorSet, spectral_radius

@@ -106,11 +106,14 @@ def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
     ``z_i = (1 - omega) z_i - omega/W_ii sum_{j != i} W_ij s_j - omega b_i``,
     clips ``gamma_i = clip(z_i, -c_i, c_i)`` and carries ``s = gamma + b``;
     the sweeps stop once the normal-equation residual of every row is within
-    ``tol``.  A single row runs on Python floats (:func:`_sweeps_one`), since
+    ``tol``.  A relaxation factor outside (0, 2) raises ``ValueError`` before
+    any sweep.  A single row runs on Python floats (:func:`_sweeps_one`), since
     array calls cost more than the arithmetic at these sizes; a batch runs on
     columns (:func:`_sweeps_batch`).  The two kernels take the same steps and
     agree to rounding.
     """
+    if not (0.0 < omega < 2.0):
+        raise ValueError(f"omega must lie in (0, 2), got {omega}")
     Wd = W.diagonal()
     if any(d <= 0.0 for d in Wd.tolist()):
         raise SingularLambda("the relaxation matrix must have positive diagonal")
@@ -216,8 +219,6 @@ def sor_solve(
     result agrees with the batch kernel (:func:`sor_solve_batch`) to
     rounding, with the same sweep count.
     """
-    if not (0.0 < omega < 2.0):
-        raise ValueError(f"omega must lie in (0, 2), got {omega}")
     m = sub.b.size
     Z0 = np.zeros((1, m)) if z0 is None else np.asarray(z0, dtype=float).reshape(1, m)
     Z, Gamma, Nu, iterations, residual = _sor_sweeps(
@@ -411,38 +412,18 @@ def inaction_test(sol: RiccatiSolution, x, mu, channel: int | None = None):
     return inactive, margins
 
 
-def rho_stage(sol: RiccatiSolution, x, u, mu) -> float:
-    """Stage residual of the cost ledger at an arbitrary control ``u``.
-
-    Documented normalization: the quadratic deviation enters undiscounted
-    while the completion term carries the discount.  For exact ledger
-    accounting across a step use :func:`stage_value`, which discounts both;
-    the two agree at alpha = 1.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    dev, completion = _stage_parts(sol, x, u, mu)
-    return float(dev - sol.alpha / 4.0 * completion)
-
-
 def stage_value(sol: RiccatiSolution, x, u, mu) -> float:
-    """Telescoping-exact stage residual: alpha times (deviation - completion/4)."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    dev, completion = _stage_parts(sol, x, u, mu)
-    return float(sol.alpha * (dev - completion / 4.0))
-
-
-def _stage_parts(sol: RiccatiSolution, x, u, mu):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    h = sol.model.B.T @ mu + sol.forms.Wud * np.sign(u)
-    u0 = -np.linalg.solve(sol.Lambda, sol.Sigma @ x + 0.5 * h)
-    dev = (u - u0) @ sol.Lambda @ (u - u0)
-    completion = h @ np.linalg.solve(sol.Lambda, h)
-    return dev, completion
+    """:func:`stage_value_batch` at one state, control and slope."""
+    return float(stage_value_batch(sol, x, u, mu)[0])
 
 
 def stage_value_batch(sol: RiccatiSolution, X, U, Mu):
-    """Vectorized :func:`stage_value` over (paths, n)/(paths, m) batches."""
+    """Telescoping-exact stage residuals over (paths, n)/(paths, m) batches.
+
+    Each row is alpha times (deviation - completion/4): the curvature-weighted
+    distance of ``u`` from the sign-frozen minimizer ``u0``, less the
+    completion term of the slope and deadzone pull ``h``.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     Mu = np.atleast_2d(np.asarray(Mu, dtype=float))
@@ -497,25 +478,3 @@ def optimal_control_batch(
         return sor_solve_batch(law.W, B, law.c, omega=omega, tol=tol, max_iters=max_iters)
 
     return _feedback(sol, X, Mu, mu_sweeps, solve)
-
-
-@dataclass(frozen=True)
-class RhoMin:
-    rho: float
-    u0: np.ndarray
-    u_star: np.ndarray
-    mu: np.ndarray
-
-
-def rho_min(sol: RiccatiSolution, x, mu=None, mu_kind: str = "zero", **kwargs) -> RhoMin:
-    """Minimized stage residual at ``x`` along with the minimizer pair."""
-    result = optimal_control(sol, x, mu=mu, mu_kind=mu_kind, **kwargs)
-    u_star = result.u_star
-    h = sol.model.B.T @ result.mu + sol.forms.Wud * np.sign(u_star)
-    u0 = -np.linalg.solve(sol.Lambda, sol.Sigma @ result.sub.x + 0.5 * h)
-    return RhoMin(
-        rho=rho_stage(sol, x, u_star, result.mu),
-        u0=u0,
-        u_star=u_star,
-        mu=result.mu,
-    )

@@ -28,11 +28,6 @@ _MATRIX_FIELDS = (
 )
 
 
-def sign_vector(x):
-    """Componentwise sign with sign(0) = 0, returned as an integer array."""
-    return np.sign(np.asarray(x, dtype=float)).astype(int)
-
-
 def _as_matrix(name, value):
     arr = np.atleast_2d(np.asarray(value, dtype=float))
     if arr.ndim != 2:
@@ -40,17 +35,6 @@ def _as_matrix(name, value):
     if not np.all(np.isfinite(arr)):
         raise ModelError(f"{name} contains non-finite entries")
     return arr
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Distribution family for the stacked disturbance; always zero mean, unit covariance."""
-
-    kind: str = "gaussian"
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ModelError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ in |x| whose slope vector is only defined through a forward-looking series in
 the closed loop.  Nothing here is exact for a generic state; the module
 offers a conservative magnitude bound, a frozen-sign closed form that is
 accurate deep inside an orthant, and a Monte Carlo rollout of the series
-itself.
+itself.  The bound and the closed form share one resolvent, the solution's
+cached ``slope_map``, which keeps the discount inside the series.
 """
 
 from __future__ import annotations
@@ -65,26 +66,17 @@ def frozen_sign_slopes(sol: RiccatiSolution, sign_X, sign_U) -> np.ndarray:
     return sign_X @ gain_x.T + sign_U @ gain_u.T
 
 
-def mu_asymptotic(sol: RiccatiSolution, sign_x, sign_u, resolvent: str = "discounted") -> np.ndarray:
+def mu_asymptotic(sol: RiccatiSolution, sign_x, sign_u) -> np.ndarray:
     """Frozen-sign slope: exact in the limit where state and control signs stop flipping.
 
-    ``resolvent="discounted"`` keeps the discount inside the series resolvent,
-    which is the form consistent with summing the series term by term;
-    ``"plain"`` drops it there, an alternative normalization kept selectable
-    for comparison.
+    One row of :func:`frozen_sign_slopes`, for sign patterns of lengths n and m.
     """
     sign_x = np.asarray(sign_x, dtype=float).reshape(-1)
     sign_u = np.asarray(sign_u, dtype=float).reshape(-1)
     n, m = sol.model.n, sol.model.m
     if sign_x.shape != (n,) or sign_u.shape != (m,):
         raise ValueError(f"expected sign patterns of lengths {n} and {m}")
-    if resolvent == "discounted":
-        return frozen_sign_slopes(sol, sign_x[None], sign_u[None])[0]
-    if resolvent == "plain":
-        _require_contracting(1.0, sol.closed_loop_radius, "the plain-resolvent slope")
-        drive = sol.forms.Wxd * sign_x + sol.G.T @ (sol.forms.Wud * sign_u)
-        return sol.alpha * np.linalg.solve(np.eye(n) - sol.Acl.T, drive)
-    raise ValueError(f"unknown resolvent form {resolvent!r}")
+    return frozen_sign_slopes(sol, sign_x[None], sign_u[None])[0]
 
 
 def mu_rollout(
@@ -108,6 +100,8 @@ def mu_rollout(
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (model.n,):
         raise ValueError(f"x has length {x.size}, expected {model.n}")
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
     rho = sol.closed_loop_radius
     if depth is None:
         _require_contracting(alpha, rho, "the rollout slope")
@@ -126,7 +120,7 @@ def mu_rollout(
     elif isinstance(policy, simulator.Policy):
         policy = policy.fn
 
-    n, m = model.n, model.m
+    n = model.n
     X = np.tile(x, (paths, 1))
     noise = simulator.draw_noise_block(model, depth + 1, paths, seed, noise_kind)
     totals = np.zeros((paths, n))
@@ -139,12 +133,11 @@ def mu_rollout(
         X = simulator.step_batch(model, X, U, noise[:, j, :])
         M = alpha * (sol.Acl.T @ M)
     value = totals.mean(axis=0)
-    stderr = totals.std(axis=0, ddof=1) / math.sqrt(paths) if paths > 1 else np.zeros(n)
     return MuEstimate(
         value=value,
         kind="rollout",
         bound=mu_bound(sol),
-        stderr=stderr,
+        stderr=simulator.mean_stderr(totals),
         depth=depth,
         paths=paths,
     )

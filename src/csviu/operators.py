@@ -154,16 +154,10 @@ class OperatorSet:
 
         kind is one of:
           "lyapunov"    the discounted propagation map alpha*(A'UA + Zx(U))
-          "transition"  the bare congruence A'UA
-          "state_noise" the state noise correction Zx(U)
           "closed_loop" the linear part of the closed-loop cost map for a
                         gain G, alpha*((A+BG)'U(A+BG) + Zx(U) + G'Zu(U)G)
         """
         md = self.model
-        if kind == "transition":
-            return congruence_matrix(md.A)
-        if kind == "state_noise":
-            return diag_congruence_matrix(md.sigma_bar_x)
         if kind == "lyapunov":
             return self.alpha * (
                 congruence_matrix(md.A) + diag_congruence_matrix(md.sigma_bar_x)

@@ -7,7 +7,7 @@ blows up; both outcomes are detected and reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import AssumptionViolated, MaxIterations, MonotonicityViolation, SingularLambda
 from .model import CriterionConfig, SystemModel
 from .operators import NoiseForms, OperatorSet, spectral_radius, symmetrize
-from .stability import detectability_search
 
 MONOTONE_TOL = 1e-10
 DIVERGENCE_FACTOR = 1e6
@@ -28,7 +27,8 @@ class RiccatiSolution:
     ``L`` is the minimal positive semidefinite fixed point reached from zero,
     ``G`` the induced feedback gain and ``Acl = A + B G`` the mean closed
     loop.  ``Sigma``/``Lambda``/``forms`` are the operator evaluations at
-    ``L`` so callers do not recompute them.
+    ``L`` so callers do not recompute them.  Detectability is not recorded
+    here; :func:`~csviu.stability.detectability_search` answers it.
 
     Two derived quantities are built on first use and cached on the
     instance: ``law``, the checked stage-problem data every feedback solve
@@ -49,11 +49,6 @@ class RiccatiSolution:
     residual: float
     closed_loop_radius: float
     alpha_condition_ok: bool | None
-    detectable_ok: bool | None = field(default=None, compare=False)
-
-    @property
-    def ops(self) -> OperatorSet:
-        return OperatorSet(self.model, self.alpha)
 
     @cached_property
     def law(self) -> "FeedbackLaw":
@@ -158,7 +153,6 @@ def solve_riccati(
     model: SystemModel,
     alpha: float | None = None,
     config: CriterionConfig | None = None,
-    check_detectable: bool = False,
 ) -> RiccatiSolution:
     """Iterate the value map from zero until it settles and package the result.
 
@@ -183,10 +177,6 @@ def solve_riccati(
     if alpha > 1.0:
         alpha_condition_ok = bool(closed_loop_radius < 1.0 / alpha)
 
-    detectable_ok = None
-    if check_detectable:
-        detectable_ok = detectability_search(model, alpha) is not None
-
     return RiccatiSolution(
         model=model,
         alpha=alpha,
@@ -200,7 +190,6 @@ def solve_riccati(
         residual=residual,
         closed_loop_radius=closed_loop_radius,
         alpha_condition_ok=alpha_condition_ok,
-        detectable_ok=detectable_ok,
     )
 
 

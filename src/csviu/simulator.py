@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SeriesDivergent
 from .model import NOISE_KINDS, SystemModel
-from .operators import OperatorSet, spectral_radius
+from .operators import OperatorSet
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -48,30 +48,27 @@ def draw_noise_block(model: SystemModel, stages: int, paths: int, seed: int, kin
     return block
 
 
+def mean_stderr(samples):
+    """Standard error of the mean across the rows of ``samples``; zero from one row."""
+    rows = samples.shape[0]
+    if rows < 2:
+        return np.zeros(samples.shape[1:])
+    return samples.std(axis=0, ddof=1) / math.sqrt(rows)
+
+
 def _split_noise(model: SystemModel, noise):
     r, n = model.r, model.n
     return noise[..., :r], noise[..., r : r + n], noise[..., r + n :]
 
 
 def step(model: SystemModel, x, u, noise):
-    """One transition from the stacked per-stage noise vector."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    noise = np.asarray(noise, dtype=float).reshape(-1)
-    w, ex, eu = _split_noise(model, noise)
-    return (
-        model.A @ x
-        + model.B @ u
-        + model.sigma @ w
-        + model.sigma_x @ ex
-        + model.sigma_bar_x @ (np.abs(x) * ex)
-        + model.sigma_u @ eu
-        + model.sigma_bar_u @ (np.abs(u) * eu)
-    )
+    """One transition from the stacked per-stage noise vector: a batch of one."""
+    x, u, noise = (np.asarray(a, dtype=float).reshape(1, -1) for a in (x, u, noise))
+    return step_batch(model, x, u, noise)[0]
 
 
 def step_batch(model: SystemModel, X, U, noise):
-    """Vectorized :func:`step` over a (paths, ...) batch."""
+    """One transition of every row of a (paths, ...) state, control and noise batch."""
     W, Ex, Eu = _split_noise(model, noise)
     return (
         X @ model.A.T
@@ -150,9 +147,10 @@ class PathEnsemble:
     def energy_estimate(self, alpha: float) -> "EnergyEstimate":
         """Mean and standard error across paths of :meth:`output_energy`."""
         totals = self.output_energy(alpha)
-        paths = self.paths
-        stderr = float(totals.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-        return EnergyEstimate(mean=float(totals.mean()), stderr=stderr, kappa=self.kappa, paths=paths)
+        return EnergyEstimate(
+            mean=float(totals.mean()), stderr=float(mean_stderr(totals)), kappa=self.kappa,
+            paths=self.paths,
+        )
 
 
 def simulate(
@@ -242,7 +240,7 @@ def estimate_power(
     ens = simulate(model, policy, x0, kappa, paths, seed, noise_kind)
     sq = np.einsum("pkq,pkq->pk", ens.outputs[:, :kappa, :], ens.outputs[:, :kappa, :])
     averages = sq[:, burn_in:].mean(axis=1)
-    stderr = float(averages.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+    stderr = float(mean_stderr(averages))
     series = sq.mean(axis=0)
     q3 = series[kappa // 2 : 3 * kappa // 4]
     q4 = series[3 * kappa // 4 :]
@@ -315,7 +313,7 @@ def one_step_variation_oracle(
     v_now = float(x @ P @ x + r @ np.abs(x) + g)
     lhs_samples = alpha * v_next - v_now + float(y @ y)
     lhs = float(lhs_samples.mean())
-    lhs_stderr = float(lhs_samples.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+    lhs_stderr = float(mean_stderr(lhs_samples))
 
     # closed-form right side; the slope coupling uses an independent substream
     rhs_det = (
@@ -332,9 +330,7 @@ def one_step_variation_oracle(
         X_sub = step_batch(model, np.tile(x, (paths, 1)), np.tile(u, (paths, 1)), sub_draws)
         coupling_samples = alpha * ((np.sign(X_sub) * r_next) @ mean_next)
         rhs_mu = float(coupling_samples.mean())
-        rhs_stderr = (
-            float(coupling_samples.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-        )
+        rhs_stderr = float(mean_stderr(coupling_samples))
     else:
         rhs_mu = 0.0
         rhs_stderr = 0.0
@@ -403,8 +399,12 @@ def optimal_norms(
     simulated stage residuals from the origin.  At discount one it estimates
     the long-run average power as the noise floor plus the settled mean stage
     residual.  Horizons are truncated where the geometric tail falls below
-    ``tail_tol``; when that horizon is impractical the tail is closed with
-    the settled residual mean, and the reported stderr carries that term.
+    ``tail_tol``, with the stage residual capped through the slope bound
+    :func:`~csviu.mu.mu_bound`; when that horizon is impractical the tail is
+    closed with the settled residual mean, and the reported stderr carries
+    that term.  A discount above one raises :class:`SeriesDivergent`, and
+    ``paths < 1`` or, at discount one, ``kappa < 1`` raise ``ValueError``,
+    all before any simulation.
 
     The stage residual is accounted through the exact one-step moment
     identity of the cost matrix: the curvature-weighted excess of the applied
@@ -414,27 +414,26 @@ def optimal_norms(
     piecewise-linear value slope only shapes the policy itself.
     """
     from .control import optimal_control_batch
+    from .mu import mu_bound
 
     alpha = sol.alpha
     model = sol.model
     varpi = sol.forms.varpi1
     rho_cl = sol.closed_loop_radius
+    if alpha > 1.0:
+        raise SeriesDivergent(
+            "infinite-horizon criteria are undefined for a discount above one; "
+            "use overtaking_compare for finite-horizon comparisons"
+        )
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
+    if alpha == 1.0 and kappa is not None and kappa < 1:
+        raise ValueError(f"kappa must be >= 1 for a power estimate, got {kappa}")
     if alpha * rho_cl * rho_cl >= 1.0 - 1e-9:
         raise SeriesDivergent(
             "the closed loop does not contract in second moment at this discount"
         )
-
-    # cap on |stage residual| from the slope bound, for tail truncation
     n = model.n
-    resolvent = np.linalg.inv(np.eye(n) - min(alpha, 1.0) * sol.Acl.T) if alpha * rho_cl < 1 else None
-    if resolvent is not None:
-        amp = spectral_radius(resolvent)
-        mu_cap = alpha * amp * (np.abs(sol.forms.Wxd) + np.abs(sol.G.T) @ np.abs(sol.forms.Wud))
-        h_cap = np.abs(model.B.T) @ mu_cap + np.abs(sol.forms.Wud)
-        rho_cap = float(alpha / 4.0 * h_cap @ np.linalg.solve(sol.Lambda, h_cap))
-        rho_cap = abs(rho_cap) + 1e-12
-    else:
-        rho_cap = 1.0
 
     def run_stages(stages):
         X = np.zeros((paths, n))
@@ -456,6 +455,9 @@ def optimal_norms(
     details: dict = {"mu_kind": mu_kind, "paths": paths, "seed": seed}
 
     if alpha < 1.0:
+        # cap on |stage residual| from the slope bound, for tail truncation
+        h_cap = np.abs(model.B.T) @ mu_bound(sol) + np.abs(sol.forms.Wud)
+        rho_cap = abs(float(alpha / 4.0 * h_cap @ np.linalg.solve(sol.Lambda, h_cap))) + 1e-12
         full_horizon = int(
             math.ceil(math.log(tail_tol * (1.0 - alpha) / rho_cap) / math.log(alpha))
         )
@@ -483,44 +485,39 @@ def optimal_norms(
             per_path = rho[:, :head] @ weights[:head] + settled * (alpha**head / (1.0 - alpha))
             details.update(kappa=stages, mode="split", head=head)
         energy = alpha / (1.0 - alpha) * varpi + float(per_path.mean())
-        stderr = float(per_path.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+        stderr = float(mean_stderr(per_path))
         details["varpi_term"] = alpha / (1.0 - alpha) * varpi
         return NormEstimates(
             alpha=alpha, energy=energy, energy_stderr=stderr, power=None, power_stderr=None,
             details=details,
         )
 
-    if alpha == 1.0:
-        stages = kappa if kappa is not None else max(1000, int(math.ceil(40.0 / max(1.0 - rho_cl, 1e-3))))
-        rho = run_stages(stages)
-        window = rho[:, stages // 2 :]
-        _check_settled(window, details)
-        averages = window.mean(axis=1)
-        power = varpi + float(averages.mean())
-        stderr = float(averages.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-        details.update(kappa=stages, mode="stationary", varpi_term=varpi)
-        return NormEstimates(
-            alpha=alpha, energy=None, energy_stderr=None, power=power, power_stderr=stderr,
-            details=details,
-        )
-
-    raise SeriesDivergent(
-        "infinite-horizon criteria are undefined for a discount above one; "
-        "use overtaking_compare for finite-horizon comparisons"
+    stages = kappa if kappa is not None else max(1000, int(math.ceil(40.0 / max(1.0 - rho_cl, 1e-3))))
+    rho = run_stages(stages)
+    window = rho[:, stages // 2 :]
+    _check_settled(window, details)
+    averages = window.mean(axis=1)
+    power = varpi + float(averages.mean())
+    stderr = float(mean_stderr(averages))
+    details.update(kappa=stages, mode="stationary", varpi_term=varpi)
+    return NormEstimates(
+        alpha=alpha, energy=None, energy_stderr=None, power=power, power_stderr=stderr,
+        details=details,
     )
 
 
 def _check_settled(window, details):
-    """Drift test on the settling window; raises when the residuals still move."""
+    """Drift test on the settling window; raises when the residuals still move.
+
+    A single path has no spread to weigh the drift against and is not tested.
+    """
     half = window.shape[1] // 2
-    if half < 2:
+    if half < 2 or window.shape[0] < 2:
         return
     first = window[:, :half].mean(axis=1)
     second = window[:, half:].mean(axis=1)
     drift = float(second.mean() - first.mean())
-    scale = np.hypot(
-        first.std(ddof=1) / math.sqrt(first.size), second.std(ddof=1) / math.sqrt(second.size)
-    )
+    scale = np.hypot(mean_stderr(first), mean_stderr(second))
     details["settle_drift"] = drift
     details["settle_scale"] = float(scale)
     if abs(drift) > 6.0 * scale + 1e-9 * max(1.0, abs(second.mean())):
@@ -573,7 +570,7 @@ def overtaking_compare(
         if k in grid:
             scale = alpha**k
             mean_scaled = float(T.mean())
-            se_scaled = float(T.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+            se_scaled = float(mean_stderr(T))
             rows.append(
                 OvertakingRow(
                     kappa=k,

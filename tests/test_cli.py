@@ -266,6 +266,14 @@ class TestExitCodes:
         code = main(["norms", "--model", model_file, "--alpha", "1.05", "--paths", "5"])
         assert code == 2
 
+    def test_power_over_an_empty_horizon_is_a_validation_error(self, tmp_path, model_file, capsys):
+        out = tmp_path / "empty"
+        code = main(["norms", "--model", model_file, "--alpha", "1", "--kappa", "0",
+                     "--paths", "5", "--out", str(out)])
+        assert code == 1
+        assert "kappa" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
     def test_bad_state_vector(self, model_file, capsys):
         code = main(["control", "--model", model_file, "--x", "banana"])
         assert code == 1

@@ -11,8 +11,6 @@ from csviu import (
     inaction_test,
     optimal_control,
     optimal_control_batch,
-    rho_min,
-    rho_stage,
     solve_riccati,
     sor_solve,
     stage_value,
@@ -187,6 +185,30 @@ class TestSorGeneral:
         for nu in answers[1:]:
             np.testing.assert_allclose(nu, answers[0], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(answers[0], [0.01079455, 0.0], rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("omega", [0.0, 2.0, 2.5, -1.0])
+@pytest.mark.parametrize("entry", ["sor_solve", "sor_solve_batch", "optimal_control_batch"])
+def test_omega_outside_the_open_interval_raises_before_sweeping(entry, omega, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a relaxation sweep ran")
+
+    monkeypatch.setattr(csviu.control, "_sweeps_one", refuse)
+    monkeypatch.setattr(csviu.control, "_sweeps_batch", refuse)
+    sol = solve_riccati(support.random_model(np.random.default_rng(3), n=2, m=2), alpha=0.9)
+    X = np.random.default_rng(4).standard_normal((4, 2))
+    law = sol.law
+    calls = {
+        "sor_solve": lambda: sor_solve(
+            ControlSubproblem.from_parts(sol.Lambda, [1.0, -1.0], law.c), omega=omega
+        ),
+        "sor_solve_batch": lambda: sor_solve_batch(law.W, X @ sol.Sigma.T, law.c, omega=omega),
+        "optimal_control_batch": lambda: optimal_control_batch(
+            sol, X, mu_kind="asymptotic", omega=omega
+        ),
+    }
+    with pytest.raises(ValueError, match="omega must lie in"):
+        calls[entry]()
 
 
 def _sweeps_or_failure(W, B, c, omega):
@@ -485,15 +507,7 @@ class TestInaction:
 
 
 class TestStageResiduals:
-    def test_agree_at_unit_discount(self, rng):
-        model = support.random_model(rng, n=2, m=2)
-        sol = solve_riccati(model, alpha=1.0)
-        x = rng.standard_normal(2)
-        u = rng.standard_normal(2)
-        mu = 0.1 * rng.standard_normal(2)
-        assert rho_stage(sol, x, u, mu) == pytest.approx(stage_value(sol, x, u, mu), abs=1e-12)
-
-    def test_discount_split_between_the_two_forms(self, rng):
+    def test_discount_multiplies_deviation_and_completion(self, rng):
         model = support.random_model(rng, n=2, m=1)
         sol = solve_riccati(model, alpha=0.9)
         x = rng.standard_normal(2)
@@ -503,7 +517,6 @@ class TestStageResiduals:
         u0 = -np.linalg.solve(sol.Lambda, sol.Sigma @ x + 0.5 * h)
         dev = (u - u0) @ sol.Lambda @ (u - u0)
         completion = h @ np.linalg.solve(sol.Lambda, h)
-        assert rho_stage(sol, x, u, mu) == pytest.approx(dev - 0.9 / 4.0 * completion, abs=1e-12)
         assert stage_value(sol, x, u, mu) == pytest.approx(0.9 * (dev - completion / 4.0), abs=1e-12)
 
     def test_ledger_identity_links_residual_to_stage_cost(self, rng):
@@ -545,17 +558,6 @@ class TestStageResiduals:
             assert batch[row] == pytest.approx(
                 stage_value(sol, X[row], U[row], Mu[row]), abs=1e-11
             )
-
-    def test_rho_min_packages_the_minimizer_pair(self, rng):
-        model = support.random_model(rng, n=2, m=1)
-        sol = solve_riccati(model, alpha=0.9)
-        x = np.array([0.8, -0.5])
-        out = rho_min(sol, x, mu_kind="asymptotic")
-        assert out.rho == pytest.approx(rho_stage(sol, x, out.u_star, out.mu), abs=1e-12)
-        h = model.B.T @ out.mu + sol.forms.Wud * np.sign(out.u_star)
-        np.testing.assert_allclose(
-            out.u0, -np.linalg.solve(sol.Lambda, sol.Sigma @ x + 0.5 * h), atol=1e-12
-        )
 
     def test_zero_deadzone_residual_is_pure_deviation(self, rng):
         # without growth noise and slope the completion term vanishes and the

@@ -1,10 +1,10 @@
 import json
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from csviu import CriterionConfig, ModelError, NoiseModel, SystemModel, load_model, sign_vector
+from csviu import CriterionConfig, ModelError, SystemModel, load_model
+from csviu.model import NOISE_KINDS
+from csviu.simulator import draw_noise_block
 
 import support
 
@@ -64,25 +64,8 @@ def test_criterion_validation():
 
 
 def test_noise_model_kinds():
-    assert NoiseModel("rademacher").kind == "rademacher"
-    with pytest.raises(ModelError):
-        NoiseModel("cauchy")
-
-
-def test_sign_vector_exact_zero():
-    out = sign_vector([1.5, 0.0, -2.0, -0.0])
-    assert out.dtype.kind == "i"
-    assert out.tolist() == [1, 0, -1, 0]
-
-
-def test_sign_vector_no_deadband():
-    assert sign_vector([1e-300])[0] == 1
-    assert sign_vector([-1e-300])[0] == -1
-
-
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=6))
-def test_sign_vector_is_odd_and_recovers_magnitude(xs):
-    x = np.array(xs, dtype=float)
-    s = sign_vector(x)
-    assert np.array_equal(s, -sign_vector(-x))
-    assert np.allclose(s * np.abs(x), x)
+    model = support.scalar_model()
+    for kind in NOISE_KINDS:
+        assert draw_noise_block(model, 2, 1, 0, kind).shape == (1, 2, 3)
+    with pytest.raises(ValueError, match="unknown noise kind"):
+        draw_noise_block(model, 2, 1, 0, "cauchy")

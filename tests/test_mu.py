@@ -63,8 +63,6 @@ class TestFrozenSign:
     def test_frozen_scalar_values(self, slope_sol):
         got = mu_asymptotic(slope_sol, [1.0], [1.0])
         assert got[0] == pytest.approx(0.9 * 0.2 / (1.0 - 0.45), abs=1e-12)  # 0.327272...
-        plain = mu_asymptotic(slope_sol, [1.0], [1.0], resolvent="plain")
-        assert plain[0] == pytest.approx(0.9 * 0.2 / 0.5, abs=1e-12)  # 0.36
 
     def test_odd_in_the_signs(self, rng):
         model = support.random_model(rng, n=3, m=2)
@@ -82,14 +80,6 @@ class TestFrozenSign:
     def test_input_validation(self, slope_sol):
         with pytest.raises(ValueError, match="lengths"):
             mu_asymptotic(slope_sol, [1.0, 1.0], [1.0])
-        with pytest.raises(ValueError, match="resolvent"):
-            mu_asymptotic(slope_sol, [1.0], [1.0], resolvent="sideways")
-
-    def test_plain_variant_needs_undiscounted_contraction(self):
-        sol = support.synthetic_solution(A=1.05, B=0.0, G=0.0, alpha=0.8, Wxd=[0.1])
-        assert np.isfinite(mu_asymptotic(sol, [1.0], [1.0])[0])  # 0.8 * 1.05 < 1
-        with pytest.raises(SeriesDivergent):
-            mu_asymptotic(sol, [1.0], [1.0], resolvent="plain")
 
 
 class TestRollout:
@@ -104,6 +94,10 @@ class TestRollout:
         )
         np.testing.assert_allclose(est.value, expected, atol=1e-12)
         np.testing.assert_allclose(est.stderr, 0.0, atol=1e-12)
+
+    def test_needs_at_least_one_path(self, slope_sol):
+        with pytest.raises(ValueError, match="paths"):
+            mu_rollout(slope_sol, [1.0], depth=3, paths=0)
 
     def test_frozen_orthant_matches_frozen_sign_series(self):
         # noise-free positive system with u = -0.1 x: signs never move, so the

@@ -123,13 +123,15 @@ class TestOperatorMatrix:
     def test_matrix_matches_basis_probing(self, rng, kind):
         model = support.random_model(rng, n=3, m=2)
         ops = OperatorSet(model, alpha=1.1)
-        direct = {
-            "lyapunov": ops.lyapunov_step,
-            "transition": lambda U: model.A.T @ U @ model.A,
-            "state_noise": lambda U: np.diag(np.einsum(
-                "pi,pq,qi->i", model.sigma_bar_x, U, model.sigma_bar_x)),
+        # the propagation map and the two building blocks it is assembled from
+        direct, M = {
+            "lyapunov": (ops.lyapunov_step, ops.operator_matrix("lyapunov")),
+            "transition": (lambda U: model.A.T @ U @ model.A, congruence_matrix(model.A)),
+            "state_noise": (
+                lambda U: np.diag(np.einsum("pi,pq,qi->i", model.sigma_bar_x, U, model.sigma_bar_x)),
+                diag_congruence_matrix(model.sigma_bar_x),
+            ),
         }[kind]
-        M = ops.operator_matrix(kind)
         np.testing.assert_allclose(M, oracles.vec_matrix_of(direct, 3), atol=1e-12)
         for _ in range(20):
             root = rng.standard_normal((3, 3))
@@ -169,8 +171,9 @@ class TestOperatorMatrix:
         np.testing.assert_array_equal(ops.second_moment_map(stack)[1], ops.lyapunov_step(stack[1]))
 
     def test_unknown_kind_rejected(self, scalar_model):
-        with pytest.raises(ValueError, match="unknown operator kind"):
-            OperatorSet(scalar_model, 1.0).operator_matrix("sideways")
+        for kind in ("sideways", "transition", "state_noise"):
+            with pytest.raises(ValueError, match="unknown operator kind"):
+                OperatorSet(scalar_model, 1.0).operator_matrix(kind)
 
 
 def test_congruence_matrix_identity(rng):

@@ -120,12 +120,6 @@ class TestSolutionInvariants:
         assert sol.alpha_condition_ok == (sol.closed_loop_radius < 1.0 / 1.05)
         assert solve_riccati(model, alpha=0.9).alpha_condition_ok is None
 
-    def test_detectability_hook(self, scalar_model):
-        sol = solve_riccati(scalar_model, alpha=0.9, check_detectable=True)
-        assert sol.detectable_ok is True
-        plain = solve_riccati(scalar_model, alpha=0.9)
-        assert plain.detectable_ok is None
-
 
 class TestFiniteHorizon:
     def test_zero_horizon(self, scalar_model):
@@ -182,8 +176,7 @@ class TestFailureModes:
 
 def test_detectable_solution_closes_the_loop(scalar_model):
     """When detection succeeds and the fixed point exists, the optimal gain contracts."""
-    sol = solve_riccati(scalar_model, alpha=0.9, check_detectable=True)
-    assert sol.detectable_ok
+    sol = solve_riccati(scalar_model, alpha=0.9)
     assert detectability_search(scalar_model, 0.9) is not None
     check = closed_loop_check(scalar_model, 0.9, sol.G)
     assert check.ok

@@ -16,6 +16,7 @@ from csviu import (
     solve_riccati,
     step,
 )
+import csviu.simulator
 from csviu.simulator import draw_noise_block, path_rng, step_batch
 
 import oracles
@@ -327,11 +328,53 @@ class TestOptimalNorms:
         assert est.power == pytest.approx(target, rel=1e-6)
         assert est.energy is None
 
-    def test_expanding_discount_refused(self, rng):
+    def test_expanding_discount_refused(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("noise drawn for a discount above one")
+
+        monkeypatch.setattr(csviu.simulator, "draw_noise_block", refuse)
         model = support.random_model(rng, n=2, m=1)
-        sol = solve_riccati(model, alpha=1.05)
-        with pytest.raises(SeriesDivergent, match="discount above one"):
-            optimal_norms(sol)
+        # this loop does not contract in second moment at 1.05 either; the
+        # discount is the reason reported
+        slow = support.synthetic_solution(A=0.99, B=1.0, G=0.0, alpha=1.05)
+        for sol in (solve_riccati(model, alpha=1.05), slow):
+            with pytest.raises(SeriesDivergent, match="discount above one"):
+                optimal_norms(sol)
+
+    @pytest.mark.parametrize(
+        "alpha, kwargs, reason",
+        [
+            (0.9, {"paths": 0}, "paths"),
+            (1.0, {"paths": 0}, "paths"),
+            (0.9, {"paths": 5, "noise_kind": "cauchy"}, "noise kind"),
+            (1.0, {"paths": 5, "kappa": 0}, "kappa"),
+        ],
+    )
+    def test_degenerate_requests_raise_instead_of_nan(self, scalar_model, alpha, kwargs, reason):
+        sol = solve_riccati(scalar_model, alpha=alpha)
+        with pytest.raises(ValueError, match=reason):
+            optimal_norms(sol, **kwargs)
+
+    # horizons recorded before the residual cap moved onto mu_bound
+    PINNED_KAPPA = {
+        0.9: {"scalar": 4, "scalar-lq": 4, "stacked": 4, "two-state": 99, "three-state": 86,
+              "wide-noise": 121},
+        0.95: {"scalar": 4, "scalar-lq": 4, "stacked": 4, "two-state": 222, "three-state": 193,
+               "wide-noise": 265},
+        1.0: dict.fromkeys(
+            ("scalar", "scalar-lq", "stacked", "two-state", "three-state", "wide-noise"), 1000
+        ),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.95, 1.0])
+    def test_horizons_pinned_on_regression_models(self, alpha):
+        got = {
+            name: optimal_norms(
+                solve_riccati(model, alpha=alpha), paths=2, mu_kind="zero"
+            ).details["kappa"]
+            for name, model in support.regression_models()
+        }
+        assert got == self.PINNED_KAPPA[alpha]
 
     def test_details_record_the_estimation_mode(self, scalar_model):
         sol = solve_riccati(scalar_model, alpha=0.9)
