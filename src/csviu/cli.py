@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .control import inaction_test, optimal_control
+from .control import optimal_control
 from .errors import (
     AssumptionViolated,
     MaxIterations,
@@ -252,15 +252,14 @@ def _cmd_control(args, run: _Run):
     x = np.array(_floats(args.x))
     result = optimal_control(sol, x, mu_kind=run.mu_kind, omega=run.omega,
                              tol=run.config.tol_sor)
-    inactive, margins = inaction_test(sol, x, result.mu)
     return {
         "x": _jsonable(x),
         "mu_kind": run.mu_kind,
         "mu": _jsonable(result.mu),
         "u_star": _jsonable(result.u_star),
         "gamma": _jsonable(result.gamma),
-        "inactive": _jsonable(inactive),
-        "margins": _jsonable(margins),
+        "inactive": _jsonable(result.margins > 0),
+        "margins": _jsonable(result.margins),
         "theta": _jsonable(result.sor.theta),
         "sor_iterations": result.sor.iterations,
         "sor_residual": result.sor.residual,

@@ -24,9 +24,11 @@ from operator import mul
 
 import numpy as np
 
-from .errors import AssumptionViolated, CsviuError, MaxIterations, SingularLambda
+from .errors import CsviuError, MaxIterations, SingularLambda
 from .mu import frozen_sign_slopes, mu_rollout
-from .riccati import RiccatiSolution
+from .riccati import RiccatiSolution, stage_data
+
+_MU_SWEEPS = 3  # frozen-sign slope sweeps per state before its last pattern is kept
 
 
 @dataclass(frozen=True)
@@ -51,13 +53,7 @@ class ControlSubproblem:
             raise ValueError(
                 f"inconsistent sizes: Lambda {Lambda.shape}, b {b.shape}, c {c.shape}"
             )
-        if np.any(c < 0):
-            raise AssumptionViolated("the l1 weights c must be nonnegative")
-        eigs = np.linalg.eigvalsh(0.5 * (Lambda + Lambda.T))
-        if eigs.min() <= 0:
-            raise SingularLambda("Lambda must be positive definite")
-        W = 0.5 * np.linalg.inv(Lambda)
-        W = 0.5 * (W + W.T)
+        W, c = stage_data(Lambda, c)
         return cls(W=W, b=b, c=c, Lambda=Lambda)
 
 
@@ -246,13 +242,35 @@ def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=10000):
     return Nu
 
 
-def _feedback(sol: RiccatiSolution, X, Mu, mu_sweeps, solve):
+def _slopes(sol: RiccatiSolution, X, Mu, mu_kind):
+    """The (rows, n) slopes of a state batch: an explicit ``Mu``, zeros, or one
+    default :func:`~csviu.mu.mu_rollout` per row; None for "asymptotic", whose
+    slopes :func:`_feedback` resolves with the stage solves."""
+    rows, n = X.shape
+    if n != sol.model.n:
+        raise ValueError(f"states have length {n}, expected {sol.model.n}")
+    if Mu is not None:
+        Mu = np.asarray(Mu, dtype=float)
+        Mu = Mu.reshape(1, -1) if rows == 1 else np.atleast_2d(Mu)
+        if Mu.shape != X.shape:
+            raise ValueError(f"slopes of shape {Mu.shape} do not match {rows} states of length {n}")
+        return Mu
+    if mu_kind == "zero":
+        return np.zeros(X.shape)
+    if mu_kind == "rollout":
+        return np.array([mu_rollout(sol, x).value for x in X]).reshape(X.shape)
+    if mu_kind == "asymptotic":
+        return None
+    raise ValueError(f"unknown mu_kind {mu_kind!r}; expected 'zero', 'asymptotic' or 'rollout'")
+
+
+def _feedback(sol: RiccatiSolution, X, Mu, solve):
     """Controls and slopes ``(U, Mu)`` for a (rows, n) state batch.
 
     ``solve(B)`` returns the controls of the stage problems with the (k, m)
     right-hand sides ``B``.  A given ``Mu`` takes one solve.  ``Mu=None``
     resolves the frozen-sign slope row by row: each row re-solves until its
-    control sign pattern repeats, for at most ``mu_sweeps`` sweeps, and only
+    control sign pattern repeats, for at most ``_MU_SWEEPS`` sweeps, and only
     the rows whose signs moved take part in the next sweep.  A settled row's
     last solve already used its returned slope; only rows still moving after
     the last sweep are solved once more.
@@ -267,7 +285,7 @@ def _feedback(sol: RiccatiSolution, X, Mu, mu_sweeps, solve):
     # rows whose signs still move, with their states' data
     live = np.arange(X.shape[0])
     Sx_l, Su_l, Mu_l, R_l = Sx, 0.0, Mu, R
-    for _ in range(mu_sweeps):
+    for _ in range(_MU_SWEEPS):
         U_l = solve(Mu_l @ B + R_l)
         U[live] = U_l
         Su_next = np.sign(U_l)
@@ -281,28 +299,18 @@ def _feedback(sol: RiccatiSolution, X, Mu, mu_sweeps, solve):
     return U, Mu
 
 
-def _given_mu(sol: RiccatiSolution, x, mu, mu_kind, rollout_kwargs):
-    """The slope at ``x`` when it takes no stage solves; None for "asymptotic"."""
-    n = sol.model.n
-    if mu is not None:
-        mu = np.asarray(mu, dtype=float).reshape(-1)
-        if mu.shape != (n,):
-            raise ValueError(f"mu has length {mu.size}, expected {n}")
-        return mu
-    if mu_kind == "zero":
-        return np.zeros(n)
-    if mu_kind == "rollout":
-        return mu_rollout(sol, x, **rollout_kwargs).value
-    if mu_kind == "asymptotic":
-        return None
-    raise ValueError(f"unknown mu_kind {mu_kind!r}")
+def _inaction_margins(sol: RiccatiSolution, X, Mu):
+    """Inaction margins ``Wud - |2 X Sigma' + Mu B|`` of a (rows, n) batch."""
+    return _margins(sol, Mu @ sol.model.B + 2.0 * X @ sol.Sigma.T)
 
 
-def _solve_state(sol: RiccatiSolution, x, mu, mu_sweeps, omega, tol, max_iters):
-    """One state through :func:`_feedback`: its final subproblem and SorState."""
-    n = sol.model.n
-    if x.shape != (n,):
-        raise ValueError(f"x has length {x.size}, expected {n}")
+def _margins(sol: RiccatiSolution, linear):
+    return sol.forms.Wud - np.abs(linear)
+
+
+def _solve_state(sol: RiccatiSolution, x, mu, omega, tol, max_iters):
+    """One state and its :func:`_slopes` row through :func:`_feedback`: its
+    final subproblem and SorState."""
     law = sol.law
     b = state = None
 
@@ -313,7 +321,7 @@ def _solve_state(sol: RiccatiSolution, x, mu, mu_sweeps, omega, tol, max_iters):
         state = sor_solve(sub, omega=omega, tol=tol, max_iters=max_iters)
         return state.nu[None]
 
-    _, Mu = _feedback(sol, x[None], None if mu is None else mu[None], mu_sweeps, solve)
+    _, Mu = _feedback(sol, x[None], mu, solve)
     return ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda, x=x, mu=Mu[0]), state
 
 
@@ -322,28 +330,24 @@ def resolve_mu(
     x,
     mu=None,
     mu_kind: str = "zero",
-    mu_sweeps: int = 3,
     omega: float = 1.0,
     tol: float = 1e-10,
     max_iters: int = 10000,
-    **rollout_kwargs,
 ):
     """Produce the slope vector used by the stage problem at ``x``.
 
-    "zero" ignores the slope, "asymptotic" freezes signs at the current state
-    and runs a few fixed-point sweeps on the control sign pattern, "rollout"
-    delegates to the Monte Carlo series estimator.  The asymptotic sweeps
-    solve the stage problem with ``omega``/``tol``/``max_iters`` and stop as
-    soon as the sign pattern repeats or after ``mu_sweeps`` sweeps; a state
-    on a sign cycle returns the slope of its last pattern.  The slope
-    resolvent and the stage-problem data come from the solution's cached
-    ``slope_map`` and ``law``.
+    Every feedback entry point takes the same slope inputs: an explicit
+    ``mu``, or ``mu_kind`` "zero" (no slope), "asymptotic" or "rollout".
+    "asymptotic" freezes signs at the current state and re-solves the stage
+    problem (with ``omega``/``tol``/``max_iters``) until the control sign
+    pattern repeats, for at most 3 sweeps; a state on a sign cycle returns
+    the slope of its last pattern.  "rollout" is :func:`~csviu.mu.mu_rollout`
+    with its defaults (256 paths, seed 0); for other settings pass
+    ``mu=mu_rollout(sol, x, ...).value``.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    value = _given_mu(sol, x, mu, mu_kind, rollout_kwargs)
-    if value is None:
-        value = _solve_state(sol, x, None, mu_sweeps, omega, tol, max_iters)[0].mu
-    return value
+    Mu = _slopes(sol, x[None], mu, mu_kind)
+    return Mu[0] if Mu is not None else _solve_state(sol, x, None, omega, tol, max_iters)[0].mu
 
 
 @dataclass(frozen=True)
@@ -364,8 +368,6 @@ def optimal_control(
     omega: float = 1.0,
     tol: float = 1e-10,
     max_iters: int = 10000,
-    mu_sweeps: int = 3,
-    **rollout_kwargs,
 ) -> ControlResult:
     """Optimal stage control at ``x``: solve, then cross-check the closed form.
 
@@ -373,11 +375,13 @@ def optimal_control(
     ``mu_kind="asymptotic"`` the sweep's last solve is the returned control.
     The converged clipped vector reconstructs the control through the inverse
     curvature; a mismatch there would mean the sweep settled on a wrong point,
-    so it is treated as an internal error.
+    so it is treated as an internal error.  ``margins`` are those of
+    :func:`inaction_test`, read off the final stage problem's linear term.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    mu_val = _given_mu(sol, x, mu, mu_kind, rollout_kwargs)
-    sub, state = _solve_state(sol, x, mu_val, mu_sweeps, omega, tol, max_iters)
+    sub, state = _solve_state(
+        sol, x, _slopes(sol, x[None], mu, mu_kind), omega, tol, max_iters
+    )
     mu_val = sub.mu
     u_star = state.nu
     reconstructed = -np.linalg.solve(
@@ -389,23 +393,23 @@ def optimal_control(
         raise CsviuError(
             f"converged control fails its closed-form reconstruction by {gap:.3e}"
         )
-    margins = sub.c - np.abs(sub.b)
+    margins = _margins(sol, sub.b)
     return ControlResult(
         u_star=u_star, gamma=state.gamma, mu=mu_val, margins=margins, sub=sub, sor=state
     )
 
 
 def inaction_test(sol: RiccatiSolution, x, mu, channel: int | None = None):
-    """Whether each control channel stays switched off at ``x``.
+    """Whether each control channel stays switched off at ``x`` with slope ``mu``.
 
-    A channel is strictly inactive when the linear pull on it is smaller than
-    its deadzone weight; the margin is positive inside the inaction region,
-    negative outside, near zero on the boundary.
+    A channel is strictly inactive when the linear pull ``2 Sigma x + B' mu``
+    on it is smaller than its deadzone weight; the margin (weight less pull
+    magnitude, as in ``ControlResult.margins`` and ``scan_region``) is
+    positive inside the inaction region, negative outside.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    pull = 2.0 * sol.Sigma @ x + sol.model.B.T @ mu
-    margins = sol.forms.Wud - np.abs(pull)
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    mu = np.asarray(mu, dtype=float).reshape(1, -1)
+    margins = _inaction_margins(sol, x, mu)[0]
     inactive = margins > 0
     if channel is not None:
         return bool(inactive[channel]), float(margins[channel])
@@ -443,38 +447,22 @@ def optimal_control_batch(
     omega: float = 1.0,
     tol: float = 1e-10,
     max_iters: int = 10000,
-    mu_sweeps: int = 3,
 ):
     """Optimal controls for a whole (paths, n) state batch at once.
 
     Returns ``(U, Mu)`` with shapes (paths, m) and (paths, n), empty when
-    ``X`` has no rows.  Row for row this matches :func:`optimal_control` up
-    to the solver tolerance: with ``mu_kind="asymptotic"`` every row follows
-    the single-state slope-sweep rule on its own, so a row on a sign cycle
-    costs its own re-solves and leaves the other rows' results unchanged.
-    The batch exists because simulations and region scans solve thousands
-    of stage problems sharing one curvature matrix, taken from the
-    solution's cached ``law``.
+    ``X`` has no rows.  The slope inputs are those of :func:`resolve_mu`
+    ("rollout" runs one :func:`~csviu.mu.mu_rollout` per row).  Row for row
+    this matches :func:`optimal_control` up to the solver tolerance: with
+    ``mu_kind="asymptotic"`` every row follows the single-state slope-sweep
+    rule on its own, so a row on a sign cycle leaves the other rows' results
+    unchanged.  The curvature data come from the solution's cached ``law``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    paths = X.shape[0]
-    n = sol.model.n
-    if X.shape[1] != n:
-        raise ValueError(f"state batch has width {X.shape[1]}, expected {n}")
-    if Mu is None:
-        if mu_kind == "zero":
-            Mu = np.zeros((paths, n))
-        elif mu_kind != "asymptotic":
-            raise ValueError(
-                f"mu_kind {mu_kind!r} is not supported in batch mode; pass Mu explicitly"
-            )
-    else:
-        Mu = np.atleast_2d(np.asarray(Mu, dtype=float))
-        if Mu.shape != (paths, n):
-            raise ValueError(f"Mu batch has shape {Mu.shape}, expected {(paths, n)}")
+    Mu = _slopes(sol, X, Mu, mu_kind)
     law = sol.law
 
     def solve(B):
         return sor_solve_batch(law.W, B, law.c, omega=omega, tol=tol, max_iters=max_iters)
 
-    return _feedback(sol, X, Mu, mu_sweeps, solve)
+    return _feedback(sol, X, Mu, solve)

@@ -56,13 +56,11 @@ def frozen_sign_slopes(sol: RiccatiSolution, sign_X, sign_U) -> np.ndarray:
     """Row-wise frozen-sign slopes for (rows, n) state and (rows, m) control sign patterns.
 
     The slope ``slope_map @ (Wxd o s_x + G' (Wud o s_u))`` is linear in the
-    two sign patterns, so a batch of rows costs two matrix products with
-    gains built from the solution's cached ``slope_map``, and no solve.
+    two sign patterns, so a batch of rows costs two matrix products with the
+    solution's cached ``slope_gains``, and no solve.
     """
     _require_contracting(sol.alpha, sol.closed_loop_radius, "the frozen-sign slope")
-    M = sol.slope_map
-    gain_x = M * sol.forms.Wxd
-    gain_u = M @ (sol.G.T * sol.forms.Wud)
+    gain_x, gain_u = sol.slope_gains
     return sign_X @ gain_x.T + sign_U @ gain_u.T
 
 
@@ -102,6 +100,8 @@ def mu_rollout(
         raise ValueError(f"x has length {x.size}, expected {model.n}")
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
+    if depth is not None and depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     rho = sol.closed_loop_radius
     if depth is None:
         _require_contracting(alpha, rho, "the rollout slope")

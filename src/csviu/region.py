@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import optimal_control, optimal_control_batch
+from .control import _inaction_margins, optimal_control, optimal_control_batch
 from .errors import CsviuError
 from .mu import mu_asymptotic
 from .riccati import RiccatiSolution
@@ -110,8 +110,7 @@ def scan_region(
                 U[idx] = np.nan
                 Mu[idx] = np.nan
 
-    pull = 2.0 * points @ sol.Sigma.T + Mu @ sol.model.B
-    margins = sol.forms.Wud - np.abs(pull)
+    margins = _inaction_margins(sol, points, Mu)
     labels = np.where(np.abs(U) <= label_tol, 0, np.sign(U)).astype(np.int8)
     boundary = np.abs(margins) <= boundary_tol
     inconsistent = ~invalid[:, None] & ~boundary & (

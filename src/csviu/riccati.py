@@ -30,11 +30,11 @@ class RiccatiSolution:
     ``L`` so callers do not recompute them.  Detectability is not recorded
     here; :func:`~csviu.stability.detectability_search` answers it.
 
-    Two derived quantities are built on first use and cached on the
-    instance: ``law``, the checked stage-problem data every feedback solve
-    shares, and ``slope_map``, the resolvent of the frozen-sign value slope.
-    Neither is a field, so they take no part in comparisons, and
-    ``dataclasses.replace`` starts a fresh cache.
+    Derived quantities are built on first use and cached on the instance:
+    ``law``, the checked stage-problem data every feedback solve shares,
+    ``slope_map``, the resolvent of the frozen-sign value slope, and its
+    ``slope_gains``.  None is a field, so they take no part in comparisons,
+    and ``dataclasses.replace`` starts a fresh cache.
     """
 
     model: SystemModel
@@ -59,17 +59,14 @@ class RiccatiSolution:
         negative; a failed build is not cached, so every later call raises
         again.
         """
-        eigs = np.linalg.eigvalsh(0.5 * (self.Lambda + self.Lambda.T))
-        if eigs.min() <= 0:
-            raise SingularLambda("control curvature at the fixed point is not positive definite")
         c = self.forms.Wud
         if np.any(c < -1e-12 * max(1.0, float(np.abs(c).max()))):
             raise AssumptionViolated(
                 "the control deadzone weights came out negative; the noise data "
                 "violates the positivity assumption on the mixed control terms"
             )
-        W = 0.5 * np.linalg.inv(self.Lambda)
-        return FeedbackLaw(W=_frozen(0.5 * (W + W.T)), c=_frozen(np.maximum(c, 0.0)))
+        W, c = stage_data(self.Lambda, np.maximum(c, 0.0))
+        return FeedbackLaw(W=_frozen(W), c=_frozen(c))
 
     @cached_property
     def slope_map(self) -> np.ndarray:
@@ -80,6 +77,12 @@ class RiccatiSolution:
         """
         n = self.model.n
         return _frozen(self.alpha * np.linalg.inv(np.eye(n) - self.alpha * self.Acl.T))
+
+    @cached_property
+    def slope_gains(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frozen-sign slope gains on the state and control sign patterns."""
+        M = self.slope_map
+        return _frozen(M * self.forms.Wxd), _frozen(M @ (self.G.T * self.forms.Wud))
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,16 @@ class FeedbackLaw:
 
     W: np.ndarray
     c: np.ndarray
+
+
+def stage_data(Lambda: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked stage-problem data ``(W, c)`` with ``W = Lambda^{-1}/2`` symmetrized."""
+    if np.any(c < 0):
+        raise AssumptionViolated("the l1 deadzone weights c must be nonnegative")
+    if np.linalg.eigvalsh(0.5 * (Lambda + Lambda.T)).min() <= 0:
+        raise SingularLambda("the control curvature Lambda must be positive definite")
+    W = 0.5 * np.linalg.inv(Lambda)
+    return 0.5 * (W + W.T), c
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -99,21 +99,13 @@ class Policy:
 
     @staticmethod
     def optimal(sol, mu_kind: str = "zero", omega: float = 1.0, tol: float = 1e-10) -> "Policy":
-        from .control import optimal_control, optimal_control_batch
+        """One :func:`~csviu.control.optimal_control_batch` call per state batch."""
+        from .control import optimal_control_batch
 
-        if mu_kind == "rollout":
-            def fn(X):
-                rows = [optimal_control(sol, x, mu_kind="rollout").u_star for x in np.atleast_2d(X)]
-                return np.vstack(rows)
-        else:
-            def fn(X):
-                return optimal_control_batch(sol, X, mu_kind=mu_kind, omega=omega, tol=tol)[0]
+        def fn(X):
+            return optimal_control_batch(sol, X, mu_kind=mu_kind, omega=omega, tol=tol)[0]
 
         return Policy(f"optimal[{mu_kind}]", fn)
-
-    @staticmethod
-    def custom(fn, kind: str = "custom") -> "Policy":
-        return Policy(kind, fn)
 
 
 @dataclass(frozen=True)
@@ -287,6 +279,8 @@ def one_step_variation_oracle(
     nonzero next-stage slope under live noise the identity holds only up to
     the sign-flip bias, which is the caller's responsibility to keep small.
     """
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
     n, m = model.n, model.m
     x = np.asarray(x, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1)
@@ -553,6 +547,8 @@ def overtaking_compare(
     paired estimate; the scaled columns divide by alpha**kappa to stay finite
     when the discount exceeds one and the horizon grows.
     """
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     kappa_grid = sorted(int(k) for k in kappa_grid)
     if not kappa_grid or kappa_grid[0] < 0:
         raise ValueError("kappa_grid must contain nonnegative integers")

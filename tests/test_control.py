@@ -5,12 +5,15 @@ from csviu import (
     AssumptionViolated,
     ControlSubproblem,
     MaxIterations,
+    Policy,
     SingularLambda,
     build_subproblem,
     cost_Ju,
     inaction_test,
     optimal_control,
     optimal_control_batch,
+    optimal_norms,
+    scan_region,
     solve_riccati,
     sor_solve,
     stage_value,
@@ -330,11 +333,33 @@ class TestOptimalControl:
         with pytest.raises(MaxIterations):
             resolve_mu(sol, X[0], mu_kind="asymptotic", max_iters=1)
 
-    def test_batch_rejects_rollout_mode(self, rng):
+    def test_batch_rollout_rows_match_single_states(self, rng):
         model = support.random_model(rng, n=2, m=1)
         sol = solve_riccati(model, alpha=0.9)
-        with pytest.raises(ValueError, match="batch"):
-            optimal_control_batch(sol, np.zeros((2, 2)), mu_kind="rollout")
+        X = 2.0 * rng.standard_normal((3, 2))
+        U, Mu = optimal_control_batch(sol, X, mu_kind="rollout")
+        for row in range(3):
+            single = optimal_control(sol, X[row], mu_kind="rollout")
+            np.testing.assert_allclose(U[row], single.u_star, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(Mu[row], single.mu, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda sol, X, kind: optimal_control(sol, X[0], mu_kind=kind),
+            lambda sol, X, kind: optimal_control_batch(sol, X, mu_kind=kind),
+            lambda sol, X, kind: resolve_mu(sol, X[0], mu_kind=kind),
+            lambda sol, X, kind: Policy.optimal(sol, mu_kind=kind).fn(X),
+            lambda sol, X, kind: scan_region(sol, resolution=3, mu_kind=kind),
+            lambda sol, X, kind: optimal_norms(sol, paths=2, kappa=3, mu_kind=kind),
+        ],
+        ids=["optimal_control", "optimal_control_batch", "resolve_mu", "Policy.optimal",
+             "scan_region", "optimal_norms"],
+    )
+    def test_every_entry_point_rejects_an_unknown_mu_kind(self, rng, entry):
+        sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
+        with pytest.raises(ValueError, match="mu_kind"):
+            entry(sol, np.ones((2, 2)), "sideways")
 
 
 def _count_calls(monkeypatch, owner, name, counts):
@@ -433,9 +458,21 @@ class TestCompiledLaw:
 
     def test_shared_arrays_are_read_only(self, rng):
         sol = solve_riccati(support.random_model(rng, n=2, m=2), alpha=0.9)
-        for array in (sol.law.W, sol.law.c, sol.slope_map):
+        for array in (sol.law.W, sol.law.c, sol.slope_map, *sol.slope_gains):
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+    def test_slope_gains_built_once_per_solution(self, rng):
+        model = support.random_model(rng, n=3, m=2)
+        sol = solve_riccati(model, alpha=0.9)
+        X = rng.standard_normal((8, 3))
+        optimal_control_batch(sol, X, mu_kind="asymptotic")
+        gain_x, gain_u = sol.slope_gains
+        optimal_control_batch(sol, X, mu_kind="asymptotic")
+        optimal_control(sol, X[0], mu_kind="asymptotic")
+        assert sol.slope_gains[0] is gain_x and sol.slope_gains[1] is gain_u
+        np.testing.assert_array_equal(gain_x, sol.slope_map * sol.forms.Wxd)
+        np.testing.assert_array_equal(gain_u, sol.slope_map @ (sol.G.T * sol.forms.Wud))
 
 
 class TestResolveMu:
@@ -491,6 +528,22 @@ class TestInaction:
         inactive, margins = inaction_test(sol, [0.0, 0.0], [0.0, 0.0])
         np.testing.assert_allclose(margins, sol.forms.Wud, atol=1e-14)
         assert np.all(inactive == (sol.forms.Wud > 0))
+
+    def test_one_margin_for_control_test_and_scan(self, rng):
+        model = support.random_model(rng, n=2, m=2)
+        sol = solve_riccati(model, alpha=0.9)
+        # the single-state margins run the same arithmetic: equal bit for bit
+        for x in 2.0 * rng.standard_normal((20, 2)):
+            for kind in ("zero", "asymptotic"):
+                res = optimal_control(sol, x, mu_kind=kind)
+                assert res.margins.tobytes() == inaction_test(sol, x, res.mu)[1].tobytes()
+        # a scan forms the same sums as one matrix product over all cells,
+        # which BLAS may round differently from a one-row product
+        scan = scan_region(sol, resolution=9, mu_kind="zero")
+        points = np.stack(np.meshgrid(scan.grid_x, scan.grid_y, indexing="ij"), axis=-1)
+        for x, scanned in zip(points.reshape(-1, 2), scan.margins.reshape(-1, 2)):
+            solved = optimal_control(sol, x, mu_kind="zero").margins
+            np.testing.assert_allclose(scanned, solved, rtol=0.0, atol=1e-13)
 
     def test_agrees_with_solved_control(self, rng):
         model = support.random_model(rng, n=2, m=2)

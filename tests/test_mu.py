@@ -10,6 +10,7 @@ from csviu import (
     solve_riccati,
 )
 
+import csviu.simulator
 import support
 
 
@@ -98,6 +99,14 @@ class TestRollout:
     def test_needs_at_least_one_path(self, slope_sol):
         with pytest.raises(ValueError, match="paths"):
             mu_rollout(slope_sol, [1.0], depth=3, paths=0)
+
+    def test_negative_depth_refused_before_any_draw(self, slope_sol, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn before the depth was checked")
+
+        monkeypatch.setattr(csviu.simulator, "draw_noise_block", no_draws)
+        with pytest.raises(ValueError, match="depth"):
+            mu_rollout(slope_sol, [1.0], depth=-1, paths=4)
 
     def test_frozen_orthant_matches_frozen_sign_series(self):
         # noise-free positive system with u = -0.1 x: signs never move, so the

@@ -141,6 +141,17 @@ class TestSimulate:
             np.testing.assert_allclose(U[row], expected, atol=1e-7)
         assert pol.kind == "optimal[asymptotic]"
 
+    def test_rollout_policy_takes_the_callers_solver_settings(self, rng):
+        model = support.random_model(rng, n=2, m=1)
+        sol = solve_riccati(model, alpha=0.9)
+        X = np.array([[0.4, -0.2], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="omega"):
+            Policy.optimal(sol, mu_kind="rollout", omega=2.5).fn(X)
+        U = Policy.optimal(sol, mu_kind="rollout", omega=1.5, tol=1e-12).fn(X)
+        for row in range(2):
+            single = optimal_control(sol, X[row], mu_kind="rollout", omega=1.5, tol=1e-12)
+            np.testing.assert_allclose(U[row], single.u_star, rtol=0.0, atol=1e-9)
+
     def test_rollout_policy_smoke(self, rng):
         model = support.random_model(rng, n=2, m=1)
         sol = solve_riccati(model, alpha=0.9)
@@ -216,6 +227,16 @@ class TestPower:
 
 
 class TestOneStepIdentity:
+    def test_needs_at_least_one_path_before_any_draw(self, scalar_model, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn before the path count was checked")
+
+        monkeypatch.setattr(csviu.simulator, "_draw", no_draws)
+        with pytest.raises(ValueError, match="paths"):
+            one_step_variation_oracle(
+                scalar_model, 0.9, [[1.0]], [[1.0]], x=[1.0], u=[0.5], paths=0
+            )
+
     def test_noise_free_identity_is_exact_with_slopes(self, rng):
         model = _noise_free_model([[0.6, 0.1], [0.0, 0.5]], [[1.0], [0.2]])
         root = rng.standard_normal((2, 2))
@@ -413,6 +434,17 @@ class TestOvertaking:
         )
         for row in rows:
             assert row.diff == pytest.approx(row.diff_scaled * 1.2**row.kappa, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_nonpositive_discount_refused_before_any_draw(self, scalar_model, alpha, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn before the discount was checked")
+
+        monkeypatch.setattr(csviu.simulator, "draw_noise_block", no_draws)
+        with pytest.raises(ValueError, match="alpha"):
+            overtaking_compare(
+                scalar_model, alpha, Policy.zero(1), Policy.zero(1), [1.0], [2], paths=2
+            )
 
     def test_grid_validation(self, scalar_model):
         with pytest.raises(ValueError, match="kappa_grid"):
