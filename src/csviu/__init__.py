@@ -13,7 +13,6 @@ from .control import (
     ControlResult,
     ControlSubproblem,
     SorState,
-    build_subproblem,
     cost_Ju,
     inaction_test,
     optimal_control,

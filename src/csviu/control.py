@@ -70,24 +70,6 @@ class SorState:
     residual: float
 
 
-def build_subproblem(sol: RiccatiSolution, x, mu) -> ControlSubproblem:
-    """Assemble the stage problem at state ``x`` with value slope ``mu``."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    n = sol.model.n
-    if x.shape != (n,) or mu.shape != (n,):
-        raise ValueError(f"x and mu must have length {n}, got {x.size} and {mu.size}")
-    law = sol.law
-    return ControlSubproblem(
-        W=law.W,
-        b=sol.model.B.T @ mu + 2.0 * sol.Sigma @ x,
-        c=law.c,
-        Lambda=sol.Lambda,
-        x=x,
-        mu=mu,
-    )
-
-
 def cost_Ju(sub: ControlSubproblem, u) -> float:
     """Objective value of the stage problem at ``u``."""
     u = np.asarray(u, dtype=float).reshape(-1)

@@ -7,6 +7,12 @@ Lyapunov / Riccati steps: quadratic growth of the noise intensity shows up as
 ``Diag(diag(S' U S))`` terms, and the mixed baseline/growth products feed the
 piecewise-linear part of the cost through the diagonals returned in
 :class:`NoiseForms`.
+
+The second-moment map is written once, in
+:meth:`OperatorSet.second_moment_map`, on n x n matrices or stacks of them.
+The Riccati step, the closed-loop cost step and every certificate radius use
+it; the dense matrix of :meth:`OperatorSet.operator_matrix` is that map
+applied to a basis of the symmetric matrices, in upper-triangle coordinates.
 """
 
 from __future__ import annotations
@@ -62,24 +68,6 @@ class SigmaLambda(NamedTuple):
 def _diag_quad(S, U, T):
     # diag(S' U T) without forming the full product; U may be a stack (k, n, n)
     return np.einsum("pi,...pq,qi->...i", S, U, T)
-
-
-def congruence_matrix(M):
-    """Matrix of ``U -> M' U M`` acting on column-stacked vec(U)."""
-    return np.kron(M.T, M.T)
-
-
-def diag_congruence_matrix(S):
-    """Matrix of ``U -> Diag(diag(S' U S))`` on column-stacked vec(U).
-
-    ``S`` is n x q; the output lives in q x q matrices, so the matrix maps
-    length n*n vectors to length q*q vectors.
-    """
-    n, q = S.shape
-    M = np.zeros((q * q, n * n))
-    for i in range(q):
-        M[i + q * i, :] = np.kron(S[:, i], S[:, i])
-    return M
 
 
 @dataclass(frozen=True)
@@ -149,53 +137,39 @@ class OperatorSet:
             ) from exc
         return self.lyapunov_step(U) - self.alpha * Sigma.T @ gain_term + md.C.T @ md.C
 
-    def operator_matrix(self, kind: str, G=None):
-        """Vectorized matrix of a linear operator on symmetric matrices.
+    def operator_matrix(self, F=None, G=None):
+        """Matrix of :meth:`second_moment_map` on symmetric matrices.
 
-        kind is one of:
-          "lyapunov"    the discounted propagation map alpha*(A'UA + Zx(U))
-          "closed_loop" the linear part of the closed-loop cost map for a
-                        gain G, alpha*((A+BG)'U(A+BG) + Zx(U) + G'Zu(U)G)
+        Coordinates are the upper-triangle entries ``U[np.triu_indices(n)]``:
+        the matrix maps them to those of the image, so it is
+        n(n+1)/2 square.  Column k is the image of the k-th basis matrix,
+        E_ij + E_ji for i < j and E_ii on the diagonal, and all columns come
+        from one stacked :meth:`second_moment_map` call.
         """
-        md = self.model
-        if kind == "lyapunov":
-            return self.alpha * (
-                congruence_matrix(md.A) + diag_congruence_matrix(md.sigma_bar_x)
-            )
-        if kind == "closed_loop":
-            if G is None:
-                raise ValueError("kind='closed_loop' requires a gain G")
-            G = np.asarray(G, dtype=float)
-            Acl = md.A + md.B @ G
-            return self.alpha * (
-                congruence_matrix(Acl)
-                + diag_congruence_matrix(md.sigma_bar_x)
-                + congruence_matrix(G) @ diag_congruence_matrix(md.sigma_bar_u)
-            )
-        raise ValueError(f"unknown operator kind {kind!r}")
+        n = self.model.n
+        i, j = np.triu_indices(n)
+        k = np.arange(i.size)
+        basis = np.zeros((i.size, n, n))
+        basis[k, i, j] = basis[k, j, i] = 1.0
+        return self.second_moment_map(basis, F, G)[:, i, j].T
 
-    def map_radius(self, kind="lyapunov", G=None):
-        """Spectral radius of the second-moment map ``kind`` ("lyapunov" or "closed_loop").
+    def map_radius(self, F=None, G=None):
+        """Spectral radius of :meth:`second_moment_map` with the same ``F``, ``G``.
 
-        Up to n*n = DENSE_MAX it is the dense eigenvalue radius of
-        :meth:`operator_matrix`.  Above that, power iteration runs on n x n
-        matrices through :meth:`second_moment_map`, from the identity, and
-        the n^2 x n^2 matrix is never built; it can raise
+        The map is positive on the semidefinite cone, so its radius is an
+        eigenvalue with a symmetric eigenvector.  On skew-symmetric U the map
+        is alpha*F'UF, whose radius alpha*rho(F)^2 never exceeds that of the
+        symmetric block, so the block alone carries the radius.  Up to
+        n*n = DENSE_MAX it is the dense eigenvalue radius of
+        :meth:`operator_matrix` on that block.  Above that, power iteration
+        runs on n x n matrices through :meth:`second_moment_map`, from the
+        identity, and no dense matrix is built; it can raise
         :class:`MaxIterations` as :func:`spectral_radius` does.
         """
-        md = self.model
-        if md.n * md.n <= DENSE_MAX:
-            return spectral_radius(self.operator_matrix(kind, G=G))
-        if kind == "lyapunov":
-            F, G = md.A, None
-        elif kind == "closed_loop":
-            if G is None:
-                raise ValueError("kind='closed_loop' requires a gain G")
-            G = np.asarray(G, dtype=float)
-            F = md.A + md.B @ G
-        else:
-            raise ValueError(f"no second-moment map of kind {kind!r}")
-        return _power_radius(lambda U: self.second_moment_map(U, F, G), np.eye(md.n))
+        n = self.model.n
+        if n * n <= DENSE_MAX:
+            return spectral_radius(self.operator_matrix(F, G))
+        return _power_radius(lambda U: self.second_moment_map(U, F, G), np.eye(n))
 
 
 def stein_solve(F, Q):

@@ -1,12 +1,17 @@
 """Stability and detectability certificates for the noisy plant.
 
-All tests reduce to properties of the second-moment propagation map
-L(U) = alpha*(A'UA + Diag(diag(Sx'USx))), with Sx = ``sigma_bar_x``.  Strict
-inequalities are checked with a margin: values inside the band around the
-threshold give a ``None`` (indeterminate) answer instead of a coin flip.
+All tests reduce to properties of one second-moment map,
+L(U) = alpha*(F'UF + Diag(diag(Sx'USx)) + G'Diag(diag(Su'USu))G), with
+Sx = ``sigma_bar_x``, Su = ``sigma_bar_u``, written once as
+:meth:`OperatorSet.second_moment_map`: the plant's map (F = A, no control
+term), the injected loop's (F = A + HC) and the closed loop's (F = A + BG
+with its gain G).  Strict inequalities are checked with a margin: values
+inside the band around the threshold give a ``None`` (indeterminate) answer
+instead of a coin flip.
 
-Nothing here builds an n^2 x n^2 matrix above n*n = 400: radii come from
-:meth:`OperatorSet.map_radius`, and the solves of (I - L)U = Q use that the
+Radii come from :meth:`OperatorSet.map_radius`: up to n = 20 the dense
+eigenvalues of the map on symmetric matrices (n(n+1)/2 square), above that
+power iteration on n x n matrices.  The solves of (I - L)U = Q use that the
 noise term has rank n.  With T(U) = U - alpha*A'UA, one batched Stein solve
 gives Y_j = T^{-1}(e_j e_j') and T^{-1}(Q); then U = T^{-1}(Q) +
 alpha*sum_j z_j Y_j, where z solves the n x n capacitance system
@@ -17,11 +22,11 @@ T^{-1} o Diag(diag(Sx'.Sx)) is that of M, so its radius is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsviuError
+from .errors import CsviuError, ModelError
 from .model import SystemModel
 from .operators import OperatorSet, spectral_radius, stein_solve, symmetrize
 
@@ -188,15 +193,24 @@ class DetectabilityCheck:
     radius: float
 
 
+def _finite_matrix(name, M, shape):
+    """``M`` as a float array of ``shape`` with finite entries; :class:`ModelError` otherwise."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.shape != shape:
+        raise ModelError(f"{name} has shape {M.shape}, expected {shape}")
+    if not np.isfinite(M).all():
+        raise ModelError(f"{name} contains non-finite entries")
+    return M
+
+
 def check_detectability(model: SystemModel, alpha: float, H) -> DetectabilityCheck:
-    """Test whether the output injection H makes the noisy loop shrink in second moment."""
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    n, p = model.n, model.p
-    if H.shape != (n, p):
-        raise CsviuError(f"H has shape {H.shape}, expected {(n, p)}")
-    # the injected loop's map is the Lyapunov map of the plant with A + HC
-    injected = replace(model, A=model.A + H @ model.C)
-    radius = OperatorSet(injected, alpha).map_radius()
+    """Test whether the output injection H makes the noisy loop shrink in second moment.
+
+    ``H`` must be a finite n x p matrix; otherwise :class:`ModelError` is raised.
+    """
+    H = _finite_matrix("H", H, (model.n, model.p))
+    # the injected loop's map is the second-moment map with F = A + HC
+    radius = OperatorSet(model, alpha).map_radius(model.A + H @ model.C)
     return DetectabilityCheck(ok=bool(radius < 1.0), radius=radius)
 
 
@@ -225,20 +239,19 @@ def detectability_search(model: SystemModel, alpha: float, attempts: int = 30, s
 def closed_loop_cost_step(model: SystemModel, alpha: float, U, G):
     """One step of the cost recursion under a fixed linear gain.
 
-    Evaluates the expanded closed-loop form and cross-checks it against the
-    equivalent factored form; a disagreement means corrupted inputs and
-    raises instead of returning silently wrong numbers.
+    Evaluates the expanded closed-loop form, the second-moment map with
+    F = A + BG plus Ccl'Ccl, and cross-checks it against the equivalent
+    factored form; a disagreement means corrupted inputs and raises instead
+    of returning silently wrong numbers.  ``G`` must be a finite m x n gain;
+    otherwise :class:`ModelError` is raised.
     """
     ops = OperatorSet(model, alpha)
     U = np.asarray(U, dtype=float)
-    G = np.atleast_2d(np.asarray(G, dtype=float))
     md = model
+    G = _finite_matrix("G", G, (md.m, md.n))
     Acl = md.A + md.B @ G
     Ccl = md.C + md.D @ G
-    forms = ops.noise_quadratic_forms(U)
-    expanded = (
-        alpha * (Acl.T @ U @ Acl + forms.Zx + G.T @ forms.Zu @ G) + Ccl.T @ Ccl
-    )
+    expanded = ops.second_moment_map(U, Acl, G) + Ccl.T @ Ccl
     Sigma, Lambda = ops.sigma_lambda(U)
     factored = (
         ops.lyapunov_step(U)
@@ -263,12 +276,13 @@ def closed_loop_check(model: SystemModel, alpha: float, G) -> ClosedLoopCheck:
     """Second-moment contraction test for the loop closed with gain G.
 
     For alpha > 1 the mean closed-loop matrix additionally needs its spectral
-    radius below 1/alpha for the infinite-horizon quantities to exist.
+    radius below 1/alpha for the infinite-horizon quantities to exist.  ``G``
+    must be a finite m x n gain; otherwise :class:`ModelError` is raised.
     """
     ops = OperatorSet(model, alpha)
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    radius = ops.map_radius("closed_loop", G=G)
+    G = _finite_matrix("G", G, (model.m, model.n))
     Acl = model.A + model.B @ G
+    radius = ops.map_radius(Acl, G)
     gain_radius = spectral_radius(Acl)
     gain_radius_ok = None
     if alpha > 1.0:

@@ -134,20 +134,6 @@ def min_eig(U):
     return float(np.linalg.eigvalsh(0.5 * (U + np.asarray(U).T)).min())
 
 
-def vec_matrix_of(op, n):
-    """Dense matrix of a linear operator on n x n matrices via basis probing.
-
-    Column-stacked convention; deliberately the slow, obviously-correct way.
-    """
-    M = np.empty((op(np.zeros((n, n))).size, n * n))
-    for j in range(n):
-        for i in range(n):
-            E = np.zeros((n, n))
-            E[i, j] = 1.0
-            M[:, i + n * j] = np.asarray(op(E)).reshape(-1, order="F")
-    return M
-
-
 def kron_diag_matrix(S):
     """Matrix of U -> Diag(diag(S'US)) on column-stacked vec(U), built row by row."""
     n, q = S.shape
@@ -163,6 +149,20 @@ def second_moment_matrix(F, Sx, alpha, G=None, Su=None):
     if G is not None:
         M = M + np.kron(G.T, G.T) @ kron_diag_matrix(Su)
     return alpha * M
+
+
+def symmetric_block(K, n):
+    """Restriction of the vec-form matrix ``K`` to symmetric n x n inputs.
+
+    Upper-triangle coordinates: a symmetric U is the sum over i <= j of U_ij
+    times E_ij + E_ji (E_ii on the diagonal), and the image is read at its
+    entries (i, j), i <= j, in ``np.triu_indices`` order.
+    """
+    i, j = np.triu_indices(n)
+    cols = np.arange(i.size)
+    lift = np.zeros((n * n, i.size))
+    lift[i + n * j, cols] = lift[j + n * i, cols] = 1.0
+    return (K @ lift)[i + n * j]
 
 
 def stability_conditions(A, Sx, alpha, probes=10, seed=0, margin=1e-10):

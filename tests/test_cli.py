@@ -282,6 +282,11 @@ class TestExitCodes:
         code = main(["detect", "--model", model_file, "--injection", "1,oops"])
         assert code == 1
 
+    def test_wrong_shape_injection_is_a_validation_error(self, model_file, capsys):
+        code = main(["detect", "--model", model_file, "--injection", "1,2,3"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: H has shape (1, 3)")
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("csviu ")

@@ -7,7 +7,6 @@ from csviu import (
     MaxIterations,
     Policy,
     SingularLambda,
-    build_subproblem,
     cost_Ju,
     inaction_test,
     optimal_control,
@@ -59,7 +58,7 @@ class TestSubproblemConstruction:
         sol = support.synthetic_solution(
             A=0.5, B=1.0, G=-0.5, alpha=1.0, Wud=[1.0], Sigma=[[2.0]], Lambda=[[1.0]]
         )
-        sub = build_subproblem(sol, [1.0], [0.0])
+        sub = optimal_control(sol, [1.0], mu=[0.0]).sub
         assert sub.b[0] == pytest.approx(4.0, abs=1e-15)  # B'mu + 2 Sigma x
         assert sub.c[0] == 1.0
         assert sub.W[0, 0] == pytest.approx(0.5, abs=1e-15)
@@ -67,14 +66,14 @@ class TestSubproblemConstruction:
     def test_negative_deadzone_weight_rejected(self):
         sol = support.synthetic_solution(A=0.5, B=1.0, G=0.0, Wud=[-0.1])
         with pytest.raises(AssumptionViolated, match="deadzone"):
-            build_subproblem(sol, [0.0], [0.0])
+            optimal_control(sol, [0.0], mu=[0.0])
         with pytest.raises(AssumptionViolated, match="deadzone"):
             optimal_control_batch(sol, np.zeros((3, 1)))
 
     def test_input_length_guard(self):
         sol = support.synthetic_solution(A=0.5, B=1.0, G=0.0)
         with pytest.raises(ValueError, match="length"):
-            build_subproblem(sol, [1.0, 2.0], [0.0])
+            optimal_control(sol, [1.0, 2.0], mu=[0.0])
 
 
 class TestCostFunction:
@@ -579,7 +578,7 @@ class TestStageResiduals:
         sol = solve_riccati(model, alpha=0.9)
         x = rng.standard_normal(3)
         mu = 0.1 * rng.standard_normal(3)
-        sub = build_subproblem(sol, x, mu)
+        sub = optimal_control(sol, x, mu=mu).sub
         lam_inv_sigma_x = np.linalg.solve(sol.Lambda, sol.Sigma @ x)
         for _ in range(20):
             u = rng.standard_normal(2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from csviu import MaxIterations, OperatorSet, SingularLambda, spectral_radius
-from csviu.operators import congruence_matrix, diag_congruence_matrix, stein_solve, symmetrize
+from csviu.operators import stein_solve, symmetrize
 
 import oracles
 import support
@@ -107,89 +107,93 @@ def test_singular_curvature_raises():
         ops.riccati_step(np.zeros((1, 1)))
 
 
+def _vec(U):
+    return U.reshape(-1, order="F")
+
+
+def _unvec(v, n):
+    return v.reshape((n, n), order="F")
+
+
 class TestOperatorMatrix:
+    """The dense matrix on symmetric matrices, in upper-triangle coordinates,
+    against the kron oracle of tests/oracles.py."""
+
     def test_scalar_lyapunov_entry(self, scalar_model):
-        M = OperatorSet(scalar_model, 0.9).operator_matrix("lyapunov")
+        M = OperatorSet(scalar_model, 0.9).operator_matrix()
         np.testing.assert_allclose(M, [[0.9 * (0.25 + 0.09)]], atol=1e-15)  # [[0.306]]
 
     def test_zero_dynamics_gives_zero_matrix(self):
         model = support.random_model(np.random.default_rng(5), n=2, m=1)
         quiet = type(model)(np.zeros((2, 2)), model.B, model.C, model.D, model.sigma,
                             model.sigma_x, np.zeros((2, 2)), model.sigma_u, model.sigma_bar_u)
-        M = OperatorSet(quiet, 1.0).operator_matrix("lyapunov")
+        M = OperatorSet(quiet, 1.0).operator_matrix()
+        assert M.shape == (3, 3)
         assert not M.any()
 
-    @pytest.mark.parametrize("kind", ["lyapunov", "transition", "state_noise"])
-    def test_matrix_matches_basis_probing(self, rng, kind):
+    @pytest.mark.parametrize("loop", ["lyapunov", "injected"])
+    def test_matrix_matches_basis_probing(self, rng, loop):
         model = support.random_model(rng, n=3, m=2)
         ops = OperatorSet(model, alpha=1.1)
-        # the propagation map and the two building blocks it is assembled from
-        direct, M = {
-            "lyapunov": (ops.lyapunov_step, ops.operator_matrix("lyapunov")),
-            "transition": (lambda U: model.A.T @ U @ model.A, congruence_matrix(model.A)),
-            "state_noise": (
-                lambda U: np.diag(np.einsum("pi,pq,qi->i", model.sigma_bar_x, U, model.sigma_bar_x)),
-                diag_congruence_matrix(model.sigma_bar_x),
-            ),
-        }[kind]
-        np.testing.assert_allclose(M, oracles.vec_matrix_of(direct, 3), atol=1e-12)
+        # the plant's map (default F = A) and an injected loop's, F = A + HC
+        H = rng.standard_normal((3, model.p))
+        F = model.A if loop == "lyapunov" else model.A + H @ model.C
+        M = ops.operator_matrix() if loop == "lyapunov" else ops.operator_matrix(F)
+        K = oracles.second_moment_matrix(F, model.sigma_bar_x, 1.1)
+        np.testing.assert_allclose(M, oracles.symmetric_block(K, 3), atol=1e-12)
+        i, j = np.triu_indices(3)
         for _ in range(20):
             root = rng.standard_normal((3, 3))
             U = root @ root.T
-            np.testing.assert_allclose(
-                (M @ U.reshape(-1, order="F")).reshape((3, 3), order="F"),
-                direct(U),
-                atol=1e-11,
-            )
+            np.testing.assert_allclose(M @ U[i, j], _unvec(K @ _vec(U), 3)[i, j], atol=1e-11)
 
     def test_closed_loop_matrix_matches_basis_probing(self, rng):
         model = support.random_model(rng, n=2, m=2)
         ops = OperatorSet(model, alpha=0.8)
         G = rng.standard_normal((2, 2))
         Acl = model.A + model.B @ G
-
-        def direct(U):
-            zx = np.diag(np.einsum("pi,pq,qi->i", model.sigma_bar_x, U, model.sigma_bar_x))
-            zu = np.diag(np.einsum("pi,pq,qi->i", model.sigma_bar_u, U, model.sigma_bar_u))
-            return 0.8 * (Acl.T @ U @ Acl + zx + G.T @ zu @ G)
-
-        M = ops.operator_matrix("closed_loop", G=G)
-        np.testing.assert_allclose(M, oracles.vec_matrix_of(direct, 2), atol=1e-12)
+        K = oracles.second_moment_matrix(Acl, model.sigma_bar_x, 0.8, G, model.sigma_bar_u)
+        M = ops.operator_matrix(Acl, G)
+        np.testing.assert_allclose(M, oracles.symmetric_block(K, 2), atol=1e-12)
 
     def test_matrix_free_map_on_a_stack(self, rng):
         model = support.random_model(rng, n=3, m=2)
         ops = OperatorSet(model, alpha=0.8)
         G = rng.standard_normal((2, 3))
-        M = ops.operator_matrix("closed_loop", G=G)
+        Acl = model.A + model.B @ G
+        K = oracles.second_moment_matrix(Acl, model.sigma_bar_x, 0.8, G, model.sigma_bar_u)
         roots = rng.standard_normal((4, 3, 3))
         stack = roots @ roots.transpose(0, 2, 1)
-        out = ops.second_moment_map(stack, model.A + model.B @ G, G)
+        out = ops.second_moment_map(stack, Acl, G)
         assert out.shape == (4, 3, 3)
         for U, got in zip(stack, out):
-            want = (M @ U.reshape(-1, order="F")).reshape((3, 3), order="F")
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            np.testing.assert_allclose(got, _unvec(K @ _vec(U), 3), atol=1e-12)
         np.testing.assert_array_equal(ops.second_moment_map(stack)[1], ops.lyapunov_step(stack[1]))
 
-    def test_unknown_kind_rejected(self, scalar_model):
-        for kind in ("sideways", "transition", "state_noise"):
-            with pytest.raises(ValueError, match="unknown operator kind"):
-                OperatorSet(scalar_model, 1.0).operator_matrix(kind)
-
-
-def test_congruence_matrix_identity(rng):
-    M = rng.standard_normal((3, 3))
-    U = rng.standard_normal((3, 3))
-    U = U + U.T
-    out = (congruence_matrix(M) @ U.reshape(-1, order="F")).reshape((3, 3), order="F")
-    np.testing.assert_allclose(out, M.T @ U @ M, atol=1e-12)
-
-
-def test_diag_congruence_matrix_rectangular(rng):
-    S = rng.standard_normal((3, 2))
-    U = rng.standard_normal((3, 3))
-    U = U + U.T
-    out = (diag_congruence_matrix(S) @ U.reshape(-1, order="F")).reshape((2, 2), order="F")
-    np.testing.assert_allclose(out, np.diag(np.diag(S.T @ U @ S)), atol=1e-12)
+    def test_random_maps_match_kron_oracle(self):
+        # plant and closed-loop maps, rectangular control growth (n x m), both
+        # sides of a unit discount; matrix action and radius against the oracle
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            for m in range(1, 4):
+                model = support.random_model(rng, n=n, m=m, radius=float(rng.uniform(0.3, 1.2)),
+                                             growth_scale=float(rng.uniform(0.0, 0.5)))
+                G = -0.3 * rng.standard_normal((m, n))
+                i, j = np.triu_indices(n)
+                for F, gain in ((model.A, None), (model.A + model.B @ G, G)):
+                    for alpha in (0.8, 1.1):
+                        ops = OperatorSet(model, alpha)
+                        K = oracles.second_moment_matrix(F, model.sigma_bar_x, alpha, gain,
+                                                         model.sigma_bar_u)
+                        M = ops.operator_matrix(F, gain)
+                        assert M.shape == (i.size, i.size)
+                        root = rng.standard_normal((n, n))
+                        U = root + root.T
+                        np.testing.assert_allclose(
+                            M @ U[i, j], _unvec(K @ _vec(U), n)[i, j], atol=1e-12
+                        )
+                        want = float(np.abs(np.linalg.eigvals(K)).max())
+                        assert ops.map_radius(F, gain) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestMonotoneAndLinear:
@@ -255,7 +259,7 @@ class TestSteinSolve:
         roots = rng.standard_normal((3, 4, 4))
         Q = roots @ roots.transpose(0, 2, 1)
         Y = stein_solve(F, Q)
-        dense = np.eye(16) - congruence_matrix(F)
+        dense = np.eye(16) - np.kron(F.T, F.T)
         for q, y in zip(Q, Y):
             want = np.linalg.solve(dense, q.reshape(-1, order="F")).reshape((4, 4), order="F")
             np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

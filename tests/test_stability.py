@@ -3,6 +3,7 @@ import pytest
 
 from csviu import (
     CsviuError,
+    ModelError,
     OperatorSet,
     SystemModel,
     check_alpha_stability,
@@ -16,6 +17,20 @@ from csviu import (
 
 import oracles
 import support
+
+
+# the two-state plant of the README quick start
+_README_PLANT = {
+    "A": [[0.9, 0.2], [0.0, 0.7]],
+    "B": [[1.0], [0.5]],
+    "C": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+    "D": [[0.0], [0.0], [0.5]],
+    "sigma": [[0.1], [0.1]],
+    "sigma_x": [[0.05, 0.0], [0.0, 0.05]],
+    "sigma_bar_x": [[0.1, 0.0], [0.0, 0.1]],
+    "sigma_u": [[0.1], [0.0]],
+    "sigma_bar_u": [[0.2], [0.0]],
+}
 
 
 def _plain(A, sigma_bar_x, n=None, C=None):
@@ -185,6 +200,14 @@ class TestDetectability:
         with pytest.raises(CsviuError, match="shape"):
             check_detectability(scalar_model, 1.0, np.zeros((2, 1)))
 
+    def test_wrong_shape_injection_is_a_model_error(self, scalar_model):
+        with pytest.raises(ModelError, match=r"H has shape \(1, 3\)"):
+            check_detectability(scalar_model, 1.0, [[1.0, 2.0, 3.0]])
+
+    def test_non_finite_injection_is_named(self, scalar_model):
+        with pytest.raises(ModelError, match="H contains non-finite"):
+            check_detectability(scalar_model, 1.0, [[np.inf]])
+
     def test_search_succeeds_with_full_observation(self):
         model = _plain([[1.3, 0.2], [0.0, 1.1]], np.zeros((2, 2)))
         H = detectability_search(model, alpha=1.0)
@@ -224,13 +247,25 @@ class TestClosedLoopStep:
         model = support.random_model(rng, n=2, m=1)
         G = rng.standard_normal((1, 2))
         U = np.eye(2) * 1.5
-        ops = OperatorSet(model, 0.9)
-        M = ops.operator_matrix("closed_loop", G=G)
-        via_matrix = (M @ U.reshape(-1, order="F")).reshape((2, 2), order="F")
+        Acl = model.A + model.B @ G
         Ccl = model.C + model.D @ G
-        np.testing.assert_allclose(
-            closed_loop_cost_step(model, 0.9, U, G), via_matrix + Ccl.T @ Ccl, atol=1e-11
-        )
+        got = closed_loop_cost_step(model, 0.9, U, G)
+        K = oracles.second_moment_matrix(Acl, model.sigma_bar_x, 0.9, G, model.sigma_bar_u)
+        via_oracle = (K @ U.reshape(-1, order="F")).reshape((2, 2), order="F")
+        np.testing.assert_allclose(got, via_oracle + Ccl.T @ Ccl, atol=1e-11)
+        i, j = np.triu_indices(2)
+        M = OperatorSet(model, 0.9).operator_matrix(Acl, G)
+        np.testing.assert_allclose(got[i, j], M @ U[i, j] + (Ccl.T @ Ccl)[i, j], atol=1e-11)
+
+    def test_wrong_shape_gain_is_a_model_error(self):
+        model = SystemModel.from_dict(_README_PLANT)
+        with pytest.raises(ModelError, match="G has shape"):
+            closed_loop_cost_step(model, 0.95, np.eye(2), [[-0.3]])
+
+    def test_non_finite_gain_is_a_model_error(self):
+        model = SystemModel.from_dict(_README_PLANT)
+        with pytest.raises(ModelError, match="G contains non-finite"):
+            closed_loop_cost_step(model, 0.95, np.eye(2), [[np.nan, -0.1]])
 
 
 class TestClosedLoopCheck:
@@ -255,5 +290,19 @@ class TestClosedLoopCheck:
         model = support.random_model(rng, n=2, m=2)
         G = -0.2 * rng.standard_normal((2, 2))
         check = closed_loop_check(model, 0.9, G)
-        M = OperatorSet(model, 0.9).operator_matrix("closed_loop", G=G)
-        assert check.radius == pytest.approx(spectral_radius(M), abs=1e-12)
+        K = oracles.second_moment_matrix(
+            model.A + model.B @ G, model.sigma_bar_x, 0.9, G, model.sigma_bar_u
+        )
+        assert check.radius == pytest.approx(spectral_radius(K), abs=1e-12)
+
+    @pytest.mark.parametrize("G", [[[-0.3]], -0.3, np.zeros((2, 1))], ids=["1x1", "scalar", "transposed"])
+    def test_wrong_shape_gain_is_a_model_error(self, G):
+        # B @ G would broadcast a (1, 1) gain across the columns of A
+        model = SystemModel.from_dict(_README_PLANT)
+        with pytest.raises(ModelError, match=r"G has shape .*expected \(1, 2\)"):
+            closed_loop_check(model, 0.95, G)
+
+    def test_non_finite_gain_is_a_model_error(self):
+        model = SystemModel.from_dict(_README_PLANT)
+        with pytest.raises(ModelError, match="G contains non-finite"):
+            closed_loop_check(model, 0.95, [[np.nan, -0.1]])
