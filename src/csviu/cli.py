@@ -157,38 +157,30 @@ def build_parser() -> _Parser:
     return parser
 
 
+# override flags -> CriterionConfig fields, in the order the manifest records them
+_OVERRIDES = {
+    "alpha": "alpha", "seed": "seed", "paths": "paths", "kappa": "kappa", "omega": "sor_omega",
+}
+
+
 @dataclasses.dataclass
 class _Run:
     model: object
-    alpha: float
-    seed: int
-    paths: int
-    kappa: int | None
-    omega: float
-    mu_kind: str
     config: CriterionConfig
+    mu_kind: str
 
 
 def _resolve(args) -> _Run:
     model = load_model(args.model)
-    base = model.criterion or CriterionConfig()
-    alpha = args.alpha if args.alpha is not None else base.alpha
-    seed = args.seed if args.seed is not None else base.seed
-    paths = args.paths if args.paths is not None else base.paths
-    kappa = args.kappa if args.kappa is not None else base.kappa
-    omega = args.omega if args.omega is not None else base.sor_omega
-    mu_kind = args.mu if args.mu is not None else "zero"
-    config = CriterionConfig(
-        alpha=alpha, kappa=kappa, paths=paths, seed=seed,
-        tol_fixed_point=base.tol_fixed_point, tol_sor=base.tol_sor,
-        max_iters=base.max_iters, sor_omega=omega,
-    )
-    return _Run(model=model, alpha=alpha, seed=seed, paths=paths, kappa=kappa,
-                omega=omega, mu_kind=mu_kind, config=config)
+    overrides = {
+        f: getattr(args, flag) for flag, f in _OVERRIDES.items() if getattr(args, flag) is not None
+    }
+    config = dataclasses.replace(model.criterion or CriterionConfig(), **overrides)
+    return _Run(model=model, config=config, mu_kind=args.mu if args.mu is not None else "zero")
 
 
 def _solution(run: _Run):
-    return solve_riccati(run.model, run.alpha, config=run.config)
+    return solve_riccati(run.model, config=run.config)
 
 
 def _policy(name: str, run: _Run, sol=None):
@@ -197,7 +189,8 @@ def _policy(name: str, run: _Run, sol=None):
     sol = sol if sol is not None else _solution(run)
     if name == "gain":
         return Policy.linear(sol.G)
-    return Policy.optimal(sol, mu_kind=run.mu_kind, omega=run.omega, tol=run.config.tol_sor)
+    cfg = run.config
+    return Policy.optimal(sol, mu_kind=run.mu_kind, omega=cfg.sor_omega, tol=cfg.tol_sor)
 
 
 def _solution_payload(sol) -> dict:
@@ -227,7 +220,7 @@ def _cmd_riccati(args, run: _Run):
 
 
 def _cmd_stability(args, run: _Run):
-    report = check_alpha_stability(run.model, run.alpha, seed=run.seed)
+    report = check_alpha_stability(run.model, run.config.alpha, seed=run.config.seed)
     payload = _jsonable(report)
     payload["conditions"] = _jsonable(report.conditions)
     return payload, []
@@ -236,13 +229,14 @@ def _cmd_stability(args, run: _Run):
 def _cmd_detect(args, run: _Run):
     if args.injection is not None:
         H = _matrix(args.injection)
-        check = check_detectability(run.model, run.alpha, H)
+        check = check_detectability(run.model, run.config.alpha, H)
         return {"mode": "check", "ok": check.ok, "radius": check.radius,
                 "injection": _jsonable(H)}, []
-    H = detectability_search(run.model, run.alpha, attempts=args.attempts, seed=run.seed)
+    H = detectability_search(run.model, run.config.alpha, attempts=args.attempts,
+                             seed=run.config.seed)
     payload = {"mode": "search", "found": H is not None, "attempts": args.attempts}
     if H is not None:
-        check = check_detectability(run.model, run.alpha, H)
+        check = check_detectability(run.model, run.config.alpha, H)
         payload.update(injection=_jsonable(H), radius=check.radius)
     return payload, []
 
@@ -250,7 +244,7 @@ def _cmd_detect(args, run: _Run):
 def _cmd_control(args, run: _Run):
     sol = _solution(run)
     x = np.array(_floats(args.x))
-    result = optimal_control(sol, x, mu_kind=run.mu_kind, omega=run.omega,
+    result = optimal_control(sol, x, mu_kind=run.mu_kind, omega=run.config.sor_omega,
                              tol=run.config.tol_sor)
     return {
         "x": _jsonable(x),
@@ -272,9 +266,9 @@ def _cmd_simulate(args, run: _Run):
         sol = _solution(run)
     policy = _policy(args.policy, run, sol)
     x0 = np.zeros(run.model.n) if args.x0 is None else np.array(_floats(args.x0))
-    kappa = run.kappa if run.kappa is not None else 100
-    ens = simulate(run.model, policy, x0, kappa, run.paths, run.seed)
-    energy = ens.energy_estimate(run.alpha)
+    kappa = run.config.kappa if run.config.kappa is not None else 100
+    ens = simulate(run.model, policy, x0, kappa, run.config.paths, run.config.seed)
+    energy = ens.energy_estimate(run.config.alpha)
     # per-stage means over paths, taken along contiguous stage rows: a mean
     # down axis 0 would sum the paths in another order than a stage's column
     means = [
@@ -285,7 +279,7 @@ def _cmd_simulate(args, run: _Run):
         "policy": policy.kind,
         "x0": _jsonable(x0),
         "kappa": kappa,
-        "paths": run.paths,
+        "paths": run.config.paths,
         "energy_mean": energy.mean,
         "energy_stderr": energy.stderr,
         "final_mean_state_sq": means[1][-1],
@@ -296,8 +290,9 @@ def _cmd_simulate(args, run: _Run):
 
 def _cmd_norms(args, run: _Run):
     sol = _solution(run)
-    est = optimal_norms(sol, paths=run.paths, seed=run.seed, mu_kind=run.mu_kind,
-                        kappa=run.kappa, omega=run.omega, sor_tol=run.config.tol_sor)
+    cfg = run.config
+    est = optimal_norms(sol, paths=cfg.paths, seed=cfg.seed, mu_kind=run.mu_kind,
+                        kappa=cfg.kappa, omega=cfg.sor_omega, sor_tol=cfg.tol_sor)
     return _jsonable(est), []
 
 
@@ -307,8 +302,8 @@ def _cmd_overtake(args, run: _Run):
     pol_a = _policy(args.policy_a, run, sol)
     pol_b = _policy(args.policy_b, run, sol)
     x0 = np.zeros(run.model.n) if args.x0 is None else np.array(_floats(args.x0))
-    rows = overtaking_compare(run.model, run.alpha, pol_a, pol_b, x0, grid,
-                              paths=run.paths, seed=run.seed)
+    rows = overtaking_compare(run.model, run.config.alpha, pol_a, pol_b, x0, grid,
+                              paths=run.config.paths, seed=run.config.seed)
     payload = {
         "policy_a": pol_a.kind,
         "policy_b": pol_b.kind,
@@ -335,7 +330,7 @@ def _cmd_region(args, run: _Run):
         if len(ranges) == 1 and len(axes) == 2:
             ranges = ranges * 2
     rmap = scan_region(sol, axes=axes, ranges=ranges, resolution=args.res,
-                       mu_kind=run.mu_kind, omega=run.omega, tol=run.config.tol_sor)
+                       mu_kind=run.mu_kind, omega=run.config.sor_omega, tol=run.config.tol_sor)
     m = run.model.m
     if rmap.grid_y is None:
         grids = [rmap.grid_x]
@@ -353,7 +348,7 @@ def _cmd_region(args, run: _Run):
         "ranges": [list(rg) for rg in ranges],
         "mu_kind": rmap.mu_kind,
         "cells": len(rows),
-        "inactive_cells": int((rmap.labels == 0).all(axis=-1).sum()),
+        "inactive_cells": int(((rmap.labels == 0).all(axis=-1) & ~rmap.invalid).sum()),
         "boundary_cells": int(rmap.boundary.any(axis=-1).sum()),
         "invalid_cells": int(rmap.invalid.sum()),
         "inconsistent_cells": int(rmap.inconsistent.any(axis=-1).sum()),
@@ -392,8 +387,8 @@ def _write_outputs(args, run: _Run, payload: dict, tables, argv, elapsed: float)
         "model_path": str(Path(args.model).resolve()),
         "model_sha256": _model_sha256(run.model),
         "settings": {
-            "alpha": run.alpha, "seed": run.seed, "paths": run.paths,
-            "kappa": run.kappa, "omega": run.omega, "mu": run.mu_kind,
+            **{flag: getattr(run.config, f) for flag, f in _OVERRIDES.items()},
+            "mu": run.mu_kind,
         },
         "elapsed_s": elapsed,
         "created_utc": datetime.now(timezone.utc).isoformat(),

@@ -14,7 +14,8 @@ iid, zero mean, with identity covariance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,20 @@ from .errors import ModelError
 
 NOISE_KINDS = ("gaussian", "rademacher", "uniform-scaled")
 
-_MATRIX_FIELDS = (
-    "A", "B", "C", "D", "sigma", "sigma_x", "sigma_bar_x", "sigma_u", "sigma_bar_u",
-)
+# every matrix of a model file, with its shape in the dimensions n (states),
+# m (controls), p (outputs) and r (exogenous noise channels)
+_SHAPES = {
+    "A": "nn", "B": "nm", "C": "pn", "D": "pm", "sigma": "nr",
+    "sigma_x": "nn", "sigma_bar_x": "nn", "sigma_u": "nm", "sigma_bar_u": "nm",
+}
+# criterion block keys of a model file -> CriterionConfig fields
+_CRITERION_KEYS = {
+    "alpha": "alpha", "kappa": "kappa", "paths": "paths", "seed": "seed",
+    "omega": "sor_omega", "max_iters": "max_iters",
+}
+_TOLERANCE_KEYS = {"fixed_point": "tol_fixed_point", "sor": "tol_sor"}
+# CriterionConfig fields that count, with their least value; the other fields are reals
+_COUNTS = {"kappa": 0, "paths": 1, "seed": 0, "max_iters": 1}
 
 
 def _as_matrix(name, value):
@@ -37,11 +49,40 @@ def _as_matrix(name, value):
     return arr
 
 
+def _shapes(n, m, p, r) -> dict:
+    dims = {"n": n, "m": m, "p": p, "r": r}
+    return {name: tuple(dims[d] for d in symbols) for name, symbols in _SHAPES.items()}
+
+
+def _check_keys(what, data, known) -> None:
+    if not isinstance(data, dict):
+        raise ModelError(f"{what} must be an object, got {type(data).__name__}")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ModelError(f"unknown {what} keys: {sorted(unknown, key=str)}")
+
+
+def _criterion_value(name, value):
+    """A criterion value as a float, or as an int for a count; :class:`ModelError` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelError(f"{name} must be a real number, got {value!r}")
+    if name not in _COUNTS:
+        return float(value)
+    least = _COUNTS[name]
+    if value < least or not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ModelError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CriterionConfig:
     """Run parameters for solvers and Monte Carlo estimators.
 
-    ``kappa is None`` means an infinite horizon.
+    ``kappa is None`` means an infinite horizon.  ``alpha``, ``sor_omega``
+    and the tolerances are stored as floats; ``kappa``, ``paths``, ``seed``
+    and ``max_iters`` must be integral and are stored as ints (50.0 as 50).
+    Bools, strings and values out of range raise :class:`ModelError` naming
+    the field.
     """
 
     alpha: float = 1.0
@@ -54,18 +95,17 @@ class CriterionConfig:
     sor_omega: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (f.name == "kappa" and value is None):
+                object.__setattr__(self, f.name, _criterion_value(f.name, value))
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ModelError(f"alpha must be a positive real, got {self.alpha!r}")
-        if self.kappa is not None and (int(self.kappa) != self.kappa or self.kappa < 0):
-            raise ModelError(f"kappa must be a nonnegative integer or None, got {self.kappa!r}")
-        if self.paths < 1:
-            raise ModelError(f"paths must be >= 1, got {self.paths!r}")
         if not (0.0 < self.sor_omega < 2.0):
             raise ModelError(f"sor_omega must lie in (0, 2), got {self.sor_omega!r}")
-        if self.tol_fixed_point <= 0 or self.tol_sor <= 0:
-            raise ModelError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ModelError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        for name in ("tol_fixed_point", "tol_sor"):
+            if not getattr(self, name) > 0:
+                raise ModelError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -84,21 +124,10 @@ class SystemModel:
     criterion: CriterionConfig | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        for name in _MATRIX_FIELDS:
+        for name in _SHAPES:
             object.__setattr__(self, name, _as_matrix(name, getattr(self, name)))
         n, m, p, r = self.n, self.m, self.p, self.r
-        expected = {
-            "A": (n, n),
-            "B": (n, m),
-            "C": (p, n),
-            "D": (p, m),
-            "sigma": (n, r),
-            "sigma_x": (n, n),
-            "sigma_bar_x": (n, n),
-            "sigma_u": (n, m),
-            "sigma_bar_u": (n, m),
-        }
-        for name, shape in expected.items():
+        for name, shape in _shapes(n, m, p, r).items():
             got = getattr(self, name).shape
             if got != shape:
                 raise ModelError(
@@ -124,74 +153,44 @@ class SystemModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemModel":
-        """Build a model from a plain dict of nested lists (row major)."""
-        if "A" not in data or "B" not in data:
+        """Build a model from a plain dict of nested lists (row major).
+
+        ``A`` and ``B`` are required.  A missing or null matrix among the
+        other seven is zero of its shape (p = 1 without ``C``, r = 1 without
+        ``sigma``), and a null ``criterion`` is absent.  Unknown keys, here and
+        in the criterion and tolerances blocks, raise :class:`ModelError`.
+        """
+        _check_keys("model", data, (*_SHAPES, "criterion"))
+        if data.get("A") is None or data.get("B") is None:
             raise ModelError("model data must contain at least A and B")
-        A = _as_matrix("A", data["A"])
-        B = _as_matrix("B", data["B"])
-        n, m = A.shape[0], B.shape[1]
-        C = _as_matrix("C", data["C"]) if "C" in data else np.zeros((1, n))
-        D = _as_matrix("D", data["D"]) if "D" in data else np.zeros((C.shape[0], m))
-        p = C.shape[0]
-
-        def matrix_or_zero(name, shape):
-            if name in data and data[name] is not None:
-                return _as_matrix(name, data[name])
-            return np.zeros(shape)
-
-        sigma = matrix_or_zero("sigma", (n, 1))
-        sigma_x = matrix_or_zero("sigma_x", (n, n))
-        sigma_bar_x = matrix_or_zero("sigma_bar_x", (n, n))
-        sigma_u = matrix_or_zero("sigma_u", (n, m))
-        sigma_bar_u = matrix_or_zero("sigma_bar_u", (n, m))
-
+        given = {
+            name: _as_matrix(name, data[name]) for name in _SHAPES if data.get(name) is not None
+        }
+        p = given["C"].shape[0] if "C" in given else 1
+        r = given["sigma"].shape[1] if "sigma" in given else 1
+        shapes = _shapes(given["A"].shape[0], given["B"].shape[1], p, r)
+        matrices = {name: given.get(name, np.zeros(shape)) for name, shape in shapes.items()}
         criterion = None
         if data.get("criterion") is not None:
             criterion = _criterion_from_dict(data["criterion"])
-
-        return cls(A, B, C, D, sigma, sigma_x, sigma_bar_x, sigma_u, sigma_bar_u, criterion)
+        return cls(**matrices, criterion=criterion)
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name).tolist() for name in _MATRIX_FIELDS}
+        out = {name: getattr(self, name).tolist() for name in _SHAPES}
         if self.criterion is not None:
             cfg = self.criterion
-            out["criterion"] = {
-                "alpha": cfg.alpha,
-                "kappa": cfg.kappa,
-                "paths": cfg.paths,
-                "seed": cfg.seed,
-                "omega": cfg.sor_omega,
-                "tolerances": {"fixed_point": cfg.tol_fixed_point, "sor": cfg.tol_sor},
-                "max_iters": cfg.max_iters,
-            }
+            block = {key: getattr(cfg, f) for key, f in _CRITERION_KEYS.items()}
+            block["tolerances"] = {key: getattr(cfg, f) for key, f in _TOLERANCE_KEYS.items()}
+            out["criterion"] = block
         return out
 
 
-def _criterion_from_dict(data: dict) -> CriterionConfig:
-    if not isinstance(data, dict):
-        raise ModelError(f"criterion must be an object, got {type(data).__name__}")
-    known = {"alpha", "kappa", "paths", "seed", "omega", "tolerances", "max_iters"}
-    unknown = set(data) - known
-    if unknown:
-        raise ModelError(f"unknown criterion keys: {sorted(unknown)}")
-    kwargs = {}
-    if "alpha" in data:
-        kwargs["alpha"] = float(data["alpha"])
-    if "kappa" in data:
-        kwargs["kappa"] = None if data["kappa"] is None else int(data["kappa"])
-    if "paths" in data:
-        kwargs["paths"] = int(data["paths"])
-    if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
-    if "omega" in data:
-        kwargs["sor_omega"] = float(data["omega"])
-    if "max_iters" in data:
-        kwargs["max_iters"] = int(data["max_iters"])
-    tol = data.get("tolerances") or {}
-    if "fixed_point" in tol:
-        kwargs["tol_fixed_point"] = float(tol["fixed_point"])
-    if "sor" in tol:
-        kwargs["tol_sor"] = float(tol["sor"])
+def _criterion_from_dict(data) -> CriterionConfig:
+    _check_keys("criterion", data, (*_CRITERION_KEYS, "tolerances"))
+    tolerances = {} if data.get("tolerances") is None else data["tolerances"]
+    _check_keys("tolerances", tolerances, _TOLERANCE_KEYS)
+    kwargs = {f: data[key] for key, f in _CRITERION_KEYS.items() if key in data}
+    kwargs.update((f, tolerances[key]) for key, f in _TOLERANCE_KEYS.items() if key in tolerances)
     return CriterionConfig(**kwargs)
 
 
@@ -206,6 +205,4 @@ def load_model(path) -> SystemModel:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"model file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ModelError(f"model file {path} must contain a JSON object")
     return SystemModel.from_dict(data)

@@ -19,6 +19,10 @@ from .errors import CsviuError
 from .mu import mu_asymptotic
 from .riccati import RiccatiSolution
 
+# |u| at or below this labels a channel inactive; |margin| at or below it marks the boundary band
+_LABEL_TOL = 1e-9
+_BOUNDARY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class RegionMap:
@@ -26,7 +30,9 @@ class RegionMap:
 
     Arrays are indexed [i, j, channel] for a 2-D scan over grid_x[i],
     grid_y[j], and [i, channel] for a 1-D scan (grid_y is None then).
-    Labels: -1 push down, 0 inactive, +1 push up.
+    Labels: -1 push down, 0 inactive, +1 push up.  A cell whose stage solve
+    failed is flagged in ``invalid``, carries NaN in ``u_star`` and
+    ``margins`` and label 0, so read ``labels`` together with ``invalid``.
     """
 
     axes: tuple[int, ...]
@@ -65,8 +71,6 @@ def scan_region(
     mu_kind: str = "asymptotic",
     omega: float = 1.0,
     tol: float = 1e-10,
-    label_tol: float = 1e-9,
-    boundary_tol: float = 1e-9,
 ) -> RegionMap:
     """Solve the stage problem over a grid slice and label each channel.
 
@@ -111,8 +115,9 @@ def scan_region(
                 Mu[idx] = np.nan
 
     margins = _inaction_margins(sol, points, Mu)
-    labels = np.where(np.abs(U) <= label_tol, 0, np.sign(U)).astype(np.int8)
-    boundary = np.abs(margins) <= boundary_tol
+    # comparisons leave the NaN rows of failed cells at label 0 without a cast warning
+    labels = (U > _LABEL_TOL).astype(np.int8) - (U < -_LABEL_TOL).astype(np.int8)
+    boundary = np.abs(margins) <= _BOUNDARY_TOL
     inconsistent = ~invalid[:, None] & ~boundary & (
         ((margins > 0) & (labels != 0)) | ((margins < 0) & (labels == 0))
     )

@@ -242,12 +242,12 @@ def closed_loop_cost_step(model: SystemModel, alpha: float, U, G):
     Evaluates the expanded closed-loop form, the second-moment map with
     F = A + BG plus Ccl'Ccl, and cross-checks it against the equivalent
     factored form; a disagreement means corrupted inputs and raises instead
-    of returning silently wrong numbers.  ``G`` must be a finite m x n gain;
-    otherwise :class:`ModelError` is raised.
+    of returning silently wrong numbers.  ``U`` must be a finite n x n matrix
+    and ``G`` a finite m x n gain; otherwise :class:`ModelError` is raised.
     """
     ops = OperatorSet(model, alpha)
-    U = np.asarray(U, dtype=float)
     md = model
+    U = _finite_matrix("U", U, (md.n, md.n))
     G = _finite_matrix("G", G, (md.m, md.n))
     Acl = md.A + md.B @ G
     Ccl = md.C + md.D @ G

@@ -21,6 +21,19 @@ SCALAR_DATA = {
     "sigma_bar_u": 0.4,
 }
 
+# the two-state plant of the README quick start
+README_DATA = {
+    "A": [[0.9, 0.2], [0.0, 0.7]],
+    "B": [[1.0], [0.5]],
+    "C": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+    "D": [[0.0], [0.0], [0.5]],
+    "sigma": [[0.1], [0.1]],
+    "sigma_x": [[0.05, 0.0], [0.0, 0.05]],
+    "sigma_bar_x": [[0.1, 0.0], [0.0, 0.1]],
+    "sigma_u": [[0.1], [0.0]],
+    "sigma_bar_u": [[0.2], [0.0]],
+}
+
 
 def scalar_model() -> SystemModel:
     return SystemModel.from_dict(SCALAR_DATA)

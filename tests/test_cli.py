@@ -90,6 +90,22 @@ class TestStdoutMode:
         payload = _run_json(capsys, ["riccati", "--model", configured_model_file])
         assert payload["alpha"] == 0.9
 
+    def test_manifest_settings_merge_file_criterion_and_flags(self, tmp_path):
+        criterion = {"alpha": 0.9, "kappa": 7, "paths": 25, "seed": 4, "omega": 1.2,
+                     "tolerances": {"fixed_point": 1e-9, "sor": 1e-8}, "max_iters": 5000}
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps(dict(support.SCALAR_DATA, criterion=criterion)))
+        out = tmp_path / "run"
+        argv = ["riccati", "--model", str(path), "--seed", "9", "--omega", "1.5", "--mu", "asymptotic",
+                "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["settings"].items()) == [
+            ("alpha", 0.9), ("seed", 9), ("paths", 25), ("kappa", 7), ("omega", 1.5), ("mu", "asymptotic"),
+        ]
+        # the hash reads the canonical model dict with sorted keys
+        assert manifest["model_sha256"] == "01c40cba9c79a575be1bd9f462d581c8520efc20485b8798eed773e7ac3b93be"
+
     def test_negative_tokens_accepted_in_ranges(self, capsys, model_file):
         payload = _run_json(
             capsys,
@@ -286,6 +302,16 @@ class TestExitCodes:
         code = main(["detect", "--model", model_file, "--injection", "1,2,3"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: H has shape (1, 3)")
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"sigma_baru": 0.4}, "error: unknown model keys: ['sigma_baru']\n"),
+        ({"criterion": {"kappa": 2.5}}, "error: kappa must be an integer >= 0, got 2.5\n"),
+    ], ids=["misspelled-key", "fractional-kappa"])
+    def test_model_file_typos_are_validation_errors(self, tmp_path, capsys, extra, message):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(dict(support.SCALAR_DATA, **extra)))
+        assert main(["riccati", "--model", str(path)]) == 1
+        assert capsys.readouterr().err == message
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

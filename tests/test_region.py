@@ -1,13 +1,20 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
+import csviu.region
 from csviu import (
+    CsviuError,
+    SystemModel,
     asymptotic_gain_table,
     mu_asymptotic,
     optimal_control,
     scan_region,
     solve_riccati,
 )
+from csviu.cli import main
 
 import support
 
@@ -186,3 +193,48 @@ class TestGainTable:
         )
         with pytest.raises(ValueError, match="3\\*\\*m"):
             asymptotic_gain_table(big)
+
+
+def _fail_at_origin(monkeypatch):
+    # the batch solve fails, and so does the per-cell solve at x = 0
+    single = csviu.region.optimal_control
+
+    def batch(*args, **kwargs):
+        raise CsviuError("batch solve failed")
+
+    def one(sol, x, **kwargs):
+        if not np.any(x):
+            raise CsviuError("cell solve failed")
+        return single(sol, x, **kwargs)
+
+    monkeypatch.setattr(csviu.region, "optimal_control_batch", batch)
+    monkeypatch.setattr(csviu.region, "optimal_control", one)
+
+
+class TestFailedCells:
+    def test_failed_cell_is_invalid_with_label_zero(self, monkeypatch):
+        sol = solve_riccati(SystemModel.from_dict(support.README_DATA), alpha=0.95)
+        _fail_at_origin(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = scan_region(sol, resolution=5)
+        assert out.invalid.sum() == 1 and out.invalid[2, 2]
+        assert np.isnan(out.u_star[2, 2]).all()
+        assert (out.labels[2, 2] == 0).all()
+
+    def test_cli_counts_only_valid_cells_as_inactive(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(support.README_DATA))
+        argv = ["region", "--model", str(path), "--alpha", "0.95", "--res", "5", "--mu", "asymptotic"]
+
+        def run():
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)
+
+        clean = run()
+        sol = solve_riccati(SystemModel.from_dict(support.README_DATA), alpha=0.95)
+        assert (scan_region(sol, resolution=5).labels[2, 2] == 0).all()  # the origin is inactive
+        _fail_at_origin(monkeypatch)
+        failed = run()
+        assert failed["invalid_cells"] == 1
+        assert failed["inactive_cells"] == clean["inactive_cells"] - 1

@@ -19,18 +19,7 @@ import oracles
 import support
 
 
-# the two-state plant of the README quick start
-_README_PLANT = {
-    "A": [[0.9, 0.2], [0.0, 0.7]],
-    "B": [[1.0], [0.5]],
-    "C": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
-    "D": [[0.0], [0.0], [0.5]],
-    "sigma": [[0.1], [0.1]],
-    "sigma_x": [[0.05, 0.0], [0.0, 0.05]],
-    "sigma_bar_x": [[0.1, 0.0], [0.0, 0.1]],
-    "sigma_u": [[0.1], [0.0]],
-    "sigma_bar_u": [[0.2], [0.0]],
-}
+_README_PLANT = support.README_DATA
 
 
 def _plain(A, sigma_bar_x, n=None, C=None):
@@ -266,6 +255,14 @@ class TestClosedLoopStep:
         model = SystemModel.from_dict(_README_PLANT)
         with pytest.raises(ModelError, match="G contains non-finite"):
             closed_loop_cost_step(model, 0.95, np.eye(2), [[np.nan, -0.1]])
+
+    @pytest.mark.parametrize("U", [[[1.0, np.nan], [0.0, 1.0]], np.full((2, 2), np.inf)],
+                             ids=["nan-entry", "inf"])
+    def test_non_finite_cost_matrix_is_a_model_error(self, U):
+        # a NaN gap between the two forms used to slip past the cross-check
+        model = SystemModel.from_dict(_README_PLANT)
+        with pytest.raises(ModelError, match="U contains non-finite"):
+            closed_loop_cost_step(model, 0.95, U, [[-0.3, -0.1]])
 
 
 class TestClosedLoopCheck:
