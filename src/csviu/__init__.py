@@ -39,7 +39,6 @@ from .operators import NoiseForms, OperatorSet, spectral_radius
 from .region import GainTable, RegionMap, asymptotic_gain_table, scan_region
 from .riccati import RiccatiSolution, finite_horizon_riccati, solve_riccati
 from .simulator import (
-    CostLedger,
     EnergyEstimate,
     NormEstimates,
     OneStepCheck,

@@ -80,7 +80,7 @@ def mu_asymptotic(sol: RiccatiSolution, sign_x, sign_u) -> np.ndarray:
 def mu_rollout(
     sol: RiccatiSolution,
     x,
-    policy=None,
+    policy: simulator.Policy | None = None,
     depth: int | None = None,
     paths: int = 256,
     seed: int = 0,
@@ -89,9 +89,11 @@ def mu_rollout(
 ) -> MuEstimate:
     """Monte Carlo truncation of the forward series defining the slope at ``x``.
 
-    ``policy`` maps a (paths, n) state batch to a (paths, m) control batch
-    and defaults to the linear gain.  The truncation depth is chosen so the
-    geometric tail falls below ``tail_tol`` unless given explicitly.
+    ``policy`` is a :class:`~csviu.simulator.Policy` and defaults to the
+    linear gain ``Policy.linear(sol.G)``.  The truncation depth is chosen so
+    the geometric tail falls below ``tail_tol``, which must lie in (0, 1),
+    unless given explicitly; terms 0..depth are summed over ``depth``
+    transitions.
     """
     model = sol.model
     alpha = sol.alpha
@@ -102,6 +104,7 @@ def mu_rollout(
         raise ValueError(f"paths must be >= 1, got {paths}")
     if depth is not None and depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    simulator._check_tail_tol(tail_tol)
     rho = sol.closed_loop_radius
     if depth is None:
         _require_contracting(alpha, rho, "the rollout slope")
@@ -112,25 +115,16 @@ def mu_rollout(
             depth = min(int(math.ceil(math.log(tail_tol) / math.log(base))), 100000)
             depth = max(depth, 1)
     if policy is None:
-        G = sol.G
-
-        def policy(X):
-            return X @ G.T
-
-    elif isinstance(policy, simulator.Policy):
-        policy = policy.fn
+        policy = simulator.Policy.linear(sol.G)
 
     n = model.n
-    X = np.tile(x, (paths, 1))
-    noise = simulator.draw_noise_block(model, depth + 1, paths, seed, noise_kind)
     totals = np.zeros((paths, n))
     M = alpha * np.eye(n)
     Wxd, Wud = sol.forms.Wxd, sol.forms.Wud
-    for j in range(depth + 1):
-        U = np.atleast_2d(np.asarray(policy(X), dtype=float))
+    batches = simulator._rollout(model, policy, np.tile(x, (paths, 1)), depth + 1, seed, noise_kind)
+    for X, U in batches:
         drive = np.sign(X) * Wxd + (np.sign(U) * Wud) @ sol.G
         totals += drive @ M.T
-        X = simulator.step_batch(model, X, U, noise[:, j, :])
         M = alpha * (sol.Acl.T @ M)
     value = totals.mean(axis=0)
     return MuEstimate(

@@ -2,14 +2,19 @@
 
 Randomness is counter based: every path owns a Philox stream keyed by
 (seed, path index), and within a path each stage consumes the disturbance,
-state-noise and control-noise draws in that order.  Adding paths or
-lengthening the horizon therefore never reshuffles draws that an earlier,
-smaller run already consumed.
+state-noise and control-noise draws in that order.  A run of kappa
+transitions consumes kappa noise rows per path, and the transition out of
+stage k uses row k.  Adding paths or lengthening the horizon therefore never
+reshuffles draws that an earlier, smaller run already consumed.
+
+Every multi-stage rollout (:func:`simulate`, :func:`optimal_norms` and
+:func:`~csviu.mu.mu_rollout`) runs through one stage loop, ``_rollout``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,10 +28,24 @@ _SQRT3 = math.sqrt(3.0)
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Independent stream for one path; stable under changes of path count."""
-    if seed < 0 or path_index < 0:
-        raise ValueError("seed and path_index must be nonnegative")
+    """Independent stream for one path; stable under changes of path count.
+
+    ``seed`` and ``path_index`` must be integers, not bools, in [0, 2**64).
+    """
+    for name, value in (("seed", seed), ("path_index", path_index)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(path_index)))
+
+
+def _check_discount(alpha) -> None:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+
+
+def _check_tail_tol(tail_tol) -> None:
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
 
 
 def _draw(rng: np.random.Generator, kind: str, shape):
@@ -108,6 +127,20 @@ class Policy:
         return Policy(f"optimal[{mu_kind}]", fn)
 
 
+def _rollout(model: SystemModel, policy: Policy, X, stages: int, seed: int, noise_kind: str):
+    """Yield the (X, U) batch of each of ``stages`` stages, stepping between them.
+
+    ``X`` is the (paths, n) stage-0 batch.  The run draws ``stages - 1``
+    noise rows per path, and the transition out of stage k uses row k.
+    """
+    noise = draw_noise_block(model, max(stages - 1, 0), X.shape[0], seed, noise_kind)
+    for k in range(stages):
+        U = np.atleast_2d(np.asarray(policy.fn(X), dtype=float))
+        yield X, U
+        if k + 1 < stages:
+            X = step_batch(model, X, U, noise[:, k, :])
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """Simulated trajectories; arrays indexed (path, stage, coordinate).
@@ -131,7 +164,8 @@ class PathEnsemble:
         return self.states.shape[1] - 1
 
     def output_energy(self, alpha: float) -> np.ndarray:
-        """Per-path discounted output energy over stages 0..kappa."""
+        """Per-path discounted output energy over stages 0..kappa; alpha finite and > 0."""
+        _check_discount(alpha)
         sq = np.einsum("pkq,pkq->pk", self.outputs, self.outputs)
         weights = alpha ** np.arange(sq.shape[1])
         return sq @ weights
@@ -162,19 +196,14 @@ def simulate(
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (model.n,):
         raise ValueError(f"x0 has length {x0.size}, expected {model.n}")
-    n, m, p = model.n, model.m, model.p
-    states = np.empty((paths, kappa + 1, n))
-    controls = np.empty((paths, kappa + 1, m))
-    outputs = np.empty((paths, kappa + 1, p))
-    noise = draw_noise_block(model, kappa, paths, seed, noise_kind)
-    X = np.tile(x0, (paths, 1))
-    for k in range(kappa + 1):
-        U = np.atleast_2d(np.asarray(policy.fn(X), dtype=float))
+    states = np.empty((paths, kappa + 1, model.n))
+    controls = np.empty((paths, kappa + 1, model.m))
+    outputs = np.empty((paths, kappa + 1, model.p))
+    batches = _rollout(model, policy, np.tile(x0, (paths, 1)), kappa + 1, seed, noise_kind)
+    for k, (X, U) in enumerate(batches):
         states[:, k] = X
         controls[:, k] = U
         outputs[:, k] = X @ model.C.T + U @ model.D.T
-        if k < kappa:
-            X = step_batch(model, X, U, noise[:, k, :])
     return PathEnsemble(states=states, controls=controls, outputs=outputs, seed=seed, noise_kind=noise_kind)
 
 
@@ -342,30 +371,6 @@ def one_step_variation_oracle(
 
 
 @dataclass(frozen=True)
-class CostLedger:
-    """Backward ledger of the constant cost terms along a horizon."""
-
-    alpha: float
-    varpi: float
-    rho: np.ndarray
-    g: np.ndarray
-
-    @classmethod
-    def from_rho(cls, alpha: float, varpi: float, rho) -> "CostLedger":
-        rho = np.asarray(rho, dtype=float).reshape(-1)
-        g = np.zeros(rho.size + 1)
-        for k in range(rho.size - 1, -1, -1):
-            g[k] = alpha * g[k + 1] + alpha * varpi + rho[k]
-        return cls(alpha=alpha, varpi=varpi, rho=rho, g=g)
-
-    def residual(self) -> float:
-        """Forward re-check of the backward roll; should sit at rounding level."""
-        lhs = self.g[:-1]
-        rhs = self.alpha * self.g[1:] + self.alpha * self.varpi + self.rho
-        return float(np.abs(lhs - rhs).max()) if self.rho.size else 0.0
-
-
-@dataclass(frozen=True)
 class NormEstimates:
     alpha: float
     energy: float | None
@@ -407,7 +412,6 @@ def optimal_norms(
     so the estimate is unbiased for the achieved cost of the policy; the
     piecewise-linear value slope only shapes the policy itself.
     """
-    from .control import optimal_control_batch
     from .mu import mu_bound
 
     alpha = sol.alpha
@@ -421,29 +425,25 @@ def optimal_norms(
         )
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
+    _check_tail_tol(tail_tol)
     if alpha == 1.0 and kappa is not None and kappa < 1:
         raise ValueError(f"kappa must be >= 1 for a power estimate, got {kappa}")
     if alpha * rho_cl * rho_cl >= 1.0 - 1e-9:
         raise SeriesDivergent(
             "the closed loop does not contract in second moment at this discount"
         )
-    n = model.n
+    policy = Policy.optimal(sol, mu_kind=mu_kind, omega=omega, tol=sor_tol)
 
     def run_stages(stages):
-        X = np.zeros((paths, n))
-        noise = draw_noise_block(model, stages, paths, seed, noise_kind)
         rho = np.empty((paths, stages))
-        for k in range(stages):
-            U, _ = optimal_control_batch(
-                sol, X, mu_kind=mu_kind, omega=omega, tol=sor_tol
-            )
+        batches = _rollout(model, policy, np.zeros((paths, model.n)), stages, seed, noise_kind)
+        for k, (X, U) in enumerate(batches):
             dev = U - X @ sol.G.T
             rho[:, k] = alpha * (
                 np.einsum("pi,ij,pj->p", dev, sol.Lambda, dev)
                 + np.abs(X) @ sol.forms.Wxd
                 + np.abs(U) @ sol.forms.Wud
             )
-            X = step_batch(model, X, U, noise[:, k, :])
         return rho
 
     details: dict = {"mu_kind": mu_kind, "paths": paths, "seed": seed}
@@ -547,11 +547,14 @@ def overtaking_compare(
     paired estimate; the scaled columns divide by alpha**kappa to stay finite
     when the discount exceeds one and the horizon grows.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    kappa_grid = sorted(int(k) for k in kappa_grid)
-    if not kappa_grid or kappa_grid[0] < 0:
-        raise ValueError("kappa_grid must contain nonnegative integers")
+    _check_discount(alpha)
+    grid = list(kappa_grid)
+    if not grid or not all(
+        isinstance(k, numbers.Real) and not isinstance(k, bool) and float(k).is_integer() and k >= 0
+        for k in grid
+    ):
+        raise ValueError(f"kappa_grid must contain nonnegative integers, got {grid}")
+    kappa_grid = sorted(int(k) for k in grid)
     k_max = kappa_grid[-1]
     ens_a = simulate(model, policy_a, x0, k_max, paths, seed, noise_kind)
     ens_b = simulate(model, policy_b, x0, k_max, paths, seed, noise_kind)

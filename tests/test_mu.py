@@ -7,6 +7,7 @@ from csviu import (
     mu_asymptotic,
     mu_bound,
     mu_rollout,
+    simulate,
     solve_riccati,
 )
 
@@ -145,6 +146,28 @@ class TestRollout:
         by_default = mu_rollout(sol, x, depth=12, paths=64, seed=5)
         by_policy = mu_rollout(sol, x, policy=Policy.linear(sol.G), depth=12, paths=64, seed=5)
         np.testing.assert_array_equal(by_default.value, by_policy.value)
+
+    def test_value_matches_the_simulated_linear_paths(self, rng):
+        # mu_rollout and simulate share one stage loop: the slope series rebuilt
+        # from the states and controls of one simulation is the rollout value
+        model = support.random_model(rng, n=2, m=1)
+        sol = solve_riccati(model, alpha=0.9)
+        x, depth, paths, seed = np.array([0.8, -0.4]), 9, 32, 6
+        est = mu_rollout(sol, x, depth=depth, paths=paths, seed=seed)
+        ens = simulate(model, Policy.linear(sol.G), x, depth, paths, seed)
+        totals = np.zeros((paths, 2))
+        M = 0.9 * np.eye(2)
+        for k in range(depth + 1):
+            drive = (np.sign(ens.states[:, k]) * sol.forms.Wxd
+                     + (np.sign(ens.controls[:, k]) * sol.forms.Wud) @ sol.G)
+            totals += drive @ M.T
+            M = 0.9 * (sol.Acl.T @ M)
+        np.testing.assert_allclose(est.value, totals.mean(axis=0), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("tail_tol", [0.0, 1.0, 5.0, float("nan")])
+    def test_tail_tolerance_must_lie_in_the_unit_interval(self, slope_sol, tail_tol):
+        with pytest.raises(ValueError, match="tail_tol"):
+            mu_rollout(slope_sol, [1.0], paths=2, tail_tol=tail_tol)
 
     def test_depth_heuristic_reaches_tail_tolerance(self, rng):
         model = support.random_model(rng, n=2, m=1)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from csviu import (
-    CostLedger,
     Policy,
     SeriesDivergent,
     SystemModel,
@@ -69,14 +68,30 @@ class TestRandomness:
         with pytest.raises(ValueError):
             path_rng(0, -1)
 
+    @pytest.mark.parametrize(
+        "seed, index, name",
+        [(1.5, 0, "seed"), (True, 0, "seed"), (2**64, 0, "seed"), (0, 2.0, "path_index"),
+         (0, 2**64, "path_index")],
+        ids=["fractional-seed", "bool-seed", "seed-2**64", "fractional-index", "index-2**64"],
+    )
+    def test_identifiers_must_be_integers_below_two_to_the_64(self, seed, index, name):
+        # a fractional seed used to run the truncated one, and index 2**64 the stream of seed 1
+        with pytest.raises(ValueError, match=name):
+            path_rng(seed, index)
+
+    def test_simulate_refuses_a_fractional_seed(self, scalar_model):
+        with pytest.raises(ValueError, match="seed"):
+            simulate(scalar_model, Policy.zero(1), [1.0], kappa=2, paths=2, seed=1.5)
+
     def test_adding_paths_keeps_existing_draws(self, scalar_model):
         small = draw_noise_block(scalar_model, stages=5, paths=3, seed=2)
         large = draw_noise_block(scalar_model, stages=5, paths=8, seed=2)
         np.testing.assert_array_equal(large[:3], small)
 
-    def test_lengthening_horizon_keeps_prefix(self, scalar_model):
-        short = draw_noise_block(scalar_model, stages=6, paths=4, seed=2)
-        long = draw_noise_block(scalar_model, stages=10, paths=4, seed=2)
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform-scaled"])
+    def test_lengthening_horizon_keeps_prefix(self, scalar_model, kind):
+        short = draw_noise_block(scalar_model, stages=6, paths=4, seed=2, kind=kind)
+        long = draw_noise_block(scalar_model, stages=10, paths=4, seed=2, kind=kind)
         np.testing.assert_array_equal(long[:, :6, :], short)
 
     @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform-scaled"])
@@ -185,6 +200,14 @@ class TestEnergy:
         )
         assert est.mean == pytest.approx(4.0, abs=1e-12)  # y_0 = C x_0 = 2
         assert est.stderr == 0.0
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, float("nan"), float("inf")])
+    def test_discount_must_be_finite_and_positive(self, scalar_model, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            estimate_energy(scalar_model, Policy.zero(1), alpha, kappa=3, x0=[1.0], paths=4)
+        ens = simulate(scalar_model, Policy.zero(1), [1.0], kappa=3, paths=4)
+        with pytest.raises(ValueError, match="alpha"):
+            ens.energy_estimate(alpha)
 
     def test_per_path_energy_matches_manual_sum(self, scalar_model):
         ens = simulate(scalar_model, Policy.zero(1), [1.0], kappa=3, paths=4, seed=6)
@@ -296,25 +319,6 @@ class TestOneStepIdentity:
         assert abs(check.gap) <= 4.0 * check.combined_stderr + 1e-4
 
 
-class TestCostLedger:
-    def test_frozen_backward_roll(self):
-        ledger = CostLedger.from_rho(alpha=0.9, varpi=0.18, rho=[1.0, 2.0])
-        # g_2 = 0; g_1 = 0.9*0 + 0.9*0.18 + 2; g_0 = 0.9*g_1 + 0.162 + 1
-        assert ledger.g[2] == 0.0
-        assert ledger.g[1] == pytest.approx(2.162, abs=1e-12)
-        assert ledger.g[0] == pytest.approx(0.9 * 2.162 + 0.162 + 1.0, abs=1e-12)
-        assert ledger.residual() <= 1e-12
-
-    def test_empty_horizon(self):
-        ledger = CostLedger.from_rho(alpha=1.0, varpi=0.5, rho=[])
-        assert ledger.g.tolist() == [0.0]
-        assert ledger.residual() == 0.0
-
-    def test_residual_is_rounding_level_on_random_ledgers(self, rng):
-        ledger = CostLedger.from_rho(0.97, 0.3, rng.standard_normal(200))
-        assert ledger.residual() <= 1e-12
-
-
 class TestOptimalNorms:
     def test_energy_reduces_to_noise_floor_term_without_growth_noise(self, rng):
         # stage residuals vanish under the linear-gain optimum, so the series
@@ -397,6 +401,32 @@ class TestOptimalNorms:
         }
         assert got == self.PINNED_KAPPA[alpha]
 
+    @pytest.mark.parametrize("tail_tol", [0.0, 1.0, 2.0, float("nan")])
+    def test_tail_tolerance_must_lie_in_the_unit_interval(self, scalar_model, tail_tol):
+        sol = solve_riccati(scalar_model, alpha=0.9)
+        with pytest.raises(ValueError, match="tail_tol"):
+            optimal_norms(sol, paths=2, tail_tol=tail_tol)
+
+    def test_energy_matches_the_simulated_optimal_paths(self, rng):
+        # optimal_norms and simulate share one stage loop, so from the origin the
+        # stage residuals of the one simulation rebuild the series estimate
+        model = support.random_model(rng, n=2, m=1)
+        sol = solve_riccati(model, alpha=0.9)
+        kappa, paths, seed = 30, 16, 4
+        est = optimal_norms(sol, kappa=kappa, paths=paths, seed=seed)
+        ens = simulate(model, Policy.optimal(sol, mu_kind="asymptotic"), np.zeros(2),
+                       kappa, paths, seed)
+        X, U = ens.states[:, :kappa], ens.controls[:, :kappa]
+        dev = U - X @ sol.G.T
+        rho = 0.9 * (
+            np.einsum("pki,ij,pkj->pk", dev, sol.Lambda, dev)
+            + np.abs(X) @ sol.forms.Wxd
+            + np.abs(U) @ sol.forms.Wud
+        )
+        energy = 0.9 / 0.1 * sol.forms.varpi1 + (rho @ 0.9 ** np.arange(kappa)).mean()
+        assert est.details["mode"] == "direct"
+        assert est.energy == pytest.approx(energy, rel=0.0, abs=1e-12)
+
     def test_details_record_the_estimation_mode(self, scalar_model):
         sol = solve_riccati(scalar_model, alpha=0.9)
         est = optimal_norms(sol, paths=20, seed=0)
@@ -444,6 +474,22 @@ class TestOvertaking:
         with pytest.raises(ValueError, match="alpha"):
             overtaking_compare(
                 scalar_model, alpha, Policy.zero(1), Policy.zero(1), [1.0], [2], paths=2
+            )
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_discount_refused(self, scalar_model, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            overtaking_compare(
+                scalar_model, alpha, Policy.zero(1), Policy.zero(1), [1.0], [2], paths=2
+            )
+
+    @pytest.mark.parametrize(
+        "grid", [[2.5, 3], [float("nan"), 3], [True, 3]], ids=["fractional", "nan", "bool"]
+    )
+    def test_grid_entries_must_be_integral(self, scalar_model, grid):
+        with pytest.raises(ValueError, match="kappa_grid"):
+            overtaking_compare(
+                scalar_model, 1.0, Policy.zero(1), Policy.zero(1), [1.0], grid, paths=2
             )
 
     def test_grid_validation(self, scalar_model):
