@@ -83,12 +83,18 @@ def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
     Each sweep updates the coordinates in order,
     ``z_i = (1 - omega) z_i - omega/W_ii sum_{j != i} W_ij s_j - omega b_i``,
     clips ``gamma_i = clip(z_i, -c_i, c_i)`` and carries ``s = gamma + b``;
-    the sweeps stop once the normal-equation residual of every row is within
-    ``tol``.  A relaxation factor outside (0, 2) raises ``ValueError`` before
-    any sweep.  A single row runs on Python floats (:func:`_sweeps_one`), since
-    array calls cost more than the arithmetic at these sizes; a batch runs on
-    columns (:func:`_sweeps_batch`).  The two kernels take the same steps and
-    agree to rounding.
+    each row stops at the first sweep that brings its own normal-equation
+    residual within ``tol``.  ``iterations`` and ``residual`` are the largest
+    sweep count and final residual of any row.  A relaxation factor outside
+    (0, 2) raises ``ValueError`` and a nonpositive diagonal of W
+    :class:`SingularLambda`, both before any sweep; a row still outside
+    ``tol`` after ``max_iters`` sweeps (a NaN residual included) raises one
+    :class:`MaxIterations` with ``iterations=max_iters`` and that residual.
+    A single row runs on Python floats (:func:`_sweeps_one`), since array
+    calls cost more than the arithmetic at these sizes; a batch runs on
+    columns (:func:`_sweeps_batch`) and hands its last unconverged row to the
+    single-row kernel.  The two kernels take the same steps and agree to
+    rounding, so every row of a batch matches its own single-row solve.
     """
     if not (0.0 < omega < 2.0):
         raise ValueError(f"omega must lie in (0, 2), got {omega}")
@@ -109,39 +115,73 @@ def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
 
 
 def _sweeps_batch(W, Wd, B, C, omega, Z0, tol, max_iters):
-    """The sweeps of :func:`_sor_sweeps` on (paths, m) arrays.
+    """The sweeps of :func:`_sor_sweeps` on a (paths, m) batch.
 
-    Coordinates update in place, one column at a time, so the work arrays
-    are column-major and ``S`` carries the running ``Gamma + B``.
+    The work arrays are held transposed, (m, rows), so each coordinate
+    updates in place on one contiguous row and ``S`` carries the running
+    ``Gamma + B``.  After each sweep every row within ``tol`` writes its
+    result and leaves the batch, so a row stops at its own convergence
+    sweep; the last row left finishes on :func:`_sweeps_one` with the
+    remaining budget.  Returns the largest sweep count and final residual of
+    any row, or, once the budget runs out, the largest residual of the rows
+    still sweeping.
     """
-    m = W.shape[0]
-    B = np.asfortranarray(B)
+    m, paths = W.shape[0], B.shape[0]
+    B = np.ascontiguousarray(B.T)
     omega_B = omega * B
     step = omega / Wd
     keep = 1.0 - omega
-    Z = np.array(Z0, dtype=float, order="F")
-    Gamma = np.minimum(np.maximum(Z, -C), C, order="F")
-    S = np.add(Gamma, B, order="F")
+    Z = np.array(Z0.T, dtype=float, order="C")
+    Cc, Wdc = C[:, None], Wd[:, None]
+    Gamma = np.minimum(np.maximum(Z, -Cc), Cc)
+    S = Gamma + B
     offdiag = W.copy()
     np.fill_diagonal(offdiag, 0.0)
-    residual = math.inf
+    out = live = None  # (Z, Gamma, Nu) of the whole batch and its rows still sweeping
+    residual = 0.0
     for sweep in range(1, max_iters + 1):
         for i in range(m):
-            coupling = S @ offdiag[i]
+            coupling = offdiag[i] @ S
             coupling *= step[i]
-            z = Z[:, i]
+            z = Z[i]
             z *= keep
             z -= coupling
-            z -= omega_B[:, i]
-            g = Gamma[:, i]
+            z -= omega_B[i]
+            g = Gamma[i]
             np.maximum(z, -C[i], out=g)
             np.minimum(g, C[i], out=g)
-            np.add(g, B[:, i], out=S[:, i])
-        Nu = np.sign(Z) * np.maximum(0.0, Wd * (np.abs(Z) - C))
-        residual = float(np.abs(Nu + S @ W.T).max(initial=0.0))
-        if residual <= tol:
-            return Z, Gamma, Nu, sweep, residual
-    return None, None, None, max_iters, residual
+            np.add(g, B[i], out=S[i])
+        Nu = np.sign(Z) * np.maximum(0.0, Wdc * (np.abs(Z) - Cc))
+        R = np.abs(Nu + W @ S)
+        top = float(R.max(initial=0.0))
+        if top <= tol:
+            if out is None:
+                return Z.T, Gamma.T, Nu.T, sweep, top
+            for dst, src in zip(out, (Z, Gamma, Nu)):
+                dst[:, live] = src
+            return out[0].T, out[1].T, out[2].T, sweep, max(residual, top)
+        if sweep == max_iters:
+            break
+        r = R.max(axis=0)
+        done = r <= tol
+        if not done.any():
+            continue
+        if out is None:
+            out, live = np.empty((3, m, paths)), np.arange(paths)
+        for dst, src in zip(out, (Z, Gamma, Nu)):
+            dst[:, live[done]] = src.compress(done, axis=1)
+        residual = max(residual, float(r[done].max()))
+        stay = ~done
+        live = live[stay]
+        Z, Gamma, S, B, omega_B = (a.compress(stay, axis=1) for a in (Z, Gamma, S, B, omega_B))
+        if live.size == 1:
+            z, g, nu, more, last = _sweeps_one(W, Wd, B.T, C, omega, Z.T, tol, max_iters - sweep)
+            if z is None:
+                return None, None, None, max_iters, last
+            for dst, src in zip(out, (z, g, nu)):
+                dst[:, live[0]] = src[0]
+            return out[0].T, out[1].T, out[2].T, sweep + more, max(residual, last)
+    return None, None, None, max_iters, top
 
 
 def _sweeps_one(W, Wd, B, C, omega, Z0, tol, max_iters):
@@ -214,9 +254,11 @@ def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=10000):
 
     ``B`` is (paths, m); returns the (paths, m) control batch, empty when
     ``B`` has no rows.  Used by the simulation and region-scan paths where
-    thousands of stage problems share the same curvature.  A one-row ``B``
-    takes the single-row kernel of :func:`_sor_sweeps`, as in
-    :func:`sor_solve`.
+    thousands of stage problems share the same curvature.  Each row stops at
+    its own convergence sweep, and the last row still sweeping finishes on
+    the single-row kernel of :func:`_sor_sweeps`, as a one-row ``B`` and
+    :func:`sor_solve` do; so each row matches :func:`sor_solve` on that row
+    alone to rounding, whatever the other rows are.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Z0 = np.zeros_like(B)
@@ -435,7 +477,8 @@ def optimal_control_batch(
     Returns ``(U, Mu)`` with shapes (paths, m) and (paths, n), empty when
     ``X`` has no rows.  The slope inputs are those of :func:`resolve_mu`
     ("rollout" runs one :func:`~csviu.mu.mu_rollout` per row).  Row for row
-    this matches :func:`optimal_control` up to the solver tolerance: with
+    this matches :func:`optimal_control` to rounding, since each stage solve
+    stops every row at its own convergence sweep (:func:`sor_solve_batch`): with
     ``mu_kind="asymptotic"`` every row follows the single-state slope-sweep
     rule on its own, so a row on a sign cycle leaves the other rows' results
     unchanged.  The curvature data come from the solution's cached ``law``.

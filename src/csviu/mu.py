@@ -97,13 +97,10 @@ def mu_rollout(
     """
     model = sol.model
     alpha = sol.alpha
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (model.n,):
-        raise ValueError(f"x has length {x.size}, expected {model.n}")
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
-    if depth is not None and depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    x = simulator._check_state("x", x, model.n)
+    paths = simulator._check_count("paths", paths, 1)
+    if depth is not None:
+        depth = simulator._check_count("depth", depth, 0)
     simulator._check_tail_tol(tail_tol)
     rho = sol.closed_loop_radius
     if depth is None:

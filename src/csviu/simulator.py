@@ -43,6 +43,25 @@ def _check_discount(alpha) -> None:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
 
 
+def _check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an
+    integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _check_state(name: str, x, n: int) -> np.ndarray:
+    """``x`` as a float vector; ``ValueError`` naming ``name`` unless it has
+    length ``n`` and finite entries."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (n,):
+        raise ValueError(f"{name} has length {x.size}, expected {n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
 def _check_tail_tol(tail_tol) -> None:
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
@@ -188,14 +207,15 @@ def simulate(
     seed: int = 0,
     noise_kind: str = "gaussian",
 ) -> PathEnsemble:
-    """Roll out ``paths`` trajectories of ``kappa`` transitions from ``x0``."""
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (model.n,):
-        raise ValueError(f"x0 has length {x0.size}, expected {model.n}")
+    """Roll out ``paths`` trajectories of ``kappa`` transitions from ``x0``.
+
+    ``kappa`` and ``paths`` must be integers (not bools) of at least 0 and 1,
+    and ``x0`` a finite state of length n; otherwise ``ValueError`` names the
+    argument.
+    """
+    kappa = _check_count("kappa", kappa, 0)
+    paths = _check_count("paths", paths, 1)
+    x0 = _check_state("x0", x0, model.n)
     states = np.empty((paths, kappa + 1, model.n))
     controls = np.empty((paths, kappa + 1, model.m))
     outputs = np.empty((paths, kappa + 1, model.p))
@@ -252,11 +272,12 @@ def estimate_power(
 
     The growth flag trips when the tail quarter of the mean power series runs
     hot against the preceding quarter, which indicates the time average is
-    still climbing instead of settling.
+    still climbing instead of settling.  ``kappa`` and ``burn_in`` are
+    integers with ``0 <= burn_in < kappa``.
     """
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1 for a power estimate, got {kappa}")
-    if not 0 <= burn_in < kappa:
+    kappa = _check_count("kappa", kappa, 1)
+    burn_in = _check_count("burn_in", burn_in, 0)
+    if burn_in >= kappa:
         raise ValueError(f"burn_in must lie in [0, kappa), got {burn_in}")
     ens = simulate(model, policy, x0, kappa, paths, seed, noise_kind)
     sq = np.einsum("pkq,pkq->pk", ens.outputs[:, :kappa, :], ens.outputs[:, :kappa, :])
@@ -308,8 +329,7 @@ def one_step_variation_oracle(
     nonzero next-stage slope under live noise the identity holds only up to
     the sign-flip bias, which is the caller's responsibility to keep small.
     """
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
+    paths = _check_count("paths", paths, 1)
     n, m = model.n, model.m
     x = np.asarray(x, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1)
@@ -402,8 +422,9 @@ def optimal_norms(
     :func:`~csviu.mu.mu_bound`; when that horizon is impractical the tail is
     closed with the settled residual mean, and the reported stderr carries
     that term.  A discount above one raises :class:`SeriesDivergent`, and
-    ``paths < 1`` or, at discount one, ``kappa < 1`` raise ``ValueError``,
-    all before any simulation.
+    a ``paths`` or ``kappa`` that is not an integer (bools included),
+    ``paths < 1``, ``kappa < 0`` or, at discount one, ``kappa < 1`` raise
+    ``ValueError``, all before any simulation.
 
     The stage residual is accounted through the exact one-step moment
     identity of the cost matrix: the curvature-weighted excess of the applied
@@ -423,11 +444,10 @@ def optimal_norms(
             "infinite-horizon criteria are undefined for a discount above one; "
             "use overtaking_compare for finite-horizon comparisons"
         )
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
+    paths = _check_count("paths", paths, 1)
     _check_tail_tol(tail_tol)
-    if alpha == 1.0 and kappa is not None and kappa < 1:
-        raise ValueError(f"kappa must be >= 1 for a power estimate, got {kappa}")
+    if kappa is not None:
+        kappa = _check_count("kappa", kappa, 1 if alpha == 1.0 else 0)
     if alpha * rho_cl * rho_cl >= 1.0 - 1e-9:
         raise SeriesDivergent(
             "the closed loop does not contract in second moment at this discount"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,26 @@ CYCLING_AT_LARGE_OMEGA = (
     [-1.4654373, 1.25143894],
     [1.29296426, 1.86936671],
 )
+
+
+# Half the inverse curvature and the deadzone weights of the n = 6, m = 3
+# benchmark plant (perfbench/inputs.py) at alpha = 0.95, with five recorded
+# stage right-hand sides; alone, at omega 1 and tol 1e-10, the rows need
+# MIXED_SWEEPS sweeps.
+MIXED_W = [
+    [0.05861976268223159, 0.04719937452243435, 0.0079558868704316],
+    [0.04719937452243435, 0.04802638132811947, 0.00954383114708809],
+    [0.0079558868704316, 0.00954383114708809, 0.00636744209174849],
+]
+MIXED_C = [0.15593047910987357, 0.0953444026678063, 0.07077965804756972]
+MIXED_B = [
+    [-30.335742716713916, 18.788661150210675, 23.907985225859502],
+    [1.4806221010032314, -3.9466923279771127, 11.656302058973091],
+    [-6.479059650002271, 6.657201246827292, -2.011028601507416],
+    [-0.2395827177786396, 0.7789496317390796, -2.5768421290553998],
+    [-0.09784837618429076, -0.06844242515826782, 0.01715158268333816],
+]
+MIXED_SWEEPS = [2, 3, 12, 43, 77]
 
 
 def _random_subproblem(rng, m):
@@ -261,6 +283,78 @@ class TestSorKernels:
         np.testing.assert_array_equal(sor_solve_batch(sub.W, sub.b[None], sub.c)[0], nu)
         sol = solve_riccati(support.random_model(rng, n=3, m=2), alpha=0.9)
         optimal_control(sol, rng.standard_normal(3), mu_kind="asymptotic")
+
+
+def _mixed_rows():
+    W = np.array(MIXED_W)
+    c = np.array(MIXED_C)
+    return W, np.array(MIXED_B), c, ControlSubproblem(W=W, b=None, c=c, Lambda=0.5 * np.linalg.inv(W))
+
+
+class TestBatchRowsLeaveOnConvergence:
+    """Each batch row stops at its own convergence sweep; the last row left
+    finishes on the scalar kernel with the remaining budget."""
+
+    def test_rows_match_their_single_solves(self):
+        W, B, c, sub = _mixed_rows()
+        singles = [sor_solve(replace(sub, b=b)) for b in B]
+        assert [state.iterations for state in singles] == MIXED_SWEEPS
+        Z, Gamma, Nu, sweeps, residual = csviu.control._sor_sweeps(
+            W, B, c, 1.0, np.zeros_like(B), 1e-10, 10000
+        )
+        assert sweeps == max(MIXED_SWEEPS)
+        assert residual <= 1e-10
+        np.testing.assert_array_equal(sor_solve_batch(W, B, c), Nu)
+        for row, state in enumerate(singles):
+            for batch, single in ((Z, state.z), (Gamma, state.gamma), (Nu, state.nu)):
+                np.testing.assert_allclose(batch[row], single, rtol=0.0, atol=1e-12)
+
+    def test_a_slow_row_does_not_move_the_others(self):
+        W, B, c, _ = _mixed_rows()
+        fast = sor_solve_batch(W, B[:3], c)
+        np.testing.assert_allclose(sor_solve_batch(W, B, c)[:3], fast, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sor_solve_batch(W, B[[4, 0, 1, 2]], c)[1:], fast, rtol=0.0, atol=1e-12)
+
+    def test_last_row_finishes_on_the_scalar_kernel(self, monkeypatch):
+        budgets = []
+        scalar = csviu.control._sweeps_one
+
+        def spy(W, Wd, B, C, omega, Z0, tol, max_iters):
+            budgets.append((B.shape[0], max_iters))
+            return scalar(W, Wd, B, C, omega, Z0, tol, max_iters)
+
+        monkeypatch.setattr(csviu.control, "_sweeps_one", spy)
+        W, B, c, _ = _mixed_rows()
+        sor_solve_batch(W, B, c, max_iters=500)
+        assert budgets == [(1, 500 - MIXED_SWEEPS[-2])]
+
+    @pytest.mark.parametrize("max_iters", [43, 44, 60])
+    def test_straggler_out_of_budget_raises_with_its_own_residual(self, max_iters):
+        # at 43 sweeps the straggler is left with no budget, at 44 with one sweep
+        W, B, c, sub = _mixed_rows()
+        with pytest.raises(MaxIterations) as alone:
+            sor_solve(replace(sub, b=B[-1]), max_iters=max_iters)
+        with pytest.raises(MaxIterations, match="retry with a smaller omega") as batch:
+            sor_solve_batch(W, B, c, max_iters=max_iters)
+        assert batch.value.iterations == max_iters
+        assert np.isfinite(batch.value.residual) and batch.value.residual > 1e-10
+        assert batch.value.residual == pytest.approx(alone.value.residual, rel=1e-9)
+
+    def test_a_nan_row_ends_in_max_iterations(self):
+        W, B, c, _ = _mixed_rows()
+        B[1, 0] = np.nan
+        with pytest.raises(MaxIterations) as failure:
+            sor_solve_batch(W, B, c, max_iters=100)
+        assert failure.value.iterations == 100
+        assert np.isnan(failure.value.residual)
+
+    def test_large_omega_cycle_raises_from_a_batch(self):
+        sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
+        B = np.stack([np.zeros(2), sub.b, -sub.b])
+        with pytest.raises(MaxIterations) as failure:
+            sor_solve_batch(sub.W, B, sub.c, omega=1.9, tol=1e-12, max_iters=1000)
+        assert failure.value.iterations == 1000
+        assert failure.value.residual > 0.05
 
 
 class TestOptimalControl:

@@ -7,6 +7,7 @@ from csviu import (
     SystemModel,
     estimate_energy,
     estimate_power,
+    mu_rollout,
     one_step_variation_oracle,
     optimal_control,
     optimal_norms,
@@ -174,6 +175,40 @@ class TestSimulate:
         U = pol.fn(np.array([[0.4, -0.2], [1.0, 1.0]]))
         assert U.shape == (2, 1)
         assert np.all(np.isfinite(U))
+
+
+def _entry_calls(model):
+    """Monte Carlo calls on ``model``, keyed by the bad argument each one passes."""
+    sol = solve_riccati(model, alpha=0.9)
+    gain = Policy.linear(sol.G)
+    return {
+        "simulate-kappa-bool": lambda: simulate(model, gain, [1.0], kappa=True, paths=2),
+        "simulate-kappa-fraction": lambda: simulate(model, gain, [1.0], kappa=2.5, paths=2),
+        "simulate-paths-fraction": lambda: simulate(model, gain, [1.0], kappa=2, paths=2.0),
+        "optimal_norms-paths-fraction": lambda: optimal_norms(sol, paths=2.5),
+        "optimal_norms-kappa-fraction": lambda: optimal_norms(sol, paths=2, kappa=2.5),
+        "optimal_norms-kappa-negative": lambda: optimal_norms(sol, paths=2, kappa=-1),
+        "mu_rollout-depth-fraction": lambda: mu_rollout(sol, [1.0], depth=2.5, paths=2),
+        "mu_rollout-paths-fraction": lambda: mu_rollout(sol, [1.0], depth=2, paths=2.5),
+        "estimate_power-burn_in-fraction": lambda: estimate_power(
+            model, gain, kappa=4, x0=[1.0], paths=2, burn_in=1.5
+        ),
+        "estimate_power-kappa-bool": lambda: estimate_power(model, gain, kappa=True, x0=[1.0], paths=2),
+        "estimate_energy-x0-nan": lambda: estimate_energy(model, gain, 0.9, 3, [np.nan], 4),
+        "simulate-x0-inf": lambda: simulate(model, gain, [np.inf], kappa=3, paths=2),
+        "mu_rollout-x-nan": lambda: mu_rollout(sol, [np.nan], depth=2, paths=2),
+    }
+
+
+@pytest.mark.parametrize("case", list(_entry_calls(support.scalar_model())))
+def test_bad_counts_and_states_are_named_before_any_draw(scalar_model, case, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("noise drawn before the arguments were checked")
+
+    call = _entry_calls(scalar_model)[case]
+    monkeypatch.setattr(csviu.simulator, "draw_noise_block", no_draws)
+    with pytest.raises(ValueError, match=case.split("-")[1]):
+        call()
 
 
 class TestEnergy:
