@@ -200,6 +200,7 @@ def _solution_payload(sol) -> dict:
         "G": _jsonable(sol.G),
         "Acl": _jsonable(sol.Acl),
         "iterations": sol.iterations,
+        "newton_steps": sol.newton_steps,
         "residual": sol.residual,
         "closed_loop_radius": sol.closed_loop_radius,
         "alpha_condition_ok": sol.alpha_condition_ok,

@@ -24,7 +24,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import CsviuError, MaxIterations, SingularLambda
+from .errors import CsviuError, MaxIterations, SingularLambda, check_state
 from .mu import frozen_sign_slopes, mu_rollout
 from .riccati import RiccatiSolution, stage_data
 
@@ -401,8 +401,10 @@ def optimal_control(
     curvature; a mismatch there would mean the sweep settled on a wrong point,
     so it is treated as an internal error.  ``margins`` are those of
     :func:`inaction_test`, read off the final stage problem's linear term.
+    A state of the wrong length or with a non-finite entry raises
+    ``ValueError`` before any sweep.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = check_state("x", x, sol.model.n)
     sub, state = _solve_state(
         sol, x, _slopes(sol, x[None], mu, mu_kind), omega, tol, max_iters
     )
@@ -482,8 +484,12 @@ def optimal_control_batch(
     ``mu_kind="asymptotic"`` every row follows the single-state slope-sweep
     rule on its own, so a row on a sign cycle leaves the other rows' results
     unchanged.  The curvature data come from the solution's cached ``law``.
+    A row with a non-finite entry raises ``ValueError`` before any sweep.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.isfinite(X).all():
+        row = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ValueError(f"X must be finite, got {X[row]} in row {row}")
     Mu = _slopes(sol, X, Mu, mu_kind)
     law = sol.law
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the solver modules."""
+"""Exception types and the argument checks shared across the solver modules."""
+
+import numbers
+
+import numpy as np
 
 
 class CsviuError(Exception):
@@ -32,3 +36,22 @@ class SeriesDivergent(CsviuError):
 
 class AssumptionViolated(CsviuError):
     """A positivity or convexity assumption required by the solver does not hold."""
+
+
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an
+    integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_state(name: str, x, n: int) -> np.ndarray:
+    """``x`` as a float vector; ``ValueError`` naming ``name`` unless it has
+    length ``n`` and finite entries."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (n,):
+        raise ValueError(f"{name} has length {x.size}, expected {n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesDivergent
+from .errors import SeriesDivergent, check_count, check_state
 from .operators import spectral_radius
 from .riccati import RiccatiSolution
 from . import simulator
@@ -97,10 +97,10 @@ def mu_rollout(
     """
     model = sol.model
     alpha = sol.alpha
-    x = simulator._check_state("x", x, model.n)
-    paths = simulator._check_count("paths", paths, 1)
+    x = check_state("x", x, model.n)
+    paths = check_count("paths", paths, 1)
     if depth is not None:
-        depth = simulator._check_count("depth", depth, 0)
+        depth = check_count("depth", depth, 0)
     simulator._check_tail_tol(tail_tol)
     rho = sol.closed_loop_radius
     if depth is None:

@@ -13,6 +13,8 @@ The second-moment map is written once, in
 The Riccati step, the closed-loop cost step and every certificate radius use
 it; the dense matrix of :meth:`OperatorSet.operator_matrix` is that map
 applied to a basis of the symmetric matrices, in upper-triangle coordinates.
+Equations U - map(U) = Q are solved once, in
+:meth:`OperatorSet.lyapunov_solve`, on n x n matrices as well.
 """
 
 from __future__ import annotations
@@ -58,6 +60,22 @@ class NoiseForms(NamedTuple):
     varpi1: float
     Wxd: np.ndarray
     Wud: np.ndarray
+
+
+class LyapunovSolve(NamedTuple):
+    """Solution of U - second_moment_map(U, F, G) = Q and the map's stability.
+
+    ``U`` has the shape of Q and is None when the mean part is not stable or
+    the capacitance system is singular.  ``resolvent_radius`` is rho(M) for
+    the capacitance matrix M of :meth:`OperatorSet.lyapunov_solve` (NaN when
+    the mean part is not stable); ``stable`` says rho(sqrt(alpha) F) < 1 and
+    alpha * rho(M) < 1, which together hold exactly when the map has
+    spectral radius below one.
+    """
+
+    U: np.ndarray | None
+    stable: bool
+    resolvent_radius: float
 
 
 class SigmaLambda(NamedTuple):
@@ -170,6 +188,43 @@ class OperatorSet:
         if n * n <= DENSE_MAX:
             return spectral_radius(self.operator_matrix(F, G))
         return _power_radius(lambda U: self.second_moment_map(U, F, G), np.eye(n))
+
+    def lyapunov_solve(self, Q, F=None, G=None) -> LyapunovSolve:
+        """Solve U - second_moment_map(U, F, G) = Q without vectorizing U.
+
+        ``Q`` is one n x n matrix or a stack (k, n, n); ``F`` and ``G`` are
+        those of :meth:`second_moment_map`.  The noise term has rank n + m:
+        alpha * sum_r (w_r'U w_r) r r' over the pairs (w, r) = (Sx e_i, e_i)
+        and, with a gain, (Su e_j, G'e_j).  With T(U) = U - alpha*F'UF, one
+        batched :func:`stein_solve` gives Y_r = T^{-1}(r r') and T^{-1}(Q);
+        then U = T^{-1}(Q) + alpha * sum_r z_r Y_r, where z solves the
+        (n+m)-square capacitance system (I - alpha*M) z = c with
+        M_pr = w_p'Y_r w_p and c_p = w_p'T^{-1}(Q) w_p.  The nonzero spectrum
+        of T^{-1} o (noise term) is that of alpha*M, so its radius is exact.
+        Raises :class:`MaxIterations` when the doubling does not settle.
+        """
+        md = self.model
+        F = md.A if F is None else F
+        root = np.sqrt(self.alpha)
+        if root * float(np.abs(np.linalg.eigvals(F)).max()) >= 1.0:
+            return LyapunovSolve(None, False, np.nan)
+        R, W = np.eye(md.n), md.sigma_bar_x
+        if G is not None:
+            R, W = np.hstack([R, G.T]), np.hstack([W, md.sigma_bar_u])
+        Q = np.asarray(Q, dtype=float)
+        rhs = Q if Q.ndim == 3 else Q[None]
+        k = R.shape[1]
+        Y = stein_solve(root * F, np.concatenate([R.T[:, :, None] * R.T[:, None, :], rhs]))
+        Y_unit, Y_rhs = Y[:k], Y[k:]
+        M = np.einsum("pi,jpq,qi->ij", W, Y_unit, W)
+        radius = spectral_radius(M, method="eig")
+        stable = bool(self.alpha * radius < 1.0)
+        try:
+            z = np.linalg.solve(np.eye(k) - self.alpha * M, np.einsum("pi,kpq,qi->ik", W, Y_rhs, W))
+        except np.linalg.LinAlgError:
+            return LyapunovSolve(None, False, radius)
+        U = Y_rhs + self.alpha * np.tensordot(z, Y_unit, axes=(0, 0))
+        return LyapunovSolve(U if Q.ndim == 3 else U[0], stable, radius)
 
 
 def stein_solve(F, Q):

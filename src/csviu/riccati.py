@@ -3,6 +3,24 @@
 Value iteration from zero is monotone for this family of maps, so the
 iteration either climbs to the minimal positive semidefinite fixed point or
 blows up; both outcomes are detected and reported.
+
+Near a marginal plant that climb is slow, so the stationary solver tries a
+Newton finish (policy iteration: Hewer, IEEE TAC 1971; Damm & Hinrichsen,
+LAA 332-334, 2001) after value-iteration steps 64, 128, 256 and so on.  A try
+starts from the gain of the current value iterate P and is refused at once
+unless that gain makes the second-moment map stable.  Each Newton step
+evaluates the current gain exactly, by one
+:meth:`~csviu.operators.OperatorSet.lyapunov_solve`, and moves to the gain
+that minimizes over the evaluated cost.  The finish is accepted only when its
+fixed-point residual is within ``tol_fixed_point``, it is positive
+semidefinite and it lies above P, as every PSD fixed point lies above every
+value iterate; otherwise value iteration goes on.  From a stabilizing gain
+Newton converges to the stabilizing fixed point, and when the plant is
+detectable that is the only PSD one, so the result is still the minimal PSD
+fixed point.  On a plant with an unobserved, unstable mode the value iterates
+leave that mode alone, their gains never stabilize it, every try is refused
+and the result is that of value iteration alone.  Solves that converge before
+step 64 never reach a try.
 """
 
 from __future__ import annotations
@@ -12,12 +30,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AssumptionViolated, MaxIterations, MonotonicityViolation, SingularLambda
+from .errors import (
+    AssumptionViolated,
+    MaxIterations,
+    MonotonicityViolation,
+    SingularLambda,
+    check_count,
+)
 from .model import CriterionConfig, SystemModel
 from .operators import NoiseForms, OperatorSet, spectral_radius, symmetrize
 
 MONOTONE_TOL = 1e-10
 DIVERGENCE_FACTOR = 1e6
+_NEWTON_FIRST_TRY = 64  # value-iteration step of the first Newton try; each later try doubles it
+_NEWTON_STEPS = 50      # Newton steps one try may take before it is refused
 
 
 @dataclass(frozen=True)
@@ -27,8 +53,11 @@ class RiccatiSolution:
     ``L`` is the minimal positive semidefinite fixed point reached from zero,
     ``G`` the induced feedback gain and ``Acl = A + B G`` the mean closed
     loop.  ``Sigma``/``Lambda``/``forms`` are the operator evaluations at
-    ``L`` so callers do not recompute them.  Detectability is not recorded
-    here; :func:`~csviu.stability.detectability_search` answers it.
+    ``L`` so callers do not recompute them.  ``iterations`` counts the
+    value-iteration steps plus the ``newton_steps`` of an accepted Newton
+    finish; ``newton_steps`` is 0 when value iteration finished alone.
+    Detectability is not recorded here;
+    :func:`~csviu.stability.detectability_search` answers it.
 
     Derived quantities are built on first use and cached on the instance:
     ``law``, the checked stage-problem data every feedback solve shares,
@@ -46,6 +75,7 @@ class RiccatiSolution:
     Lambda: np.ndarray
     forms: NoiseForms
     iterations: int
+    newton_steps: int
     residual: float
     closed_loop_radius: float
     alpha_condition_ok: bool | None
@@ -122,12 +152,17 @@ def _require_pd_curvature(model: SystemModel):
 
 
 def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = False):
-    """Shared monotone iteration core; returns (P, iterations, delta, history)."""
+    """Shared monotone iteration core; returns (P, iterations, newton_steps, history).
+
+    With a tolerance, a Newton finish (:func:`_newton_finish`) is tried after
+    steps 64, 128, 256, ...; its steps count against ``steps`` too.
+    """
     n = ops.model.n
     P = np.zeros((n, n))
     history = [P.copy()] if collect else None
     scale_ref = None
     delta = np.inf
+    next_try = _NEWTON_FIRST_TRY
     for k in range(steps):
         P_next = symmetrize(ops.riccati_step(P), warn_tol=np.inf)
         diff = P_next - P
@@ -151,15 +186,52 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
         P = P_next
         if collect:
             history.append(P.copy())
-        if tol is not None and delta <= tol:
-            return P, k + 1, delta, history
+        if tol is None:
+            continue
+        if delta <= tol:
+            return P, k + 1, 0, history
+        if k + 1 == next_try:
+            next_try *= 2
+            finish = _newton_finish(ops, P, tol, min(_NEWTON_STEPS, steps - k - 1))
+            if finish is not None:
+                L, newton_steps = finish
+                return L, k + 1 + newton_steps, newton_steps, history
     if tol is not None:
         raise MaxIterations(
             f"value iteration did not converge in {steps} steps (last step size {delta:.3e})",
             iterations=steps,
             residual=delta,
         )
-    return P, steps, delta, history
+    return P, steps, 0, history
+
+
+def _newton_finish(ops: OperatorSet, P: np.ndarray, tol: float, budget: int):
+    """Policy iteration from the gain of the value iterate ``P``.
+
+    Returns ``(L, steps)`` for a fixed point within ``tol`` that is positive
+    semidefinite and lies above ``P``, found in at most ``budget`` steps;
+    None when a gain does not make the second-moment map stable or any of
+    those conditions fails.
+    """
+    md = ops.model
+    U = P
+    for step in range(1, budget + 1):
+        Sigma, Lambda = ops.sigma_lambda(U)
+        G = -np.linalg.solve(Lambda, Sigma)
+        Ccl = md.C + md.D @ G
+        try:
+            evaluated = ops.lyapunov_solve(Ccl.T @ Ccl, md.A + md.B @ G, G)
+        except MaxIterations:
+            return None
+        if not evaluated.stable:
+            return None
+        U = symmetrize(evaluated.U, warn_tol=np.inf)
+        if float(np.abs(ops.riccati_step(U) - U).max()) <= tol:
+            floor = -MONOTONE_TOL * max(1.0, float(np.abs(U).max()))
+            if min(np.linalg.eigvalsh(U).min(), np.linalg.eigvalsh(U - P).min()) < floor:
+                return None
+            return U, step
+    return None
 
 
 def solve_riccati(
@@ -170,6 +242,14 @@ def solve_riccati(
     """Iterate the value map from zero until it settles and package the result.
 
     ``alpha`` falls back to the model's criterion config and then to 1.
+    After value-iteration steps 64, 128, 256, ... a Newton finish is tried
+    from the current gain; it is refused when that gain does not make the
+    second-moment map stable, and its result is accepted only as a positive
+    semidefinite fixed point within ``tol_fixed_point`` that lies above the
+    value iterate it started from, so ``L`` is still the minimal PSD fixed
+    point (see the module docstring).  ``max_iters`` bounds value-iteration
+    plus Newton steps; :class:`MaxIterations` is raised when the iterates
+    diverge or the budget runs out.
     """
     if config is None:
         config = model.criterion or CriterionConfig()
@@ -178,7 +258,7 @@ def solve_riccati(
     _require_pd_curvature(model)
     ops = OperatorSet(model, alpha)
 
-    L, iterations, _, _ = _iterate(ops, config.max_iters, config.tol_fixed_point)
+    L, iterations, newton_steps, _ = _iterate(ops, config.max_iters, config.tol_fixed_point)
     L = symmetrize(L, warn_tol=np.inf)
     residual = float(np.abs(ops.riccati_step(L) - L).max())
 
@@ -200,6 +280,7 @@ def solve_riccati(
         Lambda=Lambda,
         forms=ops.noise_quadratic_forms(L),
         iterations=iterations,
+        newton_steps=newton_steps,
         residual=residual,
         closed_loop_radius=closed_loop_radius,
         alpha_condition_ok=alpha_condition_ok,
@@ -213,8 +294,7 @@ def finite_horizon_riccati(model: SystemModel, alpha: float, kappa: int) -> list
     iteration core with the stationary solver, so ``P_0`` equals the
     kappa-th value iterate exactly.
     """
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    kappa = check_count("kappa", kappa, 0)
     _require_pd_curvature(model)
     ops = OperatorSet(model, alpha)
     _, _, _, history = _iterate(ops, kappa, tol=None, collect=True)

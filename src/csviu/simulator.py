@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SeriesDivergent
+from .errors import SeriesDivergent, check_count, check_state
 from .model import NOISE_KINDS, SystemModel
 from .operators import OperatorSet
 
@@ -41,25 +41,6 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
 def _check_discount(alpha) -> None:
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-
-
-def _check_count(name: str, value, least: int) -> int:
-    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an
-    integer, not a bool, of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
-def _check_state(name: str, x, n: int) -> np.ndarray:
-    """``x`` as a float vector; ``ValueError`` naming ``name`` unless it has
-    length ``n`` and finite entries."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (n,):
-        raise ValueError(f"{name} has length {x.size}, expected {n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} must be finite, got {x}")
-    return x
 
 
 def _check_tail_tol(tail_tol) -> None:
@@ -213,9 +194,9 @@ def simulate(
     and ``x0`` a finite state of length n; otherwise ``ValueError`` names the
     argument.
     """
-    kappa = _check_count("kappa", kappa, 0)
-    paths = _check_count("paths", paths, 1)
-    x0 = _check_state("x0", x0, model.n)
+    kappa = check_count("kappa", kappa, 0)
+    paths = check_count("paths", paths, 1)
+    x0 = check_state("x0", x0, model.n)
     states = np.empty((paths, kappa + 1, model.n))
     controls = np.empty((paths, kappa + 1, model.m))
     outputs = np.empty((paths, kappa + 1, model.p))
@@ -275,8 +256,8 @@ def estimate_power(
     still climbing instead of settling.  ``kappa`` and ``burn_in`` are
     integers with ``0 <= burn_in < kappa``.
     """
-    kappa = _check_count("kappa", kappa, 1)
-    burn_in = _check_count("burn_in", burn_in, 0)
+    kappa = check_count("kappa", kappa, 1)
+    burn_in = check_count("burn_in", burn_in, 0)
     if burn_in >= kappa:
         raise ValueError(f"burn_in must lie in [0, kappa), got {burn_in}")
     ens = simulate(model, policy, x0, kappa, paths, seed, noise_kind)
@@ -329,7 +310,7 @@ def one_step_variation_oracle(
     nonzero next-stage slope under live noise the identity holds only up to
     the sign-flip bias, which is the caller's responsibility to keep small.
     """
-    paths = _check_count("paths", paths, 1)
+    paths = check_count("paths", paths, 1)
     n, m = model.n, model.m
     x = np.asarray(x, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1)
@@ -444,10 +425,10 @@ def optimal_norms(
             "infinite-horizon criteria are undefined for a discount above one; "
             "use overtaking_compare for finite-horizon comparisons"
         )
-    paths = _check_count("paths", paths, 1)
+    paths = check_count("paths", paths, 1)
     _check_tail_tol(tail_tol)
     if kappa is not None:
-        kappa = _check_count("kappa", kappa, 1 if alpha == 1.0 else 0)
+        kappa = check_count("kappa", kappa, 1 if alpha == 1.0 else 0)
     if alpha * rho_cl * rho_cl >= 1.0 - 1e-9:
         raise SeriesDivergent(
             "the closed loop does not contract in second moment at this discount"

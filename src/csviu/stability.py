@@ -11,13 +11,10 @@ instead of a coin flip.
 
 Radii come from :meth:`OperatorSet.map_radius`: up to n = 20 the dense
 eigenvalues of the map on symmetric matrices (n(n+1)/2 square), above that
-power iteration on n x n matrices.  The solves of (I - L)U = Q use that the
-noise term has rank n.  With T(U) = U - alpha*A'UA, one batched Stein solve
-gives Y_j = T^{-1}(e_j e_j') and T^{-1}(Q); then U = T^{-1}(Q) +
-alpha*sum_j z_j Y_j, where z solves the n x n capacitance system
-(I - alpha*M) z = c with M_ij = s_i'Y_j s_i and c_i = s_i'T^{-1}(Q)s_i
-(s_i the columns of Sx).  The nonzero spectrum of the resolvent
-T^{-1} o Diag(diag(Sx'.Sx)) is that of M, so its radius is exact.
+power iteration on n x n matrices.  The solves of (I - L)U = Q and the exact
+resolvent radius come from :meth:`OperatorSet.lyapunov_solve`, which uses
+that the noise term has rank n: one batched Stein solve plus an n x n
+capacitance system.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import numpy as np
 
 from .errors import CsviuError, ModelError
 from .model import SystemModel
-from .operators import OperatorSet, spectral_radius, stein_solve, symmetrize
+from .operators import OperatorSet, spectral_radius, symmetrize
 
 MARGIN = 1e-10
 
@@ -122,26 +119,19 @@ def check_alpha_stability(model: SystemModel, alpha: float, probes: int = 10, se
     inverse_positive = lyapunov_ok = resolvent_ok = witness = None
     resolvent_radius = np.nan
     if eig_ok:
-        # right-hand sides: the unit diagonals e_j e_j', then the identity
-        # and the random semidefinite probes of condition (i)
+        # right-hand sides: the identity and the random semidefinite probes
+        # of condition (i)
         rng = np.random.default_rng(seed)
-        eye = np.eye(n)
         roots = [rng.standard_normal((n, n)) for _ in range(probes)]
-        Q = np.stack([eye] + [root @ root.T for root in roots])
-        Y = stein_solve(sqrt_alpha * model.A, np.concatenate([eye[:, :, None] * eye, Q]))
-        Y_unit, Y_probe = Y[:n], Y[n:]
-        S = model.sigma_bar_x
-        M = np.einsum("pi,jpq,qi->ij", S, Y_unit, S)
-        resolvent_radius = spectral_radius(M, method="eig")
+        solved = ops.lyapunov_solve(np.stack([np.eye(n)] + [root @ root.T for root in roots]))
+        resolvent_radius = solved.resolvent_radius
         resolvent_ok = _strict_below(resolvent_radius, 1.0 / alpha)
-        try:
-            z = np.linalg.solve(eye - alpha * M, np.einsum("pi,kpq,qi->ik", S, Y_probe, S))
-        except np.linalg.LinAlgError:
+        if solved.U is None:
             # a singular map also rules out a spectral radius strictly below one
             if d_stable is None:
                 d_stable = False
         else:
-            X = Y_probe + alpha * np.tensordot(z, Y_unit, axes=(0, 0))
+            X = solved.U
             # (iii): positive definite witness of the one-step contraction
             witness = symmetrize(X[0], warn_tol=np.inf)
             shrink = witness - ops.lyapunov_step(witness)

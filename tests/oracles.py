@@ -37,6 +37,31 @@ def dare_fixed_point(A, B, Q, R, N, alpha=1.0, tol=1e-13, max_iters=500000):
     raise RuntimeError("oracle value iteration did not converge")
 
 
+def noisy_riccati_fixed_point(A, B, C, D, Sx, Su, alpha=1.0, rtol=1e-14, max_iters=1000000):
+    """Minimal PSD fixed point of the value recursion with growth noise.
+
+    Plain value iteration from P = 0 of
+    P <- alpha*(A'PA + Zx) + C'C - N'(alpha*(B'PB + Zu) + D'D)^{-1}N with
+    N = alpha*B'PA + D'C, Zx = Diag(s_i'P s_i) over the columns s_i of ``Sx``
+    and Zu likewise for ``Su``; it stops once a step is below ``rtol`` times
+    max(1, |P|), so on a map contracting at rate r its error is about
+    rtol/(1 - r) relative.
+    """
+    A, B, C, D, Sx, Su = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, C, D, Sx, Su))
+    P = np.zeros_like(A)
+    for _ in range(max_iters):
+        Zx = np.diag([s @ P @ s for s in Sx.T])
+        Zu = np.diag([s @ P @ s for s in Su.T])
+        N = alpha * B.T @ P @ A + D.T @ C
+        P_next = (alpha * (A.T @ P @ A + Zx) + C.T @ C
+                  - N.T @ np.linalg.solve(alpha * (B.T @ P @ B + Zu) + D.T @ D, N))
+        P_next = 0.5 * (P_next + P_next.T)
+        if np.abs(P_next - P).max() <= rtol * max(1.0, np.abs(P_next).max()):
+            return P_next
+        P = P_next
+    raise RuntimeError("oracle value iteration did not converge")
+
+
 def dare_scipy(A, B, Q, R, N, alpha=1.0):
     """Same fixed point through scipy's solver (cross-check of the oracle itself)."""
     s = np.sqrt(alpha)

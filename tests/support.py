@@ -45,11 +45,26 @@ def scalar_lq_model() -> SystemModel:
     return SystemModel.from_dict(data)
 
 
+def stacked_output_data(a=0.5, b=1.0, sigma_bar_x=0.0, sigma_bar_u=0.0) -> dict:
+    """Single state, output stacking the state above the control."""
+    return {"A": a, "B": b, "C": [[1.0], [0.0]], "D": [[0.0], [1.0]], "sigma": 0.1,
+            "sigma_bar_x": sigma_bar_x, "sigma_bar_u": sigma_bar_u}
+
+
 def stacked_output_model() -> SystemModel:
     """Single state, output stacking the state above the control; no growth noise."""
-    return SystemModel.from_dict(
-        {"A": 0.5, "B": 1.0, "C": [[1.0], [0.0]], "D": [[0.0], [1.0]], "sigma": 0.1}
-    )
+    return SystemModel.from_dict(stacked_output_data())
+
+
+# The benchmark's near-marginal synthesis plants at alpha = 1 (without their
+# seeded 1% jitter on b): value iteration creeps toward L ~ 900 and ~ 360 at a
+# rate close to one, about 6000 and 4500 steps.  The infeasible plant has no
+# stabilizing gain, so value iteration blows up.
+MARGINAL_DATA = {
+    "marginal-a": stacked_output_data(1.0, 0.002, 0.05),
+    "marginal-b": stacked_output_data(0.999, 0.003, 0.05),
+}
+INFEASIBLE_DATA = stacked_output_data(1.0, 0.005, 0.1, 0.5)
 
 
 def random_model(
@@ -163,6 +178,7 @@ def synthetic_solution(
         Lambda=Lambda,
         forms=forms,
         iterations=0,
+        newton_steps=0,
         residual=0.0,
         closed_loop_radius=float(spectral_radius(Acl)),
         alpha_condition_ok=None,

@@ -54,6 +54,16 @@ class TestStdoutMode:
         assert payload["alpha"] == 0.9
         assert payload["slope_bound"] is not None
 
+    def test_riccati_payload_reports_newton_steps(self, capsys, model_file, tmp_path):
+        payload = _run_json(capsys, ["riccati", "--model", model_file, "--alpha", "0.9"])
+        assert payload["newton_steps"] == 0
+        path = tmp_path / "marginal.json"
+        path.write_text(json.dumps(support.MARGINAL_DATA["marginal-b"]))
+        payload = _run_json(capsys, ["riccati", "--model", str(path), "--alpha", "1.0"])
+        sol = solve_riccati(load_model(str(path)), alpha=1.0)
+        assert payload["newton_steps"] == sol.newton_steps > 0
+        assert payload["iterations"] == sol.iterations
+
     def test_control_at_a_state(self, capsys, model_file):
         payload = _run_json(
             capsys,

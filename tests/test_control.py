@@ -358,6 +358,22 @@ class TestBatchRowsLeaveOnConvergence:
 
 
 class TestOptimalControl:
+    @pytest.mark.parametrize("mu_kind", ["zero", "asymptotic"])
+    def test_non_finite_state_is_rejected_before_any_sweep(self, scalar_model, mu_kind, monkeypatch):
+        # a NaN state used to run the whole sweep budget and then advise a smaller omega
+        sol = solve_riccati(scalar_model, alpha=0.9)
+
+        def no_sweeps(*args, **kwargs):
+            raise AssertionError("a sweep ran on a non-finite state")
+
+        monkeypatch.setattr(csviu.control, "_sor_sweeps", no_sweeps)
+        with pytest.raises(ValueError, match="x must be finite"):
+            optimal_control(sol, [np.nan], mu_kind=mu_kind)
+        with pytest.raises(ValueError, match=r"X must be finite.* row 1"):
+            optimal_control_batch(sol, [[0.5], [np.inf], [1.0]], mu_kind=mu_kind)
+        with pytest.raises(ValueError, match="X must be finite"):
+            optimal_control_batch(sol, [[np.nan]], mu_kind=mu_kind)
+
     def test_no_growth_noise_reduces_to_linear_gain(self, rng):
         model = support.random_model(rng, n=3, m=2, lq=True)
         sol = solve_riccati(model, alpha=0.9)

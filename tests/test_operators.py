@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csviu import MaxIterations, OperatorSet, SingularLambda, spectral_radius
+from csviu import MaxIterations, OperatorSet, SingularLambda, solve_riccati, spectral_radius
 from csviu.operators import stein_solve, symmetrize
 
 import oracles
@@ -267,6 +267,59 @@ class TestSteinSolve:
     def test_marginal_map_raises(self):
         with pytest.raises(MaxIterations, match="doubling"):
             stein_solve(np.array([[1.0]]), np.eye(1))
+
+
+class TestLyapunovSolve:
+    """The matrix-free solve of U - map(U) = Q against a dense solve on
+    :meth:`OperatorSet.operator_matrix`, with and without the control term."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_matches_dense_operator_matrix_solve(self, n):
+        rng = np.random.default_rng(40 + n)
+        model = support.random_model(rng, n=n, m=max(1, n // 2), radius=0.6)
+        G = solve_riccati(model, 0.95).G  # the kind of gain a Newton step evaluates
+        roots = rng.standard_normal((3, n, n))
+        Q = roots @ roots.transpose(0, 2, 1)
+        i, j = np.triu_indices(n)
+        ops = OperatorSet(model, 0.95)
+        for F, gain in ((model.A, None), (model.A + model.B @ G, G)):
+            solved = ops.lyapunov_solve(Q, F, gain)
+            dense = np.linalg.solve(np.eye(i.size) - ops.operator_matrix(F, gain), Q[:, i, j].T).T
+            scale = float(np.abs(dense).max())
+            assert float(np.abs(solved.U[:, i, j] - dense).max()) <= 1e-14 * scale
+            assert float(np.abs(solved.U - solved.U.transpose(0, 2, 1)).max()) <= 1e-13 * scale
+            assert solved.stable and ops.map_radius(F, gain) < 1.0
+            single = ops.lyapunov_solve(Q[1], F, gain)
+            assert single.U.shape == (n, n)
+            np.testing.assert_allclose(single.U, solved.U[1], rtol=0.0, atol=1e-13 * scale)
+
+    def test_scalar_closed_form(self):
+        # U (1 - alpha (f^2 + sx^2 + g^2 su^2)) = Q on one state
+        model = support.scalar_model()
+        ops = OperatorSet(model, 0.9)
+        G = np.array([[-0.3]])
+        F = model.A + model.B @ G
+        gain = 0.9 * (F[0, 0] ** 2 + 0.3 ** 2 + 0.09 * 0.4 ** 2)
+        solved = ops.lyapunov_solve(np.array([[2.0]]), F, G)
+        assert solved.U[0, 0] == pytest.approx(2.0 / (1.0 - gain), rel=1e-14)
+        assert solved.resolvent_radius == pytest.approx(
+            (0.3 ** 2 + 0.09 * 0.4 ** 2) / (1.0 - 0.9 * F[0, 0] ** 2), rel=1e-14)
+        assert solved.stable
+
+    def test_noise_driven_instability_is_reported(self):
+        # mean part 0.25 is stable, growth noise 0.81 takes the map to 1.06
+        model = support.stacked_output_model()
+        loud = type(model)(model.A, model.B, model.C, model.D, model.sigma, model.sigma_x,
+                           np.array([[0.9]]), model.sigma_u, model.sigma_bar_u)
+        solved = OperatorSet(loud, 1.0).lyapunov_solve(np.eye(1))
+        assert not solved.stable
+        assert solved.resolvent_radius == pytest.approx(0.81 / 0.75, rel=1e-14)
+        assert solved.U[0, 0] == pytest.approx(1.0 / (1.0 - 1.06), rel=1e-12)
+
+    def test_unstable_mean_part_gives_no_solution(self):
+        model = support.scalar_model()
+        solved = OperatorSet(model, 1.0).lyapunov_solve(np.eye(1), np.array([[1.2]]))
+        assert solved.U is None and not solved.stable and np.isnan(solved.resolvent_radius)
 
 
 def test_symmetrize_warns_on_visible_asymmetry():

@@ -15,6 +15,7 @@ from csviu import (
     solve_riccati,
 )
 
+import csviu.riccati
 import oracles
 import support
 
@@ -30,8 +31,8 @@ def _noise_free(A, B, C, D):
         sigma=np.zeros((n, 1)),
         sigma_x=np.zeros((n, n)),
         sigma_bar_x=np.zeros((n, n)),
-        sigma_u=np.zeros((m, m)),
-        sigma_bar_u=np.zeros((m, m)),
+        sigma_u=np.zeros((n, m)),
+        sigma_bar_u=np.zeros((n, m)),
     )
 
 
@@ -153,6 +154,16 @@ class TestFiniteHorizon:
         with pytest.raises(ValueError, match="kappa"):
             finite_horizon_riccati(scalar_model, 0.9, -1)
 
+    @pytest.mark.parametrize("kappa", [2.5, True, "3"])
+    def test_non_integral_horizon_rejected(self, scalar_model, kappa):
+        # 2.5 used to fail inside numpy and True to run a one-step horizon
+        with pytest.raises(ValueError, match="kappa must be an integer"):
+            finite_horizon_riccati(scalar_model, 0.9, kappa)
+
+    def test_integral_horizon_types_accepted(self, scalar_model):
+        mats = finite_horizon_riccati(scalar_model, 0.9, np.int64(3))
+        np.testing.assert_array_equal(mats[0], finite_horizon_riccati(scalar_model, 0.9, 3)[0])
+
 
 class TestFailureModes:
     def test_divergent_plant_reports_no_solution(self):
@@ -172,6 +183,97 @@ class TestFailureModes:
         tight = CriterionConfig(alpha=1.0, max_iters=2, tol_fixed_point=1e-14)
         with pytest.raises(MaxIterations, match="did not converge"):
             solve_riccati(stacked_output_model, config=tight)
+
+
+def _tries(monkeypatch):
+    """Record the outcome of every Newton try the stationary solver makes."""
+    outcomes = []
+    original = csviu.riccati._newton_finish
+
+    def spy(ops, P, tol, budget):
+        finish = original(ops, P, tol, budget)
+        outcomes.append(None if finish is None else finish[1])
+        return finish
+
+    monkeypatch.setattr(csviu.riccati, "_newton_finish", spy)
+    return outcomes
+
+
+class TestNewtonFinish:
+    @pytest.mark.parametrize("name", sorted(support.MARGINAL_DATA))
+    def test_marginal_plants_match_tight_value_iteration(self, name, monkeypatch):
+        model = SystemModel.from_dict(support.MARGINAL_DATA[name])
+        tries = _tries(monkeypatch)
+        sol = solve_riccati(model, alpha=1.0)
+        want = oracles.noisy_riccati_fixed_point(
+            model.A, model.B, model.C, model.D, model.sigma_bar_x, model.sigma_bar_u, alpha=1.0
+        )
+        assert abs(sol.L[0, 0] - want[0, 0]) <= 1e-9 * abs(want[0, 0])
+        assert sol.newton_steps > 0
+        assert sol.iterations < 1000
+        # refused tries cost no budget; the accepted one ends the solve
+        assert tries[-1] == sol.newton_steps and all(t is None for t in tries[:-1])
+        assert sol.iterations == 64 * 2 ** (len(tries) - 1) + sol.newton_steps
+        assert sol.residual <= 1e-11
+
+    def test_noise_free_near_marginal_plant_matches_scipy(self):
+        model = _noise_free([[1.0, 0.1], [0.0, 0.998]], [[0.0], [0.01]],
+                            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0], [0.0], [1.0]])
+        sol = solve_riccati(model, alpha=1.0)
+        P = oracles.dare_scipy(model.A, model.B, model.C.T @ model.C, model.D.T @ model.D,
+                               model.C.T @ model.D, alpha=1.0)
+        assert sol.newton_steps > 0
+        np.testing.assert_allclose(sol.L, P, atol=1e-10 * np.abs(P).max())
+
+    def test_non_detectable_plant_refuses_every_try(self, monkeypatch):
+        # x2 is unobserved, controllable and mean-square unstable, so the
+        # minimal PSD fixed point leaves it alone and no value iterate's gain
+        # stabilizes it; the slow observed x1 takes value iteration past
+        # several tries
+        model = SystemModel(
+            A=np.diag([1.0, 1.1]), B=np.array([[0.01], [1.0]]),
+            C=np.array([[1.0, 0.0], [0.0, 0.0]]), D=np.array([[0.0], [1.0]]),
+            sigma=0.1 * np.ones((2, 1)), sigma_x=np.zeros((2, 2)),
+            sigma_bar_x=np.diag([0.02, 0.1]), sigma_u=0.1 * np.ones((2, 1)),
+            sigma_bar_u=0.01 * np.ones((2, 1)),
+        )
+        tries = _tries(monkeypatch)
+        sol = solve_riccati(model, alpha=1.0)
+        assert len(tries) >= 3 and all(t is None for t in tries)
+        assert sol.newton_steps == 0
+        # the finite-horizon head is the value iterate itself: that core never tries Newton
+        np.testing.assert_array_equal(sol.L, finite_horizon_riccati(model, 1.0, sol.iterations)[0])
+        assert sol.L[1, 1] == 0.0
+        assert sol.closed_loop_radius > 1.0
+
+    def test_infeasible_plant_still_raises_with_its_step_count(self, monkeypatch):
+        model = SystemModel.from_dict(support.INFEASIBLE_DATA)
+        tries = _tries(monkeypatch)
+        with pytest.raises(MaxIterations, match="no positive semidefinite") as failure:
+            solve_riccati(model, alpha=1.0)
+        assert failure.value.iterations > 64 * 2 ** (len(tries) - 1)
+        assert tries and all(t is None for t in tries)
+
+    def test_budget_counts_newton_steps(self):
+        model = SystemModel.from_dict(support.MARGINAL_DATA["marginal-b"])
+        sol = solve_riccati(model, alpha=1.0)
+        exact = CriterionConfig(alpha=1.0, max_iters=sol.iterations)
+        assert solve_riccati(model, config=exact).iterations == sol.iterations
+        # one step short: the try gets one Newton step too few and is refused,
+        # and value iteration then runs out of budget
+        short = CriterionConfig(alpha=1.0, max_iters=sol.iterations - 1)
+        with pytest.raises(MaxIterations, match="did not converge"):
+            solve_riccati(model, config=short)
+
+    def test_fast_solves_never_try(self, monkeypatch):
+        tries = _tries(monkeypatch)
+        for name, model in support.regression_models():
+            for alpha in (0.9, 1.0):
+                sol = solve_riccati(model, alpha=alpha)
+                assert sol.iterations < 64 and sol.newton_steps == 0, name
+                np.testing.assert_array_equal(
+                    sol.L, finite_horizon_riccati(model, alpha, sol.iterations)[0])
+        assert tries == []
 
 
 def test_detectable_solution_closes_the_loop(scalar_model):

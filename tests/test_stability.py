@@ -141,6 +141,26 @@ class TestDenseOracle:
             verdicts.add(report.verdict)
         assert {"stable", "unstable"} <= verdicts
 
+    def test_verdicts_and_radii_match_the_shared_solve_with_a_control_term(self):
+        # a zero gain adds m zero noise directions to the shared solve: the
+        # capacitance system grows to n + m but the map, its resolvent
+        # radius and its solutions stay those the certificate uses
+        rng = np.random.default_rng(1971)
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            alpha = float(rng.uniform(0.5, 1.0))
+            model = support.random_model(rng, n=n, m=int(rng.integers(1, 3)),
+                                         radius=float(rng.uniform(0.3, 1.3)),
+                                         growth_scale=float(rng.uniform(0.0, 0.5)))
+            report = check_alpha_stability(model, alpha)
+            solved = OperatorSet(model, alpha).lyapunov_solve(
+                np.eye(n), model.A, np.zeros((model.m, n)))
+            if report.eig_ok:
+                _assert_close(report.resolvent_radius, solved.resolvent_radius, 1e-13)
+                _assert_close(report.lyapunov_witness, solved.U, 1e-12)
+            if report.verdict != "indeterminate":
+                assert (report.verdict == "stable") == solved.stable
+
     def test_plant_above_the_dense_switch(self):
         rng = np.random.default_rng(24)
         model = support.spectral_gap_model(rng, n=24, m=6)
