@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import _inaction_margins, optimal_control, optimal_control_batch
-from .errors import CsviuError
+from .errors import CsviuError, check_count
 from .mu import mu_asymptotic
 from .riccati import RiccatiSolution
 
@@ -89,8 +89,7 @@ def scan_region(
         ranges = (ranges[0], ranges[0])
     if len(ranges) != len(axes):
         raise ValueError(f"need {len(axes)} ranges, got {len(ranges)}")
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    resolution = check_count("resolution", resolution, 2)
     base_point = np.zeros(n) if base_point is None else np.asarray(base_point, dtype=float).reshape(-1)
     if base_point.shape != (n,):
         raise ValueError(f"base_point has length {base_point.size}, expected {n}")

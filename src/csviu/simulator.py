@@ -8,7 +8,12 @@ stage k uses row k.  Adding paths or lengthening the horizon therefore never
 reshuffles draws that an earlier, smaller run already consumed.
 
 Every multi-stage rollout (:func:`simulate`, :func:`optimal_norms` and
-:func:`~csviu.mu.mu_rollout`) runs through one stage loop, ``_rollout``.
+:func:`~csviu.mu.mu_rollout`) runs through one stage loop, ``_rollout``.  It
+keeps every path's stream open and draws the noise a chunk of stages at a
+time (``_noise_chunks``, at most ``_CHUNK_BYTES``), so the noise a rollout
+holds is bounded by the chunk, not the horizon.  The streams are counter
+based, so the chunked draws equal one long draw per path, which
+:func:`draw_noise_block` returns whole.
 """
 
 from __future__ import annotations
@@ -48,22 +53,67 @@ def _check_tail_tol(tail_tol) -> None:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
 
 
-def _draw(rng: np.random.Generator, kind: str, shape):
-    if kind == "gaussian":
-        return rng.standard_normal(shape)
-    if kind == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-    if kind == "uniform-scaled":
-        return rng.uniform(-_SQRT3, _SQRT3, size=shape)
-    raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
+_SAMPLERS = {
+    "gaussian": lambda rng, shape: rng.standard_normal(shape),
+    # int64 draws: a narrower dtype buffers bits between calls, and a stream
+    # continued chunk by chunk would then differ from one long draw
+    "rademacher": lambda rng, shape: rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0,
+    "uniform-scaled": lambda rng, shape: rng.uniform(-_SQRT3, _SQRT3, size=shape),
+}
+
+# noise a rollout holds at once: 65 stages of a 2000-path, d = 4 run.  Every
+# chunk costs one draw call per path, a few microseconds each, so much smaller
+# chunks make the draws slower.
+_CHUNK_BYTES = 4 << 20
+
+
+def _sampler(kind: str):
+    """The (rng, shape) -> draws function of a noise kind."""
+    try:
+        return _SAMPLERS[kind]
+    except KeyError:
+        raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}") from None
+
+
+def _noise_chunks(model: SystemModel, stages: int, paths: int, seed: int, kind: str):
+    """The draws of a run, stage-major, as (k, paths, r+n+m) chunks of at most ``_CHUNK_BYTES``.
+
+    The kind and seed are checked and the per-path streams opened on the
+    call; each chunk is drawn when the returned iterator reaches it, by
+    continuing every path's stream.  Philox streams are counter based, so the
+    chunks concatenate to the draws of one long call per path.  Every chunk
+    is drawn into one buffer, so a caller reads a chunk before the next.
+    """
+    sample = _sampler(kind)
+    rngs = [path_rng(seed, p) for p in range(paths)]
+    d = model.r + model.n + model.m
+    per_chunk = max(1, _CHUNK_BYTES // max(1, paths * d * 8))
+    buffer = np.empty((min(per_chunk, stages), paths, d))
+
+    def chunks():
+        for start in range(0, stages, per_chunk):
+            chunk = buffer[: min(per_chunk, stages - start)]
+            shape = (len(chunk), d)
+            for p, rng in enumerate(rngs):
+                chunk[:, p] = sample(rng, shape)
+            yield chunk
+
+    return chunks()
 
 
 def draw_noise_block(model: SystemModel, stages: int, paths: int, seed: int, kind: str = "gaussian"):
-    """All draws for a run, shaped (paths, stages, r+n+m)."""
-    d = model.r + model.n + model.m
-    block = np.empty((paths, stages, d))
-    for p in range(paths):
-        block[p] = _draw(path_rng(seed, p), kind, (stages, d))
+    """All draws for a run, shaped (paths, stages, r+n+m): the rollout's stream, path-major.
+
+    ``stages`` and ``paths`` must be integers (not bools) of at least 0;
+    otherwise ``ValueError`` names the argument.
+    """
+    stages = check_count("stages", stages, 0)
+    paths = check_count("paths", paths, 0)
+    block = np.empty((paths, stages, model.r + model.n + model.m))
+    start = 0
+    for chunk in _noise_chunks(model, stages, paths, seed, kind):
+        block[:, start : start + len(chunk)] = chunk.transpose(1, 0, 2)
+        start += len(chunk)
     return block
 
 
@@ -131,14 +181,24 @@ def _rollout(model: SystemModel, policy: Policy, X, stages: int, seed: int, nois
     """Yield the (X, U) batch of each of ``stages`` stages, stepping between them.
 
     ``X`` is the (paths, n) stage-0 batch.  The run draws ``stages - 1``
-    noise rows per path, and the transition out of stage k uses row k.
+    noise rows per path, and the transition out of stage k uses row k; the
+    rows come from :func:`_noise_chunks`, so the run holds one chunk of noise
+    at a time whatever its horizon.  A policy must map the batch to (paths, m)
+    controls; any other shape raises ``ValueError`` naming the policy kind.
     """
-    noise = draw_noise_block(model, max(stages - 1, 0), X.shape[0], seed, noise_kind)
+    paths = X.shape[0]
+    chunks = _noise_chunks(model, max(stages - 1, 0), paths, seed, noise_kind)
+    rows = (row for chunk in chunks for row in chunk)
     for k in range(stages):
-        U = np.atleast_2d(np.asarray(policy.fn(X), dtype=float))
+        U = np.asarray(policy.fn(X), dtype=float)
+        if U.shape != (paths, model.m):
+            raise ValueError(
+                f"policy {policy.kind!r} returned controls of shape {U.shape}, "
+                f"expected {(paths, model.m)}"
+            )
         yield X, U
         if k + 1 < stages:
-            X = step_batch(model, X, U, noise[:, k, :])
+            X = step_batch(model, X, U, next(rows))
 
 
 @dataclass(frozen=True)
@@ -312,8 +372,9 @@ def one_step_variation_oracle(
     """
     paths = check_count("paths", paths, 1)
     n, m = model.n, model.m
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
+    x = check_state("x", x, n)
+    u = check_state("u", u, m)
+    sample = _sampler(noise_kind)
     P = np.asarray(P, dtype=float)
     P_next = np.asarray(P_next, dtype=float)
     r = np.zeros(n) if r is None else np.asarray(r, dtype=float).reshape(-1)
@@ -327,7 +388,7 @@ def one_step_variation_oracle(
 
     # sampled left side
     d = model.r + n + m
-    draws = _draw(path_rng(seed, 0), noise_kind, (paths, d))
+    draws = sample(path_rng(seed, 0), (paths, d))
     X_next = step_batch(model, np.tile(x, (paths, 1)), np.tile(u, (paths, 1)), draws)
     v_next = (
         np.einsum("pi,ij,pj->p", X_next, P_next, X_next)
@@ -350,7 +411,7 @@ def one_step_variation_oracle(
         - g
     )
     if np.any(r_next != 0.0):
-        sub_draws = _draw(path_rng(seed, 1), noise_kind, (paths, d))
+        sub_draws = sample(path_rng(seed, 1), (paths, d))
         X_sub = step_batch(model, np.tile(x, (paths, 1)), np.tile(u, (paths, 1)), sub_draws)
         coupling_samples = alpha * ((np.sign(X_sub) * r_next) @ mean_next)
         rhs_mu = float(coupling_samples.mean())

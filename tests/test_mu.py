@@ -105,7 +105,7 @@ class TestRollout:
         def no_draws(*args, **kwargs):
             raise AssertionError("noise drawn before the depth was checked")
 
-        monkeypatch.setattr(csviu.simulator, "draw_noise_block", no_draws)
+        monkeypatch.setattr(csviu.simulator, "_noise_chunks", no_draws)
         with pytest.raises(ValueError, match="depth"):
             mu_rollout(slope_sol, [1.0], depth=-1, paths=4)
 

@@ -128,6 +128,13 @@ class TestScan2D:
         with pytest.raises(ValueError, match="base_point"):
             scan_region(sol, axes=(0,), ranges=((-1, 1),), base_point=[1.0])
 
+    @pytest.mark.parametrize("resolution", [2.5, True, "9"], ids=["fraction", "bool", "string"])
+    def test_resolution_must_be_an_integer(self, rng, resolution):
+        # 2.5 used to fail inside numpy with a TypeError that named no argument
+        sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
+        with pytest.raises(ValueError, match="resolution"):
+            scan_region(sol, axes=(0,), ranges=((-1, 1),), resolution=resolution)
+
 
 class TestGainTable:
     def test_zero_pattern_rows_have_zero_offset_without_growth_noise(self, rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from csviu import (
     step,
 )
 import csviu.simulator
+from csviu.model import NOISE_KINDS
 from csviu.simulator import draw_noise_block, path_rng, step_batch
 
 import oracles
@@ -107,6 +110,27 @@ class TestRandomness:
         with pytest.raises(ValueError, match="noise kind"):
             draw_noise_block(scalar_model, 1, 1, 0, kind="cauchy")
 
+    @pytest.mark.parametrize(
+        "stages, paths, name",
+        [(3, 2.5, "paths"), (-1, 2, "stages"), (True, 2, "stages"), (3, -1, "paths")],
+        ids=["fractional-paths", "negative-stages", "bool-stages", "negative-paths"],
+    )
+    def test_block_counts_are_named(self, scalar_model, stages, paths, name):
+        # numpy used to answer with "'float' object cannot be interpreted as an
+        # integer" and "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match=name):
+            draw_noise_block(scalar_model, stages, paths, seed=0)
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("per_chunk", [1, 3, 4])
+    def test_chunks_continue_one_long_draw_per_path(self, scalar_model, monkeypatch, kind, per_chunk):
+        paths, stages, d = 3, 10, 3
+        sample = csviu.simulator._sampler(kind)
+        expected = np.stack([sample(path_rng(4, p), (stages, d)) for p in range(paths)])
+        monkeypatch.setattr(csviu.simulator, "_CHUNK_BYTES", per_chunk * paths * d * 8)
+        got = draw_noise_block(scalar_model, stages, paths, seed=4, kind=kind)
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestSimulate:
     def test_bit_exact_reruns(self, scalar_model):
@@ -168,6 +192,14 @@ class TestSimulate:
             single = optimal_control(sol, X[row], mu_kind="rollout", omega=1.5, tol=1e-12)
             np.testing.assert_allclose(U[row], single.u_star, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("paths", [1, 4])
+    def test_policy_output_must_have_one_row_per_path(self, scalar_model, paths):
+        # a length-paths vector for m = 1 used to become a (1, paths) row:
+        # accepted with one path, a broadcast error with several
+        flat = Policy("flat", lambda X: X[:, 0])
+        with pytest.raises(ValueError, match="policy 'flat'.*expected"):
+            simulate(scalar_model, flat, [1.0], kappa=2, paths=paths)
+
     def test_rollout_policy_smoke(self, rng):
         model = support.random_model(rng, n=2, m=1)
         sol = solve_riccati(model, alpha=0.9)
@@ -206,9 +238,96 @@ def test_bad_counts_and_states_are_named_before_any_draw(scalar_model, case, mon
         raise AssertionError("noise drawn before the arguments were checked")
 
     call = _entry_calls(scalar_model)[case]
-    monkeypatch.setattr(csviu.simulator, "draw_noise_block", no_draws)
+    monkeypatch.setattr(csviu.simulator, "_noise_chunks", no_draws)
     with pytest.raises(ValueError, match=case.split("-")[1]):
         call()
+
+
+@pytest.mark.parametrize("entry", ["simulate", "optimal_norms", "mu_rollout", "overtaking_compare"])
+def test_rollouts_draw_through_the_chunked_streams(scalar_model, entry, monkeypatch):
+    # the "before any draw" tests intercept _noise_chunks, so it must be where rollouts draw
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args, **kwargs):
+        raise Drawn
+
+    sol = solve_riccati(scalar_model, alpha=0.9)
+    gain = Policy.linear(sol.G)
+    calls = {
+        "simulate": lambda: simulate(scalar_model, gain, [1.0], kappa=2, paths=2),
+        "optimal_norms": lambda: optimal_norms(sol, paths=2, kappa=2),
+        "mu_rollout": lambda: mu_rollout(sol, [1.0], depth=2, paths=2),
+        "overtaking_compare": lambda: overtaking_compare(
+            scalar_model, 0.9, gain, gain, [1.0], [2], paths=2
+        ),
+    }
+    monkeypatch.setattr(csviu.simulator, "_noise_chunks", drawn)
+    with pytest.raises(Drawn):
+        calls[entry]()
+
+
+def _reference_rollout(model, policy, X, stages, seed, noise_kind):
+    """The stage loop over one whole-horizon block, read a stage at a time."""
+    noise = draw_noise_block(model, max(stages - 1, 0), X.shape[0], seed, noise_kind)
+    for k in range(stages):
+        U = policy.fn(X)
+        yield X, U
+        if k + 1 < stages:
+            X = step_batch(model, X, U, noise[:, k, :])
+
+
+class TestChunkedStream:
+    PER_CHUNK = 3  # stages per chunk in the streamed runs; the horizons straddle it
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("paths", [1, 5])
+    def test_streamed_rollouts_equal_the_whole_block_loop(self, rng, monkeypatch, kind, paths):
+        model = support.random_model(rng, n=2, m=1)
+        sol = solve_riccati(model, alpha=0.9)
+        x0 = rng.standard_normal(model.n)
+        opt = Policy.optimal(sol, mu_kind="asymptotic")
+        k = self.PER_CHUNK
+        horizons = [0, 1, k - 1, k, k + 1, 2 * k + 2]
+
+        def run():
+            out = []
+            for kappa in horizons:
+                ens = simulate(model, opt, x0, kappa, paths, seed=3, noise_kind=kind)
+                est = optimal_norms(sol, paths=paths, seed=3, noise_kind=kind, kappa=kappa)
+                mu = mu_rollout(sol, x0, depth=kappa, paths=paths, seed=3, noise_kind=kind)
+                out += [ens.states, ens.controls, ens.outputs, [est.energy, est.energy_stderr],
+                        mu.value, mu.stderr]
+            rows = overtaking_compare(
+                model, 0.9, opt, Policy.linear(sol.G), x0, horizons, paths=paths, seed=3,
+                noise_kind=kind,
+            )
+            out.append([[r.diff, r.stderr, r.diff_scaled, r.stderr_scaled] for r in rows])
+            return [np.asarray(a) for a in out]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(csviu.simulator, "_rollout", _reference_rollout)
+            reference = run()
+        d = model.r + model.n + model.m
+        monkeypatch.setattr(csviu.simulator, "_CHUNK_BYTES", k * paths * d * 8)
+        streamed = run()
+        assert len(streamed) == len(reference)
+        for got, want in zip(streamed, reference):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_long_horizon_holds_far_less_than_its_noise_block(self):
+        model = SystemModel.from_dict(support.README_DATA)
+        sol = solve_riccati(model, alpha=1.0)
+        paths, stages = 1000, 1000
+        block = paths * (stages - 1) * (model.r + model.n + model.m) * 8  # 32 MB
+        tracemalloc.start()
+        try:
+            optimal_norms(sol, paths=paths, seed=0, kappa=stages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (paths, stages) residual array is a quarter of the block, the chunk 4 MB
+        assert peak < block / 2, (peak, block)
 
 
 class TestEnergy:
@@ -289,11 +408,28 @@ class TestOneStepIdentity:
         def no_draws(*args, **kwargs):
             raise AssertionError("noise drawn before the path count was checked")
 
-        monkeypatch.setattr(csviu.simulator, "_draw", no_draws)
+        monkeypatch.setattr(csviu.simulator, "path_rng", no_draws)
         with pytest.raises(ValueError, match="paths"):
             one_step_variation_oracle(
                 scalar_model, 0.9, [[1.0]], [[1.0]], x=[1.0], u=[0.5], paths=0
             )
+
+    @pytest.mark.parametrize(
+        "x, u, name",
+        [([np.nan, 1.0], [0.1], "x"), ([1.0], [0.1], "x"), ([1.0, 1.0], [np.inf], "u"),
+         ([1.0, 1.0], [0.1, 0.2], "u")],
+        ids=["x-nan", "x-short", "u-inf", "u-long"],
+    )
+    def test_states_and_controls_are_checked_before_any_draw(self, x, u, name, monkeypatch):
+        # a NaN in x used to come back as gap = nan, a short x as a matmul error
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn before the state and control were checked")
+
+        model = SystemModel.from_dict(support.README_DATA)
+        L = solve_riccati(model, alpha=0.95).L
+        monkeypatch.setattr(csviu.simulator, "path_rng", no_draws)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            one_step_variation_oracle(model, 0.95, L, L, x, u, paths=10)
 
     def test_noise_free_identity_is_exact_with_slopes(self, rng):
         model = _noise_free_model([[0.6, 0.1], [0.0, 0.5]], [[1.0], [0.2]])
@@ -392,7 +528,7 @@ class TestOptimalNorms:
         def refuse(*args, **kwargs):
             raise AssertionError("noise drawn for a discount above one")
 
-        monkeypatch.setattr(csviu.simulator, "draw_noise_block", refuse)
+        monkeypatch.setattr(csviu.simulator, "_noise_chunks", refuse)
         model = support.random_model(rng, n=2, m=1)
         # this loop does not contract in second moment at 1.05 either; the
         # discount is the reason reported
@@ -505,7 +641,7 @@ class TestOvertaking:
         def no_draws(*args, **kwargs):
             raise AssertionError("noise drawn before the discount was checked")
 
-        monkeypatch.setattr(csviu.simulator, "draw_noise_block", no_draws)
+        monkeypatch.setattr(csviu.simulator, "_noise_chunks", no_draws)
         with pytest.raises(ValueError, match="alpha"):
             overtaking_compare(
                 scalar_model, alpha, Policy.zero(1), Policy.zero(1), [1.0], [2], paths=2
