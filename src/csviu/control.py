@@ -18,13 +18,14 @@ last residual; a smaller relaxation factor is the first remedy.
 from __future__ import annotations
 
 import math
+import numbers
+import textwrap
 from dataclasses import dataclass
 from math import copysign
-from operator import mul
 
 import numpy as np
 
-from .errors import CsviuError, MaxIterations, SingularLambda, check_state
+from .errors import CsviuError, MaxIterations, SingularLambda, check_count, check_state
 from .mu import frozen_sign_slopes, mu_rollout
 from .riccati import RiccatiSolution, stage_data
 
@@ -90,14 +91,23 @@ def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
     :class:`SingularLambda`, both before any sweep; a row still outside
     ``tol`` after ``max_iters`` sweeps (a NaN residual included) raises one
     :class:`MaxIterations` with ``iterations=max_iters`` and that residual.
+    A ``tol`` that is not a finite number >= 0 and a ``max_iters`` that is
+    not an integer >= 0 raise ``ValueError`` before any sweep as well.
     A single row runs on Python floats (:func:`_sweeps_one`), since array
-    calls cost more than the arithmetic at these sizes; a batch runs on
+    calls cost more than the arithmetic at these sizes: on a straight-line
+    kernel generated from the channel indices alone and compiled once per
+    channel count on first use (about 0.5 ms at m = 1, 0.1 s at m = 50),
+    whose sums are plain left-to-right float adds, so its results do not
+    depend on how the running Python's ``sum()`` rounds.  A batch runs on
     columns (:func:`_sweeps_batch`) and hands its last unconverged row to the
     single-row kernel.  The two kernels take the same steps and agree to
     rounding, so every row of a batch matches its own single-row solve.
     """
     if not (0.0 < omega < 2.0):
         raise ValueError(f"omega must lie in (0, 2), got {omega}")
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    max_iters = check_count("max_iters", max_iters, 0)
     Wd = W.diagonal()
     if any(d <= 0.0 for d in Wd.tolist()):
         raise SingularLambda("the relaxation matrix must have positive diagonal")
@@ -138,7 +148,7 @@ def _sweeps_batch(W, Wd, B, C, omega, Z0, tol, max_iters):
     offdiag = W.copy()
     np.fill_diagonal(offdiag, 0.0)
     out = live = None  # (Z, Gamma, Nu) of the whole batch and its rows still sweeping
-    residual = 0.0
+    residual, top = 0.0, math.inf
     for sweep in range(1, max_iters + 1):
         for i in range(m):
             coupling = offdiag[i] @ S
@@ -190,38 +200,106 @@ def _sweeps_one(W, Wd, B, C, omega, Z0, tol, max_iters):
     Same update order, clip and residual as :func:`_sweeps_batch`; only the
     sums of products are formed in a different order.  A NaN residual sticks,
     so corrupted inputs end in :class:`MaxIterations` as in the batch kernel.
+
+    The sweeps run on a kernel generated for this m (:func:`_kernel_source`),
+    because a loop over the channels pays for list indexing, an iterator per
+    coupling sum and three list stores on every coordinate; unrolled, z_i,
+    gamma_i, s_i and the entries of W (``Wd`` among them) are local
+    variables, which makes a sweep about four times faster.  Only channel
+    indices are formatted into its source; every value arrives as an
+    argument.  Each m compiles once per process, on first use, into
+    ``_KERNELS``: about 0.5 ms at m = 1, 3 ms at m = 6, 15 ms at m = 20,
+    0.1 s at m = 50 and 1.5 s at m = 200.  Importing the package compiles
+    none.
+
+    The kernel keeps the plain loop's arithmetic: coordinates in order,
+    ``z_i = keep z_i - step_i (0 + sum_j w_ij s_j) - omega b_i`` with the
+    diagonal term kept as ``0.0 * s_i``, the clip, ``s_i = gamma_i + b_i``,
+    and the residual ``|nu_i + (0 + sum_j w_ij s_j)|``.  Every sum starts
+    from 0.0 and adds its terms left to right in plain float adds, so the
+    results do not depend on how the running Python's ``sum()`` rounds
+    (``sum([1e16, 1.0, -1e16])`` is 0.0 up to 3.11 and 1.0 from 3.12, which
+    made it compensated).  Before the last allowed sweep the residual pass
+    stops at the first coordinate outside ``tol``; the residual is only read
+    on convergence and when the budget runs out, so that moves no result.
     """
-    w = W.tolist()
-    b = B[0].tolist()
-    c = C.tolist()
-    z = Z0[0].tolist()
+    m = W.shape[0]
+    kernel = _KERNELS.get(m) or _compile_kernel(m)
+    return kernel(W.tolist(), B[0].tolist(), C.tolist(), Z0[0].tolist(), omega, tol, max_iters)
+
+
+_KERNELS = {}  # channel count m -> its compiled single-row sweep kernel
+
+# The single-row sweep kernel; {placeholders} take per-channel lines.
+_KERNEL_TEMPLATE = """\
+def kernel(w, b, c, z, omega, tol, max_iters):
+    [{w}] = w
+    [{b}] = b
+    [{c}] = c
+    [{z}] = z
     keep = 1.0 - omega
-    g = [min(max(zi, -ci), ci) for zi, ci in zip(z, c)]
-    s = [gi + bi for gi, bi in zip(g, b)]
-    coords = [
-        (i, row[:i] + [0.0] + row[i + 1:], omega / row[i], omega * bi, ci, bi)
-        for i, (row, bi, ci) in enumerate(zip(w, b, c))
-    ]
-    rows = list(zip(w, Wd.tolist(), c))
-    residual = math.inf
-    for sweep in range(1, max_iters + 1):
-        for i, offdiag, step, omega_b, ci, bi in coords:
-            zi = keep * z[i] - step * sum(map(mul, offdiag, s)) - omega_b
-            z[i] = zi
-            gi = -ci if zi < -ci else ci if zi > ci else zi
-            g[i] = gi
-            s[i] = gi + bi
-        nu = []
-        residual = 0.0
-        for zi, (row, wd, ci) in zip(z, rows):
-            nui = copysign(max(wd * (abs(zi) - ci), 0.0), zi)
-            nu.append(nui)
-            r = abs(nui + sum(map(mul, row, s)))
-            if r > residual or r != r:
-                residual = r
-        if residual <= tol:
-            return np.array([z]), np.array([g]), np.array([nu]), sweep, residual
+{start}
+    for sweep in range(1, max_iters):
+{sweep}
+{residual_to_first_miss}
+        return {solved}, sweep, max((0.0, {r}))
+    if max_iters < 1:
+        return None, None, None, max_iters, inf
+{last_sweep}
+    residual = 0.0
+{full_residual}
+    if residual <= tol:
+        return {solved}, max_iters, residual
     return None, None, None, max_iters, residual
+"""
+
+
+def _compile_kernel(m):
+    namespace = {"array": np.array, "copysign": copysign, "inf": math.inf}
+    exec(compile(_kernel_source(m), f"<csviu sweep kernel, m={m}>", "exec"), namespace)
+    kernel = _KERNELS[m] = namespace["kernel"]
+    return kernel
+
+
+def _kernel_source(m):
+    """Python source of the single-row sweep kernel of :func:`_sweeps_one`
+    for ``m`` channels; ``kernel(w, b, c, z, omega, tol, max_iters)`` takes
+    W as nested lists and b, c and z0 as lists."""
+    idx = range(m)
+
+    def names(fmt):
+        return ", ".join(fmt.format(i=i) for i in idx)
+
+    def coupling(i, diagonal):
+        terms = (f"w{i}_{j} * s{j}" if diagonal or j != i else f"0.0 * s{j}" for j in idx)
+        return "(0.0 + " + " + ".join(terms) + ")"
+
+    def update(i):
+        return (f"z{i} = keep * z{i} - step{i} * {coupling(i, False)} - omega_b{i}\n"
+                f"g{i} = -c{i} if z{i} < -c{i} else c{i} if z{i} > c{i} else z{i}\n"
+                f"s{i} = g{i} + b{i}")
+
+    def residual(i):
+        return (f"t = w{i}_{i} * (abs(z{i}) - c{i})\n"
+                f"nu{i} = copysign(0.0 if 0.0 > t else t, z{i})\n"  # max(t, 0.0), inlined
+                f"r{i} = abs(nu{i} + {coupling(i, True)})")
+
+    def block(lines, indent):
+        return textwrap.indent("\n".join(lines), " " * indent)
+
+    return _KERNEL_TEMPLATE.format(
+        w=", ".join("[" + ", ".join(f"w{i}_{j}" for j in idx) + "]" for i in idx),
+        b=names("b{i}"), c=names("c{i}"), z=names("z{i}"), r=names("r{i}"),
+        start=block((f"step{i} = omega / w{i}_{i}; omega_b{i} = omega * b{i}\n"
+                     f"g{i} = min(max(z{i}, -c{i}), c{i}); s{i} = g{i} + b{i}" for i in idx), 4),
+        sweep=block(map(update, idx), 8),
+        residual_to_first_miss=block(
+            (f"{residual(i)}\nif not r{i} <= tol:\n    continue" for i in idx), 8),
+        solved=", ".join(f"array([[{names(v + '{i}')}]])" for v in ("z", "g", "nu")),
+        last_sweep=block(map(update, idx), 4),
+        full_residual=block(
+            (f"{residual(i)}\nif r{i} > residual or r{i} != r{i}:\n    residual = r{i}" for i in idx), 4),
+    )
 
 
 def sor_solve(
@@ -238,7 +316,7 @@ def sor_solve(
     rounding, with the same sweep count.
     """
     m = sub.b.size
-    Z0 = np.zeros((1, m)) if z0 is None else np.asarray(z0, dtype=float).reshape(1, m)
+    Z0 = np.zeros((1, m)) if z0 is None else check_state("z0", z0, m)[None]
     Z, Gamma, Nu, iterations, residual = _sor_sweeps(
         sub.W, sub.b[None], sub.c, omega, Z0, tol, max_iters
     )

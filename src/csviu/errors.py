@@ -52,6 +52,15 @@ def check_state(name: str, x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (n,):
         raise ValueError(f"{name} has length {x.size}, expected {n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} must be finite, got {x}")
-    return x
+    return check_matrix(name, x, (n,))
+
+
+def check_matrix(name: str, a, shape: tuple) -> np.ndarray:
+    """``a`` as a float array; ``ValueError`` naming ``name`` unless it has
+    shape ``shape`` and finite entries."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite, got {a}")
+    return a

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SeriesDivergent, check_count, check_state
+from .errors import SeriesDivergent, check_count, check_matrix, check_state
 from .model import NOISE_KINDS, SystemModel
 from .operators import OperatorSet
 
@@ -375,10 +375,10 @@ def one_step_variation_oracle(
     x = check_state("x", x, n)
     u = check_state("u", u, m)
     sample = _sampler(noise_kind)
-    P = np.asarray(P, dtype=float)
-    P_next = np.asarray(P_next, dtype=float)
-    r = np.zeros(n) if r is None else np.asarray(r, dtype=float).reshape(-1)
-    r_next = np.zeros(n) if r_next is None else np.asarray(r_next, dtype=float).reshape(-1)
+    P = check_matrix("P", P, (n, n))
+    P_next = check_matrix("P_next", P_next, (n, n))
+    r = np.zeros(n) if r is None else check_state("r", r, n)
+    r_next = np.zeros(n) if r_next is None else check_state("r_next", r_next, n)
 
     ops = OperatorSet(model, alpha)
     forms = ops.noise_quadratic_forms(P_next)

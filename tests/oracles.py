@@ -9,6 +9,8 @@ the package is wrong.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -123,6 +125,50 @@ def l1_subgradient_residual(Lambda, b, c, u):
         u > 0, np.abs(s + c), np.where(u < 0, np.abs(s - c), np.maximum(np.abs(s) - c, 0.0))
     )
     return float(res.max())
+
+
+def sor_sweeps_reference(W, b, c, omega, z0, tol, max_iters):
+    """Projected SOR on the generalized normal equation, as a plain loop.
+
+    Gauss-Seidel over the coordinates in order, on Python floats:
+    ``z_i <- (1 - omega) z_i - omega/W_ii (W s with W_ii -> 0)_i - omega b_i``,
+    ``gamma_i = clip(z_i, -c_i, c_i)``, ``s_i = gamma_i + b_i``; after every
+    sweep the full residual ``max_i |nu_i + (W s)_i|`` with
+    ``nu_i = sign(z_i) max(W_ii (|z_i| - c_i), 0)``, a NaN term making it NaN.
+    Each sum starts at 0.0 and adds its terms left to right, the diagonal
+    coupling term as ``0.0 * s_i``.  Returns ``(z, gamma, nu, sweeps,
+    residual)`` on convergence, else ``(None, None, None, max_iters,
+    residual)``, the residual being inf when no sweep ran.
+    """
+    w = np.asarray(W, dtype=float).tolist()
+    b = np.asarray(b, dtype=float).tolist()
+    c = np.asarray(c, dtype=float).tolist()
+    z = np.asarray(z0, dtype=float).tolist()
+    m = len(b)
+    g = [min(max(z[i], -c[i]), c[i]) for i in range(m)]
+    s = [g[i] + b[i] for i in range(m)]
+    residual = math.inf
+    for sweep in range(1, max_iters + 1):
+        for i in range(m):
+            coupling = 0.0
+            for j in range(m):
+                coupling += (0.0 if j == i else w[i][j]) * s[j]
+            z[i] = (1.0 - omega) * z[i] - omega / w[i][i] * coupling - omega * b[i]
+            g[i] = -c[i] if z[i] < -c[i] else c[i] if z[i] > c[i] else z[i]
+            s[i] = g[i] + b[i]
+        nu = []
+        residual = 0.0
+        for i in range(m):
+            nu.append(math.copysign(max(w[i][i] * (abs(z[i]) - c[i]), 0.0), z[i]))
+            row = 0.0
+            for j in range(m):
+                row += w[i][j] * s[j]
+            r = abs(nu[i] + row)
+            if r > residual or r != r:
+                residual = r
+        if residual <= tol:
+            return np.array(z), np.array(g), np.array(nu), sweep, residual
+    return None, None, None, max_iters, residual
 
 
 def stationary_second_moment(Acl, floor_cov):

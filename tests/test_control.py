@@ -1,3 +1,7 @@
+import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -214,6 +218,12 @@ class TestSorGeneral:
 @pytest.mark.parametrize("omega", [0.0, 2.0, 2.5, -1.0])
 @pytest.mark.parametrize("entry", ["sor_solve", "sor_solve_batch", "optimal_control_batch"])
 def test_omega_outside_the_open_interval_raises_before_sweeping(entry, omega, monkeypatch):
+    with pytest.raises(ValueError, match="omega must lie in"):
+        _solve_without_sweeps(entry, monkeypatch, omega=omega)
+
+
+def _solve_without_sweeps(entry, monkeypatch, **settings):
+    """Call a stage-solve entry point with ``settings`` while any sweep fails."""
     def refuse(*args):
         raise AssertionError("a relaxation sweep ran")
 
@@ -224,15 +234,55 @@ def test_omega_outside_the_open_interval_raises_before_sweeping(entry, omega, mo
     law = sol.law
     calls = {
         "sor_solve": lambda: sor_solve(
-            ControlSubproblem.from_parts(sol.Lambda, [1.0, -1.0], law.c), omega=omega
+            ControlSubproblem.from_parts(sol.Lambda, [1.0, -1.0], law.c), **settings
         ),
-        "sor_solve_batch": lambda: sor_solve_batch(law.W, X @ sol.Sigma.T, law.c, omega=omega),
+        "sor_solve_batch": lambda: sor_solve_batch(law.W, X @ sol.Sigma.T, law.c, **settings),
         "optimal_control_batch": lambda: optimal_control_batch(
-            sol, X, mu_kind="asymptotic", omega=omega
+            sol, X, mu_kind="asymptotic", **settings
         ),
     }
-    with pytest.raises(ValueError, match="omega must lie in"):
-        calls[entry]()
+    return calls[entry]()
+
+
+@pytest.mark.parametrize("entry", ["sor_solve", "sor_solve_batch", "optimal_control_batch"])
+@pytest.mark.parametrize(
+    "setting, value",
+    [("tol", np.nan), ("tol", -1.0), ("tol", np.inf), ("tol", "1e-10"),
+     ("max_iters", 2.5), ("max_iters", True), ("max_iters", -1), ("max_iters", "9")],
+    ids=["tol-nan", "tol-negative", "tol-inf", "tol-str", "max_iters-float",
+         "max_iters-bool", "max_iters-negative", "max_iters-str"],
+)
+def test_tolerance_and_budget_are_checked_before_sweeping(entry, setting, value, monkeypatch):
+    # tol nan or -1 used to run the whole budget, max_iters=2.5 raised a bare
+    # TypeError and max_iters=True ran one sweep
+    with pytest.raises(ValueError, match=f"^{setting} must be"):
+        _solve_without_sweeps(entry, monkeypatch, **{setting: value})
+
+
+@pytest.mark.parametrize(
+    "z0", [[np.nan, 0.0], [np.inf, 0.0], [0.0, 1.0, 2.0], [1.0]],
+    ids=["nan", "inf", "long", "short"],
+)
+def test_warm_start_is_checked_before_sweeping(z0, monkeypatch):
+    # z0 = [nan, 0] used to run 10,000 sweeps into a MaxIterations advising a
+    # smaller omega, and a length-3 z0 failed inside numpy's reshape
+    def refuse(*args):
+        raise AssertionError("a relaxation sweep ran")
+
+    monkeypatch.setattr(csviu.control, "_sweeps_one", refuse)
+    sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
+    with pytest.raises(ValueError, match="^z0 "):
+        sor_solve(sub, z0=z0)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_an_empty_budget_raises_max_iterations(rows):
+    # a batch with max_iters=0 used to fail with UnboundLocalError
+    W, B, c, _ = _mixed_rows()
+    with pytest.raises(MaxIterations, match="in 0 sweeps") as failure:
+        sor_solve_batch(W, B[:rows], c, max_iters=0)
+    assert failure.value.iterations == 0
+    assert failure.value.residual == np.inf
 
 
 def _sweeps_or_failure(W, B, c, omega):
@@ -242,22 +292,27 @@ def _sweeps_or_failure(W, B, c, omega):
         return exc
 
 
+def _criterion_02_instances(count=200, sizes=(1, 7), seed=20260418):
+    """The cycling instance and ``count`` random ones with m drawn from ``sizes``."""
+    rng = np.random.default_rng(seed)
+    instances = [ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)]
+    for _ in range(count):
+        m = int(rng.integers(*sizes))
+        root = rng.standard_normal((m, m))
+        c = rng.uniform(0.0, 2.0, size=m)
+        c[rng.random(m) < 0.1] = 0.0
+        instances.append(
+            ControlSubproblem.from_parts(root @ root.T + m * np.eye(m), 3.0 * rng.standard_normal(m), c)
+        )
+    return instances
+
+
 class TestSorKernels:
     """One-row inputs take the scalar kernel, larger batches the array kernel."""
 
     def test_kernels_agree_on_criterion_02_style_instances(self):
-        rng = np.random.default_rng(20260418)
-        instances = [ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)]
-        for _ in range(200):
-            m = int(rng.integers(1, 7))
-            root = rng.standard_normal((m, m))
-            c = rng.uniform(0.0, 2.0, size=m)
-            c[rng.random(m) < 0.1] = 0.0
-            instances.append(
-                ControlSubproblem.from_parts(root @ root.T + m * np.eye(m), 3.0 * rng.standard_normal(m), c)
-            )
         failures = 0
-        for sub in instances:
+        for sub in _criterion_02_instances():
             for omega in (0.5, 1.0, 1.5, 1.9):
                 one = _sweeps_or_failure(sub.W, sub.b[None], sub.c, omega)
                 two = _sweeps_or_failure(sub.W, np.stack([sub.b, sub.b]), sub.c, omega)
@@ -355,6 +410,129 @@ class TestBatchRowsLeaveOnConvergence:
             sor_solve_batch(sub.W, B, sub.c, omega=1.9, tol=1e-12, max_iters=1000)
         assert failure.value.iterations == 1000
         assert failure.value.residual > 0.05
+
+
+def _kernel_or_failure(sub, omega, z0=None, tol=1e-12, max_iters=1000):
+    """``_sor_sweeps`` on one row as (z, gamma, nu, sweeps, residual), the arrays
+    None when it raised MaxIterations."""
+    z0 = np.zeros(sub.b.size) if z0 is None else np.asarray(z0, dtype=float)
+    try:
+        Z, Gamma, Nu, sweeps, residual = csviu.control._sor_sweeps(
+            sub.W, sub.b[None], sub.c, omega, z0[None], tol, max_iters
+        )
+    except MaxIterations as exc:
+        return None, None, None, exc.iterations, exc.residual
+    return Z[0], Gamma[0], Nu[0], sweeps, residual
+
+
+def _bits(result):
+    arrays = tuple(None if a is None else np.asarray(a, dtype=float).tobytes() for a in result[:3])
+    return arrays + (result[3], np.float64(result[4]).tobytes())
+
+
+def _assert_kernel_matches_reference(sub, omega, z0=None, tol=1e-12, max_iters=1000):
+    got = _kernel_or_failure(sub, omega, z0, tol, max_iters)
+    start = np.zeros(sub.b.size) if z0 is None else z0
+    want = oracles.sor_sweeps_reference(sub.W, sub.b, sub.c, omega, start, tol, max_iters)
+    assert _bits(got) == _bits(want), (omega, got, want)
+    return got
+
+
+class TestGeneratedKernel:
+    """The single-row kernel generated per channel count equals the plain
+    loop of ``oracles.sor_sweeps_reference`` bit for bit: z, gamma and nu,
+    signed zeros included, the sweep count and the residual, also the
+    residual a MaxIterations reports."""
+
+    OMEGAS = (0.5, 1.0, 1.5, 1.9)
+
+    def test_criterion_02_style_instances(self):
+        failures = 0
+        for sub in _criterion_02_instances():
+            for omega in self.OMEGAS:
+                failures += _assert_kernel_matches_reference(sub, omega)[0] is None
+        assert failures >= 1
+
+    @pytest.mark.parametrize("m", range(7, 13))
+    def test_wider_instances(self, m):
+        for sub in _criterion_02_instances(count=3, sizes=(m, m + 1), seed=m):
+            for omega in self.OMEGAS:
+                _assert_kernel_matches_reference(sub, omega)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_right_hand_side(self, value):
+        sub = _criterion_02_instances(count=1, sizes=(3, 4))[1]
+        b = sub.b.copy()
+        b[1] = value
+        for omega in self.OMEGAS:
+            got = _assert_kernel_matches_reference(replace(sub, b=b), omega, max_iters=50)
+            assert got[0] is None and np.isnan(got[4])
+
+    def test_overflowing_carry(self):
+        # s_0 = gamma_0 + b_0 overflows to inf at the start, so only the kept
+        # diagonal term 0.0 * s_0 turns the first update into NaN
+        sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
+        huge = replace(sub, b=np.array([1e308, sub.b[1]]), c=np.array([1e308, sub.c[1]]))
+        for omega in self.OMEGAS:
+            _assert_kernel_matches_reference(huge, omega, z0=np.array([1e308, 0.0]), max_iters=20)
+
+    def test_zero_deadzone_weights(self):
+        for sub in _criterion_02_instances(count=20, sizes=(1, 5), seed=7)[1:]:
+            for omega in self.OMEGAS:
+                _assert_kernel_matches_reference(replace(sub, c=np.zeros(sub.b.size)), omega)
+
+    def test_signed_zero_right_hand_sides(self):
+        # W with positive and with negative couplings, b of +0.0 and -0.0 entries,
+        # cold and warm starts of either sign: the results carry signed zeros
+        signed = 0
+        for W in ([[0.5]], MIXED_W, [[0.3, -0.1], [-0.1, 0.2]]):
+            m = len(W)
+            for b in itertools.product((0.0, -0.0), repeat=m):
+                for c in (np.zeros(m), np.full(m, 0.5)):
+                    sub = ControlSubproblem(W=np.array(W), b=np.array(b), c=c, Lambda=None)
+                    for z0 in (None, np.ones(m), -np.ones(m), np.full(m, -0.0)):
+                        for omega in self.OMEGAS:
+                            got = _assert_kernel_matches_reference(sub, omega, z0=z0)
+                            signed += sum(np.signbit(a).sum() for a in got[:3])
+        assert signed > 0
+
+    def test_warm_starts_as_in_the_batch_hand_off(self):
+        W, B, c, sub = _mixed_rows()
+        rng = np.random.default_rng(5)
+        for b in B:
+            for omega in self.OMEGAS:
+                z0 = rng.standard_normal(3)
+                _assert_kernel_matches_reference(replace(sub, b=b), omega, z0=z0)
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 2])
+    def test_small_budgets(self, max_iters):
+        for sub in _criterion_02_instances(count=30)[1:]:
+            for omega in self.OMEGAS:
+                for tol in (1e-12, 10.0):
+                    _assert_kernel_matches_reference(sub, omega, tol=tol, max_iters=max_iters)
+
+    def test_each_channel_count_compiles_once(self, monkeypatch):
+        built = []
+        source = csviu.control._kernel_source
+
+        def counted(m):
+            built.append(m)
+            return source(m)
+
+        monkeypatch.setattr(csviu.control, "_KERNELS", {})
+        monkeypatch.setattr(csviu.control, "_kernel_source", counted)
+        for sub in _criterion_02_instances(count=40, sizes=(1, 4)):
+            for omega in self.OMEGAS:
+                _kernel_or_failure(sub, omega)
+        assert sorted(built) == [1, 2, 3]
+        assert sorted(csviu.control._KERNELS) == [1, 2, 3]
+
+    def test_import_compiles_no_kernel(self):
+        probe = "import csviu, csviu.control; print(len(csviu.control._KERNELS))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestOptimalControl:

@@ -431,6 +431,26 @@ class TestOneStepIdentity:
         with pytest.raises(ValueError, match=f"^{name} "):
             one_step_variation_oracle(model, 0.95, L, L, x, u, paths=10)
 
+    @pytest.mark.parametrize(
+        "arg, value",
+        [("r", [np.nan, 0.0]), ("P", np.full((2, 2), np.nan)), ("r", [1.0]),
+         ("r_next", [1.0]), ("P_next", np.eye(3)), ("P", [1.0, 2.0]), ("r_next", [0.0, np.inf])],
+        ids=["r-nan", "P-all-nan", "r-short", "r_next-short", "P_next-3x3", "P-vector",
+             "r_next-inf"],
+    )
+    def test_value_function_data_are_checked_before_any_draw(self, arg, value, monkeypatch):
+        # r = [nan, 0] and an all-NaN P used to come back as gap = nan, a short r as a
+        # matmul error and a 3x3 P_next as an einsum broadcast error
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn before the value function data were checked")
+
+        model = SystemModel.from_dict(support.README_DATA)
+        L = solve_riccati(model, alpha=0.95).L
+        data = {"P": L, "P_next": L, "r": None, "r_next": None, arg: value}
+        monkeypatch.setattr(csviu.simulator, "path_rng", no_draws)
+        with pytest.raises(ValueError, match=f"^{arg} "):
+            one_step_variation_oracle(model, 0.95, x=[1.0, -1.0], u=[0.2], paths=10, **data)
+
     def test_noise_free_identity_is_exact_with_slopes(self, rng):
         model = _noise_free_model([[0.6, 0.1], [0.0, 0.5]], [[1.0], [0.2]])
         root = rng.standard_normal((2, 2))
