@@ -58,7 +58,6 @@ from .stability import (
     check_alpha_stability,
     check_detectability,
     closed_loop_check,
-    closed_loop_cost_step,
     detectability_search,
 )
 

@@ -40,8 +40,6 @@ class ControlSubproblem:
     b: np.ndarray
     c: np.ndarray
     Lambda: np.ndarray
-    x: np.ndarray | None = None
-    mu: np.ndarray | None = None
 
     @classmethod
     def from_parts(cls, Lambda, b, c) -> "ControlSubproblem":
@@ -320,10 +318,14 @@ def sor_solve(
     Z, Gamma, Nu, iterations, residual = _sor_sweeps(
         sub.W, sub.b[None], sub.c, omega, Z0, tol, max_iters
     )
-    nu = Nu[0]
+    return _sor_state(Z[0], Gamma[0], Nu[0], sub.c, iterations, residual)
+
+
+def _sor_state(z, gamma, nu, c, iterations, residual):
+    """The :class:`SorState` of one converged row."""
     # theta_i = |nu_i| / c_i = W_ii max(0, |z_i| - c_i) / c_i on weighted channels
-    theta = np.divide(np.abs(nu), sub.c, out=np.zeros(m), where=sub.c > 0)
-    return SorState(z=Z[0], gamma=Gamma[0], nu=nu, theta=theta, iterations=iterations,
+    theta = np.divide(np.abs(nu), c, out=np.zeros(nu.size), where=c > 0)
+    return SorState(z=z, gamma=gamma, nu=nu, theta=theta, iterations=iterations,
                     residual=residual)
 
 
@@ -331,8 +333,9 @@ def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=10000):
     """Batch form of :func:`sor_solve` for many right-hand sides at once.
 
     ``B`` is (paths, m); returns the (paths, m) control batch, empty when
-    ``B`` has no rows.  Used by the simulation and region-scan paths where
-    thousands of stage problems share the same curvature.  Each row stops at
+    ``B`` has no rows; for stage problems that share one curvature (the
+    feedback entry points run the same :func:`_sor_sweeps` from
+    :func:`_feedback`).  Each row stops at
     its own convergence sweep, and the last row still sweeping finishes on
     the single-row kernel of :func:`_sor_sweeps`, as a one-row ``B`` and
     :func:`sor_solve` do; so each row matches :func:`sor_solve` on that row
@@ -366,39 +369,49 @@ def _slopes(sol: RiccatiSolution, X, Mu, mu_kind):
     raise ValueError(f"unknown mu_kind {mu_kind!r}; expected 'zero', 'asymptotic' or 'rollout'")
 
 
-def _feedback(sol: RiccatiSolution, X, Mu, solve):
-    """Controls and slopes ``(U, Mu)`` for a (rows, n) state batch.
+def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
+    """Stage solutions of a (rows, n) state batch under its :func:`_slopes`.
 
-    ``solve(B)`` returns the controls of the stage problems with the (k, m)
-    right-hand sides ``B``.  A given ``Mu`` takes one solve.  ``Mu=None``
-    resolves the frozen-sign slope row by row: each row re-solves until its
-    control sign pattern repeats, for at most ``_MU_SWEEPS`` sweeps, and only
-    the rows whose signs moved take part in the next sweep.  A settled row's
-    last solve already used its returned slope; only rows still moving after
-    the last sweep are solved once more.
+    Returns ``(Z, Gamma, U, Mu, Bu, sweeps, residual)``: each row's iterate,
+    clipped vector and control from its last stage solve (one cold-start
+    :func:`_sor_sweeps` call), its slope and that solve's linear term
+    ``Bu = Mu B + 2 X Sigma'``; ``sweeps`` and ``residual`` are those of the
+    last call, for a batch of one the row's own.  A given ``Mu`` takes one
+    solve.  ``Mu=None`` resolves the frozen-sign slope row by row: each row
+    re-solves until its control sign pattern repeats, for at most
+    ``_MU_SWEEPS`` sweeps, and only the rows whose signs moved take part in
+    the next sweep.  A settled row's last solve already used its returned
+    slope; only rows still moving after the last sweep are solved once more.
     """
-    B = sol.model.B
+    law, B = sol.law, sol.model.B
     R = 2.0 * X @ sol.Sigma.T
-    if Mu is not None:
-        return solve(Mu @ B + R), Mu
-    Sx = np.sign(X)
-    Mu = frozen_sign_slopes(sol, Sx, np.zeros((X.shape[0], sol.model.m)))
-    U = np.empty((X.shape[0], sol.model.m))
+
+    def solve(Bu):
+        return _sor_sweeps(law.W, Bu, law.c, omega, np.zeros_like(Bu), tol, max_iters)
+
+    sweeping = Mu is None
+    if sweeping:
+        Sx = np.sign(X)
+        Mu = frozen_sign_slopes(sol, Sx, np.zeros((X.shape[0], sol.model.m)))
+    Bu = Mu @ B + R
+    Z, Gamma, U, sweeps, residual = solve(Bu)
+    if not sweeping:
+        return Z, Gamma, U, Mu, Bu, sweeps, residual
+    U = np.ascontiguousarray(U)  # returned row-major, like the slopes
     # rows whose signs still move, with their states' data
-    live = np.arange(X.shape[0])
-    Sx_l, Su_l, Mu_l, R_l = Sx, 0.0, Mu, R
+    live, Sx_l, Su_l, R_l, U_l = np.arange(X.shape[0]), Sx, 0.0, R, U
     for _ in range(_MU_SWEEPS):
-        U_l = solve(Mu_l @ B + R_l)
-        U[live] = U_l
         Su_next = np.sign(U_l)
         moved = np.flatnonzero(np.any(Su_next != Su_l, axis=1))
         if not moved.size:
-            return U, Mu
+            break
         live, Sx_l, R_l, Su_l = (a.take(moved, axis=0) for a in (live, Sx_l, R_l, Su_next))
         Mu_l = frozen_sign_slopes(sol, Sx_l, Su_l)
-        Mu[live] = Mu_l
-    U[live] = solve(Mu_l @ B + R_l)
-    return U, Mu
+        Bu_l = Mu_l @ B + R_l
+        Z_l, Gamma_l, U_l, sweeps, residual = solve(Bu_l)
+        for dst, src in zip((Z, Gamma, U, Mu, Bu), (Z_l, Gamma_l, U_l, Mu_l, Bu_l)):
+            dst[live] = src
+    return Z, Gamma, U, Mu, Bu, sweeps, residual
 
 
 def _inaction_margins(sol: RiccatiSolution, X, Mu):
@@ -408,23 +421,6 @@ def _inaction_margins(sol: RiccatiSolution, X, Mu):
 
 def _margins(sol: RiccatiSolution, linear):
     return sol.forms.Wud - np.abs(linear)
-
-
-def _solve_state(sol: RiccatiSolution, x, mu, omega, tol, max_iters):
-    """One state and its :func:`_slopes` row through :func:`_feedback`: its
-    final subproblem and SorState."""
-    law = sol.law
-    b = state = None
-
-    def solve(B):
-        nonlocal b, state
-        b = B[0]
-        sub = ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda)
-        state = sor_solve(sub, omega=omega, tol=tol, max_iters=max_iters)
-        return state.nu[None]
-
-    _, Mu = _feedback(sol, x[None], mu, solve)
-    return ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda, x=x, mu=Mu[0]), state
 
 
 def resolve_mu(
@@ -445,11 +441,13 @@ def resolve_mu(
     pattern repeats, for at most 3 sweeps; a state on a sign cycle returns
     the slope of its last pattern.  "rollout" is :func:`~csviu.mu.mu_rollout`
     with its defaults (256 paths, seed 0); for other settings pass
-    ``mu=mu_rollout(sol, x, ...).value``.
+    ``mu=mu_rollout(sol, x, ...).value``.  The state runs through the
+    driver of :func:`optimal_control_batch` as a batch of one; the slope is
+    identical to that batch's.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     Mu = _slopes(sol, x[None], mu, mu_kind)
-    return Mu[0] if Mu is not None else _solve_state(sol, x, None, omega, tol, max_iters)[0].mu
+    return Mu[0] if Mu is not None else _feedback(sol, x[None], None, omega, tol, max_iters)[3][0]
 
 
 @dataclass(frozen=True)
@@ -473,33 +471,36 @@ def optimal_control(
 ) -> ControlResult:
     """Optimal stage control at ``x``: solve, then cross-check the closed form.
 
-    The slope is resolved as in :func:`resolve_mu`; with
-    ``mu_kind="asymptotic"`` the sweep's last solve is the returned control.
-    The converged clipped vector reconstructs the control through the inverse
-    curvature; a mismatch there would mean the sweep settled on a wrong point,
-    so it is treated as an internal error.  ``margins`` are those of
-    :func:`inaction_test`, read off the final stage problem's linear term.
-    A state of the wrong length or with a non-finite entry raises
-    ``ValueError`` before any sweep.
+    The single state is a batch of one through the driver of
+    :func:`optimal_control_batch`: ``u_star`` and ``mu`` are identical to
+    that batch's row, and ``sub`` and ``sor`` describe its last stage solve.
+    The slope is resolved as in :func:`resolve_mu`.  The converged clipped
+    vector reconstructs the control through the inverse curvature; a
+    mismatch would mean the sweep settled on a wrong point, an internal
+    error.  This cross-check is single-state only: every sweep already
+    certifies ``|nu + W (gamma + b)| <= tol`` on each row, and batches skip
+    the extra solve per row.  ``margins`` are those of :func:`inaction_test`,
+    read off the final stage problem's linear term.  A state of the wrong
+    length or with a non-finite entry raises ``ValueError`` before any sweep.
     """
     x = check_state("x", x, sol.model.n)
-    sub, state = _solve_state(
-        sol, x, _slopes(sol, x[None], mu, mu_kind), omega, tol, max_iters
+    Z, Gamma, U, Mu, Bu, iterations, residual = _feedback(
+        sol, x[None], _slopes(sol, x[None], mu, mu_kind), omega, tol, max_iters
     )
-    mu_val = sub.mu
-    u_star = state.nu
+    u_star, gamma, mu, b = U[0], Gamma[0], Mu[0], Bu[0]
     reconstructed = -np.linalg.solve(
-        sub.Lambda,
-        sol.Sigma @ sub.x + 0.5 * (sol.model.B.T @ mu_val + state.gamma),
+        sol.Lambda, sol.Sigma @ x + 0.5 * (sol.model.B.T @ mu + gamma)
     )
     gap = float(np.abs(reconstructed - u_star).max())
     if gap > max(1e-9, 100.0 * tol) * max(1.0, float(np.abs(u_star).max())):
         raise CsviuError(
             f"converged control fails its closed-form reconstruction by {gap:.3e}"
         )
-    margins = _margins(sol, sub.b)
+    law = sol.law
     return ControlResult(
-        u_star=u_star, gamma=state.gamma, mu=mu_val, margins=margins, sub=sub, sor=state
+        u_star=u_star, gamma=gamma, mu=mu, margins=_margins(sol, b),
+        sub=ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda),
+        sor=_sor_state(Z[0], gamma, u_star, law.c, iterations, residual),
     )
 
 
@@ -556,22 +557,19 @@ def optimal_control_batch(
 
     Returns ``(U, Mu)`` with shapes (paths, m) and (paths, n), empty when
     ``X`` has no rows.  The slope inputs are those of :func:`resolve_mu`
-    ("rollout" runs one :func:`~csviu.mu.mu_rollout` per row).  Row for row
-    this matches :func:`optimal_control` to rounding, since each stage solve
-    stops every row at its own convergence sweep (:func:`sor_solve_batch`): with
-    ``mu_kind="asymptotic"`` every row follows the single-state slope-sweep
-    rule on its own, so a row on a sign cycle leaves the other rows' results
-    unchanged.  The curvature data come from the solution's cached ``law``.
+    ("rollout" runs one :func:`~csviu.mu.mu_rollout` per row).  A single
+    state is a batch of one: :func:`optimal_control` and :func:`resolve_mu`
+    run this driver on one row, with identical results.  Each stage solve
+    stops every row at its own convergence sweep and, with
+    ``mu_kind="asymptotic"``, every row follows the slope-sweep rule on its
+    own, so a row on a sign cycle leaves the other rows' results unchanged
+    (they agree with their batches of one to rounding, since the column
+    kernel sums in another order).  The curvature data come from the
+    solution's cached ``law``.
     A row with a non-finite entry raises ``ValueError`` before any sweep.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.isfinite(X).all():
         row = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise ValueError(f"X must be finite, got {X[row]} in row {row}")
-    Mu = _slopes(sol, X, Mu, mu_kind)
-    law = sol.law
-
-    def solve(B):
-        return sor_solve_batch(law.W, B, law.c, omega=omega, tol=tol, max_iters=max_iters)
-
-    return _feedback(sol, X, Mu, solve)
+    return _feedback(sol, X, _slopes(sol, X, Mu, mu_kind), omega, tol, max_iters)[2:4]

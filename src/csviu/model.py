@@ -81,8 +81,8 @@ class CriterionConfig:
     ``kappa is None`` means an infinite horizon.  ``alpha``, ``sor_omega``
     and the tolerances are stored as floats; ``kappa``, ``paths``, ``seed``
     and ``max_iters`` must be integral and are stored as ints (50.0 as 50).
-    Bools, strings and values out of range raise :class:`ModelError` naming
-    the field.
+    Bools, strings and values out of range (a tolerance must be finite and
+    positive) raise :class:`ModelError` naming the field.
     """
 
     alpha: float = 1.0
@@ -104,8 +104,9 @@ class CriterionConfig:
         if not (0.0 < self.sor_omega < 2.0):
             raise ModelError(f"sor_omega must lie in (0, 2), got {self.sor_omega!r}")
         for name in ("tol_fixed_point", "tol_sor"):
-            if not getattr(self, name) > 0:
-                raise ModelError(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ModelError(f"{name} must be a finite positive real, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsviuError, ModelError
+from .errors import ModelError
 from .model import SystemModel
 from .operators import OperatorSet, spectral_radius, symmetrize
 
@@ -224,34 +224,6 @@ def detectability_search(model: SystemModel, alpha: float, attempts: int = 30, s
         if check_detectability(model, alpha, H).ok:
             return H
     return None
-
-
-def closed_loop_cost_step(model: SystemModel, alpha: float, U, G):
-    """One step of the cost recursion under a fixed linear gain.
-
-    Evaluates the expanded closed-loop form, the second-moment map with
-    F = A + BG plus Ccl'Ccl, and cross-checks it against the equivalent
-    factored form; a disagreement means corrupted inputs and raises instead
-    of returning silently wrong numbers.  ``U`` must be a finite n x n matrix
-    and ``G`` a finite m x n gain; otherwise :class:`ModelError` is raised.
-    """
-    ops = OperatorSet(model, alpha)
-    md = model
-    U = _finite_matrix("U", U, (md.n, md.n))
-    G = _finite_matrix("G", G, (md.m, md.n))
-    Acl = md.A + md.B @ G
-    Ccl = md.C + md.D @ G
-    expanded = ops.second_moment_map(U, Acl, G) + Ccl.T @ Ccl
-    Sigma, Lambda = ops.sigma_lambda(U)
-    factored = (
-        ops.lyapunov_step(U)
-        + md.C.T @ md.C
-        + alpha * (Sigma.T @ G + G.T @ Sigma + G.T @ Lambda @ G)
-    )
-    gap = float(np.abs(expanded - factored).max())
-    if gap > 1e-12 * max(1.0, float(np.abs(expanded).max())):
-        raise CsviuError(f"closed-loop step forms disagree by {gap:.3e}; inputs look corrupted")
-    return expanded
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,13 @@ class TestExitCodes:
         assert main(["riccati", "--model", str(path)]) == 1
         assert capsys.readouterr().err == message
 
+    def test_infinite_tolerance_in_a_model_file_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(support.SCALAR_DATA)[:-1]
+                        + ', "criterion": {"tolerances": {"fixed_point": 1e999}}}')
+        assert main(["riccati", "--model", str(path), "--alpha", "0.95"]) == 1
+        assert capsys.readouterr().err == "error: tol_fixed_point must be a finite positive real, got inf\n"
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("csviu ")

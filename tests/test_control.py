@@ -663,14 +663,20 @@ class TestPerRowSlopeSweeps:
     """Dense coupled plant with one state on a sign cycle of the frozen-sign slope."""
 
     CYCLING = 16  # row of the batch below whose control signs never repeat
+    # rows of the whole draw whose last stage solve takes fewer sweeps than an earlier one
+    LAST_SOLVE_SHORTER = [189, 344]
 
     @pytest.fixture(scope="class")
-    def case(self):
+    def draw(self):
         rng = np.random.default_rng(3)
         model = support.random_model(rng, n=6, m=3)
         sol = solve_riccati(model, alpha=0.95)
-        X = 1.5 * rng.standard_normal((400, 6))[250:290]
-        return sol, X
+        return sol, 1.5 * rng.standard_normal((400, 6))
+
+    @pytest.fixture(scope="class")
+    def case(self, draw):
+        sol, X = draw
+        return sol, X[250:290]
 
     @staticmethod
     def _on_cycle(sol, x, u, mu):
@@ -695,33 +701,56 @@ class TestPerRowSlopeSweeps:
         np.testing.assert_allclose(U_alone, U[settled], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(Mu_alone, Mu[settled], rtol=0.0, atol=1e-12)
 
+    def test_single_state_is_the_batch_of_one_bit_for_bit(self, draw):
+        sol, X = draw
+        X = X[[*range(250, 290), *self.LAST_SOLVE_SHORTER]]
+        mus = 0.3 * np.random.default_rng(7).standard_normal(X.shape)
+        for row, x in enumerate(X):
+            for slope in ({"mu_kind": "zero"}, {"mu_kind": "asymptotic"}, {"mu": mus[row]}):
+                batch = {"Mu": slope["mu"][None]} if "mu" in slope else slope
+                U, Mu = optimal_control_batch(sol, x[None], **batch)
+                single = optimal_control(sol, x, **slope)
+                assert single.u_star.tobytes() == U[0].tobytes(), (row, slope)
+                assert single.mu.tobytes() == Mu[0].tobytes(), (row, slope)
+                assert resolve_mu(sol, x, **slope).tobytes() == Mu[0].tobytes()
+                # sub and sor describe the last stage solve, not the largest of the sweeps
+                again = sor_solve(single.sub)
+                for field in ("z", "gamma", "nu", "theta"):
+                    assert getattr(again, field).tobytes() == getattr(single.sor, field).tobytes()
+                assert (again.iterations, again.residual) == (single.sor.iterations, single.sor.residual)
+
+    @staticmethod
+    def _record_rows(monkeypatch, rows_solved):
+        sweeps = csviu.control._sor_sweeps
+
+        def recording(W, B, *args):
+            rows_solved.append(len(B))
+            return sweeps(W, B, *args)
+
+        monkeypatch.setattr(csviu.control, "_sor_sweeps", recording)
+
     def test_batch_solves_each_row_as_often_as_the_single_state(self, case, monkeypatch):
         sol, X = case
         rows_solved = []
-        batch_solve = csviu.control.sor_solve_batch
-
-        def recording(sub_W, B, *args, **kwargs):
-            rows_solved.append(len(B))
-            return batch_solve(sub_W, B, *args, **kwargs)
-
-        monkeypatch.setattr(csviu.control, "sor_solve_batch", recording)
-        counts = {}
-        _count_calls(monkeypatch, csviu.control, "sor_solve", counts)
+        self._record_rows(monkeypatch, rows_solved)
         optimal_control_batch(sol, X, mu_kind="asymptotic")
+        batch_rows = rows_solved.copy()
         for x in X:
             optimal_control(sol, x, mu_kind="asymptotic")
-        assert sum(rows_solved) == counts["sor_solve"]
+        single_rows = rows_solved[len(batch_rows):]
+        assert set(single_rows) == {1}
+        assert sum(batch_rows) == len(single_rows)
         # only the cycling row takes the final solve after the last sweep
-        assert rows_solved[-1] == 1 and rows_solved[0] == len(X)
+        assert batch_rows[-1] == 1 and batch_rows[0] == len(X)
 
     def test_settled_state_is_not_solved_again(self, monkeypatch):
         sol = support.synthetic_solution(
             A=0.5, B=1.0, G=-0.5, alpha=0.9, Wud=[1.0], Sigma=[[2.0]], Lambda=[[1.0]]
         )
-        counts = {}
-        _count_calls(monkeypatch, csviu.control, "sor_solve", counts)
+        rows_solved = []
+        self._record_rows(monkeypatch, rows_solved)
         inside = optimal_control(sol, [0.1], mu_kind="asymptotic")  # deadzone: u = 0 at once
-        assert inside.u_star[0] == 0.0 and counts["sor_solve"] == 1
+        assert inside.u_star[0] == 0.0 and rows_solved == [1]
 
 
 class TestCompiledLaw:

@@ -117,6 +117,15 @@ class TestSchema:
         with pytest.raises(ModelError, match=match):
             SystemModel.from_dict(dict(support.SCALAR_DATA, criterion=criterion))
 
+    @pytest.mark.parametrize("key, name", [("fixed_point", "tol_fixed_point"), ("sor", "tol_sor")])
+    def test_infinite_tolerance_is_rejected_at_load(self, key, name):
+        # JSON 1e999 reads as inf; an infinite fixed-point tolerance would stop the
+        # Riccati iteration after one step with a wrong L
+        data = json.loads(json.dumps(support.SCALAR_DATA)[:-1]
+                          + f', "criterion": {{"tolerances": {{"{key}": 1e999}}}}}}')
+        with pytest.raises(ModelError, match=f"{name} must be a finite positive real, got inf"):
+            SystemModel.from_dict(data)
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"paths": 2.5}, "paths"), ({"seed": -3}, "seed"), ({"tol_sor": "1e-3"}, "tol_sor"),
         ({"sor_omega": True}, "sor_omega"), ({"max_iters": float("nan")}, "max_iters"),

@@ -9,7 +9,6 @@ from csviu import (
     check_alpha_stability,
     check_detectability,
     closed_loop_check,
-    closed_loop_cost_step,
     detectability_search,
     solve_riccati,
     spectral_radius,
@@ -232,57 +231,6 @@ class TestDetectability:
         H1 = detectability_search(model, alpha=1.0, seed=3)
         H2 = detectability_search(model, alpha=1.0, seed=3)
         np.testing.assert_array_equal(H1, H2)
-
-
-class TestClosedLoopStep:
-    def test_zero_gain_reduces_to_open_loop_cost(self, scalar_model, rng):
-        U = np.array([[2.0]])
-        ops = OperatorSet(scalar_model, 0.9)
-        got = closed_loop_cost_step(scalar_model, 0.9, U, np.zeros((1, 1)))
-        want = ops.lyapunov_step(U) + scalar_model.C.T @ scalar_model.C
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_forms_agree_on_random_inputs(self, rng):
-        model = support.random_model(rng, n=3, m=2)
-        for _ in range(10):
-            root = rng.standard_normal((3, 3))
-            U = root @ root.T
-            G = rng.standard_normal((2, 3))
-            out = closed_loop_cost_step(model, 0.95, U, G)
-            assert out.shape == (3, 3)
-            np.testing.assert_allclose(out, out.T, atol=1e-10)
-
-    def test_matches_operator_matrix_route(self, rng):
-        model = support.random_model(rng, n=2, m=1)
-        G = rng.standard_normal((1, 2))
-        U = np.eye(2) * 1.5
-        Acl = model.A + model.B @ G
-        Ccl = model.C + model.D @ G
-        got = closed_loop_cost_step(model, 0.9, U, G)
-        K = oracles.second_moment_matrix(Acl, model.sigma_bar_x, 0.9, G, model.sigma_bar_u)
-        via_oracle = (K @ U.reshape(-1, order="F")).reshape((2, 2), order="F")
-        np.testing.assert_allclose(got, via_oracle + Ccl.T @ Ccl, atol=1e-11)
-        i, j = np.triu_indices(2)
-        M = OperatorSet(model, 0.9).operator_matrix(Acl, G)
-        np.testing.assert_allclose(got[i, j], M @ U[i, j] + (Ccl.T @ Ccl)[i, j], atol=1e-11)
-
-    def test_wrong_shape_gain_is_a_model_error(self):
-        model = SystemModel.from_dict(_README_PLANT)
-        with pytest.raises(ModelError, match="G has shape"):
-            closed_loop_cost_step(model, 0.95, np.eye(2), [[-0.3]])
-
-    def test_non_finite_gain_is_a_model_error(self):
-        model = SystemModel.from_dict(_README_PLANT)
-        with pytest.raises(ModelError, match="G contains non-finite"):
-            closed_loop_cost_step(model, 0.95, np.eye(2), [[np.nan, -0.1]])
-
-    @pytest.mark.parametrize("U", [[[1.0, np.nan], [0.0, 1.0]], np.full((2, 2), np.inf)],
-                             ids=["nan-entry", "inf"])
-    def test_non_finite_cost_matrix_is_a_model_error(self, U):
-        # a NaN gap between the two forms used to slip past the cross-check
-        model = SystemModel.from_dict(_README_PLANT)
-        with pytest.raises(ModelError, match="U contains non-finite"):
-            closed_loop_cost_step(model, 0.95, U, [[-0.3, -0.1]])
 
 
 class TestClosedLoopCheck:
