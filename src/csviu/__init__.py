@@ -21,11 +21,13 @@ from .control import (
     stage_value,
 )
 from .errors import (
+    ArgumentError,
     AssumptionViolated,
     CsviuError,
     MaxIterations,
     ModelError,
     MonotonicityViolation,
+    NoPSDSolution,
     SeriesDivergent,
     SingularLambda,
 )

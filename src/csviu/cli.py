@@ -309,6 +309,8 @@ def _cmd_overtake(args, run: _Run):
         "policy_a": pol_a.kind,
         "policy_b": pol_b.kind,
         "x0": _jsonable(x0),
+        "closed_loop_radius": sol.closed_loop_radius,
+        "alpha_condition_ok": sol.alpha_condition_ok,
         "rows": [_jsonable(r) for r in rows],
     }
     header = ["kappa", "diff", "stderr", "diff_scaled", "stderr_scaled"]

@@ -26,6 +26,19 @@ class MaxIterations(CsviuError):
         self.residual = residual
 
 
+class NoPSDSolution(MaxIterations):
+    """Value iteration provably diverges: no positive semidefinite fixed point exists.
+
+    ``iterations`` is the value-iteration step whose iterate P carries the
+    certificate and ``ratio`` is the factor lambda > 1 with R_inf(P) >= lambda P
+    for the recession map R_inf of the value map (see :mod:`csviu.riccati`).
+    """
+
+    def __init__(self, message, iterations, ratio, residual=None):
+        super().__init__(message, iterations=iterations, residual=residual)
+        self.ratio = ratio
+
+
 class MonotonicityViolation(CsviuError):
     """Value iteration lost its monotone ordering, which signals a numerical failure."""
 
@@ -38,29 +51,33 @@ class AssumptionViolated(CsviuError):
     """A positivity or convexity assumption required by the solver does not hold."""
 
 
+class ArgumentError(CsviuError, ValueError):
+    """A function argument fails its check: wrong type, shape or a non-finite entry."""
+
+
 def check_count(name: str, value, least: int) -> int:
-    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an
-    integer, not a bool, of at least ``least``."""
+    """``value`` as an int; :class:`ArgumentError` naming ``name`` unless it
+    is an integer, not a bool, of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
 def check_state(name: str, x, n: int) -> np.ndarray:
-    """``x`` as a float vector; ``ValueError`` naming ``name`` unless it has
-    length ``n`` and finite entries."""
+    """``x`` as a float vector; :class:`ArgumentError` naming ``name`` unless
+    it has length ``n`` and finite entries."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (n,):
-        raise ValueError(f"{name} has length {x.size}, expected {n}")
+        raise ArgumentError(f"{name} has length {x.size}, expected {n}")
     return check_matrix(name, x, (n,))
 
 
 def check_matrix(name: str, a, shape: tuple) -> np.ndarray:
-    """``a`` as a float array; ``ValueError`` naming ``name`` unless it has
-    shape ``shape`` and finite entries."""
+    """``a`` as a float array; :class:`ArgumentError` naming ``name`` unless
+    it has shape ``shape`` and finite entries."""
     a = np.asarray(a, dtype=float)
     if a.shape != shape:
-        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+        raise ArgumentError(f"{name} has shape {a.shape}, expected {shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite, got {a}")
+        raise ArgumentError(f"{name} must be finite, got {a}")
     return a

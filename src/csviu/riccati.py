@@ -21,6 +21,30 @@ fixed point.  On a plant with an unobserved, unstable mode the value iterates
 leave that mode alone, their gains never stabilize it, every try is refused
 and the result is that of value iteration alone.  Solves that converge before
 step 64 never reach a try.
+
+When no PSD fixed point exists, the stationary solver says so early, with a
+certificate from the recession map of the value map, the same map with the C
+and D terms dropped:
+
+    R_inf(P) = alpha [A'PA + Diag(diag(Sx'P Sx)) - Sh' Lh^{-1} Sh],
+    Sh = B'PA,  Lh = B'PB + Diag(diag(Su'P Su)).
+
+The value map is R(P) = min_G [(C + DG)'(C + DG) + alpha(...)] >= R_inf(P),
+both maps are monotone and R_inf is positively homogeneous.  So if a value
+iterate P_k > 0 has lambda = lambda_min(P_k^{-1/2} R_inf(P_k) P_k^{-1/2}) > 1,
+then P_{k+j} >= lambda^j P_k for every j; the iterates grow without bound,
+while they stay below every PSD fixed point, so there is none.  This is the
+Collatz-Wielandt bound for monotone, homogeneous cone maps (Lemmens &
+Nussbaum, Nonlinear Perron-Frobenius Theory, 2012).  The test fires when the
+smallest eigenvalue of R_inf(P_k) - P_k, which is positive exactly when
+lambda > 1, exceeds a rounding margin, and raises
+:class:`~csviu.errors.NoPSDSolution` with the step (``iterations``) and
+lambda (``ratio``).  It runs only in the stationary solve, at step 1 and
+then whenever max|P| has doubled since the last test, and skips a step whose
+P_k or Lh is not positive definite.  It only reads P, so a solve it does not
+stop ends exactly as without it.  Iterates that grow 1e6-fold without a
+certificate, for example with B = 0 and Su = 0 where Lh = 0, still raise
+:class:`~csviu.errors.MaxIterations` from the growth test.
 """
 
 from __future__ import annotations
@@ -34,6 +58,7 @@ from .errors import (
     AssumptionViolated,
     MaxIterations,
     MonotonicityViolation,
+    NoPSDSolution,
     SingularLambda,
     check_count,
 )
@@ -44,6 +69,8 @@ MONOTONE_TOL = 1e-10
 DIVERGENCE_FACTOR = 1e6
 _NEWTON_FIRST_TRY = 64  # value-iteration step of the first Newton try; each later try doubles it
 _NEWTON_STEPS = 50      # Newton steps one try may take before it is refused
+_CERTIFY_MARGIN = 1e-8  # rounding margin on lambda_min(R_inf(P) - P), relative to its terms
+_CURVATURE_COND = 1e6   # a certificate needs cond(Lh) below this, so Lh^{-1} adds little rounding
 
 
 @dataclass(frozen=True)
@@ -154,8 +181,10 @@ def _require_pd_curvature(model: SystemModel):
 def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = False):
     """Shared monotone iteration core; returns (P, iterations, newton_steps, history).
 
-    With a tolerance, a Newton finish (:func:`_newton_finish`) is tried after
-    steps 64, 128, 256, ...; its steps count against ``steps`` too.
+    With a tolerance, the infeasibility certificate (:func:`_no_psd_ratio`)
+    runs at step 1 and whenever max|P| has doubled since its last run, and a
+    Newton finish (:func:`_newton_finish`) is tried after steps 64, 128,
+    256, ...; Newton steps count against ``steps`` too.
     """
     n = ops.model.n
     P = np.zeros((n, n))
@@ -163,6 +192,7 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
     scale_ref = None
     delta = np.inf
     next_try = _NEWTON_FIRST_TRY
+    next_certificate = 0.0  # max|P| at which the certificate runs next
     for k in range(steps):
         P_next = symmetrize(ops.riccati_step(P), warn_tol=np.inf)
         diff = P_next - P
@@ -190,6 +220,17 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
             continue
         if delta <= tol:
             return P, k + 1, 0, history
+        if norm >= next_certificate:
+            next_certificate = 2.0 * norm
+            ratio = _no_psd_ratio(ops, P)
+            if ratio is not None:
+                raise NoPSDSolution(
+                    f"no positive semidefinite solution: certified at step {k + 1}, where "
+                    f"the recession map grows the value iterate by a factor {ratio:.6f} > 1",
+                    iterations=k + 1,
+                    ratio=ratio,
+                    residual=delta,
+                )
         if k + 1 == next_try:
             next_try *= 2
             finish = _newton_finish(ops, P, tol, min(_NEWTON_STEPS, steps - k - 1))
@@ -203,6 +244,34 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
             residual=delta,
         )
     return P, steps, 0, history
+
+
+def _no_psd_ratio(ops: OperatorSet, P: np.ndarray) -> float | None:
+    """Certified growth factor lambda > 1 of the recession map at ``P``, or None.
+
+    lambda = lambda_min(P^{-1/2} R_inf(P) P^{-1/2}) (see the module
+    docstring).  None when P or Lh is not positive definite, when
+    cond(Lh) >= ``_CURVATURE_COND``, or when lambda_min(R_inf(P) - P) does
+    not exceed the rounding margin.
+    """
+    md = ops.model
+    try:
+        chol = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return None
+    BP = md.B.T @ P
+    zu = np.einsum("pi,pq,qi->i", md.sigma_bar_u, P, md.sigma_bar_u)
+    w, V = np.linalg.eigh(BP @ md.B + np.diag(zu))
+    if w.size and w[0] * _CURVATURE_COND <= w[-1]:
+        return None
+    X = (V.T @ (BP @ md.A)) / np.sqrt(w)[:, None]  # X'X = Sh' Lh^{-1} Sh
+    grown = ops.second_moment_map(P)  # alpha (A'PA + Diag(diag(Sx'P Sx)))
+    gap = symmetrize(grown - ops.alpha * (X.T @ X) - P, warn_tol=np.inf)
+    margin = _CERTIFY_MARGIN * (float(np.abs(grown).max()) + float(np.abs(P).max()))
+    if np.linalg.eigvalsh(gap)[0] <= margin:
+        return None
+    inv_chol = np.linalg.inv(chol)
+    return 1.0 + float(np.linalg.eigvalsh(inv_chol @ gap @ inv_chol.T)[0])
 
 
 def _newton_finish(ops: OperatorSet, P: np.ndarray, tol: float, budget: int):
@@ -250,6 +319,17 @@ def solve_riccati(
     point (see the module docstring).  ``max_iters`` bounds value-iteration
     plus Newton steps; :class:`MaxIterations` is raised when the iterates
     diverge or the budget runs out.
+
+    A plant with no PSD fixed point is recognized early: at step 1 and then
+    whenever max|P| has doubled, the recession map of the value map is
+    tested at the value iterate P, and when it grows P by a factor
+    lambda > 1 in the semidefinite order, :class:`~csviu.errors.NoPSDSolution`
+    (a :class:`MaxIterations`) is raised with ``iterations`` the step and
+    ``ratio`` lambda.  A step whose P or control curvature Lh = B'PB +
+    Diag(diag(Su'P Su)) is not positive definite is skipped; iterates that
+    then grow 1e6-fold raise :class:`MaxIterations` from the growth test.
+    The test only reads P, so every solve that finds a fixed point returns
+    what it would without it.
     """
     if config is None:
         config = model.criterion or CriterionConfig()

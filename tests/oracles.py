@@ -64,6 +64,21 @@ def noisy_riccati_fixed_point(A, B, C, D, Sx, Su, alpha=1.0, rtol=1e-14, max_ite
     raise RuntimeError("oracle value iteration did not converge")
 
 
+def recession_ratio(A, B, Sx, Su, P, alpha=1.0):
+    """Smallest generalized eigenvalue of (R_inf(P), P) for a positive definite P.
+
+    R_inf(P) = alpha*(A'PA + Zx - N'(B'PB + Zu)^{-1}N) with N = B'PA is the
+    value map of :func:`noisy_riccati_fixed_point` with C and D dropped; the
+    pencil goes to scipy's generalized symmetric eigensolver.
+    """
+    A, B, Sx, Su, P = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, Sx, Su, P))
+    Zx = np.diag([s @ P @ s for s in Sx.T])
+    Zu = np.diag([s @ P @ s for s in Su.T])
+    N = B.T @ P @ A
+    R = alpha * (A.T @ P @ A + Zx - N.T @ np.linalg.solve(B.T @ P @ B + Zu, N))
+    return float(scipy.linalg.eigh(0.5 * (R + R.T), P, eigvals_only=True)[0])
+
+
 def dare_scipy(A, B, Q, R, N, alpha=1.0):
     """Same fixed point through scipy's solver (cross-check of the oracle itself)."""
     s = np.sqrt(alpha)

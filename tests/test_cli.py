@@ -254,6 +254,23 @@ class TestOutputDirectory:
         _, rows = _read_table(out / "overtake.csv")
         assert [int(r["kappa"]) for r in rows] == [0, 4]
 
+    @pytest.mark.parametrize("b, ok", [(0.02, False), (0.04, True)])
+    def test_overtake_flags_the_overtaking_condition(self, tmp_path, b, ok):
+        # rho(A + BG) < 1/alpha fails at b = 0.02 (rho = 0.9576 > 1/1.05) and holds at b = 0.04
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(support.stacked_output_data(0.99, b, 0.05, 0.1)))
+        out = tmp_path / "cmp"
+        code = main(
+            ["overtake", "--model", str(path), "--alpha", "1.05", "--paths", "10",
+             "--kappa-grid", "10", "--policy-b", "zero", "--x0", "1.0", "--out", str(out)]
+        )
+        assert code == 0
+        result = json.loads((out / "result.json").read_text())
+        sol = solve_riccati(load_model(path), alpha=1.05)
+        assert result["alpha_condition_ok"] is ok is sol.alpha_condition_ok
+        assert result["closed_loop_radius"] == sol.closed_loop_radius
+        assert (result["closed_loop_radius"] < 1 / 1.05) is ok
+
     def test_reruns_write_identical_results(self, tmp_path, model_file):
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
@@ -287,6 +304,14 @@ class TestExitCodes:
         code = main(["riccati", "--model", str(path), "--alpha", "1.0"])
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
+
+    def test_certified_infeasible_model_exits_with_its_ratio(self, tmp_path, capsys):
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(support.INFEASIBLE_DATA))
+        assert main(["riccati", "--model", str(path), "--alpha", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: no positive semidefinite solution")
+        assert "certified at step 1" in err and "1.009900" in err
 
     def test_expanding_discount_norms_fail_as_solver_error(self, model_file, capsys):
         code = main(["norms", "--model", model_file, "--alpha", "1.05", "--paths", "5"])

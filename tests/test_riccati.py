@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from csviu import (
     CriterionConfig,
     MaxIterations,
+    NoPSDSolution,
     OperatorSet,
     SingularLambda,
     SystemModel,
@@ -167,10 +169,14 @@ class TestFiniteHorizon:
 
 class TestFailureModes:
     def test_divergent_plant_reports_no_solution(self):
-        # uncontrollable expansion with the state fully weighted: U -> 4U + 1
+        # uncontrollable expansion with the state fully weighted: U -> 4U + 1;
+        # B = 0 and no control growth noise leave Lh = 0, so the certificate
+        # skips every step and the growth test answers
         model = _noise_free(2.0, 0.0, [[1.0], [0.0]], [[0.0], [1.0]])
-        with pytest.raises(MaxIterations, match="no positive semidefinite"):
+        growth = "no positive semidefinite.*grew by a factor"
+        with pytest.raises(MaxIterations, match=growth) as failure:
             solve_riccati(model, alpha=1.0)
+        assert type(failure.value) is MaxIterations
 
     def test_singular_curvature_rejected_up_front(self):
         model = _noise_free(0.5, 1.0, 1.0, 0.0)
@@ -247,12 +253,15 @@ class TestNewtonFinish:
         assert sol.closed_loop_radius > 1.0
 
     def test_infeasible_plant_still_raises_with_its_step_count(self, monkeypatch):
+        # the recession-map certificate answers at step 1, before any Newton try
         model = SystemModel.from_dict(support.INFEASIBLE_DATA)
         tries = _tries(monkeypatch)
         with pytest.raises(MaxIterations, match="no positive semidefinite") as failure:
             solve_riccati(model, alpha=1.0)
-        assert failure.value.iterations > 64 * 2 ** (len(tries) - 1)
-        assert tries and all(t is None for t in tries)
+        assert isinstance(failure.value, NoPSDSolution)
+        assert failure.value.iterations == 1
+        assert failure.value.ratio > 1.0
+        assert tries == []
 
     def test_budget_counts_newton_steps(self):
         model = SystemModel.from_dict(support.MARGINAL_DATA["marginal-b"])
@@ -274,6 +283,108 @@ class TestNewtonFinish:
                 np.testing.assert_array_equal(
                     sol.L, finite_horizon_riccati(model, alpha, sol.iterations)[0])
         assert tries == []
+
+
+def _certificates(monkeypatch, enabled=True):
+    """Record every certificate outcome; with ``enabled=False`` it never fires."""
+    outcomes = []
+    original = csviu.riccati._no_psd_ratio
+
+    def spy(ops, P):
+        ratio = original(ops, P) if enabled else None
+        outcomes.append(ratio)
+        return ratio
+
+    monkeypatch.setattr(csviu.riccati, "_no_psd_ratio", spy)
+    return outcomes
+
+
+def _solution_bits(sol):
+    return (sol.L.tobytes(), sol.G.tobytes(), sol.iterations, sol.newton_steps,
+            np.float64(sol.residual).tobytes())
+
+
+def _feasible_cases():
+    rng = np.random.default_rng(31)
+    cases = [pytest.param(model, alpha, id=f"{name}-{alpha}")
+             for name, model in support.regression_models() for alpha in (0.9, 1.0)]
+    cases += [pytest.param(SystemModel.from_dict(data), 1.0, id=name)
+              for name, data in sorted(support.MARGINAL_DATA.items())]
+    for k in range(12):
+        n, m = 2 + k % 5, 1 + k % 3
+        model = support.random_model(rng, n=n, m=m, p=n + m)
+        cases.append(pytest.param(model, 0.95, id=f"random-{k}"))
+    return cases
+
+
+def _infeasible_models(count=12):
+    """Seeded random plants with A and Su scaled up; each comes with the step
+    at which the 1e6 growth test stops the uncertified value iteration."""
+    rng = np.random.default_rng(7)
+    found = []
+    for _ in range(4 * count):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+        model = support.random_model(rng, n=n, m=m, radius=float(rng.uniform(1.2, 2.0)))
+        model = dataclasses.replace(model, sigma_bar_u=rng.standard_normal((n, m)))
+        try:
+            finite_horizon_riccati(model, 1.0, 2000)
+        except MaxIterations as exc:
+            found.append((model, exc.iterations))
+    assert len(found) >= count
+    return found[:count]
+
+
+class TestInfeasibilityCertificate:
+    @pytest.mark.parametrize("model,alpha", _feasible_cases())
+    def test_never_fires_on_feasible_plants(self, model, alpha, monkeypatch):
+        ratios = _certificates(monkeypatch)
+        sol = solve_riccati(model, alpha=alpha)
+        assert all(r is None for r in ratios)
+        if sol.iterations > 1:  # a solve settled at step 1 (P_1 = 0 on the scalar plants) skips it
+            assert ratios
+        # the uncertified solve ends bit for bit where the certified one does
+        _certificates(monkeypatch, enabled=False)
+        assert _solution_bits(solve_riccati(model, alpha=alpha)) == _solution_bits(sol)
+        if np.linalg.eigvalsh(sol.L)[0] > 0:
+            # at the fixed point R_inf(L) <= R(L) = L, so the ratio stays at most one
+            assert oracles.recession_ratio(model.A, model.B, model.sigma_bar_x,
+                                           model.sigma_bar_u, sol.L, alpha) <= 1.0
+
+    def test_fires_no_later_than_the_growth_test(self):
+        for model, growth_step in _infeasible_models():
+            with pytest.raises(NoPSDSolution, match="no positive semidefinite") as failure:
+                solve_riccati(model, alpha=1.0)
+            step, ratio = failure.value.iterations, failure.value.ratio
+            assert 1 <= step <= growth_step
+            # the certified iterate is the finite-horizon head at that step
+            P = finite_horizon_riccati(model, 1.0, step)[0]
+            want = oracles.recession_ratio(model.A, model.B, model.sigma_bar_x,
+                                           model.sigma_bar_u, P)
+            assert ratio > 1.0 and ratio == pytest.approx(want, rel=1e-9)
+
+    def test_scalar_ratio_matches_closed_form(self):
+        # P_1 = C'C = 1 and R_inf(p) = p (a^2 + sx^2 - a^2 b^2 / (b^2 + su^2))
+        model = SystemModel.from_dict(support.INFEASIBLE_DATA)
+        with pytest.raises(NoPSDSolution) as failure:
+            solve_riccati(model, alpha=1.0)
+        a, b, sx, su = 1.0, 0.005, 0.1, 0.5
+        assert failure.value.ratio == pytest.approx(
+            a * a + sx * sx - a * a * b * b / (b * b + su * su), rel=1e-12)
+        assert "1.009900" in str(failure.value)
+
+    def test_runs_when_the_iterate_has_doubled(self, monkeypatch):
+        model = SystemModel.from_dict(support.MARGINAL_DATA["marginal-a"])
+        ratios = _certificates(monkeypatch)
+        sol = solve_riccati(model, alpha=1.0)
+        # P_1 = 1 climbs to L ~ 900: step 1 plus one run per doubling
+        assert len(ratios) <= 2 + math.log2(float(sol.L.max()))
+        assert sol.iterations > 10 * len(ratios)
+
+    def test_finite_horizon_is_not_certified(self, monkeypatch):
+        ratios = _certificates(monkeypatch)
+        mats = finite_horizon_riccati(SystemModel.from_dict(support.INFEASIBLE_DATA), 1.0, 50)
+        assert len(mats) == 51 and ratios == []
+        assert mats[0][0, 0] > mats[1][0, 0] > 0.0
 
 
 def test_detectable_solution_closes_the_loop(scalar_model):
