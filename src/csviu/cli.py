@@ -41,9 +41,10 @@ from .region import scan_region
 from .riccati import solve_riccati
 from .simulator import (
     Policy,
+    _energy_estimate,
+    _output_squares,
     optimal_norms,
     overtaking_compare,
-    simulate,
 )
 from .stability import check_alpha_stability, check_detectability, detectability_search
 
@@ -268,14 +269,12 @@ def _cmd_simulate(args, run: _Run):
     policy = _policy(args.policy, run, sol)
     x0 = np.zeros(run.model.n) if args.x0 is None else np.array(_floats(args.x0))
     kappa = run.config.kappa if run.config.kappa is not None else 100
-    ens = simulate(run.model, policy, x0, kappa, run.config.paths, run.config.seed)
-    energy = ens.energy_estimate(run.config.alpha)
-    # per-stage means over paths, taken along contiguous stage rows: a mean
-    # down axis 0 would sum the paths in another order than a stage's column
-    means = [
-        np.ascontiguousarray(np.einsum("pkq,pkq->pk", a, a).T).mean(axis=1).tolist()
-        for a in (ens.outputs, ens.states, ens.controls)
-    ]
+    # one rollout that keeps |y_k|^2 of every path and the per-stage means of
+    # |y|^2, |x|^2 and |u|^2, not the whole ensemble
+    sq, table = _output_squares(run.model, policy, x0, kappa + 1, run.config.paths, run.config.seed,
+                                means=True)
+    energy = _energy_estimate(sq, run.config.alpha)
+    means = table.T.tolist()
     payload = {
         "policy": policy.kind,
         "x0": _jsonable(x0),

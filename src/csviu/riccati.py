@@ -44,11 +44,14 @@ then whenever max|P| has doubled since the last test, and skips a step whose
 P_k or Lh is not positive definite.  It only reads P, so a solve it does not
 stop ends exactly as without it.  Iterates that grow 1e6-fold without a
 certificate, for example with B = 0 and Su = 0 where Lh = 0, still raise
-:class:`~csviu.errors.MaxIterations` from the growth test.
+:class:`~csviu.errors.MaxIterations` from the growth test.  That test, too,
+belongs to the stationary solve: every finite-horizon iterate exists, so
+the backward recursion stops only at an iterate that is no longer finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -182,9 +185,12 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
     """Shared monotone iteration core; returns (P, iterations, newton_steps, history).
 
     With a tolerance, the infeasibility certificate (:func:`_no_psd_ratio`)
-    runs at step 1 and whenever max|P| has doubled since its last run, and a
-    Newton finish (:func:`_newton_finish`) is tried after steps 64, 128,
-    256, ...; Newton steps count against ``steps`` too.
+    runs at step 1 and whenever max|P| has doubled since its last run, the
+    1e6 growth test stops iterates that keep growing, and a Newton finish
+    (:func:`_newton_finish`) is tried after steps 64, 128, 256, ...; Newton
+    steps count against ``steps`` too.  Without one (the finite-horizon
+    recursion) every iterate is returned however large it grows, and only an
+    iterate that is no longer finite raises :class:`MaxIterations`.
     """
     n = ops.model.n
     P = np.zeros((n, n))
@@ -195,18 +201,22 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
     next_certificate = 0.0  # max|P| at which the certificate runs next
     for k in range(steps):
         P_next = symmetrize(ops.riccati_step(P), warn_tol=np.inf)
+        norm = float(np.abs(P_next).max())
+        if not math.isfinite(norm):
+            raise MaxIterations(
+                f"value iteration overflowed: iterate {k + 1} is not finite",
+                iterations=k + 1,
+                residual=norm,
+            )
         diff = P_next - P
         delta = float(np.abs(diff).max())
-        if np.linalg.eigvalsh(symmetrize(diff, warn_tol=np.inf)).min() < -MONOTONE_TOL * max(
-            1.0, float(np.abs(P_next).max())
-        ):
+        if np.linalg.eigvalsh(symmetrize(diff, warn_tol=np.inf)).min() < -MONOTONE_TOL * max(1.0, norm):
             raise MonotonicityViolation(
                 f"value iteration lost monotonicity at step {k + 1}"
             )
-        norm = float(np.abs(P_next).max())
         if scale_ref is None and norm > 0:
             scale_ref = norm
-        if scale_ref is not None and norm > DIVERGENCE_FACTOR * max(1.0, scale_ref):
+        if tol is not None and scale_ref is not None and norm > DIVERGENCE_FACTOR * max(1.0, scale_ref):
             raise MaxIterations(
                 "no positive semidefinite solution detected: iterates grew by a factor "
                 f"{norm / max(scale_ref, 1e-300):.2e} after {k + 1} steps",
@@ -372,7 +382,9 @@ def finite_horizon_riccati(model: SystemModel, alpha: float, kappa: int) -> list
 
     Returns ``[P_0, ..., P_kappa]`` with the terminal matrix zero; shares the
     iteration core with the stationary solver, so ``P_0`` equals the
-    kappa-th value iterate exactly.
+    kappa-th value iterate exactly.  The matrices may grow without bound
+    when the plant has no stationary solution; :class:`MaxIterations` is
+    raised only if one of them is no longer finite.
     """
     kappa = check_count("kappa", kappa, 0)
     _require_pd_curvature(model)

@@ -14,10 +14,18 @@ time (``_noise_chunks``, at most ``_CHUNK_BYTES``), so the noise a rollout
 holds is bounded by the chunk, not the horizon.  The streams are counter
 based, so the chunked draws equal one long draw per path, which
 :func:`draw_noise_block` returns whole.
+
+Only :func:`simulate` keeps the states, controls and outputs of every stage.
+The energy, power and overtaking estimators read nothing but |y_k|^2 of
+every path and stage, which ``_output_squares`` records as the rollout runs.
+Each product and reduction takes the same operands as on the ensemble, so
+the estimates equal those computed from :func:`simulate`'s arrays bit for
+bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -201,6 +209,59 @@ def _rollout(model: SystemModel, policy: Policy, X, stages: int, seed: int, nois
             X = step_batch(model, X, U, next(rows))
 
 
+def _start(model: SystemModel, x0, paths: int) -> np.ndarray:
+    """The (paths, n) stage-0 batch of a rollout from ``x0``; ``paths`` and ``x0`` checked."""
+    paths = check_count("paths", paths, 1)
+    return np.tile(check_state("x0", x0, model.n), (paths, 1))
+
+
+def _squares(A) -> np.ndarray:
+    """|a|^2 of every row of a (paths, q) batch."""
+    return np.einsum("pq,pq->p", A, A)
+
+
+def _output_square_stages(model: SystemModel, policy: Policy, X, stages: int, seed: int, noise_kind: str):
+    """Yield the (X, U, |y|^2 of every path) of each stage of :func:`_rollout`."""
+    for X, U in _rollout(model, policy, X, stages, seed, noise_kind):
+        yield X, U, _squares(X @ model.C.T + U @ model.D.T)
+
+
+def _output_squares(
+    model: SystemModel, policy: Policy, x0, stages: int, paths: int, seed: int,
+    noise_kind: str = "gaussian", means: bool = False,
+):
+    """|y_k|^2 of every path and stage of a rollout from ``x0``: a (paths, stages) matrix.
+
+    The run holds this matrix and one chunk of noise, not the ensemble.  With
+    ``means`` it also returns the (stages, 3) path means of |y|^2, |x|^2 and
+    |u|^2 at each stage, each taken over a contiguous vector of paths as
+    from a stage row of the ensemble; otherwise None.
+    """
+    X = _start(model, x0, paths)
+    sq = np.empty((X.shape[0], stages))
+    table = np.empty((stages, 3)) if means else None
+    for k, (X, U, y2) in enumerate(_output_square_stages(model, policy, X, stages, seed, noise_kind)):
+        sq[:, k] = y2
+        if means:
+            table[k] = y2.mean(), _squares(X).mean(), _squares(np.ascontiguousarray(U)).mean()
+    return sq, table
+
+
+def _discounted(sq, alpha) -> np.ndarray:
+    """Per-path discounted sums over the stages (columns) of ``sq``; alpha finite and > 0."""
+    _check_discount(alpha)
+    return sq @ alpha ** np.arange(sq.shape[1])
+
+
+def _energy_estimate(sq, alpha) -> "EnergyEstimate":
+    """Mean and standard error across paths of the discounted (paths, kappa+1) |y_k|^2 matrix."""
+    totals = _discounted(sq, alpha)
+    return EnergyEstimate(
+        mean=float(totals.mean()), stderr=float(mean_stderr(totals)), kappa=sq.shape[1] - 1,
+        paths=sq.shape[0],
+    )
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """Simulated trajectories; arrays indexed (path, stage, coordinate).
@@ -223,20 +284,17 @@ class PathEnsemble:
     def kappa(self) -> int:
         return self.states.shape[1] - 1
 
+    def _stage_squares(self) -> np.ndarray:
+        """|y_k|^2 of every path and stage: the (paths, kappa+1) matrix the estimators keep."""
+        return np.einsum("pkq,pkq->pk", self.outputs, self.outputs)
+
     def output_energy(self, alpha: float) -> np.ndarray:
         """Per-path discounted output energy over stages 0..kappa; alpha finite and > 0."""
-        _check_discount(alpha)
-        sq = np.einsum("pkq,pkq->pk", self.outputs, self.outputs)
-        weights = alpha ** np.arange(sq.shape[1])
-        return sq @ weights
+        return _discounted(self._stage_squares(), alpha)
 
     def energy_estimate(self, alpha: float) -> "EnergyEstimate":
         """Mean and standard error across paths of :meth:`output_energy`."""
-        totals = self.output_energy(alpha)
-        return EnergyEstimate(
-            mean=float(totals.mean()), stderr=float(mean_stderr(totals)), kappa=self.kappa,
-            paths=self.paths,
-        )
+        return _energy_estimate(self._stage_squares(), alpha)
 
 
 def simulate(
@@ -255,12 +313,12 @@ def simulate(
     argument.
     """
     kappa = check_count("kappa", kappa, 0)
-    paths = check_count("paths", paths, 1)
-    x0 = check_state("x0", x0, model.n)
+    X = _start(model, x0, paths)
+    paths = X.shape[0]
     states = np.empty((paths, kappa + 1, model.n))
     controls = np.empty((paths, kappa + 1, model.m))
     outputs = np.empty((paths, kappa + 1, model.p))
-    batches = _rollout(model, policy, np.tile(x0, (paths, 1)), kappa + 1, seed, noise_kind)
+    batches = _rollout(model, policy, X, kappa + 1, seed, noise_kind)
     for k, (X, U) in enumerate(batches):
         states[:, k] = X
         controls[:, k] = U
@@ -286,8 +344,16 @@ def estimate_energy(
     seed: int = 0,
     noise_kind: str = "gaussian",
 ) -> EnergyEstimate:
-    """Discounted output energy over stages 0..kappa, averaged across paths."""
-    return simulate(model, policy, x0, kappa, paths, seed, noise_kind).energy_estimate(alpha)
+    """Discounted output energy over stages 0..kappa, averaged across paths.
+
+    Equals ``simulate(...).energy_estimate(alpha)`` bit for bit, but holds
+    only the (paths, kappa+1) matrix of |y_k|^2.  ``alpha`` must be finite
+    and positive, checked with the counts and ``x0`` before any draw.
+    """
+    _check_discount(alpha)
+    kappa = check_count("kappa", kappa, 0)
+    sq, _ = _output_squares(model, policy, x0, kappa + 1, paths, seed, noise_kind)
+    return _energy_estimate(sq, alpha)
 
 
 @dataclass(frozen=True)
@@ -314,14 +380,14 @@ def estimate_power(
     The growth flag trips when the tail quarter of the mean power series runs
     hot against the preceding quarter, which indicates the time average is
     still climbing instead of settling.  ``kappa`` and ``burn_in`` are
-    integers with ``0 <= burn_in < kappa``.
+    integers with ``0 <= burn_in < kappa``.  The run holds only the
+    (paths, kappa) matrix of |y_k|^2.
     """
     kappa = check_count("kappa", kappa, 1)
     burn_in = check_count("burn_in", burn_in, 0)
     if burn_in >= kappa:
         raise ValueError(f"burn_in must lie in [0, kappa), got {burn_in}")
-    ens = simulate(model, policy, x0, kappa, paths, seed, noise_kind)
-    sq = np.einsum("pkq,pkq->pk", ens.outputs[:, :kappa, :], ens.outputs[:, :kappa, :])
+    sq, _ = _output_squares(model, policy, x0, kappa, paths, seed, noise_kind)
     averages = sq[:, burn_in:].mean(axis=1)
     stderr = float(mean_stderr(averages))
     series = sq.mean(axis=0)
@@ -496,10 +562,11 @@ def optimal_norms(
         )
     policy = Policy.optimal(sol, mu_kind=mu_kind, omega=omega, tol=sor_tol)
 
-    def run_stages(stages):
-        rho = np.empty((paths, stages))
+    def run_stages(stages, first=0):
+        """Stage residuals of stages first..stages-1 as a (paths, stages - first) array."""
+        rho = np.empty((paths, stages - first))
         batches = _rollout(model, policy, np.zeros((paths, model.n)), stages, seed, noise_kind)
-        for k, (X, U) in enumerate(batches):
+        for k, (X, U) in enumerate(itertools.islice(batches, first, None)):
             dev = U - X @ sol.G.T
             rho[:, k] = alpha * (
                 np.einsum("pi,ij,pj->p", dev, sol.Lambda, dev)
@@ -549,8 +616,8 @@ def optimal_norms(
         )
 
     stages = kappa if kappa is not None else max(1000, int(math.ceil(40.0 / max(1.0 - rho_cl, 1e-3))))
-    rho = run_stages(stages)
-    window = rho[:, stages // 2 :]
+    # only the settling window is read, so only it is kept
+    window = run_stages(stages, stages // 2)
     _check_settled(window, details)
     averages = window.mean(axis=1)
     power = varpi + float(averages.mean())
@@ -607,7 +674,9 @@ def overtaking_compare(
 
     Both policies see identical noise streams, so the difference column is a
     paired estimate; the scaled columns divide by alpha**kappa to stay finite
-    when the discount exceeds one and the horizon grows.
+    when the discount exceeds one and the horizon grows.  The two rollouts
+    run stage by stage side by side, so the comparison holds two stages of
+    |y|^2 and two chunks of noise whatever the horizon.
     """
     _check_discount(alpha)
     grid = list(kappa_grid)
@@ -618,16 +687,15 @@ def overtaking_compare(
         raise ValueError(f"kappa_grid must contain nonnegative integers, got {grid}")
     kappa_grid = sorted(int(k) for k in grid)
     k_max = kappa_grid[-1]
-    ens_a = simulate(model, policy_a, x0, k_max, paths, seed, noise_kind)
-    ens_b = simulate(model, policy_b, x0, k_max, paths, seed, noise_kind)
-    sq_a = np.einsum("pkq,pkq->pk", ens_a.outputs, ens_a.outputs)
-    sq_b = np.einsum("pkq,pkq->pk", ens_b.outputs, ens_b.outputs)
+    X = _start(model, x0, paths)
+    runs = (_output_square_stages(model, policy, X, k_max + 1, seed, noise_kind)
+            for policy in (policy_a, policy_b))
     rows = []
-    T = np.zeros(paths)
+    T = np.zeros(X.shape[0])
     grid = set(kappa_grid)
-    for k in range(k_max + 1):
+    for k, ((*_, sq_a), (*_, sq_b)) in enumerate(zip(*runs)):
         # scaled accumulator: T_k = sum_{j<=k} alpha^(j-k) (sq_a - sq_b)
-        T = T / alpha + (sq_a[:, k] - sq_b[:, k])
+        T = T / alpha + (sq_a - sq_b)
         if k in grid:
             scale = alpha**k
             mean_scaled = float(T.mean())

@@ -4,9 +4,8 @@ import json
 import numpy as np
 import pytest
 
-import csviu.cli
 import csviu.simulator
-from csviu import Policy, estimate_energy, optimal_control, scan_region, solve_riccati
+from csviu import Policy, estimate_energy, optimal_control, scan_region, simulate, solve_riccati
 from csviu.cli import main
 from csviu.model import load_model
 
@@ -206,15 +205,16 @@ class TestOutputDirectory:
             assert [float(v) for v in row[k + 4 :]] == want[k + 4 :].tolist()
 
     def test_simulate_energy_comes_from_its_one_simulation(self, tmp_path, model_file, monkeypatch):
+        # the energy and the stage table both come from one rollout, which
+        # keeps |y_k|^2 and the stage means instead of a whole ensemble
         calls = []
-        original = csviu.simulator.simulate
+        original = csviu.simulator._rollout
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(csviu.cli, "simulate", counted)
-        monkeypatch.setattr(csviu.simulator, "simulate", counted)
+        monkeypatch.setattr(csviu.simulator, "_rollout", counted)
         out = tmp_path / "sim"
         code = main(
             ["simulate", "--model", model_file, "--alpha", "0.9", "--kappa", "6", "--paths", "8",
@@ -242,6 +242,34 @@ class TestOutputDirectory:
         _, rows = _read_table(out / "stages.csv")
         assert len(rows) == 7
         assert float(rows[0]["mean_state_sq"]) == pytest.approx(0.0)  # x0 defaults to 0
+
+    @pytest.mark.parametrize("policy", ["optimal", "gain", "zero"])
+    def test_simulate_stage_table_equals_the_ensemble_means(self, tmp_path, policy):
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(support.README_DATA))
+        out = tmp_path / "sim"
+        code = main(
+            ["simulate", "--model", str(path), "--alpha", "0.95", "--kappa", "9", "--paths", "7",
+             "--policy", policy, "--mu", "asymptotic", "--seed", "2", "--x0", "0.3,-0.2",
+             "--out", str(out)]
+        )
+        assert code == 0
+        model = load_model(str(path))
+        sol = solve_riccati(model, alpha=0.95)
+        policies = {"optimal": Policy.optimal(sol, mu_kind="asymptotic"),
+                    "gain": Policy.linear(sol.G), "zero": Policy.zero(model.m)}
+        ens = simulate(model, policies[policy], [0.3, -0.2], 9, 7, 2)
+        _, rows = _read_table(out / "stages.csv")
+        columns = {"mean_output_sq": ens.outputs, "mean_state_sq": ens.states,
+                   "mean_control_sq": ens.controls}
+        for name, a in columns.items():
+            # each stage's mean over its contiguous row of paths
+            want = np.ascontiguousarray(np.einsum("pkq,pkq->pk", a, a).T).mean(axis=1)
+            got = np.array([float(row[name]) for row in rows])
+            assert got.tobytes() == want.tobytes(), name
+        result = json.loads((out / "result.json").read_text())
+        energy = ens.energy_estimate(0.95)
+        assert (result["energy_mean"], result["energy_stderr"]) == (energy.mean, energy.stderr)
 
     def test_overtake_writes_comparison_table(self, tmp_path, model_file):
         out = tmp_path / "cmp"

@@ -166,6 +166,23 @@ class TestFiniteHorizon:
         mats = finite_horizon_riccati(scalar_model, 0.9, np.int64(3))
         np.testing.assert_array_equal(mats[0], finite_horizon_riccati(scalar_model, 0.9, 3)[0])
 
+    def test_long_horizon_without_a_stationary_solution(self):
+        # every iterate exists; the 1e6 growth test of the stationary solve
+        # used to stop this recursion at step 934
+        mats = finite_horizon_riccati(SystemModel.from_dict(support.INFEASIBLE_DATA), 1.0, 2000)
+        assert len(mats) == 2001
+        heads = np.array([P[0, 0] for P in mats])
+        assert np.all(np.isfinite(heads)) and np.all(np.diff(heads) < 0.0)
+        assert heads[0] > 1e6 * heads[-2]
+
+    def test_an_iterate_that_is_not_finite_raises(self):
+        model = _noise_free(1e200, 0.0, [[1.0], [0.0]], [[0.0], [1.0]])
+        for solve in (lambda: finite_horizon_riccati(model, 1.0, 5), lambda: solve_riccati(model, 1.0)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(MaxIterations, match="iterate 2 is not finite") as failure:
+                    solve()
+            assert failure.value.iterations == 2
+
 
 class TestFailureModes:
     def test_divergent_plant_reports_no_solution(self):
@@ -317,19 +334,22 @@ def _feasible_cases():
     return cases
 
 
-def _infeasible_models(count=12):
+def _infeasible_models(monkeypatch, count=12):
     """Seeded random plants with A and Su scaled up; each comes with the step
     at which the 1e6 growth test stops the uncertified value iteration."""
     rng = np.random.default_rng(7)
     found = []
-    for _ in range(4 * count):
-        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 3))
-        model = support.random_model(rng, n=n, m=m, radius=float(rng.uniform(1.2, 2.0)))
-        model = dataclasses.replace(model, sigma_bar_u=rng.standard_normal((n, m)))
-        try:
-            finite_horizon_riccati(model, 1.0, 2000)
-        except MaxIterations as exc:
-            found.append((model, exc.iterations))
+    with monkeypatch.context() as patch:
+        _certificates(patch, enabled=False)
+        for _ in range(4 * count):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+            model = support.random_model(rng, n=n, m=m, radius=float(rng.uniform(1.2, 2.0)))
+            model = dataclasses.replace(model, sigma_bar_u=rng.standard_normal((n, m)))
+            try:
+                solve_riccati(model, alpha=1.0)
+            except MaxIterations as exc:
+                if "grew by a factor" in str(exc):
+                    found.append((model, exc.iterations))
     assert len(found) >= count
     return found[:count]
 
@@ -350,8 +370,8 @@ class TestInfeasibilityCertificate:
             assert oracles.recession_ratio(model.A, model.B, model.sigma_bar_x,
                                            model.sigma_bar_u, sol.L, alpha) <= 1.0
 
-    def test_fires_no_later_than_the_growth_test(self):
-        for model, growth_step in _infeasible_models():
+    def test_fires_no_later_than_the_growth_test(self, monkeypatch):
+        for model, growth_step in _infeasible_models(monkeypatch):
             with pytest.raises(NoPSDSolution, match="no positive semidefinite") as failure:
                 solve_riccati(model, alpha=1.0)
             step, ratio = failure.value.iterations, failure.value.ratio

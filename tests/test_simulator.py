@@ -20,7 +20,7 @@ from csviu import (
 )
 import csviu.simulator
 from csviu.model import NOISE_KINDS
-from csviu.simulator import draw_noise_block, path_rng, step_batch
+from csviu.simulator import draw_noise_block, mean_stderr, path_rng, step_batch
 
 import oracles
 import support
@@ -227,6 +227,10 @@ def _entry_calls(model):
         ),
         "estimate_power-kappa-bool": lambda: estimate_power(model, gain, kappa=True, x0=[1.0], paths=2),
         "estimate_energy-x0-nan": lambda: estimate_energy(model, gain, 0.9, 3, [np.nan], 4),
+        # the discount used to be checked only after the whole rollout
+        "estimate_energy-alpha-negative": lambda: estimate_energy(model, gain, -1.0, 300, [1.0], 2000),
+        "estimate_energy-alpha-nan": lambda: estimate_energy(model, gain, np.nan, 300, [1.0], 2000),
+        "estimate_energy-alpha-zero": lambda: estimate_energy(model, gain, 0.0, 300, [1.0], 2000),
         "simulate-x0-inf": lambda: simulate(model, gain, [np.inf], kappa=3, paths=2),
         "mu_rollout-x-nan": lambda: mu_rollout(sol, [np.nan], depth=2, paths=2),
     }
@@ -243,7 +247,10 @@ def test_bad_counts_and_states_are_named_before_any_draw(scalar_model, case, mon
         call()
 
 
-@pytest.mark.parametrize("entry", ["simulate", "optimal_norms", "mu_rollout", "overtaking_compare"])
+@pytest.mark.parametrize(
+    "entry",
+    ["simulate", "optimal_norms", "mu_rollout", "overtaking_compare", "estimate_energy", "estimate_power"],
+)
 def test_rollouts_draw_through_the_chunked_streams(scalar_model, entry, monkeypatch):
     # the "before any draw" tests intercept _noise_chunks, so it must be where rollouts draw
     class Drawn(Exception):
@@ -261,6 +268,8 @@ def test_rollouts_draw_through_the_chunked_streams(scalar_model, entry, monkeypa
         "overtaking_compare": lambda: overtaking_compare(
             scalar_model, 0.9, gain, gain, [1.0], [2], paths=2
         ),
+        "estimate_energy": lambda: estimate_energy(scalar_model, gain, 0.9, 2, [1.0], 2),
+        "estimate_power": lambda: estimate_power(scalar_model, gain, 2, [1.0], 2),
     }
     monkeypatch.setattr(csviu.simulator, "_noise_chunks", drawn)
     with pytest.raises(Drawn):
@@ -328,6 +337,126 @@ class TestChunkedStream:
             tracemalloc.stop()
         # the (paths, stages) residual array is a quarter of the block, the chunk 4 MB
         assert peak < block / 2, (peak, block)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _ensemble_squares(ens, stages=None):
+    """|y_k|^2 of the first ``stages`` stages, read off the ensemble's outputs."""
+    outputs = ens.outputs[:, :stages]
+    return np.einsum("pkq,pkq->pk", outputs, outputs)
+
+
+def _ensemble_energy(ens, alpha):
+    totals = _ensemble_squares(ens) @ alpha ** np.arange(ens.kappa + 1)
+    return [totals.mean(), mean_stderr(totals)]
+
+
+def _ensemble_power(ens, burn_in):
+    kappa = ens.kappa
+    sq = _ensemble_squares(ens, kappa)
+    averages = sq[:, burn_in:].mean(axis=1)
+    series = sq.mean(axis=0)
+    q3, q4 = series[kappa // 2 : 3 * kappa // 4], series[3 * kappa // 4 :]
+    growth = bool(q3.size and q4.size and q4.mean() > 1.5 * max(q3.mean(), 1e-300))
+    return [averages.mean(), mean_stderr(averages), growth]
+
+
+def _ensemble_overtaking(ens_a, ens_b, alpha, grid):
+    sq_a, sq_b = _ensemble_squares(ens_a), _ensemble_squares(ens_b)
+    T, rows = np.zeros(ens_a.paths), []
+    for k in range(ens_a.kappa + 1):
+        T = T / alpha + (sq_a[:, k] - sq_b[:, k])
+        if k in grid:
+            rows.append([T.mean() * alpha**k, mean_stderr(T) * alpha**k, T.mean(), mean_stderr(T)])
+    return rows
+
+
+def _ensemble_stationary_norm(sol, paths, seed, kind, stages):
+    """optimal_norms' power at discount one from the residuals of a whole ensemble."""
+    ens = simulate(sol.model, Policy.optimal(sol, mu_kind="asymptotic"), np.zeros(sol.model.n),
+                   stages - 1, paths, seed, kind)
+    rho = np.empty((paths, stages))
+    for k in range(stages):
+        # the rollout hands the residual contiguous (paths, .) batches
+        X, U = (np.ascontiguousarray(a[:, k]) for a in (ens.states, ens.controls))
+        dev = U - X @ sol.G.T
+        rho[:, k] = sol.alpha * (
+            np.einsum("pi,ij,pj->p", dev, sol.Lambda, dev)
+            + np.abs(X) @ sol.forms.Wxd
+            + np.abs(U) @ sol.forms.Wud
+        )
+    averages = rho[:, stages // 2 :].mean(axis=1)
+    return [sol.forms.varpi1 + float(averages.mean()), mean_stderr(averages)]
+
+
+_SQUARE_PLANTS = {
+    "readme": lambda: SystemModel.from_dict(support.README_DATA),
+    "n6": lambda: support.spectral_gap_model(np.random.default_rng(6), 6, 3),
+}
+
+
+class TestOutputSquares:
+    """The estimators keep only |y_k|^2, and equal their ensemble forms bit for bit."""
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("paths", [1, 2, 300])
+    @pytest.mark.parametrize("plant", sorted(_SQUARE_PLANTS))
+    def test_estimators_equal_their_ensemble_forms(self, plant, paths, kind):
+        model = _SQUARE_PLANTS[plant]()
+        sol = solve_riccati(model, alpha=0.95)
+        x0 = np.linspace(-0.5, 0.7, model.n)
+        policies = {"optimal": Policy.optimal(sol, mu_kind="asymptotic"),
+                    "linear": Policy.linear(sol.G), "zero": Policy.zero(model.m)}
+        kappa, burn_in, seed = 13, 3, 5
+        for name, policy in policies.items():
+            ens = simulate(model, policy, x0, kappa, paths, seed, kind)
+            energy = estimate_energy(model, policy, 0.95, kappa, x0, paths, seed, kind)
+            assert _bits([energy.mean, energy.stderr]) == _bits(_ensemble_energy(ens, 0.95)), name
+            assert (energy.kappa, energy.paths) == (kappa, paths)
+            power = estimate_power(model, policy, kappa, x0, paths, seed, kind, burn_in=burn_in)
+            got = [power.mean, power.stderr, power.growth_flag]
+            assert _bits(got) == _bits(_ensemble_power(ens, burn_in)), name
+        for (a, b), alpha in ((("optimal", "linear"), 1.0), (("zero", "optimal"), 1.1)):
+            grid = [0, 4, kappa]
+            rows = overtaking_compare(model, alpha, policies[a], policies[b], x0, grid, paths,
+                                      seed, kind)
+            ensembles = [simulate(model, policies[p], x0, kappa, paths, seed, kind) for p in (a, b)]
+            got = [[r.diff, r.stderr, r.diff_scaled, r.stderr_scaled] for r in rows]
+            assert _bits(got) == _bits(_ensemble_overtaking(*ensembles, alpha, grid)), (a, b)
+        sol1 = solve_riccati(model, alpha=1.0)
+        est = optimal_norms(sol1, paths=paths, seed=seed, noise_kind=kind, kappa=2 * kappa)
+        want = _ensemble_stationary_norm(sol1, paths, seed, kind, 2 * kappa)
+        assert _bits([est.power, est.power_stderr]) == _bits(want)
+
+    def test_energy_holds_a_third_of_the_ensemble_at_most(self):
+        model = SystemModel.from_dict(support.README_DATA)
+        sol = solve_riccati(model, alpha=0.95)
+        paths, kappa = 1000, 1000
+        ensemble = paths * (kappa + 1) * (model.n + model.m + model.p) * 8  # 48 MB
+        tracemalloc.start()
+        try:
+            estimate_energy(model, Policy.linear(sol.G), 0.95, kappa, np.zeros(2), paths, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (paths, kappa+1) matrix of |y_k|^2 is 8 MB, the noise chunk 4 MB
+        assert peak < ensemble / 3, (peak, ensemble)
+
+    def test_stationary_norm_holds_less_than_its_residual_array(self):
+        sol = solve_riccati(support.scalar_model(), alpha=1.0)
+        paths, stages = 2000, 1000
+        residuals = paths * stages * 8  # 16 MB
+        tracemalloc.start()
+        try:
+            optimal_norms(sol, paths=paths, seed=0, kappa=stages, mu_kind="zero")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the settling window is half the residual array, the noise chunk 4 MB
+        assert peak < residuals, (peak, residuals)
 
 
 class TestEnergy:
