@@ -372,16 +372,18 @@ def _slopes(sol: RiccatiSolution, X, Mu, mu_kind):
 def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
     """Stage solutions of a (rows, n) state batch under its :func:`_slopes`.
 
-    Returns ``(Z, Gamma, U, Mu, Bu, sweeps, residual)``: each row's iterate,
-    clipped vector and control from its last stage solve (one cold-start
-    :func:`_sor_sweeps` call), its slope and that solve's linear term
-    ``Bu = Mu B + 2 X Sigma'``; ``sweeps`` and ``residual`` are those of the
-    last call, for a batch of one the row's own.  A given ``Mu`` takes one
-    solve.  ``Mu=None`` resolves the frozen-sign slope row by row: each row
-    re-solves until its control sign pattern repeats, for at most
-    ``_MU_SWEEPS`` sweeps, and only the rows whose signs moved take part in
-    the next sweep.  A settled row's last solve already used its returned
-    slope; only rows still moving after the last sweep are solved once more.
+    Returns ``(Z, Gamma, U, Mu, Bu, sweeps, residual)``.  ``U`` and ``Mu``
+    hold every row's control from its last stage solve (a cold-start
+    :func:`_sor_sweeps` call) and the slope that solve used.  ``Z``,
+    ``Gamma``, ``Bu = Mu B + 2 X Sigma'``, ``sweeps`` and ``residual`` are
+    those of the last call alone, over the rows it solved; for a batch of
+    one that is the row's own last solve.  A given ``Mu`` takes one solve.
+    ``Mu=None`` resolves the frozen-sign slope row by row: each row re-solves
+    until its control sign pattern repeats, for at most ``_MU_SWEEPS``
+    sweeps, and only the rows whose signs moved take part in the next sweep,
+    which writes back only their controls and slopes.  A settled row's last
+    solve already used its returned slope; only rows still moving after the
+    last sweep are solved once more.
     """
     law, B = sol.law, sol.model.B
     R = 2.0 * X @ sol.Sigma.T
@@ -407,10 +409,9 @@ def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
             break
         live, Sx_l, R_l, Su_l = (a.take(moved, axis=0) for a in (live, Sx_l, R_l, Su_next))
         Mu_l = frozen_sign_slopes(sol, Sx_l, Su_l)
-        Bu_l = Mu_l @ B + R_l
-        Z_l, Gamma_l, U_l, sweeps, residual = solve(Bu_l)
-        for dst, src in zip((Z, Gamma, U, Mu, Bu), (Z_l, Gamma_l, U_l, Mu_l, Bu_l)):
-            dst[live] = src
+        Bu = Mu_l @ B + R_l
+        Z, Gamma, U_l, sweeps, residual = solve(Bu)
+        U[live], Mu[live] = U_l, Mu_l
     return Z, Gamma, U, Mu, Bu, sweeps, residual
 
 

@@ -1,5 +1,6 @@
 """Exception types and the argument checks shared across the solver modules."""
 
+import math
 import numbers
 
 import numpy as np
@@ -61,6 +62,15 @@ def check_count(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a float; :class:`ArgumentError` naming ``name`` unless it
+    is a finite real number, not a bool, with ``low < value < high``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and low < value < high)):
+        raise ArgumentError(f"{name} must be a finite real in ({low:g}, {high:g}), got {value!r}")
+    return float(value)
 
 
 def check_state(name: str, x, n: int) -> np.ndarray:

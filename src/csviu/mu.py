@@ -118,8 +118,8 @@ def mu_rollout(
     totals = np.zeros((paths, n))
     M = alpha * np.eye(n)
     Wxd, Wud = sol.forms.Wxd, sol.forms.Wud
-    batches = simulator._rollout(model, policy, np.tile(x, (paths, 1)), depth + 1, seed, noise_kind)
-    for X, U in batches:
+    batches = simulator._rollout(model, [policy], np.tile(x, (paths, 1)), depth + 1, seed, noise_kind)
+    for [(X, U)] in batches:
         drive = np.sign(X) * Wxd + (np.sign(U) * Wud) @ sol.G
         totals += drive @ M.T
         M = alpha * (sol.Acl.T @ M)

@@ -4,13 +4,18 @@ import pytest
 from csviu import (
     ArgumentError,
     CsviuError,
+    Policy,
     SystemModel,
+    estimate_energy,
     finite_horizon_riccati,
+    mu_rollout,
     one_step_variation_oracle,
     optimal_control,
+    optimal_norms,
+    overtaking_compare,
     solve_riccati,
 )
-from csviu.errors import check_count, check_matrix, check_state
+from csviu.errors import check_count, check_matrix, check_real, check_state
 
 import support
 
@@ -40,3 +45,48 @@ class TestHelpersRaiseArgumentError:
         with pytest.raises(ArgumentError, match="^P_next must be finite"):
             one_step_variation_oracle(model, 0.95, np.eye(2), np.full((2, 2), np.inf),
                                       x=[1.0, 0.0], u=[0.0], paths=10)
+
+
+class TestCheckReal:
+    def test_open_interval_and_finiteness(self):
+        assert check_real("a", 0.5, 0.0, 1.0) == 0.5 and type(check_real("a", np.float64(2), 0.0)) is float
+        for value in (0.0, 1.0, np.nan, np.inf):
+            with pytest.raises(ArgumentError, match=r"^a must be a finite real in \(0, 1\)"):
+                check_real("a", value, 0.0, 1.0)
+        with pytest.raises(ArgumentError, match=r"^b must be a finite real in \(-inf, inf\), got -inf$"):
+            check_real("b", -np.inf)
+
+    @pytest.mark.parametrize("value", [True, "0.9", None, np.array([0.9])],
+                             ids=["bool", "str", "None", "array"])
+    def test_only_real_numbers(self, value):
+        with pytest.raises(ArgumentError, match="^alpha must be a finite real"):
+            check_real("alpha", value, 0.0)
+
+
+def _discount_and_tolerance_calls():
+    model = SystemModel.from_dict(support.README_DATA)
+    sol = solve_riccati(model, alpha=0.95)
+    gain = Policy.linear(sol.G)
+    x0 = [1.0, 0.0]
+    return {
+        # a bool discount used to run as alpha = 1, a string or None to raise a bare TypeError
+        "alpha-bool-energy": lambda: estimate_energy(model, gain, True, 3, x0, 2),
+        "alpha-bool-overtaking": lambda: overtaking_compare(model, True, gain, gain, x0, [2], 2),
+        "alpha-str": lambda: estimate_energy(model, gain, "0.9", 3, x0, 2),
+        "alpha-None": lambda: overtaking_compare(model, None, gain, gain, x0, [2], 2),
+        "tail_tol-str-norms": lambda: optimal_norms(sol, paths=2, tail_tol="1e-3"),
+        "tail_tol-str-rollout": lambda: mu_rollout(sol, x0, paths=2, tail_tol="1e-3"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_discount_and_tolerance_calls()))
+def test_discounts_and_tail_tolerances_are_finite_reals(case, monkeypatch):
+    import csviu.simulator
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("noise drawn before the argument was checked")
+
+    call = _discount_and_tolerance_calls()[case]
+    monkeypatch.setattr(csviu.simulator, "_noise_chunks", no_draws)
+    with pytest.raises(ArgumentError, match=f"^{case.split('-')[0]} must be a finite real"):
+        call()

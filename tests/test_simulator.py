@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,18 @@ from csviu.simulator import draw_noise_block, mean_stderr, path_rng, step_batch
 
 import oracles
 import support
+
+
+_SQRT3 = np.sqrt(3.0)
+
+
+def _draws(kind, rng, shape):
+    """``shape`` draws of a noise kind from ``rng``, through numpy's API alone."""
+    if kind == "gaussian":
+        return rng.standard_normal(shape)
+    if kind == "rademacher":
+        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+    return rng.uniform(-_SQRT3, _SQRT3, size=shape)
 
 
 def _noise_free_model(A, B):
@@ -83,6 +97,27 @@ class TestRandomness:
         with pytest.raises(ValueError, match=name):
             path_rng(seed, index)
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_streams_are_philox_keyed_by_seed_then_path_index(self, kind):
+        # the seed is the high key word and the path index the low one
+        words = [0, 1, 2**63, 2**64 - 1]
+        for seed in words:
+            for index in words:
+                want = np.random.Generator(np.random.Philox(key=(seed << 64) | index))
+                got = path_rng(seed, index)
+                for shape in ((3, 2), (5,)):
+                    assert _draws(kind, got, shape).tobytes() == _draws(kind, want, shape).tobytes()
+
+    def test_importing_the_package_leaves_numpy_random_unloaded(self):
+        code = "import sys, csviu; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_seed_is_checked_without_any_path(self, scalar_model):
+        # no stream opened, so the seed used to go unchecked and an empty block came back
+        with pytest.raises(ValueError, match="seed"):
+            draw_noise_block(scalar_model, 3, 0, seed=-1)
+
     def test_simulate_refuses_a_fractional_seed(self, scalar_model):
         with pytest.raises(ValueError, match="seed"):
             simulate(scalar_model, Policy.zero(1), [1.0], kappa=2, paths=2, seed=1.5)
@@ -125,8 +160,7 @@ class TestRandomness:
     @pytest.mark.parametrize("per_chunk", [1, 3, 4])
     def test_chunks_continue_one_long_draw_per_path(self, scalar_model, monkeypatch, kind, per_chunk):
         paths, stages, d = 3, 10, 3
-        sample = csviu.simulator._sampler(kind)
-        expected = np.stack([sample(path_rng(4, p), (stages, d)) for p in range(paths)])
+        expected = np.stack([_draws(kind, path_rng(4, p), (stages, d)) for p in range(paths)])
         monkeypatch.setattr(csviu.simulator, "_CHUNK_BYTES", per_chunk * paths * d * 8)
         got = draw_noise_block(scalar_model, stages, paths, seed=4, kind=kind)
         assert got.tobytes() == expected.tobytes()
@@ -276,14 +310,15 @@ def test_rollouts_draw_through_the_chunked_streams(scalar_model, entry, monkeypa
         calls[entry]()
 
 
-def _reference_rollout(model, policy, X, stages, seed, noise_kind):
+def _reference_rollout(model, policies, X, stages, seed, noise_kind):
     """The stage loop over one whole-horizon block, read a stage at a time."""
     noise = draw_noise_block(model, max(stages - 1, 0), X.shape[0], seed, noise_kind)
+    states = [X] * len(policies)
     for k in range(stages):
-        U = policy.fn(X)
-        yield X, U
+        batches = [(X, policy.fn(X)) for policy, X in zip(policies, states)]
+        yield batches
         if k + 1 < stages:
-            X = step_batch(model, X, U, noise[:, k, :])
+            states = [step_batch(model, X, U, noise[:, k, :]) for X, U in batches]
 
 
 class TestChunkedStream:
@@ -755,6 +790,25 @@ class TestOptimalNorms:
 
 
 class TestOvertaking:
+    def test_both_rollouts_read_one_stream_set(self, monkeypatch):
+        model = SystemModel.from_dict(support.README_DATA)
+        sol = solve_riccati(model, alpha=0.95)
+        args = (model, 0.95, Policy.optimal(sol, mu_kind="asymptotic"), Policy.linear(sol.G),
+                [0.3, -0.2], [0, 4, 9])
+        want = overtaking_compare(*args, paths=7, seed=3)
+        calls = []
+        original = csviu.simulator._noise_chunks
+
+        def counted(*call_args):
+            calls.append(call_args[1:])
+            return original(*call_args)
+
+        monkeypatch.setattr(csviu.simulator, "_noise_chunks", counted)
+        got = overtaking_compare(*args, paths=7, seed=3)
+        assert calls == [(9, 7, 3, "gaussian")]
+        assert _bits([[r.diff, r.stderr, r.diff_scaled, r.stderr_scaled] for r in got]) == _bits(
+            [[r.diff, r.stderr, r.diff_scaled, r.stderr_scaled] for r in want])
+
     def test_identical_policies_tie_exactly(self, scalar_model):
         pol = Policy.zero(1)
         rows = overtaking_compare(
