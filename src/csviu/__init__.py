@@ -18,7 +18,6 @@ from .control import (
     optimal_control,
     optimal_control_batch,
     sor_solve,
-    stage_value,
 )
 from .errors import (
     ArgumentError,
@@ -38,7 +37,7 @@ from .model import (
 )
 from .mu import MuEstimate, mu_asymptotic, mu_bound, mu_rollout
 from .operators import NoiseForms, OperatorSet, spectral_radius
-from .region import GainTable, RegionMap, asymptotic_gain_table, scan_region
+from .region import RegionMap, scan_region
 from .riccati import RiccatiSolution, finite_horizon_riccati, solve_riccati
 from .simulator import (
     EnergyEstimate,

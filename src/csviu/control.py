@@ -522,29 +522,6 @@ def inaction_test(sol: RiccatiSolution, x, mu, channel: int | None = None):
     return inactive, margins
 
 
-def stage_value(sol: RiccatiSolution, x, u, mu) -> float:
-    """:func:`stage_value_batch` at one state, control and slope."""
-    return float(stage_value_batch(sol, x, u, mu)[0])
-
-
-def stage_value_batch(sol: RiccatiSolution, X, U, Mu):
-    """Telescoping-exact stage residuals over (paths, n)/(paths, m) batches.
-
-    Each row is alpha times (deviation - completion/4): the curvature-weighted
-    distance of ``u`` from the sign-frozen minimizer ``u0``, less the
-    completion term of the slope and deadzone pull ``h``.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    Mu = np.atleast_2d(np.asarray(Mu, dtype=float))
-    H = Mu @ sol.model.B + np.sign(U) * sol.forms.Wud
-    rhs = X @ sol.Sigma.T + 0.5 * H
-    U0 = -np.linalg.solve(sol.Lambda, rhs.T).T
-    dev = np.einsum("pi,ij,pj->p", U - U0, sol.Lambda, U - U0)
-    completion = np.einsum("pi,ij,pj->p", H, np.linalg.inv(sol.Lambda), H)
-    return sol.alpha * (dev - completion / 4.0)
-
-
 def optimal_control_batch(
     sol: RiccatiSolution,
     X,

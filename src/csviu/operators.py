@@ -10,8 +10,8 @@ piecewise-linear part of the cost through the diagonals returned in
 
 The second-moment map is written once, in
 :meth:`OperatorSet.second_moment_map`, on n x n matrices or stacks of them.
-The Riccati step, the closed-loop cost step and every certificate radius use
-it; the dense matrix of :meth:`OperatorSet.operator_matrix` is that map
+The Riccati step, the one-step variation oracle and every certificate radius
+use it; the dense matrix of :meth:`OperatorSet.operator_matrix` is that map
 applied to a basis of the symmetric matrices, in upper-triangle coordinates.
 Equations U - map(U) = Q are solved once, in
 :meth:`OperatorSet.lyapunov_solve`, on n x n matrices as well.
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MaxIterations, SingularLambda
+from .errors import MaxIterations, SingularLambda, check_real
 from .model import SystemModel
 
 SYMMETRY_WARN_TOL = 1e-9
@@ -90,14 +90,17 @@ def _diag_quad(S, U, T):
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Stateless bundle of the cost-propagation operators at a fixed discount."""
+    """Stateless bundle of the cost-propagation operators at a fixed discount.
+
+    ``alpha`` is stored as a float; anything but a finite real above zero
+    raises :class:`~csviu.errors.ArgumentError`.
+    """
 
     model: SystemModel
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", check_real("alpha", self.alpha, 0.0))
 
     def noise_quadratic_forms(self, U) -> NoiseForms:
         """Evaluate all noise corrections at ``U`` in one pass."""
@@ -131,10 +134,6 @@ class OperatorSet:
             out += (G.T * zu[..., None, :]) @ G
         return self.alpha * out
 
-    def lyapunov_step(self, U):
-        """One application of the discounted state-propagation map to ``U``."""
-        return self.second_moment_map(U)
-
     def sigma_lambda(self, U) -> SigmaLambda:
         md = self.model
         U = np.asarray(U, dtype=float)
@@ -153,7 +152,7 @@ class OperatorSet:
             raise SingularLambda(
                 "control curvature matrix is singular; the model needs D'D positive definite"
             ) from exc
-        return self.lyapunov_step(U) - self.alpha * Sigma.T @ gain_term + md.C.T @ md.C
+        return self.second_moment_map(U) - self.alpha * Sigma.T @ gain_term + md.C.T @ md.C
 
     def operator_matrix(self, F=None, G=None):
         """Matrix of :meth:`second_moment_map` on symmetric matrices.

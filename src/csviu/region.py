@@ -3,20 +3,17 @@
 The l1 term in the stage cost carves the state space into cells per control
 channel: a positive-action cell, a negative-action cell, and a deadzone whose
 boundary is a pair of parallel hyperplanes when the value slope is frozen.
-This module scans slices of the state space and tabulates the asymptotic
-affine feedback laws per sign pattern.
+This module scans slices of the state space and labels each cell.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .control import _inaction_margins, optimal_control, optimal_control_batch
-from .errors import CsviuError, check_count
-from .mu import mu_asymptotic
+from .errors import CsviuError, check_count, check_state
 from .riccati import RiccatiSolution
 
 # |u| at or below this labels a channel inactive; |margin| at or below it marks the boundary band
@@ -79,7 +76,7 @@ def scan_region(
     flagged in ``inconsistent`` (and means a bug, not a feature of the model).
     """
     n, m = sol.model.n, sol.model.m
-    axes = tuple(int(a) for a in (axes if np.iterable(axes) else (axes,)))
+    axes = tuple(check_count("axes", a, 0) for a in (axes if np.iterable(axes) else (axes,)))
     if len(axes) not in (1, 2) or len(set(axes)) != len(axes):
         raise ValueError(f"axes must be one or two distinct indices, got {axes}")
     if any(a < 0 or a >= n for a in axes):
@@ -90,9 +87,7 @@ def scan_region(
     if len(ranges) != len(axes):
         raise ValueError(f"need {len(axes)} ranges, got {len(ranges)}")
     resolution = check_count("resolution", resolution, 2)
-    base_point = np.zeros(n) if base_point is None else np.asarray(base_point, dtype=float).reshape(-1)
-    if base_point.shape != (n,):
-        raise ValueError(f"base_point has length {base_point.size}, expected {n}")
+    base_point = np.zeros(n) if base_point is None else check_state("base_point", base_point, n)
 
     gx, gy, points = _grid_points(n, axes, ranges, resolution, base_point)
     cells = points.shape[0]
@@ -139,42 +134,3 @@ def scan_region(
         mu_kind=mu_kind,
     )
 
-
-@dataclass(frozen=True)
-class GainTableRow:
-    sign_x: np.ndarray
-    sign_u: np.ndarray
-    mu: np.ndarray
-    offset: np.ndarray
-
-
-@dataclass(frozen=True)
-class GainTable:
-    """Affine laws u = gain @ x + offset, one row per frozen sign pattern.
-
-    The gain is shared by every pattern; only the offset moves, which is why
-    the deadzone boundaries of a frozen-sign regime are parallel hyperplanes.
-    """
-
-    gain: np.ndarray
-    rows: list[GainTableRow]
-
-
-def asymptotic_gain_table(sol: RiccatiSolution, sign_x_patterns=None) -> GainTable:
-    """Tabulate the frozen-sign affine feedback for every control sign pattern."""
-    n, m = sol.model.n, sol.model.m
-    if m > 8:
-        raise ValueError("the pattern table grows as 3**m; refusing m > 8")
-    if sign_x_patterns is None:
-        sign_x_patterns = [np.ones(n)]
-    rows = []
-    for s_x in sign_x_patterns:
-        s_x = np.asarray(s_x, dtype=float).reshape(-1)
-        for s_u in itertools.product((-1.0, 0.0, 1.0), repeat=m):
-            s_u = np.asarray(s_u)
-            mu = mu_asymptotic(sol, s_x, s_u)
-            offset = -0.5 * np.linalg.solve(
-                sol.Lambda, sol.model.B.T @ mu + sol.forms.Wud * s_u
-            )
-            rows.append(GainTableRow(sign_x=s_x.copy(), sign_u=s_u, mu=mu, offset=offset))
-    return GainTable(gain=sol.G.copy(), rows=rows)

@@ -357,12 +357,12 @@ def solve_riccati(
     Acl = model.A + model.B @ G
     closed_loop_radius = spectral_radius(Acl)
     alpha_condition_ok = None
-    if alpha > 1.0:
-        alpha_condition_ok = bool(closed_loop_radius < 1.0 / alpha)
+    if ops.alpha > 1.0:
+        alpha_condition_ok = bool(closed_loop_radius < 1.0 / ops.alpha)
 
     return RiccatiSolution(
         model=model,
-        alpha=alpha,
+        alpha=ops.alpha,
         L=L,
         G=G,
         Acl=Acl,

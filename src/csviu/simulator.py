@@ -540,7 +540,7 @@ def one_step_variation_oracle(
 
     # closed-form right side; the slope coupling uses an independent substream
     rhs_det = (
-        float(x @ (ops.lyapunov_step(P_next) + model.C.T @ model.C - P) @ x)
+        float(x @ (ops.second_moment_map(P_next) + model.C.T @ model.C - P) @ x)
         + alpha * float(u @ Lambda @ u)
         + float((alpha * forms.Wxd * np.sign(x) - r * np.sign(x)) @ x)
         + alpha * float((forms.Wud * np.sign(u) + 2.0 * Sigma @ x) @ u)

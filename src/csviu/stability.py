@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, check_count
 from .model import SystemModel
 from .operators import OperatorSet, spectral_radius, symmetrize
 
@@ -106,6 +106,7 @@ def check_alpha_stability(model: SystemModel, alpha: float, probes: int = 10, se
     doubling does not settle.
     """
     ops = OperatorSet(model, alpha)
+    probes = check_count("probes", probes, 0)
     n = model.n
     radius = ops.map_radius()
     d_stable = _strict_below(radius, 1.0)
@@ -134,7 +135,7 @@ def check_alpha_stability(model: SystemModel, alpha: float, probes: int = 10, se
             X = solved.U
             # (iii): positive definite witness of the one-step contraction
             witness = symmetrize(X[0], warn_tol=np.inf)
-            shrink = witness - ops.lyapunov_step(witness)
+            shrink = witness - ops.second_moment_map(witness)
             lyapunov_ok = _combine(_sign_ok(_min_eig_normalized(witness)),
                                    _sign_ok(_min_eig_normalized(shrink)))
             # (i): inverse positivity probed on the identity and the random inputs
@@ -211,8 +212,7 @@ def detectability_search(model: SystemModel, alpha: float, attempts: int = 30, s
     pseudo-inverse cancellation candidate, then seeded random perturbations
     around it, up to ``attempts`` candidate evaluations in total.
     """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
+    attempts = check_count("attempts", attempts, 1)
     H0 = -model.A @ np.linalg.pinv(model.C)
     candidates = [t * H0 for t in np.linspace(1.0, 0.0, num=min(attempts, 11))]
     rng = np.random.default_rng(seed)

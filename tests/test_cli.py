@@ -361,6 +361,10 @@ class TestExitCodes:
         code = main(["detect", "--model", model_file, "--injection", "1,oops"])
         assert code == 1
 
+    def test_zero_detect_attempts_is_a_validation_error(self, model_file, capsys):
+        assert main(["detect", "--model", model_file, "--attempts", "0"]) == 1
+        assert capsys.readouterr().err == "error: attempts must be an integer >= 1, got 0\n"
+
     def test_wrong_shape_injection_is_a_validation_error(self, model_file, capsys):
         code = main(["detect", "--model", model_file, "--injection", "1,2,3"])
         assert code == 1

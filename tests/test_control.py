@@ -21,11 +21,10 @@ from csviu import (
     scan_region,
     solve_riccati,
     sor_solve,
-    stage_value,
 )
 import csviu.control
 import csviu.mu
-from csviu.control import resolve_mu, sor_solve_batch, stage_value_batch
+from csviu.control import resolve_mu, sor_solve_batch
 
 import oracles
 import support
@@ -876,35 +875,6 @@ class TestInaction:
 
 
 class TestStageResiduals:
-    def test_discount_multiplies_deviation_and_completion(self, rng):
-        model = support.random_model(rng, n=2, m=1)
-        sol = solve_riccati(model, alpha=0.9)
-        x = rng.standard_normal(2)
-        u = rng.standard_normal(1)
-        mu = 0.1 * rng.standard_normal(2)
-        h = model.B.T @ mu + sol.forms.Wud * np.sign(u)
-        u0 = -np.linalg.solve(sol.Lambda, sol.Sigma @ x + 0.5 * h)
-        dev = (u - u0) @ sol.Lambda @ (u - u0)
-        completion = h @ np.linalg.solve(sol.Lambda, h)
-        assert stage_value(sol, x, u, mu) == pytest.approx(0.9 * (dev - completion / 4.0), abs=1e-12)
-
-    def test_ledger_identity_links_residual_to_stage_cost(self, rng):
-        # stage_value / alpha - J(u) must equal the control-independent shift
-        # plus the sign-coupled cross term, for any u
-        model = support.random_model(rng, n=3, m=2)
-        sol = solve_riccati(model, alpha=0.9)
-        x = rng.standard_normal(3)
-        mu = 0.1 * rng.standard_normal(3)
-        sub = optimal_control(sol, x, mu=mu).sub
-        lam_inv_sigma_x = np.linalg.solve(sol.Lambda, sol.Sigma @ x)
-        for _ in range(20):
-            u = rng.standard_normal(2)
-            h = model.B.T @ mu + sol.forms.Wud * np.sign(u)
-            shift = x @ sol.Sigma.T @ lam_inv_sigma_x + (sol.Sigma @ x) @ np.linalg.solve(sol.Lambda, h)
-            assert stage_value(sol, x, u, mu) / 0.9 - cost_Ju(sub, u) == pytest.approx(
-                shift, abs=1e-10
-            )
-
     def test_solved_control_minimizes_the_stage_cost(self, rng):
         model = support.random_model(rng, n=2, m=2)
         sol = solve_riccati(model, alpha=0.9)
@@ -915,26 +885,3 @@ class TestStageResiduals:
         for _ in range(100):
             probe = res.u_star + rng.standard_normal(2) * rng.choice([1e-4, 1e-2, 1.0])
             assert best <= cost_Ju(sub, probe) + 1e-12
-
-    def test_batch_matches_scalar_stage_values(self, rng):
-        model = support.random_model(rng, n=2, m=2)
-        sol = solve_riccati(model, alpha=0.9)
-        X = rng.standard_normal((12, 2))
-        U = rng.standard_normal((12, 2))
-        Mu = 0.1 * rng.standard_normal((12, 2))
-        batch = stage_value_batch(sol, X, U, Mu)
-        for row in range(12):
-            assert batch[row] == pytest.approx(
-                stage_value(sol, X[row], U[row], Mu[row]), abs=1e-11
-            )
-
-    def test_zero_deadzone_residual_is_pure_deviation(self, rng):
-        # without growth noise and slope the completion term vanishes and the
-        # residual is the weighted distance to the linear-gain control
-        model = support.random_model(rng, n=2, m=1, lq=True)
-        sol = solve_riccati(model, alpha=0.9)
-        x = rng.standard_normal(2)
-        u = rng.standard_normal(1)
-        dev = (u - sol.G @ x) @ sol.Lambda @ (u - sol.G @ x)
-        assert stage_value(sol, x, u, np.zeros(2)) == pytest.approx(0.9 * dev, abs=1e-12)
-        assert stage_value(sol, x, sol.G @ x, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)

@@ -6,6 +6,8 @@ from csviu import (
     CsviuError,
     Policy,
     SystemModel,
+    check_alpha_stability,
+    detectability_search,
     estimate_energy,
     finite_horizon_riccati,
     mu_rollout,
@@ -74,6 +76,13 @@ def _discount_and_tolerance_calls():
         "alpha-bool-overtaking": lambda: overtaking_compare(model, True, gain, gain, x0, [2], 2),
         "alpha-str": lambda: estimate_energy(model, gain, "0.9", 3, x0, 2),
         "alpha-None": lambda: overtaking_compare(model, None, gain, gain, x0, [2], 2),
+        # the synthesis layer: True used to run as alpha = 1, "0.9" to raise a bare
+        # TypeError, inf a SingularLambda and, in the certificates, a RuntimeWarning
+        "alpha-bool-riccati": lambda: solve_riccati(model, True),
+        "alpha-str-riccati": lambda: solve_riccati(model, "0.9"),
+        "alpha-inf-riccati": lambda: solve_riccati(model, np.inf),
+        "alpha-nan-riccati": lambda: solve_riccati(model, np.nan),
+        "alpha-inf-stability": lambda: check_alpha_stability(model, np.inf),
         "tail_tol-str-norms": lambda: optimal_norms(sol, paths=2, tail_tol="1e-3"),
         "tail_tol-str-rollout": lambda: mu_rollout(sol, x0, paths=2, tail_tol="1e-3"),
     }
@@ -90,3 +99,21 @@ def test_discounts_and_tail_tolerances_are_finite_reals(case, monkeypatch):
     monkeypatch.setattr(csviu.simulator, "_noise_chunks", no_draws)
     with pytest.raises(ArgumentError, match=f"^{case.split('-')[0]} must be a finite real"):
         call()
+
+
+def _count_calls():
+    model = SystemModel.from_dict(support.README_DATA)
+    return {
+        # True used to run one attempt and 2.5 to raise numpy's TypeError
+        "attempts-bool": lambda: detectability_search(model, 0.95, attempts=True),
+        "attempts-fraction": lambda: detectability_search(model, 0.95, attempts=2.5),
+        # -1 used to run no probe at all and 2.5 to raise a TypeError
+        "probes-negative": lambda: check_alpha_stability(model, 0.95, probes=-1),
+        "probes-fraction": lambda: check_alpha_stability(model, 0.95, probes=2.5),
+    }
+
+
+@pytest.mark.parametrize("case", list(_count_calls()))
+def test_certificate_counts_are_integers(case):
+    with pytest.raises(ArgumentError, match=f"^{case.split('-')[0]} must be an integer"):
+        _count_calls()[case]()

@@ -29,7 +29,7 @@ class TestNoiseFormsScalar:
         assert forms.Wud[0] == forms.Wu[0, 0]
 
     def test_propagation_and_gain_numerators(self, scalar_ops):
-        assert scalar_ops.lyapunov_step(self.U)[0, 0] == pytest.approx(
+        assert scalar_ops.second_moment_map(self.U)[0, 0] == pytest.approx(
             0.9 * (0.5 * 2.0 * 0.5 + 0.18), abs=1e-15  # 0.612
         )
         Sigma, Lambda = scalar_ops.sigma_lambda(self.U)
@@ -168,7 +168,8 @@ class TestOperatorMatrix:
         assert out.shape == (4, 3, 3)
         for U, got in zip(stack, out):
             np.testing.assert_allclose(got, _unvec(K @ _vec(U), 3), atol=1e-12)
-        np.testing.assert_array_equal(ops.second_moment_map(stack)[1], ops.lyapunov_step(stack[1]))
+        np.testing.assert_array_equal(ops.second_moment_map(stack)[1],
+                                      ops.second_moment_map(stack[1]))
 
     def test_random_maps_match_kron_oracle(self):
         # plant and closed-loop maps, rectangular control growth (n x m), both
@@ -205,7 +206,7 @@ class TestMonotoneAndLinear:
         U = rng.standard_normal((3, 3))
         V = rng.standard_normal((3, 3))
         U, V = U + U.T, V + V.T
-        for f in (ops.lyapunov_step, lambda W: ops.noise_quadratic_forms(W).Zx):
+        for f in (ops.second_moment_map, lambda W: ops.noise_quadratic_forms(W).Zx):
             np.testing.assert_allclose(f(U + 2.5 * V), f(U) + 2.5 * f(V), atol=1e-11)
 
     def test_monotone_on_psd_order(self, rng):
@@ -216,7 +217,7 @@ class TestMonotoneAndLinear:
             rv = rng.standard_normal((3, 3))
             V = rv @ rv.T
             U = V + ru @ ru.T  # U >= V in the semidefinite order
-            assert oracles.min_eig(ops.lyapunov_step(U) - ops.lyapunov_step(V)) >= -1e-10
+            assert oracles.min_eig(ops.second_moment_map(U) - ops.second_moment_map(V)) >= -1e-10
             forms_U = ops.noise_quadratic_forms(U)
             forms_V = ops.noise_quadratic_forms(V)
             assert np.all(np.diag(forms_U.Zx - forms_V.Zx) >= -1e-10)

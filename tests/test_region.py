@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -6,9 +7,9 @@ import pytest
 
 import csviu.region
 from csviu import (
+    ArgumentError,
     CsviuError,
     SystemModel,
-    asymptotic_gain_table,
     mu_asymptotic,
     optimal_control,
     scan_region,
@@ -127,6 +128,8 @@ class TestScan2D:
             scan_region(sol, axes=(0,), ranges=((-1, 1),), resolution=1)
         with pytest.raises(ValueError, match="base_point"):
             scan_region(sol, axes=(0,), ranges=((-1, 1),), base_point=[1.0])
+        with pytest.raises(ArgumentError, match="base_point must be finite"):
+            scan_region(sol, axes=(0,), ranges=((-1, 1),), base_point=[0.0, np.nan])
 
     @pytest.mark.parametrize("resolution", [2.5, True, "9"], ids=["fraction", "bool", "string"])
     def test_resolution_must_be_an_integer(self, rng, resolution):
@@ -135,37 +138,36 @@ class TestScan2D:
         with pytest.raises(ValueError, match="resolution"):
             scan_region(sol, axes=(0,), ranges=((-1, 1),), resolution=resolution)
 
+    @pytest.mark.parametrize("axes", [(0.5,), (True,), (0, 1.0)], ids=["fraction", "bool", "float"])
+    def test_axes_must_be_integers(self, rng, axes):
+        # 0.5 used to be truncated to axis 0 and scanned without a word
+        sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
+        with pytest.raises(ArgumentError, match="axes"):
+            scan_region(sol, axes=axes, ranges=((-1, 1),), resolution=3)
+
 
 class TestGainTable:
-    def test_zero_pattern_rows_have_zero_offset_without_growth_noise(self, rng):
-        model = support.random_model(rng, n=2, m=2, lq=True)
-        sol = solve_riccati(model, alpha=0.9)
-        table = asymptotic_gain_table(sol)
-        assert len(table.rows) == 9  # 3^2 control patterns for one state pattern
-        for row in table.rows:
-            np.testing.assert_allclose(row.offset, 0.0, atol=1e-12)
-            np.testing.assert_allclose(row.mu, 0.0, atol=1e-12)
-        np.testing.assert_array_equal(table.gain, sol.G)
+    """The law's affine form, u = G x + offset for each frozen sign pattern.
 
-    def test_offsets_follow_the_frozen_sign_formula(self, rng):
-        model = support.random_model(rng, n=2, m=1)
-        sol = solve_riccati(model, alpha=0.9)
-        patterns = [np.array([1.0, -1.0]), np.array([-1.0, -1.0])]
-        table = asymptotic_gain_table(sol, sign_x_patterns=patterns)
-        assert len(table.rows) == 6
-        for row in table.rows:
-            mu = mu_asymptotic(sol, row.sign_x, row.sign_u)
-            np.testing.assert_allclose(row.mu, mu, atol=1e-14)
-            expected = -0.5 * np.linalg.solve(
-                sol.Lambda, model.B.T @ mu + sol.forms.Wud * row.sign_u
-            )
-            np.testing.assert_allclose(row.offset, expected, atol=1e-14)
+    Deep inside an orthant neither the state nor the control signs flip, the
+    slope is mu = mu_asymptotic(sign x, sign u), and the stage solve returns
+    G x - Lambda^{-1} (B' mu + Wud o sign u) / 2: the perturbed affine
+    Riccati form and the generalized normal equation give one control.
+    """
+
+    @staticmethod
+    def _assert_affine(sol, x):
+        res = optimal_control(sol, x, mu_kind="asymptotic")
+        s_u = np.sign(res.u_star)
+        assert np.all(s_u != 0), "every channel acts deep inside an orthant"
+        mu = mu_asymptotic(sol, np.sign(x), s_u)
+        np.testing.assert_allclose(res.mu, mu, rtol=1e-12, atol=1e-14)
+        offset = -0.5 * np.linalg.solve(sol.Lambda, sol.model.B.T @ mu + sol.forms.Wud * s_u)
+        np.testing.assert_allclose(res.u_star, sol.G @ x + offset, rtol=1e-10, atol=1e-10)
 
     def test_affine_law_matches_control_deep_in_an_orthant(self):
-        # far from the deadzone the solved control is exactly gain @ x + offset
-        # for the realized sign pattern
         A = np.array([[0.5, 0.1], [0.0, 0.4]])
-        model_dict = {
+        model = SystemModel.from_dict({
             "A": A.tolist(), "B": np.eye(2).tolist(),
             "C": np.vstack([np.eye(2), np.zeros((2, 2))]).tolist(),
             "D": np.vstack([np.zeros((2, 2)), np.eye(2)]).tolist(),
@@ -174,32 +176,17 @@ class TestGainTable:
             "sigma_bar_x": (0.05 * np.eye(2)).tolist(),
             "sigma_u": (0.01 * np.eye(2)).tolist(),
             "sigma_bar_u": (0.05 * np.eye(2)).tolist(),
-        }
-        from csviu import SystemModel
-
-        model = SystemModel.from_dict(model_dict)
+        })
         sol = solve_riccati(model, alpha=0.9)
-        x = np.array([40.0, 30.0])
-        res = optimal_control(sol, x, mu_kind="asymptotic")
-        s_u = np.sign(res.u_star)
-        table = asymptotic_gain_table(sol, sign_x_patterns=[np.sign(x)])
-        match = [
-            row for row in table.rows if np.array_equal(row.sign_u, s_u)
-        ]
-        assert len(match) == 1
-        affine = table.gain @ x + match[0].offset
-        np.testing.assert_allclose(res.u_star, affine, rtol=1e-6, atol=1e-8)
+        for signs in itertools.product((1.0, -1.0), repeat=2):
+            self._assert_affine(sol, np.array(signs) * [40.0, 30.0])
 
-    def test_pattern_budget_guard(self, rng):
-        model = support.random_model(rng, n=2, m=1)
-        sol = solve_riccati(model, alpha=0.9)
-        table = asymptotic_gain_table(sol)
-        assert len(table.rows) == 3
-        big = support.synthetic_solution(
-            A=np.eye(2) * 0.5, B=np.zeros((2, 9)), G=np.zeros((9, 2))
-        )
-        with pytest.raises(ValueError, match="3\\*\\*m"):
-            asymptotic_gain_table(big)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_affine_law_on_random_plants(self, seed):
+        rng = np.random.default_rng(seed)
+        sol = solve_riccati(support.random_model(rng, n=3, m=2), alpha=0.9)
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            self._assert_affine(sol, 40.0 * np.array(signs) * (1.0 + rng.random(3)))
 
 
 def _fail_at_origin(monkeypatch):

@@ -69,7 +69,7 @@ class TestFiveConditions:
         assert report.verdict == "stable"
         U = report.lyapunov_witness
         ops = OperatorSet(scalar_model, 0.9)
-        np.testing.assert_allclose(U - ops.lyapunov_step(U), np.eye(1), atol=1e-10)
+        np.testing.assert_allclose(U - ops.second_moment_map(U), np.eye(1), atol=1e-10)
 
     def test_counter_discount_gate(self):
         # second moments shrink, but alpha*|eig A| = 1.05 blocks the alpha>=1 verdict
