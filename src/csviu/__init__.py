@@ -62,4 +62,14 @@ from .stability import (
     detectability_search,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ControlResult", "ControlSubproblem", "SorState", "cost_Ju", "inaction_test", "optimal_control",
+    "optimal_control_batch", "sor_solve", "ArgumentError", "AssumptionViolated", "CsviuError",
+    "MaxIterations", "ModelError", "MonotonicityViolation", "NoPSDSolution", "SeriesDivergent",
+    "SingularLambda", "CriterionConfig", "SystemModel", "load_model", "MuEstimate", "mu_asymptotic",
+    "mu_bound", "mu_rollout", "NoiseForms", "OperatorSet", "spectral_radius", "RegionMap", "scan_region",
+    "RiccatiSolution", "finite_horizon_riccati", "solve_riccati", "EnergyEstimate", "NormEstimates",
+    "OneStepCheck", "PathEnsemble", "Policy", "PowerEstimate", "estimate_energy", "estimate_power",
+    "one_step_variation_oracle", "optimal_norms", "overtaking_compare", "simulate", "step", "StabilityReport",
+    "check_alpha_stability", "check_detectability", "closed_loop_check", "detectability_search",
+]

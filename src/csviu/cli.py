@@ -124,7 +124,6 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_stability)
 
     p = common(sub.add_parser("detect", help="detectability search or check"))
-    p.add_argument("--attempts", type=int, default=30)
     p.add_argument("--injection", default=None,
                    help="output injection matrix to check, rows ; separated: 'a,b;c,d'")
     p.set_defaults(handler=_cmd_detect)
@@ -234,9 +233,8 @@ def _cmd_detect(args, run: _Run):
         check = check_detectability(run.model, run.config.alpha, H)
         return {"mode": "check", "ok": check.ok, "radius": check.radius,
                 "injection": _jsonable(H)}, []
-    H = detectability_search(run.model, run.config.alpha, attempts=args.attempts,
-                             seed=run.config.seed)
-    payload = {"mode": "search", "found": H is not None, "attempts": args.attempts}
+    H = detectability_search(run.model, run.config.alpha)
+    payload = {"mode": "search", "found": H is not None}
     if H is not None:
         check = check_detectability(run.model, run.config.alpha, H)
         payload.update(injection=_jsonable(H), radius=check.radius)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import _inaction_margins, optimal_control, optimal_control_batch
-from .errors import CsviuError, check_count, check_state
+from .errors import ArgumentError, CsviuError, check_count, check_real, check_state
 from .riccati import RiccatiSolution
 
 # |u| at or below this labels a channel inactive; |margin| at or below it marks the boundary band
@@ -78,14 +78,14 @@ def scan_region(
     n, m = sol.model.n, sol.model.m
     axes = tuple(check_count("axes", a, 0) for a in (axes if np.iterable(axes) else (axes,)))
     if len(axes) not in (1, 2) or len(set(axes)) != len(axes):
-        raise ValueError(f"axes must be one or two distinct indices, got {axes}")
+        raise ArgumentError(f"axes must be one or two distinct indices, got {axes}")
     if any(a < 0 or a >= n for a in axes):
-        raise ValueError(f"axes {axes} out of range for state dimension {n}")
-    ranges = tuple(tuple(map(float, rg)) for rg in np.atleast_2d(ranges))
+        raise ArgumentError(f"axes {axes} out of range for state dimension {n}")
+    ranges = tuple(tuple(check_real("ranges", v) for v in rg) for rg in np.atleast_2d(ranges))
     if len(ranges) == 1 and len(axes) == 2:
         ranges = (ranges[0], ranges[0])
     if len(ranges) != len(axes):
-        raise ValueError(f"need {len(axes)} ranges, got {len(ranges)}")
+        raise ArgumentError(f"need {len(axes)} ranges, got {len(ranges)}")
     resolution = check_count("resolution", resolution, 2)
     base_point = np.zeros(n) if base_point is None else check_state("base_point", base_point, n)
 

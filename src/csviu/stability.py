@@ -14,7 +14,8 @@ eigenvalues of the map on symmetric matrices (n(n+1)/2 square), above that
 power iteration on n x n matrices.  The solves of (I - L)U = Q and the exact
 resolvent radius come from :meth:`OperatorSet.lyapunov_solve`, which uses
 that the noise term has rank n: one batched Stein solve plus an n x n
-capacitance system.
+capacitance system.  The detectability search reads no radius: any P > 0 with
+P > L*(P) = alpha*(FPF' + Sx Diag(diag P) Sx'), the adjoint, proves rho(L) < 1.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, check_count
+from .errors import ModelError, check_count, check_real
 from .model import SystemModel
 from .operators import OperatorSet, spectral_radius, symmetrize
 
 MARGIN = 1e-10
+_DUAL_STEPS = 1000  # step budget of detectability_search
 
 
 def _strict_below(value, threshold, margin=MARGIN):
@@ -205,24 +207,24 @@ def check_detectability(model: SystemModel, alpha: float, H) -> DetectabilityChe
     return DetectabilityCheck(ok=bool(radius < 1.0), radius=radius)
 
 
-def detectability_search(model: SystemModel, alpha: float, attempts: int = 30, seed: int = 0):
+def detectability_search(model: SystemModel, alpha: float):
     """Look for an output injection certifying detectability; None when the search fails.
 
-    Deterministic for fixed arguments: a shrinking line search through the
-    pseudo-inverse cancellation candidate, then seeded random perturbations
-    around it, up to ``attempts`` candidate evaluations in total.
+    The filtering dual of the Riccati recursion: P <- I + L*(P) from P = I with
+    the H = -AP C'(CP C')^+ that minimizes FPF', returning H at the first P with
+    P - L*(P) > 0.  None means P grew past 1e6 (or to NaN) or _DUAL_STEPS ran out.
     """
-    attempts = check_count("attempts", attempts, 1)
-    H0 = -model.A @ np.linalg.pinv(model.C)
-    candidates = [t * H0 for t in np.linspace(1.0, 0.0, num=min(attempts, 11))]
-    rng = np.random.default_rng(seed)
-    scale = 1.0
-    while len(candidates) < attempts:
-        candidates.append(H0 + scale * rng.standard_normal(H0.shape))
-        scale *= 0.7
-    for H in candidates[:attempts]:
-        if check_detectability(model, alpha, H).ok:
+    alpha = check_real("alpha", alpha, 0.0)
+    A, C, Sx, P = model.A, model.C, model.sigma_bar_x, np.eye(model.n)
+    for _ in range(_DUAL_STEPS):
+        H = -A @ P @ C.T @ np.linalg.pinv(C @ P @ C.T, hermitian=True)
+        F = A + H @ C
+        adj = alpha * (F @ P @ F.T + (Sx * np.diag(P)) @ Sx.T)  # L*(P)
+        if _sign_ok(_min_eig_normalized(P - adj)):
             return H
+        P = np.eye(model.n) + adj
+        if not np.abs(P).max() <= 1e6:
+            return None
     return None
 
 

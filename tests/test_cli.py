@@ -83,6 +83,7 @@ class TestStdoutMode:
 
     def test_detect_search_finds_injection(self, capsys, model_file):
         payload = _run_json(capsys, ["detect", "--model", model_file, "--alpha", "0.9"])
+        assert "attempts" not in payload
         assert payload["mode"] == "search"
         assert payload["found"] is True
         assert payload["radius"] < 1.0
@@ -360,10 +361,6 @@ class TestExitCodes:
     def test_bad_injection_matrix(self, model_file, capsys):
         code = main(["detect", "--model", model_file, "--injection", "1,oops"])
         assert code == 1
-
-    def test_zero_detect_attempts_is_a_validation_error(self, model_file, capsys):
-        assert main(["detect", "--model", model_file, "--attempts", "0"]) == 1
-        assert capsys.readouterr().err == "error: attempts must be an integer >= 1, got 0\n"
 
     def test_wrong_shape_injection_is_a_validation_error(self, model_file, capsys):
         code = main(["detect", "--model", model_file, "--injection", "1,2,3"])

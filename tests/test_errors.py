@@ -83,6 +83,7 @@ def _discount_and_tolerance_calls():
         "alpha-inf-riccati": lambda: solve_riccati(model, np.inf),
         "alpha-nan-riccati": lambda: solve_riccati(model, np.nan),
         "alpha-inf-stability": lambda: check_alpha_stability(model, np.inf),
+        "alpha-bool-detect": lambda: detectability_search(model, True),
         "tail_tol-str-norms": lambda: optimal_norms(sol, paths=2, tail_tol="1e-3"),
         "tail_tol-str-rollout": lambda: mu_rollout(sol, x0, paths=2, tail_tol="1e-3"),
     }
@@ -104,9 +105,6 @@ def test_discounts_and_tail_tolerances_are_finite_reals(case, monkeypatch):
 def _count_calls():
     model = SystemModel.from_dict(support.README_DATA)
     return {
-        # True used to run one attempt and 2.5 to raise numpy's TypeError
-        "attempts-bool": lambda: detectability_search(model, 0.95, attempts=True),
-        "attempts-fraction": lambda: detectability_search(model, 0.95, attempts=2.5),
         # -1 used to run no probe at all and 2.5 to raise a TypeError
         "probes-negative": lambda: check_alpha_stability(model, 0.95, probes=-1),
         "probes-fraction": lambda: check_alpha_stability(model, 0.95, probes=2.5),

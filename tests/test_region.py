@@ -120,10 +120,6 @@ class TestScan2D:
     def test_axis_validation(self, rng):
         model = support.random_model(rng, n=2, m=1)
         sol = solve_riccati(model, alpha=0.9)
-        with pytest.raises(ValueError, match="axes"):
-            scan_region(sol, axes=(0, 0))
-        with pytest.raises(ValueError, match="out of range"):
-            scan_region(sol, axes=(0, 5))
         with pytest.raises(ValueError, match="resolution"):
             scan_region(sol, axes=(0,), ranges=((-1, 1),), resolution=1)
         with pytest.raises(ValueError, match="base_point"):
@@ -137,6 +133,19 @@ class TestScan2D:
         sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
         with pytest.raises(ValueError, match="resolution"):
             scan_region(sol, axes=(0,), ranges=((-1, 1),), resolution=resolution)
+
+    @pytest.mark.parametrize("axes, ranges, match", [
+        ((0, 0), ((-1, 1),), "axes must be one or two distinct"),
+        ((0, 5), ((-1, 1),), r"axes \(0, 5\) out of range"),
+        ((0,), ((-1, 1), (-1, 1)), "need 1 ranges, got 2"),
+        # a NaN or infinite end used to be reported as a bad state X
+        ((0,), ((-1, np.nan),), "ranges must be a finite real"),
+        ((0, 1), ((-1, 1), (-np.inf, 1)), "ranges must be a finite real"),
+    ], ids=["repeated-axis", "axis-out-of-range", "range-count", "nan-end", "infinite-end"])
+    def test_bad_axes_and_ranges_are_argument_errors(self, rng, axes, ranges, match):
+        sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
+        with pytest.raises(ArgumentError, match=match):
+            scan_region(sol, axes=axes, ranges=ranges, resolution=3)
 
     @pytest.mark.parametrize("axes", [(0.5,), (True,), (0, 1.0)], ids=["fraction", "bool", "float"])
     def test_axes_must_be_integers(self, rng, axes):

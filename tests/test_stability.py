@@ -224,13 +224,78 @@ class TestDetectability:
 
     def test_search_fails_when_output_is_blind(self):
         model = _plain(1.5, 0.0, C=np.zeros((1, 1)))
-        assert detectability_search(model, alpha=1.0, attempts=20) is None
+        assert detectability_search(model, alpha=1.0) is None
 
-    def test_search_is_deterministic(self):
+    def test_search_is_deterministic(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("the search drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
         model = _plain([[1.3, 0.2], [0.0, 1.1]], 0.05 * np.eye(2))
-        H1 = detectability_search(model, alpha=1.0, seed=3)
-        H2 = detectability_search(model, alpha=1.0, seed=3)
+        H1 = detectability_search(model, alpha=1.0)
+        H2 = detectability_search(model, alpha=1.0)
         np.testing.assert_array_equal(H1, H2)
+
+    def test_search_finds_the_injection_that_cancels_the_hidden_mode(self):
+        # the unstable x2' = 1.5 x2 reaches the output only through x1' = x2;
+        # H = (-1.5, -2.25)' makes A + HC nilpotent
+        model = SystemModel.from_dict({
+            "A": [[0.0, 1.0], [0.0, 1.5]], "B": [[1.0], [1.0]], "C": [[1.0, 0.0], [0.0, 0.0]],
+            "D": [[0.0], [1.0]], "sigma_bar_x": [[0.1, 0.0], [0.0, 0.1]],
+        })
+        assert check_detectability(model, 0.95, [[-1.5, 0.0], [-2.25, 0.0]]).ok
+        H = detectability_search(model, 0.95)
+        assert H is not None
+        assert check_detectability(model, 0.95, H).ok
+
+    @pytest.mark.parametrize("index", [1, 8, 13, 14])
+    def test_search_finds_seed7_plants(self, index):
+        model = _seed7_plants(index + 1)[index]
+        H = detectability_search(model, 0.95)
+        assert H is not None
+        assert check_detectability(model, 0.95, H).ok
+
+    def test_every_injection_found_passes_the_dense_radius_oracle(self):
+        found = 0
+        for model in _seed7_plants():
+            H = detectability_search(model, 0.95)
+            if H is None:
+                continue
+            found += 1
+            K = oracles.second_moment_matrix(model.A + H @ model.C, model.sigma_bar_x, 0.95)
+            assert spectral_radius(K) < 1.0
+        # the 7 plants missed are those whose dual iterate passes 1e6
+        assert found >= 293
+
+    def test_search_takes_no_radius(self, monkeypatch):
+        def no_radius(*args, **kwargs):
+            raise AssertionError("the search took a map radius")
+
+        n = 21  # above the dense route, where the radius is a power iteration
+        model = SystemModel(
+            A=np.diag(np.linspace(0.1, 0.8, n)), B=np.ones((n, 1)) / n,
+            C=np.vstack([np.eye(n), np.zeros((1, n))]), D=np.vstack([np.zeros((n, 1)), [[1.0]]]),
+            sigma=0.1 * np.ones((n, 1)), sigma_x=np.zeros((n, n)), sigma_bar_x=0.05 * np.eye(n),
+            sigma_u=0.1 * np.ones((n, 1)), sigma_bar_u=0.01 * np.ones((n, 1)),
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(OperatorSet, "map_radius", no_radius)
+            H = detectability_search(model, 0.95)
+        assert H is not None
+        assert check_detectability(model, 0.95, H).ok
+
+
+def _seed7_plants(count=300):
+    """n = 3 plants with one random output row over a zero control row."""
+    rng = np.random.default_rng(7)
+    plants = []
+    for _ in range(count):
+        A = 0.7 * rng.standard_normal((3, 3))
+        C = np.vstack([rng.standard_normal((1, 3)), np.zeros((1, 3))])
+        plants.append(SystemModel.from_dict({
+            "A": A, "B": np.ones((3, 1)), "C": C, "D": [[0.0], [1.0]], "sigma_bar_x": 0.1 * np.eye(3),
+        }))
+    return plants
 
 
 class TestClosedLoopCheck:
