@@ -25,11 +25,12 @@ from math import copysign
 
 import numpy as np
 
-from .errors import CsviuError, MaxIterations, SingularLambda, check_count, check_state
-from .mu import frozen_sign_slopes, mu_rollout
-from .riccati import RiccatiSolution, stage_data
+from .errors import ArgumentError, CsviuError, MaxIterations, check_count, check_state
+from .mu import mu_rollout
+from .riccati import FeedbackLaw, RiccatiSolution, stage_data
 
 _MU_SWEEPS = 3  # frozen-sign slope sweeps per state before its last pattern is kept
+_MU_KINDS = ("zero", "asymptotic", "rollout")
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class ControlSubproblem:
         c = np.asarray(c, dtype=float).reshape(-1)
         m = b.size
         if Lambda.shape != (m, m) or c.shape != (m,):
-            raise ValueError(
+            raise ArgumentError(
                 f"inconsistent sizes: Lambda {Lambda.shape}, b {b.shape}, c {c.shape}"
             )
         W, c = stage_data(Lambda, c)
@@ -75,8 +76,22 @@ def cost_Ju(sub: ControlSubproblem, u) -> float:
     return float(u @ sub.Lambda @ u + sub.b @ u + sub.c @ np.abs(u))
 
 
-def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
-    """Relaxation sweeps over a batch of instances sharing W and C.
+def check_relaxation(omega, tol) -> None:
+    """:class:`ArgumentError` unless ``omega`` lies in (0, 2) and ``tol`` is a finite number >= 0."""
+    if not (0.0 < omega < 2.0):
+        raise ArgumentError(f"omega must lie in (0, 2), got {omega}")
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise ArgumentError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def check_mu_kind(mu_kind) -> None:
+    """:class:`ArgumentError` unless ``mu_kind`` is "zero", "asymptotic" or "rollout"."""
+    if mu_kind not in _MU_KINDS:
+        raise ArgumentError(f"unknown mu_kind {mu_kind!r}; expected 'zero', 'asymptotic' or 'rollout'")
+
+
+def _sor_sweeps(law: FeedbackLaw, B, omega, Z0, tol, max_iters):
+    """Relaxation sweeps over a batch of instances sharing the law's W and c.
 
     B and Z0 are (paths, m); returns (Z, Gamma, Nu, iterations, residual).
     Each sweep updates the coordinates in order,
@@ -85,12 +100,15 @@ def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
     each row stops at the first sweep that brings its own normal-equation
     residual within ``tol``.  ``iterations`` and ``residual`` are the largest
     sweep count and final residual of any row.  A relaxation factor outside
-    (0, 2) raises ``ValueError`` and a nonpositive diagonal of W
+    (0, 2) raises :class:`ArgumentError` and a nonpositive diagonal of W
     :class:`SingularLambda`, both before any sweep; a row still outside
     ``tol`` after ``max_iters`` sweeps (a NaN residual included) raises one
     :class:`MaxIterations` with ``iterations=max_iters`` and that residual.
     A ``tol`` that is not a finite number >= 0 and a ``max_iters`` that is
-    not an integer >= 0 raise ``ValueError`` before any sweep as well.
+    not an integer >= 0 raise :class:`ArgumentError` before any sweep as
+    well.  The arguments are checked on every call; the diagonal of W, its
+    positivity check and the off-diagonal part the batch kernel multiplies
+    by are the law's cached constants (:class:`~csviu.riccati.FeedbackLaw`).
     A single row runs on Python floats (:func:`_sweeps_one`), since array
     calls cost more than the arithmetic at these sizes: on a straight-line
     kernel generated from the channel indices alone and compiled once per
@@ -101,16 +119,11 @@ def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
     single-row kernel.  The two kernels take the same steps and agree to
     rounding, so every row of a batch matches its own single-row solve.
     """
-    if not (0.0 < omega < 2.0):
-        raise ValueError(f"omega must lie in (0, 2), got {omega}")
-    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    check_relaxation(omega, tol)
     max_iters = check_count("max_iters", max_iters, 0)
-    Wd = W.diagonal()
-    if any(d <= 0.0 for d in Wd.tolist()):
-        raise SingularLambda("the relaxation matrix must have positive diagonal")
+    law.diagonal  # built and checked on first use: SingularLambda before any sweep
     kernel = _sweeps_one if B.shape[0] == 1 else _sweeps_batch
-    Z, Gamma, Nu, sweeps, residual = kernel(W, Wd, B, C, omega, Z0, tol, max_iters)
+    Z, Gamma, Nu, sweeps, residual = kernel(law, B, omega, Z0, tol, max_iters)
     if not residual <= tol:
         raise MaxIterations(
             f"relaxation did not reach tol={tol:.1e} in {max_iters} sweeps "
@@ -122,7 +135,7 @@ def _sor_sweeps(W, B, C, omega, Z0, tol, max_iters):
     return Z, Gamma, Nu, sweeps, residual
 
 
-def _sweeps_batch(W, Wd, B, C, omega, Z0, tol, max_iters):
+def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
     """The sweeps of :func:`_sor_sweeps` on a (paths, m) batch.
 
     The work arrays are held transposed, (m, rows), so each coordinate
@@ -134,6 +147,7 @@ def _sweeps_batch(W, Wd, B, C, omega, Z0, tol, max_iters):
     any row, or, once the budget runs out, the largest residual of the rows
     still sweeping.
     """
+    W, Wd, C, offdiag = law.W, law.diagonal, law.c, law.offdiag
     m, paths = W.shape[0], B.shape[0]
     B = np.ascontiguousarray(B.T)
     omega_B = omega * B
@@ -143,8 +157,6 @@ def _sweeps_batch(W, Wd, B, C, omega, Z0, tol, max_iters):
     Cc, Wdc = C[:, None], Wd[:, None]
     Gamma = np.minimum(np.maximum(Z, -Cc), Cc)
     S = Gamma + B
-    offdiag = W.copy()
-    np.fill_diagonal(offdiag, 0.0)
     out = live = None  # (Z, Gamma, Nu) of the whole batch and its rows still sweeping
     residual, top = 0.0, math.inf
     for sweep in range(1, max_iters + 1):
@@ -183,7 +195,7 @@ def _sweeps_batch(W, Wd, B, C, omega, Z0, tol, max_iters):
         live = live[stay]
         Z, Gamma, S, B, omega_B = (a.compress(stay, axis=1) for a in (Z, Gamma, S, B, omega_B))
         if live.size == 1:
-            z, g, nu, more, last = _sweeps_one(W, Wd, B.T, C, omega, Z.T, tol, max_iters - sweep)
+            z, g, nu, more, last = _sweeps_one(law, B.T, omega, Z.T, tol, max_iters - sweep)
             if z is None:
                 return None, None, None, max_iters, last
             for dst, src in zip(out, (z, g, nu)):
@@ -192,7 +204,7 @@ def _sweeps_batch(W, Wd, B, C, omega, Z0, tol, max_iters):
     return None, None, None, max_iters, top
 
 
-def _sweeps_one(W, Wd, B, C, omega, Z0, tol, max_iters):
+def _sweeps_one(law, B, omega, Z0, tol, max_iters):
     """The sweeps of :func:`_sor_sweeps` on one (1, m) row, over Python floats.
 
     Same update order, clip and residual as :func:`_sweeps_batch`; only the
@@ -221,9 +233,9 @@ def _sweeps_one(W, Wd, B, C, omega, Z0, tol, max_iters):
     stops at the first coordinate outside ``tol``; the residual is only read
     on convergence and when the budget runs out, so that moves no result.
     """
-    m = W.shape[0]
+    m = law.W.shape[0]
     kernel = _KERNELS.get(m) or _compile_kernel(m)
-    return kernel(W.tolist(), B[0].tolist(), C.tolist(), Z0[0].tolist(), omega, tol, max_iters)
+    return kernel(law.W.tolist(), B[0].tolist(), law.c.tolist(), Z0[0].tolist(), omega, tol, max_iters)
 
 
 _KERNELS = {}  # channel count m -> its compiled single-row sweep kernel
@@ -316,7 +328,7 @@ def sor_solve(
     m = sub.b.size
     Z0 = np.zeros((1, m)) if z0 is None else check_state("z0", z0, m)[None]
     Z, Gamma, Nu, iterations, residual = _sor_sweeps(
-        sub.W, sub.b[None], sub.c, omega, Z0, tol, max_iters
+        FeedbackLaw(W=sub.W, c=sub.c), sub.b[None], omega, Z0, tol, max_iters
     )
     return _sor_state(Z[0], Gamma[0], Nu[0], sub.c, iterations, residual)
 
@@ -343,7 +355,7 @@ def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=10000):
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Z0 = np.zeros_like(B)
-    _, _, Nu, _, _ = _sor_sweeps(sub_W, B, c, omega, Z0, tol, max_iters)
+    _, _, Nu, _, _ = _sor_sweeps(FeedbackLaw(W=sub_W, c=c), B, omega, Z0, tol, max_iters)
     return Nu
 
 
@@ -353,20 +365,19 @@ def _slopes(sol: RiccatiSolution, X, Mu, mu_kind):
     slopes :func:`_feedback` resolves with the stage solves."""
     rows, n = X.shape
     if n != sol.model.n:
-        raise ValueError(f"states have length {n}, expected {sol.model.n}")
+        raise ArgumentError(f"states have length {n}, expected {sol.model.n}")
     if Mu is not None:
         Mu = np.asarray(Mu, dtype=float)
         Mu = Mu.reshape(1, -1) if rows == 1 else np.atleast_2d(Mu)
         if Mu.shape != X.shape:
-            raise ValueError(f"slopes of shape {Mu.shape} do not match {rows} states of length {n}")
+            raise ArgumentError(f"slopes of shape {Mu.shape} do not match {rows} states of length {n}")
         return Mu
+    check_mu_kind(mu_kind)
     if mu_kind == "zero":
         return np.zeros(X.shape)
     if mu_kind == "rollout":
         return np.array([mu_rollout(sol, x).value for x in X]).reshape(X.shape)
-    if mu_kind == "asymptotic":
-        return None
-    raise ValueError(f"unknown mu_kind {mu_kind!r}; expected 'zero', 'asymptotic' or 'rollout'")
+    return None
 
 
 def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
@@ -374,41 +385,49 @@ def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
 
     Returns ``(Z, Gamma, U, Mu, Bu, sweeps, residual)``.  ``U`` and ``Mu``
     hold every row's control from its last stage solve (a cold-start
-    :func:`_sor_sweeps` call) and the slope that solve used.  ``Z``,
-    ``Gamma``, ``Bu = Mu B + 2 X Sigma'``, ``sweeps`` and ``residual`` are
-    those of the last call alone, over the rows it solved; for a batch of
-    one that is the row's own last solve.  A given ``Mu`` takes one solve.
-    ``Mu=None`` resolves the frozen-sign slope row by row: each row re-solves
-    until its control sign pattern repeats, for at most ``_MU_SWEEPS``
-    sweeps, and only the rows whose signs moved take part in the next sweep,
-    which writes back only their controls and slopes.  A settled row's last
-    solve already used its returned slope; only rows still moving after the
-    last sweep are solved once more.
+    :func:`_sor_sweeps` call on the solution's cached ``law``) and the slope
+    that solve used.  ``Z``, ``Gamma``, ``Bu = Mu B + 2 X Sigma'``, ``sweeps``
+    and ``residual`` are those of the last call alone, over the rows it
+    solved; for a batch of one that is the row's own last solve.  A given
+    ``Mu`` takes one solve.
+
+    ``Mu=None`` resolves the frozen-sign slope row by row.  The slope is
+    ``sign(x) gain_x' + sign(u) gain_u'`` with the solution's cached
+    ``slope_gains``, which exist only once the slope series is checked to
+    converge, so that check runs once per solution.  The state-sign part is
+    formed once per call and is the slope of the first solve; each re-solve
+    adds the control-sign part of its rows.  Each row re-solves until its
+    control sign pattern repeats, for at most ``_MU_SWEEPS`` sweeps, and only
+    the rows whose signs moved take part in the next sweep, which writes back
+    only their controls and slopes.  A settled row's last solve already used
+    its returned slope; only rows still moving after the last sweep are
+    solved once more.
     """
     law, B = sol.law, sol.model.B
     R = 2.0 * X @ sol.Sigma.T
 
     def solve(Bu):
-        return _sor_sweeps(law.W, Bu, law.c, omega, np.zeros_like(Bu), tol, max_iters)
+        return _sor_sweeps(law, Bu, omega, np.zeros_like(Bu), tol, max_iters)
 
     sweeping = Mu is None
     if sweeping:
-        Sx = np.sign(X)
-        Mu = frozen_sign_slopes(sol, Sx, np.zeros((X.shape[0], sol.model.m)))
+        gain_x, gain_u = sol.slope_gains
+        Mu = np.sign(X) @ gain_x.T
     Bu = Mu @ B + R
     Z, Gamma, U, sweeps, residual = solve(Bu)
     if not sweeping:
         return Z, Gamma, U, Mu, Bu, sweeps, residual
     U = np.ascontiguousarray(U)  # returned row-major, like the slopes
-    # rows whose signs still move, with their states' data
-    live, Sx_l, Su_l, R_l, U_l = np.arange(X.shape[0]), Sx, 0.0, R, U
+    # rows whose signs still move, with their state-sign slopes and data; Mx_l
+    # starts as Mu itself, which the first sweep's take copies before any write
+    live, Mx_l, Su_l, R_l, U_l = np.arange(X.shape[0]), Mu, 0.0, R, U
     for _ in range(_MU_SWEEPS):
         Su_next = np.sign(U_l)
         moved = np.flatnonzero(np.any(Su_next != Su_l, axis=1))
         if not moved.size:
             break
-        live, Sx_l, R_l, Su_l = (a.take(moved, axis=0) for a in (live, Sx_l, R_l, Su_next))
-        Mu_l = frozen_sign_slopes(sol, Sx_l, Su_l)
+        live, Mx_l, R_l, Su_l = (a.take(moved, axis=0) for a in (live, Mx_l, R_l, Su_next))
+        Mu_l = Mx_l + Su_l @ gain_u.T
         Bu = Mu_l @ B + R_l
         Z, Gamma, U_l, sweeps, residual = solve(Bu)
         U[live], Mu[live] = U_l, Mu_l
@@ -482,7 +501,8 @@ def optimal_control(
     certifies ``|nu + W (gamma + b)| <= tol`` on each row, and batches skip
     the extra solve per row.  ``margins`` are those of :func:`inaction_test`,
     read off the final stage problem's linear term.  A state of the wrong
-    length or with a non-finite entry raises ``ValueError`` before any sweep.
+    length or with a non-finite entry raises :class:`ArgumentError` before
+    any sweep.
     """
     x = check_state("x", x, sol.model.n)
     Z, Gamma, U, Mu, Bu, iterations, residual = _feedback(
@@ -544,10 +564,11 @@ def optimal_control_batch(
     (they agree with their batches of one to rounding, since the column
     kernel sums in another order).  The curvature data come from the
     solution's cached ``law``.
-    A row with a non-finite entry raises ``ValueError`` before any sweep.
+    A row with a non-finite entry raises :class:`ArgumentError` before any
+    sweep.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.isfinite(X).all():
         row = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise ValueError(f"X must be finite, got {X[row]} in row {row}")
+        raise ArgumentError(f"X must be finite, got {X[row]} in row {row}")
     return _feedback(sol, X, _slopes(sol, X, Mu, mu_kind), omega, tol, max_iters)[2:4]

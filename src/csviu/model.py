@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,12 @@ class CriterionConfig:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Plant matrices plus noise intensities; immutable once validated."""
+    """Plant matrices plus noise intensities; immutable once validated.
+
+    ``transition``, the stacked matrix of the transition map, is built on
+    first use and cached on the instance; ``dataclasses.replace`` starts a
+    fresh cache.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -151,6 +157,20 @@ class SystemModel:
     @property
     def r(self) -> int:
         return self.sigma.shape[1]
+
+    @cached_property
+    def transition(self) -> np.ndarray:
+        """The (2(n+m) + r+n+m, n) transition matrix, read-only.
+
+        The next state is ``[x, u, w, eps_x, eps_u, |x| o eps_x, |u| o eps_u] @ transition``
+        for the state x, control u and stacked noise (w, eps_x, eps_u): its row
+        blocks are A', B', sigma', sigma_x', sigma_u', sigma_bar_x' and
+        sigma_bar_u'.
+        """
+        T = np.vstack([getattr(self, name).T for name in
+                       ("A", "B", "sigma", "sigma_x", "sigma_u", "sigma_bar_x", "sigma_bar_u")])
+        T.flags.writeable = False
+        return T
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemModel":

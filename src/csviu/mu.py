@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesDivergent, check_count, check_state
+from .errors import check_count, check_state
 from .operators import spectral_radius
-from .riccati import RiccatiSolution
+from .riccati import RiccatiSolution, _require_contracting
 from . import simulator
 
 
@@ -30,13 +30,6 @@ class MuEstimate:
     stderr: np.ndarray | None = None
     depth: int | None = None
     paths: int | None = None
-
-
-def _require_contracting(alpha: float, radius: float, what: str):
-    if alpha * radius >= 1.0 - 1e-12:
-        raise SeriesDivergent(
-            f"{what} needs alpha * closed-loop radius < 1, got {alpha * radius:.6f}"
-        )
 
 
 def mu_bound(sol: RiccatiSolution) -> np.ndarray:
@@ -52,29 +45,21 @@ def mu_bound(sol: RiccatiSolution) -> np.ndarray:
     return alpha * amplification * (np.abs(sol.forms.Wxd) + np.abs(sol.G.T) @ np.abs(sol.forms.Wud))
 
 
-def frozen_sign_slopes(sol: RiccatiSolution, sign_X, sign_U) -> np.ndarray:
-    """Row-wise frozen-sign slopes for (rows, n) state and (rows, m) control sign patterns.
-
-    The slope ``slope_map @ (Wxd o s_x + G' (Wud o s_u))`` is linear in the
-    two sign patterns, so a batch of rows costs two matrix products with the
-    solution's cached ``slope_gains``, and no solve.
-    """
-    _require_contracting(sol.alpha, sol.closed_loop_radius, "the frozen-sign slope")
-    gain_x, gain_u = sol.slope_gains
-    return sign_X @ gain_x.T + sign_U @ gain_u.T
-
-
 def mu_asymptotic(sol: RiccatiSolution, sign_x, sign_u) -> np.ndarray:
     """Frozen-sign slope: exact in the limit where state and control signs stop flipping.
 
-    One row of :func:`frozen_sign_slopes`, for sign patterns of lengths n and m.
+    The slope ``slope_map @ (Wxd o s_x + G' (Wud o s_u))`` for sign patterns
+    of lengths n and m is linear in the two patterns, so it costs two
+    products with the solution's cached ``slope_gains``, and no solve; the
+    stage solves of :mod:`csviu.control` form the same products row-wise.
     """
     sign_x = np.asarray(sign_x, dtype=float).reshape(-1)
     sign_u = np.asarray(sign_u, dtype=float).reshape(-1)
     n, m = sol.model.n, sol.model.m
     if sign_x.shape != (n,) or sign_u.shape != (m,):
         raise ValueError(f"expected sign patterns of lengths {n} and {m}")
-    return frozen_sign_slopes(sol, sign_x[None], sign_u[None])[0]
+    gain_x, gain_u = sol.slope_gains
+    return (sign_x[None] @ gain_x.T + sign_u[None] @ gain_u.T)[0]
 
 
 def mu_rollout(

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import _inaction_margins, optimal_control, optimal_control_batch
+from .control import (
+    _inaction_margins, check_mu_kind, check_relaxation, optimal_control, optimal_control_batch,
+)
 from .errors import ArgumentError, CsviuError, check_count, check_real, check_state
 from .riccati import RiccatiSolution
 
@@ -88,6 +90,9 @@ def scan_region(
         raise ArgumentError(f"need {len(axes)} ranges, got {len(ranges)}")
     resolution = check_count("resolution", resolution, 2)
     base_point = np.zeros(n) if base_point is None else check_state("base_point", base_point, n)
+    # checked here, since the cell-by-cell fallback below absorbs every CsviuError
+    check_mu_kind(mu_kind)
+    check_relaxation(omega, tol)
 
     gx, gy, points = _grid_points(n, axes, ranges, resolution, base_point)
     cells = points.shape[0]

@@ -62,6 +62,7 @@ from .errors import (
     MaxIterations,
     MonotonicityViolation,
     NoPSDSolution,
+    SeriesDivergent,
     SingularLambda,
     check_count,
 )
@@ -90,10 +91,12 @@ class RiccatiSolution:
     :func:`~csviu.stability.detectability_search` answers it.
 
     Derived quantities are built on first use and cached on the instance:
-    ``law``, the checked stage-problem data every feedback solve shares,
+    ``law``, the checked stage-problem data every feedback solve shares
+    (with its own cached relaxation constants, see :class:`FeedbackLaw`),
     ``slope_map``, the resolvent of the frozen-sign value slope, and its
-    ``slope_gains``.  None is a field, so they take no part in comparisons,
-    and ``dataclasses.replace`` starts a fresh cache.
+    ``slope_gains``, built once the slope series is checked to converge.
+    None is a field, so they take no part in comparisons, and
+    ``dataclasses.replace`` starts a fresh cache.
     """
 
     model: SystemModel
@@ -140,9 +143,19 @@ class RiccatiSolution:
 
     @cached_property
     def slope_gains(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frozen-sign slope gains on the state and control sign patterns."""
+        """Frozen-sign slope gains on the state and control sign patterns.
+
+        Built only while ``alpha * closed_loop_radius < 1``, where the slope
+        series converges; otherwise :class:`SeriesDivergent` is raised, and
+        again on every later call, since a failed build is not cached.  Both
+        are stored column-major: the slopes are ``signs @ gain.T``, and BLAS
+        multiplies a tall batch by a small row-major right operand several
+        times faster than by a transposed view.
+        """
+        _require_contracting(self.alpha, self.closed_loop_radius, "the frozen-sign slope")
         M = self.slope_map
-        return _frozen(M * self.forms.Wxd), _frozen(M @ (self.G.T * self.forms.Wud))
+        gains = M * self.forms.Wxd, M @ (self.G.T * self.forms.Wud)
+        return tuple(_frozen(np.asfortranarray(g)) for g in gains)
 
 
 @dataclass(frozen=True)
@@ -151,11 +164,29 @@ class FeedbackLaw:
 
     ``W`` is half the inverse control curvature, symmetrized: the matrix the
     relaxation sweep runs on.  ``c`` holds the deadzone weights clipped at
-    zero.  Both arrays are read-only because every solve shares them.
+    zero.  The law a solution caches holds read-only arrays, because every
+    solve shares them.  The relaxation constants are built on first use and
+    cached on the instance: ``diagonal``, the diagonal of W, checked
+    positive, and ``offdiag``, W with its diagonal set to zero.
     """
 
     W: np.ndarray
     c: np.ndarray
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of W; :class:`SingularLambda` unless every entry is positive."""
+        Wd = self.W.diagonal()
+        if any(d <= 0.0 for d in Wd.tolist()):
+            raise SingularLambda("the relaxation matrix must have positive diagonal")
+        return Wd
+
+    @cached_property
+    def offdiag(self) -> np.ndarray:
+        """W with its diagonal set to zero, read-only."""
+        offdiag = np.array(self.W, dtype=float)
+        np.fill_diagonal(offdiag, 0.0)
+        return _frozen(offdiag)
 
 
 def stage_data(Lambda: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,6 +202,13 @@ def stage_data(Lambda: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _require_contracting(alpha: float, radius: float, what: str):
+    if alpha * radius >= 1.0 - 1e-12:
+        raise SeriesDivergent(
+            f"{what} needs alpha * closed-loop radius < 1, got {alpha * radius:.6f}"
+        )
 
 
 def _require_pd_curvature(model: SystemModel):

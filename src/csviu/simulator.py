@@ -16,6 +16,12 @@ the noise a rollout holds is bounded by the chunk, not the horizon.  The
 streams are counter based, so the chunked draws equal one long draw per path,
 which :func:`draw_noise_block` returns whole.
 
+A transition (:func:`step_batch`) is two BLAS products, not seven: the state
+term ``X A'`` and one product of the stacked operand ``[U, noise, |X| o Ex,
+|U| o Eu]``, held transposed, with the model's cached ``transition`` matrix.
+The stacked product rounds differently from the seven-term sum, in the last
+digits; a noise-free step is still exactly the mean map.
+
 The fixed costs per path are kept small.  A stream is opened with its key
 alone (``_streams``), where numpy's ``key=`` argument would first build an
 entropy-seeded ``SeedSequence`` and throw it away.  The seed is checked once
@@ -141,7 +147,7 @@ def _fill(kind: str):
     try:
         return _FILLS[kind]
     except KeyError:
-        raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}") from None
+        raise ArgumentError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}") from None
 
 
 def _noise_chunks(model: SystemModel, stages: int, paths: int, seed: int, kind: str):
@@ -197,11 +203,6 @@ def mean_stderr(samples):
     return samples.std(axis=0, ddof=1) / math.sqrt(rows)
 
 
-def _split_noise(model: SystemModel, noise):
-    r, n = model.r, model.n
-    return noise[..., :r], noise[..., r : r + n], noise[..., r + n :]
-
-
 def step(model: SystemModel, x, u, noise):
     """One transition from the stacked per-stage noise vector: a batch of one."""
     x, u, noise = (np.asarray(a, dtype=float).reshape(1, -1) for a in (x, u, noise))
@@ -209,17 +210,32 @@ def step(model: SystemModel, x, u, noise):
 
 
 def step_batch(model: SystemModel, X, U, noise):
-    """One transition of every row of a (paths, ...) state, control and noise batch."""
-    W, Ex, Eu = _split_noise(model, noise)
-    return (
-        X @ model.A.T
-        + U @ model.B.T
-        + W @ model.sigma.T
-        + Ex @ model.sigma_x.T
-        + (np.abs(X) * Ex) @ model.sigma_bar_x.T
-        + Eu @ model.sigma_u.T
-        + (np.abs(U) * Eu) @ model.sigma_bar_u.T
-    )
+    """One transition of every row of a (paths, ...) state, control and noise batch.
+
+    The seven-term sum ``X A' + U B' + W sigma' + Ex sigma_x' + (|X| o Ex)
+    sigma_bar_x' + Eu sigma_u' + (|U| o Eu) sigma_bar_u'`` is formed as two
+    products with the model's cached ``transition`` matrix: the state term
+    ``X A'``, plus one product of the stacked (paths, n+2m + r+n+m) operand
+    ``[U, noise, |X| o Ex, |U| o Eu]`` with the rows of ``transition`` below
+    A'.  The stacked product sums its six terms of each entry in one pass, so
+    the step rounds differently from the seven-term sum, in the last digits;
+    a noise-free step is still exactly ``X A' + U B'``.  The operand is held
+    transposed, one contiguous row per column, so every block is one copy
+    and every product one BLAS call.
+    """
+    n, q = model.n, model.n + model.m
+    d = noise.shape[-1]
+    operand = np.empty((2 * q + d, X.shape[0]))  # [X, U, noise, |X| o Ex, |U| o Eu], transposed
+    operand[:n] = X.T
+    operand[n:q] = U.T
+    operand[q : q + d] = noise.T
+    magnitudes = operand[q + d :]
+    np.abs(operand[:q], out=magnitudes)
+    magnitudes *= operand[q + model.r : q + d]
+    T = model.transition
+    out = operand[:n].T @ T[:n]
+    out += operand[n:].T @ T[n:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -240,8 +256,16 @@ class Policy:
 
     @staticmethod
     def optimal(sol, mu_kind: str = "zero", omega: float = 1.0, tol: float = 1e-10) -> "Policy":
-        """One :func:`~csviu.control.optimal_control_batch` call per state batch."""
-        from .control import optimal_control_batch
+        """One :func:`~csviu.control.optimal_control_batch` call per state batch.
+
+        ``mu_kind``, ``omega`` and ``tol`` are checked when the policy is
+        built, so a bad one raises :class:`ArgumentError` before a rollout
+        draws any noise.
+        """
+        from .control import check_mu_kind, check_relaxation, optimal_control_batch
+
+        check_mu_kind(mu_kind)
+        check_relaxation(omega, tol)
 
         def fn(X):
             return optimal_control_batch(sol, X, mu_kind=mu_kind, omega=omega, tol=tol)[0]
@@ -258,7 +282,7 @@ def _rollout(model: SystemModel, policies, X, stages: int, seed: int, noise_kind
     stage k uses row k; the rows come from :func:`_noise_chunks`, so the run
     holds one chunk of noise at a time whatever its horizon.  A policy must
     map the batch to (paths, m) controls; any other shape raises
-    ``ValueError`` naming the policy kind.
+    :class:`ArgumentError` naming the policy kind.
     """
     paths = X.shape[0]
     chunks = _noise_chunks(model, max(stages - 1, 0), paths, seed, noise_kind)
@@ -269,7 +293,7 @@ def _rollout(model: SystemModel, policies, X, stages: int, seed: int, noise_kind
         for policy, X in zip(policies, states):
             U = np.asarray(policy.fn(X), dtype=float)
             if U.shape != (paths, model.m):
-                raise ValueError(
+                raise ArgumentError(
                     f"policy {policy.kind!r} returned controls of shape {U.shape}, "
                     f"expected {(paths, model.m)}"
                 )
@@ -457,7 +481,7 @@ def estimate_power(
     kappa = check_count("kappa", kappa, 1)
     burn_in = check_count("burn_in", burn_in, 0)
     if burn_in >= kappa:
-        raise ValueError(f"burn_in must lie in [0, kappa), got {burn_in}")
+        raise ArgumentError(f"burn_in must lie in [0, kappa), got {burn_in}")
     sq, _ = _output_squares(model, policy, x0, kappa, paths, seed, noise_kind)
     averages = sq[:, burn_in:].mean(axis=1)
     stderr = float(mean_stderr(averages))
@@ -759,7 +783,7 @@ def overtaking_compare(
         isinstance(k, numbers.Real) and not isinstance(k, bool) and float(k).is_integer() and k >= 0
         for k in grid
     ):
-        raise ValueError(f"kappa_grid must contain nonnegative integers, got {grid}")
+        raise ArgumentError(f"kappa_grid must contain nonnegative integers, got {grid}")
     kappa_grid = sorted(int(k) for k in grid)
     k_max = kappa_grid[-1]
     X = _start(model, x0, paths)

@@ -186,6 +186,27 @@ def sor_sweeps_reference(W, b, c, omega, z0, tol, max_iters):
     return None, None, None, max_iters, residual
 
 
+def noisy_transition(A, B, sigma, sigma_x, sigma_bar_x, sigma_u, sigma_bar_u, X, U, noise):
+    """Next states of a (paths, n) batch, one path at a time.
+
+    x' = A x + B u + sigma w + (sigma_x + sigma_bar_x Diag|x|) eps_x
+    + (sigma_u + sigma_bar_u Diag|u|) eps_u, where each row of ``noise`` stacks
+    (w, eps_x, eps_u).  With every argument replaced by its absolute value it
+    returns the sum of the terms' magnitudes, the scale of the rounding error.
+    """
+    A, B, sigma, sigma_x, sigma_bar_x, sigma_u, sigma_bar_u = (
+        np.atleast_2d(np.asarray(M, dtype=float))
+        for M in (A, B, sigma, sigma_x, sigma_bar_x, sigma_u, sigma_bar_u)
+    )
+    n, r = A.shape[0], sigma.shape[1]
+    out = np.empty((len(X), n))
+    for p, (x, u, e) in enumerate(zip(X, U, noise)):
+        w, ex, eu = e[:r], e[r : r + n], e[r + n :]
+        out[p] = (A @ x + B @ u + sigma @ w + (sigma_x + sigma_bar_x * np.abs(x)) @ ex
+                  + (sigma_u + sigma_bar_u * np.abs(u)) @ eu)
+    return out
+
+
 def stationary_second_moment(Acl, floor_cov):
     """X solving X = Acl X Acl' + floor_cov (stable Acl, additive noise only)."""
     return scipy.linalg.solve_discrete_lyapunov(np.atleast_2d(Acl), np.atleast_2d(floor_cov))

@@ -25,6 +25,7 @@ from csviu import (
 import csviu.control
 import csviu.mu
 from csviu.control import resolve_mu, sor_solve_batch
+from csviu.riccati import FeedbackLaw
 
 import oracles
 import support
@@ -286,7 +287,7 @@ def test_an_empty_budget_raises_max_iterations(rows):
 
 def _sweeps_or_failure(W, B, c, omega):
     try:
-        return csviu.control._sor_sweeps(W, B, c, omega, np.zeros_like(B), 1e-12, 1000)
+        return csviu.control._sor_sweeps(FeedbackLaw(W=W, c=c), B, omega, np.zeros_like(B), 1e-12, 1000)
     except MaxIterations as exc:
         return exc
 
@@ -354,7 +355,7 @@ class TestBatchRowsLeaveOnConvergence:
         singles = [sor_solve(replace(sub, b=b)) for b in B]
         assert [state.iterations for state in singles] == MIXED_SWEEPS
         Z, Gamma, Nu, sweeps, residual = csviu.control._sor_sweeps(
-            W, B, c, 1.0, np.zeros_like(B), 1e-10, 10000
+            FeedbackLaw(W=W, c=c), B, 1.0, np.zeros_like(B), 1e-10, 10000
         )
         assert sweeps == max(MIXED_SWEEPS)
         assert residual <= 1e-10
@@ -373,9 +374,9 @@ class TestBatchRowsLeaveOnConvergence:
         budgets = []
         scalar = csviu.control._sweeps_one
 
-        def spy(W, Wd, B, C, omega, Z0, tol, max_iters):
+        def spy(law, B, omega, Z0, tol, max_iters):
             budgets.append((B.shape[0], max_iters))
-            return scalar(W, Wd, B, C, omega, Z0, tol, max_iters)
+            return scalar(law, B, omega, Z0, tol, max_iters)
 
         monkeypatch.setattr(csviu.control, "_sweeps_one", spy)
         W, B, c, _ = _mixed_rows()
@@ -417,7 +418,7 @@ def _kernel_or_failure(sub, omega, z0=None, tol=1e-12, max_iters=1000):
     z0 = np.zeros(sub.b.size) if z0 is None else np.asarray(z0, dtype=float)
     try:
         Z, Gamma, Nu, sweeps, residual = csviu.control._sor_sweeps(
-            sub.W, sub.b[None], sub.c, omega, z0[None], tol, max_iters
+            FeedbackLaw(W=sub.W, c=sub.c), sub.b[None], omega, z0[None], tol, max_iters
         )
     except MaxIterations as exc:
         return None, None, None, exc.iterations, exc.residual

@@ -115,3 +115,43 @@ def _count_calls():
 def test_certificate_counts_are_integers(case):
     with pytest.raises(ArgumentError, match=f"^{case.split('-')[0]} must be an integer"):
         _count_calls()[case]()
+
+
+def _value_error_sites():
+    """One call per former ``raise ValueError`` of the feedback and simulation modules."""
+    from csviu import ControlSubproblem, estimate_power, scan_region, simulate, sor_solve
+    from csviu.control import optimal_control_batch
+
+    model = SystemModel.from_dict(support.README_DATA)
+    sol = solve_riccati(model, alpha=0.95)
+    gain = Policy.linear(sol.G)
+    sub = ControlSubproblem.from_parts(np.eye(2), [1.0, -1.0], [0.5, 0.5])
+    X, x0 = np.ones((3, 2)), [1.0, 0.0]
+    return {
+        "from_parts-sizes": (lambda: ControlSubproblem.from_parts(np.eye(2), [1.0], [0.5]),
+                             "inconsistent sizes"),
+        "omega": (lambda: sor_solve(sub, omega=2.5), "omega must lie in"),
+        "tol": (lambda: sor_solve(sub, tol=-1.0), "tol must be a finite number"),
+        "state-length": (lambda: optimal_control_batch(sol, np.ones((3, 3))), "states have length 3"),
+        "slope-shape": (lambda: optimal_control_batch(sol, X, Mu=np.ones((3, 3))), "slopes of shape"),
+        "mu_kind": (lambda: optimal_control_batch(sol, X, mu_kind="sideways"), "unknown mu_kind"),
+        "non-finite-X": (lambda: optimal_control_batch(sol, [[np.nan, 0.0]]), "X must be finite"),
+        "noise-kind": (lambda: simulate(model, gain, x0, kappa=2, paths=2, noise_kind="cauchy"),
+                       "unknown noise kind"),
+        "policy-shape": (lambda: simulate(model, Policy("wide", lambda X: np.zeros((len(X), 3))), x0,
+                                          kappa=2, paths=2), "returned controls of shape"),
+        "burn_in": (lambda: estimate_power(model, gain, 3, x0, 2, burn_in=3), "burn_in must lie"),
+        "kappa_grid": (lambda: overtaking_compare(model, 0.95, gain, gain, x0, [-1], paths=2),
+                       "kappa_grid must contain"),
+        # scan_region falls back cell by cell on any CsviuError, so it checks these first
+        "scan_region-omega": (lambda: scan_region(sol, resolution=3, omega=2.5), "omega must lie in"),
+        "scan_region-tol": (lambda: scan_region(sol, resolution=3, tol=np.inf), "tol must be"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_value_error_sites()))
+def test_feedback_and_simulation_arguments_raise_argument_error(case):
+    # each of these raised a bare ValueError, which a caller cannot tell from a numpy error
+    call, message = _value_error_sites()[case]
+    with pytest.raises(ArgumentError, match=message):
+        call()

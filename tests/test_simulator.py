@@ -72,6 +72,30 @@ class TestStepping:
             )
 
 
+class TestTransitionOracle:
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_step_batch_matches_the_seven_term_oracle(self, r):
+        # the strided noise rows the rollout reads, on random plants n = 1..4, m = 1..3
+        rng = np.random.default_rng(40 + r)
+        paths, stages = 5, 3
+        for n in range(1, 5):
+            for m in range(1, 4):
+                model = support.random_model(rng, n=n, m=m, r=r)
+                mats = [getattr(model, name) for name in
+                        ("A", "B", "sigma", "sigma_x", "sigma_bar_x", "sigma_u", "sigma_bar_u")]
+                X = 2.0 * rng.standard_normal((paths, n))
+                [chunk] = csviu.simulator._noise_chunks(model, stages, paths, seed=n + 10 * m, kind="gaussian")
+                for noise in chunk:
+                    assert not noise.flags.c_contiguous
+                    U = 2.0 * rng.standard_normal((paths, m))
+                    got = step_batch(model, X, U, noise)
+                    want = oracles.noisy_transition(*mats, X, U, noise)
+                    scale = oracles.noisy_transition(*map(np.abs, mats), np.abs(X), np.abs(U), np.abs(noise))
+                    assert got.shape == (paths, n)
+                    assert np.all(np.abs(got - want) <= 1e-13 * scale), (n, m, r)
+                    X = got
+
+
 class TestRandomness:
     def test_path_streams_are_reproducible(self):
         a = path_rng(7, 3).standard_normal(10)
@@ -278,6 +302,33 @@ def test_bad_counts_and_states_are_named_before_any_draw(scalar_model, case, mon
     call = _entry_calls(scalar_model)[case]
     monkeypatch.setattr(csviu.simulator, "_noise_chunks", no_draws)
     with pytest.raises(ValueError, match=case.split("-")[1]):
+        call()
+
+
+def _optimal_policy_calls():
+    model = SystemModel.from_dict(support.README_DATA)
+    sol = solve_riccati(model, alpha=0.95)
+    x0 = [1.0, -1.0]
+    return {
+        "norms-mu_kind": lambda: optimal_norms(sol, paths=500, mu_kind="bogus"),
+        "norms-omega": lambda: optimal_norms(sol, paths=500, omega=2.5),
+        "norms-tol": lambda: optimal_norms(sol, paths=500, sor_tol=-1),
+        "energy-omega": lambda: estimate_energy(model, Policy.optimal(sol, omega=2.5), 0.95, 10, x0, 500),
+        "energy-tol": lambda: estimate_energy(model, Policy.optimal(sol, tol=np.nan), 0.95, 10, x0, 500),
+        "power-mu_kind": lambda: estimate_power(model, Policy.optimal(sol, mu_kind="bogus"), 10, x0, 500),
+    }
+
+
+@pytest.mark.parametrize("case", list(_optimal_policy_calls()))
+def test_optimal_policy_settings_are_checked_before_any_draw(case, monkeypatch):
+    # optimal_norms(paths=500, mu_kind="bogus") used to open all 500 streams and
+    # draw a chunk before the first stage solve raised
+    def no_draws(*args, **kwargs):
+        raise AssertionError("noise drawn before the policy settings were checked")
+
+    call = _optimal_policy_calls()[case]
+    monkeypatch.setattr(csviu.simulator, "_noise_chunks", no_draws)
+    with pytest.raises(csviu.ArgumentError, match=case.split("-")[1]):
         call()
 
 
