@@ -10,9 +10,10 @@ control to a clipped auxiliary vector.  A Gauss-Seidel style relaxation sweep
 solves that equation.  The relaxation acts on the auxiliary vector before it
 is clipped, and a relaxation factor in (0, 2) does not make every instance
 converge: some instances settle into a cycle at large factors (a two-channel
-instance converges at 0.5, 1 and 1.5 and cycles at 1.9).  A sweep that does
-not reach its tolerance raises :class:`MaxIterations` with its sweep count and
-last residual; a smaller relaxation factor is the first remedy.
+instance converges at 0.5, 1 and 1.5 and cycles at 1.9).  A batch solve
+flags each row that misses its tolerance with NaN and keeps the others; the
+entry points that need every row raise one :class:`MaxIterations` naming how
+many missed (retry at a smaller relaxation factor); errors not per row raise.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .riccati import FeedbackLaw, RiccatiSolution, stage_data
 
 _MU_SWEEPS = 3  # frozen-sign slope sweeps per state before its last pattern is kept
 _MU_KINDS = ("zero", "asymptotic", "rollout")
+_MAX_SWEEPS = 10000  # default sweep budget of every stage solve
 
 
 @dataclass(frozen=True)
@@ -99,40 +101,42 @@ def _sor_sweeps(law: FeedbackLaw, B, omega, Z0, tol, max_iters):
     clips ``gamma_i = clip(z_i, -c_i, c_i)`` and carries ``s = gamma + b``;
     each row stops at the first sweep that brings its own normal-equation
     residual within ``tol``.  ``iterations`` and ``residual`` are the largest
-    sweep count and final residual of any row.  A relaxation factor outside
-    (0, 2) raises :class:`ArgumentError` and a nonpositive diagonal of W
-    :class:`SingularLambda`, both before any sweep; a row still outside
-    ``tol`` after ``max_iters`` sweeps (a NaN residual included) raises one
-    :class:`MaxIterations` with ``iterations=max_iters`` and that residual.
-    A ``tol`` that is not a finite number >= 0 and a ``max_iters`` that is
-    not an integer >= 0 raise :class:`ArgumentError` before any sweep as
-    well.  The arguments are checked on every call; the diagonal of W, its
+    sweep count and final residual of any row.  A row still outside ``tol``
+    after ``max_iters`` sweeps (a NaN residual included) comes back NaN in Z,
+    Gamma and Nu, leaves the other rows as they are, and makes ``residual``
+    miss ``tol`` (:func:`_raise_unconverged`).  A relaxation factor outside
+    (0, 2), a ``tol`` that is not a finite number >= 0 and a ``max_iters``
+    that is not an integer >= 0 raise :class:`ArgumentError`, and a
+    nonpositive diagonal of W :class:`SingularLambda`, all before any sweep.
+    The arguments are checked on every call; the diagonal of W, its
     positivity check and the off-diagonal part the batch kernel multiplies
     by are the law's cached constants (:class:`~csviu.riccati.FeedbackLaw`).
-    A single row runs on Python floats (:func:`_sweeps_one`), since array
-    calls cost more than the arithmetic at these sizes: on a straight-line
-    kernel generated from the channel indices alone and compiled once per
-    channel count on first use (about 0.5 ms at m = 1, 0.1 s at m = 50),
-    whose sums are plain left-to-right float adds, so its results do not
-    depend on how the running Python's ``sum()`` rounds.  A batch runs on
-    columns (:func:`_sweeps_batch`) and hands its last unconverged row to the
-    single-row kernel.  The two kernels take the same steps and agree to
-    rounding, so every row of a batch matches its own single-row solve.
+    A single row runs on the Python-float kernel of :func:`_sweeps_one`, a
+    batch on columns (:func:`_sweeps_batch`), which hands its last
+    unconverged row to the single-row kernel.  The two kernels take the same
+    steps and agree to rounding, so every row of a batch matches its own
+    single-row solve.
     """
     check_relaxation(omega, tol)
     max_iters = check_count("max_iters", max_iters, 0)
     law.diagonal  # built and checked on first use: SingularLambda before any sweep
     kernel = _sweeps_one if B.shape[0] == 1 else _sweeps_batch
-    Z, Gamma, Nu, sweeps, residual = kernel(law, B, omega, Z0, tol, max_iters)
-    if not residual <= tol:
-        raise MaxIterations(
-            f"relaxation did not reach tol={tol:.1e} in {max_iters} sweeps "
-            f"(residual {residual:.3e}); the sweep does not converge on every "
-            f"instance at every omega in (0, 2), so retry with a smaller omega",
-            iterations=max_iters,
-            residual=residual,
-        )
-    return Z, Gamma, Nu, sweeps, residual
+    return kernel(law, B, omega, Z0, tol, max_iters)
+
+
+def _raise_unconverged(U, residual, tol, max_iters):
+    """Raise :class:`MaxIterations` naming how many rows of ``U`` (its NaN rows) a
+    stage solve left outside ``tol``; its ``residual`` misses ``tol`` exactly then."""
+    if residual <= tol:
+        return
+    failed = int(np.isnan(U).any(axis=1).sum())
+    raise MaxIterations(
+        f"relaxation did not reach tol={tol:.1e} in {max_iters} sweeps on {failed} of "
+        f"{len(U)} rows (residual {residual:.3e}); the sweep does not converge on every "
+        f"instance at every omega in (0, 2), so retry with a smaller omega",
+        iterations=max_iters,
+        residual=residual,
+    )
 
 
 def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
@@ -143,9 +147,8 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
     ``Gamma + B``.  After each sweep every row within ``tol`` writes its
     result and leaves the batch, so a row stops at its own convergence
     sweep; the last row left finishes on :func:`_sweeps_one` with the
-    remaining budget.  Returns the largest sweep count and final residual of
-    any row, or, once the budget runs out, the largest residual of the rows
-    still sweeping.
+    remaining budget; rows still sweeping when it runs out stay NaN.
+    Returns the largest sweep count and final residual of any row.
     """
     W, Wd, C, offdiag = law.W, law.diagonal, law.c, law.offdiag
     m, paths = W.shape[0], B.shape[0]
@@ -180,8 +183,6 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
             for dst, src in zip(out, (Z, Gamma, Nu)):
                 dst[:, live] = src
             return out[0].T, out[1].T, out[2].T, sweep, max(residual, top)
-        if sweep == max_iters:
-            break
         r = R.max(axis=0)
         done = r <= tol
         if not done.any():
@@ -194,14 +195,16 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
         stay = ~done
         live = live[stay]
         Z, Gamma, S, B, omega_B = (a.compress(stay, axis=1) for a in (Z, Gamma, S, B, omega_B))
-        if live.size == 1:
+        if live.size == 1 and sweep < max_iters:
             z, g, nu, more, last = _sweeps_one(law, B.T, omega, Z.T, tol, max_iters - sweep)
-            if z is None:
-                return None, None, None, max_iters, last
             for dst, src in zip(out, (z, g, nu)):
                 dst[:, live[0]] = src[0]
-            return out[0].T, out[1].T, out[2].T, sweep + more, max(residual, last)
-    return None, None, None, max_iters, top
+            # a failed straggler's residual (outside tol, or NaN) is the batch's
+            return out[0].T, out[1].T, out[2].T, sweep + more, max(residual, last) if last <= tol else last
+    if out is None:  # no row left before the budget ran out
+        out, live = np.empty((3, m, paths)), np.arange(paths)
+    out[:, :, live] = np.nan
+    return out[0].T, out[1].T, out[2].T, max_iters, top
 
 
 def _sweeps_one(law, B, omega, Z0, tol, max_iters):
@@ -209,7 +212,7 @@ def _sweeps_one(law, B, omega, Z0, tol, max_iters):
 
     Same update order, clip and residual as :func:`_sweeps_batch`; only the
     sums of products are formed in a different order.  A NaN residual sticks,
-    so corrupted inputs end in :class:`MaxIterations` as in the batch kernel.
+    so a corrupted input comes back NaN as in the batch kernel.
 
     The sweeps run on a kernel generated for this m (:func:`_kernel_source`),
     because a loop over the channels pays for list indexing, an iterator per
@@ -254,18 +257,18 @@ def kernel(w, b, c, z, omega, tol, max_iters):
 {residual_to_first_miss}
         return {solved}, sweep, max((0.0, {r}))
     if max_iters < 1:
-        return None, None, None, max_iters, inf
+        return {unsolved}, max_iters, inf
 {last_sweep}
     residual = 0.0
 {full_residual}
     if residual <= tol:
         return {solved}, max_iters, residual
-    return None, None, None, max_iters, residual
+    return {unsolved}, max_iters, residual
 """
 
 
 def _compile_kernel(m):
-    namespace = {"array": np.array, "copysign": copysign, "inf": math.inf}
+    namespace = {"array": np.array, "copysign": copysign, "inf": math.inf, "nan": math.nan}
     exec(compile(_kernel_source(m), f"<csviu sweep kernel, m={m}>", "exec"), namespace)
     kernel = _KERNELS[m] = namespace["kernel"]
     return kernel
@@ -306,6 +309,7 @@ def _kernel_source(m):
         residual_to_first_miss=block(
             (f"{residual(i)}\nif not r{i} <= tol:\n    continue" for i in idx), 8),
         solved=", ".join(f"array([[{names(v + '{i}')}]])" for v in ("z", "g", "nu")),
+        unsolved=", ".join([f"array([[{names('nan')}]])"] * 3),
         last_sweep=block(map(update, idx), 4),
         full_residual=block(
             (f"{residual(i)}\nif r{i} > residual or r{i} != r{i}:\n    residual = r{i}" for i in idx), 4),
@@ -317,7 +321,7 @@ def sor_solve(
     omega: float = 1.0,
     z0=None,
     tol: float = 1e-10,
-    max_iters: int = 10000,
+    max_iters: int = _MAX_SWEEPS,
 ) -> SorState:
     """Solve the generalized normal equation of one stage problem.
 
@@ -330,6 +334,7 @@ def sor_solve(
     Z, Gamma, Nu, iterations, residual = _sor_sweeps(
         FeedbackLaw(W=sub.W, c=sub.c), sub.b[None], omega, Z0, tol, max_iters
     )
+    _raise_unconverged(Nu, residual, tol, max_iters)
     return _sor_state(Z[0], Gamma[0], Nu[0], sub.c, iterations, residual)
 
 
@@ -341,7 +346,7 @@ def _sor_state(z, gamma, nu, c, iterations, residual):
                     residual=residual)
 
 
-def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=10000):
+def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=_MAX_SWEEPS):
     """Batch form of :func:`sor_solve` for many right-hand sides at once.
 
     ``B`` is (paths, m); returns the (paths, m) control batch, empty when
@@ -351,11 +356,13 @@ def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=10000):
     its own convergence sweep, and the last row still sweeping finishes on
     the single-row kernel of :func:`_sor_sweeps`, as a one-row ``B`` and
     :func:`sor_solve` do; so each row matches :func:`sor_solve` on that row
-    alone to rounding, whatever the other rows are.
+    alone to rounding, whatever the other rows are.  Rows that miss ``tol``
+    raise one :class:`MaxIterations` naming how many did.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Z0 = np.zeros_like(B)
-    _, _, Nu, _, _ = _sor_sweeps(FeedbackLaw(W=sub_W, c=c), B, omega, Z0, tol, max_iters)
+    _, _, Nu, _, residual = _sor_sweeps(FeedbackLaw(W=sub_W, c=c), B, omega, Z0, tol, max_iters)
+    _raise_unconverged(Nu, residual, tol, max_iters)
     return Nu
 
 
@@ -389,7 +396,9 @@ def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
     that solve used.  ``Z``, ``Gamma``, ``Bu = Mu B + 2 X Sigma'``, ``sweeps``
     and ``residual`` are those of the last call alone, over the rows it
     solved; for a batch of one that is the row's own last solve.  A given
-    ``Mu`` takes one solve.
+    ``Mu`` takes one solve.  A row that fails a solve is NaN in ``U`` and
+    takes no further solve, and ``sweeps`` and ``residual`` then stay those
+    of the last call that failed a row (:func:`_raise_unconverged`).
 
     ``Mu=None`` resolves the frozen-sign slope row by row.  The slope is
     ``sign(x) gain_x' + sign(u) gain_u'`` with the solution's cached
@@ -420,17 +429,20 @@ def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
     U = np.ascontiguousarray(U)  # returned row-major, like the slopes
     # rows whose signs still move, with their state-sign slopes and data; Mx_l
     # starts as Mu itself, which the first sweep's take copies before any write
-    live, Mx_l, Su_l, R_l, U_l = np.arange(X.shape[0]), Mu, 0.0, R, U
+    live, Mx_l, Su_l, R_l, U_l, last = np.arange(X.shape[0]), Mu, 0.0, R, U, residual
     for _ in range(_MU_SWEEPS):
         Su_next = np.sign(U_l)
-        moved = np.flatnonzero(np.any(Su_next != Su_l, axis=1))
+        changed = np.any(Su_next != Su_l, axis=1)  # NaN rows failed the last solve: no more solves
+        moved = np.flatnonzero(changed if last <= tol else changed & ~np.isnan(U_l[:, 0]))
         if not moved.size:
             break
         live, Mx_l, R_l, Su_l = (a.take(moved, axis=0) for a in (live, Mx_l, R_l, Su_next))
         Mu_l = Mx_l + Su_l @ gain_u.T
         Bu = Mu_l @ B + R_l
-        Z, Gamma, U_l, sweeps, residual = solve(Bu)
+        Z, Gamma, U_l, used, last = solve(Bu)
         U[live], Mu[live] = U_l, Mu_l
+        if residual <= tol or not last <= tol:  # a failed call's figures stay
+            sweeps, residual = used, last
     return Z, Gamma, U, Mu, Bu, sweeps, residual
 
 
@@ -450,7 +462,7 @@ def resolve_mu(
     mu_kind: str = "zero",
     omega: float = 1.0,
     tol: float = 1e-10,
-    max_iters: int = 10000,
+    max_iters: int = _MAX_SWEEPS,
 ):
     """Produce the slope vector used by the stage problem at ``x``.
 
@@ -461,13 +473,15 @@ def resolve_mu(
     pattern repeats, for at most 3 sweeps; a state on a sign cycle returns
     the slope of its last pattern.  "rollout" is :func:`~csviu.mu.mu_rollout`
     with its defaults (256 paths, seed 0); for other settings pass
-    ``mu=mu_rollout(sol, x, ...).value``.  The state runs through the
-    driver of :func:`optimal_control_batch` as a batch of one; the slope is
-    identical to that batch's.
+    ``mu=mu_rollout(sol, x, ...).value``.  The state runs through
+    :func:`optimal_control_batch` as a batch of one, with the same slope, and
+    a wrong-length or non-finite ``x`` raises :class:`ArgumentError`.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = check_state("x", x, sol.model.n)
     Mu = _slopes(sol, x[None], mu, mu_kind)
-    return Mu[0] if Mu is not None else _feedback(sol, x[None], None, omega, tol, max_iters)[3][0]
+    if Mu is None:
+        Mu = optimal_control_batch(sol, x[None], None, mu_kind, omega, tol, max_iters)[1]
+    return Mu[0]
 
 
 @dataclass(frozen=True)
@@ -487,7 +501,7 @@ def optimal_control(
     mu_kind: str = "zero",
     omega: float = 1.0,
     tol: float = 1e-10,
-    max_iters: int = 10000,
+    max_iters: int = _MAX_SWEEPS,
 ) -> ControlResult:
     """Optimal stage control at ``x``: solve, then cross-check the closed form.
 
@@ -508,6 +522,7 @@ def optimal_control(
     Z, Gamma, U, Mu, Bu, iterations, residual = _feedback(
         sol, x[None], _slopes(sol, x[None], mu, mu_kind), omega, tol, max_iters
     )
+    _raise_unconverged(U, residual, tol, max_iters)
     u_star, gamma, mu, b = U[0], Gamma[0], Mu[0], Bu[0]
     reconstructed = -np.linalg.solve(
         sol.Lambda, sol.Sigma @ x + 0.5 * (sol.model.B.T @ mu + gamma)
@@ -549,7 +564,7 @@ def optimal_control_batch(
     mu_kind: str = "zero",
     omega: float = 1.0,
     tol: float = 1e-10,
-    max_iters: int = 10000,
+    max_iters: int = _MAX_SWEEPS,
 ):
     """Optimal controls for a whole (paths, n) state batch at once.
 
@@ -565,10 +580,13 @@ def optimal_control_batch(
     kernel sums in another order).  The curvature data come from the
     solution's cached ``law``.
     A row with a non-finite entry raises :class:`ArgumentError` before any
-    sweep.
+    sweep.  Rows that miss ``tol`` raise one :class:`MaxIterations` naming
+    how many did; :func:`~csviu.region.scan_region` flags them instead.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.isfinite(X).all():
         row = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise ArgumentError(f"X must be finite, got {X[row]} in row {row}")
-    return _feedback(sol, X, _slopes(sol, X, Mu, mu_kind), omega, tol, max_iters)[2:4]
+    _, _, U, Mu, _, _, residual = _feedback(sol, X, _slopes(sol, X, Mu, mu_kind), omega, tol, max_iters)
+    _raise_unconverged(U, residual, tol, max_iters)
+    return U, Mu

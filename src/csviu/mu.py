@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count, check_state
+from .errors import ArgumentError, check_count, check_state
 from .operators import spectral_radius
 from .riccati import RiccatiSolution, _require_contracting
 from . import simulator
@@ -57,7 +57,7 @@ def mu_asymptotic(sol: RiccatiSolution, sign_x, sign_u) -> np.ndarray:
     sign_u = np.asarray(sign_u, dtype=float).reshape(-1)
     n, m = sol.model.n, sol.model.m
     if sign_x.shape != (n,) or sign_u.shape != (m,):
-        raise ValueError(f"expected sign patterns of lengths {n} and {m}")
+        raise ArgumentError(f"expected sign patterns of lengths {n} and {m}")
     gain_x, gain_u = sol.slope_gains
     return (sign_x[None] @ gain_x.T + sign_u[None] @ gain_u.T)[0]
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MaxIterations, SingularLambda, check_real
+from .errors import ArgumentError, MaxIterations, SingularLambda, check_real
 from .model import SystemModel
 
 SYMMETRY_WARN_TOL = 1e-9
@@ -267,15 +267,15 @@ def spectral_radius(M, method="auto", tol=1e-12, max_iters=20000):
     why dimensions up to DENSE_MAX keep the eigensolver.
     """
     M = np.asarray(M, dtype=float)
-    d = M.shape[0]
+    d = M.shape[0] if M.ndim else 0
     if M.shape != (d, d):
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+        raise ArgumentError(f"expected a square matrix, got shape {M.shape}")
     if d == 0:
         return 0.0
     if method == "eig" or (method == "auto" and d <= DENSE_MAX):
         return float(np.abs(np.linalg.eigvals(M)).max())
     if method not in ("power", "auto"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ArgumentError(f"unknown method {method!r}")
 
     # start inside the cone image when d is a perfect square (vec of identity)
     k = int(round(np.sqrt(d)))

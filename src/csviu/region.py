@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (
-    _inaction_margins, check_mu_kind, check_relaxation, optimal_control, optimal_control_batch,
-)
-from .errors import ArgumentError, CsviuError, check_count, check_real, check_state
+from .control import _MAX_SWEEPS, _feedback, _inaction_margins, _slopes
+from .errors import ArgumentError, check_count, check_real, check_state
 from .riccati import RiccatiSolution
 
 # |u| at or below this labels a channel inactive; |margin| at or below it marks the boundary band
@@ -29,9 +27,9 @@ class RegionMap:
 
     Arrays are indexed [i, j, channel] for a 2-D scan over grid_x[i],
     grid_y[j], and [i, channel] for a 1-D scan (grid_y is None then).
-    Labels: -1 push down, 0 inactive, +1 push up.  A cell whose stage solve
-    failed is flagged in ``invalid``, carries NaN in ``u_star`` and
-    ``margins`` and label 0, so read ``labels`` together with ``invalid``.
+    Labels: -1 push down, 0 inactive, +1 push up.  A cell whose row of the
+    batch solve missed ``tol`` is flagged in ``invalid``, carries NaN in
+    ``u_star`` and ``margins`` and label 0, so read ``labels`` with it.
     """
 
     axes: tuple[int, ...]
@@ -76,6 +74,9 @@ def scan_region(
     The labels are cross-checked against the inaction margins computed from
     the same slope estimates; a disagreement away from the boundary band is
     flagged in ``inconsistent`` (and means a bug, not a feature of the model).
+    Every cell is a row of one batch solve (the driver of
+    :func:`~csviu.control.optimal_control_batch`); a row that misses ``tol``
+    is flagged in ``invalid``, and an error that is not per row is raised.
     """
     n, m = sol.model.n, sol.model.m
     axes = tuple(check_count("axes", a, 0) for a in (axes if np.iterable(axes) else (axes,)))
@@ -90,36 +91,16 @@ def scan_region(
         raise ArgumentError(f"need {len(axes)} ranges, got {len(ranges)}")
     resolution = check_count("resolution", resolution, 2)
     base_point = np.zeros(n) if base_point is None else check_state("base_point", base_point, n)
-    # checked here, since the cell-by-cell fallback below absorbs every CsviuError
-    check_mu_kind(mu_kind)
-    check_relaxation(omega, tol)
 
     gx, gy, points = _grid_points(n, axes, ranges, resolution, base_point)
-    cells = points.shape[0]
-    invalid = np.zeros(cells, dtype=bool)
-    try:
-        U, Mu = optimal_control_batch(sol, points, mu_kind=mu_kind, omega=omega, tol=tol)
-    except CsviuError:
-        # fall back to cell-by-cell so one pathological cell cannot sink the scan
-        U = np.zeros((cells, m))
-        Mu = np.zeros((cells, n))
-        for idx in range(cells):
-            try:
-                res = optimal_control(sol, points[idx], mu_kind=mu_kind, omega=omega, tol=tol)
-                U[idx] = res.u_star
-                Mu[idx] = res.mu
-            except CsviuError:
-                invalid[idx] = True
-                U[idx] = np.nan
-                Mu[idx] = np.nan
-
+    U, Mu = _feedback(sol, points, _slopes(sol, points, None, mu_kind), omega, tol, _MAX_SWEEPS)[2:4]
+    invalid = np.isnan(U).any(axis=1)  # rows that missed tol
     margins = _inaction_margins(sol, points, Mu)
-    # comparisons leave the NaN rows of failed cells at label 0 without a cast warning
+    margins[invalid] = np.nan
+    # the NaN rows of failed cells compare False: label 0 without a cast warning, and consistent
     labels = (U > _LABEL_TOL).astype(np.int8) - (U < -_LABEL_TOL).astype(np.int8)
     boundary = np.abs(margins) <= _BOUNDARY_TOL
-    inconsistent = ~invalid[:, None] & ~boundary & (
-        ((margins > 0) & (labels != 0)) | ((margins < 0) & (labels == 0))
-    )
+    inconsistent = ~boundary & (((margins > 0) & (labels != 0)) | ((margins < 0) & (labels == 0)))
 
     if gy is None:
         shape2, shape3 = (resolution,), (resolution, m)

@@ -34,6 +34,23 @@ README_DATA = {
     "sigma_bar_u": [[0.2], [0.0]],
 }
 
+# A dense n = 3, m = 2 plant (one draw of the benchmark's coupled family, to two
+# decimals) whose stage problems at alpha = 0.95 and the zero slope converge at
+# omega = 1 everywhere but cycle at omega = 1.9 near x = (-0.5, -1, 0) and
+# x = (0.5, 1, 0).
+CYCLING_PLANT_DATA = {
+    "A": [[-0.52, 0.07, -0.22], [-0.22, 0.08, -0.3], [0.39, -0.06, 0.75]],
+    "B": [[-2.18, -1.68], [2.19, 2.75], [0.45, -0.08]],
+    "C": [[0.56, -2.04, -0.53], [-0.41, 1.74, -0.99], [0.36, 0.72, 1.08],
+          [-0.43, -0.69, -2.18], [1.15, 1.18, -0.49]],
+    "D": [[-0.18, -0.12], [-0.11, -0.74], [-0.72, 0.24], [-0.19, -0.29], [-0.23, 0.26]],
+    "sigma": [[-0.02], [0.07], [-0.05]],
+    "sigma_x": [[0.01, 0.11, 0.06], [-0.06, 0.16, 0.18], [0.1, 0.06, 0.07]],
+    "sigma_bar_x": [[0.09, -0.13, 0.11], [-0.08, 0.02, -0.01], [0.05, 0.18, 0.05]],
+    "sigma_u": [[0.06, 0.07], [0.09, 0.3], [0.03, 0.02]],
+    "sigma_bar_u": [[0.01, 0.0], [0.01, 0.02], [0.0, 0.0]],
+}
+
 
 def scalar_model() -> SystemModel:
     return SystemModel.from_dict(SCALAR_DATA)

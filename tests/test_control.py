@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from csviu import (
+    ArgumentError,
     AssumptionViolated,
     ControlSubproblem,
     MaxIterations,
@@ -286,10 +287,13 @@ def test_an_empty_budget_raises_max_iterations(rows):
 
 
 def _sweeps_or_failure(W, B, c, omega):
+    """``_sor_sweeps`` on ``B``, or the MaxIterations its flagged rows raise."""
+    result = csviu.control._sor_sweeps(FeedbackLaw(W=W, c=c), B, omega, np.zeros_like(B), 1e-12, 1000)
     try:
-        return csviu.control._sor_sweeps(FeedbackLaw(W=W, c=c), B, omega, np.zeros_like(B), 1e-12, 1000)
+        csviu.control._raise_unconverged(result[2], result[4], 1e-12, 1000)
     except MaxIterations as exc:
         return exc
+    return result
 
 
 def _criterion_02_instances(count=200, sizes=(1, 7), seed=20260418):
@@ -414,14 +418,14 @@ class TestBatchRowsLeaveOnConvergence:
 
 def _kernel_or_failure(sub, omega, z0=None, tol=1e-12, max_iters=1000):
     """``_sor_sweeps`` on one row as (z, gamma, nu, sweeps, residual), the arrays
-    None when it raised MaxIterations."""
+    None when the row missed ``tol`` (and came back NaN)."""
     z0 = np.zeros(sub.b.size) if z0 is None else np.asarray(z0, dtype=float)
-    try:
-        Z, Gamma, Nu, sweeps, residual = csviu.control._sor_sweeps(
-            FeedbackLaw(W=sub.W, c=sub.c), sub.b[None], omega, z0[None], tol, max_iters
-        )
-    except MaxIterations as exc:
-        return None, None, None, exc.iterations, exc.residual
+    Z, Gamma, Nu, sweeps, residual = csviu.control._sor_sweeps(
+        FeedbackLaw(W=sub.W, c=sub.c), sub.b[None], omega, z0[None], tol, max_iters
+    )
+    if not residual <= tol:
+        assert np.isnan(np.stack([Z, Gamma, Nu])).all()
+        return None, None, None, sweeps, residual
     return Z[0], Gamma[0], Nu[0], sweeps, residual
 
 
@@ -799,6 +803,15 @@ class TestResolveMu:
         np.testing.assert_array_equal(resolve_mu(sol, [0.0, 0.0], mu=mu), mu)
         with pytest.raises(ValueError, match="length"):
             resolve_mu(sol, [0.0, 0.0], mu=[1.0])
+
+    @pytest.mark.parametrize("slope", [{"mu_kind": "zero"}, {"mu": [0.3, -0.2]}, {"mu_kind": "asymptotic"}],
+                             ids=["zero", "explicit", "asymptotic"])
+    def test_non_finite_state_is_rejected(self, rng, slope):
+        # the zero and explicit slopes used to return for a NaN state, the asymptotic one
+        # named the batch argument X
+        sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
+        with pytest.raises(ArgumentError, match="^x must be finite"):
+            resolve_mu(sol, [np.nan, 0.0], **slope)
 
     def test_zero_kind(self, rng):
         model = support.random_model(rng, n=2, m=1)

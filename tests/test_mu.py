@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from csviu import (
+    ArgumentError,
     Policy,
     SeriesDivergent,
     mu_asymptotic,
@@ -80,7 +81,7 @@ class TestFrozenSign:
         assert np.all(mu_asymptotic(sol, [1.0], [-1.0]) == 0.0)
 
     def test_input_validation(self, slope_sol):
-        with pytest.raises(ValueError, match="lengths"):
+        with pytest.raises(ArgumentError, match="lengths"):
             mu_asymptotic(slope_sol, [1.0, 1.0], [1.0])
 
 

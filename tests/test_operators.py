@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csviu import MaxIterations, OperatorSet, SingularLambda, solve_riccati, spectral_radius
+from csviu import ArgumentError, MaxIterations, OperatorSet, SingularLambda, solve_riccati, spectral_radius
 from csviu.operators import stein_solve, symmetrize
 
 import oracles
@@ -251,6 +251,17 @@ class TestSpectralRadius:
 
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((4, 4)), method="power") == 0.0
+
+    @pytest.mark.parametrize(
+        "M, method, match",
+        [(np.ones((2, 3)), "auto", "square"), (2.0, "auto", "square"),
+         (np.eye(2), "lanczos", "unknown method")],
+        ids=["non-square", "scalar", "unknown-method"],
+    )
+    def test_bad_arguments_are_argument_errors(self, M, method, match):
+        # a scalar used to fail with numpy's IndexError
+        with pytest.raises(ArgumentError, match=match):
+            spectral_radius(M, method=method)
 
 
 class TestSteinSolve:

@@ -5,13 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-import csviu.region
+import csviu.control
 from csviu import (
     ArgumentError,
-    CsviuError,
+    AssumptionViolated,
+    MaxIterations,
+    SeriesDivergent,
     SystemModel,
     mu_asymptotic,
     optimal_control,
+    optimal_control_batch,
     scan_region,
     solve_riccati,
 )
@@ -198,46 +201,111 @@ class TestGainTable:
             self._assert_affine(sol, 40.0 * np.array(signs) * (1.0 + rng.random(3)))
 
 
-def _fail_at_origin(monkeypatch):
-    # the batch solve fails, and so does the per-cell solve at x = 0
-    single = csviu.region.optimal_control
+def _cycling_scan(resolution=3, ranges=((-0.5, 0.5), (-1.0, 0.0)), omega=1.9, mu_kind="zero"):
+    """Scan of the cycling plant over x1, x2 with x3 = 0, and its grid points.
 
-    def batch(*args, **kwargs):
-        raise CsviuError("batch solve failed")
-
-    def one(sol, x, **kwargs):
-        if not np.any(x):
-            raise CsviuError("cell solve failed")
-        return single(sol, x, **kwargs)
-
-    monkeypatch.setattr(csviu.region, "optimal_control_batch", batch)
-    monkeypatch.setattr(csviu.region, "optimal_control", one)
+    At omega 1.9 the default ranges hold one failing cell, [0, 0] = (-0.5, -1),
+    next to the inactive origin, [1, 2]; at omega 1 every cell converges.
+    """
+    sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
+    out = scan_region(sol, ranges=ranges, resolution=resolution, mu_kind=mu_kind, omega=omega)
+    points = [[x, y, 0.0] for x in out.grid_x for y in out.grid_y]
+    return sol, out, np.array(points)
 
 
 class TestFailedCells:
-    def test_failed_cell_is_invalid_with_label_zero(self, monkeypatch):
-        sol = solve_riccati(SystemModel.from_dict(support.README_DATA), alpha=0.95)
-        _fail_at_origin(monkeypatch)
+    """A stage solve that misses tol fails its own cell, never the scan."""
+
+    def test_failed_cell_is_invalid_with_label_zero(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            out = scan_region(sol, resolution=5)
-        assert out.invalid.sum() == 1 and out.invalid[2, 2]
-        assert np.isnan(out.u_star[2, 2]).all()
-        assert (out.labels[2, 2] == 0).all()
+            _, out, _ = _cycling_scan()
+        assert np.argwhere(out.invalid).tolist() == [[0, 0]]
+        assert np.isnan(out.u_star[0, 0]).all() and np.isnan(out.margins[0, 0]).all()
+        assert (out.labels[0, 0] == 0).all()
+        assert not out.inconsistent.any()
+        valid = ~out.invalid
+        assert np.isfinite(out.u_star[valid]).all() and np.isfinite(out.margins[valid]).all()
+        _, clean, _ = _cycling_scan(omega=1.0)
+        assert not clean.invalid.any()
+        np.testing.assert_array_equal(clean.labels[valid], out.labels[valid])
 
-    def test_cli_counts_only_valid_cells_as_inactive(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "readme.json"
-        path.write_text(json.dumps(support.README_DATA))
-        argv = ["region", "--model", str(path), "--alpha", "0.95", "--res", "5", "--mu", "asymptotic"]
+    @pytest.mark.parametrize(
+        "mu_kind, ranges, resolution, failed",
+        [
+            # two rows fail together, so the column kernel runs out of budget with both sweeping
+            ("zero", ((-0.5, 0.5), (-1.0, 1.0)), 3, [0, 8]),
+            # two rows fail the first solve and one a slope re-solve
+            ("asymptotic", ((-1.0, 0.0), (-2.0, 0.0)), 9, [30, 40, 50]),
+        ],
+    )
+    def test_converged_rows_equal_their_batches_of_one(self, mu_kind, ranges, resolution, failed):
+        sol, out, points = _cycling_scan(resolution, ranges, mu_kind=mu_kind)
+        invalid = out.invalid.reshape(-1)
+        assert np.flatnonzero(invalid).tolist() == failed
+        U = out.u_star.reshape(-1, sol.model.m)
+        for row in np.flatnonzero(~invalid):
+            alone, _ = optimal_control_batch(sol, points[row][None], mu_kind=mu_kind, omega=1.9)
+            np.testing.assert_allclose(U[row], alone[0], rtol=0.0, atol=1e-12)
 
-        def run():
-            assert main(argv) == 0
+    def test_failed_rows_take_no_further_slope_solve(self, monkeypatch):
+        solves, sweeps = [], csviu.control._sor_sweeps
+
+        def recording(law, B, *args):
+            result = sweeps(law, B, *args)
+            solves.append((len(B), int(np.isnan(result[2]).any(axis=1).sum())))
+            return result
+
+        monkeypatch.setattr(csviu.control, "_sor_sweeps", recording)
+        _, out, _ = _cycling_scan(9, ((-1.0, 0.0), (-2.0, 0.0)), mu_kind="asymptotic")
+        # (rows solved, rows failed): 81 - 2 failed - 1 settled rows re-solve, then one moving row
+        assert solves == [(81, 2), (78, 1), (1, 0)]
+        assert out.invalid.sum() == 3
+
+    @pytest.mark.parametrize(
+        "mu_kind, ranges, resolution, count",
+        [
+            ("zero", ((-0.5, 0.5), (-1.0, 1.0)), 3, "2 of 9"),
+            # the last slope solve converges; the earlier failures still raise
+            ("asymptotic", ((-1.0, 0.0), (-2.0, 0.0)), 9, "3 of 81"),
+        ],
+    )
+    def test_batch_entry_point_raises_naming_the_failed_rows(self, mu_kind, ranges, resolution, count):
+        sol, _, points = _cycling_scan(resolution, ranges, mu_kind=mu_kind)
+        with pytest.raises(MaxIterations, match=f"on {count} rows .*retry with a smaller omega") as failure:
+            optimal_control_batch(sol, points, mu_kind=mu_kind, omega=1.9)
+        assert failure.value.iterations == 10000
+        assert failure.value.residual > 1e-10
+
+    def test_cli_counts_only_valid_cells_as_inactive(self, tmp_path, capsys):
+        path = tmp_path / "cycling.json"
+        path.write_text(json.dumps(support.CYCLING_PLANT_DATA))
+        argv = ["region", "--model", str(path), "--alpha", "0.95", "--res", "3", "--mu", "zero",
+                "--range=-0.5,0.5", "--range=-1,0"]
+
+        def run(omega):
+            assert main([*argv, "--omega", omega]) == 0
             return json.loads(capsys.readouterr().out)
 
-        clean = run()
-        sol = solve_riccati(SystemModel.from_dict(support.README_DATA), alpha=0.95)
-        assert (scan_region(sol, resolution=5).labels[2, 2] == 0).all()  # the origin is inactive
-        _fail_at_origin(monkeypatch)
-        failed = run()
-        assert failed["invalid_cells"] == 1
-        assert failed["inactive_cells"] == clean["inactive_cells"] - 1
+        clean, failed = run("1.0"), run("1.9")
+        assert (clean["invalid_cells"], failed["invalid_cells"]) == (0, 1)
+        # the failed cell is active at omega 1 and labelled 0 at omega 1.9; only the origin is inactive
+        assert clean["inactive_cells"] == failed["inactive_cells"] == 1
+
+
+class TestTypedErrors:
+    """An error that is not per cell is raised once, not spread over the map."""
+
+    def test_divergent_slope_series(self):
+        sol = support.synthetic_solution(
+            A=1.2, B=1.0, G=-0.1, alpha=1.0, Wud=[1.0], Sigma=[[2.0]], Lambda=[[1.0]]
+        )
+        with pytest.raises(SeriesDivergent):
+            scan_region(sol, axes=(0,), ranges=((-2, 2),), resolution=41, mu_kind="asymptotic")
+
+    def test_negative_deadzone_weights(self):
+        sol = support.synthetic_solution(
+            A=0.5, B=1.0, G=-0.5, Wud=[-1.0], Sigma=[[2.0]], Lambda=[[1.0]]
+        )
+        with pytest.raises(AssumptionViolated):
+            scan_region(sol, axes=(0,), ranges=((-2, 2),), resolution=21, mu_kind="zero")
