@@ -13,7 +13,6 @@ violated model assumptions), 2 solver nonconvergence or divergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -28,6 +27,7 @@ import numpy as np
 from . import __version__
 from .control import optimal_control
 from .errors import (
+    ArgumentError,
     AssumptionViolated,
     MaxIterations,
     ModelError,
@@ -50,8 +50,11 @@ from .stability import check_alpha_stability, check_detectability, detectability
 
 SCHEMA = "csviu/1"
 
-_VALIDATION_ERRORS = (ModelError, AssumptionViolated, SingularLambda, ValueError)
+_VALIDATION_ERRORS = (ModelError, AssumptionViolated, SingularLambda, ArgumentError)
 _SOLVER_ERRORS = (MaxIterations, MonotonicityViolation, SeriesDivergent)
+
+# rows per write: a block's cell strings and text stay small whatever the table's length
+_BLOCK_ROWS = 4096
 
 # let bare negative tokens like -2,2 pass through as values of --range / --x
 _NEGATIVE_TOKEN = re.compile(r"^-\d")
@@ -97,7 +100,10 @@ def _ints(text: str) -> list[int]:
 
 
 def _matrix(text: str) -> np.ndarray:
-    return np.array([_floats(row) for row in text.split(";")])
+    rows = [_floats(row) for row in text.split(";")]
+    if len({len(row) for row in rows}) > 1:
+        raise ModelError(f"--injection rows have unequal lengths {[len(row) for row in rows]}")
+    return np.array(rows)
 
 
 def build_parser() -> _Parser:
@@ -272,7 +278,6 @@ def _cmd_simulate(args, run: _Run):
     sq, table = _output_squares(run.model, policy, x0, kappa + 1, run.config.paths, run.config.seed,
                                 means=True)
     energy = _energy_estimate(sq, run.config.alpha)
-    means = table.T.tolist()
     payload = {
         "policy": policy.kind,
         "x0": _jsonable(x0),
@@ -280,10 +285,10 @@ def _cmd_simulate(args, run: _Run):
         "paths": run.config.paths,
         "energy_mean": energy.mean,
         "energy_stderr": energy.stderr,
-        "final_mean_state_sq": means[1][-1],
+        "final_mean_state_sq": float(table[-1, 1]),
     }
     header = ["k", "mean_output_sq", "mean_state_sq", "mean_control_sq"]
-    return payload, [("stages", header, list(zip(range(kappa + 1), *means)))]
+    return payload, [("stages", header, [np.arange(kappa + 1), *table.T])]
 
 
 def _cmd_norms(args, run: _Run):
@@ -311,8 +316,8 @@ def _cmd_overtake(args, run: _Run):
         "rows": [_jsonable(r) for r in rows],
     }
     header = ["kappa", "diff", "stderr", "diff_scaled", "stderr_scaled"]
-    table = [(r.kappa, r.diff, r.stderr, r.diff_scaled, r.stderr_scaled) for r in rows]
-    return payload, [("overtake", header, table)]
+    columns = [np.array([getattr(r, name) for r in rows]) for name in header]
+    return payload, [("overtake", header, columns)]
 
 
 def _cmd_region(args, run: _Run):
@@ -332,28 +337,44 @@ def _cmd_region(args, run: _Run):
     rmap = scan_region(sol, axes=axes, ranges=ranges, resolution=args.res,
                        mu_kind=run.mu_kind, omega=run.config.sor_omega, tol=run.config.tol_sor)
     m = run.model.m
+    # each grid value is formatted once and its string repeated over its cells
+    gx = [str(v) for v in rmap.grid_x.tolist()]
     if rmap.grid_y is None:
-        grids = [rmap.grid_x]
+        columns = [gx]
     else:
-        grids = np.meshgrid(rmap.grid_x, rmap.grid_y, indexing="ij")
-    header = [f"x{k + 1}" for k in range(len(grids))]
-    columns = [g.ravel().tolist() for g in grids]
+        gy = [str(v) for v in rmap.grid_y.tolist()]
+        columns = [[s for s in gx for _ in gy], gy * len(gx)]
+    header = [f"x{k + 1}" for k in range(len(columns))]
     for prefix, values in (("u", rmap.u_star), ("label", rmap.labels), ("margin", rmap.margins)):
         header += [f"{prefix}_{i + 1}" for i in range(m)]
-        columns += values.reshape(-1, m).T.tolist()
-    rows = list(zip(*columns))
+        columns += list(values.reshape(-1, m).T)
     payload = {
         "axes": list(axes),
         "resolution": args.res,
         "ranges": [list(rg) for rg in ranges],
         "mu_kind": rmap.mu_kind,
-        "cells": len(rows),
+        "cells": rmap.invalid.size,
         "inactive_cells": int(((rmap.labels == 0).all(axis=-1) & ~rmap.invalid).sum()),
         "boundary_cells": int(rmap.boundary.any(axis=-1).sum()),
         "invalid_cells": int(rmap.invalid.sum()),
         "inconsistent_cells": int(rmap.inconsistent.any(axis=-1).sum()),
     }
-    return payload, [("region", header, rows)]
+    return payload, [("region", header, columns)]
+
+
+def _write_table(fh, header, columns) -> None:
+    """Write ``header`` and the equal-length ``columns`` as CSV rows ended by ``\\r\\n``.
+
+    A column is a list of cell strings or an array whose cells are ``str`` of
+    its ``tolist()`` items, ``repr`` for floats: the bytes ``csv.writer``
+    writes for these cells, none of which needs quoting.  Rows are formatted
+    and written ``_BLOCK_ROWS`` at a time.
+    """
+    fh.write(",".join(header) + "\r\n")
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [column[start:start + _BLOCK_ROWS] for column in columns]
+        cells = [map(str, b.tolist()) if isinstance(b, np.ndarray) else b for b in block]
+        fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _model_sha256(model) -> str:
@@ -370,15 +391,11 @@ def _write_outputs(args, run: _Run, payload: dict, tables, argv, elapsed: float)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "result.json").write_text(text + "\n")
-    for name, header, rows in tables:
-        if not rows:
-            continue
+    for name, header, columns in tables:
         meta = {"schema": SCHEMA, "command": args.command, "table": name}
         with (out / f"{name}.csv").open("w", newline="") as fh:
             fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            _write_table(fh, header, columns)
     manifest = {
         "schema": SCHEMA,
         "command": args.command,

@@ -182,8 +182,8 @@ def draw_noise_block(model: SystemModel, stages: int, paths: int, seed: int, kin
     """All draws for a run, shaped (paths, stages, r+n+m): the rollout's stream, path-major.
 
     ``stages`` and ``paths`` must be integers (not bools) of at least 0, and
-    ``seed`` an integer in [0, 2**64); otherwise ``ValueError`` names the
-    argument.
+    ``seed`` an integer in [0, 2**64); otherwise :class:`ArgumentError` names
+    the argument.
     """
     stages = check_count("stages", stages, 0)
     paths = check_count("paths", paths, 0)
@@ -404,8 +404,8 @@ def simulate(
     """Roll out ``paths`` trajectories of ``kappa`` transitions from ``x0``.
 
     ``kappa`` and ``paths`` must be integers (not bools) of at least 0 and 1,
-    and ``x0`` a finite state of length n; otherwise ``ValueError`` names the
-    argument.
+    and ``x0`` a finite state of length n; otherwise :class:`ArgumentError`
+    names the argument.
     """
     kappa = check_count("kappa", kappa, 0)
     X = _start(model, x0, paths)
@@ -629,7 +629,7 @@ def optimal_norms(
     that term.  A discount above one raises :class:`SeriesDivergent`, and
     a ``paths`` or ``kappa`` that is not an integer (bools included),
     ``paths < 1``, ``kappa < 0`` or, at discount one, ``kappa < 1`` raise
-    ``ValueError``, all before any simulation.
+    :class:`ArgumentError`, all before any simulation.
 
     The stage residual is accounted through the exact one-step moment
     identity of the cost matrix: the curvature-weighted excess of the applied
@@ -659,18 +659,26 @@ def optimal_norms(
         )
     policy = Policy.optimal(sol, mu_kind=mu_kind, omega=omega, tol=sor_tol)
 
-    def run_stages(stages, first=0):
-        """Stage residuals of stages first..stages-1 as a (paths, stages - first) array."""
-        rho = np.empty((paths, stages - first))
-        batches = _rollout(model, [policy], np.zeros((paths, model.n)), stages, seed, noise_kind)
-        for k, [(X, U)] in enumerate(itertools.islice(batches, first, None)):
-            dev = U - X @ sol.G.T
-            rho[:, k] = alpha * (
-                np.einsum("pi,ij,pj->p", dev, sol.Lambda, dev)
-                + np.abs(X) @ sol.forms.Wxd
-                + np.abs(U) @ sol.forms.Wud
-            )
-        return rho
+    def residual_sums(bounds, weights):
+        """Per-path sums of weights[k] * rho_k over the stage spans [bounds[i], bounds[i + 1]).
+
+        Returns a (len(bounds) - 1, paths) array, adding one stage at a time in
+        stage order; stages before bounds[0] are rolled out and not summed.
+        """
+        sums = np.zeros((len(bounds) - 1, paths))
+        batches = _rollout(model, [policy], np.zeros((paths, model.n)), bounds[-1], seed, noise_kind)
+        stages = itertools.islice(batches, bounds[0], None)
+        for row, span in enumerate(zip(bounds, bounds[1:])):
+            # range first: zip stops at the span's end without drawing the next stage
+            for k, [(X, U)] in zip(range(*span), stages):
+                dev = U - X @ sol.G.T
+                rho = alpha * (
+                    np.einsum("pi,ij,pj->p", dev, sol.Lambda, dev)
+                    + np.abs(X) @ sol.forms.Wxd
+                    + np.abs(U) @ sol.forms.Wud
+                )
+                sums[row] += weights[k] * rho
+        return sums
 
     details: dict = {"mu_kind": mu_kind, "paths": paths, "seed": seed}
 
@@ -692,17 +700,18 @@ def optimal_norms(
         else:
             stages = cap
             split = True
-        rho = run_stages(stages)
         weights = alpha ** np.arange(stages)
         if not split:
-            per_path = rho @ weights
+            [per_path] = residual_sums([0, stages], weights)
             details.update(kappa=stages, mode="direct")
         else:
+            # the discounted head, then the two halves of the unweighted settling window
             head = stages - stages // 4
-            window = rho[:, head:]
-            _check_settled(window, details)
-            settled = window.mean(axis=1)
-            per_path = rho[:, :head] @ weights[:head] + settled * (alpha**head / (1.0 - alpha))
+            weights[head:] = 1.0
+            per_path, first, second = residual_sums([0, head, (head + stages) // 2, stages], weights)
+            _check_settled(first, second, stages - head, details)
+            settled = (first + second) / (stages - head)
+            per_path += settled * (alpha**head / (1.0 - alpha))
             details.update(kappa=stages, mode="split", head=head)
         energy = alpha / (1.0 - alpha) * varpi + float(per_path.mean())
         stderr = float(mean_stderr(per_path))
@@ -713,10 +722,11 @@ def optimal_norms(
         )
 
     stages = kappa if kappa is not None else max(1000, int(math.ceil(40.0 / max(1.0 - rho_cl, 1e-3))))
-    # only the settling window is read, so only it is kept
-    window = run_stages(stages, stages // 2)
-    _check_settled(window, details)
-    averages = window.mean(axis=1)
+    # only the two halves of the settling window are summed
+    start = stages // 2
+    first, second = residual_sums([start, (start + stages) // 2, stages], np.ones(stages))
+    _check_settled(first, second, stages - start, details)
+    averages = (first + second) / (stages - start)
     power = varpi + float(averages.mean())
     stderr = float(mean_stderr(averages))
     details.update(kappa=stages, mode="stationary", varpi_term=varpi)
@@ -726,16 +736,18 @@ def optimal_norms(
     )
 
 
-def _check_settled(window, details):
-    """Drift test on the settling window; raises when the residuals still move.
+def _check_settled(first, second, window, details):
+    """Drift test on a settling window of ``window`` stages; raises when the residuals still move.
 
-    A single path has no spread to weigh the drift against and is not tested.
+    ``first`` and ``second`` are the per-path residual sums over its first
+    ``window // 2`` stages and over the rest.  A single path has no spread to
+    weigh the drift against and is not tested.
     """
-    half = window.shape[1] // 2
-    if half < 2 or window.shape[0] < 2:
+    half = window // 2
+    if half < 2 or first.shape[0] < 2:
         return
-    first = window[:, :half].mean(axis=1)
-    second = window[:, half:].mean(axis=1)
+    first = first / half
+    second = second / (window - half)
     drift = float(second.mean() - first.mean())
     scale = np.hypot(mean_stderr(first), mean_stderr(second))
     details["settle_drift"] = drift

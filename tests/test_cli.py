@@ -1,11 +1,20 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 import csviu.simulator
-from csviu import Policy, estimate_energy, optimal_control, scan_region, simulate, solve_riccati
+from csviu import (
+    Policy,
+    estimate_energy,
+    optimal_control,
+    overtaking_compare,
+    scan_region,
+    simulate,
+    solve_riccati,
+)
 from csviu.cli import main
 from csviu.model import load_model
 
@@ -40,6 +49,20 @@ def _read_table(path):
     header_meta = json.loads(lines[0][2:])
     rows = list(csv.DictReader(lines[1:]))
     return header_meta, rows
+
+
+def _table_bytes(command, name, header, rows):
+    """A table file as the stdlib ``csv.writer`` renders it, under the CLI's metadata line."""
+    meta = {"schema": "csviu/1", "command": command, "table": name}
+    text = io.StringIO()
+    text.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode()
+
+
+_THREE_STATE = support.random_model(np.random.default_rng(7), n=3, m=2).to_dict()
 
 
 class TestStdoutMode:
@@ -205,6 +228,37 @@ class TestOutputDirectory:
             assert [int(v) for v in row[k + 2 : k + 4]] == want[k + 2 : k + 4].tolist()
             assert [float(v) for v in row[k + 4 :]] == want[k + 4 :].tolist()
 
+    @pytest.mark.parametrize("data, axes, ranges, res, omega, invalid", [
+        (support.README_DATA, (0, 1), ((-2.0, 2.0), (-1.0, 3.0)), 6, 1.0, 0),
+        (_THREE_STATE, (1,), ((-2.0, 2.0),), 7, 1.0, 0),
+        # 4900 rows, more than one block of the writer
+        (_THREE_STATE, (0, 2), ((-2.0, 2.0), (-2.0, 2.0)), 70, 1.0, 0),
+        # cells whose stage solve failed carry NaN
+        (support.CYCLING_PLANT_DATA, (0, 1), ((-1.0, 0.0), (-2.0, 0.0)), 9, 1.9, 3),
+    ], ids=["m1-2d", "m2-1d", "m2-2d-blocks", "nan-cells"])
+    def test_region_table_bytes_are_those_of_csv_writer(self, tmp_path, data, axes, ranges, res,
+                                                         omega, invalid):
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "scan"
+        argv = ["region", "--model", str(path), "--alpha", "0.95", "--mu", "asymptotic",
+                "--res", str(res), "--omega", str(omega), "--axes", ",".join(map(str, axes)),
+                *[f"--range={lo},{hi}" for lo, hi in ranges], "--out", str(out)]
+        assert main(argv) == 0
+        sol = solve_riccati(load_model(str(path)), alpha=0.95)
+        rmap = scan_region(sol, axes=axes, ranges=ranges, resolution=res, mu_kind="asymptotic",
+                           omega=omega)
+        assert rmap.invalid.sum() == invalid
+        m = sol.model.m
+        grids = [rmap.grid_x] if len(axes) == 1 else np.meshgrid(rmap.grid_x, rmap.grid_y, indexing="ij")
+        header = [f"x{k + 1}" for k in range(len(axes))]
+        columns = [g.ravel().tolist() for g in grids]
+        for prefix, values in (("u", rmap.u_star), ("label", rmap.labels), ("margin", rmap.margins)):
+            header += [f"{prefix}_{i + 1}" for i in range(m)]
+            columns += values.reshape(-1, m).T.tolist()
+        want = _table_bytes("region", "region", header, zip(*columns))
+        assert (out / "region.csv").read_bytes() == want
+
     def test_simulate_energy_comes_from_its_one_simulation(self, tmp_path, model_file, monkeypatch):
         # the energy and the stage table both come from one rollout, which
         # keeps |y_k|^2 and the stage means instead of a whole ensemble
@@ -263,11 +317,15 @@ class TestOutputDirectory:
         _, rows = _read_table(out / "stages.csv")
         columns = {"mean_output_sq": ens.outputs, "mean_state_sq": ens.states,
                    "mean_control_sq": ens.controls}
+        means = []
         for name, a in columns.items():
             # each stage's mean over its contiguous row of paths
             want = np.ascontiguousarray(np.einsum("pkq,pkq->pk", a, a).T).mean(axis=1)
             got = np.array([float(row[name]) for row in rows])
             assert got.tobytes() == want.tobytes(), name
+            means.append(want.tolist())
+        want = _table_bytes("simulate", "stages", ["k", *columns], zip(range(10), *means))
+        assert (out / "stages.csv").read_bytes() == want
         result = json.loads((out / "result.json").read_text())
         energy = ens.energy_estimate(0.95)
         assert (result["energy_mean"], result["energy_stderr"]) == (energy.mean, energy.stderr)
@@ -282,6 +340,13 @@ class TestOutputDirectory:
         assert code == 0
         _, rows = _read_table(out / "overtake.csv")
         assert [int(r["kappa"]) for r in rows] == [0, 4]
+        model = load_model(model_file)
+        gain = Policy.linear(solve_riccati(model, alpha=0.9).G)
+        compared = overtaking_compare(model, 0.9, Policy.zero(1), gain, [1.0], [0, 4], paths=12, seed=0)
+        header = ["kappa", "diff", "stderr", "diff_scaled", "stderr_scaled"]
+        want = _table_bytes("overtake", "overtake", header,
+                            [[getattr(r, name) for name in header] for r in compared])
+        assert (out / "overtake.csv").read_bytes() == want
 
     @pytest.mark.parametrize("b, ok", [(0.02, False), (0.04, True)])
     def test_overtake_flags_the_overtaking_condition(self, tmp_path, b, ok):
@@ -361,6 +426,10 @@ class TestExitCodes:
     def test_bad_injection_matrix(self, model_file, capsys):
         code = main(["detect", "--model", model_file, "--injection", "1,oops"])
         assert code == 1
+
+    def test_ragged_injection_names_the_flag(self, model_file, capsys):
+        assert main(["detect", "--model", model_file, "--injection", "1,2;3"]) == 1
+        assert capsys.readouterr().err == "error: --injection rows have unequal lengths [2, 1]\n"
 
     def test_wrong_shape_injection_is_a_validation_error(self, model_file, capsys):
         code = main(["detect", "--model", model_file, "--injection", "1,2,3"])
