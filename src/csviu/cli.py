@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import re
@@ -161,6 +162,13 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_region)
 
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser every :func:`main` call shares: built on first use, since
+    parsing leaves it unchanged (``--range`` appends to a fresh list)."""
+    return build_parser()
 
 
 # override flags -> CriterionConfig fields, in the order the manifest records them
@@ -415,9 +423,8 @@ def _write_outputs(args, run: _Run, payload: dict, tables, argv, elapsed: float)
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()

@@ -6,14 +6,15 @@ a weighted l1 term,
     J(u) = u' Lambda u + <b, u> + <c, |u|>,      c >= 0,
 
 whose stationarity condition is a generalized normal equation coupling the
-control to a clipped auxiliary vector.  A Gauss-Seidel style relaxation sweep
-solves that equation.  The relaxation acts on the auxiliary vector before it
-is clipped, and a relaxation factor in (0, 2) does not make every instance
-converge: some instances settle into a cycle at large factors (a two-channel
-instance converges at 0.5, 1 and 1.5 and cycles at 1.9).  A batch solve
-flags each row that misses its tolerance with NaN and keeps the others; the
-entry points that need every row raise one :class:`MaxIterations` naming how
-many missed (retry at a smaller relaxation factor); errors not per row raise.
+control to a clipped auxiliary vector.  That vector solves the box-constrained
+dual ``min (gamma + b)' W (gamma + b) / 2`` over ``|gamma| <= c``, and a
+projected successive over-relaxation sweep (Cryer, SIAM J. Control 9(3),
+1971) solves it: the relaxation acts on the clipped vector itself, so the
+dual objective never rises and every relaxation factor in (0, 2) converges.
+A batch solve flags each row that misses its tolerance within its sweep
+budget with NaN and keeps the others; the entry points that need every row
+raise one :class:`MaxIterations` naming how many missed; errors not per row
+raise.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import copysign
 
 import numpy as np
 
-from .errors import ArgumentError, CsviuError, MaxIterations, check_count, check_state
+from .errors import ArgumentError, MaxIterations, check_count, check_state
 from .mu import mu_rollout
 from .riccati import FeedbackLaw, RiccatiSolution, stage_data
 
@@ -93,29 +94,35 @@ def check_mu_kind(mu_kind) -> None:
 
 
 def _sor_sweeps(law: FeedbackLaw, B, omega, Z0, tol, max_iters):
-    """Relaxation sweeps over a batch of instances sharing the law's W and c.
+    """Projected relaxation sweeps over a batch of instances sharing the law's W and c.
 
     B and Z0 are (paths, m); returns (Z, Gamma, Nu, iterations, residual).
-    Each sweep updates the coordinates in order,
-    ``z_i = (1 - omega) z_i - omega/W_ii sum_{j != i} W_ij s_j - omega b_i``,
-    clips ``gamma_i = clip(z_i, -c_i, c_i)`` and carries ``s = gamma + b``;
-    each row stops at the first sweep that brings its own normal-equation
-    residual within ``tol``.  ``iterations`` and ``residual`` are the largest
-    sweep count and final residual of any row.  A row still outside ``tol``
-    after ``max_iters`` sweeps (a NaN residual included) comes back NaN in Z,
-    Gamma and Nu, leaves the other rows as they are, and makes ``residual``
-    miss ``tol`` (:func:`_raise_unconverged`).  A relaxation factor outside
-    (0, 2), a ``tol`` that is not a finite number >= 0 and a ``max_iters``
-    that is not an integer >= 0 raise :class:`ArgumentError`, and a
-    nonpositive diagonal of W :class:`SingularLambda`, all before any sweep.
-    The arguments are checked on every call; the diagonal of W, its
-    positivity check and the off-diagonal part the batch kernel multiplies
-    by are the law's cached constants (:class:`~csviu.riccati.FeedbackLaw`).
-    A single row runs on the Python-float kernel of :func:`_sweeps_one`, a
-    batch on columns (:func:`_sweeps_batch`), which hands its last
-    unconverged row to the single-row kernel.  The two kernels take the same
-    steps and agree to rounding, so every row of a batch matches its own
-    single-row solve.
+    The clipped vector starts at ``gamma = clip(z0, -c, c)`` and each sweep
+    updates the coordinates in order: the Gauss-Seidel point
+    ``z_i = 0 z_i - (sum_{j != i} W_ij s_j) / W_ii - b_i`` minimizes the dual
+    along coordinate i, the relaxed step
+    ``gamma_i = clip((1 - omega) gamma_i + omega z_i, -c_i, c_i)`` (at
+    omega = 1 simply ``clip(z_i)``) never raises it, and ``s = gamma + b``
+    is carried.  The ``0 z_i`` term only fixes the sign of a zero point and
+    carries a non-finite one.  ``Z`` holds the unrelaxed points and the
+    control is ``nu_i = W_ii (z_i - clip(z_i))``; each row stops at the first
+    sweep that brings its own normal-equation residual ``|nu + W s|`` within
+    ``tol``, which holds at a fixed point of the sweep, whatever omega.
+    ``iterations`` and ``residual`` are the largest sweep count and final
+    residual of any row.  A row still outside ``tol`` after ``max_iters``
+    sweeps (a NaN residual included) comes back NaN in Z, Gamma and Nu,
+    leaves the other rows as they are, and makes ``residual`` miss ``tol``
+    (:func:`_raise_unconverged`).  A relaxation factor outside (0, 2), a
+    ``tol`` that is not a finite number >= 0 and a ``max_iters`` that is not
+    an integer >= 0 raise :class:`ArgumentError`, and a nonpositive diagonal
+    of W :class:`SingularLambda`, all before any sweep.  The arguments are
+    checked on every call; the diagonal of W, its positivity check and the
+    off-diagonal part the batch kernel multiplies by are the law's cached
+    constants (:class:`~csviu.riccati.FeedbackLaw`).  A single row runs on
+    the Python-float kernel of :func:`_sweeps_one`, a batch on columns
+    (:func:`_sweeps_batch`), which hands its last unconverged row to the
+    single-row kernel.  The two kernels take the same steps and agree to
+    rounding, so every row of a batch matches its own single-row solve.
     """
     check_relaxation(omega, tol)
     max_iters = check_count("max_iters", max_iters, 0)
@@ -132,8 +139,7 @@ def _raise_unconverged(U, residual, tol, max_iters):
     failed = int(np.isnan(U).any(axis=1).sum())
     raise MaxIterations(
         f"relaxation did not reach tol={tol:.1e} in {max_iters} sweeps on {failed} of "
-        f"{len(U)} rows (residual {residual:.3e}); the sweep does not converge on every "
-        f"instance at every omega in (0, 2), so retry with a smaller omega",
+        f"{len(U)} rows (residual {residual:.3e}); retry with a larger max_iters",
         iterations=max_iters,
         residual=residual,
     )
@@ -147,15 +153,15 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
     ``Gamma + B``.  After each sweep every row within ``tol`` writes its
     result and leaves the batch, so a row stops at its own convergence
     sweep; the last row left finishes on :func:`_sweeps_one` with the
-    remaining budget; rows still sweeping when it runs out stay NaN.
-    Returns the largest sweep count and final residual of any row.
+    remaining budget, resuming from its clipped vector; rows still sweeping
+    when it runs out stay NaN.  Returns the largest sweep count and final
+    residual of any row.
     """
     W, Wd, C, offdiag = law.W, law.diagonal, law.c, law.offdiag
     m, paths = W.shape[0], B.shape[0]
     B = np.ascontiguousarray(B.T)
-    omega_B = omega * B
-    step = omega / Wd
-    keep = 1.0 - omega
+    step = 1.0 / Wd
+    relaxed, keep = omega != 1.0, 1.0 - omega
     Z = np.array(Z0.T, dtype=float, order="C")
     Cc, Wdc = C[:, None], Wd[:, None]
     Gamma = np.minimum(np.maximum(Z, -Cc), Cc)
@@ -167,11 +173,16 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
             coupling = offdiag[i] @ S
             coupling *= step[i]
             z = Z[i]
-            z *= keep
+            z *= 0.0
             z -= coupling
-            z -= omega_B[i]
+            z -= B[i]
             g = Gamma[i]
-            np.maximum(z, -C[i], out=g)
+            if relaxed:
+                g *= keep
+                g += np.multiply(z, omega, out=coupling)
+                np.maximum(g, -C[i], out=g)
+            else:
+                np.maximum(z, -C[i], out=g)
             np.minimum(g, C[i], out=g)
             np.add(g, B[i], out=S[i])
         Nu = np.sign(Z) * np.maximum(0.0, Wdc * (np.abs(Z) - Cc))
@@ -194,9 +205,12 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
         residual = max(residual, float(r[done].max()))
         stay = ~done
         live = live[stay]
-        Z, Gamma, S, B, omega_B = (a.compress(stay, axis=1) for a in (Z, Gamma, S, B, omega_B))
+        Z, Gamma, S, B = (a.compress(stay, axis=1) for a in (Z, Gamma, S, B))
         if live.size == 1 and sweep < max_iters:
-            z, g, nu, more, last = _sweeps_one(law, B.T, omega, Z.T, tol, max_iters - sweep)
+            # resume from the clipped vector; at omega = 1 from Z, which clips to it and
+            # keeps the zero signs the next sweep's 0 z_i term carries
+            start = Gamma if relaxed else Z
+            z, g, nu, more, last = _sweeps_one(law, B.T, omega, start.T, tol, max_iters - sweep)
             for dst, src in zip(out, (z, g, nu)):
                 dst[:, live[0]] = src[0]
             # a failed straggler's residual (outside tol, or NaN) is the batch's
@@ -221,27 +235,30 @@ def _sweeps_one(law, B, omega, Z0, tol, max_iters):
     variables, which makes a sweep about four times faster.  Only channel
     indices are formatted into its source; every value arrives as an
     argument.  Each m compiles once per process, on first use, into
-    ``_KERNELS``: about 0.5 ms at m = 1, 3 ms at m = 6, 15 ms at m = 20,
+    ``_KERNELS``, once for omega = 1 and once for the relaxed steps of every
+    other omega: about 0.5 ms at m = 1, 3 ms at m = 6, 15 ms at m = 20,
     0.1 s at m = 50 and 1.5 s at m = 200.  Importing the package compiles
     none.
 
     The kernel keeps the plain loop's arithmetic: coordinates in order,
-    ``z_i = keep z_i - step_i (0 + sum_j w_ij s_j) - omega b_i`` with the
-    diagonal term kept as ``0.0 * s_i``, the clip, ``s_i = gamma_i + b_i``,
-    and the residual ``|nu_i + (0 + sum_j w_ij s_j)|``.  Every sum starts
-    from 0.0 and adds its terms left to right in plain float adds, so the
-    results do not depend on how the running Python's ``sum()`` rounds
+    ``z_i = 0.0 z_i - step_i (0 + sum_j w_ij s_j) - b_i`` with
+    ``step_i = 1.0 / w_ii`` and the diagonal term kept as ``0.0 * s_i``, the
+    clip of ``z_i`` or, for omega != 1, of
+    ``(1 - omega) gamma_i + omega z_i``, ``s_i = gamma_i + b_i``, and the
+    residual ``|nu_i + (0 + sum_j w_ij s_j)|``.  Every sum starts from 0.0
+    and adds its terms left to right in plain float adds, so the results do
+    not depend on how the running Python's ``sum()`` rounds
     (``sum([1e16, 1.0, -1e16])`` is 0.0 up to 3.11 and 1.0 from 3.12, which
     made it compensated).  Before the last allowed sweep the residual pass
     stops at the first coordinate outside ``tol``; the residual is only read
     on convergence and when the budget runs out, so that moves no result.
     """
-    m = law.W.shape[0]
-    kernel = _KERNELS.get(m) or _compile_kernel(m)
+    m, relaxed = law.W.shape[0], omega != 1.0
+    kernel = _KERNELS.get((m, relaxed)) or _compile_kernel(m, relaxed)
     return kernel(law.W.tolist(), B[0].tolist(), law.c.tolist(), Z0[0].tolist(), omega, tol, max_iters)
 
 
-_KERNELS = {}  # channel count m -> its compiled single-row sweep kernel
+_KERNELS = {}  # (channel count m, omega != 1) -> its compiled single-row sweep kernel
 
 # The single-row sweep kernel; {placeholders} take per-channel lines.
 _KERNEL_TEMPLATE = """\
@@ -267,17 +284,19 @@ def kernel(w, b, c, z, omega, tol, max_iters):
 """
 
 
-def _compile_kernel(m):
+def _compile_kernel(m, relaxed):
     namespace = {"array": np.array, "copysign": copysign, "inf": math.inf, "nan": math.nan}
-    exec(compile(_kernel_source(m), f"<csviu sweep kernel, m={m}>", "exec"), namespace)
-    kernel = _KERNELS[m] = namespace["kernel"]
+    name = f"<csviu sweep kernel, m={m}{', relaxed' if relaxed else ''}>"
+    exec(compile(_kernel_source(m, relaxed), name, "exec"), namespace)
+    kernel = _KERNELS[m, relaxed] = namespace["kernel"]
     return kernel
 
 
-def _kernel_source(m):
+def _kernel_source(m, relaxed):
     """Python source of the single-row sweep kernel of :func:`_sweeps_one`
-    for ``m`` channels; ``kernel(w, b, c, z, omega, tol, max_iters)`` takes
-    W as nested lists and b, c and z0 as lists."""
+    for ``m`` channels, with the relaxed step when ``relaxed`` (omega != 1);
+    ``kernel(w, b, c, z, omega, tol, max_iters)`` takes W as nested lists and
+    b, c and z0 as lists."""
     idx = range(m)
 
     def names(fmt):
@@ -288,8 +307,10 @@ def _kernel_source(m):
         return "(0.0 + " + " + ".join(terms) + ")"
 
     def update(i):
-        return (f"z{i} = keep * z{i} - step{i} * {coupling(i, False)} - omega_b{i}\n"
-                f"g{i} = -c{i} if z{i} < -c{i} else c{i} if z{i} > c{i} else z{i}\n"
+        v = "y" if relaxed else f"z{i}"  # the point the clip takes
+        relax = f"y = keep * g{i} + omega * z{i}\n" if relaxed else ""
+        return (f"z{i} = 0.0 * z{i} - step{i} * {coupling(i, False)} - b{i}\n{relax}"
+                f"g{i} = -c{i} if {v} < -c{i} else c{i} if {v} > c{i} else {v}\n"
                 f"s{i} = g{i} + b{i}")
 
     def residual(i):
@@ -303,7 +324,7 @@ def _kernel_source(m):
     return _KERNEL_TEMPLATE.format(
         w=", ".join("[" + ", ".join(f"w{i}_{j}" for j in idx) + "]" for i in idx),
         b=names("b{i}"), c=names("c{i}"), z=names("z{i}"), r=names("r{i}"),
-        start=block((f"step{i} = omega / w{i}_{i}; omega_b{i} = omega * b{i}\n"
+        start=block((f"step{i} = 1.0 / w{i}_{i}\n"
                      f"g{i} = min(max(z{i}, -c{i}), c{i}); s{i} = g{i} + b{i}" for i in idx), 4),
         sweep=block(map(update, idx), 8),
         residual_to_first_miss=block(
@@ -341,7 +362,7 @@ def sor_solve(
 def _sor_state(z, gamma, nu, c, iterations, residual):
     """The :class:`SorState` of one converged row."""
     # theta_i = |nu_i| / c_i = W_ii max(0, |z_i| - c_i) / c_i on weighted channels
-    theta = np.divide(np.abs(nu), c, out=np.zeros(nu.size), where=c > 0)
+    theta = np.abs(nu) / np.where(c > 0, c, np.inf)
     return SorState(z=z, gamma=gamma, nu=nu, theta=theta, iterations=iterations,
                     residual=residual)
 
@@ -503,38 +524,30 @@ def optimal_control(
     tol: float = 1e-10,
     max_iters: int = _MAX_SWEEPS,
 ) -> ControlResult:
-    """Optimal stage control at ``x``: solve, then cross-check the closed form.
+    """Optimal stage control at ``x``.
 
     The single state is a batch of one through the driver of
     :func:`optimal_control_batch`: ``u_star`` and ``mu`` are identical to
     that batch's row, and ``sub`` and ``sor`` describe its last stage solve.
-    The slope is resolved as in :func:`resolve_mu`.  The converged clipped
-    vector reconstructs the control through the inverse curvature; a
-    mismatch would mean the sweep settled on a wrong point, an internal
-    error.  This cross-check is single-state only: every sweep already
-    certifies ``|nu + W (gamma + b)| <= tol`` on each row, and batches skip
-    the extra solve per row.  ``margins`` are those of :func:`inaction_test`,
-    read off the final stage problem's linear term.  A state of the wrong
-    length or with a non-finite entry raises :class:`ArgumentError` before
-    any sweep.
+    The slope is resolved as in :func:`resolve_mu`.  The control agrees with
+    its closed form ``-Lambda^{-1} (Sigma x + (B' mu + gamma) / 2)``: every
+    sweep certifies ``|u + W (gamma + b)| <= tol`` on its row, and the
+    solution's ``law`` is built only once its ``W`` inverts the curvature,
+    ``e = |2 W Lambda - I| <= 1e-9`` (max row sums), so the gap is at most
+    ``(tol + e |u|) / (1 - e)`` with no solve per call; an inconsistent law
+    raises :class:`CsviuError`.  ``margins`` are those of
+    :func:`inaction_test`, read off the final stage problem's linear term.
+    A state of the wrong length or with a non-finite entry raises
+    :class:`ArgumentError` before any sweep.
     """
     x = check_state("x", x, sol.model.n)
     Z, Gamma, U, Mu, Bu, iterations, residual = _feedback(
         sol, x[None], _slopes(sol, x[None], mu, mu_kind), omega, tol, max_iters
     )
     _raise_unconverged(U, residual, tol, max_iters)
-    u_star, gamma, mu, b = U[0], Gamma[0], Mu[0], Bu[0]
-    reconstructed = -np.linalg.solve(
-        sol.Lambda, sol.Sigma @ x + 0.5 * (sol.model.B.T @ mu + gamma)
-    )
-    gap = float(np.abs(reconstructed - u_star).max())
-    if gap > max(1e-9, 100.0 * tol) * max(1.0, float(np.abs(u_star).max())):
-        raise CsviuError(
-            f"converged control fails its closed-form reconstruction by {gap:.3e}"
-        )
-    law = sol.law
+    u_star, gamma, b, law = U[0], Gamma[0], Bu[0], sol.law
     return ControlResult(
-        u_star=u_star, gamma=gamma, mu=mu, margins=_margins(sol, b),
+        u_star=u_star, gamma=gamma, mu=Mu[0], margins=_margins(sol, b),
         sub=ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda),
         sor=_sor_state(Z[0], gamma, u_star, law.c, iterations, residual),
     )

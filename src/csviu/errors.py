@@ -88,6 +88,6 @@ def check_matrix(name: str, a, shape: tuple) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != shape:
         raise ArgumentError(f"{name} has shape {a.shape}, expected {shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ArgumentError(f"{name} must be finite, got {a}")
     return a

@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import (
     AssumptionViolated,
+    CsviuError,
     MaxIterations,
     MonotonicityViolation,
     NoPSDSolution,
@@ -75,6 +76,7 @@ _NEWTON_FIRST_TRY = 64  # value-iteration step of the first Newton try; each lat
 _NEWTON_STEPS = 50      # Newton steps one try may take before it is refused
 _CERTIFY_MARGIN = 1e-8  # rounding margin on lambda_min(R_inf(P) - P), relative to its terms
 _CURVATURE_COND = 1e6   # a certificate needs cond(Lh) below this, so Lh^{-1} adds little rounding
+_INVERSE_TOL = 1e-9     # largest row sum of |2 W Lambda - I| a feedback law may carry
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,12 @@ class RiccatiSolution:
 
         Raises :class:`SingularLambda` when ``Lambda`` is not positive
         definite and :class:`AssumptionViolated` when a deadzone weight is
-        negative; a failed build is not cached, so every later call raises
-        again.
+        negative.  ``W`` must invert the curvature, since every control
+        ``-W (gamma + b)`` stands for the closed form
+        ``-Lambda^{-1} (gamma + b) / 2``: a largest row sum of
+        ``|2 W Lambda - I|`` above ``_INVERSE_TOL`` raises
+        :class:`CsviuError`, an internal error.  A failed build is not
+        cached, so every later call raises again.
         """
         c = self.forms.Wud
         if np.any(c < -1e-12 * max(1.0, float(np.abs(c).max()))):
@@ -129,6 +135,10 @@ class RiccatiSolution:
                 "violates the positivity assumption on the mixed control terms"
             )
         W, c = stage_data(self.Lambda, np.maximum(c, 0.0))
+        defect = float(np.abs(2.0 * W @ self.Lambda - np.eye(len(W))).sum(axis=1).max(initial=0.0))
+        if not defect <= _INVERSE_TOL:
+            raise CsviuError(f"the stage matrix fails to invert the control curvature: "
+                             f"|2 W Lambda - I| = {defect:.3e}")
         return FeedbackLaw(W=_frozen(W), c=_frozen(c))
 
     @cached_property

@@ -145,15 +145,16 @@ def l1_subgradient_residual(Lambda, b, c, u):
 def sor_sweeps_reference(W, b, c, omega, z0, tol, max_iters):
     """Projected SOR on the generalized normal equation, as a plain loop.
 
-    Gauss-Seidel over the coordinates in order, on Python floats:
-    ``z_i <- (1 - omega) z_i - omega/W_ii (W s with W_ii -> 0)_i - omega b_i``,
-    ``gamma_i = clip(z_i, -c_i, c_i)``, ``s_i = gamma_i + b_i``; after every
-    sweep the full residual ``max_i |nu_i + (W s)_i|`` with
-    ``nu_i = sign(z_i) max(W_ii (|z_i| - c_i), 0)``, a NaN term making it NaN.
-    Each sum starts at 0.0 and adds its terms left to right, the diagonal
-    coupling term as ``0.0 * s_i``.  Returns ``(z, gamma, nu, sweeps,
-    residual)`` on convergence, else ``(None, None, None, max_iters,
-    residual)``, the residual being inf when no sweep ran.
+    Gauss-Seidel over the coordinates in order, on Python floats: the
+    unrelaxed point ``z_i <- 0 z_i - 1/W_ii (W s with W_ii -> 0)_i - b_i``,
+    then ``gamma_i = clip(z_i, -c_i, c_i)`` at omega = 1 and
+    ``gamma_i = clip((1 - omega) gamma_i + omega z_i, -c_i, c_i)`` otherwise,
+    and ``s_i = gamma_i + b_i``; after every sweep the full residual
+    ``max_i |nu_i + (W s)_i|`` with ``nu_i = sign(z_i) max(W_ii (|z_i| - c_i), 0)``,
+    a NaN term making it NaN.  Each sum starts at 0.0 and adds its terms left
+    to right, the diagonal coupling term as ``0.0 * s_i``.  Returns ``(z,
+    gamma, nu, sweeps, residual)`` on convergence, else ``(None, None, None,
+    max_iters, residual)``, the residual being inf when no sweep ran.
     """
     w = np.asarray(W, dtype=float).tolist()
     b = np.asarray(b, dtype=float).tolist()
@@ -168,8 +169,9 @@ def sor_sweeps_reference(W, b, c, omega, z0, tol, max_iters):
             coupling = 0.0
             for j in range(m):
                 coupling += (0.0 if j == i else w[i][j]) * s[j]
-            z[i] = (1.0 - omega) * z[i] - omega / w[i][i] * coupling - omega * b[i]
-            g[i] = -c[i] if z[i] < -c[i] else c[i] if z[i] > c[i] else z[i]
+            z[i] = 0.0 * z[i] - 1.0 / w[i][i] * coupling - b[i]
+            y = z[i] if omega == 1.0 else (1.0 - omega) * g[i] + omega * z[i]
+            g[i] = -c[i] if y < -c[i] else c[i] if y > c[i] else y
             s[i] = g[i] + b[i]
         nu = []
         residual = 0.0

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import csviu.region
 import csviu.simulator
 from csviu import (
     Policy,
@@ -228,16 +232,17 @@ class TestOutputDirectory:
             assert [int(v) for v in row[k + 2 : k + 4]] == want[k + 2 : k + 4].tolist()
             assert [float(v) for v in row[k + 4 :]] == want[k + 4 :].tolist()
 
-    @pytest.mark.parametrize("data, axes, ranges, res, omega, invalid", [
-        (support.README_DATA, (0, 1), ((-2.0, 2.0), (-1.0, 3.0)), 6, 1.0, 0),
-        (_THREE_STATE, (1,), ((-2.0, 2.0),), 7, 1.0, 0),
+    @pytest.mark.parametrize("data, axes, ranges, res, omega, budget, invalid", [
+        (support.README_DATA, (0, 1), ((-2.0, 2.0), (-1.0, 3.0)), 6, 1.0, 10000, 0),
+        (_THREE_STATE, (1,), ((-2.0, 2.0),), 7, 1.0, 10000, 0),
         # 4900 rows, more than one block of the writer
-        (_THREE_STATE, (0, 2), ((-2.0, 2.0), (-2.0, 2.0)), 70, 1.0, 0),
-        # cells whose stage solve failed carry NaN
-        (support.CYCLING_PLANT_DATA, (0, 1), ((-1.0, 0.0), (-2.0, 0.0)), 9, 1.9, 3),
+        (_THREE_STATE, (0, 2), ((-2.0, 2.0), (-2.0, 2.0)), 70, 1.0, 10000, 0),
+        # cells whose stage solve ran out of sweeps carry NaN
+        (support.CYCLING_PLANT_DATA, (0, 1), ((-1.0, 0.0), (-2.0, 0.0)), 9, 1.9, 100, 4),
     ], ids=["m1-2d", "m2-1d", "m2-2d-blocks", "nan-cells"])
-    def test_region_table_bytes_are_those_of_csv_writer(self, tmp_path, data, axes, ranges, res,
-                                                         omega, invalid):
+    def test_region_table_bytes_are_those_of_csv_writer(self, tmp_path, monkeypatch, data, axes, ranges,
+                                                         res, omega, budget, invalid):
+        monkeypatch.setattr(csviu.region, "_MAX_SWEEPS", budget)
         path = tmp_path / "plant.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "scan"
@@ -456,3 +461,29 @@ class TestExitCodes:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("csviu ")
+
+
+class TestParserReuse:
+    """Every ``main`` call in a process parses with one shared parser."""
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike in both
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(support.README_DATA))
+        model = ["--model", str(path), "--alpha", "0.9"]
+        calls = [
+            ["region", *model, "--res", "3", "--range=-1,1", "--range", "-2,0"],
+            ["control", *model, "--x", "0.5,-0.3", "--mu", "asymptotic"],
+            # one --range for both axes: a range left over from the call before would make three
+            ["region", *model, "--res", "3", "--range=-1,1"],
+            ["riccati", *model, "--alpah", "0.9"],
+            ["riccati", *model],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        fresh = [subprocess.run([sys.executable, "-m", "csviu.cli", *argv], capture_output=True, env=env)
+                 for argv in calls]
+        assert [run.returncode for run in fresh] == [0, 0, 0, 1, 0]
+        for argv, want in zip(calls + calls, fresh + fresh):
+            code = main(argv)
+            got = capsys.readouterr()
+            assert (code, got.out.encode(), got.err.encode()) == (want.returncode, want.stdout, want.stderr), argv

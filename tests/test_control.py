@@ -11,6 +11,7 @@ from csviu import (
     ArgumentError,
     AssumptionViolated,
     ControlSubproblem,
+    CsviuError,
     MaxIterations,
     Policy,
     SingularLambda,
@@ -32,7 +33,8 @@ import oracles
 import support
 
 
-# converges to nu = [0.01079455, 0] at omega 0.5, 1 and 1.5; cycles at omega 1.9
+# converges to nu = [0.01079455, 0] at every omega; the former unprojected
+# sweep (which relaxed z before the clip) cycled on it at omega 1.9
 CYCLING_AT_LARGE_OMEGA = (
     [[7.98889531, -5.71263999], [-5.71263999, 9.84118875]],
     [-1.4654373, 1.25143894],
@@ -204,16 +206,20 @@ class TestSorGeneral:
             np.testing.assert_allclose(Nu[row], sor_solve(sub, tol=1e-11).nu, atol=1e-8)
 
 
-    def test_large_omega_cycle_raises_a_typed_error(self):
+    def test_large_omega_converges_where_the_unprojected_sweep_cycled(self):
         sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
-        with pytest.raises(MaxIterations, match="retry with a smaller omega") as failure:
-            sor_solve(sub, omega=1.9, tol=1e-12, max_iters=1000)
-        assert failure.value.iterations == 1000
-        assert failure.value.residual > 0.05
-        answers = [sor_solve(sub, omega=w, tol=1e-12, max_iters=1000).nu for w in (0.5, 1.0, 1.5)]
-        for nu in answers[1:]:
-            np.testing.assert_allclose(nu, answers[0], rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(answers[0], [0.01079455, 0.0], rtol=0.0, atol=1e-8)
+        states = [sor_solve(sub, omega=w, tol=1e-12, max_iters=1000) for w in (0.5, 1.0, 1.5, 1.9)]
+        assert states[-1].iterations < 1000 and states[-1].residual <= 1e-12
+        for state in states[1:]:
+            np.testing.assert_allclose(state.nu, states[0].nu, rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(states[0].nu, [0.01079455, 0.0], rtol=0.0, atol=1e-8)
+
+    def test_short_budget_raises_a_typed_error(self):
+        sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
+        with pytest.raises(MaxIterations, match="in 100 sweeps .*retry with a larger max_iters") as failure:
+            sor_solve(sub, omega=1.9, tol=1e-12, max_iters=100)
+        assert failure.value.iterations == 100
+        assert 1e-12 < failure.value.residual < 1.0
 
 
 @pytest.mark.parametrize("omega", [0.0, 2.0, 2.5, -1.0])
@@ -286,18 +292,18 @@ def test_an_empty_budget_raises_max_iterations(rows):
     assert failure.value.residual == np.inf
 
 
-def _sweeps_or_failure(W, B, c, omega):
+def _sweeps_or_failure(W, B, c, omega, max_iters=1000):
     """``_sor_sweeps`` on ``B``, or the MaxIterations its flagged rows raise."""
-    result = csviu.control._sor_sweeps(FeedbackLaw(W=W, c=c), B, omega, np.zeros_like(B), 1e-12, 1000)
+    result = csviu.control._sor_sweeps(FeedbackLaw(W=W, c=c), B, omega, np.zeros_like(B), 1e-12, max_iters)
     try:
-        csviu.control._raise_unconverged(result[2], result[4], 1e-12, 1000)
+        csviu.control._raise_unconverged(result[2], result[4], 1e-12, max_iters)
     except MaxIterations as exc:
         return exc
     return result
 
 
 def _criterion_02_instances(count=200, sizes=(1, 7), seed=20260418):
-    """The cycling instance and ``count`` random ones with m drawn from ``sizes``."""
+    """The formerly cycling instance and ``count`` random ones with m drawn from ``sizes``."""
     rng = np.random.default_rng(seed)
     instances = [ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)]
     for _ in range(count):
@@ -315,21 +321,22 @@ class TestSorKernels:
     """One-row inputs take the scalar kernel, larger batches the array kernel."""
 
     def test_kernels_agree_on_criterion_02_style_instances(self):
+        # every instance converges within 1000 sweeps; 30 are too few for many at omega != 1
         failures = 0
-        for sub in _criterion_02_instances():
-            for omega in (0.5, 1.0, 1.5, 1.9):
-                one = _sweeps_or_failure(sub.W, sub.b[None], sub.c, omega)
-                two = _sweeps_or_failure(sub.W, np.stack([sub.b, sub.b]), sub.c, omega)
-                if isinstance(one, MaxIterations):
-                    assert isinstance(two, MaxIterations)
-                    assert one.iterations == two.iterations
-                    failures += 1
-                    continue
-                assert not isinstance(two, MaxIterations)
-                assert one[3] == two[3]
-                for single, batch in zip(one[:3], two[:3]):
-                    for row in batch:
-                        assert np.all(np.abs(single[0] - row) <= 1e-12 * np.maximum(1.0, np.abs(row)))
+        omegas = (0.5, 1.0, 1.5, 1.9)
+        for sub, omega, budget in itertools.product(_criterion_02_instances(), omegas, (1000, 30)):
+            one = _sweeps_or_failure(sub.W, sub.b[None], sub.c, omega, budget)
+            two = _sweeps_or_failure(sub.W, np.stack([sub.b, sub.b]), sub.c, omega, budget)
+            if isinstance(one, MaxIterations):
+                assert isinstance(two, MaxIterations)
+                assert one.iterations == two.iterations == budget == 30
+                failures += 1
+                continue
+            assert not isinstance(two, MaxIterations)
+            assert one[3] == two[3]
+            for single, batch in zip(one[:3], two[:3]):
+                for row in batch:
+                    assert np.all(np.abs(single[0] - row) <= 1e-12 * np.maximum(1.0, np.abs(row)))
         assert failures >= 1
 
     def test_single_rows_never_reach_the_array_kernel(self, rng, monkeypatch):
@@ -393,7 +400,7 @@ class TestBatchRowsLeaveOnConvergence:
         W, B, c, sub = _mixed_rows()
         with pytest.raises(MaxIterations) as alone:
             sor_solve(replace(sub, b=B[-1]), max_iters=max_iters)
-        with pytest.raises(MaxIterations, match="retry with a smaller omega") as batch:
+        with pytest.raises(MaxIterations, match="retry with a larger max_iters") as batch:
             sor_solve_batch(W, B, c, max_iters=max_iters)
         assert batch.value.iterations == max_iters
         assert np.isfinite(batch.value.residual) and batch.value.residual > 1e-10
@@ -407,13 +414,34 @@ class TestBatchRowsLeaveOnConvergence:
         assert failure.value.iterations == 100
         assert np.isnan(failure.value.residual)
 
-    def test_large_omega_cycle_raises_from_a_batch(self):
+    def test_large_omega_converges_in_a_batch(self):
         sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
         B = np.stack([np.zeros(2), sub.b, -sub.b])
-        with pytest.raises(MaxIterations) as failure:
-            sor_solve_batch(sub.W, B, sub.c, omega=1.9, tol=1e-12, max_iters=1000)
-        assert failure.value.iterations == 1000
-        assert failure.value.residual > 0.05
+        Nu = sor_solve_batch(sub.W, B, sub.c, omega=1.9, tol=1e-12, max_iters=1000)
+        for b, nu in zip(B, Nu):
+            alone = sor_solve(replace(sub, b=b), omega=1.9, tol=1e-12, max_iters=1000)
+            np.testing.assert_allclose(nu, alone.nu, rtol=0.0, atol=1e-12)
+
+    def test_short_budget_raises_from_a_batch(self):
+        sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
+        B = np.stack([np.zeros(2), sub.b, -sub.b])
+        with pytest.raises(MaxIterations, match="on 2 of 3 rows .*retry with a larger max_iters") as failure:
+            sor_solve_batch(sub.W, B, sub.c, omega=1.9, tol=1e-12, max_iters=100)
+        assert failure.value.iterations == 100
+        assert 1e-12 < failure.value.residual < 1.0
+
+    @pytest.mark.parametrize("omega", [0.5, 1.5, 1.9])
+    def test_last_row_resumes_its_relaxed_iterate(self, omega):
+        # the straggler continues from the batch's clipped vector, so it takes
+        # the sweeps of its own single-row solve
+        W, B, c, sub = _mixed_rows()
+        singles = [sor_solve(replace(sub, b=b), omega=omega) for b in B]
+        _, _, Nu, sweeps, _ = csviu.control._sor_sweeps(
+            FeedbackLaw(W=W, c=c), B, omega, np.zeros_like(B), 1e-10, 10000
+        )
+        assert sweeps == max(state.iterations for state in singles)
+        for row, state in enumerate(singles):
+            np.testing.assert_allclose(Nu[row], state.nu, rtol=0.0, atol=1e-12)
 
 
 def _kernel_or_failure(sub, omega, z0=None, tol=1e-12, max_iters=1000):
@@ -451,10 +479,10 @@ class TestGeneratedKernel:
     OMEGAS = (0.5, 1.0, 1.5, 1.9)
 
     def test_criterion_02_style_instances(self):
+        # 30 sweeps are too few for many instances at omega != 1
         failures = 0
-        for sub in _criterion_02_instances():
-            for omega in self.OMEGAS:
-                failures += _assert_kernel_matches_reference(sub, omega)[0] is None
+        for sub, omega, budget in itertools.product(_criterion_02_instances(), self.OMEGAS, (1000, 30)):
+            failures += _assert_kernel_matches_reference(sub, omega, max_iters=budget)[0] is None
         assert failures >= 1
 
     @pytest.mark.parametrize("m", range(7, 13))
@@ -516,20 +544,22 @@ class TestGeneratedKernel:
                     _assert_kernel_matches_reference(sub, omega, tol=tol, max_iters=max_iters)
 
     def test_each_channel_count_compiles_once(self, monkeypatch):
+        # once for omega = 1 and once for the relaxed steps of every other omega
         built = []
         source = csviu.control._kernel_source
 
-        def counted(m):
-            built.append(m)
-            return source(m)
+        def counted(m, relaxed):
+            built.append((m, relaxed))
+            return source(m, relaxed)
 
         monkeypatch.setattr(csviu.control, "_KERNELS", {})
         monkeypatch.setattr(csviu.control, "_kernel_source", counted)
         for sub in _criterion_02_instances(count=40, sizes=(1, 4)):
             for omega in self.OMEGAS:
                 _kernel_or_failure(sub, omega)
-        assert sorted(built) == [1, 2, 3]
-        assert sorted(csviu.control._KERNELS) == [1, 2, 3]
+        kernels = [(m, relaxed) for m in (1, 2, 3) for relaxed in (False, True)]
+        assert sorted(built) == kernels
+        assert sorted(csviu.control._KERNELS) == kernels
 
     def test_import_compiles_no_kernel(self):
         probe = "import csviu, csviu.control; print(len(csviu.control._KERNELS))"
@@ -774,7 +804,23 @@ class TestCompiledLaw:
         csviu.mu.mu_asymptotic(sol, [1.0, -1.0, 1.0], [1.0, 0.0])
         assert counts == {}
         optimal_control(sol, X[0], mu_kind="asymptotic")
-        assert counts == {"solve": 1}  # the closed-form reconstruction check
+        assert counts == {}  # the law's inverse was checked when it was built
+
+    def test_a_law_that_misses_the_curvature_inverse_raises(self, rng, monkeypatch):
+        sol = solve_riccati(support.random_model(rng, n=3, m=2), alpha=0.9)
+        exact = csviu.riccati.stage_data
+
+        def corrupted(Lambda, c):
+            W, c = exact(Lambda, c)
+            return W * (1.0 + 1e-6), c
+
+        monkeypatch.setattr(csviu.riccati, "stage_data", corrupted)
+        x = rng.standard_normal(3)
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(CsviuError, match="fails to invert the control curvature"):
+                optimal_control(sol, x)
+        monkeypatch.setattr(csviu.riccati, "stage_data", exact)
+        optimal_control(sol, x)
 
     def test_shared_arrays_are_read_only(self, rng):
         sol = solve_riccati(support.random_model(rng, n=2, m=2), alpha=0.9)

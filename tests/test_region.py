@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import csviu.control
+import csviu.region
 from csviu import (
     ArgumentError,
     AssumptionViolated,
@@ -201,32 +202,42 @@ class TestGainTable:
             self._assert_affine(sol, 40.0 * np.array(signs) * (1.0 + rng.random(3)))
 
 
-def _cycling_scan(resolution=3, ranges=((-0.5, 0.5), (-1.0, 0.0)), omega=1.9, mu_kind="zero"):
-    """Scan of the cycling plant over x1, x2 with x3 = 0, and its grid points.
+# sweeps the slowest cells of the cycling plant's scans below need at omega
+# 1.9 (151 to 163), more than SHORT_BUDGET; every other cell needs fewer
+SHORT_BUDGET = 100
 
-    At omega 1.9 the default ranges hold one failing cell, [0, 0] = (-0.5, -1),
-    next to the inactive origin, [1, 2]; at omega 1 every cell converges.
+
+def _slow_scan(monkeypatch, resolution=3, ranges=((-0.5, 0.5), (-1.0, 0.0)), budget=SHORT_BUDGET,
+               mu_kind="zero"):
+    """Scan of the cycling plant at omega 1.9 over x1, x2 with x3 = 0, each
+    stage solve given ``budget`` sweeps, and its grid points.
+
+    With the short budget the default ranges hold one failing cell,
+    [0, 0] = (-0.5, -1), next to the inactive origin, [1, 2]; with the
+    default budget every cell converges.
     """
+    monkeypatch.setattr(csviu.region, "_MAX_SWEEPS", budget)
     sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
-    out = scan_region(sol, ranges=ranges, resolution=resolution, mu_kind=mu_kind, omega=omega)
+    out = scan_region(sol, ranges=ranges, resolution=resolution, mu_kind=mu_kind, omega=1.9)
     points = [[x, y, 0.0] for x in out.grid_x for y in out.grid_y]
     return sol, out, np.array(points)
 
 
 class TestFailedCells:
-    """A stage solve that misses tol fails its own cell, never the scan."""
+    """A stage solve that misses tol within its sweep budget fails its own
+    cell, never the scan."""
 
-    def test_failed_cell_is_invalid_with_label_zero(self):
+    def test_failed_cell_is_invalid_with_label_zero(self, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, out, _ = _cycling_scan()
+            _, out, _ = _slow_scan(monkeypatch)
         assert np.argwhere(out.invalid).tolist() == [[0, 0]]
         assert np.isnan(out.u_star[0, 0]).all() and np.isnan(out.margins[0, 0]).all()
         assert (out.labels[0, 0] == 0).all()
         assert not out.inconsistent.any()
         valid = ~out.invalid
         assert np.isfinite(out.u_star[valid]).all() and np.isfinite(out.margins[valid]).all()
-        _, clean, _ = _cycling_scan(omega=1.0)
+        _, clean, _ = _slow_scan(monkeypatch, budget=10000)
         assert not clean.invalid.any()
         np.testing.assert_array_equal(clean.labels[valid], out.labels[valid])
 
@@ -235,12 +246,13 @@ class TestFailedCells:
         [
             # two rows fail together, so the column kernel runs out of budget with both sweeping
             ("zero", ((-0.5, 0.5), (-1.0, 1.0)), 3, [0, 8]),
-            # two rows fail the first solve and one a slope re-solve
-            ("asymptotic", ((-1.0, 0.0), (-2.0, 0.0)), 9, [30, 40, 50]),
+            # three rows fail the first solve and one a slope re-solve
+            ("asymptotic", ((-1.0, 0.0), (-2.0, 0.0)), 9, [20, 30, 40, 50]),
         ],
     )
-    def test_converged_rows_equal_their_batches_of_one(self, mu_kind, ranges, resolution, failed):
-        sol, out, points = _cycling_scan(resolution, ranges, mu_kind=mu_kind)
+    def test_converged_rows_equal_their_batches_of_one(self, mu_kind, ranges, resolution, failed,
+                                                        monkeypatch):
+        sol, out, points = _slow_scan(monkeypatch, resolution, ranges, mu_kind=mu_kind)
         invalid = out.invalid.reshape(-1)
         assert np.flatnonzero(invalid).tolist() == failed
         U = out.u_star.reshape(-1, sol.model.m)
@@ -257,27 +269,29 @@ class TestFailedCells:
             return result
 
         monkeypatch.setattr(csviu.control, "_sor_sweeps", recording)
-        _, out, _ = _cycling_scan(9, ((-1.0, 0.0), (-2.0, 0.0)), mu_kind="asymptotic")
-        # (rows solved, rows failed): 81 - 2 failed - 1 settled rows re-solve, then one moving row
-        assert solves == [(81, 2), (78, 1), (1, 0)]
-        assert out.invalid.sum() == 3
+        _, out, _ = _slow_scan(monkeypatch, 9, ((-1.0, 0.0), (-2.0, 0.0)), mu_kind="asymptotic")
+        # (rows solved, rows failed): 81 - 3 failed - 1 settled rows re-solve, and no row moves after
+        assert solves == [(81, 3), (77, 1)]
+        assert out.invalid.sum() == 4
 
     @pytest.mark.parametrize(
         "mu_kind, ranges, resolution, count",
         [
             ("zero", ((-0.5, 0.5), (-1.0, 1.0)), 3, "2 of 9"),
-            # the last slope solve converges; the earlier failures still raise
-            ("asymptotic", ((-1.0, 0.0), (-2.0, 0.0)), 9, "3 of 81"),
+            # the last slope solve fails one more row; the earlier failures still count
+            ("asymptotic", ((-1.0, 0.0), (-2.0, 0.0)), 9, "4 of 81"),
         ],
     )
-    def test_batch_entry_point_raises_naming_the_failed_rows(self, mu_kind, ranges, resolution, count):
-        sol, _, points = _cycling_scan(resolution, ranges, mu_kind=mu_kind)
-        with pytest.raises(MaxIterations, match=f"on {count} rows .*retry with a smaller omega") as failure:
-            optimal_control_batch(sol, points, mu_kind=mu_kind, omega=1.9)
-        assert failure.value.iterations == 10000
+    def test_batch_entry_point_raises_naming_the_failed_rows(self, mu_kind, ranges, resolution, count,
+                                                             monkeypatch):
+        sol, _, points = _slow_scan(monkeypatch, resolution, ranges, mu_kind=mu_kind)
+        with pytest.raises(MaxIterations, match=f"on {count} rows .*retry with a larger max_iters") as failure:
+            optimal_control_batch(sol, points, mu_kind=mu_kind, omega=1.9, max_iters=SHORT_BUDGET)
+        assert failure.value.iterations == SHORT_BUDGET
         assert failure.value.residual > 1e-10
 
-    def test_cli_counts_only_valid_cells_as_inactive(self, tmp_path, capsys):
+    def test_cli_counts_only_valid_cells_as_inactive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(csviu.region, "_MAX_SWEEPS", SHORT_BUDGET)
         path = tmp_path / "cycling.json"
         path.write_text(json.dumps(support.CYCLING_PLANT_DATA))
         argv = ["region", "--model", str(path), "--alpha", "0.95", "--res", "3", "--mu", "zero",
@@ -291,6 +305,18 @@ class TestFailedCells:
         assert (clean["invalid_cells"], failed["invalid_cells"]) == (0, 1)
         # the failed cell is active at omega 1 and labelled 0 at omega 1.9; only the origin is inactive
         assert clean["inactive_cells"] == failed["inactive_cells"] == 1
+
+
+class TestLargeOmega:
+    """Projected relaxation converges at every omega in (0, 2)."""
+
+    def test_cycling_plant_scan_converges_at_omega_1_9(self):
+        # the former unprojected sweep left 23 of these 1681 rows cycling
+        sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
+        fast, slow = (scan_region(sol, resolution=41, mu_kind="zero", omega=w) for w in (1.9, 1.0))
+        assert not fast.invalid.any()
+        np.testing.assert_allclose(fast.u_star, slow.u_star, rtol=0.0, atol=1e-9)
+        np.testing.assert_array_equal(fast.labels, slow.labels)
 
 
 class TestTypedErrors:
