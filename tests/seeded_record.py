@@ -4,8 +4,9 @@
     PYTHONPATH=src python tests/seeded_record.py --check   # report each entry's deviation
 
 The record holds the full float ``repr`` of the Riccati solutions of three
-plants, stage controls and slopes at fixed states, an 11 x 11 inaction-region
-scan and the Monte Carlo estimators at a few hundred paths.  A change that
+plants, stage controls and slopes at fixed states (one state at a time and as
+batches of 200), single stage solves at four relaxation factors, an 11 x 11
+inaction-region scan and the Monte Carlo estimators at a few hundred paths.  A change that
 moves any of them in the last digits shows in the diff of ``seeded_record.txt``.
 
 The check accepts ``|got - want| <= RTOL * max(1, |want|)`` on every value and
@@ -25,15 +26,18 @@ from pathlib import Path
 import numpy as np
 
 from csviu import (
+    ControlSubproblem,
     Policy,
     SystemModel,
     estimate_energy,
     estimate_power,
     optimal_control,
+    optimal_control_batch,
     optimal_norms,
     overtaking_compare,
     scan_region,
     solve_riccati,
+    sor_solve,
 )
 
 import support
@@ -55,6 +59,19 @@ def plants() -> dict[str, SystemModel]:
     }
 
 
+def sor_subproblems() -> list[ControlSubproblem]:
+    """Coupled stage problems of m = 2, 3, 4 and 6; the m = 4 one has a zero deadzone weight."""
+    rng = np.random.default_rng(27)
+    subs = []
+    for m in (2, 3, 4, 6):
+        root = rng.standard_normal((m, m))
+        c = rng.uniform(0.0, 2.0, m)
+        if m == 4:
+            c[1] = 0.0
+        subs.append(ControlSubproblem.from_parts(root @ root.T + 0.5 * np.eye(m), 3.0 * rng.standard_normal(m), c))
+    return subs
+
+
 def compute() -> dict[str, list[float]]:
     """Every entry of the record, name -> flat list of values, from the current code."""
     out: dict[str, list[float]] = {}
@@ -74,6 +91,16 @@ def compute() -> dict[str, list[float]]:
             results = [optimal_control(sol, x, mu_kind=kind) for x in states]
             put(f"control.{name}.{kind}.u_star", [r.u_star for r in results])
             put(f"control.{name}.{kind}.mu", [r.mu for r in results])
+
+    for name in ("readme", "n6"):
+        X = 1.5 * np.random.default_rng(5).standard_normal((200, models[name].n))
+        U, Mu = optimal_control_batch(sols[name], X, mu_kind="asymptotic")
+        put(f"control_batch.{name}.asymptotic.u", U)
+        put(f"control_batch.{name}.asymptotic.mu", Mu)
+    for k, sub in enumerate(sor_subproblems()):
+        for omega in (0.5, 1.0, 1.5, 1.9):
+            st = sor_solve(sub, omega=omega)
+            put(f"sor_solve.{k}.omega{omega}", [*st.z, *st.gamma, *st.nu, *st.theta, st.iterations, st.residual])
 
     readme, n6 = models["readme"], models["n6"]
     sol = sols["readme"]
