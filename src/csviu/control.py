@@ -112,21 +112,41 @@ def _sor_sweeps(law: FeedbackLaw, B, omega, Z0, tol, max_iters):
     residual of any row.  A row still outside ``tol`` after ``max_iters``
     sweeps (a NaN residual included) comes back NaN in Z, Gamma and Nu,
     leaves the other rows as they are, and makes ``residual`` miss ``tol``
-    (:func:`_raise_unconverged`).  A relaxation factor outside (0, 2), a
-    ``tol`` that is not a finite number >= 0 and a ``max_iters`` that is not
-    an integer >= 0 raise :class:`ArgumentError`, and a nonpositive diagonal
-    of W :class:`SingularLambda`, all before any sweep.  The arguments are
-    checked on every call; the diagonal of W, its positivity check and the
-    off-diagonal part the batch kernel multiplies by are the law's cached
-    constants (:class:`~csviu.riccati.FeedbackLaw`).  A single row runs on
-    the Python-float kernel of :func:`_sweeps_one`, a batch on columns
-    (:func:`_sweeps_batch`), which hands its last unconverged row to the
-    single-row kernel.  The two kernels take the same steps and agree to
-    rounding, so every row of a batch matches its own single-row solve.
+    (:func:`_raise_unconverged`).
+
+    This is :func:`_check_sweeps` followed by :func:`_sweeps`: the checks run
+    once per call, before any sweep, and a caller that solves several times
+    with the same settings (:func:`_feedback`) runs them once and calls
+    :func:`_sweeps` itself.  ``Z0=None`` is the cold start z0 = 0.
+    """
+    max_iters = _check_sweeps(law, omega, tol, max_iters)
+    return _sweeps(law, B, omega, Z0, tol, max_iters)
+
+
+def _check_sweeps(law: FeedbackLaw, omega, tol, max_iters) -> int:
+    """The checks of a stage solve; returns ``max_iters`` as an int.
+
+    A relaxation factor outside (0, 2), a ``tol`` that is not a finite
+    number >= 0 and a ``max_iters`` that is not an integer >= 0 raise
+    :class:`ArgumentError`, and a nonpositive diagonal of W
+    :class:`SingularLambda`.
     """
     check_relaxation(omega, tol)
     max_iters = check_count("max_iters", max_iters, 0)
-    law.diagonal  # built and checked on first use: SingularLambda before any sweep
+    law.diagonal  # built and checked on first use, then cached on the law
+    return max_iters
+
+
+def _sweeps(law: FeedbackLaw, B, omega, Z0, tol, max_iters):
+    """The sweeps of :func:`_sor_sweeps` on checked arguments.
+
+    A single row runs on the Python-float kernel of :func:`_sweeps_one`, a
+    batch on columns (:func:`_sweeps_batch`), which hands its last
+    unconverged row to the single-row kernel.  The two kernels take the same
+    steps and agree to rounding, so every row of a batch matches its own
+    single-row solve.  Both read the law's cached constants
+    (:class:`~csviu.riccati.FeedbackLaw`).
+    """
     kernel = _sweeps_one if B.shape[0] == 1 else _sweeps_batch
     return kernel(law, B, omega, Z0, tol, max_iters)
 
@@ -150,22 +170,25 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
 
     The work arrays are held transposed, (m, rows), so each coordinate
     updates in place on one contiguous row and ``S`` carries the running
-    ``Gamma + B``.  After each sweep every row within ``tol`` writes its
-    result and leaves the batch, so a row stops at its own convergence
-    sweep; the last row left finishes on :func:`_sweeps_one` with the
-    remaining budget, resuming from its clipped vector; rows still sweeping
-    when it runs out stay NaN.  Returns the largest sweep count and final
-    residual of any row.
+    ``Gamma + B``.  The control and the residual of each sweep are written
+    into two buffers of the call, and one reduction gives every row's
+    residual.  After each sweep every row within ``tol`` writes its result
+    and leaves the batch, so a row stops at its own convergence sweep; the
+    last row left finishes on :func:`_sweeps_one` with the remaining budget,
+    resuming from its clipped vector; rows still sweeping when it runs out
+    stay NaN.  Returns the largest sweep count and final residual of any
+    row.
     """
-    W, Wd, C, offdiag = law.W, law.diagonal, law.c, law.offdiag
+    W, offdiag = law.W, law.offdiag
+    step, lower, upper = law.steps
+    Cl, Cc, Wdc = law.columns
     m, paths = W.shape[0], B.shape[0]
     B = np.ascontiguousarray(B.T)
-    step = 1.0 / Wd
     relaxed, keep = omega != 1.0, 1.0 - omega
-    Z = np.array(Z0.T, dtype=float, order="C")
-    Cc, Wdc = C[:, None], Wd[:, None]
-    Gamma = np.minimum(np.maximum(Z, -Cc), Cc)
+    Z = np.zeros((m, paths)) if Z0 is None else np.array(Z0.T, dtype=float, order="C")
+    Gamma = np.minimum(np.maximum(Z, Cl), Cc)
     S = Gamma + B
+    nu_buffer, r_buffer = np.empty(m * paths), np.empty(m * paths)
     out = live = None  # (Z, Gamma, Nu) of the whole batch and its rows still sweeping
     residual, top = 0.0, math.inf
     for sweep in range(1, max_iters + 1):
@@ -180,21 +203,29 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
             if relaxed:
                 g *= keep
                 g += np.multiply(z, omega, out=coupling)
-                np.maximum(g, -C[i], out=g)
+                np.maximum(g, lower[i], out=g)
             else:
-                np.maximum(z, -C[i], out=g)
-            np.minimum(g, C[i], out=g)
+                np.maximum(z, lower[i], out=g)
+            np.minimum(g, upper[i], out=g)
             np.add(g, B[i], out=S[i])
-        Nu = np.sign(Z) * np.maximum(0.0, Wdc * (np.abs(Z) - Cc))
-        R = np.abs(Nu + W @ S)
-        top = float(R.max(initial=0.0))
+        # Nu = sign(Z) max(0, Wd (|Z| - c)) and R = |Nu + W S|, in that operand order
+        size = Z.size
+        Nu, R = nu_buffer[:size].reshape(Z.shape), r_buffer[:size].reshape(Z.shape)
+        np.abs(Z, out=R)
+        np.subtract(R, Cc, out=R)
+        np.multiply(Wdc, R, out=R)
+        np.maximum(0.0, R, out=R)
+        np.multiply(np.sign(Z, out=Nu), R, out=Nu)
+        np.matmul(W, S, out=R)
+        np.add(Nu, R, out=R)
+        r = np.abs(R, out=R).max(axis=0)
+        top = float(r.max(initial=0.0))
         if top <= tol:
             if out is None:
                 return Z.T, Gamma.T, Nu.T, sweep, top
             for dst, src in zip(out, (Z, Gamma, Nu)):
                 dst[:, live] = src
             return out[0].T, out[1].T, out[2].T, sweep, max(residual, top)
-        r = R.max(axis=0)
         done = r <= tol
         if not done.any():
             continue
@@ -253,9 +284,11 @@ def _sweeps_one(law, B, omega, Z0, tol, max_iters):
     stops at the first coordinate outside ``tol``; the residual is only read
     on convergence and when the budget runs out, so that moves no result.
     """
-    m, relaxed = law.W.shape[0], omega != 1.0
+    (w, c), relaxed = law.lists, omega != 1.0
+    m = len(c)
     kernel = _KERNELS.get((m, relaxed)) or _compile_kernel(m, relaxed)
-    return kernel(law.W.tolist(), B[0].tolist(), law.c.tolist(), Z0[0].tolist(), omega, tol, max_iters)
+    z0 = [0.0] * m if Z0 is None else Z0[0].tolist()
+    return kernel(w, B[0].tolist(), c, z0, omega, tol, max_iters)
 
 
 _KERNELS = {}  # (channel count m, omega != 1) -> its compiled single-row sweep kernel
@@ -350,21 +383,18 @@ def sor_solve(
     result agrees with the batch kernel (:func:`sor_solve_batch`) to
     rounding, with the same sweep count.
     """
-    m = sub.b.size
-    Z0 = np.zeros((1, m)) if z0 is None else check_state("z0", z0, m)[None]
-    Z, Gamma, Nu, iterations, residual = _sor_sweeps(
-        FeedbackLaw(W=sub.W, c=sub.c), sub.b[None], omega, Z0, tol, max_iters
-    )
+    law = FeedbackLaw(W=sub.W, c=sub.c)
+    Z0 = None if z0 is None else check_state("z0", z0, sub.b.size)[None]
+    Z, Gamma, Nu, iterations, residual = _sor_sweeps(law, sub.b[None], omega, Z0, tol, max_iters)
     _raise_unconverged(Nu, residual, tol, max_iters)
-    return _sor_state(Z[0], Gamma[0], Nu[0], sub.c, iterations, residual)
+    return _sor_state(law, Z[0], Gamma[0], Nu[0], iterations, residual)
 
 
-def _sor_state(z, gamma, nu, c, iterations, residual):
-    """The :class:`SorState` of one converged row."""
+def _sor_state(law, z, gamma, nu, iterations, residual):
+    """The :class:`SorState` of one converged row of a solve under ``law``."""
     # theta_i = |nu_i| / c_i = W_ii max(0, |z_i| - c_i) / c_i on weighted channels
-    theta = np.abs(nu) / np.where(c > 0, c, np.inf)
-    return SorState(z=z, gamma=gamma, nu=nu, theta=theta, iterations=iterations,
-                    residual=residual)
+    return SorState(z=z, gamma=gamma, nu=nu, theta=np.abs(nu) / law.theta_divisor,
+                    iterations=iterations, residual=residual)
 
 
 def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=_MAX_SWEEPS):
@@ -381,8 +411,7 @@ def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=_MAX_SWEEPS):
     raise one :class:`MaxIterations` naming how many did.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    Z0 = np.zeros_like(B)
-    _, _, Nu, _, residual = _sor_sweeps(FeedbackLaw(W=sub_W, c=c), B, omega, Z0, tol, max_iters)
+    _, _, Nu, _, residual = _sor_sweeps(FeedbackLaw(W=sub_W, c=c), B, omega, None, tol, max_iters)
     _raise_unconverged(Nu, residual, tol, max_iters)
     return Nu
 
@@ -413,67 +442,89 @@ def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
 
     Returns ``(Z, Gamma, U, Mu, Bu, sweeps, residual)``.  ``U`` and ``Mu``
     hold every row's control from its last stage solve (a cold-start
-    :func:`_sor_sweeps` call on the solution's cached ``law``) and the slope
-    that solve used.  ``Z``, ``Gamma``, ``Bu = Mu B + 2 X Sigma'``, ``sweeps``
-    and ``residual`` are those of the last call alone, over the rows it
+    :func:`_sweeps` call on the solution's cached ``law``, whose settings
+    are checked once per call, before any sweep) and the slope that solve
+    used.  ``Z``, ``Gamma``, ``Bu = Mu B + 2 X Sigma'``, ``sweeps`` and
+    ``residual`` are those of the last solve alone, over the rows it
     solved; for a batch of one that is the row's own last solve.  A given
     ``Mu`` takes one solve.  A row that fails a solve is NaN in ``U`` and
     takes no further solve, and ``sweeps`` and ``residual`` then stay those
-    of the last call that failed a row (:func:`_raise_unconverged`).
+    of the last solve that failed a row (:func:`_raise_unconverged`).
 
     ``Mu=None`` resolves the frozen-sign slope row by row.  The slope is
     ``sign(x) gain_x' + sign(u) gain_u'`` with the solution's cached
     ``slope_gains``, which exist only once the slope series is checked to
     converge, so that check runs once per solution.  The state-sign part is
-    formed once per call and is the slope of the first solve; each re-solve
-    adds the control-sign part of its rows.  Each row re-solves until its
-    control sign pattern repeats, for at most ``_MU_SWEEPS`` sweeps, and only
-    the rows whose signs moved take part in the next sweep, which writes back
-    only their controls and slopes.  A settled row's last solve already used
-    its returned slope; only rows still moving after the last sweep are
-    solved once more.
+    formed once per call and is the slope of the first solve, whose control
+    sign pattern counts as 0; each re-solve adds the control-sign part of
+    its rows.  Each row re-solves until its control sign pattern repeats,
+    for at most ``_MU_SWEEPS`` sweeps, and only the rows whose signs moved
+    take part in the next sweep, which writes back only their controls and
+    slopes.  A settled row's last solve already used its returned slope;
+    only rows still moving after the last sweep are solved once more.
     """
     law, B = sol.law, sol.model.B
+    max_iters = _check_sweeps(law, omega, tol, max_iters)
     R = 2.0 * X @ sol.Sigma.T
-
-    def solve(Bu):
-        return _sor_sweeps(law, Bu, omega, np.zeros_like(Bu), tol, max_iters)
-
     sweeping = Mu is None
     if sweeping:
         gain_x, gain_u = sol.slope_gains
         Mu = np.sign(X) @ gain_x.T
     Bu = Mu @ B + R
-    Z, Gamma, U, sweeps, residual = solve(Bu)
+    Z, Gamma, U, sweeps, residual = _sweeps(law, Bu, omega, None, tol, max_iters)
     if not sweeping:
         return Z, Gamma, U, Mu, Bu, sweeps, residual
     U = np.ascontiguousarray(U)  # returned row-major, like the slopes
-    # rows whose signs still move, with their state-sign slopes and data; Mx_l
-    # starts as Mu itself, which the first sweep's take copies before any write
-    live, Mx_l, Su_l, R_l, U_l, last = np.arange(X.shape[0]), Mu, 0.0, R, U, residual
+    # rows whose signs still move (all of them before the first sweep), with their
+    # state-sign slopes, data, controls and signs; the takes copy Mu before any write
+    live, Mx_l, R_l, U_l, last = None, Mu, R, U, residual
     for _ in range(_MU_SWEEPS):
-        Su_next = np.sign(U_l)
-        changed = np.any(Su_next != Su_l, axis=1)  # NaN rows failed the last solve: no more solves
-        moved = np.flatnonzero(changed if last <= tol else changed & ~np.isnan(U_l[:, 0]))
+        if live is None:  # from the pattern 0: the rows with a nonzero (or NaN) control
+            changed = (U_l != 0.0).any(axis=1)
+        else:
+            Su_next = np.sign(U_l)
+            changed = (Su_next != Su_l).any(axis=1)
+        if not last <= tol:  # NaN rows failed the last solve: no more solves
+            changed &= ~np.isnan(U_l[:, 0])
+        moved = changed.nonzero()[0]
         if not moved.size:
             break
-        live, Mx_l, R_l, Su_l = (a.take(moved, axis=0) for a in (live, Mx_l, R_l, Su_next))
+        Mx_l, R_l = Mx_l.take(moved, axis=0), R_l.take(moved, axis=0)
+        if live is None:
+            live, Su_l = moved, np.sign(U_l.take(moved, axis=0))
+        else:
+            live, Su_l = live.take(moved), Su_next.take(moved, axis=0)
         Mu_l = Mx_l + Su_l @ gain_u.T
         Bu = Mu_l @ B + R_l
-        Z, Gamma, U_l, used, last = solve(Bu)
+        Z, Gamma, U_l, used, last = _sweeps(law, Bu, omega, None, tol, max_iters)
         U[live], Mu[live] = U_l, Mu_l
-        if residual <= tol or not last <= tol:  # a failed call's figures stay
+        if residual <= tol or not last <= tol:  # a failed solve's figures stay
             sweeps, residual = used, last
     return Z, Gamma, U, Mu, Bu, sweeps, residual
 
 
-def _inaction_margins(sol: RiccatiSolution, X, Mu):
-    """Inaction margins ``Wud - |2 X Sigma' + Mu B|`` of a (rows, n) batch."""
-    return _margins(sol, Mu @ sol.model.B + 2.0 * X @ sol.Sigma.T)
+def _linear_terms(sol: RiccatiSolution, X, Mu):
+    """The stage problems' linear terms ``b = Mu B + 2 X Sigma'`` of a (rows, n) batch."""
+    return Mu @ sol.model.B + 2.0 * X @ sol.Sigma.T
 
 
 def _margins(sol: RiccatiSolution, linear):
+    """Inaction margins ``Wud - |b|`` of the stage problems with linear terms ``b``."""
     return sol.forms.Wud - np.abs(linear)
+
+
+def _kkt_margins(sol: RiccatiSolution, linear, U):
+    """Exact inaction margins ``c_i - |b_i + 2 sum_{j != i} Lambda_ij u_j|`` at the controls ``U``.
+
+    By the optimality condition ``0 in 2 Lambda u + b + c |.|'(u)`` a channel
+    with ``u_i = 0`` has a margin >= 0, and an active one has the margin
+    ``-2 Lambda_ii |u_i| < 0``.  With one channel, or a diagonal Lambda, they
+    are the inaction margins ``Wud - |b|`` (c is Wud clipped at zero); with
+    coupled channels the other active channels' pull enters.
+    """
+    coupling = np.array(sol.Lambda)
+    np.fill_diagonal(coupling, 0.0)
+    return sol.law.c - np.abs(linear + 2.0 * U @ coupling.T)
 
 
 def resolve_mu(
@@ -540,16 +591,16 @@ def optimal_control(
     A state of the wrong length or with a non-finite entry raises
     :class:`ArgumentError` before any sweep.
     """
-    x = check_state("x", x, sol.model.n)
+    x = check_state("x", x, sol.model.n)[None]
     Z, Gamma, U, Mu, Bu, iterations, residual = _feedback(
-        sol, x[None], _slopes(sol, x[None], mu, mu_kind), omega, tol, max_iters
+        sol, x, _slopes(sol, x, mu, mu_kind), omega, tol, max_iters
     )
     _raise_unconverged(U, residual, tol, max_iters)
-    u_star, gamma, b, law = U[0], Gamma[0], Bu[0], sol.law
+    law, u_star, gamma, b = sol.law, U[0], Gamma[0], Bu[0]
     return ControlResult(
         u_star=u_star, gamma=gamma, mu=Mu[0], margins=_margins(sol, b),
         sub=ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda),
-        sor=_sor_state(Z[0], gamma, u_star, law.c, iterations, residual),
+        sor=_sor_state(law, Z[0], gamma, u_star, iterations, residual),
     )
 
 
@@ -563,7 +614,7 @@ def inaction_test(sol: RiccatiSolution, x, mu, channel: int | None = None):
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
     mu = np.asarray(mu, dtype=float).reshape(1, -1)
-    margins = _inaction_margins(sol, x, mu)[0]
+    margins = _margins(sol, _linear_terms(sol, x, mu))[0]
     inactive = margins > 0
     if channel is not None:
         return bool(inactive[channel]), float(margins[channel])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import _MAX_SWEEPS, _feedback, _inaction_margins, _slopes
+from .control import _MAX_SWEEPS, _feedback, _kkt_margins, _linear_terms, _margins, _slopes
 from .errors import ArgumentError, check_count, check_real, check_state
 from .riccati import RiccatiSolution
 
@@ -71,9 +71,16 @@ def scan_region(
 ) -> RegionMap:
     """Solve the stage problem over a grid slice and label each channel.
 
-    The labels are cross-checked against the inaction margins computed from
-    the same slope estimates; a disagreement away from the boundary band is
-    flagged in ``inconsistent`` (and means a bug, not a feature of the model).
+    ``margins`` are the inaction margins ``Wud - |2 Sigma x + B' mu|`` of
+    :func:`~csviu.control.inaction_test` under the cell's slope, and
+    ``boundary`` marks those within 1e-9 of zero.  With coupled channels
+    these margins leave out the pull that the other active channels exert
+    through Lambda, so the labels are cross-checked against the exact margin
+    ``c_i - |b_i + 2 sum_{j != i} Lambda_ij u_j|`` at the cell's control,
+    which is positive exactly when channel i is inactive (it equals the
+    inaction margin with one channel or a diagonal Lambda).  A disagreement
+    outside that margin's own 1e-9 band is flagged in ``inconsistent``, and
+    means a bug, not a feature of the model.
     Every cell is a row of one batch solve (the driver of
     :func:`~csviu.control.optimal_control_batch`); a row that misses ``tol``
     is flagged in ``invalid``, and an error that is not per row is raised.
@@ -95,12 +102,14 @@ def scan_region(
     gx, gy, points = _grid_points(n, axes, ranges, resolution, base_point)
     U, Mu = _feedback(sol, points, _slopes(sol, points, None, mu_kind), omega, tol, _MAX_SWEEPS)[2:4]
     invalid = np.isnan(U).any(axis=1)  # rows that missed tol
-    margins = _inaction_margins(sol, points, Mu)
+    linear = _linear_terms(sol, points, Mu)
+    margins = _margins(sol, linear)
     margins[invalid] = np.nan
     # the NaN rows of failed cells compare False: label 0 without a cast warning, and consistent
     labels = (U > _LABEL_TOL).astype(np.int8) - (U < -_LABEL_TOL).astype(np.int8)
     boundary = np.abs(margins) <= _BOUNDARY_TOL
-    inconsistent = ~boundary & (((margins > 0) & (labels != 0)) | ((margins < 0) & (labels == 0)))
+    exact = _kkt_margins(sol, linear, U)
+    inconsistent = (np.abs(exact) > _BOUNDARY_TOL) & (((exact > 0) & (labels != 0)) | ((exact < 0) & (labels == 0)))
 
     if gy is None:
         shape2, shape3 = (resolution,), (resolution, m)

@@ -168,6 +168,20 @@ class RiccatiSolution:
         return tuple(_frozen(np.asfortranarray(g)) for g in gains)
 
 
+class _constant(cached_property):
+    """:class:`functools.cached_property` without the lock that Python up to
+    3.11 takes on each first access, about 1 us: a law built per call, as
+    :func:`~csviu.control.sor_solve` builds one, reads several constants
+    once each.  Two threads may both build a value, and they build the same
+    one; a failed build is not cached."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class FeedbackLaw:
     """Stage-problem data that depends on the solution and not on the state.
@@ -176,14 +190,19 @@ class FeedbackLaw:
     relaxation sweep runs on.  ``c`` holds the deadzone weights clipped at
     zero.  The law a solution caches holds read-only arrays, because every
     solve shares them.  The relaxation constants are built on first use and
-    cached on the instance: ``diagonal``, the diagonal of W, checked
-    positive, and ``offdiag``, W with its diagonal set to zero.
+    cached on the instance, so a law pays for them once, not per solve:
+    ``diagonal``, the diagonal of W, checked positive; ``offdiag``, W with its
+    diagonal set to zero; the per-channel floats ``steps`` (``1 / W_ii``,
+    ``-c_i``, ``c_i``) and ``columns`` (``-c``, ``c`` and the diagonal as
+    (m, 1) columns) of the batch kernel; the nested lists ``lists`` (W and c)
+    of the single-row kernel; and ``theta_divisor``, c with its zeros set to
+    infinity.  They are shared by every solve and must not be modified.
     """
 
     W: np.ndarray
     c: np.ndarray
 
-    @cached_property
+    @_constant
     def diagonal(self) -> np.ndarray:
         """The diagonal of W; :class:`SingularLambda` unless every entry is positive."""
         Wd = self.W.diagonal()
@@ -191,12 +210,32 @@ class FeedbackLaw:
             raise SingularLambda("the relaxation matrix must have positive diagonal")
         return Wd
 
-    @cached_property
+    @_constant
     def offdiag(self) -> np.ndarray:
         """W with its diagonal set to zero, read-only."""
         offdiag = np.array(self.W, dtype=float)
         np.fill_diagonal(offdiag, 0.0)
         return _frozen(offdiag)
+
+    @_constant
+    def steps(self) -> tuple[list, list, list]:
+        """``(1 / W_ii, -c_i, c_i)`` as lists of floats, one entry per channel."""
+        return (1.0 / self.diagonal).tolist(), (-self.c).tolist(), self.c.tolist()
+
+    @_constant
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(-c, c, diagonal)`` as (m, 1) columns."""
+        return -self.c[:, None], self.c[:, None], self.diagonal[:, None]
+
+    @_constant
+    def lists(self) -> tuple[list, list]:
+        """``(W, c)`` as nested lists of floats."""
+        return self.W.tolist(), self.c.tolist()
+
+    @_constant
+    def theta_divisor(self) -> np.ndarray:
+        """c with its zero entries set to infinity: ``|nu| / theta_divisor`` is theta."""
+        return np.where(self.c > 0, self.c, np.inf)
 
 
 def stage_data(Lambda: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, SeriesDivergent, check_count, check_matrix, check_real, check_state
+from .errors import ArgumentError, MaxIterations, SeriesDivergent, check_count, check_matrix, check_real, check_state
 from .model import NOISE_KINDS, SystemModel
 from .operators import OperatorSet
 
@@ -282,7 +282,9 @@ def _rollout(model: SystemModel, policies, X, stages: int, seed: int, noise_kind
     stage k uses row k; the rows come from :func:`_noise_chunks`, so the run
     holds one chunk of noise at a time whatever its horizon.  A policy must
     map the batch to (paths, m) controls; any other shape raises
-    :class:`ArgumentError` naming the policy kind.
+    :class:`ArgumentError` naming the policy kind.  A policy whose stage
+    solve misses its tolerance raises a :class:`MaxIterations` that names
+    the stage and the policy kind and keeps ``iterations`` and ``residual``.
     """
     paths = X.shape[0]
     chunks = _noise_chunks(model, max(stages - 1, 0), paths, seed, noise_kind)
@@ -291,7 +293,11 @@ def _rollout(model: SystemModel, policies, X, stages: int, seed: int, noise_kind
     for k in range(stages):
         batches = []
         for policy, X in zip(policies, states):
-            U = np.asarray(policy.fn(X), dtype=float)
+            try:
+                U = np.asarray(policy.fn(X), dtype=float)
+            except MaxIterations as exc:
+                raise MaxIterations(f"stage {k} of a rollout under policy {policy.kind!r}: {exc}",
+                                    iterations=exc.iterations, residual=exc.residual) from exc
             if U.shape != (paths, model.m):
                 raise ArgumentError(
                     f"policy {policy.kind!r} returned controls of shape {U.shape}, "

@@ -578,7 +578,7 @@ class TestOptimalControl:
         def no_sweeps(*args, **kwargs):
             raise AssertionError("a sweep ran on a non-finite state")
 
-        monkeypatch.setattr(csviu.control, "_sor_sweeps", no_sweeps)
+        monkeypatch.setattr(csviu.control, "_sweeps", no_sweeps)
         with pytest.raises(ValueError, match="x must be finite"):
             optimal_control(sol, [np.nan], mu_kind=mu_kind)
         with pytest.raises(ValueError, match=r"X must be finite.* row 1"):
@@ -755,13 +755,13 @@ class TestPerRowSlopeSweeps:
 
     @staticmethod
     def _record_rows(monkeypatch, rows_solved):
-        sweeps = csviu.control._sor_sweeps
+        sweeps = csviu.control._sweeps
 
         def recording(W, B, *args):
             rows_solved.append(len(B))
             return sweeps(W, B, *args)
 
-        monkeypatch.setattr(csviu.control, "_sor_sweeps", recording)
+        monkeypatch.setattr(csviu.control, "_sweeps", recording)
 
     def test_batch_solves_each_row_as_often_as_the_single_state(self, case, monkeypatch):
         sol, X = case
@@ -776,6 +776,20 @@ class TestPerRowSlopeSweeps:
         assert sum(batch_rows) == len(single_rows)
         # only the cycling row takes the final solve after the last sweep
         assert batch_rows[-1] == 1 and batch_rows[0] == len(X)
+
+    def test_settings_are_checked_once_per_call(self, case, monkeypatch):
+        sol, X = case
+        checks, rows_solved, check = [], [], csviu.control._check_sweeps
+
+        def counting(*args):
+            checks.append(args[1:])
+            return check(*args)
+
+        monkeypatch.setattr(csviu.control, "_check_sweeps", counting)
+        self._record_rows(monkeypatch, rows_solved)
+        optimal_control_batch(sol, X, mu_kind="asymptotic")
+        optimal_control(sol, X[0], mu_kind="asymptotic")
+        assert len(rows_solved) > 2 and checks == [(1.0, 1e-10, 10000)] * 2
 
     def test_settled_state_is_not_solved_again(self, monkeypatch):
         sol = support.synthetic_solution(
@@ -827,6 +841,24 @@ class TestCompiledLaw:
         for array in (sol.law.W, sol.law.c, sol.slope_map, *sol.slope_gains):
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+    def test_relaxation_constants_built_once_per_law(self, rng):
+        sol = solve_riccati(support.random_model(rng, n=3, m=2), alpha=0.9)
+        X = rng.standard_normal((8, 3))
+        optimal_control_batch(sol, X, mu_kind="asymptotic")
+        optimal_control(sol, X[0], mu_kind="asymptotic")
+        law = sol.law
+        built = [getattr(law, name) for name in ("steps", "columns", "lists", "theta_divisor")]
+        optimal_control_batch(sol, X, mu_kind="asymptotic")
+        optimal_control(sol, X[0], mu_kind="asymptotic")
+        assert all(getattr(law, name) is value
+                   for name, value in zip(("steps", "columns", "lists", "theta_divisor"), built))
+        W, c = law.W, law.c
+        assert law.steps == ((1.0 / W.diagonal()).tolist(), (-c).tolist(), c.tolist())
+        for column, want in zip(law.columns, (-c, c, W.diagonal())):
+            assert column.shape == (2, 1) and column[:, 0].tobytes() == want.tobytes()
+        assert law.lists == (W.tolist(), c.tolist())
+        np.testing.assert_array_equal(law.theta_divisor, np.where(c > 0, c, np.inf))
 
     def test_slope_gains_built_once_per_solution(self, rng):
         model = support.random_model(rng, n=3, m=2)

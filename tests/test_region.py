@@ -103,6 +103,56 @@ class TestScan2D:
             assert not out.inconsistent.any(), (n, m)
             assert not out.invalid.any()
 
+    @pytest.mark.parametrize("omega", [1.0, 1.9])
+    def test_coupled_channels_are_consistent(self, omega):
+        # the per-channel margin flagged 26 channel-cells of this scan as inconsistent
+        sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
+        out = scan_region(sol, resolution=41, mu_kind="zero", omega=omega)
+        assert not out.invalid.any()
+        assert out.inconsistent.sum() == 0
+        # the reported margins are still the per-channel ones, which disagree with the labels
+        per_channel = ~out.boundary & (((out.margins > 0) & (out.labels != 0))
+                                       | ((out.margins < 0) & (out.labels == 0)))
+        assert per_channel.sum() == 26
+
+    def test_exact_margins_follow_the_optimality_condition(self):
+        sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
+        X = np.random.default_rng(0).uniform(-2.0, 2.0, (400, 3))
+        U, Mu = optimal_control_batch(sol, X, mu_kind="zero", tol=1e-12)
+        exact = csviu.control._kkt_margins(sol, csviu.control._linear_terms(sol, X, Mu), U)
+        active = U != 0.0
+        assert active.any() and (~active).any()
+        # an active channel's margin is -2 Lambda_ii |u_i|, an inactive one's is >= 0
+        np.testing.assert_allclose(exact[active], (-2.0 * np.diag(sol.Lambda) * np.abs(U))[active],
+                                   rtol=0.0, atol=1e-9)
+        assert (exact[~active] >= -1e-9).all()
+
+    def test_a_wrong_control_is_flagged(self, monkeypatch):
+        sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
+        feedback = csviu.control._feedback
+
+        def zeroed(*args):
+            Z, Gamma, U, *rest = feedback(*args)
+            return (Z, Gamma, np.zeros_like(U), *rest)
+
+        monkeypatch.setattr(csviu.region, "_feedback", zeroed)
+        out = scan_region(sol, resolution=9, mu_kind="zero")
+        assert out.inconsistent.any()
+        assert not out.inconsistent[out.margins > 0].any()  # inactive cells stay consistent
+
+    @pytest.mark.parametrize("mu_kind", ["zero", "asymptotic"])
+    def test_one_channel_exact_margins_are_the_inaction_margins(self, mu_kind):
+        # with m = 1 the exact margin is the reported one, so no flag moves
+        sol = solve_riccati(SystemModel.from_dict(support.README_DATA), alpha=0.95)
+        out = scan_region(sol, resolution=41, mu_kind=mu_kind)
+        xi, yj = np.meshgrid(out.grid_x, out.grid_y, indexing="ij")
+        X = np.stack([xi.reshape(-1), yj.reshape(-1)], axis=1)
+        U, Mu = optimal_control_batch(sol, X, mu_kind=mu_kind)
+        assert U.tobytes() == out.u_star.tobytes()
+        exact = csviu.control._kkt_margins(sol, csviu.control._linear_terms(sol, X, Mu), U)
+        assert exact.tobytes() == out.margins.tobytes()
+        assert not out.inconsistent.any()
+
     def test_deadzone_grows_with_the_growth_weights(self, rng):
         # scaling the control growth channel up scales Wud up, so the set of
         # inactive cells can only widen
@@ -261,14 +311,14 @@ class TestFailedCells:
             np.testing.assert_allclose(U[row], alone[0], rtol=0.0, atol=1e-12)
 
     def test_failed_rows_take_no_further_slope_solve(self, monkeypatch):
-        solves, sweeps = [], csviu.control._sor_sweeps
+        solves, sweeps = [], csviu.control._sweeps
 
         def recording(law, B, *args):
             result = sweeps(law, B, *args)
             solves.append((len(B), int(np.isnan(result[2]).any(axis=1).sum())))
             return result
 
-        monkeypatch.setattr(csviu.control, "_sor_sweeps", recording)
+        monkeypatch.setattr(csviu.control, "_sweeps", recording)
         _, out, _ = _slow_scan(monkeypatch, 9, ((-1.0, 0.0), (-2.0, 0.0)), mu_kind="asymptotic")
         # (rows solved, rows failed): 81 - 3 failed - 1 settled rows re-solve, and no row moves after
         assert solves == [(81, 3), (77, 1)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from csviu import (
+    MaxIterations,
     Policy,
     SeriesDivergent,
     SystemModel,
@@ -14,6 +15,7 @@ from csviu import (
     mu_rollout,
     one_step_variation_oracle,
     optimal_control,
+    optimal_control_batch,
     optimal_norms,
     overtaking_compare,
     simulate,
@@ -359,6 +361,39 @@ def test_rollouts_draw_through_the_chunked_streams(scalar_model, entry, monkeypa
     monkeypatch.setattr(csviu.simulator, "_noise_chunks", drawn)
     with pytest.raises(Drawn):
         calls[entry]()
+
+
+@pytest.mark.parametrize("entry", ["simulate", "estimate_energy", "estimate_power", "overtaking_compare"])
+def test_a_failed_stage_solve_names_the_stage_and_the_policy(scalar_model, entry):
+    calls = []
+
+    def solve(X):
+        calls.append(len(X))
+        if len(calls) == 4:
+            raise MaxIterations("relaxation did not reach tol", iterations=7, residual=0.5)
+        return np.zeros((len(X), 1))
+
+    flaky, zero = Policy("flaky", solve), Policy.zero(1)
+    run = {
+        "simulate": lambda: simulate(scalar_model, flaky, [1.0], kappa=6, paths=3),
+        "estimate_energy": lambda: estimate_energy(scalar_model, flaky, 0.9, 6, [1.0], 3),
+        "estimate_power": lambda: estimate_power(scalar_model, flaky, 6, [1.0], 3),
+        "overtaking_compare": lambda: overtaking_compare(scalar_model, 0.9, zero, flaky, [1.0], [6], paths=3),
+    }
+    with pytest.raises(MaxIterations) as failure:
+        run[entry]()
+    assert str(failure.value) == "stage 3 of a rollout under policy 'flaky': relaxation did not reach tol"
+    assert (failure.value.iterations, failure.value.residual) == (7, 0.5)
+    assert isinstance(failure.value.__cause__, MaxIterations)
+
+
+def test_a_short_sweep_budget_names_the_stage():
+    sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
+    short = Policy("optimal[short]", lambda X: optimal_control_batch(sol, X, omega=1.9, max_iters=3)[0])
+    with pytest.raises(MaxIterations, match=r"^stage 0 of a rollout under policy 'optimal\[short\]': "
+                                            r"relaxation did not reach .* in 3 sweeps on 2 of 2 rows") as failure:
+        simulate(sol.model, short, [0.5, 1.0, 0.0], kappa=4, paths=2)
+    assert failure.value.iterations == 3 and failure.value.residual > 1e-10
 
 
 def _reference_rollout(model, policies, X, stages, seed, noise_kind):
