@@ -275,7 +275,8 @@ def _sweeps_one(law, B, omega, Z0, tol, max_iters):
     ``z_i = 0.0 z_i - step_i (0 + sum_j w_ij s_j) - b_i`` with
     ``step_i = 1.0 / w_ii`` and the diagonal term kept as ``0.0 * s_i``, the
     clip of ``z_i`` or, for omega != 1, of
-    ``(1 - omega) gamma_i + omega z_i``, ``s_i = gamma_i + b_i``, and the
+    ``(1 - omega) gamma_i + omega z_i`` to ``[-c_i, c_i]`` (``step_i`` and
+    ``-c_i`` formed once per call), ``s_i = gamma_i + b_i``, and the
     residual ``|nu_i + (0 + sum_j w_ij s_j)|``.  Every sum starts from 0.0
     and adds its terms left to right in plain float adds, so the results do
     not depend on how the running Python's ``sum()`` rounds
@@ -343,7 +344,7 @@ def _kernel_source(m, relaxed):
         v = "y" if relaxed else f"z{i}"  # the point the clip takes
         relax = f"y = keep * g{i} + omega * z{i}\n" if relaxed else ""
         return (f"z{i} = 0.0 * z{i} - step{i} * {coupling(i, False)} - b{i}\n{relax}"
-                f"g{i} = -c{i} if {v} < -c{i} else c{i} if {v} > c{i} else {v}\n"
+                f"g{i} = nc{i} if {v} < nc{i} else c{i} if {v} > c{i} else {v}\n"
                 f"s{i} = g{i} + b{i}")
 
     def residual(i):
@@ -357,8 +358,8 @@ def _kernel_source(m, relaxed):
     return _KERNEL_TEMPLATE.format(
         w=", ".join("[" + ", ".join(f"w{i}_{j}" for j in idx) + "]" for i in idx),
         b=names("b{i}"), c=names("c{i}"), z=names("z{i}"), r=names("r{i}"),
-        start=block((f"step{i} = 1.0 / w{i}_{i}\n"
-                     f"g{i} = min(max(z{i}, -c{i}), c{i}); s{i} = g{i} + b{i}" for i in idx), 4),
+        start=block((f"step{i} = 1.0 / w{i}_{i}; nc{i} = -c{i}\n"
+                     f"g{i} = min(max(z{i}, nc{i}), c{i}); s{i} = g{i} + b{i}" for i in idx), 4),
         sweep=block(map(update, idx), 8),
         residual_to_first_miss=block(
             (f"{residual(i)}\nif not r{i} <= tol:\n    continue" for i in idx), 8),
