@@ -476,31 +476,26 @@ def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
     if not sweeping:
         return Z, Gamma, U, Mu, Bu, sweeps, residual
     U = np.ascontiguousarray(U)  # returned row-major, like the slopes
-    # rows whose signs still move (all of them before the first sweep), with their
-    # state-sign slopes, data, controls and signs; the takes copy Mu before any write
-    live, Mx_l, R_l, U_l, last = None, Mu, R, U, residual
+    # rows whose signs still move, with their state-sign slopes, data and controls; Mx_l
+    # starts as Mu itself, which the first take copies before any write.  The first
+    # solve's sign pattern is 0, so its moved rows are those with a nonzero (or NaN) control
+    live, Mx_l, R_l, U_l, last = np.arange(len(U)), Mu, R, U, residual
+    changed = (U != 0.0).any(axis=1)
     for _ in range(_MU_SWEEPS):
-        if live is None:  # from the pattern 0: the rows with a nonzero (or NaN) control
-            changed = (U_l != 0.0).any(axis=1)
-        else:
-            Su_next = np.sign(U_l)
-            changed = (Su_next != Su_l).any(axis=1)
         if not last <= tol:  # NaN rows failed the last solve: no more solves
             changed &= ~np.isnan(U_l[:, 0])
         moved = changed.nonzero()[0]
         if not moved.size:
             break
-        Mx_l, R_l = Mx_l.take(moved, axis=0), R_l.take(moved, axis=0)
-        if live is None:
-            live, Su_l = moved, np.sign(U_l.take(moved, axis=0))
-        else:
-            live, Su_l = live.take(moved), Su_next.take(moved, axis=0)
+        live, Mx_l, R_l, U_l = (a.take(moved, axis=0) for a in (live, Mx_l, R_l, U_l))
+        Su_l = np.sign(U_l)
         Mu_l = Mx_l + Su_l @ gain_u.T
         Bu = Mu_l @ B + R_l
         Z, Gamma, U_l, used, last = _sweeps(law, Bu, omega, None, tol, max_iters)
         U[live], Mu[live] = U_l, Mu_l
         if residual <= tol or not last <= tol:  # a failed solve's figures stay
             sweeps, residual = used, last
+        changed = (np.sign(U_l) != Su_l).any(axis=1)
     return Z, Gamma, U, Mu, Bu, sweeps, residual
 
 
