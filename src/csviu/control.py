@@ -208,7 +208,8 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
                 np.maximum(z, lower[i], out=g)
             np.minimum(g, upper[i], out=g)
             np.add(g, B[i], out=S[i])
-        # Nu = sign(Z) max(0, Wd (|Z| - c)) and R = |Nu + W S|, in that operand order
+        # Nu = sign(Z) max(0, Wd (|Z| - c)) and R = |Nu + W S| in the call's buffers, operands in
+        # this order: np.maximum picks between equal zeros by position, so the order fixes signs
         size = Z.size
         Nu, R = nu_buffer[:size].reshape(Z.shape), r_buffer[:size].reshape(Z.shape)
         np.abs(Z, out=R)
