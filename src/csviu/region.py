@@ -109,7 +109,8 @@ def scan_region(
     labels = (U > _LABEL_TOL).astype(np.int8) - (U < -_LABEL_TOL).astype(np.int8)
     boundary = np.abs(margins) <= _BOUNDARY_TOL
     exact = _kkt_margins(sol, linear, U)
-    inconsistent = (np.abs(exact) > _BOUNDARY_TOL) & (((exact > 0) & (labels != 0)) | ((exact < 0) & (labels == 0)))
+    inconsistent = (np.abs(exact) > _BOUNDARY_TOL) & (
+        ((exact > 0) & (labels != 0)) | ((exact < 0) & (labels == 0)))
 
     if gy is None:
         shape2, shape3 = (resolution,), (resolution, m)

@@ -49,7 +49,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, MaxIterations, SeriesDivergent, check_count, check_matrix, check_real, check_state
+from .errors import (ArgumentError, MaxIterations, SeriesDivergent, check_count, check_matrix, check_real,
+                     check_state)
 from .model import NOISE_KINDS, SystemModel
 from .operators import OperatorSet
 

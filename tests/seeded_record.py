@@ -68,7 +68,8 @@ def sor_subproblems() -> list[ControlSubproblem]:
         c = rng.uniform(0.0, 2.0, m)
         if m == 4:
             c[1] = 0.0
-        subs.append(ControlSubproblem.from_parts(root @ root.T + 0.5 * np.eye(m), 3.0 * rng.standard_normal(m), c))
+        curvature = root @ root.T + 0.5 * np.eye(m)
+        subs.append(ControlSubproblem.from_parts(curvature, 3.0 * rng.standard_normal(m), c))
     return subs
 
 
@@ -100,7 +101,8 @@ def compute() -> dict[str, list[float]]:
     for k, sub in enumerate(sor_subproblems()):
         for omega in (0.5, 1.0, 1.5, 1.9):
             st = sor_solve(sub, omega=omega)
-            put(f"sor_solve.{k}.omega{omega}", [*st.z, *st.gamma, *st.nu, *st.theta, st.iterations, st.residual])
+            put(f"sor_solve.{k}.omega{omega}",
+                [*st.z, *st.gamma, *st.nu, *st.theta, st.iterations, st.residual])
 
     readme, n6 = models["readme"], models["n6"]
     sol = sols["readme"]
