@@ -119,7 +119,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output directory (default: print JSON)")
         p.add_argument("--mu", default=None, choices=["zero", "asymptotic", "rollout"],
                        help="slope estimator for the stage problems")
-        p.add_argument("--omega", type=float, default=None, help="relaxation factor")
         p.add_argument("--paths", type=int, default=None)
         p.add_argument("--kappa", type=int, default=None)
         return p
@@ -172,9 +171,7 @@ def _parser() -> _Parser:
 
 
 # override flags -> CriterionConfig fields, in the order the manifest records them
-_OVERRIDES = {
-    "alpha": "alpha", "seed": "seed", "paths": "paths", "kappa": "kappa", "omega": "sor_omega",
-}
+_OVERRIDES = {"alpha": "alpha", "seed": "seed", "paths": "paths", "kappa": "kappa"}
 
 
 @dataclasses.dataclass
@@ -203,8 +200,7 @@ def _policy(name: str, run: _Run, sol=None):
     sol = sol if sol is not None else _solution(run)
     if name == "gain":
         return Policy.linear(sol.G)
-    cfg = run.config
-    return Policy.optimal(sol, mu_kind=run.mu_kind, omega=cfg.sor_omega, tol=cfg.tol_sor)
+    return Policy.optimal(sol, mu_kind=run.mu_kind, tol=run.config.tol_sor)
 
 
 def _solution_payload(sol) -> dict:
@@ -258,8 +254,7 @@ def _cmd_detect(args, run: _Run):
 def _cmd_control(args, run: _Run):
     sol = _solution(run)
     x = np.array(_floats(args.x))
-    result = optimal_control(sol, x, mu_kind=run.mu_kind, omega=run.config.sor_omega,
-                             tol=run.config.tol_sor)
+    result = optimal_control(sol, x, mu_kind=run.mu_kind, tol=run.config.tol_sor)
     return {
         "x": _jsonable(x),
         "mu_kind": run.mu_kind,
@@ -303,7 +298,7 @@ def _cmd_norms(args, run: _Run):
     sol = _solution(run)
     cfg = run.config
     est = optimal_norms(sol, paths=cfg.paths, seed=cfg.seed, mu_kind=run.mu_kind,
-                        kappa=cfg.kappa, omega=cfg.sor_omega, sor_tol=cfg.tol_sor)
+                        kappa=cfg.kappa, sor_tol=cfg.tol_sor)
     return _jsonable(est), []
 
 
@@ -343,7 +338,7 @@ def _cmd_region(args, run: _Run):
         if len(ranges) == 1 and len(axes) == 2:
             ranges = ranges * 2
     rmap = scan_region(sol, axes=axes, ranges=ranges, resolution=args.res,
-                       mu_kind=run.mu_kind, omega=run.config.sor_omega, tol=run.config.tol_sor)
+                       mu_kind=run.mu_kind, tol=run.config.tol_sor)
     m = run.model.m
     # each grid value is formatted once and its string repeated over its cells
     gx = [str(v) for v in rmap.grid_x.tolist()]

@@ -27,7 +27,7 @@ from math import copysign
 
 import numpy as np
 
-from .errors import ArgumentError, MaxIterations, check_count, check_state
+from .errors import ArgumentError, MaxIterations, check_count, check_real, check_state
 from .mu import mu_rollout
 from .riccati import FeedbackLaw, RiccatiSolution, stage_data
 
@@ -74,15 +74,14 @@ class SorState:
 
 
 def cost_Ju(sub: ControlSubproblem, u) -> float:
-    """Objective value of the stage problem at ``u``."""
-    u = np.asarray(u, dtype=float).reshape(-1)
+    """Objective value of the stage problem at ``u``; a ``u`` of the wrong
+    length or with a non-finite entry raises :class:`ArgumentError`."""
+    u = check_state("u", u, sub.b.size)
     return float(u @ sub.Lambda @ u + sub.b @ u + sub.c @ np.abs(u))
 
 
-def check_relaxation(omega, tol) -> None:
-    """:class:`ArgumentError` unless ``omega`` lies in (0, 2) and ``tol`` is a finite number >= 0."""
-    if not (0.0 < omega < 2.0):
-        raise ArgumentError(f"omega must lie in (0, 2), got {omega}")
+def check_tol(tol) -> None:
+    """:class:`ArgumentError` unless ``tol`` is a finite number >= 0."""
     if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise ArgumentError(f"tol must be a finite number >= 0, got {tol!r}")
 
@@ -114,24 +113,23 @@ def _sor_sweeps(law: FeedbackLaw, B, omega, Z0, tol, max_iters):
     leaves the other rows as they are, and makes ``residual`` miss ``tol``
     (:func:`_raise_unconverged`).
 
-    This is :func:`_check_sweeps` followed by :func:`_sweeps`: the checks run
-    once per call, before any sweep, and a caller that solves several times
-    with the same settings (:func:`_feedback`) runs them once and calls
-    :func:`_sweeps` itself.  ``Z0=None`` is the cold start z0 = 0.
+    ``omega`` must be a real number in (0, 2), bools excluded; it and the
+    settings of :func:`_check_sweeps` are checked once per call, before
+    :func:`_sweeps` runs.  ``Z0=None`` is the cold start z0 = 0.
     """
-    max_iters = _check_sweeps(law, omega, tol, max_iters)
+    check_real("omega", omega, 0.0, 2.0)
+    max_iters = _check_sweeps(law, tol, max_iters)
     return _sweeps(law, B, omega, Z0, tol, max_iters)
 
 
-def _check_sweeps(law: FeedbackLaw, omega, tol, max_iters) -> int:
+def _check_sweeps(law: FeedbackLaw, tol, max_iters) -> int:
     """The checks of a stage solve; returns ``max_iters`` as an int.
 
-    A relaxation factor outside (0, 2), a ``tol`` that is not a finite
-    number >= 0 and a ``max_iters`` that is not an integer >= 0 raise
-    :class:`ArgumentError`, and a nonpositive diagonal of W
-    :class:`SingularLambda`.
+    A ``tol`` that is not a finite number >= 0 and a ``max_iters`` that is
+    not an integer >= 0 raise :class:`ArgumentError`, and a nonpositive
+    diagonal of W :class:`SingularLambda`.
     """
-    check_relaxation(omega, tol)
+    check_tol(tol)
     max_iters = check_count("max_iters", max_iters, 0)
     law.diagonal  # built and checked on first use, then cached on the law
     return max_iters
@@ -404,7 +402,7 @@ def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=_MAX_SWEEPS):
 
     ``B`` is (paths, m); returns the (paths, m) control batch, empty when
     ``B`` has no rows; for stage problems that share one curvature (the
-    feedback entry points run the same :func:`_sor_sweeps` from
+    feedback entry points run the same sweeps at omega = 1 from
     :func:`_feedback`).  Each row stops at
     its own convergence sweep, and the last row still sweeping finishes on
     the single-row kernel of :func:`_sor_sweeps`, as a one-row ``B`` and
@@ -439,8 +437,12 @@ def _slopes(sol: RiccatiSolution, X, Mu, mu_kind):
     return None
 
 
-def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
+def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
     """Stage solutions of a (rows, n) state batch under its :func:`_slopes`.
+
+    Every stage solve sweeps at omega = 1, plain projected Gauss-Seidel,
+    which took the fewest sweeps on every plant measured; another omega
+    would move only the sweep count, never the answer.
 
     Returns ``(Z, Gamma, U, Mu, Bu, sweeps, residual)``.  ``U`` and ``Mu``
     hold every row's control from its last stage solve (a cold-start
@@ -466,14 +468,14 @@ def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
     only rows still moving after the last sweep are solved once more.
     """
     law, B = sol.law, sol.model.B
-    max_iters = _check_sweeps(law, omega, tol, max_iters)
+    max_iters = _check_sweeps(law, tol, max_iters)
     R = 2.0 * X @ sol.Sigma.T
     sweeping = Mu is None
     if sweeping:
         gain_x, gain_u = sol.slope_gains
         Mu = np.sign(X) @ gain_x.T
     Bu = Mu @ B + R
-    Z, Gamma, U, sweeps, residual = _sweeps(law, Bu, omega, None, tol, max_iters)
+    Z, Gamma, U, sweeps, residual = _sweeps(law, Bu, 1.0, None, tol, max_iters)
     if not sweeping:
         return Z, Gamma, U, Mu, Bu, sweeps, residual
     U = np.ascontiguousarray(U)  # returned row-major, like the slopes
@@ -492,7 +494,7 @@ def _feedback(sol: RiccatiSolution, X, Mu, omega, tol, max_iters):
         Su_l = np.sign(U_l)
         Mu_l = Mx_l + Su_l @ gain_u.T
         Bu = Mu_l @ B + R_l
-        Z, Gamma, U_l, used, last = _sweeps(law, Bu, omega, None, tol, max_iters)
+        Z, Gamma, U_l, used, last = _sweeps(law, Bu, 1.0, None, tol, max_iters)
         U[live], Mu[live] = U_l, Mu_l
         if residual <= tol or not last <= tol:  # a failed solve's figures stay
             sweeps, residual = used, last
@@ -529,7 +531,6 @@ def resolve_mu(
     x,
     mu=None,
     mu_kind: str = "zero",
-    omega: float = 1.0,
     tol: float = 1e-10,
     max_iters: int = _MAX_SWEEPS,
 ):
@@ -538,7 +539,7 @@ def resolve_mu(
     Every feedback entry point takes the same slope inputs: an explicit
     ``mu``, or ``mu_kind`` "zero" (no slope), "asymptotic" or "rollout".
     "asymptotic" freezes signs at the current state and re-solves the stage
-    problem (with ``omega``/``tol``/``max_iters``) until the control sign
+    problem (with ``tol``/``max_iters``) until the control sign
     pattern repeats, for at most 3 sweeps; a state on a sign cycle returns
     the slope of its last pattern.  "rollout" is :func:`~csviu.mu.mu_rollout`
     with its defaults (256 paths, seed 0); for other settings pass
@@ -549,7 +550,7 @@ def resolve_mu(
     x = check_state("x", x, sol.model.n)
     Mu = _slopes(sol, x[None], mu, mu_kind)
     if Mu is None:
-        Mu = optimal_control_batch(sol, x[None], None, mu_kind, omega, tol, max_iters)[1]
+        Mu = optimal_control_batch(sol, x[None], None, mu_kind, tol, max_iters)[1]
     return Mu[0]
 
 
@@ -568,7 +569,6 @@ def optimal_control(
     x,
     mu=None,
     mu_kind: str = "zero",
-    omega: float = 1.0,
     tol: float = 1e-10,
     max_iters: int = _MAX_SWEEPS,
 ) -> ControlResult:
@@ -590,7 +590,7 @@ def optimal_control(
     """
     x = check_state("x", x, sol.model.n)[None]
     Z, Gamma, U, Mu, Bu, iterations, residual = _feedback(
-        sol, x, _slopes(sol, x, mu, mu_kind), omega, tol, max_iters
+        sol, x, _slopes(sol, x, mu, mu_kind), tol, max_iters
     )
     _raise_unconverged(U, residual, tol, max_iters)
     law, u_star, gamma, b = sol.law, U[0], Gamma[0], Bu[0]
@@ -607,10 +607,15 @@ def inaction_test(sol: RiccatiSolution, x, mu, channel: int | None = None):
     A channel is strictly inactive when the linear pull ``2 Sigma x + B' mu``
     on it is smaller than its deadzone weight; the margin (weight less pull
     magnitude, as in ``ControlResult.margins`` and ``scan_region``) is
-    positive inside the inaction region, negative outside.
+    positive inside the inaction region, negative outside.  An ``x`` or
+    ``mu`` of the wrong length or with a non-finite entry, and a ``channel``
+    that is not an integer in [0, m), raise :class:`ArgumentError`.
     """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    mu = np.asarray(mu, dtype=float).reshape(1, -1)
+    n, m = sol.model.n, sol.model.m
+    x = check_state("x", x, n)[None]
+    mu = check_state("mu", mu, n)[None]
+    if channel is not None and check_count("channel", channel, 0) >= m:
+        raise ArgumentError(f"channel must be below the control count {m}, got {channel!r}")
     margins = _margins(sol, _linear_terms(sol, x, mu))[0]
     inactive = margins > 0
     if channel is not None:
@@ -623,7 +628,6 @@ def optimal_control_batch(
     X,
     Mu=None,
     mu_kind: str = "zero",
-    omega: float = 1.0,
     tol: float = 1e-10,
     max_iters: int = _MAX_SWEEPS,
 ):
@@ -648,6 +652,6 @@ def optimal_control_batch(
     if not np.isfinite(X).all():
         row = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise ArgumentError(f"X must be finite, got {X[row]} in row {row}")
-    _, _, U, Mu, _, _, residual = _feedback(sol, X, _slopes(sol, X, Mu, mu_kind), omega, tol, max_iters)
+    _, _, U, Mu, _, _, residual = _feedback(sol, X, _slopes(sol, X, Mu, mu_kind), tol, max_iters)
     _raise_unconverged(U, residual, tol, max_iters)
     return U, Mu

@@ -33,8 +33,7 @@ _SHAPES = {
 }
 # criterion block keys of a model file -> CriterionConfig fields
 _CRITERION_KEYS = {
-    "alpha": "alpha", "kappa": "kappa", "paths": "paths", "seed": "seed",
-    "omega": "sor_omega", "max_iters": "max_iters",
+    "alpha": "alpha", "kappa": "kappa", "paths": "paths", "seed": "seed", "max_iters": "max_iters",
 }
 _TOLERANCE_KEYS = {"fixed_point": "tol_fixed_point", "sor": "tol_sor"}
 # CriterionConfig fields that count, with their least value; the other fields are reals
@@ -79,8 +78,8 @@ def _criterion_value(name, value):
 class CriterionConfig:
     """Run parameters for solvers and Monte Carlo estimators.
 
-    ``kappa is None`` means an infinite horizon.  ``alpha``, ``sor_omega``
-    and the tolerances are stored as floats; ``kappa``, ``paths``, ``seed``
+    ``kappa is None`` means an infinite horizon.  ``alpha`` and the
+    tolerances are stored as floats; ``kappa``, ``paths``, ``seed``
     and ``max_iters`` must be integral and are stored as ints (50.0 as 50).
     Bools, strings and values out of range (a tolerance must be finite and
     positive) raise :class:`ModelError` naming the field.
@@ -93,7 +92,6 @@ class CriterionConfig:
     tol_fixed_point: float = 1e-11
     tol_sor: float = 1e-10
     max_iters: int = 200000
-    sor_omega: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -102,8 +100,6 @@ class CriterionConfig:
                 object.__setattr__(self, f.name, _criterion_value(f.name, value))
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ModelError(f"alpha must be a positive real, got {self.alpha!r}")
-        if not (0.0 < self.sor_omega < 2.0):
-            raise ModelError(f"sor_omega must lie in (0, 2), got {self.sor_omega!r}")
         for name in ("tol_fixed_point", "tol_sor"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):

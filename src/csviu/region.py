@@ -66,7 +66,6 @@ def scan_region(
     resolution: int = 41,
     base_point=None,
     mu_kind: str = "asymptotic",
-    omega: float = 1.0,
     tol: float = 1e-10,
 ) -> RegionMap:
     """Solve the stage problem over a grid slice and label each channel.
@@ -100,7 +99,7 @@ def scan_region(
     base_point = np.zeros(n) if base_point is None else check_state("base_point", base_point, n)
 
     gx, gy, points = _grid_points(n, axes, ranges, resolution, base_point)
-    U, Mu = _feedback(sol, points, _slopes(sol, points, None, mu_kind), omega, tol, _MAX_SWEEPS)[2:4]
+    U, Mu = _feedback(sol, points, _slopes(sol, points, None, mu_kind), tol, _MAX_SWEEPS)[2:4]
     invalid = np.isnan(U).any(axis=1)  # rows that missed tol
     linear = _linear_terms(sol, points, Mu)
     margins = _margins(sol, linear)

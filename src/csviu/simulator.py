@@ -256,20 +256,20 @@ class Policy:
         return Policy("linear", lambda X: X @ G.T)
 
     @staticmethod
-    def optimal(sol, mu_kind: str = "zero", omega: float = 1.0, tol: float = 1e-10) -> "Policy":
+    def optimal(sol, mu_kind: str = "zero", tol: float = 1e-10) -> "Policy":
         """One :func:`~csviu.control.optimal_control_batch` call per state batch.
 
-        ``mu_kind``, ``omega`` and ``tol`` are checked when the policy is
-        built, so a bad one raises :class:`ArgumentError` before a rollout
-        draws any noise.
+        ``mu_kind`` and ``tol`` are checked when the policy is built, so a
+        bad one raises :class:`ArgumentError` before a rollout draws any
+        noise.
         """
-        from .control import check_mu_kind, check_relaxation, optimal_control_batch
+        from .control import check_mu_kind, check_tol, optimal_control_batch
 
         check_mu_kind(mu_kind)
-        check_relaxation(omega, tol)
+        check_tol(tol)
 
         def fn(X):
-            return optimal_control_batch(sol, X, mu_kind=mu_kind, omega=omega, tol=tol)[0]
+            return optimal_control_batch(sol, X, mu_kind=mu_kind, tol=tol)[0]
 
         return Policy(f"optimal[{mu_kind}]", fn)
 
@@ -620,7 +620,6 @@ def optimal_norms(
     noise_kind: str = "gaussian",
     kappa: int | None = None,
     tail_tol: float = 1e-6,
-    omega: float = 1.0,
     sor_tol: float = 1e-10,
 ) -> NormEstimates:
     """Formula-based cost criteria under the optimal policy.
@@ -664,7 +663,7 @@ def optimal_norms(
         raise SeriesDivergent(
             "the closed loop does not contract in second moment at this discount"
         )
-    policy = Policy.optimal(sol, mu_kind=mu_kind, omega=omega, tol=sor_tol)
+    policy = Policy.optimal(sol, mu_kind=mu_kind, tol=sor_tol)
 
     def residual_sums(bounds, weights):
         """Per-path sums of weights[k] * rho_k over the stage spans [bounds[i], bounds[i + 1]).

@@ -35,9 +35,10 @@ README_DATA = {
 }
 
 # A dense n = 3, m = 2 plant (one draw of the benchmark's coupled family, to two
-# decimals) whose stage problems at alpha = 0.95 and the zero slope converge at
-# omega = 1 everywhere but cycle at omega = 1.9 near x = (-0.5, -1, 0) and
-# x = (0.5, 1, 0).
+# decimals) whose stage problems at alpha = 0.95 are slow in places: with the zero
+# slope the state (-0.125, -0.25, 0) and its mirror take 174 sweeps and the cells of
+# the 41 x 41 scan of [-2, 2]^2 (x3 = 0) at most 6 but two at 171, so a short sweep
+# budget fails a few known cells.  Its coupled channels also test the region labels.
 CYCLING_PLANT_DATA = {
     "A": [[-0.52, 0.07, -0.22], [-0.22, 0.08, -0.3], [0.39, -0.06, 0.75]],
     "B": [[-2.18, -1.68], [2.19, 2.75], [0.45, -0.08]],

@@ -128,20 +128,19 @@ class TestStdoutMode:
         assert payload["alpha"] == 0.9
 
     def test_manifest_settings_merge_file_criterion_and_flags(self, tmp_path):
-        criterion = {"alpha": 0.9, "kappa": 7, "paths": 25, "seed": 4, "omega": 1.2,
+        criterion = {"alpha": 0.9, "kappa": 7, "paths": 25, "seed": 4,
                      "tolerances": {"fixed_point": 1e-9, "sor": 1e-8}, "max_iters": 5000}
         path = tmp_path / "full.json"
         path.write_text(json.dumps(dict(support.SCALAR_DATA, criterion=criterion)))
         out = tmp_path / "run"
-        argv = ["riccati", "--model", str(path), "--seed", "9", "--omega", "1.5", "--mu", "asymptotic",
-                "--out", str(out)]
+        argv = ["riccati", "--model", str(path), "--seed", "9", "--mu", "asymptotic", "--out", str(out)]
         assert main(argv) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest["settings"].items()) == [
-            ("alpha", 0.9), ("seed", 9), ("paths", 25), ("kappa", 7), ("omega", 1.5), ("mu", "asymptotic"),
+            ("alpha", 0.9), ("seed", 9), ("paths", 25), ("kappa", 7), ("mu", "asymptotic"),
         ]
         # the hash reads the canonical model dict with sorted keys
-        assert manifest["model_sha256"] == "01c40cba9c79a575be1bd9f462d581c8520efc20485b8798eed773e7ac3b93be"
+        assert manifest["model_sha256"] == "3a9a797e309178cf5e032cbd1efeba252f7dc1c90d531ece115513edd111a3bd"
 
     def test_negative_tokens_accepted_in_ranges(self, capsys, model_file):
         payload = _run_json(
@@ -232,27 +231,26 @@ class TestOutputDirectory:
             assert [int(v) for v in row[k + 2 : k + 4]] == want[k + 2 : k + 4].tolist()
             assert [float(v) for v in row[k + 4 :]] == want[k + 4 :].tolist()
 
-    @pytest.mark.parametrize("data, axes, ranges, res, omega, budget, invalid", [
-        (support.README_DATA, (0, 1), ((-2.0, 2.0), (-1.0, 3.0)), 6, 1.0, 10000, 0),
-        (_THREE_STATE, (1,), ((-2.0, 2.0),), 7, 1.0, 10000, 0),
+    @pytest.mark.parametrize("data, axes, ranges, res, budget, invalid", [
+        (support.README_DATA, (0, 1), ((-2.0, 2.0), (-1.0, 3.0)), 6, 10000, 0),
+        (_THREE_STATE, (1,), ((-2.0, 2.0),), 7, 10000, 0),
         # 4900 rows, more than one block of the writer
-        (_THREE_STATE, (0, 2), ((-2.0, 2.0), (-2.0, 2.0)), 70, 1.0, 10000, 0),
-        # cells whose stage solve ran out of sweeps carry NaN
-        (support.CYCLING_PLANT_DATA, (0, 1), ((-1.0, 0.0), (-2.0, 0.0)), 9, 1.9, 100, 4),
+        (_THREE_STATE, (0, 2), ((-2.0, 2.0), (-2.0, 2.0)), 70, 10000, 0),
+        # cells whose stage solve ran out of sweeps carry NaN: three first solves need 3 or 4
+        (support.CYCLING_PLANT_DATA, (0, 1), ((-1.0, 0.0), (-2.0, 0.0)), 9, 2, 3),
     ], ids=["m1-2d", "m2-1d", "m2-2d-blocks", "nan-cells"])
     def test_region_table_bytes_are_those_of_csv_writer(self, tmp_path, monkeypatch, data, axes, ranges,
-                                                         res, omega, budget, invalid):
+                                                         res, budget, invalid):
         monkeypatch.setattr(csviu.region, "_MAX_SWEEPS", budget)
         path = tmp_path / "plant.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "scan"
         argv = ["region", "--model", str(path), "--alpha", "0.95", "--mu", "asymptotic",
-                "--res", str(res), "--omega", str(omega), "--axes", ",".join(map(str, axes)),
+                "--res", str(res), "--axes", ",".join(map(str, axes)),
                 *[f"--range={lo},{hi}" for lo, hi in ranges], "--out", str(out)]
         assert main(argv) == 0
         sol = solve_riccati(load_model(str(path)), alpha=0.95)
-        rmap = scan_region(sol, axes=axes, ranges=ranges, resolution=res, mu_kind="asymptotic",
-                           omega=omega)
+        rmap = scan_region(sol, axes=axes, ranges=ranges, resolution=res, mu_kind="asymptotic")
         assert rmap.invalid.sum() == invalid
         m = sol.model.m
         grids = [rmap.grid_x] if len(axes) == 1 else np.meshgrid(rmap.grid_x, rmap.grid_y, indexing="ij")

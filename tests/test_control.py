@@ -222,10 +222,11 @@ class TestSorGeneral:
         assert 1e-12 < failure.value.residual < 1.0
 
 
-@pytest.mark.parametrize("omega", [0.0, 2.0, 2.5, -1.0])
-@pytest.mark.parametrize("entry", ["sor_solve", "sor_solve_batch", "optimal_control_batch"])
+@pytest.mark.parametrize("omega", [0.0, 2.0, 2.5, -1.0, True, "1", None])
+@pytest.mark.parametrize("entry", ["sor_solve", "sor_solve_batch"])
 def test_omega_outside_the_open_interval_raises_before_sweeping(entry, omega, monkeypatch):
-    with pytest.raises(ValueError, match="omega must lie in"):
+    # omega=True used to run omega = 1, and "1" or None raised a bare TypeError
+    with pytest.raises(ArgumentError, match=r"^omega must be a finite real in \(0, 2\)"):
         _solve_without_sweeps(entry, monkeypatch, omega=omega)
 
 
@@ -646,9 +647,9 @@ class TestOptimalControl:
         model = support.random_model(rng, n=3, m=2)
         sol = solve_riccati(model, alpha=0.9)
         X = 2.0 * rng.standard_normal((10, 3))
-        U, Mu = optimal_control_batch(sol, X, mu_kind="asymptotic", omega=1.5, tol=1e-12)
+        U, Mu = optimal_control_batch(sol, X, mu_kind="asymptotic", tol=1e-12)
         for row in range(10):
-            single = optimal_control(sol, X[row], mu_kind="asymptotic", omega=1.5, tol=1e-12)
+            single = optimal_control(sol, X[row], mu_kind="asymptotic", tol=1e-12)
             np.testing.assert_allclose(single.u_star, U[row], atol=1e-9)
             np.testing.assert_allclose(single.mu, Mu[row], atol=1e-9)
         with pytest.raises(MaxIterations):
@@ -789,7 +790,7 @@ class TestPerRowSlopeSweeps:
         self._record_rows(monkeypatch, rows_solved)
         optimal_control_batch(sol, X, mu_kind="asymptotic")
         optimal_control(sol, X[0], mu_kind="asymptotic")
-        assert len(rows_solved) > 2 and checks == [(1.0, 1e-10, 10000)] * 2
+        assert len(rows_solved) > 2 and checks == [(1e-10, 10000)] * 2
 
     def test_settled_state_is_not_solved_again(self, monkeypatch):
         sol = support.synthetic_solution(

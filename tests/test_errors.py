@@ -130,7 +130,7 @@ def _value_error_sites():
     return {
         "from_parts-sizes": (lambda: ControlSubproblem.from_parts(np.eye(2), [1.0], [0.5]),
                              "inconsistent sizes"),
-        "omega": (lambda: sor_solve(sub, omega=2.5), "omega must lie in"),
+        "omega": (lambda: sor_solve(sub, omega=2.5), "omega must be a finite real in"),
         "tol": (lambda: sor_solve(sub, tol=-1.0), "tol must be a finite number"),
         "state-length": (lambda: optimal_control_batch(sol, np.ones((3, 3))), "states have length 3"),
         "slope-shape": (lambda: optimal_control_batch(sol, X, Mu=np.ones((3, 3))), "slopes of shape"),
@@ -144,7 +144,6 @@ def _value_error_sites():
         "kappa_grid": (lambda: overtaking_compare(model, 0.95, gain, gain, x0, [-1], paths=2),
                        "kappa_grid must contain"),
         # scan_region falls back cell by cell on any CsviuError, so it checks these first
-        "scan_region-omega": (lambda: scan_region(sol, resolution=3, omega=2.5), "omega must lie in"),
         "scan_region-tol": (lambda: scan_region(sol, resolution=3, tol=np.inf), "tol must be"),
     }
 
@@ -153,5 +152,32 @@ def _value_error_sites():
 def test_feedback_and_simulation_arguments_raise_argument_error(case):
     # each of these raised a bare ValueError, which a caller cannot tell from a numpy error
     call, message = _value_error_sites()[case]
+    with pytest.raises(ArgumentError, match=message):
+        call()
+
+
+def _stage_input_calls():
+    """Inputs of ``inaction_test`` and ``cost_Ju``, which used to reach numpy unchecked."""
+    from csviu import ControlSubproblem, cost_Ju, inaction_test
+
+    sol = solve_riccati(SystemModel.from_dict(support.README_DATA), alpha=0.95)  # n = 2, m = 1
+    x, mu = [1.0, -1.0], [0.1, -0.1]
+    sub = ControlSubproblem.from_parts(np.eye(2), [1.0, -1.0], [0.5, 0.5])
+    return {
+        # the two length errors raised numpy's bare matmul ValueError
+        "x-length": (lambda: inaction_test(sol, [1.0, 2.0, 3.0], mu), "^x has length 3, expected 2$"),
+        "mu-length": (lambda: inaction_test(sol, x, [0.1]), "^mu has length 1, expected 2$"),
+        # returned inactive=False with a NaN margin
+        "x-nan": (lambda: inaction_test(sol, [np.nan, 0.0], mu), "^x must be finite"),
+        # raised an IndexError
+        "channel": (lambda: inaction_test(sol, x, mu, channel=5),
+                    "^channel must be below the control count 1, got 5$"),
+        "u-length": (lambda: cost_Ju(sub, [1.0]), "^u has length 1, expected 2$"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_stage_input_calls()))
+def test_stage_inputs_raise_argument_error(case):
+    call, message = _stage_input_calls()[case]
     with pytest.raises(ArgumentError, match=message):
         call()

@@ -14,7 +14,7 @@ import support
 def test_load_scalar_file(tmp_path):
     path = tmp_path / "scalar.json"
     data = dict(support.SCALAR_DATA)
-    data["criterion"] = {"alpha": 0.9, "kappa": 50, "paths": 200, "seed": 7, "omega": 1.2}
+    data["criterion"] = {"alpha": 0.9, "kappa": 50, "paths": 200, "seed": 7}
     path.write_text(json.dumps(data))
     model = load_model(path)
     assert (model.n, model.m, model.p, model.r) == (1, 1, 1, 1)
@@ -22,7 +22,6 @@ def test_load_scalar_file(tmp_path):
     assert model.sigma_bar_u[0, 0] == 0.4
     assert model.criterion.alpha == 0.9
     assert model.criterion.kappa == 50
-    assert model.criterion.sor_omega == 1.2
 
 
 def test_missing_noise_matrices_default_to_zero():
@@ -58,8 +57,6 @@ def test_criterion_validation():
     with pytest.raises(ModelError):
         CriterionConfig(alpha=0.0)
     with pytest.raises(ModelError):
-        CriterionConfig(sor_omega=2.0)
-    with pytest.raises(ModelError):
         CriterionConfig(paths=0)
     cfg = CriterionConfig(alpha=1.1, kappa=None)
     assert cfg.kappa is None
@@ -76,7 +73,7 @@ def test_noise_model_kinds():
 _MATRICES = ("A", "B", "C", "D", "sigma", "sigma_x", "sigma_bar_x", "sigma_u", "sigma_bar_u")
 # every field away from its default
 _FULL_CRITERION = CriterionConfig(alpha=0.9, kappa=25, paths=321, seed=11, tol_fixed_point=1e-9,
-                                  tol_sor=1e-8, max_iters=5000, sor_omega=1.3)
+                                  tol_sor=1e-8, max_iters=5000)
 
 
 @pytest.mark.parametrize("criterion", [None, _FULL_CRITERION], ids=["no-criterion", "full-criterion"])
@@ -99,6 +96,13 @@ class TestSchema:
         with pytest.raises(ModelError, match=r"unknown model keys: \['sigma_baru'\]"):
             SystemModel.from_dict(dict(support.SCALAR_DATA, sigma_baru=0.4))
 
+    @pytest.mark.parametrize("criterion", [{"kapa": 5}, {"omega": 1.2}], ids=["misspelled", "omega"])
+    def test_unknown_criterion_key_is_rejected(self, criterion):
+        # omega is a setting of the stand-alone stage solvers (sor_solve), not of a model
+        key = next(iter(criterion))
+        with pytest.raises(ModelError, match=rf"unknown criterion keys: \['{key}'\]"):
+            SystemModel.from_dict(dict(support.SCALAR_DATA, criterion=criterion))
+
     @pytest.mark.parametrize("tolerances, match", [
         ({"sorr": 1e-3}, r"unknown tolerances keys: \['sorr'\]"),
         ([1], "tolerances must be an object, got list"),
@@ -110,7 +114,7 @@ class TestSchema:
     @pytest.mark.parametrize("criterion, match", [
         ({"kappa": 2.5}, "kappa"), ({"paths": 2.7}, "paths"), ({"seed": 1.9}, "seed"),
         ({"max_iters": 3.5}, "max_iters"), ({"alpha": True}, "alpha"), ({"kappa": True}, "kappa"),
-        ({"alpha": "0.9"}, "alpha"), ({"omega": "1.2"}, "sor_omega"), ({"seed": -3}, "seed"),
+        ({"alpha": "0.9"}, "alpha"), ({"max_iters": "5000"}, "max_iters"), ({"seed": -3}, "seed"),
         ({"tolerances": {"sor": "1e-3"}}, "tol_sor"),
     ])
     def test_criterion_values_are_not_coerced(self, criterion, match):
@@ -128,7 +132,7 @@ class TestSchema:
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"paths": 2.5}, "paths"), ({"seed": -3}, "seed"), ({"tol_sor": "1e-3"}, "tol_sor"),
-        ({"sor_omega": True}, "sor_omega"), ({"max_iters": float("nan")}, "max_iters"),
+        ({"kappa": True}, "kappa"), ({"max_iters": float("nan")}, "max_iters"),
     ])
     def test_config_checks_types(self, kwargs, match):
         with pytest.raises(ModelError, match=match):

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import warnings
@@ -20,6 +21,7 @@ from csviu import (
     solve_riccati,
 )
 from csviu.cli import main
+from csviu.control import sor_solve_batch
 
 import support
 
@@ -103,11 +105,10 @@ class TestScan2D:
             assert not out.inconsistent.any(), (n, m)
             assert not out.invalid.any()
 
-    @pytest.mark.parametrize("omega", [1.0, 1.9])
-    def test_coupled_channels_are_consistent(self, omega):
+    def test_coupled_channels_are_consistent(self):
         # the per-channel margin flagged 26 channel-cells of this scan as inconsistent
         sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
-        out = scan_region(sol, resolution=41, mu_kind="zero", omega=omega)
+        out = scan_region(sol, resolution=41, mu_kind="zero")
         assert not out.invalid.any()
         assert out.inconsistent.sum() == 0
         # the reported margins are still the per-channel ones, which disagree with the labels
@@ -252,23 +253,47 @@ class TestGainTable:
             self._assert_affine(sol, 40.0 * np.array(signs) * (1.0 + rng.random(3)))
 
 
-# sweeps the slowest cells of the cycling plant's scans below need at omega
-# 1.9 (151 to 163), more than SHORT_BUDGET; every other cell needs fewer
-SHORT_BUDGET = 100
+# Sweeps that the cycling plant's stage solves need at alpha = 0.95 over x1, x2 with
+# x3 = 0.  With the zero slope the cell (-0.125, -0.25) and its mirror (0.125, 0.25)
+# need 174 and every other cell of these scans at most 2.  With the asymptotic slope,
+# on the 9 x 9 scan of [-1, 0] x [-2, 0], cell 0's first solve needs 4 and every other
+# first solve at most 3, and the slope re-solves of cells 0 and 10 need 3 and every
+# other re-solve at most 2.
+# Per slope kind, the sweep budgets (first solve, slope re-solves) that fail exactly
+# those solves on the scans below.
+SHORT_BUDGETS = {"zero": (100, 100), "asymptotic": (3, 2)}
 
 
-def _slow_scan(monkeypatch, resolution=3, ranges=((-0.5, 0.5), (-1.0, 0.0)), budget=SHORT_BUDGET,
-               mu_kind="zero"):
-    """Scan of the cycling plant at omega 1.9 over x1, x2 with x3 = 0, each
-    stage solve given ``budget`` sweeps, and its grid points.
+@contextlib.contextmanager
+def _short_budgets(monkeypatch, mu_kind):
+    """Within the block, give a scan's or a feedback call's first stage solve and
+    its slope re-solves the budgets of ``mu_kind`` in ``SHORT_BUDGETS``; yields
+    the first, which a direct feedback call passes as ``max_iters``."""
+    first, later = SHORT_BUDGETS[mu_kind]
+    sweeps, solves = csviu.control._sweeps, []
 
-    With the short budget the default ranges hold one failing cell,
-    [0, 0] = (-0.5, -1), next to the inactive origin, [1, 2]; with the
-    default budget every cell converges.
+    def short(law, B, omega, Z0, tol, max_iters):
+        solves.append(len(B))
+        return sweeps(law, B, omega, Z0, tol, max_iters if len(solves) == 1 else later)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(csviu.region, "_MAX_SWEEPS", first)
+        patch.setattr(csviu.control, "_sweeps", short)
+        yield first
+
+
+def _slow_scan(monkeypatch, resolution=3, ranges=((-0.125, 0.125), (-0.25, 0.0)), mu_kind="zero",
+               short=True):
+    """Scan of the cycling plant over x1, x2 with x3 = 0 and its grid points,
+    under the short budgets when ``short``, else under the default one.
+
+    With the short budgets the default ranges hold one failing cell,
+    [0, 0] = (-0.125, -0.25), which is inactive once solved, next to the
+    inactive origin, [1, 2]; with the default budget every cell converges.
     """
-    monkeypatch.setattr(csviu.region, "_MAX_SWEEPS", budget)
     sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
-    out = scan_region(sol, ranges=ranges, resolution=resolution, mu_kind=mu_kind, omega=1.9)
+    with _short_budgets(monkeypatch, mu_kind) if short else contextlib.nullcontext():
+        out = scan_region(sol, ranges=ranges, resolution=resolution, mu_kind=mu_kind)
     points = [[x, y, 0.0] for x in out.grid_x for y in out.grid_y]
     return sol, out, np.array(points)
 
@@ -287,7 +312,7 @@ class TestFailedCells:
         assert not out.inconsistent.any()
         valid = ~out.invalid
         assert np.isfinite(out.u_star[valid]).all() and np.isfinite(out.margins[valid]).all()
-        _, clean, _ = _slow_scan(monkeypatch, budget=10000)
+        _, clean, _ = _slow_scan(monkeypatch, short=False)
         assert not clean.invalid.any()
         np.testing.assert_array_equal(clean.labels[valid], out.labels[valid])
 
@@ -295,9 +320,9 @@ class TestFailedCells:
         "mu_kind, ranges, resolution, failed",
         [
             # two rows fail together, so the column kernel runs out of budget with both sweeping
-            ("zero", ((-0.5, 0.5), (-1.0, 1.0)), 3, [0, 8]),
-            # three rows fail the first solve and one a slope re-solve
-            ("asymptotic", ((-1.0, 0.0), (-2.0, 0.0)), 9, [20, 30, 40, 50]),
+            ("zero", ((-0.125, 0.125), (-0.25, 0.25)), 3, [0, 8]),
+            # one row fails the first solve and one a slope re-solve
+            ("asymptotic", ((-1.0, 0.0), (-2.0, 0.0)), 9, [0, 10]),
         ],
     )
     def test_converged_rows_equal_their_batches_of_one(self, mu_kind, ranges, resolution, failed,
@@ -307,7 +332,7 @@ class TestFailedCells:
         assert np.flatnonzero(invalid).tolist() == failed
         U = out.u_star.reshape(-1, sol.model.m)
         for row in np.flatnonzero(~invalid):
-            alone, _ = optimal_control_batch(sol, points[row][None], mu_kind=mu_kind, omega=1.9)
+            alone, _ = optimal_control_batch(sol, points[row][None], mu_kind=mu_kind)
             np.testing.assert_allclose(U[row], alone[0], rtol=0.0, atol=1e-12)
 
     def test_failed_rows_take_no_further_slope_solve(self, monkeypatch):
@@ -320,53 +345,59 @@ class TestFailedCells:
 
         monkeypatch.setattr(csviu.control, "_sweeps", recording)
         _, out, _ = _slow_scan(monkeypatch, 9, ((-1.0, 0.0), (-2.0, 0.0)), mu_kind="asymptotic")
-        # (rows solved, rows failed): 81 - 3 failed - 1 settled rows re-solve, and no row moves after
-        assert solves == [(81, 3), (77, 1)]
-        assert out.invalid.sum() == 4
+        # (rows solved, rows failed): 81 - 1 failed - 1 settled rows re-solve, then the rows
+        # whose signs still moved, without the one that failed its re-solve
+        assert solves == [(81, 1), (79, 1), (3, 0)]
+        assert out.invalid.sum() == 2
 
     @pytest.mark.parametrize(
         "mu_kind, ranges, resolution, count",
         [
-            ("zero", ((-0.5, 0.5), (-1.0, 1.0)), 3, "2 of 9"),
-            # the last slope solve fails one more row; the earlier failures still count
-            ("asymptotic", ((-1.0, 0.0), (-2.0, 0.0)), 9, "4 of 81"),
+            ("zero", ((-0.125, 0.125), (-0.25, 0.25)), 3, "2 of 9"),
+            # a slope re-solve fails one more row; the first solve's failure still counts
+            ("asymptotic", ((-1.0, 0.0), (-2.0, 0.0)), 9, "2 of 81"),
         ],
     )
     def test_batch_entry_point_raises_naming_the_failed_rows(self, mu_kind, ranges, resolution, count,
                                                              monkeypatch):
-        sol, _, points = _slow_scan(monkeypatch, resolution, ranges, mu_kind=mu_kind)
-        with pytest.raises(MaxIterations, match=f"on {count} rows .*retry with a larger max_iters") as failure:
-            optimal_control_batch(sol, points, mu_kind=mu_kind, omega=1.9, max_iters=SHORT_BUDGET)
-        assert failure.value.iterations == SHORT_BUDGET
+        sol, _, points = _slow_scan(monkeypatch, resolution, ranges, mu_kind=mu_kind, short=False)
+        with _short_budgets(monkeypatch, mu_kind) as budget, pytest.raises(
+                MaxIterations, match=f"on {count} rows .*retry with a larger max_iters") as failure:
+            optimal_control_batch(sol, points, mu_kind=mu_kind, max_iters=budget)
+        assert failure.value.iterations == budget
         assert failure.value.residual > 1e-10
 
     def test_cli_counts_only_valid_cells_as_inactive(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(csviu.region, "_MAX_SWEEPS", SHORT_BUDGET)
         path = tmp_path / "cycling.json"
         path.write_text(json.dumps(support.CYCLING_PLANT_DATA))
         argv = ["region", "--model", str(path), "--alpha", "0.95", "--res", "3", "--mu", "zero",
-                "--range=-0.5,0.5", "--range=-1,0"]
+                "--range=-0.125,0.125", "--range=-0.25,0"]
 
-        def run(omega):
-            assert main([*argv, "--omega", omega]) == 0
+        def run(budget):
+            monkeypatch.setattr(csviu.region, "_MAX_SWEEPS", budget)
+            assert main(argv) == 0
             return json.loads(capsys.readouterr().out)
 
-        clean, failed = run("1.0"), run("1.9")
+        clean, failed = run(10000), run(SHORT_BUDGETS["zero"][0])
         assert (clean["invalid_cells"], failed["invalid_cells"]) == (0, 1)
-        # the failed cell is active at omega 1 and labelled 0 at omega 1.9; only the origin is inactive
-        assert clean["inactive_cells"] == failed["inactive_cells"] == 1
+        # the failed cell and the origin are inactive once solved; the failed cell, labelled 0,
+        # is not counted
+        assert (clean["inactive_cells"], failed["inactive_cells"]) == (2, 1)
 
 
 class TestLargeOmega:
     """Projected relaxation converges at every omega in (0, 2)."""
 
-    def test_cycling_plant_scan_converges_at_omega_1_9(self):
-        # the former unprojected sweep left 23 of these 1681 rows cycling
-        sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
-        fast, slow = (scan_region(sol, resolution=41, mu_kind="zero", omega=w) for w in (1.9, 1.0))
-        assert not fast.invalid.any()
-        np.testing.assert_allclose(fast.u_star, slow.u_star, rtol=0.0, atol=1e-9)
-        np.testing.assert_array_equal(fast.labels, slow.labels)
+    def test_cycling_plant_scan_converges_at_omega_1_9(self, monkeypatch):
+        # the stage problems of the 41 x 41 zero-slope scan; the former unprojected sweep
+        # left 23 of these 1681 rows cycling at omega 1.9
+        sol, scan, points = _slow_scan(monkeypatch, 41, ((-2.0, 2.0), (-2.0, 2.0)), short=False)
+        B = 2.0 * points @ sol.Sigma.T
+        fast, slow = (sor_solve_batch(sol.law.W, B, sol.law.c, omega=w) for w in (1.9, 1.0))
+        np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(slow, scan.u_star.reshape(-1, 2), rtol=0.0, atol=1e-12)
+        labels = (fast > 1e-9).astype(np.int8) - (fast < -1e-9).astype(np.int8)
+        np.testing.assert_array_equal(labels, scan.labels.reshape(-1, 2))
 
 
 class TestTypedErrors:
