@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ArgumentError, MaxIterations, check_count, check_real, check_state
 from .mu import mu_rollout
-from .riccati import FeedbackLaw, RiccatiSolution, stage_data
+from .riccati import FeedbackLaw, RiccatiSolution, _constant, _frozen, stage_data
 
 _MU_SWEEPS = 3  # frozen-sign slope sweeps per state before its last pattern is kept
 _MU_KINDS = ("zero", "asymptotic", "rollout")
@@ -38,7 +38,14 @@ _MAX_SWEEPS = 10000  # default sweep budget of every stage solve
 
 @dataclass(frozen=True)
 class ControlSubproblem:
-    """Data of one per-stage minimization; W is half the inverse curvature."""
+    """Data of one per-stage minimization; W is half the inverse curvature.
+
+    ``law``, the :class:`~csviu.riccati.FeedbackLaw` of ``W`` and ``c`` that
+    :func:`sor_solve` runs on, is built on first use and cached, so repeated
+    solves of one instance share its relaxation constants.  ``W``, ``b`` and
+    ``c`` must not change after that; :meth:`from_parts` makes its own
+    read-only copies.
+    """
 
     W: np.ndarray
     b: np.ndarray
@@ -49,15 +56,20 @@ class ControlSubproblem:
     def from_parts(cls, Lambda, b, c) -> "ControlSubproblem":
         """Build a bare instance from the quadratic/linear/l1 coefficients."""
         Lambda = np.atleast_2d(np.asarray(Lambda, dtype=float))
-        b = np.asarray(b, dtype=float).reshape(-1)
-        c = np.asarray(c, dtype=float).reshape(-1)
+        b = np.array(b, dtype=float).reshape(-1)
+        c = np.array(c, dtype=float).reshape(-1)
         m = b.size
         if Lambda.shape != (m, m) or c.shape != (m,):
             raise ArgumentError(
                 f"inconsistent sizes: Lambda {Lambda.shape}, b {b.shape}, c {c.shape}"
             )
         W, c = stage_data(Lambda, c)
-        return cls(W=W, b=b, c=c, Lambda=Lambda)
+        return cls(W=_frozen(W), b=_frozen(b), c=_frozen(c), Lambda=Lambda)
+
+    @_constant
+    def law(self) -> FeedbackLaw:
+        """The stage-problem data of ``W`` and ``c`` that every solve of this instance shares."""
+        return FeedbackLaw(W=self.W, c=self.c)
 
 
 @dataclass(frozen=True)
@@ -81,8 +93,8 @@ def cost_Ju(sub: ControlSubproblem, u) -> float:
 
 
 def check_tol(tol) -> None:
-    """:class:`ArgumentError` unless ``tol`` is a finite number >= 0."""
-    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+    """:class:`ArgumentError` unless ``tol`` is a finite number >= 0, not a bool."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise ArgumentError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
@@ -383,7 +395,7 @@ def sor_solve(
     result agrees with the batch kernel (:func:`sor_solve_batch`) to
     rounding, with the same sweep count.
     """
-    law = FeedbackLaw(W=sub.W, c=sub.c)
+    law = sub.law
     Z0 = None if z0 is None else check_state("z0", z0, sub.b.size)[None]
     Z, Gamma, Nu, iterations, residual = _sor_sweeps(law, sub.b[None], omega, Z0, tol, max_iters)
     _raise_unconverged(Nu, residual, tol, max_iters)

@@ -171,9 +171,9 @@ class RiccatiSolution:
 class _constant(cached_property):
     """:class:`functools.cached_property` without the lock that Python up to
     3.11 takes on each first access, about 1 us: a law built per call, as
-    :func:`~csviu.control.sor_solve` builds one, reads several constants
-    once each.  Two threads may both build a value, and they build the same
-    one; a failed build is not cached."""
+    :func:`~csviu.control.sor_solve_batch` builds one, reads several
+    constants once each.  Two threads may both build a value, and they
+    build the same one; a failed build is not cached."""
 
     def __get__(self, instance, owner=None):
         if instance is None:

@@ -11,10 +11,18 @@ Every multi-stage rollout (:func:`simulate`, :func:`optimal_norms`,
 :func:`overtaking_compare` and :func:`~csviu.mu.mu_rollout`) runs through
 one stage loop, ``_rollout``, which steps one or more policies side by side
 on one noise stream.  It keeps every path's stream open and draws the noise a
-chunk of stages at a time (``_noise_chunks``, at most ``_CHUNK_BYTES``), so
-the noise a rollout holds is bounded by the chunk, not the horizon.  The
-streams are counter based, so the chunked draws equal one long draw per path,
-which :func:`draw_noise_block` returns whole.
+chunk of stages at a time (``_noise_chunks``), so the noise a rollout holds
+is bounded by ``_CHUNK_BYTES``, not the horizon.  The streams are counter
+based, so the chunked draws equal one long draw per path, which
+:func:`draw_noise_block` returns whole.
+
+A run of one chunk is drawn in-process.  A longer run, on Linux in a process
+with one OS thread and at least two usable CPUs, is drawn one chunk ahead:
+the caller draws the first chunk, then forks a helper process that continues
+every path's stream into one of two half-chunk slots of shared memory while
+the caller steps through the other (``_drawn_ahead``).  The helper only
+draws, so the caller's stage solves stay in the caller; the two slots hold
+no more than the one in-process chunk, and every draw keeps its bits.
 
 A transition (:func:`step_batch`) is two BLAS products, not seven: the state
 term ``X A'`` and one product of the stacked operand ``[U, noise, |X| o Ex,
@@ -40,10 +48,12 @@ bit.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -137,9 +147,10 @@ def _uniform_scaled(rng, out):
 
 _FILLS = {"gaussian": _gaussian, "rademacher": _rademacher, "uniform-scaled": _uniform_scaled}
 
-# noise a rollout holds at once: 65 stages of a 2000-path, d = 4 run.  Every
-# chunk costs one in-place draw call per path, a few microseconds each, so
-# much smaller chunks make the draws slower.
+# noise a rollout holds at once (at least one stage): a chunk of 65 stages of
+# a 2000-path, d = 4 run drawn in-process, or two slots of 32 stages when a
+# helper draws ahead.  Every chunk costs one in-place draw call per path, a
+# few microseconds each, so much smaller chunks make the draws slower.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -152,31 +163,136 @@ def _fill(kind: str):
 
 
 def _noise_chunks(model: SystemModel, stages: int, paths: int, seed: int, kind: str):
-    """The draws of a run, stage-major, as (k, paths, r+n+m) chunks of at most ``_CHUNK_BYTES``.
+    """The draws of a run, stage-major, as (k, paths, r+n+m) chunks, at most ``_CHUNK_BYTES`` held.
 
     The kind and seed are checked and the per-path streams opened on the
-    call; each chunk is drawn when the returned iterator reaches it, by
-    continuing every path's stream.  Philox streams are counter based, so the
-    chunks concatenate to the draws of one long call per path.  Every chunk
-    is drawn into one path-major (paths, k, r+n+m) buffer, each path's block
-    in place, and handed out as its (k, paths, r+n+m) transposed view, so a
-    caller reads a chunk before the next.
+    call; each chunk is drawn by continuing every path's stream, each path's
+    block in place, into a path-major (paths, k, r+n+m) buffer, and handed
+    out as its (k, paths, r+n+m) transposed view, so a caller reads a chunk
+    before it asks for the next.  Philox streams are counter based, so the
+    chunks concatenate to the draws of one long call per path.
+
+    A run of one ``_CHUNK_BYTES`` chunk, or a process that may not fork a
+    helper (:func:`_helper_can_run`), draws in-process: one buffer, each
+    chunk drawn when the iterator reaches it.  A longer run in a process that
+    may fork is drawn one chunk ahead by :func:`_drawn_ahead`, in two slots of
+    half a chunk each: the caller draws the first, a forked helper the rest.
+    Both call one path-by-path draw, so the draws are the same either way.
     """
     fill = _fill(kind)
     stream = _streams(_check_key("seed", seed))
     rngs = [stream(p) for p in range(paths)]
     d = model.r + model.n + model.m
     per_chunk = max(1, _CHUNK_BYTES // max(1, paths * d * 8))
+
+    def draw(block):
+        for rng, path_block in zip(rngs, block):
+            fill(rng, path_block)
+
+    # a run with no paths has nothing to draw ahead
+    if paths and stages > per_chunk and _helper_can_run():
+        return _drawn_ahead(draw, stages, max(1, per_chunk // 2), paths, d)
     buffer = np.empty((paths, min(per_chunk, stages), d))
 
     def chunks():
         for start in range(0, stages, per_chunk):
             block = buffer[:, : min(per_chunk, stages - start)]
-            for rng, path_block in zip(rngs, block):
-                fill(rng, path_block)
+            draw(block)
             yield block.transpose(1, 0, 2)
 
     return chunks()
+
+
+def _helper_can_run() -> bool:
+    """Whether this process may fork a draw helper: Linux, one OS thread, two usable CPUs.
+
+    Forking a process with other threads can deadlock the child on a lock
+    one of them held (Python 3.12 and later warn about it), and on one CPU
+    the helper would only take turns with the caller.
+    """
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except FileNotFoundError:
+        return False
+
+
+def _drawn_ahead(draw, stages: int, size: int, paths: int, d: int):
+    """The chunks of ``size`` stages of a run, every one after the first drawn by a forked helper.
+
+    The chunks take turns in two slots of one anonymous shared mapping.  The
+    caller draws chunk 0 into slot 0 with ``draw`` and then forks; the helper
+    inherits the streams past chunk 0 and fills chunks 1, 2, ... into their
+    slots, sending a byte on the ready pipe when a chunk is in place and
+    reading one from the free pipe before it refills the slot of a chunk the
+    caller may still read.  The helper runs nothing but the draws and leaves
+    through ``os._exit``, so it runs no ``atexit`` handler and flushes no
+    buffer it inherited.
+
+    If the fork fails, or the helper dies (the ready pipe ends), the caller
+    re-draws from its own streams the chunks it already received, to catch
+    up, and draws the rest itself: the draws are the same either way.  The
+    helper is killed and reaped when the iterator ends, is closed or is
+    unwound by an exception, so no process outlives the rollout.  ``mmap``
+    and ``signal`` are imported here, on first use, so that ``import csviu``
+    does not load them.
+    """
+    import mmap
+    import signal
+
+    count = -(-stages // size)
+    slots = np.ndarray((2, paths, size, d), buffer=mmap.mmap(-1, 2 * paths * size * d * 8))
+
+    def block(j):
+        return slots[j % 2, :, : min(size, stages - j * size)]
+
+    draw(block(0))
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    try:
+        helper = os.fork()
+    except OSError:
+        helper = None
+    if helper == 0:
+        try:
+            os.close(ready_r)
+            os.close(free_w)
+            for j in range(1, count):
+                # chunk j refills the slot of chunk j - 2; the caller frees it by moving past
+                if j >= 2 and not os.read(free_r, 1):
+                    break
+                draw(block(j))
+                os.write(ready_w, b"\0")
+        finally:
+            os._exit(0)
+    live = helper is not None
+    drawn = 1  # chunks the caller's own streams have passed
+    try:
+        os.close(ready_w)
+        os.close(free_r)
+        yield block(0).transpose(1, 0, 2)
+        for j in range(1, count):
+            if live:
+                if j + 1 < count:
+                    # the caller is past chunk j - 1; a dead helper leaves the pipe broken
+                    with contextlib.suppress(BrokenPipeError):
+                        os.write(free_w, b"\0")
+                live = os.read(ready_r, 1) != b""
+            if not live:
+                for _ in range(drawn, j):
+                    draw(slots[j % 2])
+                draw(block(j))
+                drawn = j + 1
+            yield block(j).transpose(1, 0, 2)
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        if helper is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(helper, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(helper, 0)
 
 
 def draw_noise_block(model: SystemModel, stages: int, paths: int, seed: int, kind: str = "gaussian"):
@@ -281,7 +397,8 @@ def _rollout(model: SystemModel, policies, X, stages: int, seed: int, noise_kind
     them read one noise stream, so they run under common random numbers.  The
     run draws ``stages - 1`` noise rows per path, and the transition out of
     stage k uses row k; the rows come from :func:`_noise_chunks`, so the run
-    holds one chunk of noise at a time whatever its horizon.  A policy must
+    holds at most ``_CHUNK_BYTES`` of noise whatever its horizon, and closes
+    the chunk iterator when it ends, is closed or raises.  A policy must
     map the batch to (paths, m) controls; any other shape raises
     :class:`ArgumentError` naming the policy kind.  A policy whose stage
     solve misses its tolerance raises a :class:`MaxIterations` that names
@@ -291,24 +408,28 @@ def _rollout(model: SystemModel, policies, X, stages: int, seed: int, noise_kind
     chunks = _noise_chunks(model, max(stages - 1, 0), paths, seed, noise_kind)
     rows = (row for chunk in chunks for row in chunk)
     states = [X] * len(policies)
-    for k in range(stages):
-        batches = []
-        for policy, X in zip(policies, states):
-            try:
-                U = np.asarray(policy.fn(X), dtype=float)
-            except MaxIterations as exc:
-                raise MaxIterations(f"stage {k} of a rollout under policy {policy.kind!r}: {exc}",
-                                    iterations=exc.iterations, residual=exc.residual) from exc
-            if U.shape != (paths, model.m):
-                raise ArgumentError(
-                    f"policy {policy.kind!r} returned controls of shape {U.shape}, "
-                    f"expected {(paths, model.m)}"
-                )
-            batches.append((X, U))
-        yield batches
-        if k + 1 < stages:
-            noise = next(rows)
-            states = [step_batch(model, X, U, noise) for X, U in batches]
+    try:
+        for k in range(stages):
+            batches = []
+            for policy, X in zip(policies, states):
+                try:
+                    U = np.asarray(policy.fn(X), dtype=float)
+                except MaxIterations as exc:
+                    raise MaxIterations(f"stage {k} of a rollout under policy {policy.kind!r}: {exc}",
+                                        iterations=exc.iterations, residual=exc.residual) from exc
+                if U.shape != (paths, model.m):
+                    raise ArgumentError(
+                        f"policy {policy.kind!r} returned controls of shape {U.shape}, "
+                        f"expected {(paths, model.m)}"
+                    )
+                batches.append((X, U))
+            yield batches
+            if k + 1 < stages:
+                noise = next(rows)
+                states = [step_batch(model, X, U, noise) for X, U in batches]
+    finally:
+        # a traceback keeps this frame's locals alive; a draw helper must not outlive the rollout
+        chunks.close()
 
 
 def _start(model: SystemModel, x0, paths: int) -> np.ndarray:

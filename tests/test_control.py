@@ -83,6 +83,35 @@ class TestSubproblemConstruction:
         with pytest.raises(ValueError, match="inconsistent"):
             ControlSubproblem.from_parts(np.eye(2), [1.0], [1.0])
 
+    def test_from_parts_keeps_read_only_copies(self):
+        Lambda, b, c = np.array([[2.0]]), np.array([1.0]), np.array([0.5])
+        sub = ControlSubproblem.from_parts(Lambda, b, c)
+        # the caller's arrays stay writable, and changing them leaves the instance as built
+        b[0] = c[0] = 9.0
+        assert (sub.b[0], sub.c[0]) == (1.0, 0.5)
+        for name in ("W", "b", "c"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sub, name)[0] = 0.0
+
+    def test_repeated_solves_share_one_law(self, monkeypatch):
+        built = []
+
+        class CountedLaw(FeedbackLaw):
+            def __init__(self, **fields):
+                built.append(fields)
+                super().__init__(**fields)
+
+        monkeypatch.setattr(csviu.control, "FeedbackLaw", CountedLaw)
+        sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
+        omegas = (0.5, 1.0, 1.5, 1.9)
+        states = [sor_solve(sub, omega=omega) for omega in omegas]
+        assert len(built) == 1 and sub.law.W is sub.W and sub.law.c is sub.c
+        # a copy starts without the cached law and solves to the same bits
+        for omega, state in zip(omegas, states):
+            again = sor_solve(replace(sub), omega=omega)
+            assert _bits(_sor_fields(state)) == _bits(_sor_fields(again))
+        assert len(built) == 1 + len(omegas)
+
     def test_build_scalar_coefficients(self):
         sol = support.synthetic_solution(
             A=0.5, B=1.0, G=-0.5, alpha=1.0, Wud=[1.0], Sigma=[[2.0]], Lambda=[[1.0]]
@@ -255,14 +284,14 @@ def _solve_without_sweeps(entry, monkeypatch, **settings):
 @pytest.mark.parametrize("entry", ["sor_solve", "sor_solve_batch", "optimal_control_batch"])
 @pytest.mark.parametrize(
     "setting, value",
-    [("tol", np.nan), ("tol", -1.0), ("tol", np.inf), ("tol", "1e-10"),
+    [("tol", np.nan), ("tol", -1.0), ("tol", np.inf), ("tol", "1e-10"), ("tol", True),
      ("max_iters", 2.5), ("max_iters", True), ("max_iters", -1), ("max_iters", "9")],
-    ids=["tol-nan", "tol-negative", "tol-inf", "tol-str", "max_iters-float",
+    ids=["tol-nan", "tol-negative", "tol-inf", "tol-str", "tol-bool", "max_iters-float",
          "max_iters-bool", "max_iters-negative", "max_iters-str"],
 )
 def test_tolerance_and_budget_are_checked_before_sweeping(entry, setting, value, monkeypatch):
     # tol nan or -1 used to run the whole budget, max_iters=2.5 raised a bare
-    # TypeError and max_iters=True ran one sweep
+    # TypeError, and max_iters=True and tol=True ran one sweep
     with pytest.raises(ValueError, match=f"^{setting} must be"):
         _solve_without_sweeps(entry, monkeypatch, **{setting: value})
 
@@ -456,6 +485,10 @@ def _kernel_or_failure(sub, omega, z0=None, tol=1e-12, max_iters=1000):
         assert np.isnan(np.stack([Z, Gamma, Nu])).all()
         return None, None, None, sweeps, residual
     return Z[0], Gamma[0], Nu[0], sweeps, residual
+
+
+def _sor_fields(state):
+    return state.z, state.gamma, state.nu, state.iterations, state.residual
 
 
 def _bits(result):

@@ -1,5 +1,12 @@
+import errno
+import hashlib
+import itertools
+import json
+import os
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,11 +30,16 @@ from csviu import (
     step,
 )
 import csviu.simulator
+from csviu.cli import main
 from csviu.model import NOISE_KINDS
 from csviu.simulator import draw_noise_block, mean_stderr, path_rng, step_batch
 
 import oracles
 import support
+
+# these tests fork a draw helper past the one-thread gate, from a process whose BLAS may
+# run more threads; the helper only draws, so the fork is safe there
+_forks_on_purpose = pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
 
 
 _SQRT3 = np.sqrt(3.0)
@@ -316,6 +328,7 @@ def _optimal_policy_calls():
         "norms-tol": lambda: optimal_norms(sol, paths=500, sor_tol=-1),
         "energy-tol": lambda: estimate_energy(model, Policy.optimal(sol, tol=np.nan), 0.95, 10, x0, 500),
         "power-mu_kind": lambda: estimate_power(model, Policy.optimal(sol, mu_kind="bogus"), 10, x0, 500),
+        "power-tol": lambda: estimate_power(model, Policy.optimal(sol, tol=True), 10, x0, 500),
     }
 
 
@@ -445,19 +458,233 @@ class TestChunkedStream:
         for got, want in zip(streamed, reference):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_long_horizon_holds_far_less_than_its_noise_block(self):
+    @_forks_on_purpose
+    def test_long_horizon_holds_far_less_than_its_noise_block(self, monkeypatch):
         model = SystemModel.from_dict(support.README_DATA)
         sol = solve_riccati(model, alpha=1.0)
         paths, stages = 1000, 1000
         block = paths * (stages - 1) * (model.r + model.n + model.m) * 8  # 32 MB
-        tracemalloc.start()
-        try:
-            optimal_norms(sol, paths=paths, seed=0, kappa=stages)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the (paths, stages) residual array is a quarter of the block, the chunk 4 MB
-        assert peak < block / 2, (peak, block)
+        original = csviu.simulator._noise_chunks
+        for ahead in (False, True):
+            held = []
+
+            def recorded(*args):
+                for chunk in original(*args):
+                    held.append(_held_bytes(chunk))
+                    yield chunk
+
+            monkeypatch.setattr(csviu.simulator, "_helper_can_run", lambda: ahead)
+            monkeypatch.setattr(csviu.simulator, "_noise_chunks", recorded)
+            tracemalloc.start()
+            try:
+                optimal_norms(sol, paths=paths, seed=0, kappa=stages)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the (paths, stages) residual array is a quarter of the block, the chunk 4 MB
+            assert peak < block / 2, (ahead, peak, block)
+            # tracemalloc does not see a helper's shared slots; both slots together are the chunk
+            assert len(held) > 2 and max(held) <= csviu.simulator._CHUNK_BYTES, (ahead, held)
+
+
+def _held_bytes(chunk):
+    """Bytes of the buffer a noise chunk views: a numpy array, or a helper's shared mapping."""
+    while isinstance(chunk, np.ndarray) and chunk.base is not None:
+        chunk = chunk.base
+    return chunk.nbytes if isinstance(chunk, np.ndarray) else len(chunk)
+
+
+def _assert_no_child():
+    # a child that exited but was not reaped would be returned (and reaped) here
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """Let every run of more than one chunk fork its draw helper; the pids forked, in order."""
+    forks = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(csviu.simulator, "_helper_can_run", lambda: True)
+    monkeypatch.setattr(os, "fork", recorded)
+    return forks
+
+
+def _in_process(monkeypatch, run):
+    with monkeypatch.context() as patch:
+        patch.setattr(csviu.simulator, "_helper_can_run", lambda: False)
+        return run()
+
+
+@_forks_on_purpose
+class TestDrawnAhead:
+    PER_CHUNK = 4  # stages of an in-process chunk; a helper's slots hold two each
+
+    def _small_chunks(self, monkeypatch, model, paths):
+        d = model.r + model.n + model.m
+        monkeypatch.setattr(csviu.simulator, "_CHUNK_BYTES", self.PER_CHUNK * paths * d * 8)
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("chunks", [2, 3, 25])
+    @pytest.mark.parametrize("paths", [1, 40])
+    def test_draws_keep_their_bits(self, helper, monkeypatch, kind, chunks, paths):
+        model = SystemModel.from_dict(support.README_DATA)
+        self._small_chunks(monkeypatch, model, paths)
+        stages = self.PER_CHUNK * chunks - 1  # the last chunk is a short one
+        got = draw_noise_block(model, stages, paths, seed=5, kind=kind)
+        assert len(helper) == 1
+        want = _in_process(monkeypatch, lambda: draw_noise_block(model, stages, paths, seed=5, kind=kind))
+        assert got.tobytes() == want.tobytes()
+        _assert_no_child()
+
+    def test_a_single_chunk_run_forks_no_helper(self, helper, monkeypatch):
+        model = SystemModel.from_dict(support.README_DATA)
+        self._small_chunks(monkeypatch, model, 3)
+        draw_noise_block(model, self.PER_CHUNK, 3, seed=5)
+        assert helper == []
+
+    @pytest.mark.parametrize("entry", ["norms-0.95", "norms-1.0", "energy", "cli-simulate"])
+    def test_rollouts_keep_their_bits(self, helper, monkeypatch, tmp_path, entry):
+        model = SystemModel.from_dict(support.README_DATA)
+        paths = 30
+        self._small_chunks(monkeypatch, model, paths)
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(support.README_DATA))
+        runs = iter(range(2))
+
+        def run():
+            if entry.startswith("norms"):
+                sol = solve_riccati(model, alpha=float(entry.split("-")[1]))
+                return repr(optimal_norms(sol, paths=paths, seed=2, kappa=60))
+            if entry == "energy":
+                policy = Policy.optimal(solve_riccati(model, alpha=0.95), mu_kind="asymptotic")
+                return repr(estimate_energy(model, policy, 0.95, 60, [0.3, -0.2], paths, seed=2))
+            out = tmp_path / f"sim{next(runs)}"
+            code = main(["simulate", "--model", str(path), "--alpha", "0.95", "--kappa", "60",
+                         "--paths", str(paths), "--policy", "optimal", "--seed", "2", "--x0", "0.3,-0.2",
+                         "--out", str(out)])
+            assert code == 0
+            return [(out / name).read_bytes() for name in ("result.json", "stages.csv")]
+
+        got = run()
+        assert len(helper) == 1
+        _assert_no_child()
+        assert got == _in_process(monkeypatch, run)
+
+    def test_an_early_close_reaps_the_helper(self, helper):
+        model = SystemModel.from_dict(support.README_DATA)
+        chunks = csviu.simulator._noise_chunks(model, 10_000, 100, 0, "gaussian")
+        next(chunks)
+        assert len(helper) == 1
+        chunks.close()
+        _assert_no_child()
+
+    def test_a_failing_policy_reaps_the_helper(self, helper, monkeypatch):
+        model = SystemModel.from_dict(support.README_DATA)
+        self._small_chunks(monkeypatch, model, 5)
+        calls = itertools.count()
+
+        def fn(X):
+            if next(calls) == 20:
+                raise MaxIterations("budget spent", iterations=3, residual=1.0)
+            return np.zeros((X.shape[0], model.m))
+
+        with pytest.raises(MaxIterations, match="stage 20") as failure:
+            estimate_energy(model, Policy("failing", fn), 0.95, 60, [0.3, -0.2], 5)
+        # the traceback keeps the rollout's frame alive, and still no helper outlives it
+        assert failure.value.iterations == 3 and len(helper) == 1
+        _assert_no_child()
+
+    def test_a_failed_fork_draws_in_process(self, monkeypatch):
+        model = SystemModel.from_dict(support.README_DATA)
+        self._small_chunks(monkeypatch, model, 6)
+        want = draw_noise_block(model, 50, 6, seed=1)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process left")
+
+        monkeypatch.setattr(csviu.simulator, "_helper_can_run", lambda: True)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert draw_noise_block(model, 50, 6, seed=1).tobytes() == want.tobytes()
+        _assert_no_child()
+
+    @pytest.mark.parametrize("kill_after", [None, 0, 3], ids=["at-fork", "after-chunk-0", "after-chunk-3"])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_a_killed_helper_costs_no_bits(self, helper, monkeypatch, kill_after, kind):
+        model = SystemModel.from_dict(support.README_DATA)
+        paths, stages = 6, 50
+        self._small_chunks(monkeypatch, model, paths)
+        want = _in_process(monkeypatch, lambda: draw_noise_block(model, stages, paths, seed=1, kind=kind))
+
+        def kill(pid):
+            os.kill(pid, signal.SIGKILL)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+
+        if kill_after is None:
+            fork = os.fork
+
+            def fork_and_kill():
+                pid = fork()
+                if pid:
+                    kill(pid)
+                return pid
+
+            monkeypatch.setattr(os, "fork", fork_and_kill)
+        got = []
+        for j, chunk in enumerate(csviu.simulator._noise_chunks(model, stages, paths, 1, kind)):
+            got.append(chunk.transpose(1, 0, 2).copy())
+            if j == kill_after:
+                kill(helper[0])
+        assert len(helper) == 1 and np.concatenate(got, axis=1).tobytes() == want.tobytes()
+        _assert_no_child()
+
+
+def test_a_second_thread_closes_the_gate():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not csviu.simulator._helper_can_run()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_the_helper_runs_behind_the_real_gate(monkeypatch):
+    # BLAS pinned to one thread leaves the process one thread: the gate opens on two CPUs
+    code = (
+        "import hashlib, os, sys\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "def counted():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = counted\n"
+        "from csviu import SystemModel\n"
+        "from csviu.simulator import draw_noise_block\n"
+        f"model = SystemModel.from_dict({support.README_DATA!r})\n"
+        "block = draw_noise_block(model, 300, 2000, 7, 'rademacher')\n"
+        "print(len(forks), hashlib.sha256(block.tobytes()).hexdigest())\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-W", "error:This process:DeprecationWarning", "-c", code],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    forks, digest = out.stdout.split()
+    model = SystemModel.from_dict(support.README_DATA)
+    block = _in_process(monkeypatch, lambda: draw_noise_block(model, 300, 2000, 7, "rademacher"))
+    assert digest == hashlib.sha256(block.tobytes()).hexdigest()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert int(forks) == (cpus >= 2 and sys.platform.startswith("linux"))
 
 
 def _bits(values):
