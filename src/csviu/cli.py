@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
         p.add_argument("--alpha", type=float, default=None, help="discount override")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory (default: print JSON)")
-        p.add_argument("--mu", default=None, choices=["zero", "asymptotic", "rollout"],
+        p.add_argument("--mu", default=None, choices=["zero", "asymptotic"],
                        help="slope estimator for the stage problems")
         p.add_argument("--paths", type=int, default=None)
         p.add_argument("--kappa", type=int, default=None)
@@ -326,19 +326,9 @@ def _cmd_overtake(args, run: _Run):
 def _cmd_region(args, run: _Run):
     sol = _solution(run)
     axes = tuple(_ints(args.axes))
-    if args.ranges is None:
-        ranges = [(-2.0, 2.0)] * len(axes)
-    else:
-        ranges = []
-        for spec_text in args.ranges:
-            vals = _floats(spec_text)
-            if len(vals) != 2:
-                raise ModelError(f"--range needs lo,hi, got {spec_text!r}")
-            ranges.append((vals[0], vals[1]))
-        if len(ranges) == 1 and len(axes) == 2:
-            ranges = ranges * 2
-    rmap = scan_region(sol, axes=axes, ranges=ranges, resolution=args.res,
-                       mu_kind=run.mu_kind, tol=run.config.tol_sor)
+    ranges = {} if args.ranges is None else {"ranges": [_floats(text) for text in args.ranges]}
+    rmap = scan_region(sol, axes=axes, resolution=args.res, mu_kind=run.mu_kind,
+                       tol=run.config.tol_sor, **ranges)
     m = run.model.m
     # each grid value is formatted once and its string repeated over its cells
     gx = [str(v) for v in rmap.grid_x.tolist()]
@@ -354,7 +344,7 @@ def _cmd_region(args, run: _Run):
     payload = {
         "axes": list(axes),
         "resolution": args.res,
-        "ranges": [list(rg) for rg in ranges],
+        "ranges": [list(rg) for rg in rmap.ranges],
         "mu_kind": rmap.mu_kind,
         "cells": rmap.invalid.size,
         "inactive_cells": int(((rmap.labels == 0).all(axis=-1) & ~rmap.invalid).sum()),

@@ -27,12 +27,11 @@ from math import copysign
 
 import numpy as np
 
-from .errors import ArgumentError, MaxIterations, check_count, check_real, check_state
-from .mu import mu_rollout
-from .riccati import FeedbackLaw, RiccatiSolution, _constant, _frozen, stage_data
+from .errors import ArgumentError, MaxIterations, check_count, check_matrix, check_real, check_state
+from .riccati import FeedbackLaw, RiccatiSolution, _constant, _frozen, check_deadzone, stage_data
 
 _MU_SWEEPS = 3  # frozen-sign slope sweeps per state before its last pattern is kept
-_MU_KINDS = ("zero", "asymptotic", "rollout")
+_MU_KINDS = ("zero", "asymptotic")
 _MAX_SWEEPS = 10000  # default sweep budget of every stage solve
 
 
@@ -99,39 +98,10 @@ def check_tol(tol) -> None:
 
 
 def check_mu_kind(mu_kind) -> None:
-    """:class:`ArgumentError` unless ``mu_kind`` is "zero", "asymptotic" or "rollout"."""
+    """:class:`ArgumentError` unless ``mu_kind`` is "zero" or "asymptotic"."""
     if mu_kind not in _MU_KINDS:
-        raise ArgumentError(f"unknown mu_kind {mu_kind!r}; expected 'zero', 'asymptotic' or 'rollout'")
-
-
-def _sor_sweeps(law: FeedbackLaw, B, omega, Z0, tol, max_iters):
-    """Projected relaxation sweeps over a batch of instances sharing the law's W and c.
-
-    B and Z0 are (paths, m); returns (Z, Gamma, Nu, iterations, residual).
-    The clipped vector starts at ``gamma = clip(z0, -c, c)`` and each sweep
-    updates the coordinates in order: the Gauss-Seidel point
-    ``z_i = 0 z_i - (sum_{j != i} W_ij s_j) / W_ii - b_i`` minimizes the dual
-    along coordinate i, the relaxed step
-    ``gamma_i = clip((1 - omega) gamma_i + omega z_i, -c_i, c_i)`` (at
-    omega = 1 simply ``clip(z_i)``) never raises it, and ``s = gamma + b``
-    is carried.  The ``0 z_i`` term only fixes the sign of a zero point and
-    carries a non-finite one.  ``Z`` holds the unrelaxed points and the
-    control is ``nu_i = W_ii (z_i - clip(z_i))``; each row stops at the first
-    sweep that brings its own normal-equation residual ``|nu + W s|`` within
-    ``tol``, which holds at a fixed point of the sweep, whatever omega.
-    ``iterations`` and ``residual`` are the largest sweep count and final
-    residual of any row.  A row still outside ``tol`` after ``max_iters``
-    sweeps (a NaN residual included) comes back NaN in Z, Gamma and Nu,
-    leaves the other rows as they are, and makes ``residual`` miss ``tol``
-    (:func:`_raise_unconverged`).
-
-    ``omega`` must be a real number in (0, 2), bools excluded; it and the
-    settings of :func:`_check_sweeps` are checked once per call, before
-    :func:`_sweeps` runs.  ``Z0=None`` is the cold start z0 = 0.
-    """
-    check_real("omega", omega, 0.0, 2.0)
-    max_iters = _check_sweeps(law, tol, max_iters)
-    return _sweeps(law, B, omega, Z0, tol, max_iters)
+        raise ArgumentError(f"unknown mu_kind {mu_kind!r}; expected 'zero' or 'asymptotic', "
+                            "or pass an explicit slope such as mu_rollout(sol, x).value")
 
 
 def _check_sweeps(law: FeedbackLaw, tol, max_iters) -> int:
@@ -147,18 +117,29 @@ def _check_sweeps(law: FeedbackLaw, tol, max_iters) -> int:
     return max_iters
 
 
-def _sweeps(law: FeedbackLaw, B, omega, Z0, tol, max_iters):
-    """The sweeps of :func:`_sor_sweeps` on checked arguments.
+def _sweeps(law: FeedbackLaw, B, tol, max_iters):
+    """Projected Gauss-Seidel sweeps, from z0 = 0, over a (paths, m) batch
+    sharing the law's W and c, on settings checked by :func:`_check_sweeps`.
 
-    A single row runs on the Python-float kernel of :func:`_sweeps_one`, a
-    batch on columns (:func:`_sweeps_batch`), which hands its last
-    unconverged row to the single-row kernel.  The two kernels take the same
-    steps and agree to rounding, so every row of a batch matches its own
-    single-row solve.  Both read the law's cached constants
-    (:class:`~csviu.riccati.FeedbackLaw`).
+    Returns (Z, Gamma, Nu, iterations, residual).  Each sweep updates the
+    coordinates in order: the Gauss-Seidel point
+    ``z_i = 0 z_i - (sum_{j != i} W_ij s_j) / W_ii - b_i`` minimizes the dual
+    along coordinate i, ``gamma_i = clip(z_i, -c_i, c_i)`` never raises it,
+    and ``s = gamma + b`` is carried; the ``0 z_i`` term only fixes the sign
+    of a zero point and carries a non-finite one.  The control is
+    ``nu_i = W_ii (z_i - gamma_i)``, and each row stops at the first sweep
+    that brings its residual ``|nu + W s|`` within ``tol``.  ``iterations``
+    and ``residual`` are the largest of any row.  A row still outside
+    ``tol`` after ``max_iters`` sweeps (a NaN residual included) comes back
+    NaN, leaves the other rows as they are, and makes ``residual`` miss
+    ``tol`` (:func:`_raise_unconverged`).  A single row runs on the
+    Python-float kernel of :func:`_sweeps_one`, a batch on columns
+    (:func:`_sweeps_batch`); both take the same steps, read the law's cached
+    constants and agree to rounding.
     """
-    kernel = _sweeps_one if B.shape[0] == 1 else _sweeps_batch
-    return kernel(law, B, omega, Z0, tol, max_iters)
+    if B.shape[0] == 1:
+        return _sweeps_one(law, B, 1.0, None, tol, max_iters)
+    return _sweeps_batch(law, B, tol, max_iters)
 
 
 def _raise_unconverged(U, residual, tol, max_iters):
@@ -175,8 +156,8 @@ def _raise_unconverged(U, residual, tol, max_iters):
     )
 
 
-def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
-    """The sweeps of :func:`_sor_sweeps` on a (paths, m) batch.
+def _sweeps_batch(law, B, tol, max_iters):
+    """The sweeps of :func:`_sweeps` on a (paths, m) batch.
 
     The work arrays are held transposed, (m, rows), so each coordinate
     updates in place on one contiguous row and ``S`` carries the running
@@ -185,8 +166,8 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
     residual.  After each sweep every row within ``tol`` writes its result
     and leaves the batch, so a row stops at its own convergence sweep; the
     last row left finishes on :func:`_sweeps_one` with the remaining budget,
-    resuming from its clipped vector; rows still sweeping when it runs out
-    stay NaN.  Returns the largest sweep count and final residual of any
+    resuming from its point z; rows still sweeping when it runs out stay
+    NaN.  Returns the largest sweep count and final residual of any
     row.
     """
     W, offdiag = law.W, law.offdiag
@@ -194,8 +175,7 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
     Cl, Cc, Wdc = law.columns
     m, paths = W.shape[0], B.shape[0]
     B = np.ascontiguousarray(B.T)
-    relaxed, keep = omega != 1.0, 1.0 - omega
-    Z = np.zeros((m, paths)) if Z0 is None else np.array(Z0.T, dtype=float, order="C")
+    Z = np.zeros((m, paths))
     Gamma = np.minimum(np.maximum(Z, Cl), Cc)
     S = Gamma + B
     nu_buffer, r_buffer = np.empty(m * paths), np.empty(m * paths)
@@ -210,12 +190,7 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
             z -= coupling
             z -= B[i]
             g = Gamma[i]
-            if relaxed:
-                g *= keep
-                g += np.multiply(z, omega, out=coupling)
-                np.maximum(g, lower[i], out=g)
-            else:
-                np.maximum(z, lower[i], out=g)
+            np.maximum(z, lower[i], out=g)
             np.minimum(g, upper[i], out=g)
             np.add(g, B[i], out=S[i])
         # Nu = sign(Z) max(0, Wd (|Z| - c)) and R = |Nu + W S| in the call's buffers, operands in
@@ -249,10 +224,9 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
         live = live[stay]
         Z, Gamma, S, B = (a.compress(stay, axis=1) for a in (Z, Gamma, S, B))
         if live.size == 1 and sweep < max_iters:
-            # resume from the clipped vector; at omega = 1 from Z, which clips to it and
-            # keeps the zero signs the next sweep's 0 z_i term carries
-            start = Gamma if relaxed else Z
-            z, g, nu, more, last = _sweeps_one(law, B.T, omega, start.T, tol, max_iters - sweep)
+            # resume from Z, which clips to the clipped vector and keeps the zero signs
+            # the next sweep's 0 z_i term carries
+            z, g, nu, more, last = _sweeps_one(law, B.T, 1.0, Z.T, tol, max_iters - sweep)
             for dst, src in zip(out, (z, g, nu)):
                 dst[:, live[0]] = src[0]
             # a failed straggler's residual (outside tol, or NaN) is the batch's
@@ -264,11 +238,14 @@ def _sweeps_batch(law, B, omega, Z0, tol, max_iters):
 
 
 def _sweeps_one(law, B, omega, Z0, tol, max_iters):
-    """The sweeps of :func:`_sor_sweeps` on one (1, m) row, over Python floats.
+    """The sweeps of :func:`_sweeps` on one (1, m) row, over Python floats,
+    from ``gamma = clip(z0, -c, c)`` (``Z0=None`` is z0 = 0).
 
-    Same update order, clip and residual as :func:`_sweeps_batch`; only the
-    sums of products are formed in a different order.  A NaN residual sticks,
-    so a corrupted input comes back NaN as in the batch kernel.
+    At omega = 1 it takes the steps of :func:`_sweeps_batch`, summing in
+    another order.  Another omega, which only :func:`sor_solve` passes, is
+    projected SOR: ``gamma_i = clip((1 - omega) gamma_i + omega z_i)`` never
+    raises the dual, so every omega in (0, 2) converges to the same answer.
+    A NaN residual sticks, so a corrupted input comes back NaN.
 
     The sweeps run on a kernel generated for this m (:func:`_kernel_source`),
     because a loop over the channels pays for list indexing, an iterator per
@@ -391,13 +368,16 @@ def sor_solve(
 ) -> SorState:
     """Solve the generalized normal equation of one stage problem.
 
-    The instance runs on the single-row kernel of :func:`_sor_sweeps`; its
-    result agrees with the batch kernel (:func:`sor_solve_batch`) to
-    rounding, with the same sweep count.
+    The instance runs on the single-row kernel of :func:`_sweeps_one`; at
+    omega = 1 it agrees with :func:`sor_solve_batch` to rounding, with the
+    same sweep count.  ``omega`` (a real in (0, 2), bools excluded), ``z0``
+    and the settings of :func:`_check_sweeps` are checked before any sweep.
     """
     law = sub.law
     Z0 = None if z0 is None else check_state("z0", z0, sub.b.size)[None]
-    Z, Gamma, Nu, iterations, residual = _sor_sweeps(law, sub.b[None], omega, Z0, tol, max_iters)
+    check_real("omega", omega, 0.0, 2.0)
+    max_iters = _check_sweeps(law, tol, max_iters)
+    Z, Gamma, Nu, iterations, residual = _sweeps_one(law, sub.b[None], omega, Z0, tol, max_iters)
     _raise_unconverged(Nu, residual, tol, max_iters)
     return _sor_state(law, Z[0], Gamma[0], Nu[0], iterations, residual)
 
@@ -409,29 +389,34 @@ def _sor_state(law, z, gamma, nu, iterations, residual):
                     iterations=iterations, residual=residual)
 
 
-def sor_solve_batch(sub_W, B, c, omega=1.0, tol=1e-10, max_iters=_MAX_SWEEPS):
-    """Batch form of :func:`sor_solve` for many right-hand sides at once.
+def sor_solve_batch(sub_W, B, c, tol=1e-10, max_iters=_MAX_SWEEPS):
+    """Batch form of :func:`sor_solve` at omega = 1 for many right-hand sides at once.
 
     ``B`` is (paths, m); returns the (paths, m) control batch, empty when
     ``B`` has no rows; for stage problems that share one curvature (the
-    feedback entry points run the same sweeps at omega = 1 from
-    :func:`_feedback`).  Each row stops at
-    its own convergence sweep, and the last row still sweeping finishes on
-    the single-row kernel of :func:`_sor_sweeps`, as a one-row ``B`` and
-    :func:`sor_solve` do; so each row matches :func:`sor_solve` on that row
-    alone to rounding, whatever the other rows are.  Rows that miss ``tol``
-    raise one :class:`MaxIterations` naming how many did.
+    feedback entry points run the same sweeps, :func:`_sweeps`, from
+    :func:`_feedback`).  Each row stops at its own convergence sweep, so it
+    matches :func:`sor_solve` on that row alone to rounding, whatever the
+    other rows are.  Rows that miss ``tol`` raise one :class:`MaxIterations`
+    naming how many did.  Before any sweep, a non-square ``sub_W``, a ``c``
+    or ``B`` that does not match it and a non-finite entry raise
+    :class:`ArgumentError` naming the argument, and a negative ``c``
+    :class:`AssumptionViolated`.
     """
+    m = np.shape(sub_W)[0] if np.ndim(sub_W) else 1
+    W = check_matrix("sub_W", sub_W, (m, m))
+    law = FeedbackLaw(W=W, c=check_deadzone(check_matrix("c", c, (m,))))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    _, _, Nu, _, residual = _sor_sweeps(FeedbackLaw(W=sub_W, c=c), B, omega, None, tol, max_iters)
+    B = check_matrix("B", B, (len(B), m))
+    max_iters = _check_sweeps(law, tol, max_iters)
+    _, _, Nu, _, residual = _sweeps(law, B, tol, max_iters)
     _raise_unconverged(Nu, residual, tol, max_iters)
     return Nu
 
 
 def _slopes(sol: RiccatiSolution, X, Mu, mu_kind):
-    """The (rows, n) slopes of a state batch: an explicit ``Mu``, zeros, or one
-    default :func:`~csviu.mu.mu_rollout` per row; None for "asymptotic", whose
-    slopes :func:`_feedback` resolves with the stage solves."""
+    """The (rows, n) slopes of a state batch: an explicit, finite ``Mu`` or
+    zeros; None for "asymptotic", whose slopes :func:`_feedback` resolves."""
     rows, n = X.shape
     if n != sol.model.n:
         raise ArgumentError(f"states have length {n}, expected {sol.model.n}")
@@ -440,13 +425,13 @@ def _slopes(sol: RiccatiSolution, X, Mu, mu_kind):
         Mu = Mu.reshape(1, -1) if rows == 1 else np.atleast_2d(Mu)
         if Mu.shape != X.shape:
             raise ArgumentError(f"slopes of shape {Mu.shape} do not match {rows} states of length {n}")
+        finite = np.isfinite(Mu).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ArgumentError(f"slopes must be finite, got {Mu[row]} in row {row}")
         return Mu
     check_mu_kind(mu_kind)
-    if mu_kind == "zero":
-        return np.zeros(X.shape)
-    if mu_kind == "rollout":
-        return np.array([mu_rollout(sol, x).value for x in X]).reshape(X.shape)
-    return None
+    return np.zeros(X.shape) if mu_kind == "zero" else None
 
 
 def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
@@ -487,7 +472,7 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
         gain_x, gain_u = sol.slope_gains
         Mu = np.sign(X) @ gain_x.T
     Bu = Mu @ B + R
-    Z, Gamma, U, sweeps, residual = _sweeps(law, Bu, 1.0, None, tol, max_iters)
+    Z, Gamma, U, sweeps, residual = _sweeps(law, Bu, tol, max_iters)
     if not sweeping:
         return Z, Gamma, U, Mu, Bu, sweeps, residual
     U = np.ascontiguousarray(U)  # returned row-major, like the slopes
@@ -506,7 +491,7 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
         Su_l = np.sign(U_l)
         Mu_l = Mx_l + Su_l @ gain_u.T
         Bu = Mu_l @ B + R_l
-        Z, Gamma, U_l, used, last = _sweeps(law, Bu, 1.0, None, tol, max_iters)
+        Z, Gamma, U_l, used, last = _sweeps(law, Bu, tol, max_iters)
         U[live], Mu[live] = U_l, Mu_l
         if residual <= tol or not last <= tol:  # a failed solve's figures stay
             sweeps, residual = used, last
@@ -549,15 +534,15 @@ def resolve_mu(
     """Produce the slope vector used by the stage problem at ``x``.
 
     Every feedback entry point takes the same slope inputs: an explicit
-    ``mu``, or ``mu_kind`` "zero" (no slope), "asymptotic" or "rollout".
-    "asymptotic" freezes signs at the current state and re-solves the stage
-    problem (with ``tol``/``max_iters``) until the control sign
-    pattern repeats, for at most 3 sweeps; a state on a sign cycle returns
-    the slope of its last pattern.  "rollout" is :func:`~csviu.mu.mu_rollout`
-    with its defaults (256 paths, seed 0); for other settings pass
-    ``mu=mu_rollout(sol, x, ...).value``.  The state runs through
-    :func:`optimal_control_batch` as a batch of one, with the same slope, and
-    a wrong-length or non-finite ``x`` raises :class:`ArgumentError`.
+    ``mu``, or ``mu_kind`` "zero" (no slope) or "asymptotic".  "asymptotic"
+    freezes signs at the current state and re-solves the stage problem
+    (with ``tol``/``max_iters``) until the control sign pattern repeats, for
+    at most 3 sweeps; a state on a sign cycle returns the slope of its last
+    pattern.  A Monte Carlo slope is an explicit one:
+    ``mu=mu_rollout(sol, x, ...).value`` (:func:`~csviu.mu.mu_rollout`).
+    The state runs through :func:`optimal_control_batch` as a batch of one,
+    with the same slope, and a wrong-length or non-finite ``x`` or ``mu``
+    raises :class:`ArgumentError`.
     """
     x = check_state("x", x, sol.model.n)
     Mu = _slopes(sol, x[None], mu, mu_kind)
@@ -647,7 +632,7 @@ def optimal_control_batch(
 
     Returns ``(U, Mu)`` with shapes (paths, m) and (paths, n), empty when
     ``X`` has no rows.  The slope inputs are those of :func:`resolve_mu`
-    ("rollout" runs one :func:`~csviu.mu.mu_rollout` per row).  A single
+    (Monte Carlo slopes are a ``Mu`` of :func:`~csviu.mu.mu_rollout` values).  A single
     state is a batch of one: :func:`optimal_control` and :func:`resolve_mu`
     run this driver on one row, with identical results.  Each stage solve
     stops every row at its own convergence sweep and, with
@@ -656,8 +641,8 @@ def optimal_control_batch(
     (they agree with their batches of one to rounding, since the column
     kernel sums in another order).  The curvature data come from the
     solution's cached ``law``.
-    A row with a non-finite entry raises :class:`ArgumentError` before any
-    sweep.  Rows that miss ``tol`` raise one :class:`MaxIterations` naming
+    A row of ``X`` or ``Mu`` with a non-finite entry raises :class:`ArgumentError`
+    before any sweep.  Rows that miss ``tol`` raise one :class:`MaxIterations` naming
     how many did; :func:`~csviu.region.scan_region` flags them instead.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -30,9 +30,11 @@ class RegionMap:
     Labels: -1 push down, 0 inactive, +1 push up.  A cell whose row of the
     batch solve missed ``tol`` is flagged in ``invalid``, carries NaN in
     ``u_star`` and ``margins`` and label 0, so read ``labels`` with it.
+    ``ranges`` holds the checked (lo, hi) of each scanned axis.
     """
 
     axes: tuple[int, ...]
+    ranges: tuple[tuple[float, float], ...]
     grid_x: np.ndarray
     grid_y: np.ndarray | None
     base_point: np.ndarray
@@ -62,13 +64,16 @@ def _grid_points(n, axes, ranges, resolution, base_point):
 def scan_region(
     sol: RiccatiSolution,
     axes=(0, 1),
-    ranges=((-2.0, 2.0), (-2.0, 2.0)),
+    ranges=((-2.0, 2.0),),
     resolution: int = 41,
     base_point=None,
     mu_kind: str = "asymptotic",
     tol: float = 1e-10,
 ) -> RegionMap:
     """Solve the stage problem over a grid slice and label each channel.
+
+    ``ranges`` holds one (lo, hi) pair per scanned axis, or one pair for
+    every axis; anything else raises :class:`ArgumentError`.
 
     ``margins`` are the inaction margins ``Wud - |2 Sigma x + B' mu|`` of
     :func:`~csviu.control.inaction_test` under the cell's slope, and
@@ -90,9 +95,12 @@ def scan_region(
         raise ArgumentError(f"axes must be one or two distinct indices, got {axes}")
     if any(a < 0 or a >= n for a in axes):
         raise ArgumentError(f"axes {axes} out of range for state dimension {n}")
-    ranges = tuple(tuple(check_real("ranges", v) for v in rg) for rg in np.atleast_2d(ranges))
-    if len(ranges) == 1 and len(axes) == 2:
-        ranges = (ranges[0], ranges[0])
+    pairs = np.atleast_2d(np.array(ranges, dtype=object))  # a ragged list holds its rows whole
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ArgumentError(f"ranges must be (lo, hi) pairs, got {ranges!r}")
+    ranges = tuple(tuple(check_real("ranges", v) for v in rg) for rg in pairs)
+    if len(ranges) == 1:
+        ranges *= len(axes)
     if len(ranges) != len(axes):
         raise ArgumentError(f"need {len(axes)} ranges, got {len(ranges)}")
     resolution = check_count("resolution", resolution, 2)
@@ -117,6 +125,7 @@ def scan_region(
         shape2, shape3 = (resolution, resolution), (resolution, resolution, m)
     return RegionMap(
         axes=axes,
+        ranges=ranges,
         grid_x=gx,
         grid_y=gy,
         base_point=base_point,

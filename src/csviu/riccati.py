@@ -238,10 +238,16 @@ class FeedbackLaw:
         return np.where(self.c > 0, self.c, np.inf)
 
 
-def stage_data(Lambda: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked stage-problem data ``(W, c)`` with ``W = Lambda^{-1}/2`` symmetrized."""
+def check_deadzone(c: np.ndarray) -> np.ndarray:
+    """``c``; :class:`AssumptionViolated` unless every deadzone weight is nonnegative."""
     if np.any(c < 0):
         raise AssumptionViolated("the l1 deadzone weights c must be nonnegative")
+    return c
+
+
+def stage_data(Lambda: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked stage-problem data ``(W, c)`` with ``W = Lambda^{-1}/2`` symmetrized."""
+    check_deadzone(c)
     if np.linalg.eigvalsh(0.5 * (Lambda + Lambda.T)).min() <= 0:
         raise SingularLambda("the control curvature Lambda must be positive definite")
     W = 0.5 * np.linalg.inv(Lambda)

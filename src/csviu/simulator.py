@@ -59,6 +59,7 @@ from typing import Callable
 
 import numpy as np
 
+from .control import check_mu_kind, check_tol, optimal_control_batch
 from .errors import (ArgumentError, MaxIterations, SeriesDivergent, check_count, check_matrix, check_real,
                      check_state)
 from .model import NOISE_KINDS, SystemModel
@@ -379,8 +380,6 @@ class Policy:
         bad one raises :class:`ArgumentError` before a rollout draws any
         noise.
         """
-        from .control import check_mu_kind, check_tol, optimal_control_batch
-
         check_mu_kind(mu_kind)
         check_tol(tol)
 

@@ -434,6 +434,22 @@ class TestExitCodes:
         assert main(["detect", "--model", model_file, "--injection", "1,2;3"]) == 1
         assert capsys.readouterr().err == "error: --injection rows have unequal lengths [2, 1]\n"
 
+    @pytest.mark.parametrize("command", ["control", "simulate", "norms", "region"])
+    def test_rollout_slope_is_not_a_choice(self, model_file, capsys, command):
+        # a rollout slope is an explicit one of the library (mu=mu_rollout(...).value)
+        argv = [command, "--model", model_file, "--mu", "rollout"] + (["--x", "0.5"] if command == "control" else [])
+        assert main(argv) == 1
+        assert "argument --mu: invalid choice: 'rollout'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["1,2,3", "1"])
+    def test_a_range_that_is_not_lo_hi_is_a_validation_error(self, tmp_path, model_file, capsys, spec):
+        out = tmp_path / "region"
+        code = main(["region", "--model", model_file, "--axes", "0", "--res", "5", f"--range={spec}",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ranges must be (lo, hi) pairs")
+        assert not out.exists()
+
     def test_wrong_shape_injection_is_a_validation_error(self, model_file, capsys):
         code = main(["detect", "--model", model_file, "--injection", "1,2,3"])
         assert code == 1

@@ -26,6 +26,8 @@ from csviu import (
 )
 import csviu.control
 import csviu.mu
+import csviu.simulator
+from csviu import mu_rollout
 from csviu.control import resolve_mu, sor_solve_batch
 from csviu.riccati import FeedbackLaw
 
@@ -254,8 +256,13 @@ class TestSorGeneral:
 @pytest.mark.parametrize("omega", [0.0, 2.0, 2.5, -1.0, True, "1", None])
 @pytest.mark.parametrize("entry", ["sor_solve", "sor_solve_batch"])
 def test_omega_outside_the_open_interval_raises_before_sweeping(entry, omega, monkeypatch):
-    # omega=True used to run omega = 1, and "1" or None raised a bare TypeError
-    with pytest.raises(ArgumentError, match=r"^omega must be a finite real in \(0, 2\)"):
+    # omega=True used to run omega = 1, and "1" or None raised a bare TypeError; the batch
+    # solver sweeps at omega = 1 only and takes no omega at all
+    if entry == "sor_solve":
+        error, match = ArgumentError, r"^omega must be a finite real in \(0, 2\)"
+    else:
+        error, match = TypeError, "unexpected keyword argument 'omega'"
+    with pytest.raises(error, match=match):
         _solve_without_sweeps(entry, monkeypatch, omega=omega)
 
 
@@ -322,9 +329,45 @@ def test_an_empty_budget_raises_max_iterations(rows):
     assert failure.value.residual == np.inf
 
 
-def _sweeps_or_failure(W, B, c, omega, max_iters=1000):
-    """``_sor_sweeps`` on ``B``, or the MaxIterations its flagged rows raise."""
-    result = csviu.control._sor_sweeps(FeedbackLaw(W=W, c=c), B, omega, np.zeros_like(B), 1e-12, max_iters)
+@pytest.mark.parametrize(
+    "W, B, c, error, match",
+    [
+        ([[1.0, 0.2], [0.2, 1.0]], np.ones((4, 3)), [0.5, 0.5], ArgumentError, r"^B has shape \(4, 3\)"),
+        ([[1.0, 0.2], [0.2, 1.0]], np.ones((4, 1)), [0.5, 0.5], ArgumentError, r"^B has shape \(4, 1\)"),
+        ([[1.0, 0.2], [0.2, 1.0]], np.ones((4, 2)), [0.5], ArgumentError, r"^c has shape \(1,\)"),
+        ([[1.0, 0.2]], np.ones((4, 2)), [0.5, 0.5], ArgumentError, r"^sub_W has shape \(1, 2\)"),
+        ([[1.0, np.nan], [0.2, 1.0]], np.ones((4, 2)), [0.5, 0.5], ArgumentError, "^sub_W must be finite"),
+        ([[1.0, 0.2], [0.2, 1.0]], np.ones((4, 2)), [0.5, np.inf], ArgumentError, "^c must be finite"),
+        ([[1.0, 0.2], [0.2, 1.0]], [[1.0, 1.0], [np.nan, 0.0]], [0.5, 0.5], ArgumentError, "^B must be finite"),
+        ([[1.0, 0.2], [0.2, 1.0]], np.ones((4, 2)), [0.5, -0.5], AssumptionViolated, "nonnegative"),
+        ([[0.0, 0.2], [0.2, 1.0]], np.ones((4, 2)), [0.5, 0.5], SingularLambda, "positive diagonal"),
+    ],
+    ids=["B-wide", "B-narrow", "c-short", "W-not-square", "W-nan", "c-inf", "B-nan-row", "c-negative",
+         "W-zero-diagonal"],
+)
+def test_batch_solver_arguments_are_checked_before_sweeping(W, B, c, error, match, monkeypatch):
+    # a 3-column B raised a bare ValueError, a 1-column B or a short c an IndexError, and a
+    # negative c or a NaN row of B ran the whole sweep budget into a MaxIterations
+    def refuse(*args):
+        raise AssertionError("a relaxation sweep ran")
+
+    monkeypatch.setattr(csviu.control, "_sweeps_one", refuse)
+    monkeypatch.setattr(csviu.control, "_sweeps_batch", refuse)
+    with pytest.raises(error, match=match):
+        sor_solve_batch(W, B, c)
+
+
+def test_batch_solver_takes_nested_lists():
+    # a list W used to fail with an AttributeError
+    W, B, c = [[1.0, 0.2], [0.2, 1.0]], [[1.0, -2.0], [0.3, 0.1], [-3.0, 0.5]], [0.5, 0.5]
+    Nu = sor_solve_batch(W, B, c)
+    np.testing.assert_array_equal(Nu, sor_solve_batch(np.array(W), np.array(B), np.array(c)))
+    assert Nu.shape == (3, 2)
+
+
+def _sweeps_or_failure(W, B, c, max_iters=1000):
+    """``_sweeps`` on ``B``, or the MaxIterations its flagged rows raise."""
+    result = csviu.control._sweeps(FeedbackLaw(W=W, c=c), B, 1e-12, max_iters)
     try:
         csviu.control._raise_unconverged(result[2], result[4], 1e-12, max_iters)
     except MaxIterations as exc:
@@ -351,15 +394,14 @@ class TestSorKernels:
     """One-row inputs take the scalar kernel, larger batches the array kernel."""
 
     def test_kernels_agree_on_criterion_02_style_instances(self):
-        # every instance converges within 1000 sweeps; 30 are too few for many at omega != 1
+        # every instance converges within 1000 sweeps (at most 22); 10 are too few for 17
         failures = 0
-        omegas = (0.5, 1.0, 1.5, 1.9)
-        for sub, omega, budget in itertools.product(_criterion_02_instances(), omegas, (1000, 30)):
-            one = _sweeps_or_failure(sub.W, sub.b[None], sub.c, omega, budget)
-            two = _sweeps_or_failure(sub.W, np.stack([sub.b, sub.b]), sub.c, omega, budget)
+        for sub, budget in itertools.product(_criterion_02_instances(), (1000, 10)):
+            one = _sweeps_or_failure(sub.W, sub.b[None], sub.c, budget)
+            two = _sweeps_or_failure(sub.W, np.stack([sub.b, sub.b]), sub.c, budget)
             if isinstance(one, MaxIterations):
                 assert isinstance(two, MaxIterations)
-                assert one.iterations == two.iterations == budget == 30
+                assert one.iterations == two.iterations == budget == 10
                 failures += 1
                 continue
             assert not isinstance(two, MaxIterations)
@@ -395,9 +437,7 @@ class TestBatchRowsLeaveOnConvergence:
         W, B, c, sub = _mixed_rows()
         singles = [sor_solve(replace(sub, b=b)) for b in B]
         assert [state.iterations for state in singles] == MIXED_SWEEPS
-        Z, Gamma, Nu, sweeps, residual = csviu.control._sor_sweeps(
-            FeedbackLaw(W=W, c=c), B, 1.0, np.zeros_like(B), 1e-10, 10000
-        )
+        Z, Gamma, Nu, sweeps, residual = csviu.control._sweeps(FeedbackLaw(W=W, c=c), B, 1e-10, 10000)
         assert sweeps == max(MIXED_SWEEPS)
         assert residual <= 1e-10
         np.testing.assert_array_equal(sor_solve_batch(W, B, c), Nu)
@@ -437,48 +477,33 @@ class TestBatchRowsLeaveOnConvergence:
         assert batch.value.residual == pytest.approx(alone.value.residual, rel=1e-9)
 
     def test_a_nan_row_ends_in_max_iterations(self):
+        # sor_solve_batch rejects a NaN row before sweeping; in the kernel, as on a feedback
+        # path, the row comes back NaN with a NaN residual and the others converge
         W, B, c, _ = _mixed_rows()
         B[1, 0] = np.nan
+        Z, Gamma, Nu, sweeps, residual = csviu.control._sweeps(FeedbackLaw(W=W, c=c), B, 1e-10, 100)
+        assert sweeps == 100 and np.isnan(residual)
+        assert np.isnan(Nu[1]).all() and np.isfinite(np.delete(Nu, 1, axis=0)).all()
         with pytest.raises(MaxIterations) as failure:
-            sor_solve_batch(W, B, c, max_iters=100)
+            csviu.control._raise_unconverged(Nu, residual, 1e-10, 100)
         assert failure.value.iterations == 100
         assert np.isnan(failure.value.residual)
 
-    def test_large_omega_converges_in_a_batch(self):
-        sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
-        B = np.stack([np.zeros(2), sub.b, -sub.b])
-        Nu = sor_solve_batch(sub.W, B, sub.c, omega=1.9, tol=1e-12, max_iters=1000)
-        for b, nu in zip(B, Nu):
-            alone = sor_solve(replace(sub, b=b), omega=1.9, tol=1e-12, max_iters=1000)
-            np.testing.assert_allclose(nu, alone.nu, rtol=0.0, atol=1e-12)
-
     def test_short_budget_raises_from_a_batch(self):
+        # alone, the rows need 1, 4 and 4 sweeps
         sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
         B = np.stack([np.zeros(2), sub.b, -sub.b])
         with pytest.raises(MaxIterations, match="on 2 of 3 rows .*retry with a larger max_iters") as failure:
-            sor_solve_batch(sub.W, B, sub.c, omega=1.9, tol=1e-12, max_iters=100)
-        assert failure.value.iterations == 100
+            sor_solve_batch(sub.W, B, sub.c, tol=1e-12, max_iters=3)
+        assert failure.value.iterations == 3
         assert 1e-12 < failure.value.residual < 1.0
-
-    @pytest.mark.parametrize("omega", [0.5, 1.5, 1.9])
-    def test_last_row_resumes_its_relaxed_iterate(self, omega):
-        # the straggler continues from the batch's clipped vector, so it takes
-        # the sweeps of its own single-row solve
-        W, B, c, sub = _mixed_rows()
-        singles = [sor_solve(replace(sub, b=b), omega=omega) for b in B]
-        _, _, Nu, sweeps, _ = csviu.control._sor_sweeps(
-            FeedbackLaw(W=W, c=c), B, omega, np.zeros_like(B), 1e-10, 10000
-        )
-        assert sweeps == max(state.iterations for state in singles)
-        for row, state in enumerate(singles):
-            np.testing.assert_allclose(Nu[row], state.nu, rtol=0.0, atol=1e-12)
 
 
 def _kernel_or_failure(sub, omega, z0=None, tol=1e-12, max_iters=1000):
-    """``_sor_sweeps`` on one row as (z, gamma, nu, sweeps, residual), the arrays
-    None when the row missed ``tol`` (and came back NaN)."""
+    """The single-row kernel ``_sweeps_one`` as (z, gamma, nu, sweeps, residual),
+    the arrays None when the row missed ``tol`` (and came back NaN)."""
     z0 = np.zeros(sub.b.size) if z0 is None else np.asarray(z0, dtype=float)
-    Z, Gamma, Nu, sweeps, residual = csviu.control._sor_sweeps(
+    Z, Gamma, Nu, sweeps, residual = csviu.control._sweeps_one(
         FeedbackLaw(W=sub.W, c=sub.c), sub.b[None], omega, z0[None], tol, max_iters
     )
     if not residual <= tol:
@@ -603,6 +628,17 @@ class TestGeneratedKernel:
         assert out.stdout.strip() == "0"
 
 
+# every entry point that takes mu_kind, called as entry(sol, X, kind)
+MU_KIND_ENTRIES = {
+    "optimal_control": lambda sol, X, kind: optimal_control(sol, X[0], mu_kind=kind),
+    "optimal_control_batch": lambda sol, X, kind: optimal_control_batch(sol, X, mu_kind=kind),
+    "resolve_mu": lambda sol, X, kind: resolve_mu(sol, X[0], mu_kind=kind),
+    "Policy.optimal": lambda sol, X, kind: Policy.optimal(sol, mu_kind=kind).fn(X),
+    "scan_region": lambda sol, X, kind: scan_region(sol, resolution=3, mu_kind=kind),
+    "optimal_norms": lambda sol, X, kind: optimal_norms(sol, paths=2, kappa=3, mu_kind=kind),
+}
+
+
 class TestOptimalControl:
     @pytest.mark.parametrize("mu_kind", ["zero", "asymptotic"])
     def test_non_finite_state_is_rejected_before_any_sweep(self, scalar_model, mu_kind, monkeypatch):
@@ -689,32 +725,59 @@ class TestOptimalControl:
             resolve_mu(sol, X[0], mu_kind="asymptotic", max_iters=1)
 
     def test_batch_rollout_rows_match_single_states(self, rng):
+        # a Monte Carlo slope enters as an explicit one, a batch of mu_rollout values
         model = support.random_model(rng, n=2, m=1)
         sol = solve_riccati(model, alpha=0.9)
         X = 2.0 * rng.standard_normal((3, 2))
-        U, Mu = optimal_control_batch(sol, X, mu_kind="rollout")
+        slopes = np.array([mu_rollout(sol, x).value for x in X])
+        U, Mu = optimal_control_batch(sol, X, Mu=slopes)
+        np.testing.assert_array_equal(Mu, slopes)
         for row in range(3):
-            single = optimal_control(sol, X[row], mu_kind="rollout")
+            single = optimal_control(sol, X[row], mu=slopes[row])
             np.testing.assert_allclose(U[row], single.u_star, rtol=0.0, atol=1e-9)
             np.testing.assert_allclose(Mu[row], single.mu, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            lambda sol, X, kind: optimal_control(sol, X[0], mu_kind=kind),
-            lambda sol, X, kind: optimal_control_batch(sol, X, mu_kind=kind),
-            lambda sol, X, kind: resolve_mu(sol, X[0], mu_kind=kind),
-            lambda sol, X, kind: Policy.optimal(sol, mu_kind=kind).fn(X),
-            lambda sol, X, kind: scan_region(sol, resolution=3, mu_kind=kind),
-            lambda sol, X, kind: optimal_norms(sol, paths=2, kappa=3, mu_kind=kind),
-        ],
-        ids=["optimal_control", "optimal_control_batch", "resolve_mu", "Policy.optimal",
-             "scan_region", "optimal_norms"],
-    )
+    @pytest.mark.parametrize("entry", MU_KIND_ENTRIES.values(), ids=MU_KIND_ENTRIES.keys())
     def test_every_entry_point_rejects_an_unknown_mu_kind(self, rng, entry):
         sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
         with pytest.raises(ValueError, match="mu_kind"):
             entry(sol, np.ones((2, 2)), "sideways")
+
+    @pytest.mark.parametrize("entry", MU_KIND_ENTRIES.values(), ids=MU_KIND_ENTRIES.keys())
+    def test_every_entry_point_rejects_the_rollout_kind_before_any_sweep_or_draw(self, rng, entry,
+                                                                                monkeypatch):
+        # "rollout" ran one 256-path mu_rollout per row; it is now an explicit slope
+        sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
+        _refuse_sweeps_and_draws(monkeypatch)
+        with pytest.raises(ArgumentError, match="unknown mu_kind 'rollout'.*mu_rollout"):
+            entry(sol, np.ones((2, 2)), "rollout")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["optimal_control", "resolve_mu", "optimal_control_batch"])
+    def test_non_finite_explicit_slope_is_rejected_before_any_sweep(self, rng, entry, value, monkeypatch):
+        # a NaN slope used to run the whole sweep budget into a MaxIterations advising a
+        # larger max_iters
+        sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
+        _refuse_sweeps_and_draws(monkeypatch)
+        X, Mu = np.ones((3, 2)), np.zeros((3, 2))
+        Mu[1, 0] = value
+        call = {
+            "optimal_control": lambda: optimal_control(sol, X[1], mu=Mu[1]),
+            "resolve_mu": lambda: resolve_mu(sol, X[1], mu=Mu[1]),
+            "optimal_control_batch": lambda: optimal_control_batch(sol, X, Mu=Mu),
+        }[entry]
+        row = 0 if entry != "optimal_control_batch" else 1
+        with pytest.raises(ArgumentError, match=rf"^slopes must be finite, got .* in row {row}"):
+            call()
+
+
+def _refuse_sweeps_and_draws(monkeypatch):
+    """Make every stage-solve sweep and every noise draw fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep or a draw ran")
+
+    monkeypatch.setattr(csviu.control, "_sweeps", refuse)
+    monkeypatch.setattr(csviu.simulator, "_noise_chunks", refuse)
 
 
 def _count_calls(monkeypatch, owner, name, counts):

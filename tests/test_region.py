@@ -11,6 +11,7 @@ import csviu.region
 from csviu import (
     ArgumentError,
     AssumptionViolated,
+    ControlSubproblem,
     MaxIterations,
     SeriesDivergent,
     SystemModel,
@@ -19,6 +20,7 @@ from csviu import (
     optimal_control_batch,
     scan_region,
     solve_riccati,
+    sor_solve,
 )
 from csviu.cli import main
 from csviu.control import sor_solve_batch
@@ -196,11 +198,28 @@ class TestScan2D:
         # a NaN or infinite end used to be reported as a bad state X
         ((0,), ((-1, np.nan),), "ranges must be a finite real"),
         ((0, 1), ((-1, 1), (-np.inf, 1)), "ranges must be a finite real"),
-    ], ids=["repeated-axis", "axis-out-of-range", "range-count", "nan-end", "infinite-end"])
+        # a range that is not (lo, hi) used to raise a bare ValueError from the unpacking
+        ((0,), [(1, -1, 0)], r"ranges must be \(lo, hi\) pairs"),
+        ((0, 1), [(-1, 1), (-1, 1, 0)], "^ranges must be"),
+        ((0,), [[[-1, 1]]], r"ranges must be \(lo, hi\) pairs"),
+        ((0,), [(1,)], r"ranges must be \(lo, hi\) pairs"),
+    ], ids=["repeated-axis", "axis-out-of-range", "range-count", "nan-end", "infinite-end", "triple",
+            "ragged", "nested", "single"])
     def test_bad_axes_and_ranges_are_argument_errors(self, rng, axes, ranges, match):
         sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
         with pytest.raises(ArgumentError, match=match):
             scan_region(sol, axes=axes, ranges=ranges, resolution=3)
+
+    @pytest.mark.parametrize("axes", [(0,), (1, 0)], ids=["one-axis", "two-axes"])
+    def test_one_range_serves_every_scanned_axis(self, rng, axes):
+        # scan_region(sol, axes=(0,)) used to reject its own two default ranges
+        sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
+        default = scan_region(sol, axes=axes, resolution=3, mu_kind="zero")
+        assert default.ranges == ((-2.0, 2.0),) * len(axes)
+        given = scan_region(sol, axes=axes, ranges=(-1, 0.5), resolution=3, mu_kind="zero")
+        assert given.ranges == ((-1.0, 0.5),) * len(axes)
+        for grid in (given.grid_x, given.grid_y)[:len(axes)]:
+            assert grid.tolist() == [-1.0, -0.25, 0.5]
 
     @pytest.mark.parametrize("axes", [(0.5,), (True,), (0, 1.0)], ids=["fraction", "bool", "float"])
     def test_axes_must_be_integers(self, rng, axes):
@@ -272,9 +291,9 @@ def _short_budgets(monkeypatch, mu_kind):
     first, later = SHORT_BUDGETS[mu_kind]
     sweeps, solves = csviu.control._sweeps, []
 
-    def short(law, B, omega, Z0, tol, max_iters):
+    def short(law, B, tol, max_iters):
         solves.append(len(B))
-        return sweeps(law, B, omega, Z0, tol, max_iters if len(solves) == 1 else later)
+        return sweeps(law, B, tol, max_iters if len(solves) == 1 else later)
 
     with monkeypatch.context() as patch:
         patch.setattr(csviu.region, "_MAX_SWEEPS", first)
@@ -389,11 +408,14 @@ class TestLargeOmega:
     """Projected relaxation converges at every omega in (0, 2)."""
 
     def test_cycling_plant_scan_converges_at_omega_1_9(self, monkeypatch):
-        # the stage problems of the 41 x 41 zero-slope scan; the former unprojected sweep
-        # left 23 of these 1681 rows cycling at omega 1.9
+        # the stage problems of the 41 x 41 zero-slope scan, one sor_solve each; the former
+        # unprojected sweep left 23 of these 1681 rows cycling at omega 1.9
         sol, scan, points = _slow_scan(monkeypatch, 41, ((-2.0, 2.0), (-2.0, 2.0)), short=False)
         B = 2.0 * points @ sol.Sigma.T
-        fast, slow = (sor_solve_batch(sol.law.W, B, sol.law.c, omega=w) for w in (1.9, 1.0))
+        law = sol.law
+        fast = np.array([sor_solve(ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda), omega=1.9).nu
+                         for b in B])
+        slow = sor_solve_batch(law.W, B, law.c)
         np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(slow, scan.u_star.reshape(-1, 2), rtol=0.0, atol=1e-12)
         labels = (fast > 1e-9).astype(np.int8) - (fast < -1e-9).astype(np.int8)

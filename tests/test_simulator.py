@@ -254,14 +254,15 @@ class TestSimulate:
         assert pol.kind == "optimal[asymptotic]"
 
     def test_rollout_policy_takes_the_callers_solver_settings(self, rng):
+        # a Monte Carlo slope reaches the law as an explicit Mu of mu_rollout values
         model = support.random_model(rng, n=2, m=1)
         sol = solve_riccati(model, alpha=0.9)
         X = np.array([[0.4, -0.2], [1.0, 1.0]])
         with pytest.raises(ValueError, match="tol"):
-            Policy.optimal(sol, mu_kind="rollout", tol=-1.0)
-        U = Policy.optimal(sol, mu_kind="rollout", tol=1e-12).fn(X)
+            Policy.optimal(sol, mu_kind="asymptotic", tol=-1.0)
+        U = _rollout_slope_policy(sol, tol=1e-12).fn(X)
         for row in range(2):
-            single = optimal_control(sol, X[row], mu_kind="rollout", tol=1e-12)
+            single = optimal_control(sol, X[row], mu=mu_rollout(sol, X[row]).value, tol=1e-12)
             np.testing.assert_allclose(U[row], single.u_star, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("paths", [1, 4])
@@ -275,10 +276,19 @@ class TestSimulate:
     def test_rollout_policy_smoke(self, rng):
         model = support.random_model(rng, n=2, m=1)
         sol = solve_riccati(model, alpha=0.9)
-        pol = Policy.optimal(sol, mu_kind="rollout")
+        pol = _rollout_slope_policy(sol)
         U = pol.fn(np.array([[0.4, -0.2], [1.0, 1.0]]))
         assert U.shape == (2, 1)
         assert np.all(np.isfinite(U))
+
+
+def _rollout_slope_policy(sol, tol=1e-10):
+    """The optimal law under one default mu_rollout slope per state, passed as ``Mu``."""
+    def fn(X):
+        Mu = np.array([mu_rollout(sol, x).value for x in X]).reshape(X.shape)
+        return optimal_control_batch(sol, X, Mu=Mu, tol=tol)[0]
+
+    return Policy("optimal[rollout]", fn)
 
 
 def _entry_calls(model):
