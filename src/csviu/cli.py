@@ -42,8 +42,9 @@ from .region import scan_region
 from .riccati import solve_riccati
 from .simulator import (
     Policy,
+    _discounted,
     _energy_estimate,
-    _output_squares,
+    _stage_squares,
     optimal_norms,
     overtaking_compare,
 )
@@ -276,11 +277,12 @@ def _cmd_simulate(args, run: _Run):
     policy = _policy(args.policy, run, sol)
     x0 = np.zeros(run.model.n) if args.x0 is None else np.array(_floats(args.x0))
     kappa = run.config.kappa if run.config.kappa is not None else 100
-    # one rollout that keeps |y_k|^2 of every path and the per-stage means of
-    # |y|^2, |x|^2 and |u|^2, not the whole ensemble
-    sq, table = _output_squares(run.model, policy, x0, kappa + 1, run.config.paths, run.config.seed,
-                                means=True)
-    energy = _energy_estimate(sq, run.config.alpha)
+    # one rollout that keeps the per-path discounted sums of |y_k|^2 and the
+    # per-stage means of |y|^2, |x|^2 and |u|^2, not the whole ensemble
+    table = np.empty((kappa + 1, 3))
+    squares = _stage_squares(run.model, policy, x0, kappa + 1, run.config.paths, run.config.seed,
+                             table=table)
+    energy = _energy_estimate(_discounted(squares, run.config.alpha), kappa)
     payload = {
         "policy": policy.kind,
         "x0": _jsonable(x0),

@@ -27,7 +27,7 @@ from math import copysign
 
 import numpy as np
 
-from .errors import ArgumentError, MaxIterations, check_count, check_matrix, check_real, check_state
+from .errors import ArgumentError, MaxIterations, as_floats, check_count, check_matrix, check_real, check_state
 from .riccati import FeedbackLaw, RiccatiSolution, _constant, _frozen, check_deadzone, stage_data
 
 _MU_SWEEPS = 3  # frozen-sign slope sweeps per state before its last pattern is kept
@@ -403,10 +403,11 @@ def sor_solve_batch(sub_W, B, c, tol=1e-10, max_iters=_MAX_SWEEPS):
     :class:`ArgumentError` naming the argument, and a negative ``c``
     :class:`AssumptionViolated`.
     """
-    m = np.shape(sub_W)[0] if np.ndim(sub_W) else 1
-    W = check_matrix("sub_W", sub_W, (m, m))
+    W = as_floats("sub_W", sub_W)
+    m = W.shape[0] if W.ndim else 1
+    W = check_matrix("sub_W", W, (m, m))
     law = FeedbackLaw(W=W, c=check_deadzone(check_matrix("c", c, (m,))))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    B = np.atleast_2d(as_floats("B", B))
     B = check_matrix("B", B, (len(B), m))
     max_iters = _check_sweeps(law, tol, max_iters)
     _, _, Nu, _, residual = _sweeps(law, B, tol, max_iters)
@@ -414,14 +415,14 @@ def sor_solve_batch(sub_W, B, c, tol=1e-10, max_iters=_MAX_SWEEPS):
     return Nu
 
 
-def _slopes(sol: RiccatiSolution, X, Mu, mu_kind):
-    """The (rows, n) slopes of a state batch: an explicit, finite ``Mu`` or
-    zeros; None for "asymptotic", whose slopes :func:`_feedback` resolves."""
+def _slopes(sol: RiccatiSolution, X, Mu, mu_kind, name="Mu"):
+    """The (rows, n) slopes of a state batch: an explicit, finite ``Mu`` (argument ``name``)
+    or zeros; None for "asymptotic", whose slopes :func:`_feedback` resolves."""
     rows, n = X.shape
     if n != sol.model.n:
         raise ArgumentError(f"states have length {n}, expected {sol.model.n}")
     if Mu is not None:
-        Mu = np.asarray(Mu, dtype=float)
+        Mu = as_floats(name, Mu)
         Mu = Mu.reshape(1, -1) if rows == 1 else np.atleast_2d(Mu)
         if Mu.shape != X.shape:
             raise ArgumentError(f"slopes of shape {Mu.shape} do not match {rows} states of length {n}")
@@ -545,7 +546,7 @@ def resolve_mu(
     raises :class:`ArgumentError`.
     """
     x = check_state("x", x, sol.model.n)
-    Mu = _slopes(sol, x[None], mu, mu_kind)
+    Mu = _slopes(sol, x[None], mu, mu_kind, "mu")
     if Mu is None:
         Mu = optimal_control_batch(sol, x[None], None, mu_kind, tol, max_iters)[1]
     return Mu[0]
@@ -587,7 +588,7 @@ def optimal_control(
     """
     x = check_state("x", x, sol.model.n)[None]
     Z, Gamma, U, Mu, Bu, iterations, residual = _feedback(
-        sol, x, _slopes(sol, x, mu, mu_kind), tol, max_iters
+        sol, x, _slopes(sol, x, mu, mu_kind, "mu"), tol, max_iters
     )
     _raise_unconverged(U, residual, tol, max_iters)
     law, u_star, gamma, b = sol.law, U[0], Gamma[0], Bu[0]
@@ -645,7 +646,7 @@ def optimal_control_batch(
     before any sweep.  Rows that miss ``tol`` raise one :class:`MaxIterations` naming
     how many did; :func:`~csviu.region.scan_region` flags them instead.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(as_floats("X", X))
     if not np.isfinite(X).all():
         row = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise ArgumentError(f"X must be finite, got {X[row]} in row {row}")

@@ -73,10 +73,19 @@ def check_real(name: str, value, low: float = -math.inf, high: float = math.inf)
     return float(value)
 
 
+def as_floats(name: str, a) -> np.ndarray:
+    """``a`` as a float array; :class:`ArgumentError` naming ``name`` when
+    numpy cannot convert it, as with text or ragged nesting."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"{name} must be an array of real numbers: {exc}") from None
+
+
 def check_state(name: str, x, n: int) -> np.ndarray:
     """``x`` as a float vector; :class:`ArgumentError` naming ``name`` unless
     it has length ``n`` and finite entries."""
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = as_floats(name, x).reshape(-1)
     if x.shape != (n,):
         raise ArgumentError(f"{name} has length {x.size}, expected {n}")
     return check_matrix(name, x, (n,))
@@ -85,7 +94,7 @@ def check_state(name: str, x, n: int) -> np.ndarray:
 def check_matrix(name: str, a, shape: tuple) -> np.ndarray:
     """``a`` as a float array; :class:`ArgumentError` naming ``name`` unless
     it has shape ``shape`` and finite entries."""
-    a = np.asarray(a, dtype=float)
+    a = as_floats(name, a)
     if a.shape != shape:
         raise ArgumentError(f"{name} has shape {a.shape}, expected {shape}")
     if not np.isfinite(a).all():

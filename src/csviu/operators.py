@@ -19,7 +19,6 @@ Equations U - map(U) = Q are solved once, in
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,21 +27,13 @@ import numpy as np
 from .errors import ArgumentError, MaxIterations, SingularLambda, check_real
 from .model import SystemModel
 
-SYMMETRY_WARN_TOL = 1e-9
 DENSE_MAX = 400  # largest dimension whose spectral radius comes from a dense eigensolve
 MAX_DOUBLINGS = 64
 
 
-def symmetrize(U, warn_tol=SYMMETRY_WARN_TOL):
-    """Return (U + U')/2, warning when the asymmetry exceeds ``warn_tol``."""
+def symmetrize(U):
+    """Return (U + U')/2."""
     U = np.asarray(U, dtype=float)
-    if U.size:
-        skew = float(np.abs(U - U.T).max())
-        if skew > warn_tol:
-            warnings.warn(
-                f"symmetrizing a matrix with asymmetry {skew:.3e}", RuntimeWarning,
-                stacklevel=2,
-            )
     return 0.5 * (U + U.T)
 
 

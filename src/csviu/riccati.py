@@ -293,7 +293,7 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
     next_try = _NEWTON_FIRST_TRY
     next_certificate = 0.0  # max|P| at which the certificate runs next
     for k in range(steps):
-        P_next = symmetrize(ops.riccati_step(P), warn_tol=np.inf)
+        P_next = symmetrize(ops.riccati_step(P))
         norm = float(np.abs(P_next).max())
         if not math.isfinite(norm):
             raise MaxIterations(
@@ -303,7 +303,7 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
             )
         diff = P_next - P
         delta = float(np.abs(diff).max())
-        if np.linalg.eigvalsh(symmetrize(diff, warn_tol=np.inf)).min() < -MONOTONE_TOL * max(1.0, norm):
+        if np.linalg.eigvalsh(symmetrize(diff)).min() < -MONOTONE_TOL * max(1.0, norm):
             raise MonotonicityViolation(
                 f"value iteration lost monotonicity at step {k + 1}"
             )
@@ -369,7 +369,7 @@ def _no_psd_ratio(ops: OperatorSet, P: np.ndarray) -> float | None:
         return None
     X = (V.T @ (BP @ md.A)) / np.sqrt(w)[:, None]  # X'X = Sh' Lh^{-1} Sh
     grown = ops.second_moment_map(P)  # alpha (A'PA + Diag(diag(Sx'P Sx)))
-    gap = symmetrize(grown - ops.alpha * (X.T @ X) - P, warn_tol=np.inf)
+    gap = symmetrize(grown - ops.alpha * (X.T @ X) - P)
     margin = _CERTIFY_MARGIN * (float(np.abs(grown).max()) + float(np.abs(P).max()))
     if np.linalg.eigvalsh(gap)[0] <= margin:
         return None
@@ -397,7 +397,7 @@ def _newton_finish(ops: OperatorSet, P: np.ndarray, tol: float, budget: int):
             return None
         if not evaluated.stable:
             return None
-        U = symmetrize(evaluated.U, warn_tol=np.inf)
+        U = symmetrize(evaluated.U)
         if float(np.abs(ops.riccati_step(U) - U).max()) <= tol:
             floor = -MONOTONE_TOL * max(1.0, float(np.abs(U).max()))
             if min(np.linalg.eigvalsh(U).min(), np.linalg.eigvalsh(U - P).min()) < floor:
@@ -442,7 +442,7 @@ def solve_riccati(
     ops = OperatorSet(model, alpha)
 
     L, iterations, newton_steps, _ = _iterate(ops, config.max_iters, config.tol_fixed_point)
-    L = symmetrize(L, warn_tol=np.inf)
+    L = symmetrize(L)
     residual = float(np.abs(ops.riccati_step(L) - L).max())
 
     Sigma, Lambda = ops.sigma_lambda(L)

@@ -39,11 +39,11 @@ stage by stage through its transposed view, so no per-path array is
 allocated or copied.
 
 Only :func:`simulate` keeps the states, controls and outputs of every stage.
-The energy, power and overtaking estimators read nothing but |y_k|^2 of
-every path and stage, which ``_output_squares`` records as the rollout runs.
-Each product and reduction takes the same operands as on the ensemble, so
-the estimates equal those computed from :func:`simulate`'s arrays bit for
-bit.
+Every estimator keeps per-path running sums, added one stage at a time in
+stage order, and at most a few floats per stage: its memory is bounded by
+the paths, not paths x stages.  :meth:`PathEnsemble.output_energy` runs the
+energy's running sum over the stored stages, so the estimates equal those
+computed from :func:`simulate`'s arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -447,40 +447,31 @@ def _y_squares(model: SystemModel, X, U) -> np.ndarray:
     return _squares(X @ model.C.T + U @ model.D.T)
 
 
-def _output_squares(
-    model: SystemModel, policy: Policy, x0, stages: int, paths: int, seed: int,
-    noise_kind: str = "gaussian", means: bool = False,
-):
-    """|y_k|^2 of every path and stage of a rollout from ``x0``: a (paths, stages) matrix.
+def _stage_squares(model: SystemModel, policy: Policy, x0, stages: int, paths: int, seed: int,
+                   noise_kind: str = "gaussian", table=None):
+    """Yield |y_k|^2 of every path, a (paths,) vector, at each of ``stages`` stages of a rollout from ``x0``.
 
-    The run holds this matrix and one chunk of noise, not the ensemble.  With
-    ``means`` it also returns the (stages, 3) path means of |y|^2, |x|^2 and
-    |u|^2 at each stage, each taken over a contiguous vector of paths as
-    from a stage row of the ensemble; otherwise None.
+    With a (stages, 3) ``table`` it also fills row k with the path means of
+    |y_k|^2, |x_k|^2 and |u_k|^2, each taken over a contiguous vector of
+    paths as from a stage row of the ensemble.
     """
     X = _start(model, x0, paths)
-    sq = np.empty((X.shape[0], stages))
-    table = np.empty((stages, 3)) if means else None
     for k, [(X, U)] in enumerate(_rollout(model, [policy], X, stages, seed, noise_kind)):
         y2 = _y_squares(model, X, U)
-        sq[:, k] = y2
-        if means:
+        if table is not None:
             table[k] = y2.mean(), _squares(X).mean(), _squares(np.ascontiguousarray(U)).mean()
-    return sq, table
+        yield y2
 
 
-def _discounted(sq, alpha) -> np.ndarray:
-    """Per-path discounted sums over the stages (columns) of ``sq``; alpha finite and > 0."""
-    alpha = _check_discount(alpha)
-    return sq @ alpha ** np.arange(sq.shape[1])
+def _discounted(squares, alpha: float) -> np.ndarray:
+    """Per-path running sums of alpha^k |y_k|^2 over the (paths,) vectors of ``squares``, in stage order."""
+    return sum(alpha**k * y2 for k, y2 in enumerate(squares))
 
 
-def _energy_estimate(sq, alpha) -> "EnergyEstimate":
-    """Mean and standard error across paths of the discounted (paths, kappa+1) |y_k|^2 matrix."""
-    totals = _discounted(sq, alpha)
+def _energy_estimate(totals, kappa: int) -> "EnergyEstimate":
+    """Mean and standard error across paths of the discounted per-path totals over stages 0..kappa."""
     return EnergyEstimate(
-        mean=float(totals.mean()), stderr=float(mean_stderr(totals)), kappa=sq.shape[1] - 1,
-        paths=sq.shape[0],
+        mean=float(totals.mean()), stderr=float(mean_stderr(totals)), kappa=kappa, paths=totals.shape[0]
     )
 
 
@@ -506,17 +497,18 @@ class PathEnsemble:
     def kappa(self) -> int:
         return self.states.shape[1] - 1
 
-    def _stage_squares(self) -> np.ndarray:
-        """|y_k|^2 of every path and stage: the (paths, kappa+1) matrix the estimators keep."""
-        return np.einsum("pkq,pkq->pk", self.outputs, self.outputs)
-
     def output_energy(self, alpha: float) -> np.ndarray:
-        """Per-path discounted output energy over stages 0..kappa; alpha finite and > 0."""
-        return _discounted(self._stage_squares(), alpha)
+        """Per-path discounted output energy over stages 0..kappa; alpha finite and > 0.
+
+        The stored stages run through the estimators' running sum, so
+        :func:`estimate_energy` equals this bit for bit.
+        """
+        alpha = _check_discount(alpha)
+        return _discounted((_squares(self.outputs[:, k]) for k in range(self.kappa + 1)), alpha)
 
     def energy_estimate(self, alpha: float) -> "EnergyEstimate":
         """Mean and standard error across paths of :meth:`output_energy`."""
-        return _energy_estimate(self._stage_squares(), alpha)
+        return _energy_estimate(self.output_energy(alpha), self.kappa)
 
 
 def simulate(
@@ -569,13 +561,13 @@ def estimate_energy(
     """Discounted output energy over stages 0..kappa, averaged across paths.
 
     Equals ``simulate(...).energy_estimate(alpha)`` bit for bit, but holds
-    only the (paths, kappa+1) matrix of |y_k|^2.  ``alpha`` must be finite
-    and positive, checked with the counts and ``x0`` before any draw.
+    only the per-path running sums.  ``alpha`` must be finite and positive,
+    checked with the counts and ``x0`` before any draw.
     """
-    _check_discount(alpha)
+    alpha = _check_discount(alpha)
     kappa = check_count("kappa", kappa, 0)
-    sq, _ = _output_squares(model, policy, x0, kappa + 1, paths, seed, noise_kind)
-    return _energy_estimate(sq, alpha)
+    squares = _stage_squares(model, policy, x0, kappa + 1, paths, seed, noise_kind)
+    return _energy_estimate(_discounted(squares, alpha), kappa)
 
 
 @dataclass(frozen=True)
@@ -603,16 +595,20 @@ def estimate_power(
     hot against the preceding quarter, which indicates the time average is
     still climbing instead of settling.  ``kappa`` and ``burn_in`` are
     integers with ``0 <= burn_in < kappa``.  The run holds only the
-    (paths, kappa) matrix of |y_k|^2.
+    per-path sums over the window k >= burn_in and the mean power series.
     """
     kappa = check_count("kappa", kappa, 1)
     burn_in = check_count("burn_in", burn_in, 0)
     if burn_in >= kappa:
         raise ArgumentError(f"burn_in must lie in [0, kappa), got {burn_in}")
-    sq, _ = _output_squares(model, policy, x0, kappa, paths, seed, noise_kind)
-    averages = sq[:, burn_in:].mean(axis=1)
+    series = np.empty(kappa)
+    window = 0.0
+    for k, y2 in enumerate(_stage_squares(model, policy, x0, kappa, paths, seed, noise_kind)):
+        series[k] = y2.mean()
+        if k >= burn_in:
+            window = window + y2
+    averages = window / (kappa - burn_in)
     stderr = float(mean_stderr(averages))
-    series = sq.mean(axis=0)
     q3 = series[kappa // 2 : 3 * kappa // 4]
     q4 = series[3 * kappa // 4 :]
     growth = bool(q3.size and q4.size and q4.mean() > 1.5 * max(q3.mean(), 1e-300))

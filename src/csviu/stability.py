@@ -44,7 +44,7 @@ def _strict_below(value, threshold, margin=MARGIN):
 
 
 def _min_eig_normalized(U):
-    eigs = np.linalg.eigvalsh(symmetrize(U, warn_tol=np.inf))
+    eigs = np.linalg.eigvalsh(symmetrize(U))
     scale = max(1.0, float(np.abs(eigs).max()))
     return float(eigs.min()) / scale
 
@@ -136,7 +136,7 @@ def check_alpha_stability(model: SystemModel, alpha: float, probes: int = 10, se
         else:
             X = solved.U
             # (iii): positive definite witness of the one-step contraction
-            witness = symmetrize(X[0], warn_tol=np.inf)
+            witness = symmetrize(X[0])
             shrink = witness - ops.second_moment_map(witness)
             lyapunov_ok = _combine(_sign_ok(_min_eig_normalized(witness)),
                                    _sign_ok(_min_eig_normalized(shrink)))

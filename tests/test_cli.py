@@ -263,8 +263,8 @@ class TestOutputDirectory:
         assert (out / "region.csv").read_bytes() == want
 
     def test_simulate_energy_comes_from_its_one_simulation(self, tmp_path, model_file, monkeypatch):
-        # the energy and the stage table both come from one rollout, which
-        # keeps |y_k|^2 and the stage means instead of a whole ensemble
+        # the energy and the stage table both come from one rollout, which keeps
+        # per-path running sums and the stage means instead of a whole ensemble
         calls = []
         original = csviu.simulator._rollout
 

@@ -181,3 +181,30 @@ def test_stage_inputs_raise_argument_error(case):
     call, message = _stage_input_calls()[case]
     with pytest.raises(ArgumentError, match=message):
         call()
+
+
+def _unconvertible_calls():
+    """Text and ragged nesting, which numpy refused with a bare ValueError naming no argument."""
+    from csviu.control import optimal_control_batch, resolve_mu, sor_solve_batch
+
+    model = SystemModel.from_dict(support.README_DATA)  # n = 2, m = 1
+    sol = solve_riccati(model, alpha=0.95)
+    x, X = [1.0, -1.0], np.ones((2, 2))
+    return {
+        "x-text": lambda: optimal_control(sol, "ab"),
+        "mu-text": lambda: optimal_control(sol, x, mu="ab"),
+        "mu-ragged": lambda: resolve_mu(sol, x, mu=[[0.1, 0.2], [0.3]]),
+        "X-ragged": lambda: optimal_control_batch(sol, [[1.0, 2.0], [1.0]]),
+        "Mu-text": lambda: optimal_control_batch(sol, X, Mu=[["a", "b"], ["c", "d"]]),
+        "sub_W-ragged": lambda: sor_solve_batch([[1.0, 0.2], [0.2]], [[1.0, -1.0]], [0.5, 0.5]),
+        "B-ragged": lambda: sor_solve_batch(np.eye(2), [[1.0, -1.0], [1.0]], [0.5, 0.5]),
+        "P-ragged": lambda: one_step_variation_oracle(model, 0.95, [[1.0, 0.0], [0.0]], np.eye(2),
+                                                      x=x, u=[0.0], paths=10),
+    }
+
+
+@pytest.mark.parametrize("case", list(_unconvertible_calls()))
+def test_unconvertible_input_names_the_argument(case):
+    name = case.split("-")[0]
+    with pytest.raises(ArgumentError, match=f"^{name} must be an array of real numbers: "):
+        _unconvertible_calls()[case]()

@@ -708,15 +708,22 @@ def _ensemble_squares(ens, stages=None):
 
 
 def _ensemble_energy(ens, alpha):
-    totals = _ensemble_squares(ens) @ alpha ** np.arange(ens.kappa + 1)
+    sq = _ensemble_squares(ens)
+    # the estimator sums one stage at a time, in stage order
+    totals = np.zeros(ens.paths)
+    for k in range(ens.kappa + 1):
+        totals += alpha**k * sq[:, k]
     return [totals.mean(), mean_stderr(totals)]
 
 
 def _ensemble_power(ens, burn_in):
     kappa = ens.kappa
     sq = _ensemble_squares(ens, kappa)
-    averages = sq[:, burn_in:].mean(axis=1)
-    series = sq.mean(axis=0)
+    window = np.zeros(ens.paths)
+    for k in range(burn_in, kappa):
+        window += sq[:, k]
+    averages = window / (kappa - burn_in)
+    series = np.array([np.ascontiguousarray(sq[:, k]).mean() for k in range(kappa)])
     q3, q4 = series[kappa // 2 : 3 * kappa // 4], series[3 * kappa // 4 :]
     growth = bool(q3.size and q4.size and q4.mean() > 1.5 * max(q3.mean(), 1e-300))
     return [averages.mean(), mean_stderr(averages), growth]
@@ -775,6 +782,7 @@ class TestOutputSquares:
             ens = simulate(model, policy, x0, kappa, paths, seed, kind)
             energy = estimate_energy(model, policy, 0.95, kappa, x0, paths, seed, kind)
             assert _bits([energy.mean, energy.stderr]) == _bits(_ensemble_energy(ens, 0.95)), name
+            assert energy == ens.energy_estimate(0.95), name
             assert (energy.kappa, energy.paths) == (kappa, paths)
             power = estimate_power(model, policy, kappa, x0, paths, seed, kind, burn_in=burn_in)
             got = [power.mean, power.stderr, power.growth_flag]
@@ -791,19 +799,31 @@ class TestOutputSquares:
         want = _ensemble_stationary_norm(sol1, paths, seed, kind, 2 * kappa)
         assert _bits([est.power, est.power_stderr]) == _bits(want)
 
-    def test_energy_holds_a_third_of_the_ensemble_at_most(self):
+    @pytest.mark.parametrize("entry", ["energy", "power", "cli-simulate"])
+    def test_a_long_horizon_holds_one_noise_chunk(self, entry, tmp_path):
         model = SystemModel.from_dict(support.README_DATA)
-        sol = solve_riccati(model, alpha=0.95)
-        paths, kappa = 1000, 1000
-        ensemble = paths * (kappa + 1) * (model.n + model.m + model.p) * 8  # 48 MB
+        gain = Policy.linear(solve_riccati(model, alpha=0.95).G)
+        paths, stages = 1000, 5500
+        # the (paths, stages) matrix of |y_k|^2 the estimators once kept: 44 MB
+        assert paths * stages * 8 >= 10 * csviu.simulator._CHUNK_BYTES
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(support.README_DATA))
+        run = {
+            "energy": lambda: estimate_energy(model, gain, 0.95, stages - 1, np.zeros(2), paths, seed=0),
+            "power": lambda: estimate_power(model, gain, stages, np.zeros(2), paths, seed=0),
+            "cli-simulate": lambda: main([
+                "simulate", "--model", str(path), "--alpha", "0.95", "--policy", "gain",
+                "--kappa", str(stages - 1), "--paths", str(paths), "--out", str(tmp_path / "sim")]),
+        }
         tracemalloc.start()
         try:
-            estimate_energy(model, Policy.linear(sol.G), 0.95, kappa, np.zeros(2), paths, seed=0)
+            run[entry]()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the (paths, kappa+1) matrix of |y_k|^2 is 8 MB, the noise chunk 4 MB
-        assert peak < ensemble / 3, (peak, ensemble)
+        # a path's noise stream, running sums and stage batches take well under 2 KB;
+        # the power series and the CLI stage table a few floats a stage
+        assert peak < csviu.simulator._CHUNK_BYTES + 2048 * paths + 32 * stages, peak
 
     def test_stationary_norm_holds_less_than_its_residual_array(self):
         paths, stages = 2000, 1000
