@@ -54,9 +54,9 @@ class ControlSubproblem:
     @classmethod
     def from_parts(cls, Lambda, b, c) -> "ControlSubproblem":
         """Build a bare instance from the quadratic/linear/l1 coefficients."""
-        Lambda = np.atleast_2d(np.asarray(Lambda, dtype=float))
-        b = np.array(b, dtype=float).reshape(-1)
-        c = np.array(c, dtype=float).reshape(-1)
+        Lambda = np.atleast_2d(as_floats("Lambda", Lambda))
+        b = as_floats("b", b).reshape(-1).copy()
+        c = as_floats("c", c).reshape(-1).copy()
         m = b.size
         if Lambda.shape != (m, m) or c.shape != (m,):
             raise ArgumentError(

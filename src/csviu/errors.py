@@ -73,13 +73,14 @@ def check_real(name: str, value, low: float = -math.inf, high: float = math.inf)
     return float(value)
 
 
-def as_floats(name: str, a) -> np.ndarray:
-    """``a`` as a float array; :class:`ArgumentError` naming ``name`` when
-    numpy cannot convert it, as with text or ragged nesting."""
+def as_floats(name: str, a, error: type = ArgumentError) -> np.ndarray:
+    """``a`` as a float array; ``error`` naming ``name`` when numpy cannot
+    convert it, as with text or ragged nesting.  Model data pass
+    :class:`ModelError`."""
     try:
         return np.asarray(a, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ArgumentError(f"{name} must be an array of real numbers: {exc}") from None
+        raise error(f"{name} must be an array of real numbers: {exc}") from None
 
 
 def check_state(name: str, x, n: int) -> np.ndarray:

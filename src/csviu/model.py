@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, as_floats
 
 NOISE_KINDS = ("gaussian", "rademacher", "uniform-scaled")
 
@@ -41,7 +41,8 @@ _COUNTS = {"kappa": 0, "paths": 1, "seed": 0, "max_iters": 1}
 
 
 def _as_matrix(name, value):
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
+    """``value`` as a finite float matrix; :class:`ModelError` naming ``name`` otherwise."""
+    arr = np.atleast_2d(as_floats(name, value, ModelError))
     if arr.ndim != 2:
         raise ModelError(f"{name} must be a matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):

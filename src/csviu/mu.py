@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, check_count, check_state
+from .errors import ArgumentError, as_floats, check_count, check_state
 from .operators import spectral_radius
 from .riccati import RiccatiSolution, _require_contracting
 from . import simulator
@@ -53,8 +53,8 @@ def mu_asymptotic(sol: RiccatiSolution, sign_x, sign_u) -> np.ndarray:
     products with the solution's cached ``slope_gains``, and no solve; the
     stage solves of :mod:`csviu.control` form the same products row-wise.
     """
-    sign_x = np.asarray(sign_x, dtype=float).reshape(-1)
-    sign_u = np.asarray(sign_u, dtype=float).reshape(-1)
+    sign_x = as_floats("sign_x", sign_x).reshape(-1)
+    sign_u = as_floats("sign_u", sign_u).reshape(-1)
     n, m = sol.model.n, sol.model.m
     if sign_x.shape != (n,) or sign_u.shape != (m,):
         raise ArgumentError(f"expected sign patterns of lengths {n} and {m}")

@@ -68,7 +68,7 @@ from .errors import (
     check_count,
 )
 from .model import CriterionConfig, SystemModel
-from .operators import NoiseForms, OperatorSet, spectral_radius, symmetrize
+from .operators import NoiseForms, OperatorSet, _diag_quad, spectral_radius, symmetrize
 
 MONOTONE_TOL = 1e-10
 DIVERGENCE_FACTOR = 1e6
@@ -363,7 +363,7 @@ def _no_psd_ratio(ops: OperatorSet, P: np.ndarray) -> float | None:
     except np.linalg.LinAlgError:
         return None
     BP = md.B.T @ P
-    zu = np.einsum("pi,pq,qi->i", md.sigma_bar_u, P, md.sigma_bar_u)
+    zu = _diag_quad(md.sigma_bar_u, P, md.sigma_bar_u)
     w, V = np.linalg.eigh(BP @ md.B + np.diag(zu))
     if w.size and w[0] * _CURVATURE_COND <= w[-1]:
         return None

@@ -60,8 +60,8 @@ from typing import Callable
 import numpy as np
 
 from .control import check_mu_kind, check_tol, optimal_control_batch
-from .errors import (ArgumentError, MaxIterations, SeriesDivergent, check_count, check_matrix, check_real,
-                     check_state)
+from .errors import (ArgumentError, MaxIterations, SeriesDivergent, as_floats, check_count, check_matrix,
+                     check_real, check_state)
 from .model import NOISE_KINDS, SystemModel
 from .operators import OperatorSet
 
@@ -322,9 +322,15 @@ def mean_stderr(samples):
 
 
 def step(model: SystemModel, x, u, noise):
-    """One transition from the stacked per-stage noise vector: a batch of one."""
-    x, u, noise = (np.asarray(a, dtype=float).reshape(1, -1) for a in (x, u, noise))
-    return step_batch(model, x, u, noise)[0]
+    """One transition from the stacked per-stage noise vector: a batch of one.
+
+    ``x``, ``u`` and ``noise`` need lengths n, m and r+n+m and finite
+    entries; otherwise :class:`ArgumentError` names the argument.
+    """
+    x = check_state("x", x, model.n)
+    u = check_state("u", u, model.m)
+    noise = check_state("noise", noise, model.r + model.n + model.m)
+    return step_batch(model, x[None], u[None], noise[None])[0]
 
 
 def step_batch(model: SystemModel, X, U, noise):
@@ -369,7 +375,7 @@ class Policy:
 
     @staticmethod
     def linear(G) -> "Policy":
-        G = np.atleast_2d(np.asarray(G, dtype=float))
+        G = np.atleast_2d(as_floats("G", G))
         return Policy("linear", lambda X: X @ G.T)
 
     @staticmethod
@@ -440,6 +446,16 @@ def _start(model: SystemModel, x0, paths: int) -> np.ndarray:
 def _squares(A) -> np.ndarray:
     """|a|^2 of every row of a (paths, q) batch."""
     return np.einsum("pq,pq->p", A, A)
+
+
+def _quadratic_forms(X, P) -> np.ndarray:
+    """x' P x of every row x of a (paths, q) batch: one product X @ P, then a two-operand reduction.
+
+    At q = 1 the product is the broadcast X * P[0], the same numbers without
+    the overhead of a matmul call on a single column.
+    """
+    XP = X * P[0] if P.shape == (1, 1) else X @ P
+    return np.einsum("pq,pq->p", XP, X)
 
 
 def _y_squares(model: SystemModel, X, U) -> np.ndarray:
@@ -676,7 +692,7 @@ def one_step_variation_oracle(
     fill(path_rng(seed, 0), draws)
     X_next = step_batch(model, np.tile(x, (paths, 1)), np.tile(u, (paths, 1)), draws)
     v_next = (
-        np.einsum("pi,ij,pj->p", X_next, P_next, X_next)
+        _quadratic_forms(X_next, P_next)
         + np.abs(X_next) @ r_next
         + g_next
     )
@@ -795,7 +811,7 @@ def optimal_norms(
             for k, [(X, U)] in zip(range(*span), stages):
                 dev = U - X @ sol.G.T
                 rho = alpha * (
-                    np.einsum("pi,ij,pj->p", dev, sol.Lambda, dev)
+                    _quadratic_forms(dev, sol.Lambda)
                     + np.abs(X) @ sol.forms.Wxd
                     + np.abs(U) @ sol.forms.Wud
                 )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, check_count, check_real
-from .model import SystemModel
+from .model import SystemModel, _as_matrix
 from .operators import OperatorSet, spectral_radius, symmetrize
 
 MARGIN = 1e-10
@@ -188,11 +188,9 @@ class DetectabilityCheck:
 
 def _finite_matrix(name, M, shape):
     """``M`` as a float array of ``shape`` with finite entries; :class:`ModelError` otherwise."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = _as_matrix(name, M)
     if M.shape != shape:
         raise ModelError(f"{name} has shape {M.shape}, expected {shape}")
-    if not np.isfinite(M).all():
-        raise ModelError(f"{name} contains non-finite entries")
     return M
 
 

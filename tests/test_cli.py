@@ -465,6 +465,13 @@ class TestExitCodes:
         assert main(["riccati", "--model", str(path)]) == 1
         assert capsys.readouterr().err == message
 
+    def test_ragged_matrix_in_a_model_file_is_a_validation_error(self, tmp_path, capsys):
+        # it used to end in numpy's traceback
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(dict(support.SCALAR_DATA, A=[[1.0, 0.0], [0.0]])))
+        assert main(["riccati", "--model", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: A must be an array of real numbers: ")
+
     def test_infinite_tolerance_in_a_model_file_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(support.SCALAR_DATA)[:-1]

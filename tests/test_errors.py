@@ -159,6 +159,7 @@ def test_feedback_and_simulation_arguments_raise_argument_error(case):
 def _stage_input_calls():
     """Inputs of ``inaction_test`` and ``cost_Ju``, which used to reach numpy unchecked."""
     from csviu import ControlSubproblem, cost_Ju, inaction_test
+    from csviu.simulator import step
 
     sol = solve_riccati(SystemModel.from_dict(support.README_DATA), alpha=0.95)  # n = 2, m = 1
     x, mu = [1.0, -1.0], [0.1, -0.1]
@@ -173,6 +174,8 @@ def _stage_input_calls():
         "channel": (lambda: inaction_test(sol, x, mu, channel=5),
                     "^channel must be below the control count 1, got 5$"),
         "u-length": (lambda: cost_Ju(sub, [1.0]), "^u has length 1, expected 2$"),
+        # a short noise vector reached step_batch and ended in a matmul ValueError
+        "noise-length": (lambda: step(sol.model, x, [0.0], [0.1, 0.2]), "^noise has length 2, expected 4$"),
     }
 
 
@@ -185,7 +188,9 @@ def test_stage_inputs_raise_argument_error(case):
 
 def _unconvertible_calls():
     """Text and ragged nesting, which numpy refused with a bare ValueError naming no argument."""
+    from csviu import ControlSubproblem, mu_asymptotic
     from csviu.control import optimal_control_batch, resolve_mu, sor_solve_batch
+    from csviu.simulator import step
 
     model = SystemModel.from_dict(support.README_DATA)  # n = 2, m = 1
     sol = solve_riccati(model, alpha=0.95)
@@ -200,6 +205,13 @@ def _unconvertible_calls():
         "B-ragged": lambda: sor_solve_batch(np.eye(2), [[1.0, -1.0], [1.0]], [0.5, 0.5]),
         "P-ragged": lambda: one_step_variation_oracle(model, 0.95, [[1.0, 0.0], [0.0]], np.eye(2),
                                                       x=x, u=[0.0], paths=10),
+        "Lambda-ragged": lambda: ControlSubproblem.from_parts([[1.0, 0.2], [0.2]], [1.0, -1.0], [0.5, 0.5]),
+        "b-text": lambda: ControlSubproblem.from_parts(np.eye(2), "ab", [0.5, 0.5]),
+        "G-ragged": lambda: Policy.linear([[1.0, 0.2], [0.2]]),
+        "sign_x-text": lambda: mu_asymptotic(sol, "ab", [1.0]),
+        "x-step": lambda: step(model, "ab", [0.0], [0.1] * 4),
+        "u-step": lambda: step(model, x, [[0.0], []], [0.1] * 4),
+        "noise-step": lambda: step(model, x, [0.0], "abcd"),
     }
 
 

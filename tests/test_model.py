@@ -44,6 +44,12 @@ def test_non_finite_entries_rejected():
         SystemModel.from_dict(dict(support.SCALAR_DATA, A=float("nan")))
 
 
+def test_ragged_matrix_is_named():
+    # numpy's bare ValueError used to escape the conversion
+    with pytest.raises(ModelError, match="^A must be an array of real numbers: "):
+        SystemModel.from_dict(dict(support.SCALAR_DATA, A=[[1.0, 0.0], [0.0]]))
+
+
 def test_bad_json_and_missing_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -53,36 +53,40 @@ class TestNoiseFormsScalar:
 
 
 def test_forms_match_elementwise_loops(rng):
-    model = support.random_model(rng, n=3, m=2, r=2)
-    ops = OperatorSet(model, alpha=0.95)
-    root = rng.standard_normal((3, 3))
-    U = root @ root.T
-    forms = ops.noise_quadratic_forms(U)
+    # n = 21: a synthesis-sized plant, past the dense-radius switch at n = 20
+    for n in (3, 21):
+        model = support.random_model(rng, n=n, m=2, r=2)
+        ops = OperatorSet(model, alpha=0.95)
+        root = rng.standard_normal((n, n))
+        U = root @ root.T
+        forms = ops.noise_quadratic_forms(U)
 
-    def loop_diag(S, T):
-        q = S.shape[1]
-        return np.array(
-            [sum(S[a, i] * U[a, b] * T[b, i] for a in range(3) for b in range(3)) for i in range(q)]
+        def loop_diag(S, T):
+            q = S.shape[1]
+            return np.array(
+                [sum(S[a, i] * U[a, b] * T[b, i] for a in range(n) for b in range(n)) for i in range(q)]
+            )
+
+        np.testing.assert_allclose(np.diag(forms.Zx), loop_diag(model.sigma_bar_x, model.sigma_bar_x),
+                                   atol=1e-12)
+        np.testing.assert_allclose(
+            np.diag(forms.Wx),
+            loop_diag(model.sigma_bar_x, model.sigma_x) + loop_diag(model.sigma_x, model.sigma_bar_x),
+            atol=1e-12,
         )
-
-    np.testing.assert_allclose(np.diag(forms.Zx), loop_diag(model.sigma_bar_x, model.sigma_bar_x), atol=1e-12)
-    np.testing.assert_allclose(
-        np.diag(forms.Wx),
-        loop_diag(model.sigma_bar_x, model.sigma_x) + loop_diag(model.sigma_x, model.sigma_bar_x),
-        atol=1e-12,
-    )
-    np.testing.assert_allclose(np.diag(forms.Zu), loop_diag(model.sigma_bar_u, model.sigma_bar_u), atol=1e-12)
-    np.testing.assert_allclose(
-        np.diag(forms.Wu),
-        loop_diag(model.sigma_bar_u, model.sigma_u) + loop_diag(model.sigma_u, model.sigma_bar_u),
-        atol=1e-12,
-    )
-    floor = (
-        model.sigma @ model.sigma.T
-        + model.sigma_x @ model.sigma_x.T
-        + model.sigma_u @ model.sigma_u.T
-    )
-    assert forms.varpi1 == pytest.approx(float(np.trace(U @ floor)), abs=1e-12)
+        np.testing.assert_allclose(np.diag(forms.Zu), loop_diag(model.sigma_bar_u, model.sigma_bar_u),
+                                   atol=1e-12)
+        np.testing.assert_allclose(
+            np.diag(forms.Wu),
+            loop_diag(model.sigma_bar_u, model.sigma_u) + loop_diag(model.sigma_u, model.sigma_bar_u),
+            atol=1e-12,
+        )
+        floor = (
+            model.sigma @ model.sigma.T
+            + model.sigma_x @ model.sigma_x.T
+            + model.sigma_u @ model.sigma_u.T
+        )
+        assert forms.varpi1 == pytest.approx(float(np.trace(U @ floor)), abs=1e-12)
 
 
 def test_lq_reduction_single_step(rng):
@@ -159,19 +163,21 @@ class TestOperatorMatrix:
         np.testing.assert_allclose(M, oracles.symmetric_block(K, 2), atol=1e-12)
 
     def test_matrix_free_map_on_a_stack(self, rng):
-        model = support.random_model(rng, n=3, m=2)
-        ops = OperatorSet(model, alpha=0.8)
-        G = rng.standard_normal((2, 3))
-        Acl = model.A + model.B @ G
-        K = oracles.second_moment_matrix(Acl, model.sigma_bar_x, 0.8, G, model.sigma_bar_u)
-        roots = rng.standard_normal((4, 3, 3))
-        stack = roots @ roots.transpose(0, 2, 1)
-        out = ops.second_moment_map(stack, Acl, G)
-        assert out.shape == (4, 3, 3)
-        for U, got in zip(stack, out):
-            np.testing.assert_allclose(got, _unvec(K @ _vec(U), 3), atol=1e-12)
-        np.testing.assert_array_equal(ops.second_moment_map(stack)[1],
-                                      ops.second_moment_map(stack[1]))
+        for n in (3, 21):
+            model = support.random_model(rng, n=n, m=2)
+            ops = OperatorSet(model, alpha=0.8)
+            G = rng.standard_normal((2, n))
+            Acl = model.A + model.B @ G
+            K = oracles.second_moment_matrix(Acl, model.sigma_bar_x, 0.8, G, model.sigma_bar_u)
+            roots = rng.standard_normal((4, n, n))
+            # scaled so the map's entries are O(1) at every n and one absolute tolerance fits
+            stack = roots @ roots.transpose(0, 2, 1) / n**2
+            out = ops.second_moment_map(stack, Acl, G)
+            assert out.shape == (4, n, n)
+            for U, got in zip(stack, out):
+                np.testing.assert_allclose(got, _unvec(K @ _vec(U), n), atol=1e-12)
+            np.testing.assert_array_equal(ops.second_moment_map(stack)[1],
+                                          ops.second_moment_map(stack[1]))
 
     def test_random_maps_match_kron_oracle(self):
         # plant and closed-loop maps, rectangular control growth (n x m), both
@@ -287,7 +293,7 @@ class TestLyapunovSolve:
     """The matrix-free solve of U - map(U) = Q against a dense solve on
     :meth:`OperatorSet.operator_matrix`, with and without the control term."""
 
-    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("n", [2, 4, 8, 20])
     def test_matches_dense_operator_matrix_solve(self, n):
         rng = np.random.default_rng(40 + n)
         model = support.random_model(rng, n=n, m=max(1, n // 2), radius=0.6)

@@ -216,6 +216,11 @@ class TestDetectability:
         with pytest.raises(ModelError, match="H contains non-finite"):
             check_detectability(scalar_model, 1.0, [[np.inf]])
 
+    def test_ragged_injection_is_named(self):
+        model = SystemModel.from_dict(_README_PLANT)
+        with pytest.raises(ModelError, match="^H must be an array of real numbers: "):
+            check_detectability(model, 0.95, [[1.0, 0.0], [0.0]])
+
     def test_search_succeeds_with_full_observation(self):
         model = _plain([[1.3, 0.2], [0.0, 1.1]], np.zeros((2, 2)))
         H = detectability_search(model, alpha=1.0)
@@ -336,3 +341,8 @@ class TestClosedLoopCheck:
         model = SystemModel.from_dict(_README_PLANT)
         with pytest.raises(ModelError, match="G contains non-finite"):
             closed_loop_check(model, 0.95, [[np.nan, -0.1]])
+
+    def test_text_gain_is_a_model_error(self):
+        model = SystemModel.from_dict(_README_PLANT)
+        with pytest.raises(ModelError, match="^G must be an array of real numbers: "):
+            closed_loop_check(model, 0.95, "ab")
