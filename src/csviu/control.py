@@ -500,28 +500,10 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
     return Z, Gamma, U, Mu, Bu, sweeps, residual
 
 
-def _linear_terms(sol: RiccatiSolution, X, Mu):
-    """The stage problems' linear terms ``b = Mu B + 2 X Sigma'`` of a (rows, n) batch."""
-    return Mu @ sol.model.B + 2.0 * X @ sol.Sigma.T
-
-
-def _margins(sol: RiccatiSolution, linear):
-    """Inaction margins ``Wud - |b|`` of the stage problems with linear terms ``b``."""
-    return sol.forms.Wud - np.abs(linear)
-
-
-def _kkt_margins(sol: RiccatiSolution, linear, U):
-    """Exact inaction margins ``c_i - |b_i + 2 sum_{j != i} Lambda_ij u_j|`` at the controls ``U``.
-
-    By the optimality condition ``0 in 2 Lambda u + b + c |.|'(u)`` a channel
-    with ``u_i = 0`` has a margin >= 0, and an active one has the margin
-    ``-2 Lambda_ii |u_i| < 0``.  With one channel, or a diagonal Lambda, they
-    are the inaction margins ``Wud - |b|`` (c is Wud clipped at zero); with
-    coupled channels the other active channels' pull enters.
-    """
-    coupling = np.array(sol.Lambda)
-    np.fill_diagonal(coupling, 0.0)
-    return sol.law.c - np.abs(linear + 2.0 * U @ coupling.T)
+def _margins(sol: RiccatiSolution, linear, U):
+    """The inaction margins (:class:`ControlResult`) of the stage problems with linear
+    terms ``linear`` at their controls ``U``; a NaN control gives NaN margins."""
+    return sol.law.c - np.abs(linear + U @ sol.coupling)
 
 
 def resolve_mu(
@@ -554,6 +536,14 @@ def resolve_mu(
 
 @dataclass(frozen=True)
 class ControlResult:
+    """The stage solution at one state.
+
+    ``margins`` are the inaction margins of the optimality condition
+    ``0 in 2 Lambda u + b + c |.|'(u)`` at the solved control,
+    ``c_i - |b_i + 2 sum_{j != i} Lambda_ij u_j|``: positive exactly when
+    channel i stays off, ``-2 Lambda_ii |u_i|`` when it acts.
+    """
+
     u_star: np.ndarray
     gamma: np.ndarray
     mu: np.ndarray
@@ -581,9 +571,9 @@ def optimal_control(
     solution's ``law`` is built only once its ``W`` inverts the curvature,
     ``e = |2 W Lambda - I| <= 1e-9`` (max row sums), so the gap is at most
     ``(tol + e |u|) / (1 - e)`` with no solve per call; an inconsistent law
-    raises :class:`CsviuError`.  ``margins`` are those of
-    :func:`inaction_test`, read off the final stage problem's linear term.
-    A state of the wrong length or with a non-finite entry raises
+    raises :class:`CsviuError`.  ``margins`` are the inaction margins of
+    :class:`ControlResult` at the final stage problem's linear term and
+    control.  A state of the wrong length or with a non-finite entry raises
     :class:`ArgumentError` before any sweep.
     """
     x = check_state("x", x, sol.model.n)[None]
@@ -593,7 +583,7 @@ def optimal_control(
     _raise_unconverged(U, residual, tol, max_iters)
     law, u_star, gamma, b = sol.law, U[0], Gamma[0], Bu[0]
     return ControlResult(
-        u_star=u_star, gamma=gamma, mu=Mu[0], margins=_margins(sol, b),
+        u_star=u_star, gamma=gamma, mu=Mu[0], margins=_margins(sol, Bu, U)[0],
         sub=ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda),
         sor=_sor_state(law, Z[0], gamma, u_star, iterations, residual),
     )
@@ -602,19 +592,20 @@ def optimal_control(
 def inaction_test(sol: RiccatiSolution, x, mu, channel: int | None = None):
     """Whether each control channel stays switched off at ``x`` with slope ``mu``.
 
-    A channel is strictly inactive when the linear pull ``2 Sigma x + B' mu``
-    on it is smaller than its deadzone weight; the margin (weight less pull
-    magnitude, as in ``ControlResult.margins`` and ``scan_region``) is
-    positive inside the inaction region, negative outside.  An ``x`` or
-    ``mu`` of the wrong length or with a non-finite entry, and a ``channel``
-    that is not an integer in [0, m), raise :class:`ArgumentError`.
+    Solves the stage problem, ``optimal_control(sol, x, mu=mu)``, so it can
+    raise :class:`MaxIterations`, and returns its margins
+    (``ControlResult.margins``, ``c_i - |b_i + 2 sum_{j != i} Lambda_ij u_j|``
+    at the solved control): positive inside the inaction region, negative
+    outside.  An ``x`` or ``mu`` of the wrong length or with a non-finite
+    entry, and a ``channel`` that is not an integer in [0, m), raise
+    :class:`ArgumentError` before the solve.
     """
     n, m = sol.model.n, sol.model.m
-    x = check_state("x", x, n)[None]
-    mu = check_state("mu", mu, n)[None]
+    x = check_state("x", x, n)
+    mu = check_state("mu", mu, n)
     if channel is not None and check_count("channel", channel, 0) >= m:
         raise ArgumentError(f"channel must be below the control count {m}, got {channel!r}")
-    margins = _margins(sol, _linear_terms(sol, x, mu))[0]
+    margins = optimal_control(sol, x, mu=mu).margins
     inactive = margins > 0
     if channel is not None:
         return bool(inactive[channel]), float(margins[channel])

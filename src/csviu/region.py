@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import _MAX_SWEEPS, _feedback, _kkt_margins, _linear_terms, _margins, _slopes
+from .control import _MAX_SWEEPS, _feedback, _margins, _slopes
 from .errors import ArgumentError, check_count, check_real, check_state
 from .riccati import RiccatiSolution
 
@@ -27,7 +27,9 @@ class RegionMap:
 
     Arrays are indexed [i, j, channel] for a 2-D scan over grid_x[i],
     grid_y[j], and [i, channel] for a 1-D scan (grid_y is None then).
-    Labels: -1 push down, 0 inactive, +1 push up.  A cell whose row of the
+    Labels: -1 push down, 0 inactive, +1 push up.  ``margins`` are the
+    inaction margins ``c_i - |b_i + 2 sum_{j != i} Lambda_ij u_j|`` at each
+    cell's control (see :func:`scan_region`).  A cell whose row of the
     batch solve missed ``tol`` is flagged in ``invalid``, carries NaN in
     ``u_star`` and ``margins`` and label 0, so read ``labels`` with it.
     ``ranges`` holds the checked (lo, hi) of each scanned axis.
@@ -75,16 +77,13 @@ def scan_region(
     ``ranges`` holds one (lo, hi) pair per scanned axis, or one pair for
     every axis; anything else raises :class:`ArgumentError`.
 
-    ``margins`` are the inaction margins ``Wud - |2 Sigma x + B' mu|`` of
-    :func:`~csviu.control.inaction_test` under the cell's slope, and
-    ``boundary`` marks those within 1e-9 of zero.  With coupled channels
-    these margins leave out the pull that the other active channels exert
-    through Lambda, so the labels are cross-checked against the exact margin
-    ``c_i - |b_i + 2 sum_{j != i} Lambda_ij u_j|`` at the cell's control,
-    which is positive exactly when channel i is inactive (it equals the
-    inaction margin with one channel or a diagonal Lambda).  A disagreement
-    outside that margin's own 1e-9 band is flagged in ``inconsistent``, and
-    means a bug, not a feature of the model.
+    ``margins`` are the inaction margins of
+    :class:`~csviu.control.ControlResult` at the cell's control,
+    ``c_i - |b_i + 2 sum_{j != i} Lambda_ij u_j|`` with
+    ``b = 2 Sigma x + B' mu`` under the cell's slope, positive exactly when
+    channel i is inactive, and ``boundary`` marks those within 1e-9 of zero.
+    A label that disagrees with its margin outside that band is flagged in
+    ``inconsistent``, and means a solver bug, not a feature of the model.
     Every cell is a row of one batch solve (the driver of
     :func:`~csviu.control.optimal_control_batch`); a row that misses ``tol``
     is flagged in ``invalid``, and an error that is not per row is raised.
@@ -109,15 +108,11 @@ def scan_region(
     gx, gy, points = _grid_points(n, axes, ranges, resolution, base_point)
     U, Mu = _feedback(sol, points, _slopes(sol, points, None, mu_kind), tol, _MAX_SWEEPS)[2:4]
     invalid = np.isnan(U).any(axis=1)  # rows that missed tol
-    linear = _linear_terms(sol, points, Mu)
-    margins = _margins(sol, linear)
-    margins[invalid] = np.nan
+    margins = _margins(sol, Mu @ sol.model.B + 2.0 * points @ sol.Sigma.T, U)
     # the NaN rows of failed cells compare False: label 0 without a cast warning, and consistent
     labels = (U > _LABEL_TOL).astype(np.int8) - (U < -_LABEL_TOL).astype(np.int8)
     boundary = np.abs(margins) <= _BOUNDARY_TOL
-    exact = _kkt_margins(sol, linear, U)
-    inconsistent = (np.abs(exact) > _BOUNDARY_TOL) & (
-        ((exact > 0) & (labels != 0)) | ((exact < 0) & (labels == 0)))
+    inconsistent = ~boundary & (((margins > 0) & (labels != 0)) | ((margins < 0) & (labels == 0)))
 
     if gy is None:
         shape2, shape3 = (resolution,), (resolution, m)

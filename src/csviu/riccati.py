@@ -95,6 +95,7 @@ class RiccatiSolution:
     Derived quantities are built on first use and cached on the instance:
     ``law``, the checked stage-problem data every feedback solve shares
     (with its own cached relaxation constants, see :class:`FeedbackLaw`),
+    ``coupling``, the off-diagonal curvature the inaction margins read,
     ``slope_map``, the resolvent of the frozen-sign value slope, and its
     ``slope_gains``, built once the slope series is checked to converge.
     None is a field, so they take no part in comparisons, and
@@ -140,6 +141,14 @@ class RiccatiSolution:
             raise CsviuError(f"the stage matrix fails to invert the control curvature: "
                              f"|2 W Lambda - I| = {defect:.3e}")
         return FeedbackLaw(W=_frozen(W), c=_frozen(c))
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """``2 (Lambda - Diag Lambda)'``, read-only: ``U @ coupling`` is the pull
+        ``2 sum_{j != i} Lambda_ij u_j`` of the other channels on each channel i."""
+        coupling = 2.0 * self.Lambda.T
+        np.fill_diagonal(coupling, 0.0)
+        return _frozen(coupling)
 
     @cached_property
     def slope_map(self) -> np.ndarray:

@@ -5,9 +5,11 @@
 
 The record holds the full float ``repr`` of the Riccati solutions of three
 plants, stage controls and slopes at fixed states (one state at a time and as
-batches of 200), single stage solves at four relaxation factors, an 11 x 11
-inaction-region scan and the Monte Carlo estimators at a few hundred paths.  A change that
-moves any of them in the last digits shows in the diff of ``seeded_record.txt``.
+batches of 200), single stage solves at four relaxation factors, the inaction
+margins of two 11 x 11 region scans (the README plant, m = 1, and the coupled
+cycling plant, m = 2) and the Monte Carlo estimators at a few hundred paths.  A
+change that moves any of them in the last digits shows in the diff of
+``seeded_record.txt``.
 
 The check accepts ``|got - want| <= RTOL * max(1, |want|)`` on every value and
 reports the largest such relative deviation, and whether every value matched
@@ -107,6 +109,8 @@ def compute() -> dict[str, list[float]]:
     readme, n6 = models["readme"], models["n6"]
     sol = sols["readme"]
     put("region.readme.margins", scan_region(sol, resolution=11).margins)
+    cycling = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), ALPHA)
+    put("region.cycling.zero.margins", scan_region(cycling, resolution=11, mu_kind="zero").margins)
 
     for name, paths, seed in (("readme", 200, 1), ("n6", 100, 2)):
         est = optimal_norms(sols[name], paths=paths, seed=seed)

@@ -15,6 +15,7 @@ from csviu import (
     MaxIterations,
     Policy,
     SingularLambda,
+    SystemModel,
     cost_Ju,
     inaction_test,
     optimal_control,
@@ -1051,16 +1052,19 @@ class TestInaction:
 
     def test_agrees_with_solved_control(self, rng):
         model = support.random_model(rng, n=2, m=2)
-        sol = solve_riccati(model, alpha=0.9)
-        for _ in range(25):
-            x = 2.0 * rng.standard_normal(2)
-            res = optimal_control(sol, x)
-            inactive, margins = inaction_test(sol, x, np.zeros(2))
-            for i in range(2):
-                if margins[i] > 1e-9:
-                    assert res.u_star[i] == 0.0
-                elif margins[i] < -1e-9:
-                    assert res.u_star[i] != 0.0
+        inputs = [(solve_riccati(model, alpha=0.9), [2.0 * rng.standard_normal(2) for _ in range(25)])]
+        # coupled channels: the per-channel margin Wud - |b| called 6 of these 800 channel-states wrongly
+        cycling = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
+        inputs.append((cycling, 2.0 * np.random.default_rng(0).standard_normal((400, 3))))
+        for sol, states in inputs:
+            for x in states:
+                res = optimal_control(sol, x)
+                inactive, margins = inaction_test(sol, x, res.mu)
+                for i in range(sol.model.m):
+                    if margins[i] > 1e-9:
+                        assert inactive[i] and res.u_star[i] == 0.0
+                    elif margins[i] < -1e-9:
+                        assert res.u_star[i] != 0.0
 
 
 class TestStageResiduals:

@@ -108,27 +108,26 @@ class TestScan2D:
             assert not out.invalid.any()
 
     def test_coupled_channels_are_consistent(self):
-        # the per-channel margin flagged 26 channel-cells of this scan as inconsistent
+        # the per-channel margin Wud - |b| had the wrong sign on 26 channel-cells of the
+        # cycling plant's zero-slope scan; the reported margin is exact
         sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
-        out = scan_region(sol, resolution=41, mu_kind="zero")
-        assert not out.invalid.any()
-        assert out.inconsistent.sum() == 0
-        # the reported margins are still the per-channel ones, which disagree with the labels
-        per_channel = ~out.boundary & (((out.margins > 0) & (out.labels != 0))
-                                       | ((out.margins < 0) & (out.labels == 0)))
-        assert per_channel.sum() == 26
+        for mu_kind in ("zero", "asymptotic"):
+            out = scan_region(sol, resolution=41, mu_kind=mu_kind)
+            assert not out.invalid.any()
+            wrong = ~out.boundary & (((out.margins > 0) & (out.labels != 0))
+                                     | ((out.margins < 0) & (out.labels == 0)))
+            assert wrong.sum() == 0 and not out.inconsistent.any(), mu_kind
 
     def test_exact_margins_follow_the_optimality_condition(self):
         sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
-        X = np.random.default_rng(0).uniform(-2.0, 2.0, (400, 3))
-        U, Mu = optimal_control_batch(sol, X, mu_kind="zero", tol=1e-12)
-        exact = csviu.control._kkt_margins(sol, csviu.control._linear_terms(sol, X, Mu), U)
+        out = scan_region(sol, resolution=21, mu_kind="zero", tol=1e-12)
+        U = out.u_star
         active = U != 0.0
         assert active.any() and (~active).any()
         # an active channel's margin is -2 Lambda_ii |u_i|, an inactive one's is >= 0
-        np.testing.assert_allclose(exact[active], (-2.0 * np.diag(sol.Lambda) * np.abs(U))[active],
+        np.testing.assert_allclose(out.margins[active], (-2.0 * np.diag(sol.Lambda) * np.abs(U))[active],
                                    rtol=0.0, atol=1e-9)
-        assert (exact[~active] >= -1e-9).all()
+        assert (out.margins[~active] >= -1e-9).all()
 
     def test_a_wrong_control_is_flagged(self, monkeypatch):
         sol = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
@@ -145,15 +144,15 @@ class TestScan2D:
 
     @pytest.mark.parametrize("mu_kind", ["zero", "asymptotic"])
     def test_one_channel_exact_margins_are_the_inaction_margins(self, mu_kind):
-        # with m = 1 the exact margin is the reported one, so no flag moves
+        # with m = 1 the exact margin is the per-channel one, Wud - |b|, to the bit
         sol = solve_riccati(SystemModel.from_dict(support.README_DATA), alpha=0.95)
         out = scan_region(sol, resolution=41, mu_kind=mu_kind)
         xi, yj = np.meshgrid(out.grid_x, out.grid_y, indexing="ij")
         X = np.stack([xi.reshape(-1), yj.reshape(-1)], axis=1)
         U, Mu = optimal_control_batch(sol, X, mu_kind=mu_kind)
         assert U.tobytes() == out.u_star.tobytes()
-        exact = csviu.control._kkt_margins(sol, csviu.control._linear_terms(sol, X, Mu), U)
-        assert exact.tobytes() == out.margins.tobytes()
+        per_channel = sol.law.c - np.abs(Mu @ sol.model.B + 2.0 * X @ sol.Sigma.T)
+        assert per_channel.tobytes() == out.margins.tobytes()
         assert not out.inconsistent.any()
 
     def test_deadzone_grows_with_the_growth_weights(self, rng):
