@@ -159,82 +159,82 @@ def _raise_unconverged(U, residual, tol, max_iters):
 def _sweeps_batch(law, B, tol, max_iters):
     """The sweeps of :func:`_sweeps` on a (paths, m) batch.
 
-    The work arrays are held transposed, (m, rows), so each coordinate
-    updates in place on one contiguous row and ``S`` carries the running
-    ``Gamma + B``.  The control and the residual of each sweep are written
-    into two buffers of the call, and one reduction gives every row's
-    residual.  After each sweep every row within ``tol`` writes its result
-    and leaves the batch, so a row stops at its own convergence sweep; the
-    last row left finishes on :func:`_sweeps_one` with the remaining budget,
-    resuming from its point z; rows still sweeping when it runs out stay
-    NaN.  Returns the largest sweep count and final residual of any
-    row.
+    The rows still sweeping are one stacked (4, m, rows) state of ``[Z,
+    Gamma, S, B]``, transposed, so each coordinate updates in place on one
+    contiguous row and ``S`` carries ``Gamma + B``; no update reads another
+    coordinate's z, so Z takes its ``0 z_i`` once per sweep.  The coupling,
+    control and residual of a sweep go into two buffers of the call.  After
+    each sweep the rows within ``tol`` store their Z and Gamma and leave the
+    state, so a row stops at its own convergence sweep; the last row left
+    finishes on :func:`_sweeps_one` with the remaining budget, resuming from
+    its point z; rows still sweeping when it runs out stay NaN.  Returns the
+    largest sweep count and final residual of any row.
     """
     W, offdiag = law.W, law.offdiag
     step, lower, upper = law.steps
     Cl, Cc, Wdc = law.columns
     m, paths = W.shape[0], B.shape[0]
-    B = np.ascontiguousarray(B.T)
-    Z = np.zeros((m, paths))
-    Gamma = np.minimum(np.maximum(Z, Cl), Cc)
-    S = Gamma + B
+    state = np.zeros((4, m, paths))
+    state[3] = B.T
+    np.minimum(np.maximum(state[0], Cl), Cc, out=state[1])
+    np.add(state[1], state[3], out=state[2])
     nu_buffer, r_buffer = np.empty(m * paths), np.empty(m * paths)
-    out = live = None  # (Z, Gamma, Nu) of the whole batch and its rows still sweeping
-    residual, top = 0.0, math.inf
+    out, live = np.empty((3, m, paths)), np.arange(paths)  # (Z, Gamma, Nu) of the batch; rows sweeping
+    residual, top, rows = 0.0, math.inf, None
     for sweep in range(1, max_iters + 1):
-        for i in range(m):
-            coupling = offdiag[i] @ S
-            coupling *= step[i]
-            z = Z[i]
-            z *= 0.0
+        if state.shape[2] != rows:  # the first sweep, or rows left: views of the new state
+            Z, Gamma, S, B = state
+            rows, size = Z.shape[1], Z.size
+            coupling = nu_buffer[:rows]
+            Nu, R = nu_buffer[:size].reshape(Z.shape), r_buffer[:size].reshape(Z.shape)
+            coordinates = list(zip(offdiag, step, lower, upper, Z, Gamma, S, B))
+        Z *= 0.0
+        for w, h, lo, hi, z, g, s, b in coordinates:
+            np.matmul(w, S, out=coupling)
+            coupling *= h
             z -= coupling
-            z -= B[i]
-            g = Gamma[i]
-            np.maximum(z, lower[i], out=g)
-            np.minimum(g, upper[i], out=g)
-            np.add(g, B[i], out=S[i])
-        # Nu = sign(Z) max(0, Wd (|Z| - c)) and R = |Nu + W S| in the call's buffers, operands in
-        # this order: np.maximum picks between equal zeros by position, so the order fixes signs
-        size = Z.size
-        Nu, R = nu_buffer[:size].reshape(Z.shape), r_buffer[:size].reshape(Z.shape)
-        np.abs(Z, out=R)
-        np.subtract(R, Cc, out=R)
-        np.multiply(Wdc, R, out=R)
-        np.maximum(0.0, R, out=R)
-        np.multiply(np.sign(Z, out=Nu), R, out=Nu)
+            z -= b
+            np.maximum(z, lo, out=g)
+            np.minimum(g, hi, out=g)
+            np.add(g, b, out=s)
+        _control(Wdc, Z, Gamma, Nu)
         np.matmul(W, S, out=R)
         np.add(Nu, R, out=R)
         r = np.abs(R, out=R).max(axis=0)
         top = float(r.max(initial=0.0))
         if top <= tol:
-            if out is None:
+            if rows == paths:  # no row left before: the state is the result
                 return Z.T, Gamma.T, Nu.T, sweep, top
-            for dst, src in zip(out, (Z, Gamma, Nu)):
-                dst[:, live] = src
-            return out[0].T, out[1].T, out[2].T, sweep, max(residual, top)
+            out[:2, :, live] = state[:2]
+            sweeps, residual = sweep, max(residual, top)
+            break
         done = r <= tol
         if not done.any():
             continue
-        if out is None:
-            out, live = np.empty((3, m, paths)), np.arange(paths)
-        for dst, src in zip(out, (Z, Gamma, Nu)):
-            dst[:, live[done]] = src.compress(done, axis=1)
+        out[:2, :, live[done]] = state[:2].compress(done, axis=2)
         residual = max(residual, float(r[done].max()))
         stay = ~done
         live = live[stay]
-        Z, Gamma, S, B = (a.compress(stay, axis=1) for a in (Z, Gamma, S, B))
+        state = state.compress(stay, axis=2)
         if live.size == 1 and sweep < max_iters:
             # resume from Z, which clips to the clipped vector and keeps the zero signs
             # the next sweep's 0 z_i term carries
-            z, g, nu, more, last = _sweeps_one(law, B.T, 1.0, Z.T, tol, max_iters - sweep)
-            for dst, src in zip(out, (z, g, nu)):
-                dst[:, live[0]] = src[0]
+            z, g, _, more, last = _sweeps_one(law, state[3].T, 1.0, state[0].T, tol, max_iters - sweep)
+            out[:2, :, live[0]] = z[0], g[0]
             # a failed straggler's residual (outside tol, or NaN) is the batch's
-            return out[0].T, out[1].T, out[2].T, sweep + more, max(residual, last) if last <= tol else last
-    if out is None:  # no row left before the budget ran out
-        out, live = np.empty((3, m, paths)), np.arange(paths)
-    out[:, :, live] = np.nan
-    return out[0].T, out[1].T, out[2].T, max_iters, top
+            sweeps, residual = sweep + more, max(residual, last) if last <= tol else last
+            break
+    else:  # rows still sweeping when the budget ran out
+        out[:2, :, live] = np.nan
+        sweeps, residual = max_iters, top
+    _control(Wdc, *out)
+    return out[0].T, out[1].T, out[2].T, sweeps, residual
+
+
+def _control(Wdc, Z, Gamma, Nu):
+    """``Nu = copysign(Wd (Z - Gamma), Z)``: ``z - clip(z)`` is exactly ``sign(z) (|z| - c)``
+    outside the box and +0 inside, so this is :func:`_sweeps_one`'s ``sign(z) max(0, Wd (|z| - c))``."""
+    np.copysign(np.multiply(Wdc, np.subtract(Z, Gamma, out=Nu), out=Nu), Z, out=Nu)
 
 
 def _sweeps_one(law, B, omega, Z0, tol, max_iters):
@@ -492,6 +492,7 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
         Su_l = np.sign(U_l)
         Mu_l = Mx_l + Su_l @ gain_u.T
         Bu = Mu_l @ B + R_l
+        Z = Gamma = None  # the last solve's stacked state goes before the next one's is made
         Z, Gamma, U_l, used, last = _sweeps(law, Bu, tol, max_iters)
         U[live], Mu[live] = U_l, Mu_l
         if residual <= tol or not last <= tol:  # a failed solve's figures stay

@@ -458,9 +458,7 @@ def solve_riccati(
     G = -np.linalg.solve(Lambda, Sigma)
     Acl = model.A + model.B @ G
     closed_loop_radius = spectral_radius(Acl)
-    alpha_condition_ok = None
-    if ops.alpha > 1.0:
-        alpha_condition_ok = bool(closed_loop_radius < 1.0 / ops.alpha)
+    alpha_condition_ok = None if ops.alpha < 1.0 else bool(closed_loop_radius < 1.0 / ops.alpha)
 
     return RiccatiSolution(
         model=model,

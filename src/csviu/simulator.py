@@ -35,8 +35,8 @@ alone (``_streams``), where numpy's ``key=`` argument would first build an
 entropy-seeded ``SeedSequence`` and throw it away.  The seed is checked once
 per rollout, before any stream opens.  A chunk is drawn into one path-major
 (paths, k, r+n+m) buffer, each path's block in place with one call, and read
-stage by stage through its transposed view, so no per-path array is
-allocated or copied.
+stage by stage through its transposed view, or, drawn ahead, copied into a
+stage-major slot by the helper, so no per-path array is allocated or copied.
 
 Only :func:`simulate` keeps the states, controls and outputs of every stage.
 Every estimator keeps per-path running sums, added one stage at a time in
@@ -168,16 +168,16 @@ def _noise_chunks(model: SystemModel, stages: int, paths: int, seed: int, kind: 
 
     The kind and seed are checked and the per-path streams opened on the
     call; each chunk is drawn by continuing every path's stream, each path's
-    block in place, into a path-major (paths, k, r+n+m) buffer, and handed
-    out as its (k, paths, r+n+m) transposed view, so a caller reads a chunk
-    before it asks for the next.  Philox streams are counter based, so the
-    chunks concatenate to the draws of one long call per path.
+    block in place, into a path-major (paths, k, r+n+m) buffer, and a caller
+    reads a chunk before it asks for the next.  Philox streams are counter
+    based, so the chunks concatenate to the draws of one long call per path.
 
     A run of one ``_CHUNK_BYTES`` chunk, or a process that may not fork a
     helper (:func:`_helper_can_run`), draws in-process: one buffer, each
-    chunk drawn when the iterator reaches it.  A longer run in a process that
-    may fork is drawn one chunk ahead by :func:`_drawn_ahead`, in two slots of
-    half a chunk each: the caller draws the first, a forked helper the rest.
+    chunk drawn when the iterator reaches it and handed out as its transposed
+    view.  A longer run in a process that may fork is drawn one chunk ahead
+    by :func:`_drawn_ahead`, in two stage-major slots of half a chunk each:
+    the caller draws the first, a forked helper the rest.
     Both call one path-by-path draw, so the draws are the same either way.
     """
     fill = _fill(kind)
@@ -222,33 +222,40 @@ def _helper_can_run() -> bool:
 def _drawn_ahead(draw, stages: int, size: int, paths: int, d: int):
     """The chunks of ``size`` stages of a run, every one after the first drawn by a forked helper.
 
-    The chunks take turns in two slots of one anonymous shared mapping.  The
-    caller draws chunk 0 into slot 0 with ``draw`` and then forks; the helper
-    inherits the streams past chunk 0 and fills chunks 1, 2, ... into their
-    slots, sending a byte on the ready pipe when a chunk is in place and
-    reading one from the free pipe before it refills the slot of a chunk the
-    caller may still read.  The helper runs nothing but the draws and leaves
-    through ``os._exit``, so it runs no ``atexit`` handler and flushes no
-    buffer it inherited.
+    The chunks take turns in two stage-major (size, paths, d) slots of one
+    anonymous shared mapping, so each stage is one contiguous block; a chunk
+    is drawn path-major by ``draw`` into a scratch buffer, then copied into
+    its slot.  The caller stages chunk 0 in slot 1, viewed path-major, and
+    forks; the helper inherits the streams past chunk 0, allocates its own
+    scratch and fills chunks 1, 2, ... into their slots, sending a byte on
+    the ready pipe when a chunk is in place and reading one from the free
+    pipe before it refills the slot of a chunk the caller may still read.
+    It only draws and leaves through ``os._exit``, so it runs no ``atexit``
+    handler and flushes no buffer it inherited.
 
     If the fork fails, or the helper dies (the ready pipe ends), the caller
     re-draws from its own streams the chunks it already received, to catch
-    up, and draws the rest itself: the draws are the same either way.  The
-    helper is killed and reaped when the iterator ends, is closed or is
-    unwound by an exception, so no process outlives the rollout.  ``mmap``
-    and ``signal`` are imported here, on first use, so that ``import csviu``
-    does not load them.
+    up, and draws the rest itself, staging each in the slot it has passed:
+    the draws are the same either way.  The helper is killed and reaped when
+    the iterator ends, is closed or is unwound by an exception, so no process
+    outlives the rollout.  ``mmap`` and ``signal`` are imported on first use,
+    so ``import csviu`` does not load them.
     """
     import mmap
     import signal
 
     count = -(-stages // size)
-    slots = np.ndarray((2, paths, size, d), buffer=mmap.mmap(-1, 2 * paths * size * d * 8))
+    slots = np.ndarray((2, size, paths, d), buffer=mmap.mmap(-1, 2 * size * paths * d * 8))
 
     def block(j):
-        return slots[j % 2, :, : min(size, stages - j * size)]
+        return slots[j % 2, : min(size, stages - j * size)]
 
-    draw(block(0))
+    def stage(j, scratch):  # chunk j, drawn into a (paths, size, d) scratch and copied into its slot
+        chunk = block(j)
+        draw(scratch[:, : len(chunk)])
+        chunk[...] = scratch[:, : len(chunk)].transpose(1, 0, 2)
+
+    stage(0, slots[1].reshape(paths, size, d))
     ready_r, ready_w = os.pipe()
     free_r, free_w = os.pipe()
     try:
@@ -259,11 +266,12 @@ def _drawn_ahead(draw, stages: int, size: int, paths: int, d: int):
         try:
             os.close(ready_r)
             os.close(free_w)
+            scratch = np.empty((paths, size, d))
             for j in range(1, count):
                 # chunk j refills the slot of chunk j - 2; the caller frees it by moving past
                 if j >= 2 and not os.read(free_r, 1):
                     break
-                draw(block(j))
+                stage(j, scratch)
                 os.write(ready_w, b"\0")
         finally:
             os._exit(0)
@@ -272,7 +280,7 @@ def _drawn_ahead(draw, stages: int, size: int, paths: int, d: int):
     try:
         os.close(ready_w)
         os.close(free_r)
-        yield block(0).transpose(1, 0, 2)
+        yield block(0)
         for j in range(1, count):
             if live:
                 if j + 1 < count:
@@ -281,11 +289,12 @@ def _drawn_ahead(draw, stages: int, size: int, paths: int, d: int):
                         os.write(free_w, b"\0")
                 live = os.read(ready_r, 1) != b""
             if not live:
+                scratch = slots[(j + 1) % 2].reshape(paths, size, d)  # chunk j - 1's, passed
                 for _ in range(drawn, j):
-                    draw(slots[j % 2])
-                draw(block(j))
+                    draw(scratch)
+                stage(j, scratch)
                 drawn = j + 1
-            yield block(j).transpose(1, 0, 2)
+            yield block(j)
     finally:
         os.close(ready_r)
         os.close(free_w)

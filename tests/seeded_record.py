@@ -7,9 +7,9 @@ The record holds the full float ``repr`` of the Riccati solutions of three
 plants, stage controls and slopes at fixed states (one state at a time and as
 batches of 200), single stage solves at four relaxation factors, the inaction
 margins of two 11 x 11 region scans (the README plant, m = 1, and the coupled
-cycling plant, m = 2) and the Monte Carlo estimators at a few hundred paths.  A
-change that moves any of them in the last digits shows in the diff of
-``seeded_record.txt``.
+cycling plant, m = 2) and the Monte Carlo estimators at a few hundred paths,
+plus one 2000-path run whose noise spans several chunks.  A change that moves
+any of them in the last digits shows in the diff of ``seeded_record.txt``.
 
 The check accepts ``|got - want| <= RTOL * max(1, |want|)`` on every value and
 reports the largest such relative deviation, and whether every value matched
@@ -123,6 +123,10 @@ def compute() -> dict[str, list[float]]:
     for policy_name, policy in (("optimal", optimal), ("gain", gain)):
         est = estimate_energy(readme, policy, ALPHA, kappa=60, x0=x0, paths=200, seed=4)
         put(f"estimate_energy.readme.{policy_name}", [est.mean, est.stderr])
+    # 2000 paths of 200 stages span four noise chunks, drawn ahead by the forked helper
+    # wherever the process may fork (BLAS on one thread), in-process elsewhere
+    est = estimate_energy(readme, gain, ALPHA, kappa=200, x0=x0, paths=2000, seed=9)
+    put("estimate_energy.readme.gain.chunked", [est.mean, est.stderr])
     est = estimate_energy(n6, Policy.optimal(sols["n6"], mu_kind="asymptotic"), ALPHA, kappa=40,
                           x0=np.ones(n6.n), paths=100, seed=5, noise_kind="rademacher")
     put("estimate_energy.n6.optimal.rademacher", [est.mean, est.stderr])

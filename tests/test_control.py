@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -422,6 +423,29 @@ class TestSorKernels:
         np.testing.assert_array_equal(sor_solve_batch(sub.W, sub.b[None], sub.c)[0], nu)
         sol = solve_riccati(support.random_model(rng, n=3, m=2), alpha=0.9)
         optimal_control(sol, rng.standard_normal(3), mu_kind="asymptotic")
+
+    @pytest.mark.parametrize("c", [0.0, 5e-324, 0.5, 1.0, 2.0])
+    def test_batch_control_is_the_copysign_form(self, c):
+        # the batch sweep's control copysign(Wd (z - clip(z)), z) is sign(z) max(0, Wd (|z| - c)):
+        # z - clip(z) is exactly sign(z) (|z| - c) outside the box and +0 inside it
+        z = np.array([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0,
+                      5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan])[None]
+        Wd = np.array([[1.7]])
+        gamma = np.minimum(np.maximum(z, -c), c)  # the sweep's clip
+        nu = np.empty_like(z)
+        csviu.control._control(Wd, z, gamma, nu)
+        assert nu.tobytes() == np.copysign(Wd * (z - np.clip(z, -c, c)), z).tobytes()
+        signed = np.sign(z) * np.maximum(0.0, Wd * (np.abs(z) - c))
+        nan = np.isnan(signed)
+        assert np.array_equal(np.isnan(nu), nan)
+        # signbits included, except at z = -0, where np.sign(-0.0) is +0.0 and copysign keeps -0
+        minus_zero = (z == 0.0) & np.signbit(z)
+        keep = ~nan & ~minus_zero
+        assert nu[keep].tobytes() == signed[keep].tobytes()
+        assert np.signbit(nu[minus_zero]).all() and not np.signbit(signed[minus_zero]).any()
+        # bit for bit the single-row kernel's control, copysign(max(t, 0), z), NaNs and -0 included
+        kernel = [math.copysign(0.0 if 0.0 > t else t, x) for x in z[0].tolist() for t in [1.7 * (abs(x) - c)]]
+        assert nu.tobytes() == np.array([kernel]).tobytes()
 
 
 def _mixed_rows():

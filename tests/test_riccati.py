@@ -123,6 +123,12 @@ class TestSolutionInvariants:
         assert sol.alpha_condition_ok == (sol.closed_loop_radius < 1.0 / 1.05)
         assert solve_riccati(model, alpha=0.9).alpha_condition_ok is None
 
+    def test_discount_one_flag(self):
+        # at alpha = 1 the overtaking condition rho(A + BG) < 1/alpha reads rho(A + BG) < 1
+        sol = solve_riccati(support.scalar_model(), alpha=1.0)
+        assert sol.alpha_condition_ok is (sol.closed_loop_radius < 1.0)
+        assert sol.alpha_condition_ok is True
+
 
 class TestFiniteHorizon:
     def test_zero_horizon(self, scalar_model):

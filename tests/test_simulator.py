@@ -588,6 +588,27 @@ class TestDrawnAhead:
         _assert_no_child()
         assert got == _in_process(monkeypatch, run)
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_helper_chunks_are_stage_major(self, helper, monkeypatch, kind):
+        # stage rows are contiguous (paths, d) blocks, and the caller holds no path-major scratch:
+        # its peak while it iterates stays below one half-chunk slot
+        model = SystemModel.from_dict(support.README_DATA)
+        paths, stages, d = 200, 50, model.r + model.n + model.m
+        self._small_chunks(monkeypatch, model, paths)
+        slot = paths * (self.PER_CHUNK // 2) * d * 8
+        import mmap  # noqa: F401  (imported by the helper path on first use; not part of its peak)
+
+        chunks = csviu.simulator._noise_chunks(model, stages, paths, 3, kind)  # opens the streams
+        tracemalloc.start()
+        try:
+            for chunk in chunks:
+                assert all(row.flags.c_contiguous for row in chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(helper) == 1 and peak < slot, (peak, slot)
+        _assert_no_child()
+
     def test_an_early_close_reaps_the_helper(self, helper):
         model = SystemModel.from_dict(support.README_DATA)
         chunks = csviu.simulator._noise_chunks(model, 10_000, 100, 0, "gaussian")
