@@ -135,11 +135,48 @@ def _sweeps(law: FeedbackLaw, B, tol, max_iters):
     ``tol`` (:func:`_raise_unconverged`).  A single row runs on the
     Python-float kernel of :func:`_sweeps_one`, a batch on columns
     (:func:`_sweeps_batch`); both take the same steps, read the law's cached
-    constants and agree to rounding.
+    constants and agree to rounding.  A batch with one channel and a
+    nonzero budget takes the first sweep of :func:`_sweeps_batch` alone
+    (:func:`_one_channel`), which is its whole result, bit for bit.
     """
-    if B.shape[0] == 1:
+    rows, m = B.shape
+    if rows == 1:
         return _sweeps_one(law, B, 1.0, None, tol, max_iters)
+    if m == 1 and rows and max_iters:
+        return _one_channel(law, B, tol, max_iters)
     return _sweeps_batch(law, B, tol, max_iters)
+
+
+def _one_channel(law, B, tol, max_iters):
+    """The sweeps of :func:`_sweeps` on a (paths, 1) batch, in one pass.
+
+    With one channel nothing couples: the Gauss-Seidel point is
+    ``z = 0.0 - b`` on every row with a finite ``s``, so the first sweep of
+    :func:`_sweeps_batch` is its solution, and this pass takes exactly that
+    sweep's steps: ``gamma = min(max(z, -c), c)``, ``s = gamma + b`` and the
+    control of :func:`_control`.  Since ``s = -(z - gamma)`` exactly, the
+    residual ``|nu + W s|`` is 0 on every row whose ``W (z - gamma)`` is
+    finite; a row whose product overflows has a NaN residual on every
+    sweep, so it comes back NaN after the whole budget, as from
+    :func:`_sweeps_batch`.  Returns (Z, Gamma, Nu, sweeps, residual) as it does.
+    """
+    _, (lower,), (upper,) = law.steps
+    Wdc = law.columns[2]
+    b = B.T
+    Z = np.subtract(0.0, b)
+    Gamma = np.maximum(Z, lower)
+    np.minimum(Gamma, upper, out=Gamma)
+    S = np.add(Gamma, b)
+    Nu = np.empty_like(Z)
+    _control(Wdc, Z, Gamma, Nu)
+    R = np.multiply(Wdc, S, out=S)  # W s
+    r = np.abs(np.add(Nu, R, out=R), out=R)[0]
+    residual = float(r.max(initial=0.0))
+    if residual <= tol:
+        return Z.T, Gamma.T, Nu.T, 1, residual
+    missed = ~(r <= tol)
+    Z[0, missed] = Gamma[0, missed] = Nu[0, missed] = np.nan
+    return Z.T, Gamma.T, Nu.T, max_iters, residual
 
 
 def _raise_unconverged(U, residual, tol, max_iters):
@@ -461,9 +498,11 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
     sign pattern counts as 0; each re-solve adds the control-sign part of
     its rows.  Each row re-solves until its control sign pattern repeats,
     for at most ``_MU_SWEEPS`` sweeps, and only the rows whose signs moved
-    take part in the next sweep, which writes back only their controls and
-    slopes.  A settled row's last solve already used its returned slope;
-    only rows still moving after the last sweep are solved once more.
+    take part in the next sweep; a row's control and slope are stored when
+    it settles or the sweeps end, and a sweep that re-solves every row still
+    moving copies none.  A settled row's last solve already used its
+    returned slope; only rows still moving after the last sweep are solved
+    once more.
     """
     law, B = sol.law, sol.model.B
     max_iters = _check_sweeps(law, tol, max_iters)
@@ -476,29 +515,51 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
     Z, Gamma, U, sweeps, residual = _sweeps(law, Bu, tol, max_iters)
     if not sweeping:
         return Z, Gamma, U, Mu, Bu, sweeps, residual
-    U = np.ascontiguousarray(U)  # returned row-major, like the slopes
-    # rows whose signs still move, with their state-sign slopes, data and controls; Mx_l
-    # starts as Mu itself, which the first take copies before any write.  The first
-    # solve's sign pattern is 0, so its moved rows are those with a nonzero (or NaN) control
-    live, Mx_l, R_l, U_l, last = np.arange(len(U)), Mu, R, U, residual
+    # rows whose signs still move, with their state-sign slopes, data, and the controls and
+    # slopes of their last solve; the first solve's sign pattern is 0, so its moved rows are
+    # those with a nonzero (or NaN) control.  The live rows' results are stored only when
+    # some settle, after the takes, since Mx_l is Mu itself until a take copies it
+    live, Mx_l, R_l, U_l, Mu_l, last = np.arange(len(U)), Mu, R, U, Mu, residual
     changed = (U != 0.0).any(axis=1)
     for _ in range(_MU_SWEEPS):
         if not last <= tol:  # NaN rows failed the last solve: no more solves
             changed &= ~np.isnan(U_l[:, 0])
         moved = changed.nonzero()[0]
+        if moved.size < live.size:
+            settled = live, U_l, Mu_l
+            if moved.size:
+                live, Mx_l, R_l, U_l = (a.take(moved, axis=0) for a in (live, Mx_l, R_l, U_l))
+            U, Mu = _store(U, Mu, *settled)
         if not moved.size:
             break
-        live, Mx_l, R_l, U_l = (a.take(moved, axis=0) for a in (live, Mx_l, R_l, U_l))
         Su_l = np.sign(U_l)
         Mu_l = Mx_l + Su_l @ gain_u.T
         Bu = Mu_l @ B + R_l
         Z = Gamma = None  # the last solve's stacked state goes before the next one's is made
         Z, Gamma, U_l, used, last = _sweeps(law, Bu, tol, max_iters)
-        U[live], Mu[live] = U_l, Mu_l
         if residual <= tol or not last <= tol:  # a failed solve's figures stay
             sweeps, residual = used, last
         changed = (np.sign(U_l) != Su_l).any(axis=1)
+    else:
+        U, Mu = _store(U, Mu, live, U_l, Mu_l)
     return Z, Gamma, U, Mu, Bu, sweeps, residual
+
+
+def _store(U, Mu, live, U_l, Mu_l):
+    """``U`` and ``Mu`` with rows ``live`` set to ``U_l`` and ``Mu_l``.
+
+    When ``live`` holds every row these are the result, made row-major, so
+    the first store returns a ``U`` and ``Mu`` that later stores can write;
+    otherwise each C-contiguous row is one item of a void view, so one fancy
+    store copies whole rows, not numpy's element by element scatter of a
+    2-D index.
+    """
+    if live.size == len(U):
+        return np.ascontiguousarray(U_l), np.ascontiguousarray(Mu_l)
+    for a, a_l in ((U, U_l), (Mu, Mu_l)):
+        row = np.dtype((np.void, a.itemsize * a.shape[1]))
+        a.view(row)[:, 0][live] = np.ascontiguousarray(a_l).view(row)[:, 0]
+    return U, Mu
 
 
 def _margins(sol: RiccatiSolution, linear, U):

@@ -74,8 +74,9 @@ def scan_region(
 ) -> RegionMap:
     """Solve the stage problem over a grid slice and label each channel.
 
-    ``ranges`` holds one (lo, hi) pair per scanned axis, or one pair for
-    every axis; anything else raises :class:`ArgumentError`.
+    ``ranges`` holds one (lo, hi) pair of finite reals with a finite span
+    ``hi - lo`` per scanned axis, or one pair for every axis; anything else
+    raises :class:`ArgumentError`.
 
     ``margins`` are the inaction margins of
     :class:`~csviu.control.ControlResult` at the cell's control,
@@ -98,6 +99,8 @@ def scan_region(
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ArgumentError(f"ranges must be (lo, hi) pairs, got {ranges!r}")
     ranges = tuple(tuple(check_real("ranges", v) for v in rg) for rg in pairs)
+    if not all(np.isfinite(hi - lo) for lo, hi in ranges):  # np.linspace steps by hi - lo
+        raise ArgumentError(f"ranges must span a finite hi - lo, got {ranges!r}")
     if len(ranges) == 1:
         ranges *= len(axes)
     if len(ranges) != len(axes):

@@ -5,10 +5,11 @@
 
 The record holds the full float ``repr`` of the Riccati solutions of three
 plants, stage controls and slopes at fixed states (one state at a time and as
-batches of 200), single stage solves at four relaxation factors, the inaction
-margins of two 11 x 11 region scans (the README plant, m = 1, and the coupled
-cycling plant, m = 2) and the Monte Carlo estimators at a few hundred paths,
-plus one 2000-path run whose noise spans several chunks.  A change that moves
+batches of 200), single stage solves at four relaxation factors, one-channel
+batch solves whose right-hand sides hold signed zeros, the inaction margins
+of two 11 x 11 region scans (the README plant, m = 1, and the coupled cycling
+plant, m = 2) and the Monte Carlo estimators at a few hundred paths, plus one
+2000-path run whose noise spans several chunks.  A change that moves
 any of them in the last digits shows in the diff of ``seeded_record.txt``.
 
 The check accepts ``|got - want| <= RTOL * max(1, |want|)`` on every value and
@@ -41,6 +42,7 @@ from csviu import (
     solve_riccati,
     sor_solve,
 )
+from csviu.control import sor_solve_batch
 
 import support
 
@@ -105,6 +107,11 @@ def compute() -> dict[str, list[float]]:
             st = sor_solve(sub, omega=omega)
             put(f"sor_solve.{k}.omega{omega}",
                 [*st.z, *st.gamma, *st.nu, *st.theta, st.iterations, st.residual])
+
+    # one channel, with and without a deadzone: the signs of zero controls and of clipped ones
+    B = np.array([0.0, -0.0, 0.3, -0.3, 0.5, -0.5, 1e-300, -1e-300, 5e-324, -5e-324, 2.0, -2.0])
+    for c in (0.0, 0.5):
+        put(f"sor_solve_batch.m1.c{c}", sor_solve_batch([[0.7]], B[:, None], [c]))
 
     readme, n6 = models["readme"], models["n6"]
     sol = sols["readme"]

@@ -441,13 +441,19 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "argument --mu: invalid choice: 'rollout'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["1,2,3", "1"])
-    def test_a_range_that_is_not_lo_hi_is_a_validation_error(self, tmp_path, model_file, capsys, spec):
+    @pytest.mark.parametrize("spec, message", [
+        ("1,2,3", "error: ranges must be (lo, hi) pairs"),
+        ("1", "error: ranges must be (lo, hi) pairs"),
+        # finite ends whose span overflows used to write a table of invalid cells
+        ("-1e308,1e308", "error: ranges must span a finite hi - lo"),
+    ], ids=["1,2,3", "1", "-1e308,1e308"])
+    def test_a_range_that_is_not_lo_hi_is_a_validation_error(self, tmp_path, model_file, capsys, spec,
+                                                              message):
         out = tmp_path / "region"
         code = main(["region", "--model", model_file, "--axes", "0", "--res", "5", f"--range={spec}",
                      "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ranges must be (lo, hi) pairs")
+        assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
     def test_wrong_shape_injection_is_a_validation_error(self, model_file, capsys):

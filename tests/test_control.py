@@ -448,6 +448,77 @@ class TestSorKernels:
         assert nu.tobytes() == np.array([kernel]).tobytes()
 
 
+def _nan_bits(value):
+    """Bytes of ``value`` with NaN compared as NaN: its NaN mask, then every other entry."""
+    a = np.asarray(value, dtype=float)
+    nan = np.isnan(a)
+    return a.shape, nan.tobytes(), np.where(nan, 0.0, a).tobytes()
+
+
+# one-channel right-hand sides: signed zeros, both sides of c = 0.3 and entries near the
+# smallest and largest floats
+ONE_CHANNEL_B = [0.0, -0.0, 0.3, -0.3, 0.2, -0.2, 0.7, -0.7, 1e-300, -1e-300, 5e-324, -5e-324,
+                 2.0, -2.0, 1e300, -1e300]
+
+
+class TestOneChannelPass:
+    """A batch with one channel takes the first sweep of the column kernel alone,
+    which ``_sweeps_batch`` (still the path for m >= 2) confirms bit for bit."""
+
+    # (right-hand sides, tol, max_iters); at W = 2 the rows -1e308 and 1e308 overflow
+    # W (z - gamma) to infinity, so their residual is NaN on every sweep
+    CASES = {
+        "signed-zeros": (ONE_CHANNEL_B, 1e-10, 10000),
+        "tol-zero": (ONE_CHANNEL_B, 0.0, 10000),
+        "one-sweep": (ONE_CHANNEL_B, 1e-10, 1),
+        "no-sweep": (ONE_CHANNEL_B, 1e-10, 0),
+        "no-rows": ([], 1e-10, 10000),
+        "one-overflow": (ONE_CHANNEL_B + [-1e308], 1e-10, 5),
+        "one-overflow-one-sweep": (ONE_CHANNEL_B + [-1e308], 1e-10, 1),
+        "two-overflows": (ONE_CHANNEL_B + [-1e308, 1e308], 1e-10, 5),
+    }
+
+    @staticmethod
+    def _law_and_rows(c, w, case):
+        values, tol, max_iters = TestOneChannelPass.CASES[case]
+        law = FeedbackLaw(W=np.array([[w]]), c=np.array([c]))
+        return law, np.array(values, dtype=float).reshape(-1, 1), tol, max_iters
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("w", [1e-3, 0.5, 2.0])
+    @pytest.mark.parametrize("c", [0.0, 1e-300, 0.3])
+    def test_is_the_first_sweep_of_the_column_kernel(self, c, w, case, monkeypatch):
+        law, B, tol, max_iters = self._law_and_rows(c, w, case)
+        want = csviu.control._sweeps_batch(law, B, tol, max_iters)
+        if len(B) > 1 and max_iters >= 1:  # the one-pass solve, not the column kernel
+            def refuse(*args):
+                raise AssertionError("the column kernel ran on one channel")
+
+            monkeypatch.setattr(csviu.control, "_sweeps_batch", refuse)
+        got = csviu.control._sweeps(law, B, tol, max_iters)
+        for name, a, b in zip(("Z", "Gamma", "Nu"), got[:3], want[:3]):
+            assert _nan_bits(a) == _nan_bits(b), name
+        assert got[3] == want[3]
+        assert _nan_bits(got[4]) == _nan_bits(want[4])
+        if w == 2.0 and "overflow" in case:
+            assert np.isnan(got[2][-1]).all() and math.isnan(got[4]) and got[3] == max_iters
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["no-sweep", "one-overflow", "one-overflow-one-sweep", "two-overflows"])
+    def test_failed_rows_raise_the_column_kernel_text(self, case, monkeypatch):
+        law, B, tol, max_iters = self._law_and_rows(0.3, 2.0, case)
+
+        def failure():
+            with pytest.raises(MaxIterations) as caught:
+                sor_solve_batch(law.W, B, law.c, tol=tol, max_iters=max_iters)
+            return str(caught.value), caught.value.iterations, _nan_bits(caught.value.residual)
+
+        got = failure()
+        monkeypatch.setattr(csviu.control, "_sweeps", csviu.control._sweeps_batch)
+        assert got == failure()
+
+
 def _mixed_rows():
     W = np.array(MIXED_W)
     c = np.array(MIXED_C)

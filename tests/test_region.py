@@ -202,8 +202,10 @@ class TestScan2D:
         ((0, 1), [(-1, 1), (-1, 1, 0)], "^ranges must be"),
         ((0,), [[[-1, 1]]], r"ranges must be \(lo, hi\) pairs"),
         ((0,), [(1,)], r"ranges must be \(lo, hi\) pairs"),
+        # finite ends whose span overflows used to scan a grid of [nan, inf, inf, inf, 1e308]
+        ((0,), ((-1e308, 1e308),), r"ranges must span a finite hi - lo"),
     ], ids=["repeated-axis", "axis-out-of-range", "range-count", "nan-end", "infinite-end", "triple",
-            "ragged", "nested", "single"])
+            "ragged", "nested", "single", "overflowing-span"])
     def test_bad_axes_and_ranges_are_argument_errors(self, rng, axes, ranges, match):
         sol = solve_riccati(support.random_model(rng, n=2, m=1), alpha=0.9)
         with pytest.raises(ArgumentError, match=match):
