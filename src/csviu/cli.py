@@ -64,7 +64,9 @@ _NEGATIVE_TOKEN = re.compile(r"^-\d")
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no prefix matching: a flag a subcommand lacks (overtake --kappa) is an
+        # error, not an abbreviation of another (--kappa-grid)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = _NEGATIVE_TOKEN
 
     def error(self, message):
@@ -108,53 +110,61 @@ def _matrix(text: str) -> np.ndarray:
     return np.array(rows)
 
 
+# the settings each subcommand reads besides the discount, one flag each, in the order
+# the manifest records them; all but "mu" are CriterionConfig fields
+_SETTINGS = {"riccati": (), "stability": ("seed",), "detect": (), "control": ("mu",),
+             "simulate": ("seed", "paths", "kappa", "mu"), "norms": ("seed", "paths", "kappa", "mu"),
+             "overtake": ("seed", "paths", "mu"), "region": ("mu",)}
+_SETTING_FLAGS = {"seed": {"type": int}, "paths": {"type": int}, "kappa": {"type": int},
+                  "mu": {"choices": ["zero", "asymptotic"],
+                         "help": "slope estimator for the stage problems"}}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="csviu", description=__doc__)
     parser.add_argument("--version", action="version", version=f"csviu {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p):
+    def common(command, help):
+        p = sub.add_parser(command, help=help)
         p.add_argument("--model", required=True, help="path to the model JSON file")
         p.add_argument("--alpha", type=float, default=None, help="discount override")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory (default: print JSON)")
-        p.add_argument("--mu", default=None, choices=["zero", "asymptotic"],
-                       help="slope estimator for the stage problems")
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--kappa", type=int, default=None)
+        for name in _SETTINGS[command]:
+            p.add_argument(f"--{name}", **_SETTING_FLAGS[name])
         return p
 
-    p = common(sub.add_parser("riccati", help="stationary cost matrix and gain"))
+    p = common("riccati", "stationary cost matrix and gain")
     p.set_defaults(handler=_cmd_riccati)
 
-    p = common(sub.add_parser("stability", help="second-moment stability report"))
+    p = common("stability", "second-moment stability report")
     p.set_defaults(handler=_cmd_stability)
 
-    p = common(sub.add_parser("detect", help="detectability search or check"))
+    p = common("detect", "detectability search or check")
     p.add_argument("--injection", default=None,
                    help="output injection matrix to check, rows ; separated: 'a,b;c,d'")
     p.set_defaults(handler=_cmd_detect)
 
-    p = common(sub.add_parser("control", help="optimal control at one state"))
+    p = common("control", "optimal control at one state")
     p.add_argument("--x", required=True, help="state, comma separated")
     p.set_defaults(handler=_cmd_control)
 
-    p = common(sub.add_parser("simulate", help="roll out trajectories under a policy"))
+    p = common("simulate", "roll out trajectories under a policy")
     p.add_argument("--x0", default=None, help="initial state, comma separated (default 0)")
     p.add_argument("--policy", default="optimal", choices=["zero", "gain", "optimal"])
     p.set_defaults(handler=_cmd_simulate)
 
-    p = common(sub.add_parser("norms", help="energy / power criteria under the optimal policy"))
+    p = common("norms", "energy / power criteria under the optimal policy")
     p.set_defaults(handler=_cmd_norms)
 
-    p = common(sub.add_parser("overtake", help="finite-horizon cost comparison of two policies"))
+    p = common("overtake", "finite-horizon cost comparison of two policies")
     p.add_argument("--kappa-grid", required=True, help="horizons, comma separated")
     p.add_argument("--policy-a", default="optimal", choices=["zero", "gain", "optimal"])
     p.add_argument("--policy-b", default="zero", choices=["zero", "gain", "optimal"])
     p.add_argument("--x0", default=None)
     p.set_defaults(handler=_cmd_overtake)
 
-    p = common(sub.add_parser("region", help="map the control action regions over a state slice"))
+    p = common("region", "map the control action regions over a state slice")
     p.add_argument("--axes", default="0,1", help="one or two state indices, e.g. 0,1")
     p.add_argument("--range", dest="ranges", action="append", default=None,
                    help="lo,hi for the scanned axes (repeat for distinct per-axis ranges)")
@@ -171,10 +181,6 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-# override flags -> CriterionConfig fields, in the order the manifest records them
-_OVERRIDES = {"alpha": "alpha", "seed": "seed", "paths": "paths", "kappa": "kappa"}
-
-
 @dataclasses.dataclass
 class _Run:
     model: object
@@ -184,21 +190,20 @@ class _Run:
 
 def _resolve(args) -> _Run:
     model = load_model(args.model)
-    overrides = {
-        f: getattr(args, flag) for flag, f in _OVERRIDES.items() if getattr(args, flag) is not None
-    }
+    flags = {name: getattr(args, name) for name in ("alpha", *_SETTINGS[args.command])}
+    mu_kind = flags.pop("mu", None)
+    overrides = {name: value for name, value in flags.items() if value is not None}
     config = dataclasses.replace(model.criterion or CriterionConfig(), **overrides)
-    return _Run(model=model, config=config, mu_kind=args.mu if args.mu is not None else "zero")
+    return _Run(model=model, config=config, mu_kind="zero" if mu_kind is None else mu_kind)
 
 
 def _solution(run: _Run):
     return solve_riccati(run.model, config=run.config)
 
 
-def _policy(name: str, run: _Run, sol=None):
+def _policy(name: str, run: _Run, sol):
     if name == "zero":
         return Policy.zero(run.model.m)
-    sol = sol if sol is not None else _solution(run)
     if name == "gain":
         return Policy.linear(sol.G)
     return Policy.optimal(sol, mu_kind=run.mu_kind, tol=run.config.tol_sor)
@@ -271,9 +276,7 @@ def _cmd_control(args, run: _Run):
 
 
 def _cmd_simulate(args, run: _Run):
-    sol = None
-    if args.policy in ("gain", "optimal"):
-        sol = _solution(run)
+    sol = None if args.policy == "zero" else _solution(run)
     policy = _policy(args.policy, run, sol)
     x0 = np.zeros(run.model.n) if args.x0 is None else np.array(_floats(args.x0))
     kappa = run.config.kappa if run.config.kappa is not None else 100
@@ -399,8 +402,8 @@ def _write_outputs(args, run: _Run, payload: dict, tables, argv, elapsed: float)
         "model_path": str(Path(args.model).resolve()),
         "model_sha256": _model_sha256(run.model),
         "settings": {
-            **{flag: getattr(run.config, f) for flag, f in _OVERRIDES.items()},
-            "mu": run.mu_kind,
+            name: run.mu_kind if name == "mu" else getattr(run.config, name)
+            for name in ("alpha", *_SETTINGS[args.command])
         },
         "elapsed_s": elapsed,
         "created_utc": datetime.now(timezone.utc).isoformat(),

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError, MaxIterations, SingularLambda, check_real
+from .errors import ArgumentError, MaxIterations, SingularLambda, as_floats, check_real
 from .model import SystemModel
 
 DENSE_MAX = 400  # largest dimension whose spectral radius comes from a dense eigensolve
@@ -264,12 +264,15 @@ def spectral_radius(M, method="auto", tol=1e-12, max_iters=20000):
     :class:`MaxIterations` after ``max_iters`` steps and never returns an
     unsettled number.  A settled estimate can still differ from the dense
     radius by up to about 1e-10 relative (8e-11 seen on those maps), which is
-    why dimensions up to DENSE_MAX keep the eigensolver.
+    why dimensions up to DENSE_MAX keep the eigensolver.  A matrix that is
+    not square, not numeric or not finite raises :class:`ArgumentError`.
     """
-    M = np.asarray(M, dtype=float)
+    M = as_floats("M", M)
     d = M.shape[0] if M.ndim else 0
     if M.shape != (d, d):
         raise ArgumentError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ArgumentError("M must be finite")
     if d == 0:
         return 0.0
     if method == "eig" or (method == "auto" and d <= DENSE_MAX):

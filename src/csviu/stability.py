@@ -109,6 +109,7 @@ def check_alpha_stability(model: SystemModel, alpha: float, probes: int = 10, se
     """
     ops = OperatorSet(model, alpha)
     probes = check_count("probes", probes, 0)
+    seed = check_count("seed", seed, 0)
     n = model.n
     radius = ops.map_radius()
     d_stable = _strict_below(radius, 1.0)

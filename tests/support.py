@@ -146,6 +146,18 @@ def spectral_gap_model(rng: np.random.Generator, n: int, m: int) -> SystemModel:
     )
 
 
+def diagonal_plant(n: int) -> SystemModel:
+    """n decoupled states with poles 0.1..0.8 and one shared control; the output
+    stacks the state over the control.  Above n = 20 its certificates take the
+    power-iteration route."""
+    return SystemModel(
+        A=np.diag(np.linspace(0.1, 0.8, n)), B=np.ones((n, 1)) / n,
+        C=np.vstack([np.eye(n), np.zeros((1, n))]), D=np.vstack([np.zeros((n, 1)), [[1.0]]]),
+        sigma=0.1 * np.ones((n, 1)), sigma_x=np.zeros((n, n)), sigma_bar_x=0.05 * np.eye(n),
+        sigma_u=0.1 * np.ones((n, 1)), sigma_bar_u=0.01 * np.ones((n, 1)),
+    )
+
+
 def synthetic_solution(
     A,
     B,

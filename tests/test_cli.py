@@ -133,7 +133,7 @@ class TestStdoutMode:
         path = tmp_path / "full.json"
         path.write_text(json.dumps(dict(support.SCALAR_DATA, criterion=criterion)))
         out = tmp_path / "run"
-        argv = ["riccati", "--model", str(path), "--seed", "9", "--mu", "asymptotic", "--out", str(out)]
+        argv = ["simulate", "--model", str(path), "--seed", "9", "--mu", "asymptotic", "--out", str(out)]
         assert main(argv) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest["settings"].items()) == [
@@ -141,6 +141,9 @@ class TestStdoutMode:
         ]
         # the hash reads the canonical model dict with sorted keys
         assert manifest["model_sha256"] == "3a9a797e309178cf5e032cbd1efeba252f7dc1c90d531ece115513edd111a3bd"
+        # a command records only the settings it reads
+        assert main(["riccati", "--model", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["settings"] == {"alpha": 0.9}
 
     def test_negative_tokens_accepted_in_ranges(self, capsys, model_file):
         payload = _run_json(
@@ -388,8 +391,13 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_flag(self, model_file, capsys):
-        code = main(["riccati", "--model", model_file, "--sideways"])
-        assert code == 1
+        # a subcommand takes only the flags it reads; the relaxation factor is a
+        # setting of sor_solve alone, and --kappa no abbreviation of --kappa-grid
+        for command, *flags in (["riccati", "--sideways"], ["riccati", "--paths", "5"],
+                                ["region", "--axes", "0", "--res", "5", "--omega", "1.5"],
+                                ["overtake", "--kappa-grid", "2", "--paths", "4", "--kappa", "3"]):
+            assert main([command, "--model", model_file, *flags]) == 1, flags
+            assert "error: unrecognized arguments: " in capsys.readouterr().err
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
@@ -464,7 +472,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra, message", [
         ({"sigma_baru": 0.4}, "error: unknown model keys: ['sigma_baru']\n"),
         ({"criterion": {"kappa": 2.5}}, "error: kappa must be an integer >= 0, got 2.5\n"),
-    ], ids=["misspelled-key", "fractional-kappa"])
+        # the relaxation factor is a setting of sor_solve only, not a model key
+        ({"criterion": {"omega": 1.2}}, "error: unknown criterion keys: ['omega']\n"),
+    ], ids=["misspelled-key", "fractional-kappa", "omega-key"])
     def test_model_file_typos_are_validation_errors(self, tmp_path, capsys, extra, message):
         path = tmp_path / "typo.json"
         path.write_text(json.dumps(dict(support.SCALAR_DATA, **extra)))

@@ -625,6 +625,17 @@ def _assert_kernel_matches_reference(sub, omega, z0=None, tol=1e-12, max_iters=1
     return got
 
 
+def _assert_sor_solve_matches_reference(sub, omega, max_iters=1000):
+    """The kernel and the public ``sor_solve`` from a cold start, its MaxIterations included."""
+    want = _assert_kernel_matches_reference(sub, omega, max_iters=max_iters)
+    try:
+        got = _sor_fields(sor_solve(sub, omega=omega, tol=1e-12, max_iters=max_iters))
+    except MaxIterations as exc:
+        got = (None, None, None, exc.iterations, exc.residual)
+    assert _bits(got) == _bits(want), (omega, got, want)
+    return want
+
+
 class TestGeneratedKernel:
     """The single-row kernel generated per channel count equals the plain
     loop of ``oracles.sor_sweeps_reference`` bit for bit: z, gamma and nu,
@@ -637,14 +648,14 @@ class TestGeneratedKernel:
         # 30 sweeps are too few for many instances at omega != 1
         failures = 0
         for sub, omega, budget in itertools.product(_criterion_02_instances(), self.OMEGAS, (1000, 30)):
-            failures += _assert_kernel_matches_reference(sub, omega, max_iters=budget)[0] is None
+            failures += _assert_sor_solve_matches_reference(sub, omega, max_iters=budget)[0] is None
         assert failures >= 1
 
     @pytest.mark.parametrize("m", range(7, 13))
     def test_wider_instances(self, m):
         for sub in _criterion_02_instances(count=3, sizes=(m, m + 1), seed=m):
             for omega in self.OMEGAS:
-                _assert_kernel_matches_reference(sub, omega)
+                _assert_sor_solve_matches_reference(sub, omega)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_right_hand_side(self, value):
@@ -709,10 +720,10 @@ class TestGeneratedKernel:
 
         monkeypatch.setattr(csviu.control, "_KERNELS", {})
         monkeypatch.setattr(csviu.control, "_kernel_source", counted)
-        for sub in _criterion_02_instances(count=40, sizes=(1, 4)):
+        for sub in _criterion_02_instances(count=40, sizes=(1, 9)):
             for omega in self.OMEGAS:
                 _kernel_or_failure(sub, omega)
-        kernels = [(m, relaxed) for m in (1, 2, 3) for relaxed in (False, True)]
+        kernels = [(m, relaxed) for m in range(1, 9) for relaxed in (False, True)]
         assert sorted(built) == kernels
         assert sorted(csviu.control._KERNELS) == kernels
 
@@ -930,21 +941,25 @@ class TestPerRowSlopeSweeps:
 
     def test_single_state_is_the_batch_of_one_bit_for_bit(self, draw):
         sol, X = draw
-        X = X[[*range(250, 290), *self.LAST_SOLVE_SHORTER]]
-        mus = 0.3 * np.random.default_rng(7).standard_normal(X.shape)
-        for row, x in enumerate(X):
-            for slope in ({"mu_kind": "zero"}, {"mu_kind": "asymptotic"}, {"mu": mus[row]}):
-                batch = {"Mu": slope["mu"][None]} if "mu" in slope else slope
-                U, Mu = optimal_control_batch(sol, x[None], **batch)
-                single = optimal_control(sol, x, **slope)
-                assert single.u_star.tobytes() == U[0].tobytes(), (row, slope)
-                assert single.mu.tobytes() == Mu[0].tobytes(), (row, slope)
-                assert resolve_mu(sol, x, **slope).tobytes() == Mu[0].tobytes()
-                # sub and sor describe the last stage solve, not the largest of the sweeps
-                again = sor_solve(single.sub)
-                for field in ("z", "gamma", "nu", "theta"):
-                    assert getattr(again, field).tobytes() == getattr(single.sor, field).tobytes()
-                assert (again.iterations, again.residual) == (single.sor.iterations, single.sor.residual)
+        # and a one-channel plant, whose batches solve in one pass
+        one_channel = solve_riccati(support.diagonal_plant(21), alpha=0.95)
+        cases = [(sol, X[[*range(250, 290), *self.LAST_SOLVE_SHORTER]]),
+                 (one_channel, np.linspace(-1.0, 1.0, 3 * 21).reshape(3, 21))]
+        for sol, X in cases:
+            mus = 0.3 * np.random.default_rng(7).standard_normal(X.shape)
+            for row, x in enumerate(X):
+                for slope in ({"mu_kind": "zero"}, {"mu_kind": "asymptotic"}, {"mu": mus[row]}):
+                    batch = {"Mu": slope["mu"][None]} if "mu" in slope else slope
+                    U, Mu = optimal_control_batch(sol, x[None], **batch)
+                    single = optimal_control(sol, x, **slope)
+                    assert single.u_star.tobytes() == U[0].tobytes(), (row, slope)
+                    assert single.mu.tobytes() == Mu[0].tobytes(), (row, slope)
+                    assert resolve_mu(sol, x, **slope).tobytes() == Mu[0].tobytes()
+                    # sub and sor describe the last stage solve, not the largest of the sweeps
+                    again = sor_solve(single.sub)
+                    for field in ("z", "gamma", "nu", "theta"):
+                        assert getattr(again, field).tobytes() == getattr(single.sor, field).tobytes()
+                    assert (again.iterations, again.residual) == (single.sor.iterations, single.sor.residual)
 
     @staticmethod
     def _record_rows(monkeypatch, rows_solved):

@@ -108,6 +108,9 @@ def _count_calls():
         # -1 used to run no probe at all and 2.5 to raise a TypeError
         "probes-negative": lambda: check_alpha_stability(model, 0.95, probes=-1),
         "probes-fraction": lambda: check_alpha_stability(model, 0.95, probes=2.5),
+        # numpy refused -1 with its own ValueError, and True ran as seed 1
+        "seed-negative": lambda: check_alpha_stability(model, 0.95, seed=-1),
+        "seed-bool": lambda: check_alpha_stability(model, 0.95, seed=True),
     }
 
 
@@ -157,8 +160,9 @@ def test_feedback_and_simulation_arguments_raise_argument_error(case):
 
 
 def _stage_input_calls():
-    """Inputs of ``inaction_test`` and ``cost_Ju``, which used to reach numpy unchecked."""
-    from csviu import ControlSubproblem, cost_Ju, inaction_test
+    """Inputs of ``inaction_test``, ``cost_Ju``, ``step`` and ``spectral_radius``, which used
+    to reach numpy unchecked."""
+    from csviu import ControlSubproblem, cost_Ju, inaction_test, spectral_radius
     from csviu.simulator import step
 
     sol = solve_riccati(SystemModel.from_dict(support.README_DATA), alpha=0.95)  # n = 2, m = 1
@@ -176,6 +180,9 @@ def _stage_input_calls():
         "u-length": (lambda: cost_Ju(sub, [1.0]), "^u has length 1, expected 2$"),
         # a short noise vector reached step_batch and ended in a matmul ValueError
         "noise-length": (lambda: step(sol.model, x, [0.0], [0.1, 0.2]), "^noise has length 2, expected 4$"),
+        # the eigensolver raised numpy's LinAlgError
+        "M-nan": (lambda: spectral_radius([[np.nan]]), "^M must be finite$"),
+        "M-inf": (lambda: spectral_radius(np.diag([1.0, np.inf])), "^M must be finite$"),
     }
 
 
@@ -188,7 +195,7 @@ def test_stage_inputs_raise_argument_error(case):
 
 def _unconvertible_calls():
     """Text and ragged nesting, which numpy refused with a bare ValueError naming no argument."""
-    from csviu import ControlSubproblem, mu_asymptotic
+    from csviu import ControlSubproblem, mu_asymptotic, spectral_radius
     from csviu.control import optimal_control_batch, resolve_mu, sor_solve_batch
     from csviu.simulator import step
 
@@ -212,6 +219,8 @@ def _unconvertible_calls():
         "x-step": lambda: step(model, "ab", [0.0], [0.1] * 4),
         "u-step": lambda: step(model, x, [[0.0], []], [0.1] * 4),
         "noise-step": lambda: step(model, x, [0.0], "abcd"),
+        "M-text": lambda: spectral_radius("ab"),
+        "M-ragged": lambda: spectral_radius([[1.0, 2.0], [1.0]]),
     }
 
 

@@ -496,6 +496,20 @@ class TestChunkedStream:
             # tracemalloc does not see a helper's shared slots; both slots together are the chunk
             assert len(held) > 2 and max(held) <= csviu.simulator._CHUNK_BYTES, (ahead, held)
 
+    def test_simulate_holds_one_chunk_of_a_wide_noise_block(self):
+        # r = 30 noise inputs on one state: the (paths, stages, r + n + m) block is 102 MB,
+        # the ensemble simulate returns 10 MB
+        model = SystemModel.from_dict({"A": 0.5, "B": 1.0, "C": 1.0, "D": 1.0, "sigma": [[0.1] * 30]})
+        paths, kappa = 200, 2000
+        block = paths * kappa * (model.r + model.n + model.m) * 8
+        tracemalloc.start()
+        try:
+            simulate(model, Policy.zero(1), [1.0], kappa=kappa, paths=paths, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block / 4, (peak, block)
+
 
 def _held_bytes(chunk):
     """Bytes of the buffer a noise chunk views: a numpy array, or a helper's shared mapping."""

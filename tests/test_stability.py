@@ -276,13 +276,7 @@ class TestDetectability:
         def no_radius(*args, **kwargs):
             raise AssertionError("the search took a map radius")
 
-        n = 21  # above the dense route, where the radius is a power iteration
-        model = SystemModel(
-            A=np.diag(np.linspace(0.1, 0.8, n)), B=np.ones((n, 1)) / n,
-            C=np.vstack([np.eye(n), np.zeros((1, n))]), D=np.vstack([np.zeros((n, 1)), [[1.0]]]),
-            sigma=0.1 * np.ones((n, 1)), sigma_x=np.zeros((n, n)), sigma_bar_x=0.05 * np.eye(n),
-            sigma_u=0.1 * np.ones((n, 1)), sigma_bar_u=0.01 * np.ones((n, 1)),
-        )
+        model = support.diagonal_plant(21)  # above the dense route, where the radius is a power iteration
         with monkeypatch.context() as patch:
             patch.setattr(OperatorSet, "map_radius", no_radius)
             H = detectability_search(model, 0.95)
