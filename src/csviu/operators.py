@@ -12,9 +12,15 @@ The second-moment map is written once, in
 :meth:`OperatorSet.second_moment_map`, on n x n matrices or stacks of them.
 The Riccati step, the one-step variation oracle and every certificate radius
 use it; the dense matrix of :meth:`OperatorSet.operator_matrix` is that map
-applied to a basis of the symmetric matrices, in upper-triangle coordinates.
-Equations U - map(U) = Q are solved once, in
-:meth:`OperatorSet.lyapunov_solve`, on n x n matrices as well.
+applied to a basis of the symmetric matrices, in upper-triangle coordinates,
+and only the tests read it.  Equations U - map(U) = Q are solved once, in
+:meth:`OperatorSet.lyapunov_solve`, on n x n matrices as well: one Stein
+doubling pass and a capacitance system, factored per discount.  Up to n = 20
+:meth:`OperatorSet.map_radius` runs inverse iteration on the map's resolvent
+through that factored solve, at shifts the solve certifies above the radius;
+above n = 20 it runs power iteration, which can raise
+:class:`~csviu.errors.MaxIterations` when several eigenvalues share the
+spectral circle.
 """
 
 from __future__ import annotations
@@ -27,8 +33,16 @@ import numpy as np
 from .errors import ArgumentError, MaxIterations, SingularLambda, as_floats, check_real
 from .model import SystemModel
 
-DENSE_MAX = 400  # largest dimension whose spectral radius comes from a dense eigensolve
+DENSE_MAX = 400  # spectral_radius: dense eigensolve up to this dimension; map_radius: resolvent up to n*n
 MAX_DOUBLINGS = 64
+# budget and tolerances of the resolvent iteration of OperatorSet.map_radius
+_POWER_STEPS = 8        # power steps from the identity before the first shift
+_CW_RIDGE = 1e-3        # multiple of I added to the unit power iterate for the first bound
+_RADIUS_FLOOR = 1e-11   # smallest relative margin of a shift above the estimate
+_RADIUS_TOL = 1e-13     # relative change of the estimate that settles it
+_RESHIFT_STEPS = 4      # a shift that would settle within this many more steps is kept
+_RADIUS_SHIFTS = 16     # certification attempts, each one factorization
+_RADIUS_STEPS = 100     # resolvent steps
 
 
 def symmetrize(U):
@@ -171,20 +185,108 @@ class OperatorSet:
     def map_radius(self, F=None, G=None):
         """Spectral radius of :meth:`second_moment_map` with the same ``F``, ``G``.
 
-        The map is positive on the semidefinite cone, so its radius is an
-        eigenvalue with a symmetric eigenvector.  On skew-symmetric U the map
-        is alpha*F'UF, whose radius alpha*rho(F)^2 never exceeds that of the
-        symmetric block, so the block alone carries the radius.  Up to
-        n*n = DENSE_MAX it is the dense eigenvalue radius of
-        :meth:`operator_matrix` on that block.  Above that, power iteration
-        runs on n x n matrices through :meth:`second_moment_map`, from the
-        identity, and no dense matrix is built; it can raise
-        :class:`MaxIterations` as :func:`spectral_radius` does.
+        The map L is positive on the semidefinite cone, so its radius rho is
+        an eigenvalue with a semidefinite eigenvector.  Up to n*n = DENSE_MAX
+        it comes from inverse iteration on the resolvent
+        (sI - L)^{-1} = s^{-1} (I - L_{alpha/s})^{-1}, L_{alpha/s} the map at
+        discount alpha/s, applied through the capacitance solve of
+        :meth:`lyapunov_solve`, which is factored once per shift s.  Every
+        shift is certified above rho: L_{alpha/s} is stable exactly when
+        s > rho, which the factorization tests.  Then 1/(s - rho) strictly
+        dominates the resolvent's spectrum, so the iteration converges on
+        every such map, several eigenvalues on the spectral circle included.
+        The first shift is the Collatz-Wielandt bound
+        rho <= lambda_max(U^{-1/2} L(U) U^{-1/2}), U > 0, at a few power steps
+        from the identity; later shifts move toward the running estimate, or,
+        while it converges slowly (as on a defective radius), come from a
+        chord on the capacitance radius (see :func:`_chord_shift`), and are
+        kept only when certified.  When the shifts and steps of a fixed
+        budget run out, :class:`MaxIterations` is raised with the bracket
+        [proved lower bound, certified shift]; no unsettled number is
+        returned.  Above n*n = DENSE_MAX, power iteration runs on n x n
+        matrices through :meth:`second_moment_map`, from the identity; it
+        can raise :class:`MaxIterations` as :func:`spectral_radius` does.
         """
         n = self.model.n
-        if n * n <= DENSE_MAX:
-            return spectral_radius(self.operator_matrix(F, G))
-        return _power_radius(lambda U: self.second_moment_map(U, F, G), np.eye(n))
+        F = self.model.A if F is None else F
+        if n * n > DENSE_MAX:
+            return _power_radius(lambda U: self.second_moment_map(U, F, G), np.eye(n))
+        return self._resolvent_radius(F, G)
+
+    def _resolvent_radius(self, F, G):
+        """The resolvent iteration of :meth:`map_radius`."""
+        n, alpha = self.model.n, self.alpha
+        rho_F = float(np.abs(np.linalg.eigvals(F)).max())
+        mean = lo = alpha * rho_F**2  # rho >= the radius alpha*rho(F)^2 of U -> alpha*F'UF
+        U = np.eye(n)
+        for _ in range(_POWER_STEPS):
+            V = self.second_moment_map(U, F, G)
+            size = float(np.linalg.norm(V))
+            if size == 0.0:
+                return 0.0  # L^t(I) = 0, so L^t vanishes on the cone and on every symmetric U
+            U = V / size
+        # Collatz-Wielandt: L(V) <= c V for V > 0 gives rho <= c
+        V = symmetrize(U) + _CW_RIDGE * np.eye(n)
+        inv_chol = np.linalg.inv(np.linalg.cholesky(V))
+        image = inv_chol @ self.second_moment_map(V, F, G) @ inv_chol.T
+        s = (1.0 + _RADIUS_FLOOR) * max(float(np.linalg.eigvalsh(symmetrize(image))[-1]), lo)
+        res, hi, est, steps, spread = None, np.inf, None, 0, 16.0
+        left = prev_left = right = None  # (x, psi) at certified and uncertified shifts
+        weight = 1.0
+        for _ in range(_RADIUS_SHIFTS):
+            beta = alpha / s
+            certified, point = False, None
+            if np.sqrt(beta) * rho_F < 1.0:
+                trial, X = self._resolvent(beta, F, G, U[None])
+                if trial.radius == 0.0:
+                    return mean  # the noise term adds nothing to the spectrum at any discount
+                certified = trial.stable and X is not None  # None: I - beta*M is singular
+                point = (np.log(beta), np.log(beta * trial.radius))
+            if certified:
+                res, hi, X, history = trial, s, X[0], []
+                prev_left, left, weight = left, point, 0.5 * weight
+            else:  # rho >= s
+                lo, spread = s, 8.0 * spread
+                if point is not None:
+                    right, weight = point, 1.0
+                if res is None:
+                    s = lo * (1.0 + spread * _RADIUS_FLOOR)
+                    continue
+                X = res.solve(U[None])[0]
+            while True:
+                # X = s (sI - L)^{-1} U, so <X, U>/<X, X> tends to (s - rho)/s
+                steps += 1
+                size = float(np.vdot(X, X))
+                ratio = float(np.vdot(X, U)) / size
+                U = X / np.sqrt(size)
+                prev, est = est, hi * (1.0 - ratio)
+                history.append(est)
+                if (prev is not None and abs(est - prev) <= _RADIUS_TOL * est) or hi - lo <= _RADIUS_TOL * hi:
+                    return min(max(est, lo), hi)
+                if steps == _RADIUS_STEPS:
+                    break
+                if len(history) >= 3:
+                    # move the shift when this one would not settle within _RESHIFT_STEPS more steps
+                    change = abs(history[-1] - history[-2])
+                    rate = change / max(abs(history[-2] - history[-3]), np.finfo(float).tiny)
+                    if rate >= 1.0 or change * rate**_RESHIFT_STEPS > _RADIUS_TOL * est:
+                        if rate < 0.5:
+                            s = max(est, lo) + max(spread * change, _RADIUS_FLOOR * est)
+                        else:  # slow, as on a defective radius: the estimate does not place a shift
+                            s = _chord_shift(alpha, left, prev_left, right, weight)
+                            if not lo < s < hi:
+                                s = 0.5 * (lo + hi)
+                        if s < hi:
+                            break
+                X = res.solve(U[None])[0]
+            if steps == _RADIUS_STEPS:
+                break
+        raise MaxIterations(
+            f"resolvent iteration did not settle after {steps} steps; the map's radius "
+            f"lies in [{lo:.16e}, {hi:.16e}]",
+            iterations=steps,
+            residual=hi - lo,
+        )
 
     def lyapunov_solve(self, Q, F=None, G=None) -> LyapunovSolve:
         """Solve U - second_moment_map(U, F, G) = Q without vectorizing U.
@@ -198,32 +300,126 @@ class OperatorSet:
         (n+m)-square capacitance system (I - alpha*M) z = c with
         M_pr = w_p'Y_r w_p and c_p = w_p'T^{-1}(Q) w_p.  The nonzero spectrum
         of T^{-1} o (noise term) is that of alpha*M, so its radius is exact.
+        The factorization is the one :meth:`map_radius` reuses at each shift.
         Raises :class:`MaxIterations` when the doubling does not settle.
         """
-        md = self.model
-        F = md.A if F is None else F
-        root = np.sqrt(self.alpha)
-        if root * float(np.abs(np.linalg.eigvals(F)).max()) >= 1.0:
+        F = self.model.A if F is None else F
+        if np.sqrt(self.alpha) * float(np.abs(np.linalg.eigvals(F)).max()) >= 1.0:
             return LyapunovSolve(None, False, np.nan)
+        Q = np.asarray(Q, dtype=float)
+        res, U = self._resolvent(self.alpha, F, G, Q if Q.ndim == 3 else Q[None])
+        if U is None:
+            return LyapunovSolve(None, False, res.radius)
+        return LyapunovSolve(U if Q.ndim == 3 else U[0], res.stable, res.radius)
+
+    def _resolvent(self, beta, F, G, Q):
+        """Factor U - L_beta(U) = Q, L_beta the map at discount ``beta``, and solve it for ``Q``.
+
+        ``Q`` is a stack (q, n, n) and rho(sqrt(beta) F) < 1 is required.
+        Returns the :class:`_Resolvent` and the solution stack (None when
+        the capacitance system is singular).  The Stein solutions of the
+        rank-one terms and of ``Q`` come from one doubling pass on their
+        joint stack, as in :meth:`lyapunov_solve`.
+        """
+        md = self.model
+        powers = _doubling_powers(np.sqrt(beta) * F)
         R, W = np.eye(md.n), md.sigma_bar_x
         if G is not None:
             R, W = np.hstack([R, G.T]), np.hstack([W, md.sigma_bar_u])
-        Q = np.asarray(Q, dtype=float)
-        rhs = Q if Q.ndim == 3 else Q[None]
         k = R.shape[1]
-        Y = stein_solve(root * F, np.concatenate([R.T[:, :, None] * R.T[:, None, :], rhs]))
+        Y = _stein_pass(powers, np.concatenate([R.T[:, :, None] * R.T[:, None, :], Q]))
         # M_pr = w_p'Y_r w_p and c_p = w_p'T^{-1}(Q) w_p are the diagonals diag(W'Y W) of the
         # whole stack, so one product Y @ W and one reduction give both (see _diag_quad)
         forms = _diag_quad(W, Y, W)
-        M, c = forms[:k].T, forms[k:].T
-        radius = spectral_radius(M, method="eig")
-        stable = bool(self.alpha * radius < 1.0)
+        M = forms[:k].T
+        res = _Resolvent(beta, powers, W, Y[:k], M, spectral_radius(M, method="eig"))
+        return res, res.finish(Y[k:], forms[k:].T)
+
+
+class _Resolvent(NamedTuple):
+    """(I - L_beta)^{-1} of the second-moment map at one discount ``beta``, factored.
+
+    ``powers`` are the doubling powers of sqrt(beta) F, ``Y`` the Stein
+    solutions Y_r of the k rank-one noise terms, ``M`` the k x k capacitance
+    matrix of :meth:`OperatorSet.lyapunov_solve` and ``radius`` rho(M).
+    """
+
+    beta: float
+    powers: list
+    W: np.ndarray
+    Y: np.ndarray
+    M: np.ndarray
+    radius: float
+
+    @property
+    def stable(self) -> bool:
+        """rho(L_beta) < 1, given rho(sqrt(beta) F) < 1."""
+        return bool(self.beta * self.radius < 1.0)
+
+    def solve(self, Q):
+        """U - L_beta(U) = Q for a stack ``Q`` (q, n, n): one Stein pass and the capacitance step."""
+        X = _stein_pass(self.powers, Q)
+        return self.finish(X, _diag_quad(self.W, X, self.W).T)
+
+    def finish(self, X, c):
+        """U = X + beta * sum_r z_r Y_r with (I - beta*M) z = c, from X = T^{-1}(Q) and
+        c_p = w_p'X w_p; None when I - beta*M is singular."""
         try:
-            z = np.linalg.solve(np.eye(k) - self.alpha * M, c)
+            z = np.linalg.solve(np.eye(len(self.M)) - self.beta * self.M, c)
         except np.linalg.LinAlgError:
-            return LyapunovSolve(None, False, radius)
-        U = Y[k:] + self.alpha * np.tensordot(z, Y[:k], axes=(0, 0))
-        return LyapunovSolve(U if Q.ndim == 3 else U[0], stable, radius)
+            return None
+        return X + self.beta * np.tensordot(z, self.Y, axes=(0, 0))
+
+
+def _chord_shift(alpha, left, prev_left, right, weight):
+    """Next shift from psi(x) = log(beta*rho(M_beta)) at x = log(beta), beta = alpha/s.
+
+    The map's radius is alpha*exp(-x*) at the root x* of psi.  M's entries
+    are power series in beta with nonnegative coefficients, so psi is convex
+    (Kingman, 1961) and increasing.  The chord from the certified point
+    ``left`` (psi < 0) to the uncertified ``right`` (psi >= 0, its value
+    scaled by ``weight`` as in the Illinois method) has its root on the
+    certified side; without ``right``, the secant through ``prev_left`` and
+    ``left`` lands on the other side.  NaN when neither exists.
+    """
+    x1, p1 = left
+    if right is not None:
+        x2, p2 = right[0], weight * right[1]
+    elif prev_left is not None and prev_left[1] != p1:
+        x2, p2 = prev_left
+    else:
+        return np.nan
+    return alpha * np.exp(-(x1 - p1 * (x2 - x1) / (p2 - p1)))
+
+
+def _doubling_powers(F):
+    """F, F^2, F^4, ..., F^(2^j): the squarings of Smith's doubling, up to the
+    first j with ||F^(2^(j+1))||_F^2 <= machine epsilon.
+
+    Raises :class:`MaxIterations` when ``MAX_DOUBLINGS`` squarings do not get
+    there, which needs rho(F) < 1.
+    """
+    powers = []
+    for _ in range(MAX_DOUBLINGS):
+        powers.append(F)
+        F = F @ F
+        size = float(np.vdot(F, F))
+        if size <= np.finfo(float).eps:
+            return powers
+    raise MaxIterations(
+        f"Stein doubling did not settle after {MAX_DOUBLINGS} squarings "
+        f"(||F^(2^j)||_F^2 = {size:.3e}); the map needs rho(F) < 1",
+        iterations=MAX_DOUBLINGS,
+        residual=size,
+    )
+
+
+def _stein_pass(powers, Q):
+    """sum_k (F^k)' Q F^k summed by doubling over the ``powers`` of :func:`_doubling_powers`."""
+    Y = np.array(Q, dtype=float)
+    for P in powers:
+        Y += P.T @ Y @ P
+    return Y
 
 
 def stein_solve(F, Q):
@@ -235,20 +431,7 @@ def stein_solve(F, Q):
     stops.  It needs rho(F) < 1; when ``MAX_DOUBLINGS`` squarings do not get
     there it raises :class:`MaxIterations`.
     """
-    F = np.asarray(F, dtype=float)
-    Y = np.array(Q, dtype=float)
-    for _ in range(MAX_DOUBLINGS):
-        Y += F.T @ Y @ F
-        F = F @ F
-        size = float(np.vdot(F, F))
-        if size <= np.finfo(float).eps:
-            return Y
-    raise MaxIterations(
-        f"Stein doubling did not settle after {MAX_DOUBLINGS} squarings "
-        f"(||F^(2^j)||_F^2 = {size:.3e}); the map needs rho(F) < 1",
-        iterations=MAX_DOUBLINGS,
-        residual=size,
-    )
+    return _stein_pass(_doubling_powers(np.asarray(F, dtype=float)), Q)
 
 
 def spectral_radius(M, method="auto", tol=1e-12, max_iters=20000):

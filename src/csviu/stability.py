@@ -9,12 +9,15 @@ with its gain G).  Strict inequalities are checked with a margin: values
 inside the band around the threshold give a ``None`` (indeterminate) answer
 instead of a coin flip.
 
-Radii come from :meth:`OperatorSet.map_radius`: up to n = 20 the dense
-eigenvalues of the map on symmetric matrices (n(n+1)/2 square), above that
-power iteration on n x n matrices.  The solves of (I - L)U = Q and the exact
-resolvent radius come from :meth:`OperatorSet.lyapunov_solve`, which uses
-that the noise term has rank n: one batched Stein solve plus an n x n
-capacitance system.  The detectability search reads no radius: any P > 0 with
+Radii come from :meth:`OperatorSet.map_radius`, on n x n matrices: up to
+n = 20 inverse iteration on the resolvent (sI - L)^{-1}, which is the solve
+of the map at discount alpha/s, at shifts s that this solve certifies above
+rho(L) (the map at alpha/s is stable exactly when s > rho(L)); above that
+power iteration, which can raise :class:`~csviu.errors.MaxIterations` when
+several eigenvalues share the spectral circle.  The solves of (I - L)U = Q
+and the exact resolvent radius come from :meth:`OperatorSet.lyapunov_solve`,
+which uses that the noise term has rank n: one batched Stein solve plus an
+n x n capacitance system.  The detectability search reads no radius: any P > 0 with
 P > L*(P) = alpha*(FPF' + Sx Diag(diag P) Sx'), the adjoint, proves rho(L) < 1.
 """
 
@@ -103,9 +106,13 @@ def check_alpha_stability(model: SystemModel, alpha: float, probes: int = 10, se
     The verdict is "stable" / "unstable" only when the applicable equivalence
     holds cleanly; borderline numerics or a failed precondition (for
     alpha >= 1, the eigenvalues of alpha*A must lie in the open unit disk for
-    the five conditions to be conclusive) give "indeterminate".  Raises
-    :class:`MaxIterations` when the radius iteration (n > 20) or the Stein
-    doubling does not settle.
+    the five conditions to be conclusive) give "indeterminate".  ``radius``
+    is :meth:`OperatorSet.map_radius` of the plant's map: for n <= 20 the
+    resolvent iteration at certified shifts, above that power iteration.
+    Raises :class:`MaxIterations` when the radius iteration or the Stein
+    doubling does not settle: the resolvent iteration when its fixed budget
+    runs out (the message gives the bracket it proved), power iteration
+    (n > 20) when several eigenvalues share the spectral circle.
     """
     ops = OperatorSet(model, alpha)
     probes = check_count("probes", probes, 0)

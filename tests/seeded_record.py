@@ -4,7 +4,9 @@
     PYTHONPATH=src python tests/seeded_record.py --check   # report each entry's deviation
 
 The record holds the full float ``repr`` of the Riccati solutions of three
-plants, stage controls and slopes at fixed states (one state at a time and as
+plants, their certificate radii (the map radius and resolvent radius of
+``check_alpha_stability`` and the closed-loop radius at the Riccati gain),
+stage controls and slopes at fixed states (one state at a time and as
 batches of 200), single stage solves at four relaxation factors, one-channel
 batch solves whose right-hand sides hold signed zeros, the inaction margins
 of two 11 x 11 region scans (the README plant, m = 1, and the coupled cycling
@@ -32,6 +34,8 @@ from csviu import (
     ControlSubproblem,
     Policy,
     SystemModel,
+    check_alpha_stability,
+    closed_loop_check,
     estimate_energy,
     estimate_power,
     optimal_control,
@@ -96,6 +100,11 @@ def compute() -> dict[str, list[float]]:
             results = [optimal_control(sol, x, mu_kind=kind) for x in states]
             put(f"control.{name}.{kind}.u_star", [r.u_star for r in results])
             put(f"control.{name}.{kind}.mu", [r.mu for r in results])
+
+    for name, sol in sols.items():
+        report = check_alpha_stability(models[name], ALPHA)
+        put(f"certificate.{name}.stability", [report.radius, report.resolvent_radius])
+        put(f"certificate.{name}.closed_loop", closed_loop_check(models[name], ALPHA, sol.G).radius)
 
     for name in ("readme", "n6"):
         X = 1.5 * np.random.default_rng(5).standard_normal((200, models[name].n))

@@ -165,7 +165,14 @@ def noise_streams(root):
             and scope not in _STREAM_CALLERS[_name(node.func)]]
 
 
-LAYOUT_RULES = [dense_kron, three_operand_einsum, layering, blanket_catch, noise_streams]
+def dense_operator(root):
+    """The n(n+1)/2-square matrix of OperatorSet.operator_matrix is the tests' oracle:
+    radii and solves in the package act on n x n matrices."""
+    return [_found(name, node) for name, _, node in _nodes(root)
+            if isinstance(node, ast.Call) and _name(node.func) == "operator_matrix"]
+
+
+LAYOUT_RULES = [dense_kron, three_operand_einsum, layering, blanket_catch, noise_streams, dense_operator]
 
 
 @pytest.mark.parametrize("rule", LAYOUT_RULES, ids=lambda rule: rule.__name__)
@@ -184,6 +191,8 @@ PLANTS = {
     "philox": (noise_streams, "mu.py", "def _stray(key):\n    return np.random.Philox(key)\n"),
     "chunks": (noise_streams, "control.py",
                "def _stray(model):\n    return _noise_chunks(model, 1, 1, 0, 'gaussian')\n"),
+    "operator": (dense_operator, "stability.py",
+                 "def _radius(ops):\n    return spectral_radius(ops.operator_matrix())\n"),
 }
 
 

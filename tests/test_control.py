@@ -1123,6 +1123,22 @@ class TestResolveMu:
         )
 
 
+# two channels whose control noise sigma_u, sigma_bar_u is large against the
+# control gains: deadzone weights Wud of about 0.55, so at alpha = 0.9 most
+# states within one unit of the origin leave a channel off
+DEADZONE_PLANT_DATA = {
+    "A": [[0.5, 0.1], [0.0, 0.4]],
+    "B": [[1.0, 0.0], [0.3, 1.0]],
+    "C": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+    "D": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    "sigma": [[0.1], [0.1]],
+    "sigma_x": [[0.05, 0.0], [0.0, 0.05]],
+    "sigma_bar_x": [[0.1, 0.0], [0.0, 0.1]],
+    "sigma_u": [[0.4, 0.0], [0.0, 0.4]],
+    "sigma_bar_u": [[0.6, 0.0], [0.1, 0.6]],
+}
+
+
 class TestInaction:
     @pytest.fixture
     def pull_sol(self):
@@ -1166,6 +1182,10 @@ class TestInaction:
         # coupled channels: the per-channel margin Wud - |b| called 6 of these 800 channel-states wrongly
         cycling = solve_riccati(SystemModel.from_dict(support.CYCLING_PLANT_DATA), alpha=0.95)
         inputs.append((cycling, 2.0 * np.random.default_rng(0).standard_normal((400, 3))))
+        # wide deadzones (Wud about 0.55 per channel): many channel-states are off
+        wide = solve_riccati(SystemModel.from_dict(DEADZONE_PLANT_DATA), alpha=0.9)
+        inputs.append((wide, np.random.default_rng(1).standard_normal((200, 2))))
+        off = 0
         for sol, states in inputs:
             for x in states:
                 res = optimal_control(sol, x)
@@ -1173,8 +1193,12 @@ class TestInaction:
                 for i in range(sol.model.m):
                     if margins[i] > 1e-9:
                         assert inactive[i] and res.u_star[i] == 0.0
+                        off += 1
                     elif margins[i] < -1e-9:
                         assert res.u_star[i] != 0.0
+                    if res.u_star[i] != 0.0:
+                        assert margins[i] <= 1e-9
+        assert off >= 100
 
 
 class TestStageResiduals:

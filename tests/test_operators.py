@@ -1,9 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from csviu import ArgumentError, MaxIterations, OperatorSet, SingularLambda, solve_riccati, spectral_radius
+from csviu import operators
 from csviu.operators import stein_solve, symmetrize
 
 import oracles
@@ -203,6 +205,112 @@ class TestOperatorMatrix:
                         )
                         want = float(np.abs(np.linalg.eigvals(K)).max())
                         assert ops.map_radius(F, gain) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _dense_radius(ops, F=None, G=None):
+    return float(np.abs(np.linalg.eigvals(ops.operator_matrix(F, G))).max())
+
+
+# draws of the search below (seed 0) whose maps make power iteration raise
+_CIRCLE_DRAWS = (30, 644, 773, 821, 920, 976, 1153)
+
+
+class TestMapRadius:
+    """The resolvent iteration of ``map_radius`` (n <= 20) against the dense
+    eigenvalues of :meth:`OperatorSet.operator_matrix`."""
+
+    def test_random_family_matches_dense_radius(self):
+        rng = np.random.default_rng(37)
+        count = 0
+        for _ in range(6):
+            for n in range(1, 9):
+                for m in range(1, 4):
+                    model = support.random_model(rng, n=n, m=m, radius=float(rng.uniform(0.3, 1.2)),
+                                                 growth_scale=float(rng.uniform(0.0, 0.5)))
+                    G = -float(rng.uniform(0.1, 1.0)) * rng.standard_normal((m, n))
+                    for F, gain in ((model.A, None), (model.A + model.B @ G, G)):
+                        for alpha in (0.8, 1.1):
+                            ops = OperatorSet(model, alpha)
+                            want = _dense_radius(ops, F, gain)
+                            assert ops.map_radius(F, gain) == pytest.approx(want, rel=1e-12)
+                            count += 1
+        assert count == 576
+
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_synthesis_sized_plants(self, n):
+        rng = np.random.default_rng(n)
+        model = support.random_model(rng, n=n, m=n // 4, radius=0.8)
+        sol = solve_riccati(model, 0.95)
+        ops = OperatorSet(model, 0.95)
+        for F, gain in ((model.A, None), (sol.Acl, sol.G)):
+            assert ops.map_radius(F, gain) == pytest.approx(_dense_radius(ops, F, gain), rel=1e-12)
+
+    def test_several_eigenvalues_on_the_spectral_circle(self):
+        # random small closed loops with unit-scale gains; on these draws power
+        # iteration does not settle, the shifted resolvent does
+        rng = np.random.default_rng(0)
+        maps = []
+        for draw in range(max(_CIRCLE_DRAWS) + 1):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+            model = support.random_model(rng, n=n, m=m)
+            G = -rng.standard_normal((m, n))
+            if draw in _CIRCLE_DRAWS:
+                maps.append((OperatorSet(model, 0.9), model.A + model.B @ G, G))
+        for ops, F, G in maps:
+            with pytest.raises(MaxIterations):
+                spectral_radius(ops.operator_matrix(F, G), method="power")
+            assert ops.map_radius(F, G) == pytest.approx(_dense_radius(ops, F, G), rel=1e-12)
+
+    def test_zero_growth_noise_gives_the_mean_radius(self, rng):
+        model = support.random_model(rng, n=5, m=2, lq=True)
+        G = -rng.standard_normal((2, 5))
+        for F, gain in ((model.A, None), (model.A + model.B @ G, G)):
+            ops = OperatorSet(model, 0.9)
+            mean = 0.9 * float(np.abs(np.linalg.eigvals(F)).max()) ** 2
+            assert ops.map_radius(F, gain) == pytest.approx(mean, rel=1e-12)
+            assert ops.map_radius(F, gain) == pytest.approx(_dense_radius(ops, F, gain), rel=1e-12)
+
+    def test_defective_mean_dynamics(self, rng):
+        # A = Q J Q' with J a 2 x 2 Jordan block at 0.8: without growth noise the
+        # map's radius 0.95 * 0.64 is defective, and the dense eigenvalues hold
+        # it only to about eps^(1/3); dense growth noise splits the block
+        Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        A = Q @ np.array([[0.8, 1.0], [0.0, 0.8]]) @ Q.T
+        quiet = support.random_model(rng, n=2, m=1, lq=True)
+        quiet = type(quiet)(A, quiet.B, quiet.C, quiet.D, quiet.sigma, quiet.sigma_x,
+                            quiet.sigma_bar_x, quiet.sigma_u, quiet.sigma_bar_u)
+        ops = OperatorSet(quiet, 0.95)
+        exact = 0.95 * 0.64
+        dense = _dense_radius(ops)
+        assert ops.map_radius() == pytest.approx(exact, rel=1e-7)
+        assert ops.map_radius() == pytest.approx(dense, rel=1e-5)
+        noisy = type(quiet)(A, quiet.B, quiet.C, quiet.D, quiet.sigma, quiet.sigma_x,
+                            0.05 * rng.standard_normal((2, 2)), quiet.sigma_u, quiet.sigma_bar_u)
+        ops = OperatorSet(noisy, 0.95)
+        assert ops.map_radius() == pytest.approx(_dense_radius(ops), rel=1e-12)
+
+    def test_triangular_jordan_block_with_diagonal_growth_noise(self):
+        # A = 0.7 I + N (3 x 3 Jordan block), Sx = 0.3 I: the map is triangular, its
+        # radius 0.9 * (0.49 + 0.09) has algebraic multiplicity 3 and the estimate
+        # converges slowly, so the shifts come from the capacitance radius
+        model = support.random_model(np.random.default_rng(2), n=3, m=1)
+        A = 0.7 * np.eye(3) + np.diag(np.ones(2), 1)
+        model = type(model)(A, model.B, model.C, model.D, model.sigma, model.sigma_x,
+                            0.3 * np.eye(3), model.sigma_u, model.sigma_bar_u)
+        ops = OperatorSet(model, 0.9)
+        assert ops.map_radius() == pytest.approx(0.9 * (0.49 + 0.09), rel=1e-12)
+        assert ops.map_radius() == pytest.approx(_dense_radius(ops), rel=1e-12)
+
+    def test_spent_budget_raises_with_a_bracket_around_the_radius(self, monkeypatch):
+        model = support.random_model(np.random.default_rng(3), n=4, m=2, growth_scale=0.3)
+        ops = OperatorSet(model, 0.95)
+        want = _dense_radius(ops)
+        monkeypatch.setattr(operators, "_RADIUS_STEPS", 1)
+        with pytest.raises(MaxIterations, match=r"lies in \[") as caught:
+            ops.map_radius()
+        lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(caught.value)).groups())
+        assert caught.value.iterations == 1 and caught.value.residual == hi - lo
+        assert lo <= want < hi
 
 
 class TestMonotoneAndLinear:
