@@ -17,10 +17,13 @@ and only the tests read it.  Equations U - map(U) = Q are solved once, in
 :meth:`OperatorSet.lyapunov_solve`, on n x n matrices as well: one Stein
 doubling pass and a capacitance system, factored per discount.  Up to n = 20
 :meth:`OperatorSet.map_radius` runs inverse iteration on the map's resolvent
-through that factored solve, at shifts the solve certifies above the radius;
-above n = 20 it runs power iteration, which can raise
-:class:`~csviu.errors.MaxIterations` when several eigenvalues share the
-spectral circle.
+through that factored solve.  Each shift is tested against the radius by the
+sign pattern of the capacitance system, an M-matrix test that stays right on
+triangular and defective maps, and the radius is returned only inside a
+tested bracket of relative width 1e-13 (on an F far from normal, that
+bracket is only as good as the Stein sums).  Above n = 20 it runs power
+iteration, which can raise :class:`~csviu.errors.MaxIterations` when several
+eigenvalues share the spectral circle.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ MAX_DOUBLINGS = 64
 _POWER_STEPS = 8        # power steps from the identity before the first shift
 _CW_RIDGE = 1e-3        # multiple of I added to the unit power iterate for the first bound
 _RADIUS_FLOOR = 1e-11   # smallest relative margin of a shift above the estimate
-_RADIUS_TOL = 1e-13     # relative change of the estimate that settles it
+_RADIUS_TOL = 1e-13     # relative width of the tested bracket the radius is returned from
 _RESHIFT_STEPS = 4      # a shift that would settle within this many more steps is kept
-_RADIUS_SHIFTS = 16     # certification attempts, each one factorization
+_RADIUS_SHIFTS = 32     # shifts tested, each one factorization
 _RADIUS_STEPS = 100     # resolvent steps
 
 
@@ -190,22 +193,35 @@ class OperatorSet:
         it comes from inverse iteration on the resolvent
         (sI - L)^{-1} = s^{-1} (I - L_{alpha/s})^{-1}, L_{alpha/s} the map at
         discount alpha/s, applied through the capacitance solve of
-        :meth:`lyapunov_solve`, which is factored once per shift s.  Every
-        shift is certified above rho: L_{alpha/s} is stable exactly when
-        s > rho, which the factorization tests.  Then 1/(s - rho) strictly
-        dominates the resolvent's spectrum, so the iteration converges on
-        every such map, several eigenvalues on the spectral circle included.
-        The first shift is the Collatz-Wielandt bound
-        rho <= lambda_max(U^{-1/2} L(U) U^{-1/2}), U > 0, at a few power steps
-        from the identity; later shifts move toward the running estimate, or,
-        while it converges slowly (as on a defective radius), come from a
-        chord on the capacitance radius (see :func:`_chord_shift`), and are
-        kept only when certified.  When the shifts and steps of a fixed
-        budget run out, :class:`MaxIterations` is raised with the bracket
-        [proved lower bound, certified shift]; no unsettled number is
-        returned.  Above n*n = DENSE_MAX, power iteration runs on n x n
-        matrices through :meth:`second_moment_map`, from the identity; it
-        can raise :class:`MaxIterations` as :func:`spectral_radius` does.
+        :meth:`lyapunov_solve`, which is factored once per shift s.
+        L_{alpha/s} is stable, that is s > rho, exactly when
+        rho(sqrt(alpha/s) F) < 1 and I - (alpha/s) M is a nonsingular
+        M-matrix, M >= 0 the capacitance matrix; :func:`_below_one` decides
+        the latter from elimination pivots, which keep the exact zeros of a
+        triangular M, so the test also holds on defective maps (a double
+        integrator with diagonal growth noise), where eigenvalues of M are
+        off by about eps^(1/k).  So every shift moves one end of a bracket
+        [lo, hi] around rho, which starts at lo = alpha*rho(F)^2, and the
+        iteration runs only at shifts above rho, where 1/(s - rho) strictly
+        dominates the resolvent's spectrum, several eigenvalues on the
+        spectral circle included.  The first shift is the Collatz-Wielandt
+        bound rho <= lambda_max(U^{-1/2} L(U) U^{-1/2}), U > 0, at a few
+        power steps from the identity; later shifts move toward the running
+        estimate, or, while it converges slowly, come from a chord on the
+        capacitance radius (see :class:`_Chord`).  A settled estimate
+        is returned only once shifts just below and just above it have been
+        tested, so the result lies in a tested bracket of relative width
+        1e-13.  When a fixed budget of shifts and steps runs out,
+        :class:`MaxIterations` is raised with the bracket; no unsettled
+        number is returned.  The tests read M as computed: for an F far from
+        normal (a Jordan block in rotated coordinates) the Stein sums lose
+        precision at shifts near alpha*rho(F)^2, a shift where the doubling
+        loses all of it also raises :class:`MaxIterations` with the bracket,
+        and a radius returned there is only as accurate as those sums (in
+        every such case tried, closer than the dense eigenvalues).  Above
+        n*n = DENSE_MAX, power iteration runs on n x n matrices through
+        :meth:`second_moment_map`, from the identity; it can raise
+        :class:`MaxIterations` as :func:`spectral_radius` does.
         """
         n = self.model.n
         F = self.model.A if F is None else F
@@ -215,9 +231,9 @@ class OperatorSet:
 
     def _resolvent_radius(self, F, G):
         """The resolvent iteration of :meth:`map_radius`."""
-        n, alpha = self.model.n, self.alpha
+        n, alpha, tol = self.model.n, self.alpha, _RADIUS_TOL
         rho_F = float(np.abs(np.linalg.eigvals(F)).max())
-        mean = lo = alpha * rho_F**2  # rho >= the radius alpha*rho(F)^2 of U -> alpha*F'UF
+        mean = alpha * rho_F**2  # rho >= the radius of U -> alpha*F'UF
         U = np.eye(n)
         for _ in range(_POWER_STEPS):
             V = self.second_moment_map(U, F, G)
@@ -229,57 +245,73 @@ class OperatorSet:
         V = symmetrize(U) + _CW_RIDGE * np.eye(n)
         inv_chol = np.linalg.inv(np.linalg.cholesky(V))
         image = inv_chol @ self.second_moment_map(V, F, G) @ inv_chol.T
-        s = (1.0 + _RADIUS_FLOOR) * max(float(np.linalg.eigvalsh(symmetrize(image))[-1]), lo)
-        res, hi, est, steps, spread = None, np.inf, None, 0, 16.0
-        left = prev_left = right = None  # (x, psi) at certified and uncertified shifts
-        weight = 1.0
+        s = (1.0 + _RADIUS_FLOOR) * max(float(np.linalg.eigvalsh(symmetrize(image))[-1]), mean)
+        res, lo, hi, est, steps, spread, center = None, mean, np.inf, np.inf, 0, 16.0, None
+        chord = _Chord(mean)
         for _ in range(_RADIUS_SHIFTS):
-            beta = alpha / s
-            certified, point = False, None
+            # test s: the map at discount alpha/s is stable exactly when s > rho
+            beta, trial, X, P = alpha / s, None, None, None
             if np.sqrt(beta) * rho_F < 1.0:
-                trial, X = self._resolvent(beta, F, G, U[None])
-                if trial.radius == 0.0:
-                    return mean  # the noise term adds nothing to the spectrum at any discount
-                certified = trial.stable and X is not None  # None: I - beta*M is singular
-                point = (np.log(beta), np.log(beta * trial.radius))
-            if certified:
-                res, hi, X, history = trial, s, X[0], []
-                prev_left, left, weight = left, point, 0.5 * weight
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        trial, X = self._resolvent(beta, F, G, U[None])
+                except MaxIterations:  # the doubling lost all precision (F far from normal)
+                    break
+                P = beta * np.abs(trial.M)  # M >= 0 up to rounding
+                if not np.isfinite(P).all():
+                    break  # the Stein sums overflowed: the test cannot tell
+                if hi == np.inf and _perron_root(P) == 0.0:
+                    # M's pattern, so also rho(M) = 0, is the same at every discount
+                    return mean  # the noise term adds nothing to the spectrum
+            below = P is not None and _below_one(P)
+            chord.add(s, P, below)
+            if below:  # rho < s
+                hi = s
+                if X is not None:  # None: I - beta*M is singular
+                    res, X, history = trial, X[0], []
             else:  # rho >= s
-                lo, spread = s, 8.0 * spread
-                if point is not None:
-                    right, weight = point, 1.0
-                if res is None:
-                    s = lo * (1.0 + spread * _RADIUS_FLOOR)
-                    continue
+                lo, spread, X = s, 8.0 * spread, None
+            if hi - lo <= tol * hi:
+                return min(max(est, lo), hi)
+            if center is not None and lo <= center <= hi:
+                s = _proof_shift(center, lo)
+                continue
+            if res is None:
+                s = lo * (1.0 + spread * _RADIUS_FLOOR) if hi == np.inf else 0.5 * (lo + hi)
+                continue
+            if X is None:
                 X = res.solve(U[None])[0]
-            while True:
+            s = center = None
+            while steps < _RADIUS_STEPS:
                 # X = s (sI - L)^{-1} U, so <X, U>/<X, X> tends to (s - rho)/s
                 steps += 1
                 size = float(np.vdot(X, X))
+                if not 0.0 < size < np.inf:  # the solve lost all precision: bisect
+                    s = 0.5 * (lo + hi)
+                    break
                 ratio = float(np.vdot(X, U)) / size
                 U = X / np.sqrt(size)
-                prev, est = est, hi * (1.0 - ratio)
+                est = alpha / res.beta * (1.0 - ratio)
                 history.append(est)
-                if (prev is not None and abs(est - prev) <= _RADIUS_TOL * est) or hi - lo <= _RADIUS_TOL * hi:
-                    return min(max(est, lo), hi)
-                if steps == _RADIUS_STEPS:
-                    break
                 if len(history) >= 3:
-                    # move the shift when this one would not settle within _RESHIFT_STEPS more steps
                     change = abs(history[-1] - history[-2])
                     rate = change / max(abs(history[-2] - history[-3]), np.finfo(float).tiny)
-                    if rate >= 1.0 or change * rate**_RESHIFT_STEPS > _RADIUS_TOL * est:
-                        if rate < 0.5:
-                            s = max(est, lo) + max(spread * change, _RADIUS_FLOOR * est)
-                        else:  # slow, as on a defective radius: the estimate does not place a shift
-                            s = _chord_shift(alpha, left, prev_left, right, weight)
-                            if not lo < s < hi:
-                                s = 0.5 * (lo + hi)
-                        if s < hi:
-                            break
+                    if not rate < 0.5:  # slow, as on a defective radius: the chord places the shift
+                        center = chord.root()
+                        if not lo < center < hi:
+                            center, s = None, 0.5 * (lo + hi)
+                    elif change <= tol / 8 * est:
+                        center = min(max(est, lo), hi)  # settled at a geometric rate
+                    elif change * rate**_RESHIFT_STEPS > tol * est:
+                        # this shift would not settle within _RESHIFT_STEPS more steps
+                        s = max(est, lo) + max(spread * change, _RADIUS_FLOOR * est)
+                    if center is not None:
+                        s = _proof_shift(center, lo)
+                    if s is not None and s < hi:
+                        break
+                    s = None
                 X = res.solve(U[None])[0]
-            if steps == _RADIUS_STEPS:
+            if s is None:
                 break
         raise MaxIterations(
             f"resolvent iteration did not settle after {steps} steps; the map's radius "
@@ -308,9 +340,10 @@ class OperatorSet:
             return LyapunovSolve(None, False, np.nan)
         Q = np.asarray(Q, dtype=float)
         res, U = self._resolvent(self.alpha, F, G, Q if Q.ndim == 3 else Q[None])
+        radius = spectral_radius(res.M, method="eig")
         if U is None:
-            return LyapunovSolve(None, False, res.radius)
-        return LyapunovSolve(U if Q.ndim == 3 else U[0], res.stable, res.radius)
+            return LyapunovSolve(None, False, radius)
+        return LyapunovSolve(U if Q.ndim == 3 else U[0], bool(self.alpha * radius < 1.0), radius)
 
     def _resolvent(self, beta, F, G, Q):
         """Factor U - L_beta(U) = Q, L_beta the map at discount ``beta``, and solve it for ``Q``.
@@ -332,7 +365,7 @@ class OperatorSet:
         # whole stack, so one product Y @ W and one reduction give both (see _diag_quad)
         forms = _diag_quad(W, Y, W)
         M = forms[:k].T
-        res = _Resolvent(beta, powers, W, Y[:k], M, spectral_radius(M, method="eig"))
+        res = _Resolvent(beta, powers, W, Y[:k], M)
         return res, res.finish(Y[k:], forms[k:].T)
 
 
@@ -341,7 +374,7 @@ class _Resolvent(NamedTuple):
 
     ``powers`` are the doubling powers of sqrt(beta) F, ``Y`` the Stein
     solutions Y_r of the k rank-one noise terms, ``M`` the k x k capacitance
-    matrix of :meth:`OperatorSet.lyapunov_solve` and ``radius`` rho(M).
+    matrix of :meth:`OperatorSet.lyapunov_solve`.
     """
 
     beta: float
@@ -349,12 +382,6 @@ class _Resolvent(NamedTuple):
     W: np.ndarray
     Y: np.ndarray
     M: np.ndarray
-    radius: float
-
-    @property
-    def stable(self) -> bool:
-        """rho(L_beta) < 1, given rho(sqrt(beta) F) < 1."""
-        return bool(self.beta * self.radius < 1.0)
 
     def solve(self, Q):
         """U - L_beta(U) = Q for a stack ``Q`` (q, n, n): one Stein pass and the capacitance step."""
@@ -371,25 +398,98 @@ class _Resolvent(NamedTuple):
         return X + self.beta * np.tensordot(z, self.Y, axes=(0, 0))
 
 
-def _chord_shift(alpha, left, prev_left, right, weight):
-    """Next shift from psi(x) = log(beta*rho(M_beta)) at x = log(beta), beta = alpha/s.
+def _below_one(P):
+    """Whether rho(P) < 1 for a square P >= 0, from Gaussian elimination on I - P.
 
-    The map's radius is alpha*exp(-x*) at the root x* of psi.  M's entries
-    are power series in beta with nonnegative coefficients, so psi is convex
-    (Kingman, 1961) and increasing.  The chord from the certified point
-    ``left`` (psi < 0) to the uncertified ``right`` (psi >= 0, its value
-    scaled by ``weight`` as in the Illinois method) has its root on the
-    certified side; without ``right``, the secant through ``prev_left`` and
-    ``left`` lands on the other side.  NaN when neither exists.
+    I - P is a Z-matrix, and rho(P) < 1 exactly when it is a nonsingular
+    M-matrix, which holds exactly when elimination without pivoting meets
+    only positive pivots (Berman & Plemmons, 1994, Thm. 6.2.3).  Each update
+    subtracts a product of two off-diagonal entries, both <= 0, over a
+    positive pivot, so only the pivots can cancel.  A P that is
+    block-triangular in its given order keeps its exact zeros, so each
+    diagonal block is tested on its own, and the verdict stays exact where
+    a defective P has eigenvalues off by about eps^(1/k).
     """
-    x1, p1 = left
-    if right is not None:
-        x2, p2 = right[0], weight * right[1]
-    elif prev_left is not None and prev_left[1] != p1:
-        x2, p2 = prev_left
-    else:
-        return np.nan
-    return alpha * np.exp(-(x1 - p1 * (x2 - x1) / (p2 - p1)))
+    A = np.eye(len(P)) - P
+    for k in range(len(A)):
+        pivot = A[k, k]
+        if not pivot > 0.0:
+            return False
+        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k] / pivot, A[k, k + 1:])
+    return True
+
+
+def _perron_root(M):
+    """rho(M) for a square M >= 0: the largest radius of its irreducible diagonal blocks.
+
+    Indices i and j share a block when each reaches the other through the
+    nonzero entries of M; reachability comes from repeated squaring of the
+    pattern.  Each block has a simple Perron root, which eigenvalues resolve
+    to rounding, where a reducible M with two blocks of equal radius is
+    defective and its eigenvalues are off by about the square root of eps.
+    """
+    reach = (M != 0.0) | np.eye(len(M), dtype=bool)
+    for _ in range(int(len(M)).bit_length()):
+        reach = (reach.astype(float) @ reach.astype(float)) > 0.0
+    blocks = {tuple(row) for row in reach & reach.T}
+    return max(spectral_radius(M[np.ix_(b, b)], method="eig") for b in map(np.array, blocks))
+
+
+class _Chord:
+    """Regula falsi for the radius on psi = log(beta*rho(M_beta)) over v = log(s - mean),
+    beta = alpha/s, M_beta the capacitance matrix (rho from :func:`_perron_root`)
+    and ``mean`` = alpha*rho(F)^2.
+
+    The map's radius is the s > mean at which psi crosses zero.  With a
+    triangular F and diagonal growth noise sigma*I, rho(M_beta) is
+    sigma^2/(1 - beta*rho(F)^2), so psi = log(alpha*sigma^2) - v is linear and
+    one chord lands on the radius; elsewhere the chord is a guess, and every
+    shift is tested.  ``left`` is the point of the last shift tested above
+    the radius, ``right`` of the last one below it; the value of an end kept
+    twice in a row is halved (the Illinois method).  Without ``right`` the
+    secant through the last two left points is used.
+    """
+
+    def __init__(self, mean):
+        self.mean = mean
+        self.left = self.prev_left = self.right = self.below = None
+
+    def add(self, s, P, below):
+        """Record the tested shift ``s``: ``P`` is beta*M_beta, None when the map at
+        alpha/s was not factored; ``below`` says the radius lies below s."""
+        point = None if P is None else [np.log(s - self.mean), P, 1.0]  # v, beta*M, weight
+        if below:
+            if self.right is not None and self.below:
+                self.right[2] *= 0.5
+            self.prev_left, self.left = self.left, point
+        else:
+            if self.left is not None and self.below is False:
+                self.left[2] *= 0.5
+            if point is not None:
+                self.right = point
+        self.below = below
+
+    def root(self):
+        """The shift at the chord's root; NaN without two points.  psi is evaluated
+        here, so shifts that never need a chord cost no Perron root."""
+        if self.left is None or (self.right is None and self.prev_left is None):
+            return np.nan
+        (x1, p1), (x2, p2) = (self._psi(point) for point in (self.left, self.right or self.prev_left))
+        if p2 == p1:
+            return np.nan
+        return self.mean + np.exp(x1 - p1 * (x2 - x1) / (p2 - p1))
+
+    @staticmethod
+    def _psi(point):
+        v, P, weight = point
+        return v, weight * np.log(_perron_root(P))
+
+
+def _proof_shift(center, lo):
+    """Next shift around a settled estimate: center*(1 - tol/4) while ``lo`` is below
+    it, then center*(1 + tol/4); when both tests agree, the bracket is tol/2 wide."""
+    down = center * (1.0 - _RADIUS_TOL / 4)
+    return down if lo < down else center * (1.0 + _RADIUS_TOL / 4)
 
 
 def _doubling_powers(F):
