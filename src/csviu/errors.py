@@ -32,7 +32,9 @@ class NoPSDSolution(MaxIterations):
 
     ``iterations`` is the value-iteration step whose iterate P carries the
     certificate and ``ratio`` is the factor lambda > 1 with R_inf(P) >= lambda P
-    for the recession map R_inf of the value map (see :mod:`csviu.riccati`).
+    for the recession map R_inf of the value map (see :mod:`csviu.riccati`);
+    where B = 0 and Su = 0 make the value map affine, it is the spectral
+    radius, at least one, of the map's linear part.
     """
 
     def __init__(self, message, iterations, ratio, residual=None):

@@ -29,6 +29,7 @@ eigenvalues share the spectral circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -108,7 +109,9 @@ class OperatorSet:
     """Stateless bundle of the cost-propagation operators at a fixed discount.
 
     ``alpha`` is stored as a float; anything but a finite real above zero
-    raises :class:`~csviu.errors.ArgumentError`.
+    raises :class:`~csviu.errors.ArgumentError`.  The output weights every
+    Riccati step adds, D'C/alpha, D'D/alpha and C'C, are built on first use
+    and cached on the instance.
     """
 
     model: SystemModel
@@ -128,6 +131,13 @@ class OperatorSet:
         floor = md.sigma @ md.sigma.T + md.sigma_x @ md.sigma_x.T + md.sigma_u @ md.sigma_u.T
         varpi1 = float(np.einsum("ij,ji->", U, floor))
         return NoiseForms(np.diag(zx), np.diag(wx), np.diag(zu), np.diag(wu), varpi1, wx, wu)
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(D'C/alpha, D'D/alpha, C'C)``, the constant terms of :meth:`sigma_lambda`
+        and :meth:`riccati_step`."""
+        md = self.model
+        return md.D.T @ md.C / self.alpha, md.D.T @ md.D / self.alpha, md.C.T @ md.C
 
     def second_moment_map(self, U, F=None, G=None):
         """Apply the second-moment map to ``U`` without vectorizing it.
@@ -152,14 +162,13 @@ class OperatorSet:
     def sigma_lambda(self, U) -> SigmaLambda:
         md = self.model
         U = np.asarray(U, dtype=float)
-        Sigma = md.B.T @ U @ md.A + md.D.T @ md.C / self.alpha
+        cross, curvature, _ = self._weights
+        BU = md.B.T @ U
         zu = _diag_quad(md.sigma_bar_u, U, md.sigma_bar_u)
-        Lambda = md.B.T @ U @ md.B + np.diag(zu) + md.D.T @ md.D / self.alpha
-        return SigmaLambda(Sigma, Lambda)
+        return SigmaLambda(BU @ md.A + cross, BU @ md.B + np.diag(zu) + curvature)
 
     def riccati_step(self, U):
         """One value-iteration step; raises :class:`SingularLambda` on a singular curvature."""
-        md = self.model
         Sigma, Lambda = self.sigma_lambda(U)
         try:
             gain_term = np.linalg.solve(Lambda, Sigma)
@@ -167,7 +176,7 @@ class OperatorSet:
             raise SingularLambda(
                 "control curvature matrix is singular; the model needs D'D positive definite"
             ) from exc
-        return self.second_moment_map(U) - self.alpha * Sigma.T @ gain_term + md.C.T @ md.C
+        return self.second_moment_map(U) - self.alpha * Sigma.T @ gain_term + self._weights[2]
 
     def operator_matrix(self, F=None, G=None):
         """Matrix of :meth:`second_moment_map` on symmetric matrices.
@@ -260,7 +269,8 @@ class OperatorSet:
                 P = beta * np.abs(trial.M)  # M >= 0 up to rounding
                 if not np.isfinite(P).all():
                     break  # the Stein sums overflowed: the test cannot tell
-                if hi == np.inf and _perron_root(P) == 0.0:
+                if hi == np.inf and not (P.diagonal() > 0.0).any() and _perron_root(P) == 0.0:
+                    # rho(P) >= max diag(P), so only a zero diagonal needs the Perron root;
                     # M's pattern, so also rho(M) = 0, is the same at every discount
                     return mean  # the noise term adds nothing to the spectrum
             below = P is not None and _below_one(P)
@@ -352,7 +362,10 @@ class OperatorSet:
         Returns the :class:`_Resolvent` and the solution stack (None when
         the capacitance system is singular).  The Stein solutions of the
         rank-one terms and of ``Q`` come from one doubling pass on their
-        joint stack, as in :meth:`lyapunov_solve`.
+        joint stack, as in :meth:`lyapunov_solve`.  That stack, the k terms
+        r r' over ``Q``, is written once into a C-ordered buffer, which
+        :func:`_stein_pass` sums in place: each matrix is contiguous, so
+        every product of the pass is one BLAS call per matrix.
         """
         md = self.model
         powers = _doubling_powers(np.sqrt(beta) * F)
@@ -360,12 +373,15 @@ class OperatorSet:
         if G is not None:
             R, W = np.hstack([R, G.T]), np.hstack([W, md.sigma_bar_u])
         k = R.shape[1]
-        Y = _stein_pass(powers, np.concatenate([R.T[:, :, None] * R.T[:, None, :], Q]))
+        Y = np.empty((k + len(Q), md.n, md.n))
+        np.multiply(R.T[:, :, None], R.T[:, None, :], out=Y[:k])
+        Y[k:] = Q
+        Y = _stein_pass(powers, Y)
         # M_pr = w_p'Y_r w_p and c_p = w_p'T^{-1}(Q) w_p are the diagonals diag(W'Y W) of the
         # whole stack, so one product Y @ W and one reduction give both (see _diag_quad)
         forms = _diag_quad(W, Y, W)
         M = forms[:k].T
-        res = _Resolvent(beta, powers, W, Y[:k], M)
+        res = _Resolvent(beta, powers, W, Y[:k], M, np.eye(k) - beta * M)
         return res, res.finish(Y[k:], forms[k:].T)
 
 
@@ -374,7 +390,7 @@ class _Resolvent(NamedTuple):
 
     ``powers`` are the doubling powers of sqrt(beta) F, ``Y`` the Stein
     solutions Y_r of the k rank-one noise terms, ``M`` the k x k capacitance
-    matrix of :meth:`OperatorSet.lyapunov_solve`.
+    matrix of :meth:`OperatorSet.lyapunov_solve` and ``K`` = I - beta*M.
     """
 
     beta: float
@@ -382,17 +398,18 @@ class _Resolvent(NamedTuple):
     W: np.ndarray
     Y: np.ndarray
     M: np.ndarray
+    K: np.ndarray
 
     def solve(self, Q):
         """U - L_beta(U) = Q for a stack ``Q`` (q, n, n): one Stein pass and the capacitance step."""
-        X = _stein_pass(self.powers, Q)
+        X = _stein_pass(self.powers, np.array(Q, dtype=float, order="C"))
         return self.finish(X, _diag_quad(self.W, X, self.W).T)
 
     def finish(self, X, c):
         """U = X + beta * sum_r z_r Y_r with (I - beta*M) z = c, from X = T^{-1}(Q) and
         c_p = w_p'X w_p; None when I - beta*M is singular."""
         try:
-            z = np.linalg.solve(np.eye(len(self.M)) - self.beta * self.M, c)
+            z = np.linalg.solve(self.K, c)
         except np.linalg.LinAlgError:
             return None
         return X + self.beta * np.tensordot(z, self.Y, axes=(0, 0))
@@ -415,7 +432,7 @@ def _below_one(P):
         pivot = A[k, k]
         if not pivot > 0.0:
             return False
-        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k] / pivot, A[k, k + 1:])
+        A[k + 1:, k + 1:] -= (A[k + 1:, k] / pivot)[:, None] * A[k, k + 1:]
     return True
 
 
@@ -514,9 +531,18 @@ def _doubling_powers(F):
     )
 
 
-def _stein_pass(powers, Q):
-    """sum_k (F^k)' Q F^k summed by doubling over the ``powers`` of :func:`_doubling_powers`."""
-    Y = np.array(Q, dtype=float)
+def _stein_pass(powers, Y):
+    """sum_k (F^k)' Y F^k summed in place by doubling over the ``powers`` of
+    :func:`_doubling_powers`; returns ``Y``.
+
+    ``Y`` is a C-ordered stack (k, n, n) of floats that the pass owns.  The
+    order matters: numpy's matmul hands a stack to BLAS one matrix at a time
+    only when each matrix has a unit-stride axis, and runs its own unblocked
+    loop otherwise: with 8 doubling powers on a 21-matrix stack at n = 20,
+    0.59 ms against 0.27 ms on BLAS with one thread.  ``P.T @ Y @ P`` allocates C-ordered products
+    and ``+=`` keeps the layout of ``Y``, so every product of the pass takes
+    the BLAS route.
+    """
     for P in powers:
         Y += P.T @ Y @ P
     return Y
@@ -529,9 +555,12 @@ def stein_solve(F, Q):
     Once ||F^(2^j)||_F^2 <= machine epsilon, the terms still missing,
     (F^(2^j))' Y F^(2^j), are below that fraction of Y, and the iteration
     stops.  It needs rho(F) < 1; when ``MAX_DOUBLINGS`` squarings do not get
-    there it raises :class:`MaxIterations`.
+    there it raises :class:`MaxIterations`.  ``Q`` is copied into C order
+    first, whatever its layout, so the doubling runs on BLAS (see
+    :func:`_stein_pass`) and a stack gives, matrix by matrix, the bits of
+    one-matrix calls.
     """
-    return _stein_pass(_doubling_powers(np.asarray(F, dtype=float)), Q)
+    return _stein_pass(_doubling_powers(np.asarray(F, dtype=float)), np.array(Q, dtype=float, order="C"))
 
 
 def spectral_radius(M, method="auto", tol=1e-12, max_iters=20000):

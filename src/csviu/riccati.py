@@ -42,8 +42,17 @@ lambda > 1, exceeds a rounding margin, and raises
 lambda (``ratio``).  It runs only in the stationary solve, at step 1 and
 then whenever max|P| has doubled since the last test, and skips a step whose
 P_k or Lh is not positive definite.  It only reads P, so a solve it does not
-stop ends exactly as without it.  Iterates that grow 1e6-fold without a
-certificate, for example with B = 0 and Su = 0 where Lh = 0, still raise
+stop ends exactly as without it.
+
+With B = 0 and Su = 0, Lh vanishes and the value map is affine,
+R(P) = L_A(P) + Q0 with L_A = :meth:`~csviu.operators.OperatorSet.second_moment_map`
+and Q0 = C'(I - D(D'D)^{-1}D')C = P_1.  A PSD fixed point P* would satisfy
+P* >= Q0, so with Q0 > 0, Q0 >= c P* for c = lambda_min(Q0)/lambda_max(P*)
+and L_A(P*) = P* - Q0 <= (1 - c) P*, which gives rho(L_A) < 1.  So at step
+1 a positive definite P_1 (its smallest eigenvalue above the rounding margin
+of its largest) and rho(L_A) >= 1 raise :class:`~csviu.errors.NoPSDSolution`
+with ``ratio`` rho(L_A).  Iterates that grow 1e6-fold without a
+certificate, for example with B = 0, Su = 0 and a singular Q0, still raise
 :class:`~csviu.errors.MaxIterations` from the growth test.  That test, too,
 belongs to the stationary solve: every finite-horizon iterate exists, so
 the backward recursion stops only at an iterate that is no longer finite.
@@ -312,7 +321,7 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
             )
         diff = P_next - P
         delta = float(np.abs(diff).max())
-        if np.linalg.eigvalsh(symmetrize(diff)).min() < -MONOTONE_TOL * max(1.0, norm):
+        if np.linalg.eigvalsh(diff).min() < -MONOTONE_TOL * max(1.0, norm):  # diff is exactly symmetric
             raise MonotonicityViolation(
                 f"value iteration lost monotonicity at step {k + 1}"
             )
@@ -332,6 +341,17 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
             continue
         if delta <= tol:
             return P, k + 1, 0, history
+        if k == 0 and not ops.model.B.any() and not ops.model.sigma_bar_u.any():
+            radius = _affine_no_psd_radius(ops, P)
+            if radius is not None:
+                raise NoPSDSolution(
+                    "no positive semidefinite solution: certified at step 1, where with B = 0 "
+                    "and Su = 0 the value map is P -> L(P) + P_1, P_1 is positive definite and "
+                    f"the linear part L has spectral radius {radius:.6f} >= 1",
+                    iterations=1,
+                    ratio=radius,
+                    residual=delta,
+                )
         if norm >= next_certificate:
             next_certificate = 2.0 * norm
             ratio = _no_psd_ratio(ops, P)
@@ -386,6 +406,29 @@ def _no_psd_ratio(ops: OperatorSet, P: np.ndarray) -> float | None:
     return 1.0 + float(np.linalg.eigvalsh(inv_chol @ gap @ inv_chol.T)[0])
 
 
+def _affine_no_psd_radius(ops: OperatorSet, P: np.ndarray) -> float | None:
+    """rho(L_A) >= 1 of the affine value map at B = 0, Su = 0, or None.
+
+    ``P`` is the first value iterate Q0 (see the module docstring).  None
+    when lambda_min(P) does not exceed ``_CERTIFY_MARGIN`` times
+    lambda_max(P), when L_A(P) is not finite (the next iterate overflows,
+    which the iteration reports), when the radius is below one, or when
+    :meth:`~csviu.operators.OperatorSet.map_radius` raises
+    :class:`MaxIterations`.
+    """
+    w = np.linalg.eigvalsh(P)
+    if not w[0] > _CERTIFY_MARGIN * w[-1]:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(ops.second_moment_map(P)).all():
+            return None
+    try:
+        radius = ops.map_radius()
+    except MaxIterations:
+        return None
+    return radius if radius >= 1.0 else None
+
+
 def _newton_finish(ops: OperatorSet, P: np.ndarray, tol: float, budget: int):
     """Policy iteration from the gain of the value iterate ``P``.
 
@@ -438,8 +481,12 @@ def solve_riccati(
     lambda > 1 in the semidefinite order, :class:`~csviu.errors.NoPSDSolution`
     (a :class:`MaxIterations`) is raised with ``iterations`` the step and
     ``ratio`` lambda.  A step whose P or control curvature Lh = B'PB +
-    Diag(diag(Su'P Su)) is not positive definite is skipped; iterates that
-    then grow 1e6-fold raise :class:`MaxIterations` from the growth test.
+    Diag(diag(Su'P Su)) is not positive definite is skipped.  Where Lh
+    vanishes (B = 0 and Su = 0), a positive definite first iterate and a
+    second-moment map of radius at least one raise
+    :class:`~csviu.errors.NoPSDSolution` at step 1 with ``ratio`` that
+    radius.  Iterates that grow 1e6-fold without a certificate raise
+    :class:`MaxIterations` from the growth test.
     The test only reads P, so every solve that finds a fixed point returns
     what it would without it.
     """

@@ -260,6 +260,27 @@ def second_moment_matrix(F, Sx, alpha, G=None, Su=None):
     return alpha * M
 
 
+def linear_law_norm(A, B, C, D, sigma, Sx, Su, G, alpha):
+    """Energy from the origin (alpha < 1) or long-run power (alpha = 1) of u = Gx
+    on a plant whose baseline state and control noise are zero (sigma_x = sigma_u = 0).
+
+    Every stage cost is then quadratic in the state, with no deadzone term,
+    so the cost matrix P of the law solves
+    P = (C + DG)'(C + DG) + alpha*(F'PF + Diag(diag(Sx'PSx)) + G'Diag(diag(Su'PSu))G),
+    F = A + BG, here as one dense n^2 system through :func:`second_moment_matrix`.
+    The energy from x0 = 0 is alpha/(1 - alpha) tr(sigma'P sigma) and the
+    power at alpha = 1 is tr(sigma'P sigma).
+    """
+    A, B, C, D, sigma, Sx, Su, G = (np.atleast_2d(np.asarray(X, dtype=float))
+                                    for X in (A, B, C, D, sigma, Sx, Su, G))
+    n = A.shape[0]
+    Ccl = C + D @ G
+    M = second_moment_matrix(A + B @ G, Sx, alpha, G, Su)
+    P = np.linalg.solve(np.eye(n * n) - M, (Ccl.T @ Ccl).reshape(-1, order="F")).reshape(n, n, order="F")
+    floor = float(np.trace(sigma.T @ P @ sigma))
+    return floor if alpha == 1.0 else alpha / (1.0 - alpha) * floor
+
+
 def symmetric_block(K, n):
     """Restriction of the vec-form matrix ``K`` to symmetric n x n inputs.
 

@@ -5,7 +5,9 @@
 
 The record holds the full float ``repr`` of the Riccati solutions of three
 plants, their certificate radii (the map radius and resolvent radius of
-``check_alpha_stability`` and the closed-loop radius at the Riccati gain),
+``check_alpha_stability`` and the closed-loop radius at the Riccati gain)
+and those of two plants of the benchmark's synthesis family at n = 12 and
+n = 20 (``support.spectral_gap_model``),
 stage controls and slopes at fixed states (one state at a time and as
 batches of 200), single stage solves at four relaxation factors, one-channel
 batch solves whose right-hand sides hold signed zeros, the inaction margins
@@ -105,6 +107,12 @@ def compute() -> dict[str, list[float]]:
         report = check_alpha_stability(models[name], ALPHA)
         put(f"certificate.{name}.stability", [report.radius, report.resolvent_radius])
         put(f"certificate.{name}.closed_loop", closed_loop_check(models[name], ALPHA, sol.G).radius)
+    for n in (12, 20):  # synthesis sizes, where the radii come from the resolvent iteration
+        model = support.spectral_gap_model(np.random.default_rng(n), n, n // 4)
+        report = check_alpha_stability(model, ALPHA)
+        put(f"certificate.gap{n}.stability", [report.radius, report.resolvent_radius])
+        G = solve_riccati(model, ALPHA).G
+        put(f"certificate.gap{n}.closed_loop", closed_loop_check(model, ALPHA, G).radius)
 
     for name in ("readme", "n6"):
         X = 1.5 * np.random.default_rng(5).standard_normal((200, models[name].n))

@@ -192,10 +192,11 @@ class TestFiniteHorizon:
 
 class TestFailureModes:
     def test_divergent_plant_reports_no_solution(self):
-        # uncontrollable expansion with the state fully weighted: U -> 4U + 1;
-        # B = 0 and no control growth noise leave Lh = 0, so the certificate
-        # skips every step and the growth test answers
-        model = _noise_free(2.0, 0.0, [[1.0], [0.0]], [[0.0], [1.0]])
+        # uncontrollable expansion that the output weights in one state only:
+        # U -> 4U + diag(1, 0); B = 0 and no control growth noise leave Lh = 0,
+        # and the first iterate diag(1, 0) is singular, so neither certificate
+        # applies and the growth test answers
+        model = _noise_free(2.0 * np.eye(2), [[0.0], [0.0]], [[1.0, 0.0], [0.0, 0.0]], [[0.0], [1.0]])
         growth = "no positive semidefinite.*grew by a factor"
         with pytest.raises(MaxIterations, match=growth) as failure:
             solve_riccati(model, alpha=1.0)
@@ -397,6 +398,39 @@ class TestInfeasibilityCertificate:
         assert failure.value.ratio == pytest.approx(
             a * a + sx * sx - a * a * b * b / (b * b + su * su), rel=1e-12)
         assert "1.009900" in str(failure.value)
+
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    def test_affine_value_map_is_certified_at_step_one(self, a):
+        # B = 0 and Su = 0: P -> a^2 P + 1 has no fixed point for |a| >= 1.  At a = 1
+        # the iterates climb by one a step and no recession certificate exists (Lh = 0),
+        # so the solve used to spend its whole budget, 200000 steps, before it raised
+        model = SystemModel.from_dict(support.stacked_output_data(a, 0.0))
+        with pytest.raises(NoPSDSolution, match="certified at step 1.*radius") as failure:
+            solve_riccati(model, alpha=1.0)
+        assert failure.value.iterations == 1
+        assert failure.value.ratio == pytest.approx(a * a, rel=1e-13)
+
+    def test_affine_value_map_certificate_matches_the_dense_radius(self):
+        # n = 3, B = 0, C = I: the affine map P -> L(P) + I has a PSD fixed point
+        # exactly when rho(L) < 1; the growth noise is scaled to either side of one
+        rng = np.random.default_rng(38)
+        base = support.random_model(rng, n=3, m=1, radius=0.8)
+        for scale, stable in ((3.0, True), (5.0, False)):  # radius 0.875 and 1.45
+            model = dataclasses.replace(base, B=np.zeros((3, 1)), C=np.vstack([np.eye(3), np.zeros((1, 3))]),
+                                        D=np.vstack([np.zeros((3, 1)), [[1.0]]]),
+                                        sigma_bar_x=scale * base.sigma_bar_x, sigma_bar_u=np.zeros((3, 1)))
+            dense = np.abs(np.linalg.eigvals(
+                oracles.second_moment_matrix(model.A, model.sigma_bar_x, 0.95))).max()
+            assert (dense < 1.0) == stable
+            if stable:
+                sol = solve_riccati(model, alpha=0.95)
+                want = oracles.noisy_riccati_fixed_point(model.A, model.B, model.C, model.D,
+                                                         model.sigma_bar_x, model.sigma_bar_u, 0.95)
+                np.testing.assert_allclose(sol.L, want, rtol=1e-9)
+            else:
+                with pytest.raises(NoPSDSolution, match="certified at step 1") as failure:
+                    solve_riccati(model, alpha=0.95)
+                assert failure.value.ratio == pytest.approx(dense, rel=1e-10)
 
     def test_runs_when_the_iterate_has_doubled(self, monkeypatch):
         model = SystemModel.from_dict(support.MARGINAL_DATA["marginal-a"])

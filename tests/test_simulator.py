@@ -1089,6 +1089,21 @@ class TestOptimalNorms:
         assert est.power == pytest.approx(target, rel=1e-6)
         assert est.energy is None
 
+    @pytest.mark.parametrize("alpha", [0.95, 1.0])
+    def test_growth_noise_norm_matches_the_linear_law_closed_form(self, alpha):
+        # the README plant with sigma_x = sigma_u = 0 but its growth noise on: the
+        # deadzone and the mixed terms vanish, the optimal law is the gain, and
+        # its norm is alpha/(1 - alpha) tr(sigma'P sigma) (tr(sigma'P sigma) at alpha = 1)
+        data = dict(support.README_DATA, sigma_x=[[0.0, 0.0], [0.0, 0.0]], sigma_u=[[0.0], [0.0]])
+        model = SystemModel.from_dict(data)
+        sol = solve_riccati(model, alpha=alpha)
+        est = optimal_norms(sol, paths=200, seed=0)
+        exact = oracles.linear_law_norm(model.A, model.B, model.C, model.D, model.sigma,
+                                        model.sigma_bar_x, model.sigma_bar_u, sol.G, alpha)
+        value, stderr = (est.energy, est.energy_stderr) if alpha < 1.0 else (est.power, est.power_stderr)
+        assert value == pytest.approx(exact, rel=1e-11)
+        assert stderr <= 1e-15 * value
+
     def test_expanding_discount_refused(self, rng, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("noise drawn for a discount above one")
