@@ -8,12 +8,17 @@ Lyapunov / Riccati steps: quadratic growth of the noise intensity shows up as
 piecewise-linear part of the cost through the diagonals returned in
 :class:`NoiseForms`.
 
-The second-moment map is written once, in
-:meth:`OperatorSet.second_moment_map`, on n x n matrices or stacks of them.
-The Riccati step, the one-step variation oracle and every certificate radius
-use it; the dense matrix of :meth:`OperatorSet.operator_matrix` is that map
+Every quadratic form of ``U`` that these maps read comes from one helper,
+:func:`_forms`: T'UT and the noise diagonals diag(W'UW) from one product
+U @ [T W].  The value map takes T = [A B] and W = [Sx Su], so one call per
+iterate gives A'UA, B'UA, B'UB and both noise diagonals, which
+:meth:`OperatorSet.riccati_step` and :meth:`OperatorSet.sigma_lambda` read
+as blocks.  The second-moment map is written once, in
+:meth:`OperatorSet.second_moment_map`, on n x n matrices or stacks of them,
+with T = F; the one-step variation oracle and every certificate radius use
+it, and the dense matrix of :meth:`OperatorSet.operator_matrix` is that map
 applied to a basis of the symmetric matrices, in upper-triangle coordinates,
-and only the tests read it.  Equations U - map(U) = Q are solved once, in
+which only the tests read.  Equations U - map(U) = Q are solved once, in
 :meth:`OperatorSet.lyapunov_solve`, on n x n matrices as well: one Stein
 doubling pass and a capacitance system, factored per discount.  Up to n = 20
 :meth:`OperatorSet.map_radius` runs inverse iteration on the map's resolvent
@@ -28,6 +33,7 @@ eigenvalues share the spectral circle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -41,7 +47,7 @@ DENSE_MAX = 400  # spectral_radius: dense eigensolve up to this dimension; map_r
 MAX_DOUBLINGS = 64
 # budget and tolerances of the resolvent iteration of OperatorSet.map_radius
 _POWER_STEPS = 8        # power steps from the identity before the first shift
-_CW_RIDGE = 1e-3        # multiple of I added to the unit power iterate for the first bound
+_CW_RIDGE = 1e-3        # multiple of I added to the power iterate, largest entry 1, for the first bound
 _RADIUS_FLOOR = 1e-11   # smallest relative margin of a shift above the estimate
 _RADIUS_TOL = 1e-13     # relative width of the tested bracket the radius is returned from
 _RESHIFT_STEPS = 4      # a shift that would settle within this many more steps is kept
@@ -104,14 +110,35 @@ def _diag_quad(S, U, T):
     return np.einsum("...pi,pi->...i", U @ T, S)
 
 
+def _forms(U, factors, k):
+    """``(T'UT, diag(W'UW))`` for ``factors`` = [T W], T its first ``k`` columns.
+
+    ``U`` is one n x n matrix or a stack (s, n, n).  One BLAS product
+    U @ [T W] gives U T and U W; T'(U T) is a second product, and the
+    diagonals are the two-operand reduction of :func:`_diag_quad`.  This is
+    the one place the package forms the noise diagonals diag(S'US) and the
+    control products B'U: the value map, the second-moment map and the
+    capacitance system of :meth:`OperatorSet.lyapunov_solve` all read them
+    from here (``k`` = 0 gives the diagonals alone).
+    """
+    UX = U @ factors
+    return factors[:, :k].T @ UX[..., :k], np.einsum("...pi,pi->...i", UX[..., k:], factors[:, k:])
+
+
+def _eig_radius(F):
+    """max |eig(F)| of a square F, from the dense eigensolver."""
+    return float(np.abs(np.linalg.eigvals(F)).max())
+
+
 @dataclass(frozen=True)
 class OperatorSet:
     """Stateless bundle of the cost-propagation operators at a fixed discount.
 
     ``alpha`` is stored as a float; anything but a finite real above zero
     raises :class:`~csviu.errors.ArgumentError`.  The output weights every
-    Riccati step adds, D'C/alpha, D'D/alpha and C'C, are built on first use
-    and cached on the instance.
+    Riccati step adds, D'C/alpha, D'D/alpha and C'C, and the stacked factors
+    [A B Sx Su] of its quadratic form are built on first use and cached on
+    the instance.
     """
 
     model: SystemModel
@@ -124,13 +151,12 @@ class OperatorSet:
         """Evaluate all noise corrections at ``U`` in one pass."""
         md = self.model
         U = np.asarray(U, dtype=float)
-        zx = _diag_quad(md.sigma_bar_x, U, md.sigma_bar_x)
+        z = _forms(U, self._factors[:, md.n + md.m:], 0)[1]
         wx = _diag_quad(md.sigma_bar_x, U, md.sigma_x) + _diag_quad(md.sigma_x, U, md.sigma_bar_x)
-        zu = _diag_quad(md.sigma_bar_u, U, md.sigma_bar_u)
         wu = _diag_quad(md.sigma_bar_u, U, md.sigma_u) + _diag_quad(md.sigma_u, U, md.sigma_bar_u)
         floor = md.sigma @ md.sigma.T + md.sigma_x @ md.sigma_x.T + md.sigma_u @ md.sigma_u.T
         varpi1 = float(np.einsum("ij,ji->", U, floor))
-        return NoiseForms(np.diag(zx), np.diag(wx), np.diag(zu), np.diag(wu), varpi1, wx, wu)
+        return NoiseForms(np.diag(z[:md.n]), np.diag(wx), np.diag(z[md.n:]), np.diag(wu), varpi1, wx, wu)
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,6 +164,48 @@ class OperatorSet:
         and :meth:`riccati_step`."""
         md = self.model
         return md.D.T @ md.C / self.alpha, md.D.T @ md.D / self.alpha, md.C.T @ md.C
+
+    @cached_property
+    def _factors(self) -> np.ndarray:
+        """[A B Sx Su], n x 2(n + m): T = [A B] and W = [Sx Su] of the value map's form."""
+        md = self.model
+        return np.hstack([md.A, md.B, md.sigma_bar_x, md.sigma_bar_u])
+
+    def _blocks(self, U):
+        """T'UT + Diag(diag(W'UW)) at one n x n ``U``, T = [A B], W = [Sx Su].
+
+        Its blocks are every form the value map reads: A'UA + Diag(diag(Sx'USx))
+        top left, B'UA below it and B'UB + Diag(diag(Su'USu)) bottom right,
+        all from one call of :func:`_forms`.
+        """
+        k = self.model.n + self.model.m
+        Q, z = _forms(U, self._factors, k)
+        Q.reshape(-1)[::k + 1] += z  # Q is a fresh C-ordered product, so this is its diagonal
+        return Q
+
+    def _sigma_lambda(self, Q) -> SigmaLambda:
+        """:meth:`sigma_lambda` from the blocks ``Q`` of :meth:`_blocks`."""
+        n = self.model.n
+        cross, curvature, _ = self._weights
+        return SigmaLambda(Q[n:, :n] + cross, Q[n:, n:] + curvature)
+
+    def _step(self, U):
+        """``(R(U), Sigma, Lambda, Lambda^{-1} Sigma)`` at one n x n ``U``, R the value
+        map, from one stacked form: :meth:`riccati_step` and its gain -Lambda^{-1} Sigma.
+
+        Raises :class:`SingularLambda` on a singular curvature.
+        """
+        Q = self._blocks(np.asarray(U, dtype=float))
+        Sigma, Lambda = self._sigma_lambda(Q)
+        try:
+            gain_term = np.linalg.solve(Lambda, Sigma)
+        except np.linalg.LinAlgError as exc:
+            raise SingularLambda(
+                "control curvature matrix is singular; the model needs D'D positive definite"
+            ) from exc
+        n = self.model.n
+        step = self.alpha * Q[:n, :n] - self.alpha * Sigma.T @ gain_term + self._weights[2]
+        return step, Sigma, Lambda, gain_term
 
     def second_moment_map(self, U, F=None, G=None):
         """Apply the second-moment map to ``U`` without vectorizing it.
@@ -148,35 +216,30 @@ class OperatorSet:
         None.  ``U`` is one n x n matrix or a stack of shape (k, n, n); the cost
         is O(n^3) per matrix.
         """
+        return self._moment(np.asarray(U, dtype=float), self._map_factors(F, G), G)
+
+    def _map_factors(self, F, G):
+        """[F Sx], or [F Sx Su] with a gain: the factors :func:`_forms` reads for the map."""
         md = self.model
-        U = np.asarray(U, dtype=float)
         F = md.A if F is None else F
-        out = F.T @ U @ F
+        return np.hstack([F, md.sigma_bar_x] if G is None else [F, md.sigma_bar_x, md.sigma_bar_u])
+
+    def _moment(self, U, factors, G):
+        """:meth:`second_moment_map` of ``U`` with the ``factors`` of :meth:`_map_factors`."""
+        n = self.model.n
+        out, z = _forms(U, factors, n)
         diagonal = np.einsum("...ii->...i", out)  # writable view of each diagonal
-        diagonal += _diag_quad(md.sigma_bar_x, U, md.sigma_bar_x)
+        diagonal += z[..., :n]
         if G is not None:
-            zu = _diag_quad(md.sigma_bar_u, U, md.sigma_bar_u)
-            out += (G.T * zu[..., None, :]) @ G
+            out += (G.T * z[..., None, n:]) @ G
         return self.alpha * out
 
     def sigma_lambda(self, U) -> SigmaLambda:
-        md = self.model
-        U = np.asarray(U, dtype=float)
-        cross, curvature, _ = self._weights
-        BU = md.B.T @ U
-        zu = _diag_quad(md.sigma_bar_u, U, md.sigma_bar_u)
-        return SigmaLambda(BU @ md.A + cross, BU @ md.B + np.diag(zu) + curvature)
+        return self._sigma_lambda(self._blocks(np.asarray(U, dtype=float)))
 
     def riccati_step(self, U):
         """One value-iteration step; raises :class:`SingularLambda` on a singular curvature."""
-        Sigma, Lambda = self.sigma_lambda(U)
-        try:
-            gain_term = np.linalg.solve(Lambda, Sigma)
-        except np.linalg.LinAlgError as exc:
-            raise SingularLambda(
-                "control curvature matrix is singular; the model needs D'D positive definite"
-            ) from exc
-        return self.second_moment_map(U) - self.alpha * Sigma.T @ gain_term + self._weights[2]
+        return self._step(U)[0]
 
     def operator_matrix(self, F=None, G=None):
         """Matrix of :meth:`second_moment_map` on symmetric matrices.
@@ -232,28 +295,35 @@ class OperatorSet:
         :meth:`second_moment_map`, from the identity; it can raise
         :class:`MaxIterations` as :func:`spectral_radius` does.
         """
-        n = self.model.n
-        F = self.model.A if F is None else F
-        if n * n > DENSE_MAX:
-            return _power_radius(lambda U: self.second_moment_map(U, F, G), np.eye(n))
-        return self._resolvent_radius(F, G)
+        return self._map_radius(self.model.A if F is None else F, G, None)
 
-    def _resolvent_radius(self, F, G):
-        """The resolvent iteration of :meth:`map_radius`."""
+    def _map_radius(self, F, G, rho_F):
+        """:meth:`map_radius` with ``rho_F`` = rho(F), or None to compute it where needed."""
+        n = self.model.n
+        factors = self._map_factors(F, G)
+        if n * n > DENSE_MAX:
+            return _power_radius(lambda U: self._moment(U, factors, G), np.eye(n))
+        return self._resolvent_radius(F, G, factors, _eig_radius(F) if rho_F is None else rho_F)
+
+    def _resolvent_radius(self, F, G, factors, rho_F):
+        """The resolvent iteration of :meth:`map_radius`; ``factors`` are those of
+        :meth:`_map_factors`.  A map whose lower bound alpha*rho(F)^2 overflows has
+        an infinite radius."""
         n, alpha, tol = self.model.n, self.alpha, _RADIUS_TOL
-        rho_F = float(np.abs(np.linalg.eigvals(F)).max())
-        mean = alpha * rho_F**2  # rho >= the radius of U -> alpha*F'UF
+        mean = alpha * (rho_F * rho_F)  # rho >= the radius of U -> alpha*F'UF
+        if mean == np.inf:
+            return mean
         U = np.eye(n)
         for _ in range(_POWER_STEPS):
-            V = self.second_moment_map(U, F, G)
-            size = float(np.linalg.norm(V))
+            V = self._moment(U, factors, G)
+            size = float(np.abs(V).max())  # the Frobenius norm would overflow from entries near 1e154
             if size == 0.0:
                 return 0.0  # L^t(I) = 0, so L^t vanishes on the cone and on every symmetric U
             U = V / size
         # Collatz-Wielandt: L(V) <= c V for V > 0 gives rho <= c
         V = symmetrize(U) + _CW_RIDGE * np.eye(n)
         inv_chol = np.linalg.inv(np.linalg.cholesky(V))
-        image = inv_chol @ self.second_moment_map(V, F, G) @ inv_chol.T
+        image = inv_chol @ self._moment(V, factors, G) @ inv_chol.T
         s = (1.0 + _RADIUS_FLOOR) * max(float(np.linalg.eigvalsh(symmetrize(image))[-1]), mean)
         res, lo, hi, est, steps, spread, center = None, mean, np.inf, np.inf, 0, 16.0, None
         chord = _Chord(mean)
@@ -346,7 +416,11 @@ class OperatorSet:
         Raises :class:`MaxIterations` when the doubling does not settle.
         """
         F = self.model.A if F is None else F
-        if np.sqrt(self.alpha) * float(np.abs(np.linalg.eigvals(F)).max()) >= 1.0:
+        return self._lyapunov_solve(Q, F, G, _eig_radius(F))
+
+    def _lyapunov_solve(self, Q, F, G, rho_F) -> LyapunovSolve:
+        """:meth:`lyapunov_solve` with ``rho_F`` = rho(F) given."""
+        if np.sqrt(self.alpha) * rho_F >= 1.0:
             return LyapunovSolve(None, False, np.nan)
         Q = np.asarray(Q, dtype=float)
         res, U = self._resolvent(self.alpha, F, G, Q if Q.ndim == 3 else Q[None])
@@ -378,8 +452,8 @@ class OperatorSet:
         Y[k:] = Q
         Y = _stein_pass(powers, Y)
         # M_pr = w_p'Y_r w_p and c_p = w_p'T^{-1}(Q) w_p are the diagonals diag(W'Y W) of the
-        # whole stack, so one product Y @ W and one reduction give both (see _diag_quad)
-        forms = _diag_quad(W, Y, W)
+        # whole stack, so one product Y @ W and one reduction give both (see _forms)
+        forms = _forms(Y, W, 0)[1]
         M = forms[:k].T
         res = _Resolvent(beta, powers, W, Y[:k], M, np.eye(k) - beta * M)
         return res, res.finish(Y[k:], forms[k:].T)
@@ -403,7 +477,7 @@ class _Resolvent(NamedTuple):
     def solve(self, Q):
         """U - L_beta(U) = Q for a stack ``Q`` (q, n, n): one Stein pass and the capacitance step."""
         X = _stein_pass(self.powers, np.array(Q, dtype=float, order="C"))
-        return self.finish(X, _diag_quad(self.W, X, self.W).T)
+        return self.finish(X, _forms(X, self.W, 0)[1].T)
 
     def finish(self, X, c):
         """U = X + beta * sum_r z_r Y_r with (I - beta*M) z = c, from X = T^{-1}(Q) and
@@ -588,7 +662,7 @@ def spectral_radius(M, method="auto", tol=1e-12, max_iters=20000):
     if d == 0:
         return 0.0
     if method == "eig" or (method == "auto" and d <= DENSE_MAX):
-        return float(np.abs(np.linalg.eigvals(M)).max())
+        return _eig_radius(M)
     if method not in ("power", "auto"):
         raise ArgumentError(f"unknown method {method!r}")
 
@@ -612,7 +686,10 @@ def _power_radius(apply, v, tol=1e-12, max_iters=20000):
     steady = 0
     for it in range(max_iters):
         w = apply(v)
-        r = float(np.linalg.norm(w))
+        r = math.sqrt(float(np.vdot(w, w)))  # the Frobenius norm, without np.linalg.norm's checks
+        if r == math.inf:  # the squares overflow from entries near 1e154: scale them first
+            peak = float(np.abs(w).max())
+            r = peak * math.sqrt(float(np.vdot(w / peak, w / peak)))
         if r == 0.0:
             return 0.0
         v = w / r

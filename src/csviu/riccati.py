@@ -77,7 +77,7 @@ from .errors import (
     check_count,
 )
 from .model import CriterionConfig, SystemModel
-from .operators import NoiseForms, OperatorSet, _diag_quad, spectral_radius, symmetrize
+from .operators import NoiseForms, OperatorSet, spectral_radius, symmetrize
 
 MONOTONE_TOL = 1e-10
 DIVERGENCE_FACTOR = 1e6
@@ -302,9 +302,16 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
     steps count against ``steps`` too.  Without one (the finite-horizon
     recursion) every iterate is returned however large it grows, and only an
     iterate that is no longer finite raises :class:`MaxIterations`.
+
+    A step whose smallest eigenvalue of P_next - P lies below
+    -``MONOTONE_TOL`` * max(1, max|P_next|) raises
+    :class:`MonotonicityViolation`.  One Cholesky factorization of the
+    difference shifted up by that floor clears almost every step, and the
+    eigenvalues are computed only when it fails, so they alone decide a raise.
     """
     n = ops.model.n
     P = np.zeros((n, n))
+    eye = np.eye(n)
     history = [P.copy()] if collect else None
     scale_ref = None
     delta = np.inf
@@ -319,12 +326,16 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
                 iterations=k + 1,
                 residual=norm,
             )
-        diff = P_next - P
+        diff = P_next - P  # exactly symmetric
         delta = float(np.abs(diff).max())
-        if np.linalg.eigvalsh(diff).min() < -MONOTONE_TOL * max(1.0, norm):  # diff is exactly symmetric
-            raise MonotonicityViolation(
-                f"value iteration lost monotonicity at step {k + 1}"
-            )
+        floor = MONOTONE_TOL * max(1.0, norm)
+        try:
+            np.linalg.cholesky(diff + floor * eye)
+        except np.linalg.LinAlgError:
+            if np.linalg.eigvalsh(diff).min() < -floor:
+                raise MonotonicityViolation(
+                    f"value iteration lost monotonicity at step {k + 1}"
+                ) from None
         if scale_ref is None and norm > 0:
             scale_ref = norm
         if tol is not None and scale_ref is not None and norm > DIVERGENCE_FACTOR * max(1.0, scale_ref):
@@ -386,18 +397,17 @@ def _no_psd_ratio(ops: OperatorSet, P: np.ndarray) -> float | None:
     cond(Lh) >= ``_CURVATURE_COND``, or when lambda_min(R_inf(P) - P) does
     not exceed the rounding margin.
     """
-    md = ops.model
+    n = ops.model.n
     try:
         chol = np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         return None
-    BP = md.B.T @ P
-    zu = _diag_quad(md.sigma_bar_u, P, md.sigma_bar_u)
-    w, V = np.linalg.eigh(BP @ md.B + np.diag(zu))
+    Q = ops._blocks(P)
+    w, V = np.linalg.eigh(Q[n:, n:])  # Lh
     if w.size and w[0] * _CURVATURE_COND <= w[-1]:
         return None
-    X = (V.T @ (BP @ md.A)) / np.sqrt(w)[:, None]  # X'X = Sh' Lh^{-1} Sh
-    grown = ops.second_moment_map(P)  # alpha (A'PA + Diag(diag(Sx'P Sx)))
+    X = (V.T @ Q[n:, :n]) / np.sqrt(w)[:, None]  # X'X = Sh' Lh^{-1} Sh
+    grown = ops.alpha * Q[:n, :n]  # alpha (A'PA + Diag(diag(Sx'P Sx)))
     gap = symmetrize(grown - ops.alpha * (X.T @ X) - P)
     margin = _CERTIFY_MARGIN * (float(np.abs(grown).max()) + float(np.abs(P).max()))
     if np.linalg.eigvalsh(gap)[0] <= margin:
@@ -439,9 +449,9 @@ def _newton_finish(ops: OperatorSet, P: np.ndarray, tol: float, budget: int):
     """
     md = ops.model
     U = P
+    gain_term = ops._step(U)[3]
     for step in range(1, budget + 1):
-        Sigma, Lambda = ops.sigma_lambda(U)
-        G = -np.linalg.solve(Lambda, Sigma)
+        G = -gain_term
         Ccl = md.C + md.D @ G
         try:
             evaluated = ops.lyapunov_solve(Ccl.T @ Ccl, md.A + md.B @ G, G)
@@ -450,7 +460,8 @@ def _newton_finish(ops: OperatorSet, P: np.ndarray, tol: float, budget: int):
         if not evaluated.stable:
             return None
         U = symmetrize(evaluated.U)
-        if float(np.abs(ops.riccati_step(U) - U).max()) <= tol:
+        value, _, _, gain_term = ops._step(U)
+        if float(np.abs(value - U).max()) <= tol:
             floor = -MONOTONE_TOL * max(1.0, float(np.abs(U).max()))
             if min(np.linalg.eigvalsh(U).min(), np.linalg.eigvalsh(U - P).min()) < floor:
                 return None
@@ -499,10 +510,9 @@ def solve_riccati(
 
     L, iterations, newton_steps, _ = _iterate(ops, config.max_iters, config.tol_fixed_point)
     L = symmetrize(L)
-    residual = float(np.abs(ops.riccati_step(L) - L).max())
-
-    Sigma, Lambda = ops.sigma_lambda(L)
-    G = -np.linalg.solve(Lambda, Sigma)
+    value, Sigma, Lambda, gain_term = ops._step(L)
+    residual = float(np.abs(value - L).max())
+    G = -gain_term
     Acl = model.A + model.B @ G
     closed_loop_radius = spectral_radius(Acl)
     alpha_condition_ok = None if ops.alpha < 1.0 else bool(closed_loop_radius < 1.0 / ops.alpha)

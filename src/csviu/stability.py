@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ModelError, check_count, check_real
 from .model import SystemModel, _as_matrix
-from .operators import OperatorSet, spectral_radius, symmetrize
+from .operators import OperatorSet, _eig_radius, spectral_radius, symmetrize
 
 MARGIN = 1e-10
 _DUAL_STEPS = 1000  # step budget of detectability_search
@@ -123,13 +123,12 @@ def check_alpha_stability(model: SystemModel, alpha: float, probes: int = 10, se
     probes = check_count("probes", probes, 0)
     seed = check_count("seed", seed, 0)
     n = model.n
-    radius = ops.map_radius()
+    rho_A = _eig_radius(model.A)  # read by the radius, the solve and the eigenvalue tests
+    radius = ops._map_radius(model.A, None, rho_A)
     d_stable = _strict_below(radius, 1.0)
 
     # (v): split into the mean-dynamics eigenvalue test and the resolvent test
-    sqrt_alpha = np.sqrt(alpha)
-    eig_A = np.linalg.eigvals(model.A)
-    max_abs_eig = float(np.abs(eig_A).max()) * sqrt_alpha
+    max_abs_eig = rho_A * np.sqrt(alpha)
     eig_ok = _strict_below(max_abs_eig, 1.0)
 
     inverse_positive = lyapunov_ok = resolvent_ok = witness = None
@@ -139,7 +138,8 @@ def check_alpha_stability(model: SystemModel, alpha: float, probes: int = 10, se
         # of condition (i)
         rng = np.random.default_rng(seed)
         roots = [rng.standard_normal((n, n)) for _ in range(probes)]
-        solved = ops.lyapunov_solve(np.stack([np.eye(n)] + [root @ root.T for root in roots]))
+        solved = ops._lyapunov_solve(np.stack([np.eye(n)] + [root @ root.T for root in roots]),
+                                     model.A, None, rho_A)
         resolvent_radius = solved.resolvent_radius
         resolvent_ok = _strict_below(resolvent_radius, 1.0 / alpha)
         if solved.U is None:
@@ -161,7 +161,7 @@ def check_alpha_stability(model: SystemModel, alpha: float, probes: int = 10, se
 
     counter_discount_eig_ok = None
     if alpha >= 1.0:
-        counter_discount_eig_ok = _strict_below(alpha * float(np.abs(eig_A).max()), 1.0)
+        counter_discount_eig_ok = _strict_below(alpha * rho_A, 1.0)
 
     conds = (inverse_positive, d_stable, lyapunov_ok, d_stable, _combine(eig_ok, resolvent_ok))
     if any(c is None for c in conds):
@@ -257,8 +257,8 @@ def closed_loop_check(model: SystemModel, alpha: float, G) -> ClosedLoopCheck:
     ops = OperatorSet(model, alpha)
     G = _finite_matrix("G", G, (model.m, model.n))
     Acl = model.A + model.B @ G
-    radius = ops.map_radius(Acl, G)
     gain_radius = spectral_radius(Acl)
+    radius = ops._map_radius(Acl, G, gain_radius)
     gain_radius_ok = None
     if alpha > 1.0:
         gain_radius_ok = bool(gain_radius < 1.0 / alpha)

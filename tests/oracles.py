@@ -79,6 +79,32 @@ def recession_ratio(A, B, Sx, Su, P, alpha=1.0):
     return float(scipy.linalg.eigh(0.5 * (R + R.T), P, eigvals_only=True)[0])
 
 
+def noise_diagonal(S, U):
+    """Diag(s_i'U s_i) over the columns s_i of ``S``, one column at a time."""
+    return np.diag([s @ U @ s for s in np.atleast_2d(S).T])
+
+
+def second_moment_image(U, F, Sx, alpha, G=None, Su=None):
+    """alpha*(F'UF + Diag(diag(Sx'USx)) + G'Diag(diag(Su'USu))G) at one n x n ``U``;
+    the control term is left out when ``G`` is None."""
+    out = F.T @ U @ F + noise_diagonal(Sx, U)
+    if G is not None:
+        out = out + G.T @ noise_diagonal(Su, U) @ G
+    return alpha * out
+
+
+def value_map_terms(A, B, C, D, Sx, Su, U, alpha=1.0):
+    """``(R(U), Sigma, Lambda)``: one step of the value map of
+    :func:`noisy_riccati_fixed_point` at one n x n ``U``, with
+    Sigma = B'UA + D'C/alpha, Lambda = B'UB + Zu + D'D/alpha and
+    R(U) = alpha*(A'UA + Zx - Sigma'Lambda^{-1}Sigma) + C'C."""
+    A, B, C, D, Sx, Su = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, C, D, Sx, Su))
+    Sigma = B.T @ U @ A + D.T @ C / alpha
+    Lambda = B.T @ U @ B + noise_diagonal(Su, U) + D.T @ D / alpha
+    R = second_moment_image(U, A, Sx, alpha) + C.T @ C - alpha * Sigma.T @ np.linalg.solve(Lambda, Sigma)
+    return R, Sigma, Lambda
+
+
 def dare_scipy(A, B, Q, R, N, alpha=1.0):
     """Same fixed point through scipy's solver (cross-check of the oracle itself)."""
     s = np.sqrt(alpha)

@@ -7,7 +7,9 @@ The record holds the full float ``repr`` of the Riccati solutions of three
 plants, their certificate radii (the map radius and resolvent radius of
 ``check_alpha_stability`` and the closed-loop radius at the Riccati gain)
 and those of two plants of the benchmark's synthesis family at n = 12 and
-n = 20 (``support.spectral_gap_model``),
+n = 20 (``support.spectral_gap_model``), the convergence paths (L, value
+and Newton steps) of the n = 20 one and of a near-marginal scalar plant
+that value iteration hands to Newton steps,
 stage controls and slopes at fixed states (one state at a time and as
 batches of 200), single stage solves at four relaxation factors, one-channel
 batch solves whose right-hand sides hold signed zeros, the inaction margins
@@ -113,6 +115,15 @@ def compute() -> dict[str, list[float]]:
         put(f"certificate.gap{n}.stability", [report.radius, report.resolvent_radius])
         G = solve_riccati(model, ALPHA).G
         put(f"certificate.gap{n}.closed_loop", closed_loop_check(model, ALPHA, G).radius)
+    # convergence paths: a change of the value step shows in the step counts
+    marginal = SystemModel.from_dict({"A": 1.0, "B": 0.002, "C": [[1.0], [0.0]], "D": [[0.0], [1.0]],
+                                      "sigma": 0.1, "sigma_bar_x": 0.05})
+    gap20 = support.spectral_gap_model(np.random.default_rng(20), 20, 5)
+    for name, model, alpha in (("marginal", marginal, 1.0), ("gap20", gap20, ALPHA)):
+        sol = solve_riccati(model, alpha)
+        put(f"riccati.{name}.L", sol.L)
+        put(f"riccati.{name}.iterations", sol.iterations)
+        put(f"riccati.{name}.newton_steps", sol.newton_steps)
 
     for name in ("readme", "n6"):
         X = 1.5 * np.random.default_rng(5).standard_normal((200, models[name].n))

@@ -172,7 +172,26 @@ def dense_operator(root):
             if isinstance(node, ast.Call) and _name(node.func) == "operator_matrix"]
 
 
-LAYOUT_RULES = [dense_kron, three_operand_einsum, layering, blanket_catch, noise_streams, dense_operator]
+def _noise_form(node):
+    """Whether ``node`` forms a noise diagonal diag(S'US) or a control product B'U."""
+    if isinstance(node, ast.Call) and _name(node.func) == "_diag_quad" and len(node.args) == 3:
+        return ast.dump(node.args[0]) == ast.dump(node.args[2])
+    if isinstance(node, ast.Call) and _name(node.func) == "einsum" and node.args:
+        return isinstance(node.args[0], ast.Constant) and "pi,pi->" in str(node.args[0].value)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and _name(node.left) == "T" and _name(getattr(node.left, "value", None)) == "B")
+
+
+def noise_forms(root):
+    """The noise diagonals diag(S'US) and the control products B'U are formed in one
+    helper, operators._forms, from one product U @ [T W]: the value map, the
+    second-moment map and the capacitance system all read them from there."""
+    return [_found(name, node) for name, scope, node in _nodes(root)
+            if scope not in ("_forms", "_diag_quad") and _noise_form(node)]
+
+
+LAYOUT_RULES = [dense_kron, three_operand_einsum, layering, blanket_catch, noise_streams, dense_operator,
+                noise_forms]
 
 
 @pytest.mark.parametrize("rule", LAYOUT_RULES, ids=lambda rule: rule.__name__)
@@ -193,6 +212,9 @@ PLANTS = {
                "def _stray(model):\n    return _noise_chunks(model, 1, 1, 0, 'gaussian')\n"),
     "operator": (dense_operator, "stability.py",
                  "def _radius(ops):\n    return spectral_radius(ops.operator_matrix())\n"),
+    "noise_diagonal": (noise_forms, "riccati.py",
+                       "def _zu(md, P):\n    return _diag_quad(md.sigma_bar_u, P, md.sigma_bar_u)\n"),
+    "control_product": (noise_forms, "stability.py", "def _bu(model, U):\n    return model.B.T @ U\n"),
 }
 
 

@@ -410,6 +410,13 @@ class TestExitCodes:
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
 
+    def test_mean_dynamics_beyond_the_float_range_are_unstable(self, tmp_path, capsys):
+        # rho(A)^2 = 1e400 overflows: the radius is infinite, not a traceback
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"A": 1e200, "B": 0.0, "C": [[1.0], [0.0]], "D": [[0.0], [1.0]]}))
+        report = _run_json(capsys, ["stability", "--model", str(path), "--alpha", "1.0"])
+        assert report["radius"] == float("inf") and report["verdict"] == "unstable"
+
     def test_certified_infeasible_model_exits_with_its_ratio(self, tmp_path, capsys):
         path = tmp_path / "infeasible.json"
         path.write_text(json.dumps(support.INFEASIBLE_DATA))

@@ -1,7 +1,7 @@
 """Property-based contracts over generated plants and matrices.
 
 Each property runs with ``derandomize=True`` and a fixed example budget, so
-tier-1 stays deterministic and takes under two seconds more.
+tier-1 stays deterministic and takes a few seconds more.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from csviu import OperatorSet
 from csviu.operators import stein_solve
 
+import oracles
 import support
 
 LAYOUTS = {
@@ -68,3 +69,37 @@ def test_stacks_equal_their_one_matrix_calls(seed, n, k, gain, layout):
         one = ops.lyapunov_solve(S, F, G)
         assert one.stable and one.resolvent_radius == solved.resolvent_radius
         np.testing.assert_allclose(one.U, U, rtol=0.0, atol=1e-13 * float(np.abs(U).max()))
+
+
+def _assert_relative(got, want, rtol=1e-13):
+    assert float(np.abs(got - want).max()) <= rtol * float(np.abs(want).max()), (got, want)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), m=st.integers(1, 4),
+       growth=st.booleans(), k=st.integers(1, 4))
+def test_stacked_forms_agree_with_the_formulas(seed, n, m, growth, k):
+    """The value map's step, Sigma and Lambda and the second-moment map, with and
+    without a gain, all read from one stacked quadratic form, agree with their
+    formulas written term by term in ``tests/oracles.py``, to 1e-13 relative to
+    the largest entry, on every matrix of a stack of semidefinite U.  The
+    second-moment map takes the whole stack at once; the value map takes one U.
+    """
+    rng = np.random.default_rng(seed)
+    model = support.random_model(rng, n=n, m=m, lq=not growth)
+    alpha = 0.95
+    ops = OperatorSet(model, alpha)
+    roots = rng.standard_normal((k, n, n))
+    U = roots @ roots.transpose(0, 2, 1)
+    G = 0.1 * rng.standard_normal((m, n)) / np.sqrt(n)
+    Sx, Su = model.sigma_bar_x, model.sigma_bar_u
+    for F, gain in ((None, None), (model.A + model.B @ G, G)):
+        images = ops.second_moment_map(U, F, gain)
+        for image, one in zip(images, U):
+            _assert_relative(image, oracles.second_moment_image(one, model.A if F is None else F, Sx, alpha, gain, Su))
+    for one in U:
+        step, Sigma, Lambda = oracles.value_map_terms(model.A, model.B, model.C, model.D, Sx, Su, one, alpha)
+        _assert_relative(ops.riccati_step(one), step)
+        got = ops.sigma_lambda(one)
+        _assert_relative(got.Sigma, Sigma)
+        _assert_relative(got.Lambda, Lambda)

@@ -7,6 +7,7 @@ import pytest
 from csviu import (
     CriterionConfig,
     MaxIterations,
+    MonotonicityViolation,
     NoPSDSolution,
     OperatorSet,
     SingularLambda,
@@ -213,6 +214,73 @@ class TestFailureModes:
         tight = CriterionConfig(alpha=1.0, max_iters=2, tol_fixed_point=1e-14)
         with pytest.raises(MaxIterations, match="did not converge"):
             solve_riccati(stacked_output_model, config=tight)
+
+
+_DROP_STEP = 5
+
+
+def _dropping_steps(monkeypatch, n, drop):
+    """Stub the value map: iterate j is diag(0, j, ..., j), except that iterate
+    ``_DROP_STEP`` has -``drop`` in its first entry, so that step's difference is
+    diag(-drop, 1, ..., 1), exactly.  Returns the list of iterates made and the
+    list of the steps that computed eigenvalues."""
+    iterates, eigen_calls = [], []
+    eigvalsh = np.linalg.eigvalsh
+
+    def step(self, U):
+        j = len(iterates) + 1
+        P = np.diag(np.r_[0.0, np.full(n - 1, float(j))])
+        if j == _DROP_STEP:
+            P[0, 0] = -drop
+        iterates.append(P)
+        return P
+
+    def spy(a, *args, **kwargs):
+        if iterates:  # the check of D'D comes before the first step
+            eigen_calls.append(len(iterates))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(OperatorSet, "riccati_step", step)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return iterates, eigen_calls
+
+
+class TestMonotonicity:
+    """Value iteration raises MonotonicityViolation at a step whose difference has an
+    eigenvalue below -MONOTONE_TOL * max(1, max|P_next|).  A Cholesky factorization
+    of the difference shifted by that floor clears a step, and the eigenvalues decide
+    when it fails; n = 1 and n = 12 take both routes."""
+
+    @staticmethod
+    def _model(n):
+        return support.random_model(np.random.default_rng(n), n=n, m=max(1, n // 4))
+
+    @staticmethod
+    def _floor(n):
+        """MONOTONE_TOL * max(1, max|P_next|) at the drop: max|P_next| is the drop itself,
+        below one, at n = 1 and _DROP_STEP above it."""
+        return csviu.riccati.MONOTONE_TOL * (1.0 if n == 1 else float(_DROP_STEP))
+
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_a_drop_beyond_the_floor_raises_at_its_step(self, monkeypatch, n):
+        drop = 2.0 * self._floor(n)
+        iterates, eigen_calls = _dropping_steps(monkeypatch, n, drop)
+        with pytest.raises(MonotonicityViolation) as failure:
+            finite_horizon_riccati(self._model(n), 0.95, 2 * _DROP_STEP)
+        assert str(failure.value) == f"value iteration lost monotonicity at step {_DROP_STEP}"
+        assert type(failure.value) is MonotonicityViolation and not hasattr(failure.value, "iterations")
+        assert len(iterates) == _DROP_STEP and eigen_calls == [_DROP_STEP]
+
+    @pytest.mark.parametrize("n", [1, 12])
+    @pytest.mark.parametrize("share, eigen_calls", [(0.5, []), (1.0, [_DROP_STEP])], ids=["cholesky", "eigenvalues"])
+    def test_a_drop_within_the_floor_passes(self, monkeypatch, n, share, eigen_calls):
+        # half the floor clears the factorization; the whole floor leaves a zero pivot,
+        # and the smallest eigenvalue, -floor exactly, is not below -floor
+        drop = share * self._floor(n)
+        iterates, calls = _dropping_steps(monkeypatch, n, drop)
+        mats = finite_horizon_riccati(self._model(n), 0.95, 2 * _DROP_STEP)
+        assert len(mats) == 2 * _DROP_STEP + 1 and mats[-1 - _DROP_STEP][0, 0] == -drop
+        assert calls == eigen_calls
 
 
 def _tries(monkeypatch):

@@ -108,6 +108,23 @@ class TestFiveConditions:
         assert report.radius > 1.0
         assert report.verdict == "unstable"
 
+    @pytest.mark.parametrize("a", [1e100, 1e150, 1e200])
+    def test_huge_mean_dynamics_give_the_radius_or_infinity(self, a):
+        # rho(L) = a^2: from 1e154 on that overflows, and below it the Frobenius
+        # norm of the first power step overflowed and gave 0.0
+        report = check_alpha_stability(_plain(a, 0.0), alpha=1.0)
+        assert report.radius == pytest.approx(a * a, rel=1e-12)
+        assert report.verdict == "unstable" and report.d_stable is False and report.eig_ok is False
+
+    def test_huge_mean_dynamics_above_the_resolvent_switch(self):
+        # n = 21 runs power iteration, whose Frobenius norm overflowed the same way;
+        # next to alpha*rho(A)^2 = 0.95 (0.8e100)^2 the growth noise is negligible
+        model = support.spectral_gap_model(np.random.default_rng(21), 21, 5)
+        huge = SystemModel.from_dict(dict(model.to_dict(), A=(1e100 * model.A).tolist()))
+        report = check_alpha_stability(huge, alpha=0.95)
+        assert report.radius == pytest.approx(0.95 * 0.64e200, rel=1e-9)
+        assert report.verdict == "unstable"
+
 
 def _assert_close(got, want, rtol):
     scale = max(1.0, float(np.max(np.abs(want))))
