@@ -10,8 +10,9 @@ and those of two plants of the benchmark's synthesis family at n = 12 and
 n = 20 (``support.spectral_gap_model``), the convergence paths (L, value
 and Newton steps) of the n = 20 one and of a near-marginal scalar plant
 that value iteration hands to Newton steps,
-stage controls and slopes at fixed states (one state at a time and as
-batches of 200), single stage solves at four relaxation factors, one-channel
+stage solutions at fixed states (one state at a time, with the zero,
+frozen-sign and an explicit slope, every field of ``CONTROL_FIELDS``, and
+as batches of 200), single stage solves at four relaxation factors, one-channel
 batch solves whose right-hand sides hold signed zeros, the inaction margins
 of two 11 x 11 region scans (the README plant, m = 1, and the coupled cycling
 plant, m = 2) and the Monte Carlo estimators at a few hundred paths, plus one
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,8 @@ import support
 RECORD = Path(__file__).with_name("seeded_record.txt")
 RTOL = 1e-9
 ALPHA = 0.95
+# the ControlResult fields a single-state entry holds
+CONTROL_FIELDS = ("u_star", "mu", "margins", "gamma", "sub.b", "sor.z", "sor.theta", "sor.iterations")
 
 
 def plants() -> dict[str, SystemModel]:
@@ -100,10 +104,12 @@ def compute() -> dict[str, list[float]]:
         put(f"riccati.{name}.iterations", sol.iterations)
         n = sol.model.n
         states = np.vstack([np.zeros(n), 1.5 * np.random.default_rng(n).standard_normal((4, n))])
-        for kind in ("zero", "asymptotic"):
-            results = [optimal_control(sol, x, mu_kind=kind) for x in states]
-            put(f"control.{name}.{kind}.u_star", [r.u_star for r in results])
-            put(f"control.{name}.{kind}.mu", [r.mu for r in results])
+        slopes = 0.3 * np.random.default_rng(n + 1).standard_normal(states.shape)
+        for kind in ("zero", "asymptotic", "explicit"):
+            results = [optimal_control(sol, x, **({"mu": mu} if kind == "explicit" else {"mu_kind": kind}))
+                       for x, mu in zip(states, slopes)]
+            for field in CONTROL_FIELDS:
+                put(f"control.{name}.{kind}.{field}", [attrgetter(field)(r) for r in results])
 
     for name, sol in sols.items():
         report = check_alpha_stability(models[name], ALPHA)
