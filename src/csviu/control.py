@@ -133,15 +133,16 @@ def _sweeps(law: FeedbackLaw, B, tol, max_iters):
     ``tol`` after ``max_iters`` sweeps (a NaN residual included) comes back
     NaN, leaves the other rows as they are, and makes ``residual`` miss
     ``tol`` (:func:`_raise_unconverged`).  A single row runs on the
-    Python-float kernel of :func:`_sweeps_one`, a batch on columns
-    (:func:`_sweeps_batch`); both take the same steps, read the law's cached
-    constants and agree to rounding.  A batch with one channel and a
+    Python-float kernel of :func:`_sweeps_one`, whose floats come back as
+    (1, m) arrays, a batch on columns (:func:`_sweeps_batch`); both take the
+    same steps, read the law's cached constants and agree to rounding.  A batch with one channel and a
     nonzero budget takes the first sweep of :func:`_sweeps_batch` alone
     (:func:`_one_channel`), which is its whole result, bit for bit.
     """
     rows, m = B.shape
     if rows == 1:
-        return _sweeps_one(law, B, 1.0, None, tol, max_iters)
+        z, gamma, nu, sweeps, residual = _sweeps_one(law, B[0].tolist(), 1.0, None, tol, max_iters)
+        return np.array([z]), np.array([gamma]), np.array([nu]), sweeps, residual
     if m == 1 and rows and max_iters:
         return _one_channel(law, B, tol, max_iters)
     return _sweeps_batch(law, B, tol, max_iters)
@@ -256,8 +257,9 @@ def _sweeps_batch(law, B, tol, max_iters):
         if live.size == 1 and sweep < max_iters:
             # resume from Z, which clips to the clipped vector and keeps the zero signs
             # the next sweep's 0 z_i term carries
-            z, g, _, more, last = _sweeps_one(law, state[3].T, 1.0, state[0].T, tol, max_iters - sweep)
-            out[:2, :, live[0]] = z[0], g[0]
+            z, g, _, more, last = _sweeps_one(law, state[3, :, 0].tolist(), 1.0, state[0, :, 0].tolist(),
+                                              tol, max_iters - sweep)
+            out[:2, :, live[0]] = z, g
             # a failed straggler's residual (outside tol, or NaN) is the batch's
             sweeps, residual = sweep + more, max(residual, last) if last <= tol else last
             break
@@ -274,9 +276,11 @@ def _control(Wdc, Z, Gamma, Nu):
     np.copysign(np.multiply(Wdc, np.subtract(Z, Gamma, out=Nu), out=Nu), Z, out=Nu)
 
 
-def _sweeps_one(law, B, omega, Z0, tol, max_iters):
-    """The sweeps of :func:`_sweeps` on one (1, m) row, over Python floats,
-    from ``gamma = clip(z0, -c, c)`` (``Z0=None`` is z0 = 0).
+def _sweeps_one(law, b, omega, z0, tol, max_iters):
+    """The sweeps of :func:`_sweeps` on one right-hand side ``b``, a list of
+    m floats, over Python floats, from ``gamma = clip(z0, -c, c)``
+    (``z0=None`` is z0 = 0).  Returns (z, gamma, nu, sweeps, residual) with
+    z, gamma and nu as lists of floats, NaN when the row missed ``tol``.
 
     At omega = 1 it takes the steps of :func:`_sweeps_batch`, summing in
     another order.  Another omega, which only :func:`sor_solve` passes, is
@@ -313,8 +317,7 @@ def _sweeps_one(law, B, omega, Z0, tol, max_iters):
     (w, c), relaxed = law.lists, omega != 1.0
     m = len(c)
     kernel = _KERNELS.get((m, relaxed)) or _compile_kernel(m, relaxed)
-    z0 = [0.0] * m if Z0 is None else Z0[0].tolist()
-    return kernel(w, B[0].tolist(), c, z0, omega, tol, max_iters)
+    return kernel(w, b, c, [0.0] * m if z0 is None else z0, omega, tol, max_iters)
 
 
 _KERNELS = {}  # (channel count m, omega != 1) -> its compiled single-row sweep kernel
@@ -344,7 +347,7 @@ def kernel(w, b, c, z, omega, tol, max_iters):
 
 
 def _compile_kernel(m, relaxed):
-    namespace = {"array": np.array, "copysign": copysign, "inf": math.inf, "nan": math.nan}
+    namespace = {"copysign": copysign, "inf": math.inf, "nan": math.nan}
     name = f"<csviu sweep kernel, m={m}{', relaxed' if relaxed else ''}>"
     exec(compile(_kernel_source(m, relaxed), name, "exec"), namespace)
     kernel = _KERNELS[m, relaxed] = namespace["kernel"]
@@ -355,7 +358,7 @@ def _kernel_source(m, relaxed):
     """Python source of the single-row sweep kernel of :func:`_sweeps_one`
     for ``m`` channels, with the relaxed step when ``relaxed`` (omega != 1);
     ``kernel(w, b, c, z, omega, tol, max_iters)`` takes W as nested lists and
-    b, c and z0 as lists."""
+    b, c and z0 as lists, and returns z, gamma and nu as lists."""
     idx = range(m)
 
     def names(fmt):
@@ -388,8 +391,8 @@ def _kernel_source(m, relaxed):
         sweep=block(map(update, idx), 8),
         residual_to_first_miss=block(
             (f"{residual(i)}\nif not r{i} <= tol:\n    continue" for i in idx), 8),
-        solved=", ".join(f"array([[{names(v + '{i}')}]])" for v in ("z", "g", "nu")),
-        unsolved=", ".join([f"array([[{names('nan')}]])"] * 3),
+        solved=", ".join(f"[{names(v + '{i}')}]" for v in ("z", "g", "nu")),
+        unsolved=", ".join([f"[{names('nan')}]"] * 3),
         last_sweep=block(map(update, idx), 4),
         full_residual=block(
             (f"{residual(i)}\nif r{i} > residual or r{i} != r{i}:\n    residual = r{i}" for i in idx), 4),
@@ -411,18 +414,20 @@ def sor_solve(
     and the settings of :func:`_check_sweeps` are checked before any sweep.
     """
     law = sub.law
-    Z0 = None if z0 is None else check_state("z0", z0, sub.b.size)[None]
+    z0 = None if z0 is None else check_state("z0", z0, sub.b.size).tolist()
     check_real("omega", omega, 0.0, 2.0)
     max_iters = _check_sweeps(law, tol, max_iters)
-    Z, Gamma, Nu, iterations, residual = _sweeps_one(law, sub.b[None], omega, Z0, tol, max_iters)
-    _raise_unconverged(Nu, residual, tol, max_iters)
-    return _sor_state(law, Z[0], Gamma[0], Nu[0], iterations, residual)
+    z, gamma, nu, iterations, residual = _sweeps_one(law, sub.b.tolist(), omega, z0, tol, max_iters)
+    _raise_unconverged([nu], residual, tol, max_iters)
+    return _sor_state(law, z, gamma, nu, iterations, residual)
 
 
 def _sor_state(law, z, gamma, nu, iterations, residual):
-    """The :class:`SorState` of one converged row of a solve under ``law``."""
+    """The :class:`SorState` of one converged row of a solve under ``law``,
+    from the lists of :func:`_sweeps_one`, each made an array once."""
     # theta_i = |nu_i| / c_i = W_ii max(0, |z_i| - c_i) / c_i on weighted channels
-    return SorState(z=z, gamma=gamma, nu=nu, theta=np.abs(nu) / law.theta_divisor,
+    theta = [abs(v) / d for v, d in zip(nu, law.theta_divisor.tolist())]
+    return SorState(z=np.array(z), gamma=np.array(gamma), nu=np.array(nu), theta=np.array(theta),
                     iterations=iterations, residual=residual)
 
 
@@ -485,8 +490,8 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
     are checked once per call, before any sweep) and the slope that solve
     used.  ``Z``, ``Gamma``, ``Bu = Mu B + 2 X Sigma'``, ``sweeps`` and
     ``residual`` are those of the last solve alone, over the rows it
-    solved; for a batch of one that is the row's own last solve.  A given
-    ``Mu`` takes one solve.  A row that fails a solve is NaN in ``U`` and
+    solved; for a batch of one that is the row's own last solve.  A batch
+    of one row runs :func:`_feedback_one`.  A given ``Mu`` takes one solve.  A row that fails a solve is NaN in ``U`` and
     takes no further solve, and ``sweeps`` and ``residual`` then stay those
     of the last solve that failed a row (:func:`_raise_unconverged`).
 
@@ -504,6 +509,9 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
     returned slope; only rows still moving after the last sweep are solved
     once more.
     """
+    if len(X) == 1:
+        z, gamma, u, Mu, Bu, sweeps, residual = _feedback_one(sol, X, Mu, tol, max_iters)
+        return np.array([z]), np.array([gamma]), np.array([u]), Mu, Bu, sweeps, residual
     law, B = sol.law, sol.model.B
     max_iters = _check_sweeps(law, tol, max_iters)
     R = 2.0 * X @ sol.Sigma.T
@@ -543,6 +551,43 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
     else:
         U, Mu = _store(U, Mu, live, U_l, Mu_l)
     return Z, Gamma, U, Mu, Bu, sweeps, residual
+
+
+def _feedback_one(sol, X, Mu, tol, max_iters):
+    """:func:`_feedback` on a batch of one row, settings checks included,
+    with ``Z``, ``Gamma`` and ``U`` as the lists of one row.
+
+    It takes the slope rule's steps on the row: the products ``2 X Sigma'``,
+    ``sign(X) gain_x'``, ``Mu B`` and ``sign(u) gain_u'`` are the batch's
+    numpy products on (1, n) and (1, m) arrays, so they keep its bits, and
+    each solve runs on the kernel of :func:`_sweeps_one`.  The control sign
+    patterns and the stop test are Python floats: the first solve's pattern
+    is 0, each re-solve follows a pattern that moved, up to ``_MU_SWEEPS``,
+    and a solve that misses ``tol`` ends the rounds with its NaN control,
+    sweep count and residual.  Every returned array is the call's own.
+    """
+    law, B = sol.law, sol.model.B
+    max_iters = _check_sweeps(law, tol, max_iters)
+    R = 2.0 * X @ sol.Sigma.T
+    if Mu is not None:
+        Mu = Mu.copy()
+        Bu = Mu @ B + R
+        z, gamma, u, sweeps, residual = _sweeps_one(law, Bu[0].tolist(), 1.0, None, tol, max_iters)
+    else:
+        gain_x, gain_u = sol.slope_gains
+        Mx = Mu = np.sign(X) @ gain_x.T
+        Bu = Mu @ B + R
+        z, gamma, u, sweeps, residual = _sweeps_one(law, Bu[0].tolist(), 1.0, None, tol, max_iters)
+        signs = [0.0] * len(u)
+        for _ in range(_MU_SWEEPS):
+            moved = [float((v > 0.0) - (v < 0.0)) for v in u]  # np.sign of a solved control
+            if not residual <= tol or moved == signs:
+                break
+            signs = moved
+            Mu = Mx + np.array([signs]) @ gain_u.T
+            Bu = Mu @ B + R
+            z, gamma, u, sweeps, residual = _sweeps_one(law, Bu[0].tolist(), 1.0, None, tol, max_iters)
+    return z, gamma, u, Mu, Bu, sweeps, residual
 
 
 def _store(U, Mu, live, U_l, Mu_l):
@@ -624,9 +669,10 @@ def optimal_control(
 ) -> ControlResult:
     """Optimal stage control at ``x``.
 
-    The single state is a batch of one through the driver of
-    :func:`optimal_control_batch`: ``u_star`` and ``mu`` are identical to
-    that batch's row, and ``sub`` and ``sor`` describe its last stage solve.
+    The single state is a batch of one through the single-row path of
+    :func:`optimal_control_batch` (:func:`_feedback_one`): ``u_star`` and
+    ``mu`` are identical to that batch's row, and ``sub`` and ``sor``
+    describe its last stage solve.
     The slope is resolved as in :func:`resolve_mu`.  The control agrees with
     its closed form ``-Lambda^{-1} (Sigma x + (B' mu + gamma) / 2)``: every
     sweep certifies ``|u + W (gamma + b)| <= tol`` on its row, and the
@@ -639,15 +685,15 @@ def optimal_control(
     :class:`ArgumentError` before any sweep.
     """
     x = check_state("x", x, sol.model.n)[None]
-    Z, Gamma, U, Mu, Bu, iterations, residual = _feedback(
+    z, gamma, u, Mu, Bu, iterations, residual = _feedback_one(
         sol, x, _slopes(sol, x, mu, mu_kind, "mu"), tol, max_iters
     )
-    _raise_unconverged(U, residual, tol, max_iters)
-    law, u_star, gamma, b = sol.law, U[0], Gamma[0], Bu[0]
+    _raise_unconverged([u], residual, tol, max_iters)
+    law, b = sol.law, Bu[0]
+    sor = _sor_state(law, z, gamma, u, iterations, residual)
     return ControlResult(
-        u_star=u_star, gamma=gamma, mu=Mu[0], margins=_margins(sol, Bu, U)[0],
-        sub=ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda),
-        sor=_sor_state(law, Z[0], gamma, u_star, iterations, residual),
+        u_star=sor.nu, gamma=sor.gamma, mu=Mu[0], margins=_margins(sol, b, sor.nu),
+        sub=ControlSubproblem(W=law.W, b=b, c=law.c, Lambda=sol.Lambda), sor=sor,
     )
 
 

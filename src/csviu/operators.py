@@ -324,7 +324,8 @@ class OperatorSet:
         V = symmetrize(U) + _CW_RIDGE * np.eye(n)
         inv_chol = np.linalg.inv(np.linalg.cholesky(V))
         image = inv_chol @ self._moment(V, factors, G) @ inv_chol.T
-        s = (1.0 + _RADIUS_FLOOR) * max(float(np.linalg.eigvalsh(symmetrize(image))[-1]), mean)
+        image = 0.5 * image + 0.5 * image.T  # symmetrize's (U + U')/2 overflows from entries near 1e308
+        s = (1.0 + _RADIUS_FLOOR) * max(float(np.linalg.eigvalsh(image)[-1]), mean)
         res, lo, hi, est, steps, spread, center = None, mean, np.inf, np.inf, 0, 16.0, None
         chord = _Chord(mean)
         for _ in range(_RADIUS_SHIFTS):

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import os
@@ -484,19 +485,25 @@ class TestOneChannelPass:
         law = FeedbackLaw(W=np.array([[w]]), c=np.array([c]))
         return law, np.array(values, dtype=float).reshape(-1, 1), tol, max_iters
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @staticmethod
+    def _overflows(w, case):
+        """``pytest.warns`` where W (z - gamma) overflows, else a context that lets no warning pass."""
+        return pytest.warns(RuntimeWarning) if w == 2.0 and "overflow" in case else contextlib.nullcontext()
+
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("w", [1e-3, 0.5, 2.0])
     @pytest.mark.parametrize("c", [0.0, 1e-300, 0.3])
     def test_is_the_first_sweep_of_the_column_kernel(self, c, w, case, monkeypatch):
         law, B, tol, max_iters = self._law_and_rows(c, w, case)
-        want = csviu.control._sweeps_batch(law, B, tol, max_iters)
+        with self._overflows(w, case):
+            want = csviu.control._sweeps_batch(law, B, tol, max_iters)
         if len(B) > 1 and max_iters >= 1:  # the one-pass solve, not the column kernel
             def refuse(*args):
                 raise AssertionError("the column kernel ran on one channel")
 
             monkeypatch.setattr(csviu.control, "_sweeps_batch", refuse)
-        got = csviu.control._sweeps(law, B, tol, max_iters)
+        with self._overflows(w, case):
+            got = csviu.control._sweeps(law, B, tol, max_iters)
         for name, a, b in zip(("Z", "Gamma", "Nu"), got[:3], want[:3]):
             assert _nan_bits(a) == _nan_bits(b), name
         assert got[3] == want[3]
@@ -504,13 +511,12 @@ class TestOneChannelPass:
         if w == 2.0 and "overflow" in case:
             assert np.isnan(got[2][-1]).all() and math.isnan(got[4]) and got[3] == max_iters
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case", ["no-sweep", "one-overflow", "one-overflow-one-sweep", "two-overflows"])
     def test_failed_rows_raise_the_column_kernel_text(self, case, monkeypatch):
         law, B, tol, max_iters = self._law_and_rows(0.3, 2.0, case)
 
         def failure():
-            with pytest.raises(MaxIterations) as caught:
+            with pytest.raises(MaxIterations) as caught, self._overflows(2.0, case):
                 sor_solve_batch(law.W, B, law.c, tol=tol, max_iters=max_iters)
             return str(caught.value), caught.value.iterations, _nan_bits(caught.value.residual)
 
@@ -551,14 +557,14 @@ class TestBatchRowsLeaveOnConvergence:
         budgets = []
         scalar = csviu.control._sweeps_one
 
-        def spy(law, B, omega, Z0, tol, max_iters):
-            budgets.append((B.shape[0], max_iters))
-            return scalar(law, B, omega, Z0, tol, max_iters)
+        def spy(law, b, omega, z0, tol, max_iters):
+            budgets.append((b, z0 is None, max_iters))
+            return scalar(law, b, omega, z0, tol, max_iters)
 
         monkeypatch.setattr(csviu.control, "_sweeps_one", spy)
         W, B, c, _ = _mixed_rows()
         sor_solve_batch(W, B, c, max_iters=500)
-        assert budgets == [(1, 500 - MIXED_SWEEPS[-2])]
+        assert budgets == [(B[-1].tolist(), False, 500 - MIXED_SWEEPS[-2])]
 
     @pytest.mark.parametrize("max_iters", [43, 44, 60])
     def test_straggler_out_of_budget_raises_with_its_own_residual(self, max_iters):
@@ -599,13 +605,14 @@ def _kernel_or_failure(sub, omega, z0=None, tol=1e-12, max_iters=1000):
     """The single-row kernel ``_sweeps_one`` as (z, gamma, nu, sweeps, residual),
     the arrays None when the row missed ``tol`` (and came back NaN)."""
     z0 = np.zeros(sub.b.size) if z0 is None else np.asarray(z0, dtype=float)
-    Z, Gamma, Nu, sweeps, residual = csviu.control._sweeps_one(
-        FeedbackLaw(W=sub.W, c=sub.c), sub.b[None], omega, z0[None], tol, max_iters
+    z, gamma, nu, sweeps, residual = csviu.control._sweeps_one(
+        FeedbackLaw(W=sub.W, c=sub.c), sub.b.tolist(), omega, z0.tolist(), tol, max_iters
     )
+    assert all(type(a) is list and len(a) == sub.b.size for a in (z, gamma, nu))
     if not residual <= tol:
-        assert np.isnan(np.stack([Z, Gamma, Nu])).all()
+        assert np.isnan([z, gamma, nu]).all()
         return None, None, None, sweeps, residual
-    return Z[0], Gamma[0], Nu[0], sweeps, residual
+    return z, gamma, nu, sweeps, residual
 
 
 def _sor_fields(state):
@@ -756,6 +763,7 @@ class TestOptimalControl:
             raise AssertionError("a sweep ran on a non-finite state")
 
         monkeypatch.setattr(csviu.control, "_sweeps", no_sweeps)
+        monkeypatch.setattr(csviu.control, "_sweeps_one", no_sweeps)
         with pytest.raises(ValueError, match="x must be finite"):
             optimal_control(sol, [np.nan], mu_kind=mu_kind)
         with pytest.raises(ValueError, match=r"X must be finite.* row 1"):
@@ -884,6 +892,7 @@ def _refuse_sweeps_and_draws(monkeypatch):
         raise AssertionError("a sweep or a draw ran")
 
     monkeypatch.setattr(csviu.control, "_sweeps", refuse)
+    monkeypatch.setattr(csviu.control, "_sweeps_one", refuse)
     monkeypatch.setattr(csviu.simulator, "_noise_chunks", refuse)
 
 
@@ -963,24 +972,38 @@ class TestPerRowSlopeSweeps:
 
     @staticmethod
     def _record_rows(monkeypatch, rows_solved):
-        sweeps = csviu.control._sweeps
+        """Record the rows of every batch stage solve (``_sweeps``) and, as 1, every
+        single-row solve of the single-state path (``_sweeps_one`` outside ``_sweeps``)."""
+        sweeps, one, inside = csviu.control._sweeps, csviu.control._sweeps_one, []
 
         def recording(W, B, *args):
             rows_solved.append(len(B))
-            return sweeps(W, B, *args)
+            inside.append(True)
+            try:
+                return sweeps(W, B, *args)
+            finally:
+                inside.pop()
+
+        def recording_one(law, b, *args):
+            if not inside:
+                rows_solved.append(1)
+            return one(law, b, *args)
 
         monkeypatch.setattr(csviu.control, "_sweeps", recording)
+        monkeypatch.setattr(csviu.control, "_sweeps_one", recording_one)
 
     def test_batch_solves_each_row_as_often_as_the_single_state(self, case, monkeypatch):
         sol, X = case
-        rows_solved = []
+        rows_solved, batches = [], []
         self._record_rows(monkeypatch, rows_solved)
         optimal_control_batch(sol, X, mu_kind="asymptotic")
         batch_rows = rows_solved.copy()
+        sweeps = csviu.control._sweeps
+        monkeypatch.setattr(csviu.control, "_sweeps", lambda *args: batches.append(args) or sweeps(*args))
         for x in X:
             optimal_control(sol, x, mu_kind="asymptotic")
         single_rows = rows_solved[len(batch_rows):]
-        assert set(single_rows) == {1}
+        assert set(single_rows) == {1} and batches == []  # single states never run the batch solve
         assert sum(batch_rows) == len(single_rows)
         # only the cycling row takes the final solve after the last sweep
         assert batch_rows[-1] == 1 and batch_rows[0] == len(X)

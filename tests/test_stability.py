@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,16 @@ class TestFiveConditions:
         # norm of the first power step overflowed and gave 0.0
         report = check_alpha_stability(_plain(a, 0.0), alpha=1.0)
         assert report.radius == pytest.approx(a * a, rel=1e-12)
+        assert report.verdict == "unstable" and report.d_stable is False and report.eig_ok is False
+
+    def test_a_radius_at_the_float_maximum_warns_of_no_overflow(self):
+        # alpha rho(A)^2 = 1e308: the Collatz-Wielandt bound's symmetrized image
+        # overflowed in (U + U') and numpy warned, though the radius was right
+        model = SystemModel.from_dict({"A": 1e154, "B": 0.0, "C": [[1.0], [0.0]], "D": [[0.0], [1.0]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_alpha_stability(model, 1.0)
+        assert report.radius == 1e308
         assert report.verdict == "unstable" and report.d_stable is False and report.eig_ok is False
 
     def test_huge_mean_dynamics_above_the_resolvent_switch(self):
