@@ -61,7 +61,9 @@ class ArgumentError(CsviuError, ValueError):
 def check_count(name: str, value, least: int) -> int:
     """``value`` as an int; :class:`ArgumentError` naming ``name`` unless it
     is an integer, not a bool, of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    # an int passes before the isinstance test of an ABC, which costs about 0.4 us
+    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
+            or value < least):
         raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -91,7 +93,9 @@ def check_state(name: str, x, n: int) -> np.ndarray:
     x = as_floats(name, x).reshape(-1)
     if x.shape != (n,):
         raise ArgumentError(f"{name} has length {x.size}, expected {n}")
-    return check_matrix(name, x, (n,))
+    if not np.isfinite(x).all():
+        raise ArgumentError(f"{name} must be finite, got {x}")
+    return x
 
 
 def check_matrix(name: str, a, shape: tuple) -> np.ndarray:
