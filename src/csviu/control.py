@@ -94,7 +94,7 @@ def cost_Ju(sub: ControlSubproblem, u) -> float:
 def check_tol(tol) -> None:
     """:class:`ArgumentError` unless ``tol`` is a finite number >= 0, not a bool."""
     # a float passes before the isinstance test of an ABC, which costs about 0.4 us
-    if not ((type(tol) is float or not isinstance(tol, bool) and isinstance(tol, numbers.Real))
+    if not ((type(tol) is float or (not isinstance(tol, bool) and isinstance(tol, numbers.Real)))
             and 0.0 <= tol < math.inf):
         raise ArgumentError(f"tol must be a finite number >= 0, got {tol!r}")
 
@@ -428,11 +428,11 @@ def sor_solve(
 
 def _sor_state(law, z, gamma, nu, iterations, residual):
     """The :class:`SorState` of one converged row of a solve under ``law``,
-    from the lists of :func:`_sweeps_one`, made arrays at once."""
+    from the lists of :func:`_sweeps_one`."""
+    nu = np.array(nu)
     # theta_i = |nu_i| / c_i = W_ii max(0, |z_i| - c_i) / c_i on weighted channels
-    theta = [abs(v) / d for v, d in zip(nu, law.theta_divisor.tolist())]
-    z, gamma, nu, theta = np.array([z, gamma, nu, theta])  # the rows of one new array
-    return SorState(z=z, gamma=gamma, nu=nu, theta=theta, iterations=iterations, residual=residual)
+    return SorState(z=np.array(z), gamma=np.array(gamma), nu=nu, theta=np.abs(nu) / law.theta_divisor,
+                    iterations=iterations, residual=residual)
 
 
 def sor_solve_batch(sub_W, B, c, tol=1e-10, max_iters=_MAX_SWEEPS):
