@@ -739,7 +739,7 @@ def optimal_control_batch(
     ``X`` has no rows.  The slope inputs are those of :func:`resolve_mu`
     (Monte Carlo slopes are a ``Mu`` of :func:`~csviu.mu.mu_rollout` values).  A single
     state is a batch of one: :func:`optimal_control` and :func:`resolve_mu`
-    run this driver on one row, with identical results, and a batch of one
+    run it on one row, with identical results, and a batch of one
     row runs on the single-row kernel end to end (:func:`_feedback_one`).  Each stage solve
     stops every row at its own convergence sweep and, with
     ``mu_kind="asymptotic"``, every row follows the slope-sweep rule on its

@@ -133,7 +133,7 @@ def _failure(call):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), growth=st.sampled_from([0.1, 0.3]),
        kind=st.sampled_from(["random", "zero", "signed-zeros", "mixed"]))
 def test_a_single_state_is_its_batch_of_one(seed, m, growth, kind):
-    """A single state takes the single-row path of the feedback driver.
+    """A single state takes the single-row path of ``control._feedback``.
 
     For every slope input, ``optimal_control(x)``, ``optimal_control_batch(x[None])``
     and ``resolve_mu(x)`` agree bit for bit, and agree with the same row inside
