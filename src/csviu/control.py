@@ -469,7 +469,8 @@ def _slopes(sol: RiccatiSolution, X, Mu, mu_kind, name="Mu"):
         raise ArgumentError(f"states have length {n}, expected {sol.model.n}")
     if Mu is not None:
         Mu = as_floats(name, Mu)
-        Mu = Mu.reshape(1, -1) if rows == 1 else np.atleast_2d(Mu)
+        # a single row's slope is its own copy, since ControlResult.mu hands it out
+        Mu = Mu.reshape(1, -1).copy() if rows == 1 else np.atleast_2d(Mu)
         if Mu.shape != X.shape:
             raise ArgumentError(f"slopes of shape {Mu.shape} do not match {rows} states of length {n}")
         finite = np.isfinite(Mu).all(axis=1)
@@ -569,29 +570,27 @@ def _feedback_one(sol, X, Mu, tol, max_iters):
     patterns and the stop test are Python floats: the first solve's pattern
     is 0, each re-solve follows a pattern that moved, up to ``_MU_SWEEPS``,
     and a solve that misses ``tol`` ends the rounds with its NaN control,
-    sweep count and residual.  Every returned array is the call's own.
+    sweep count and residual.  Every returned array is the call's own, given
+    a ``Mu`` of :func:`_slopes`, which copies a single row's explicit slope.
     """
     law, B = sol.law, sol.model.B
     max_iters = _check_sweeps(law, tol, max_iters)
     R = 2.0 * X @ sol.Sigma.T
-    if Mu is not None:
-        Mu = Mu.copy()
-        Bu = Mu @ B + R
-        z, gamma, u, sweeps, residual = _sweeps_one(law, Bu[0].tolist(), 1.0, None, tol, max_iters)
-    else:
+    rounds = 0  # re-solves left: a given slope takes one solve
+    if Mu is None:
         gain_x, gain_u = sol.slope_gains
         Mx = Mu = np.sign(X) @ gain_x.T
+        rounds, signs = _MU_SWEEPS, [0.0] * B.shape[1]  # the pattern the first solve counts as
+    while True:
         Bu = Mu @ B + R
         z, gamma, u, sweeps, residual = _sweeps_one(law, Bu[0].tolist(), 1.0, None, tol, max_iters)
-        signs = [0.0] * len(u)  # the pattern the first solve counts as
-        for _ in range(_MU_SWEEPS):
-            pattern = [float((v > 0.0) - (v < 0.0)) for v in u]  # np.sign of a solved control
-            if not residual <= tol or pattern == signs:
-                break
-            signs = pattern
-            Mu = Mx + np.array([signs]) @ gain_u.T
-            Bu = Mu @ B + R
-            z, gamma, u, sweeps, residual = _sweeps_one(law, Bu[0].tolist(), 1.0, None, tol, max_iters)
+        if not rounds or not residual <= tol:
+            break
+        pattern = [float((v > 0.0) - (v < 0.0)) for v in u]  # np.sign of a solved control
+        if pattern == signs:
+            break
+        rounds, signs = rounds - 1, pattern
+        Mu = Mx + np.array([signs]) @ gain_u.T
     return z, gamma, u, Mu, Bu, sweeps, residual
 
 

@@ -93,9 +93,7 @@ def check_state(name: str, x, n: int) -> np.ndarray:
     x = as_floats(name, x).reshape(-1)
     if x.shape != (n,):
         raise ArgumentError(f"{name} has length {x.size}, expected {n}")
-    if not np.isfinite(x).all():
-        raise ArgumentError(f"{name} must be finite, got {x}")
-    return x
+    return check_matrix(name, x, (n,))
 
 
 def check_matrix(name: str, a, shape: tuple) -> np.ndarray:

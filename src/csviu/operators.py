@@ -56,9 +56,10 @@ _RADIUS_STEPS = 100     # resolvent steps
 
 
 def symmetrize(U):
-    """Return (U + U')/2."""
-    U = np.asarray(U, dtype=float)
-    return 0.5 * (U + U.T)
+    """Return (U + U')/2, halved before the sum, so that entries near the
+    largest float do not overflow; the scaling is exact away from subnormals."""
+    H = 0.5 * np.asarray(U, dtype=float)
+    return H + H.T
 
 
 class NoiseForms(NamedTuple):
@@ -324,8 +325,7 @@ class OperatorSet:
         V = symmetrize(U) + _CW_RIDGE * np.eye(n)
         inv_chol = np.linalg.inv(np.linalg.cholesky(V))
         image = inv_chol @ self._moment(V, factors, G) @ inv_chol.T
-        image = 0.5 * image + 0.5 * image.T  # symmetrize's (U + U')/2 overflows from entries near 1e308
-        s = (1.0 + _RADIUS_FLOOR) * max(float(np.linalg.eigvalsh(image)[-1]), mean)
+        s = (1.0 + _RADIUS_FLOOR) * max(float(np.linalg.eigvalsh(symmetrize(image))[-1]), mean)
         res, lo, hi, est, steps, spread, center = None, mean, np.inf, np.inf, 0, 16.0, None
         chord = _Chord(mean)
         for _ in range(_RADIUS_SHIFTS):
