@@ -469,8 +469,8 @@ def _slopes(sol: RiccatiSolution, X, Mu, mu_kind, name="Mu"):
         raise ArgumentError(f"states have length {n}, expected {sol.model.n}")
     if Mu is not None:
         Mu = as_floats(name, Mu)
-        # a single row's slope is its own copy, since ControlResult.mu hands it out
-        Mu = Mu.reshape(1, -1).copy() if rows == 1 else np.atleast_2d(Mu)
+        # every batch gets its own copy of the slopes, since the results hand them out
+        Mu = np.array(Mu.reshape(1, -1) if rows == 1 else np.atleast_2d(Mu))
         if Mu.shape != X.shape:
             raise ArgumentError(f"slopes of shape {Mu.shape} do not match {rows} states of length {n}")
         finite = np.isfinite(Mu).all(axis=1)
@@ -571,7 +571,7 @@ def _feedback_one(sol, X, Mu, tol, max_iters):
     is 0, each re-solve follows a pattern that moved, up to ``_MU_SWEEPS``,
     and a solve that misses ``tol`` ends the rounds with its NaN control,
     sweep count and residual.  Every returned array is the call's own, given
-    a ``Mu`` of :func:`_slopes`, which copies a single row's explicit slope.
+    a ``Mu`` of :func:`_slopes`, which copies an explicit slope.
     """
     law, B = sol.law, sol.model.B
     max_iters = _check_sweeps(law, tol, max_iters)
@@ -735,8 +735,9 @@ def optimal_control_batch(
     """Optimal controls for a whole (paths, n) state batch at once.
 
     Returns ``(U, Mu)`` with shapes (paths, m) and (paths, n), empty when
-    ``X`` has no rows.  The slope inputs are those of :func:`resolve_mu`
-    (Monte Carlo slopes are a ``Mu`` of :func:`~csviu.mu.mu_rollout` values).  A single
+    ``X`` has no rows; both are the call's own arrays, a given ``Mu`` copied.
+    The slope inputs are those of :func:`resolve_mu` (Monte Carlo slopes
+    are a ``Mu`` of :func:`~csviu.mu.mu_rollout` values).  A single
     state is a batch of one: :func:`optimal_control` and :func:`resolve_mu`
     run it on one row, with identical results, and a batch of one
     row runs on the single-row kernel end to end (:func:`_feedback_one`).  Each stage solve

@@ -20,15 +20,10 @@ it, and the dense matrix of :meth:`OperatorSet.operator_matrix` is that map
 applied to a basis of the symmetric matrices, in upper-triangle coordinates,
 which only the tests read.  Equations U - map(U) = Q are solved once, in
 :meth:`OperatorSet.lyapunov_solve`, on n x n matrices as well: one Stein
-doubling pass and a capacitance system, factored per discount.  Up to n = 20
+doubling pass and a capacitance system, factored per discount.
 :meth:`OperatorSet.map_radius` runs inverse iteration on the map's resolvent
-through that factored solve.  Each shift is tested against the radius by the
-sign pattern of the capacitance system, an M-matrix test that stays right on
-triangular and defective maps, and the radius is returned only inside a
-tested bracket of relative width 1e-13 (on an F far from normal, that
-bracket is only as good as the Stein sums).  Above n = 20 it runs power
-iteration, which can raise :class:`~csviu.errors.MaxIterations` when several
-eigenvalues share the spectral circle.
+through that factored solve; its docstring says where power iteration takes
+over.  Every other radius is :func:`spectral_radius`, dense at every size.
 """
 
 from __future__ import annotations
@@ -43,8 +38,8 @@ import numpy as np
 from .errors import ArgumentError, MaxIterations, SingularLambda, as_floats, check_real
 from .model import SystemModel
 
-DENSE_MAX = 400  # spectral_radius: dense eigensolve up to this dimension; map_radius: resolvent up to n*n
 MAX_DOUBLINGS = 64
+_MAP_RADIUS_SWITCH = 20  # OperatorSet.map_radius: resolvent iteration up to this n, power iteration above
 # budget and tolerances of the resolvent iteration of OperatorSet.map_radius
 _POWER_STEPS = 8        # power steps from the identity before the first shift
 _CW_RIDGE = 1e-3        # multiple of I added to the power iterate, largest entry 1, for the first bound
@@ -53,6 +48,9 @@ _RADIUS_TOL = 1e-13     # relative width of the tested bracket the radius is ret
 _RESHIFT_STEPS = 4      # a shift that would settle within this many more steps is kept
 _RADIUS_SHIFTS = 32     # shifts tested, each one factorization
 _RADIUS_STEPS = 100     # resolvent steps
+# tolerance and step budget of the power iteration of OperatorSet.map_radius
+_POWER_TOL = 1e-12      # relative agreement, floored at one, of three successive norm ratios
+_POWER_BUDGET = 20000   # power steps
 
 
 def symmetrize(U):
@@ -262,8 +260,8 @@ class OperatorSet:
         """Spectral radius of :meth:`second_moment_map` with the same ``F``, ``G``.
 
         The map L is positive on the semidefinite cone, so its radius rho is
-        an eigenvalue with a semidefinite eigenvector.  Up to n*n = DENSE_MAX
-        it comes from inverse iteration on the resolvent
+        an eigenvalue with a semidefinite eigenvector.  Up to n = 20
+        (``_MAP_RADIUS_SWITCH``) it comes from inverse iteration on the resolvent
         (sI - L)^{-1} = s^{-1} (I - L_{alpha/s})^{-1}, L_{alpha/s} the map at
         discount alpha/s, applied through the capacitance solve of
         :meth:`lyapunov_solve`, which is factored once per shift s.
@@ -292,9 +290,13 @@ class OperatorSet:
         loses all of it also raises :class:`MaxIterations` with the bracket,
         and a radius returned there is only as accurate as those sums (in
         every such case tried, closer than the dense eigenvalues).  Above
-        n*n = DENSE_MAX, power iteration runs on n x n matrices through
-        :meth:`second_moment_map`, from the identity; it can raise
-        :class:`MaxIterations` as :func:`spectral_radius` does.
+        n = 20, power iteration runs on n x n matrices through
+        :meth:`second_moment_map`, from the identity, until three successive
+        norm ratios agree to 1e-12.  It costs less than the resolvent there,
+        but it is not certified: when several eigenvalues share the spectral
+        circle its iterates need not settle, and it raises
+        :class:`MaxIterations` after 20000 steps rather than return an
+        unsettled number.
         """
         return self._map_radius(self.model.A if F is None else F, G, None)
 
@@ -302,9 +304,36 @@ class OperatorSet:
         """:meth:`map_radius` with ``rho_F`` = rho(F), or None to compute it where needed."""
         n = self.model.n
         factors = self._map_factors(F, G)
-        if n * n > DENSE_MAX:
-            return _power_radius(lambda U: self._moment(U, factors, G), np.eye(n))
+        if n > _MAP_RADIUS_SWITCH:
+            return self._power_radius(factors, G)
         return self._resolvent_radius(F, G, factors, _eig_radius(F) if rho_F is None else rho_F)
+
+    def _power_radius(self, factors, G):
+        """The power iteration of :meth:`map_radius` from the identity, Frobenius norm;
+        ``factors`` are those of :meth:`_map_factors`."""
+        U = np.eye(self.model.n) / math.sqrt(self.model.n)
+        estimate, steady = 0.0, 0
+        for _ in range(_POWER_BUDGET):
+            V = self._moment(U, factors, G)
+            r = math.sqrt(float(np.vdot(V, V)))  # the Frobenius norm, without np.linalg.norm's checks
+            if r == math.inf:  # the squares overflow from entries near 1e154: scale them first
+                peak = float(np.abs(V).max())
+                r = peak * math.sqrt(float(np.vdot(V / peak, V / peak)))
+            if r == 0.0:
+                return 0.0
+            U = V / r
+            if abs(r - estimate) <= _POWER_TOL * max(1.0, r):
+                steady += 1
+                if steady >= 3:
+                    return r
+            else:
+                steady = 0
+            estimate = r
+        raise MaxIterations(
+            f"power iteration did not settle after {_POWER_BUDGET} steps (last estimate {estimate:.6e})",
+            iterations=_POWER_BUDGET,
+            residual=abs(r - estimate),
+        )
 
     def _resolvent_radius(self, F, G, factors, rho_F):
         """The resolvent iteration of :meth:`map_radius`; ``factors`` are those of
@@ -425,7 +454,7 @@ class OperatorSet:
             return LyapunovSolve(None, False, np.nan)
         Q = np.asarray(Q, dtype=float)
         res, U = self._resolvent(self.alpha, F, G, Q if Q.ndim == 3 else Q[None])
-        radius = spectral_radius(res.M, method="eig")
+        radius = _eig_radius(res.M)
         if U is None:
             return LyapunovSolve(None, False, radius)
         return LyapunovSolve(U if Q.ndim == 3 else U[0], bool(self.alpha * radius < 1.0), radius)
@@ -524,7 +553,7 @@ def _perron_root(M):
     for _ in range(int(len(M)).bit_length()):
         reach = (reach.astype(float) @ reach.astype(float)) > 0.0
     blocks = {tuple(row) for row in reach & reach.T}
-    return max(spectral_radius(M[np.ix_(b, b)], method="eig") for b in map(np.array, blocks))
+    return max(_eig_radius(M[np.ix_(b, b)]) for b in map(np.array, blocks))
 
 
 class _Chord:
@@ -638,21 +667,13 @@ def stein_solve(F, Q):
     return _stein_pass(_doubling_powers(np.asarray(F, dtype=float)), np.array(Q, dtype=float, order="C"))
 
 
-def spectral_radius(M, method="auto", tol=1e-12, max_iters=20000):
-    """Spectral radius of a square matrix.
+def spectral_radius(M, method="auto"):
+    """Spectral radius of a square matrix, max |eig(M)| from the dense eigensolver.
 
-    Small matrices (dimension up to DENSE_MAX) go through the dense
-    eigensolver; large ones (as produced by vectorizing operators on big
-    state spaces) use power iteration, which is adequate when the matrix
-    leaves the semidefinite cone invariant and its dominant eigenvalue is
-    the only one on its spectral circle.  When several eigenvalues share the
-    spectral circle the iterates need not settle (10 of 2000 random small
-    closed-loop maps with unit-scale gains); the iteration then raises
-    :class:`MaxIterations` after ``max_iters`` steps and never returns an
-    unsettled number.  A settled estimate can still differ from the dense
-    radius by up to about 1e-10 relative (8e-11 seen on those maps), which is
-    why dimensions up to DENSE_MAX keep the eigensolver.  A matrix that is
-    not square, not numeric or not finite raises :class:`ArgumentError`.
+    ``method`` is "auto" or its synonym "eig"; any other value, "power"
+    included, raises :class:`ArgumentError`: the one power iteration left is
+    that of :meth:`OperatorSet.map_radius`.  A matrix that is not square, not
+    numeric or not finite raises :class:`ArgumentError` as well.
     """
     M = as_floats("M", M)
     d = M.shape[0] if M.ndim else 0
@@ -660,49 +681,9 @@ def spectral_radius(M, method="auto", tol=1e-12, max_iters=20000):
         raise ArgumentError(f"expected a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ArgumentError("M must be finite")
-    if d == 0:
-        return 0.0
-    if method == "eig" or (method == "auto" and d <= DENSE_MAX):
-        return _eig_radius(M)
-    if method not in ("power", "auto"):
-        raise ArgumentError(f"unknown method {method!r}")
-
-    # start inside the cone image when d is a perfect square (vec of identity)
-    k = int(round(np.sqrt(d)))
-    if k * k == d:
-        v = np.eye(k).reshape(-1, order="F")
-    else:
-        v = np.ones(d)
-    return _power_radius(lambda w: M @ w, v, tol, max_iters)
-
-
-def _power_radius(apply, v, tol=1e-12, max_iters=20000):
-    """Power iteration of ``apply`` from ``v``: vectors or matrices, Frobenius norm.
-
-    Returns once three successive norm ratios agree within ``tol`` (relative,
-    floored at one); raises :class:`MaxIterations` after ``max_iters`` steps.
-    """
-    v = v / np.linalg.norm(v)
-    estimate = 0.0
-    steady = 0
-    for it in range(max_iters):
-        w = apply(v)
-        r = math.sqrt(float(np.vdot(w, w)))  # the Frobenius norm, without np.linalg.norm's checks
-        if r == math.inf:  # the squares overflow from entries near 1e154: scale them first
-            peak = float(np.abs(w).max())
-            r = peak * math.sqrt(float(np.vdot(w / peak, w / peak)))
-        if r == 0.0:
-            return 0.0
-        v = w / r
-        if abs(r - estimate) <= tol * max(1.0, r):
-            steady += 1
-            if steady >= 3:
-                return r
-        else:
-            steady = 0
-        estimate = r
-    raise MaxIterations(
-        f"power iteration did not settle after {max_iters} steps (last estimate {estimate:.6e})",
-        iterations=max_iters,
-        residual=abs(r - estimate),
-    )
+    if method not in ("auto", "eig"):
+        raise ArgumentError(
+            f"unknown method {method!r}: spectral_radius is dense at every size; "
+            "the second-moment map's power iteration is OperatorSet.map_radius"
+        )
+    return _eig_radius(M) if d else 0.0

@@ -266,10 +266,9 @@ def check_deadzone(c: np.ndarray) -> np.ndarray:
 def stage_data(Lambda: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked stage-problem data ``(W, c)`` with ``W = Lambda^{-1}/2`` symmetrized."""
     check_deadzone(c)
-    if np.linalg.eigvalsh(0.5 * (Lambda + Lambda.T)).min() <= 0:
+    if np.linalg.eigvalsh(symmetrize(Lambda)).min() <= 0:
         raise SingularLambda("the control curvature Lambda must be positive definite")
-    W = 0.5 * np.linalg.inv(Lambda)
-    return 0.5 * (W + W.T), c
+    return symmetrize(0.5 * np.linalg.inv(Lambda)), c
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

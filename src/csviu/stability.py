@@ -9,14 +9,9 @@ with its gain G).  Strict inequalities are checked with a margin: values
 inside the band around the threshold give a ``None`` (indeterminate) answer
 instead of a coin flip.
 
-Radii come from :meth:`OperatorSet.map_radius`, on n x n matrices: up to
-n = 20 inverse iteration on the resolvent (sI - L)^{-1}, which is the solve
-of the map at discount alpha/s, with every shift s tested against rho(L) by
-an M-matrix test on that solve's capacitance matrix (the map at alpha/s is
-stable exactly when s > rho(L)) and the radius returned from a tested
-bracket of relative width 1e-13; above that power iteration, which can raise
-:class:`~csviu.errors.MaxIterations` when several eigenvalues share the
-spectral circle.  The solves of (I - L)U = Q
+Radii of L come from :meth:`OperatorSet.map_radius`, on n x n matrices; its
+docstring says how they are certified and where power iteration, which can
+raise :class:`~csviu.errors.MaxIterations`, takes over.  The solves of (I - L)U = Q
 and the exact resolvent radius come from :meth:`OperatorSet.lyapunov_solve`,
 which uses that the noise term has rank n: one batched Stein solve plus an
 n x n capacitance system.  The detectability search reads no radius: any P > 0 with
@@ -109,15 +104,9 @@ def check_alpha_stability(model: SystemModel, alpha: float, probes: int = 10, se
     holds cleanly; borderline numerics or a failed precondition (for
     alpha >= 1, the eigenvalues of alpha*A must lie in the open unit disk for
     the five conditions to be conclusive) give "indeterminate".  ``radius``
-    is :meth:`OperatorSet.map_radius` of the plant's map: for n <= 20 the
-    resolvent iteration, whose shifts are tested against the radius and
-    which returns it from a tested bracket of relative width 1e-13 (for an
-    A far from normal, only as accurate as its Stein sums; see
-    :meth:`OperatorSet.map_radius`); above that power iteration.  Raises :class:`MaxIterations` when the
-    radius iteration or the Stein doubling does not settle: the resolvent
-    iteration when its fixed budget runs out (the message gives the bracket
-    it tested), power iteration (n > 20) when several eigenvalues share the
-    spectral circle.
+    is :meth:`OperatorSet.map_radius` of the plant's map.  Raises
+    :class:`MaxIterations` when that radius iteration or the Stein doubling
+    does not settle; :meth:`OperatorSet.map_radius` says when it can.
     """
     ops = OperatorSet(model, alpha)
     probes = check_count("probes", probes, 0)

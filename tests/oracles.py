@@ -307,6 +307,30 @@ def linear_law_norm(A, B, C, D, sigma, Sx, Su, G, alpha):
     return floor if alpha == 1.0 else alpha / (1.0 - alpha) * floor
 
 
+def linear_law_costs(A, B, C, D, sigma, Sx, Su, G, alpha, kappa, x0):
+    """E sum_{j<=k} alpha^j |y_j|^2 of u = Gx from ``x0``, for k = 0..kappa, on a plant
+    whose baseline state and control noise are zero (sigma_x = sigma_u = 0).
+
+    Every noise entry has mean 0 and variance 1 and is drawn apart from the
+    state, so the second moment M_k = E x_k x_k' follows, from M_0 = x0 x0',
+    M <- F M F' + sigma sigma' + Sx Diag(diag M) Sx' + Su Diag(diag(G M G')) Su',
+    F = A + BG, and E|y_k|^2 = tr((C + DG) M_k (C + DG)').  The costs are exact,
+    for any alpha > 0, with no vectorized operator.
+    """
+    A, B, C, D, sigma, Sx, Su, G = (np.atleast_2d(np.asarray(X, dtype=float))
+                                    for X in (A, B, C, D, sigma, Sx, Su, G))
+    F, Ccl = A + B @ G, C + D @ G
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    M = np.outer(x0, x0)
+    costs, total = [], 0.0
+    for k in range(kappa + 1):
+        total += alpha**k * float(np.trace(Ccl @ M @ Ccl.T))
+        costs.append(total)
+        M = (F @ M @ F.T + sigma @ sigma.T + Sx @ np.diag(np.diag(M)) @ Sx.T
+             + Su @ np.diag(np.diag(G @ M @ G.T)) @ Su.T)
+    return np.array(costs)
+
+
 def symmetric_block(K, n):
     """Restriction of the vec-form matrix ``K`` to symmetric n x n inputs.
 

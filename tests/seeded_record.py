@@ -1,7 +1,9 @@
 """The seeded-number record: results that fixed inputs and seeds pin, in full.
 
-    PYTHONPATH=src python tests/seeded_record.py           # rewrite seeded_record.txt
-    PYTHONPATH=src python tests/seeded_record.py --check   # report each entry's deviation
+    python tests/seeded_record.py           # rewrite seeded_record.txt
+    python tests/seeded_record.py --check   # report each entry's deviation
+
+The script imports the package from the ``src/`` of its own checkout.
 
 The record holds the full float ``repr`` of the Riccati solutions of three
 plants, their certificate radii (the map radius and resolvent radius of
@@ -36,7 +38,10 @@ from pathlib import Path
 
 import numpy as np
 
-from csviu import (
+# the checkout's package, so that the script also runs from a plain checkout
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from csviu import (  # noqa: E402
     ControlSubproblem,
     Policy,
     SystemModel,
@@ -52,9 +57,9 @@ from csviu import (
     solve_riccati,
     sor_solve,
 )
-from csviu.control import sor_solve_batch
+from csviu.control import sor_solve_batch  # noqa: E402
 
-import support
+import support  # noqa: E402
 
 RECORD = Path(__file__).with_name("seeded_record.txt")
 RTOL = 1e-9

@@ -93,14 +93,23 @@ def _lines(root, pattern):
             for number, line in enumerate(text.splitlines(), 1) if re.search(pattern, line)]
 
 
+def _scopes(top):
+    """(scope, subtree) of a top-level statement: a def is its name, a method of a
+    class "Class.method", anything else in a class the class name, and the rest ""."""
+    if isinstance(top, ast.ClassDef):
+        return [(f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef) else top.name, item)
+                for item in [*top.decorator_list, *top.bases, *top.keywords, *top.body]]
+    return [(top.name if isinstance(top, ast.FunctionDef) else "", top)]
+
+
 def _nodes(root, modules=None):
-    """(module, top-level def or class around the node or "", node) for every AST node."""
+    """(module, scope of :func:`_scopes` around the node, node) for every AST node."""
     for name, text in _sources(root):
         if modules is None or name in modules:
             for top in ast.parse(text).body:
-                scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else ""
-                for node in ast.walk(top):
-                    yield name, scope, node
+                for scope, tree in _scopes(top):
+                    for node in ast.walk(tree):
+                        yield name, scope, node
 
 
 def _name(node):
@@ -190,8 +199,17 @@ def noise_forms(root):
             if scope not in ("_forms", "_diag_quad") and _noise_form(node)]
 
 
+def power_iteration(root):
+    """Power iteration lives in one place, the n > 20 branch of OperatorSet.map_radius:
+    OperatorSet._map_radius is the one caller of _power_radius, and spectral_radius,
+    the dense radius at every size, is called without a method."""
+    return [_found(name, node) for name, scope, node in _nodes(root) if isinstance(node, ast.Call) and (
+        (_name(node.func) == "_power_radius" and (name, scope) != ("operators.py", "OperatorSet._map_radius"))
+        or (_name(node.func) == "spectral_radius" and any(kw.arg == "method" for kw in node.keywords)))]
+
+
 LAYOUT_RULES = [dense_kron, three_operand_einsum, layering, blanket_catch, noise_streams, dense_operator,
-                noise_forms]
+                noise_forms, power_iteration]
 
 
 @pytest.mark.parametrize("rule", LAYOUT_RULES, ids=lambda rule: rule.__name__)
@@ -215,6 +233,11 @@ PLANTS = {
     "noise_diagonal": (noise_forms, "riccati.py",
                        "def _zu(md, P):\n    return _diag_quad(md.sigma_bar_u, P, md.sigma_bar_u)\n"),
     "control_product": (noise_forms, "stability.py", "def _bu(model, U):\n    return model.B.T @ U\n"),
+    "power_caller": (power_iteration, "operators.py",
+                     "class _Other:\n    def _map_radius(self, factors, G):\n"
+                     "        return self._power_radius(factors, G)\n"),
+    "radius_method": (power_iteration, "riccati.py",
+                      "def _rho(F):\n    return spectral_radius(F, method='eig')\n"),
 }
 
 

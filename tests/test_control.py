@@ -827,6 +827,17 @@ class TestOptimalControl:
             assert U.shape == (0, 2) and Mu.shape == (0, 3)
         assert sor_solve_batch(sol.law.W, np.zeros((0, 2)), sol.law.c).shape == (0, 2)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_an_explicit_batch_slope_is_copied(self, rows):
+        sol = solve_riccati(SystemModel.from_dict(support.README_DATA), alpha=0.95)
+        S = np.random.default_rng(4).standard_normal((rows, 2))
+        kept = S.copy()
+        _, Mu = optimal_control_batch(sol, np.ones((rows, 2)), Mu=S)
+        assert not np.shares_memory(Mu, S)
+        assert Mu.tobytes() == kept.tobytes()
+        Mu[...] = 7.0
+        assert S.tobytes() == kept.tobytes()
+
     def test_single_state_sweeps_use_the_callers_solver_settings(self, rng):
         model = support.random_model(rng, n=3, m=2)
         sol = solve_riccati(model, alpha=0.9)

@@ -216,8 +216,44 @@ def _dense_radius(ops, F=None, G=None):
     return float(np.abs(np.linalg.eigvals(ops.operator_matrix(F, G))).max())
 
 
-# draws of the search below (seed 0) whose maps make power iteration raise
+# draws of the search of _circle_maps whose maps make power iteration raise
 _CIRCLE_DRAWS = (30, 644, 773, 821, 920, 976, 1153)
+
+
+def _circle_maps(draws):
+    """(model, G) of random small closed loops with unit-scale gains (seed 0) at ``draws``:
+    their maps have several eigenvalues on the spectral circle."""
+    rng = np.random.default_rng(0)
+    maps = []
+    for draw in range(max(draws) + 1):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+        model = support.random_model(rng, n=n, m=m)
+        G = -rng.standard_normal((m, n))
+        if draw in draws:
+            maps.append((model, G))
+    return maps
+
+
+def _padded(model, G, n):
+    """``model`` and ``G`` padded to n states: A becomes blkdiag(A, 0.1 I), and every
+    other new entry is zero."""
+    k = model.n
+    A = np.zeros((n, n))
+    A[:k, :k] = model.A
+    A[k:, k:] = 0.1 * np.eye(n - k)
+
+    def rows(X):
+        return np.vstack([X, np.zeros((n - k, X.shape[1]))])
+
+    def square(X):
+        out = np.zeros((n, n))
+        out[:k, :k] = X
+        return out
+
+    padded = type(model)(A, rows(model.B), np.hstack([model.C, np.zeros((model.C.shape[0], n - k))]),
+                         model.D, rows(model.sigma), square(model.sigma_x), square(model.sigma_bar_x),
+                         rows(model.sigma_u), rows(model.sigma_bar_u))
+    return padded, np.hstack([G, np.zeros((G.shape[0], n - k))])
 
 
 class TestMapRadius:
@@ -234,20 +270,18 @@ class TestMapRadius:
             assert ops.map_radius(F, gain) == pytest.approx(_dense_radius(ops, F, gain), rel=1e-12)
 
     def test_several_eigenvalues_on_the_spectral_circle(self):
-        # random small closed loops with unit-scale gains; on these draws power
-        # iteration does not settle, the shifted resolvent does
-        rng = np.random.default_rng(0)
-        maps = []
-        for draw in range(max(_CIRCLE_DRAWS) + 1):
-            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 3))
-            model = support.random_model(rng, n=n, m=m)
-            G = -rng.standard_normal((m, n))
-            if draw in _CIRCLE_DRAWS:
-                maps.append((OperatorSet(model, 0.9), model.A + model.B @ G, G))
-        for ops, F, G in maps:
-            with pytest.raises(MaxIterations):
-                spectral_radius(ops.operator_matrix(F, G), method="power")
+        # on these maps power iteration does not settle, the shifted resolvent does
+        for model, G in _circle_maps(_CIRCLE_DRAWS):
+            ops, F = OperatorSet(model, 0.9), model.A + model.B @ G
             assert ops.map_radius(F, G) == pytest.approx(_dense_radius(ops, F, G), rel=1e-12)
+
+    def test_power_iteration_above_n_20_raises_on_the_spectral_circle(self):
+        # the same maps padded to n = 21, where map_radius runs power iteration: it
+        # raises a typed error instead of returning an unsettled number
+        for model, G in _circle_maps(_CIRCLE_DRAWS[:2]):
+            model, G = _padded(model, G, 21)
+            with pytest.raises(MaxIterations, match="power iteration did not settle"):
+                OperatorSet(model, 0.9).map_radius(model.A + model.B @ G, G)
 
     def test_zero_growth_noise_gives_the_mean_radius(self, rng):
         model = support.random_model(rng, n=5, m=2, lq=True)
@@ -409,21 +443,23 @@ class TestSpectralRadius:
         golden = (1.0 + np.sqrt(5.0)) / 2.0
         assert spectral_radius(companion) == pytest.approx(golden, abs=1e-12)
 
-    def test_power_path_agrees_with_eig(self, rng):
-        root = rng.standard_normal((50, 50))
-        M = root @ root.T + 0.1 * np.eye(50)
-        assert spectral_radius(M, method="power") == pytest.approx(
-            spectral_radius(M, method="eig"), rel=1e-8
-        )
-
-    def test_zero_matrix(self):
-        assert spectral_radius(np.zeros((4, 4)), method="power") == 0.0
+    def test_dense_above_dimension_400(self, rng):
+        # a non-normal complex dominant pair of modulus 0.9 among 399 eigenvalues in
+        # (-0.5, 0.5): power iteration never settled on it, the eigensolver is exact
+        c, s = 0.9 * np.cos(0.5), 0.9 * np.sin(0.5)
+        core = np.zeros((401, 401))
+        core[:2, :2] = [[c, -4.0 * s], [s / 4.0, c]]
+        core[2:, 2:] = np.diag(rng.uniform(-0.5, 0.5, 399))
+        Q, _ = np.linalg.qr(rng.standard_normal((401, 401)))
+        assert spectral_radius(Q @ core @ Q.T) == pytest.approx(0.9, abs=1e-12)
+        assert spectral_radius(np.zeros((401, 401))) == 0.0
+        assert spectral_radius(Q @ core @ Q.T, method="eig") == spectral_radius(Q @ core @ Q.T)
 
     @pytest.mark.parametrize(
         "M, method, match",
         [(np.ones((2, 3)), "auto", "square"), (2.0, "auto", "square"),
-         (np.eye(2), "lanczos", "unknown method")],
-        ids=["non-square", "scalar", "unknown-method"],
+         (np.eye(2), "lanczos", "unknown method"), (np.eye(2), "power", "unknown method.*map_radius")],
+        ids=["non-square", "scalar", "unknown-method", "power-method"],
     )
     def test_bad_arguments_are_argument_errors(self, M, method, match):
         # a scalar used to fail with numpy's IndexError

@@ -1271,3 +1271,57 @@ class TestOvertaking:
             overtaking_compare(
                 scalar_model, 1.0, Policy.zero(1), Policy.zero(1), [1.0], [-1, 2], paths=2
             )
+
+
+# the README plant without baseline state and control noise: every linear law's
+# cost then follows the second-moment recursion of oracles.linear_law_costs exactly
+_QUIET_README = dict(support.README_DATA, sigma_x=[[0.0, 0.0], [0.0, 0.0]], sigma_u=[[0.0], [0.0]])
+_LAW_GAINS = ([[-0.4, -0.1]], [[-0.63, -0.32]])
+
+
+def _exact_costs(model, G, alpha, kappa, x0):
+    return oracles.linear_law_costs(model.A, model.B, model.C, model.D, model.sigma, model.sigma_bar_x,
+                                    model.sigma_bar_u, G, alpha, kappa, x0)
+
+
+def _pooled_z(means, stderrs, exact):
+    """z-score of the mean of equally sized independent estimates against ``exact``."""
+    return (float(np.mean(means)) - exact) / (float(np.sqrt(np.sum(np.square(stderrs)))) / len(stderrs))
+
+
+class TestExactLinearLawCosts:
+    """Monte Carlo costs of linear laws against their exact second-moment recursion,
+    pooled over seeds 10-19 at 500 paths each, for every noise kind and discount."""
+
+    SEEDS = range(10, 20)
+    X0 = [1.0, -1.0]
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.95])
+    def test_oracle_tends_to_the_infinite_horizon_energy(self, alpha):
+        model = SystemModel.from_dict(_QUIET_README)
+        G = np.array(_LAW_GAINS[1])
+        want = oracles.linear_law_norm(model.A, model.B, model.C, model.D, model.sigma,
+                                       model.sigma_bar_x, model.sigma_bar_u, G, alpha)
+        assert _exact_costs(model, G, alpha, 2000, [0.0, 0.0])[-1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.95, 1.0, 1.02])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_energy_estimates(self, kind, alpha):
+        model = SystemModel.from_dict(_QUIET_README)
+        G = np.array(_LAW_GAINS[0])
+        exact = _exact_costs(model, G, alpha, 60, self.X0)[-1]
+        runs = [estimate_energy(model, Policy.linear(G), alpha, 60, self.X0, 500, seed=seed, noise_kind=kind)
+                for seed in self.SEEDS]
+        assert abs(_pooled_z([run.mean for run in runs], [run.stderr for run in runs], exact)) <= 4.0
+
+    @pytest.mark.parametrize("alpha", [0.95, 1.0, 1.02])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_overtaking_differences(self, kind, alpha):
+        model = SystemModel.from_dict(_QUIET_README)
+        G_a, G_b = (np.array(G) for G in _LAW_GAINS)
+        exact = _exact_costs(model, G_a, alpha, 60, self.X0) - _exact_costs(model, G_b, alpha, 60, self.X0)
+        runs = [overtaking_compare(model, alpha, Policy.linear(G_a), Policy.linear(G_b), self.X0, [10, 60],
+                                   paths=500, seed=seed, noise_kind=kind) for seed in self.SEEDS]
+        for i, kappa in enumerate([10, 60]):
+            z = _pooled_z([rows[i].diff for rows in runs], [rows[i].stderr for rows in runs], exact[kappa])
+            assert abs(z) <= 4.0, (kappa, z)
