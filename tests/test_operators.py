@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from csviu import ArgumentError, MaxIterations, OperatorSet, SingularLambda, solve_riccati, spectral_radius
+from csviu import (ArgumentError, MaxIterations, OperatorSet, SingularLambda, SystemModel, solve_riccati,
+                   spectral_radius)
 from csviu import operators
 from csviu.operators import stein_solve, symmetrize
 
@@ -55,7 +56,7 @@ class TestNoiseFormsScalar:
 
 
 def test_forms_match_elementwise_loops(rng):
-    # n = 21: a synthesis-sized plant, past the dense-radius switch at n = 20
+    # n = 21: a synthesis-sized plant, past map_radius's switch to power iteration
     for n in (3, 21):
         model = support.random_model(rng, n=n, m=2, r=2)
         ops = OperatorSet(model, alpha=0.95)
@@ -250,9 +251,10 @@ def _padded(model, G, n):
         out[:k, :k] = X
         return out
 
-    padded = type(model)(A, rows(model.B), np.hstack([model.C, np.zeros((model.C.shape[0], n - k))]),
-                         model.D, rows(model.sigma), square(model.sigma_x), square(model.sigma_bar_x),
-                         rows(model.sigma_u), rows(model.sigma_bar_u))
+    padded = SystemModel(A=A, B=rows(model.B), C=np.hstack([model.C, np.zeros((model.C.shape[0], n - k))]),
+                         D=model.D, sigma=rows(model.sigma), sigma_x=square(model.sigma_x),
+                         sigma_bar_x=square(model.sigma_bar_x), sigma_u=rows(model.sigma_u),
+                         sigma_bar_u=rows(model.sigma_bar_u))
     return padded, np.hstack([G, np.zeros((G.shape[0], n - k))])
 
 
@@ -451,9 +453,10 @@ class TestSpectralRadius:
         core[:2, :2] = [[c, -4.0 * s], [s / 4.0, c]]
         core[2:, 2:] = np.diag(rng.uniform(-0.5, 0.5, 399))
         Q, _ = np.linalg.qr(rng.standard_normal((401, 401)))
-        assert spectral_radius(Q @ core @ Q.T) == pytest.approx(0.9, abs=1e-12)
+        M = Q @ core @ Q.T
+        assert spectral_radius(M) == pytest.approx(0.9, abs=1e-12)
+        assert spectral_radius(M, method="eig") == spectral_radius(M)
         assert spectral_radius(np.zeros((401, 401))) == 0.0
-        assert spectral_radius(Q @ core @ Q.T, method="eig") == spectral_radius(Q @ core @ Q.T)
 
     @pytest.mark.parametrize(
         "M, method, match",
