@@ -345,7 +345,7 @@ def _cmd_region(args, run: _Run):
     header = [f"x{k + 1}" for k in range(len(columns))]
     for prefix, values in (("u", rmap.u_star), ("label", rmap.labels), ("margin", rmap.margins)):
         header += [f"{prefix}_{i + 1}" for i in range(m)]
-        columns += list(values.reshape(-1, m).T)
+        columns += list(values.reshape(rmap.invalid.size, m).T)
     payload = {
         "axes": list(axes),
         "resolution": args.res,

@@ -23,12 +23,13 @@ import math
 import numbers
 import textwrap
 from dataclasses import dataclass
+from functools import cached_property
 from math import copysign
 
 import numpy as np
 
 from .errors import ArgumentError, MaxIterations, as_floats, check_count, check_matrix, check_real, check_state
-from .riccati import FeedbackLaw, RiccatiSolution, _constant, _frozen, check_deadzone, stage_data
+from .riccati import FeedbackLaw, RiccatiSolution, _frozen, check_deadzone, stage_data
 
 _MU_SWEEPS = 3  # frozen-sign slope sweeps per state before its last pattern is kept
 _MU_KINDS = ("zero", "asymptotic")
@@ -65,7 +66,7 @@ class ControlSubproblem:
         W, c = stage_data(Lambda, c)
         return cls(W=_frozen(W), b=_frozen(b), c=_frozen(c), Lambda=Lambda)
 
-    @_constant
+    @cached_property
     def law(self) -> FeedbackLaw:
         """The stage-problem data of ``W`` and ``c`` that every solve of this instance shares."""
         return FeedbackLaw(W=self.W, c=self.c)
@@ -242,7 +243,7 @@ def _sweeps_batch(law, B, tol, max_iters):
         _control(Wdc, Z, Gamma, Nu)
         np.matmul(W, S, out=R)
         np.add(Nu, R, out=R)
-        r = np.abs(R, out=R).max(axis=0)
+        r = np.abs(R, out=R).max(axis=0, initial=0.0)
         top = float(r.max(initial=0.0))
         if top <= tol:
             if rows == paths:  # no row left before: the state is the result
@@ -406,7 +407,6 @@ def _kernel_source(m, relaxed):
 def sor_solve(
     sub: ControlSubproblem,
     omega: float = 1.0,
-    z0=None,
     tol: float = 1e-10,
     max_iters: int = _MAX_SWEEPS,
 ) -> SorState:
@@ -414,14 +414,13 @@ def sor_solve(
 
     The instance runs on the single-row kernel of :func:`_sweeps_one`; at
     omega = 1 it agrees with :func:`sor_solve_batch` to rounding, with the
-    same sweep count.  ``omega`` (a real in (0, 2), bools excluded), ``z0``
-    and the settings of :func:`_check_sweeps` are checked before any sweep.
+    same sweep count.  ``omega`` (a real in (0, 2), bools excluded) and the
+    settings of :func:`_check_sweeps` are checked before any sweep.
     """
     law = sub.law
-    z0 = None if z0 is None else check_state("z0", z0, sub.b.size).tolist()
     check_real("omega", omega, 0.0, 2.0)
     max_iters = _check_sweeps(law, tol, max_iters)
-    z, gamma, nu, iterations, residual = _sweeps_one(law, sub.b.tolist(), omega, z0, tol, max_iters)
+    z, gamma, nu, iterations, residual = _sweeps_one(law, sub.b.tolist(), omega, None, tol, max_iters)
     _raise_unconverged([nu], residual, tol, max_iters)
     return _sor_state(law, z, gamma, nu, iterations, residual)
 
@@ -489,16 +488,13 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
     which took the fewest sweeps on every plant measured; another omega
     would move only the sweep count, never the answer.
 
-    Returns ``(Z, Gamma, U, Mu, Bu, sweeps, residual)``.  ``U`` and ``Mu``
-    hold every row's control from its last stage solve (a cold-start
-    :func:`_sweeps` call on the solution's cached ``law``, whose settings
-    are checked once per call, before any sweep) and the slope that solve
-    used.  ``Z``, ``Gamma``, ``Bu = Mu B + 2 X Sigma'``, ``sweeps`` and
-    ``residual`` are those of the last solve alone, over the rows it
-    solved; for a batch of one, which runs :func:`_feedback_one`, that is
-    the row's own last solve.  A given ``Mu`` takes one solve.  A row that
-    fails a solve is NaN in ``U`` and takes no further solve, and ``sweeps``
-    and ``residual`` then stay those of the last solve that failed a row
+    Returns ``(U, Mu, residual)``: every row's control from its last stage
+    solve (a cold-start :func:`_sweeps` call on the solution's cached
+    ``law``, whose settings are checked once per call, before any sweep),
+    the slope that solve used, and the last solve's residual; a batch of
+    one runs :func:`_feedback_one`.  A given ``Mu`` takes one solve.  A row
+    that fails a solve is NaN in ``U`` and takes no further solve, and
+    ``residual`` then stays that of the last solve that failed a row
     (:func:`_raise_unconverged`).
 
     ``Mu=None`` resolves the frozen-sign slope row by row.  The slope is
@@ -516,8 +512,8 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
     once more.
     """
     if len(X) == 1:
-        z, gamma, u, Mu, Bu, sweeps, residual = _feedback_one(sol, X, Mu, tol, max_iters)
-        return np.array([z]), np.array([gamma]), np.array([u]), Mu, Bu, sweeps, residual
+        _, _, u, Mu, _, _, residual = _feedback_one(sol, X, Mu, tol, max_iters)
+        return np.array([u]), Mu, residual
     law, B = sol.law, sol.model.B
     max_iters = _check_sweeps(law, tol, max_iters)
     R = 2.0 * X @ sol.Sigma.T
@@ -525,10 +521,9 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
     if sweeping:
         gain_x, gain_u = sol.slope_gains
         Mu = np.sign(X) @ gain_x.T
-    Bu = Mu @ B + R
-    Z, Gamma, U, sweeps, residual = _sweeps(law, Bu, tol, max_iters)
+    _, _, U, _, residual = _sweeps(law, Mu @ B + R, tol, max_iters)
     if not sweeping:
-        return Z, Gamma, U, Mu, Bu, sweeps, residual
+        return U, Mu, residual
     # rows whose signs still move, with their state-sign slopes, data, and the controls and
     # slopes of their last solve; the first solve's sign pattern is 0, so its moved rows are
     # those with a nonzero (or NaN) control.  The live rows' results are stored only when
@@ -548,20 +543,21 @@ def _feedback(sol: RiccatiSolution, X, Mu, tol, max_iters):
             break
         Su_l = np.sign(U_l)
         Mu_l = Mx_l + Su_l @ gain_u.T
-        Bu = Mu_l @ B + R_l
-        Z = Gamma = None  # the last solve's stacked state goes before the next one's is made
-        Z, Gamma, U_l, used, last = _sweeps(law, Bu, tol, max_iters)
-        if residual <= tol or not last <= tol:  # a failed solve's figures stay
-            sweeps, residual = used, last
+        _, _, U_l, _, last = _sweeps(law, Mu_l @ B + R_l, tol, max_iters)
+        if residual <= tol or not last <= tol:  # a failed solve's residual stays
+            residual = last
         changed = (np.sign(U_l) != Su_l).any(axis=1)
     else:
         U, Mu = _store(U, Mu, live, U_l, Mu_l)
-    return Z, Gamma, U, Mu, Bu, sweeps, residual
+    return U, Mu, residual
 
 
 def _feedback_one(sol, X, Mu, tol, max_iters):
-    """:func:`_feedback` on a batch of one row, settings checks included,
-    with ``Z``, ``Gamma`` and ``U`` as the lists of one row.
+    """:func:`_feedback` on a batch of one row, settings checks included.
+
+    Returns ``(z, gamma, u, Mu, Bu, sweeps, residual)`` of the row's last
+    solve, with z, gamma and u as lists and ``Bu = Mu B + 2 X Sigma'``, so
+    that :func:`optimal_control` can describe that solve.
 
     It takes the slope rule's steps on the row: the products ``2 X Sigma'``,
     ``sign(X) gain_x'``, ``Mu B`` and ``sign(u) gain_u'`` are the batch's
@@ -755,6 +751,6 @@ def optimal_control_batch(
     if not np.isfinite(X).all():
         row = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise ArgumentError(f"X must be finite, got {X[row]} in row {row}")
-    _, _, U, Mu, _, _, residual = _feedback(sol, X, _slopes(sol, X, Mu, mu_kind), tol, max_iters)
+    U, Mu, residual = _feedback(sol, X, _slopes(sol, X, Mu, mu_kind), tol, max_iters)
     _raise_unconverged(U, residual, tol, max_iters)
     return U, Mu

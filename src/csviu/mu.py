@@ -24,12 +24,14 @@ from . import simulator
 
 @dataclass(frozen=True)
 class MuEstimate:
+    """A rollout slope estimate: its ``value``, the :func:`mu_bound` cap, the
+    standard error of each entry, and the truncation ``depth`` and ``paths``."""
+
     value: np.ndarray
-    kind: str
-    bound: np.ndarray | None = None
-    stderr: np.ndarray | None = None
-    depth: int | None = None
-    paths: int | None = None
+    bound: np.ndarray
+    stderr: np.ndarray
+    depth: int
+    paths: int
 
 
 def mu_bound(sol: RiccatiSolution) -> np.ndarray:
@@ -111,7 +113,6 @@ def mu_rollout(
     value = totals.mean(axis=0)
     return MuEstimate(
         value=value,
-        kind="rollout",
         bound=mu_bound(sol),
         stderr=simulator.mean_stderr(totals),
         depth=depth,

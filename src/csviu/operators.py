@@ -63,14 +63,12 @@ def symmetrize(U):
 class NoiseForms(NamedTuple):
     """Noise-induced corrections evaluated at one cost matrix U.
 
-    Zx, Wx are n x n diagonal; Zu, Wu are m x m diagonal; Wxd/Wud are their
-    diagonals as vectors; varpi1 is the constant noise floor trace term.
+    varpi1 is the constant noise floor trace term; Wxd (length n) and Wud
+    (length m) are the mixed baseline/growth diagonals
+    diag(sigma_bar_x' U sigma_x + sigma_x' U sigma_bar_x) and their control
+    counterpart.
     """
 
-    Zx: np.ndarray
-    Wx: np.ndarray
-    Zu: np.ndarray
-    Wu: np.ndarray
     varpi1: float
     Wxd: np.ndarray
     Wud: np.ndarray
@@ -147,15 +145,14 @@ class OperatorSet:
         object.__setattr__(self, "alpha", check_real("alpha", self.alpha, 0.0))
 
     def noise_quadratic_forms(self, U) -> NoiseForms:
-        """Evaluate all noise corrections at ``U`` in one pass."""
+        """Evaluate the noise corrections the slope and the cost read at ``U``."""
         md = self.model
         U = np.asarray(U, dtype=float)
-        z = _forms(U, self._factors[:, md.n + md.m:], 0)[1]
         wx = _diag_quad(md.sigma_bar_x, U, md.sigma_x) + _diag_quad(md.sigma_x, U, md.sigma_bar_x)
         wu = _diag_quad(md.sigma_bar_u, U, md.sigma_u) + _diag_quad(md.sigma_u, U, md.sigma_bar_u)
         floor = md.sigma @ md.sigma.T + md.sigma_x @ md.sigma_x.T + md.sigma_u @ md.sigma_u.T
         varpi1 = float(np.einsum("ij,ji->", U, floor))
-        return NoiseForms(np.diag(z[:md.n]), np.diag(wx), np.diag(z[md.n:]), np.diag(wu), varpi1, wx, wu)
+        return NoiseForms(varpi1, wx, wu)
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -109,7 +109,7 @@ def scan_region(
     base_point = np.zeros(n) if base_point is None else check_state("base_point", base_point, n)
 
     gx, gy, points = _grid_points(n, axes, ranges, resolution, base_point)
-    U, Mu = _feedback(sol, points, _slopes(sol, points, None, mu_kind), tol, _MAX_SWEEPS)[2:4]
+    U, Mu, _ = _feedback(sol, points, _slopes(sol, points, None, mu_kind), tol, _MAX_SWEEPS)
     invalid = np.isnan(U).any(axis=1)  # rows that missed tol
     margins = _margins(sol, Mu @ sol.model.B + 2.0 * points @ sol.Sigma.T, U)
     # the NaN rows of failed cells compare False: label 0 without a cast warning, and consistent

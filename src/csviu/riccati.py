@@ -139,7 +139,7 @@ class RiccatiSolution:
         cached, so every later call raises again.
         """
         c = self.forms.Wud
-        if np.any(c < -1e-12 * max(1.0, float(np.abs(c).max()))):
+        if np.any(c < -1e-12 * max(1.0, float(np.abs(c).max(initial=0.0)))):
             raise AssumptionViolated(
                 "the control deadzone weights came out negative; the noise data "
                 "violates the positivity assumption on the mixed control terms"
@@ -186,20 +186,6 @@ class RiccatiSolution:
         return tuple(_frozen(np.asfortranarray(g)) for g in gains)
 
 
-class _constant(cached_property):
-    """:class:`functools.cached_property` without the lock that Python up to
-    3.11 takes on each first access, about 1 us: a law built per call, as
-    :func:`~csviu.control.sor_solve_batch` builds one, reads several
-    constants once each.  Two threads may both build a value, and they
-    build the same one; a failed build is not cached."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
-
-
 @dataclass(frozen=True)
 class FeedbackLaw:
     """Stage-problem data that depends on the solution and not on the state.
@@ -220,7 +206,7 @@ class FeedbackLaw:
     W: np.ndarray
     c: np.ndarray
 
-    @_constant
+    @cached_property
     def diagonal(self) -> np.ndarray:
         """The diagonal of W; :class:`SingularLambda` unless every entry is positive."""
         Wd = self.W.diagonal()
@@ -228,29 +214,29 @@ class FeedbackLaw:
             raise SingularLambda("the relaxation matrix must have positive diagonal")
         return Wd
 
-    @_constant
+    @cached_property
     def offdiag(self) -> np.ndarray:
         """W with its diagonal set to zero, read-only."""
         offdiag = np.array(self.W, dtype=float)
         np.fill_diagonal(offdiag, 0.0)
         return _frozen(offdiag)
 
-    @_constant
+    @cached_property
     def steps(self) -> tuple[list, list, list]:
         """``(1 / W_ii, -c_i, c_i)`` as lists of floats, one entry per channel."""
         return (1.0 / self.diagonal).tolist(), (-self.c).tolist(), self.c.tolist()
 
-    @_constant
+    @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(-c, c, diagonal)`` as (m, 1) columns."""
         return -self.c[:, None], self.c[:, None], self.diagonal[:, None]
 
-    @_constant
+    @cached_property
     def lists(self) -> tuple[list, list]:
         """``(W, c)`` as nested lists of floats."""
         return self.W.tolist(), self.c.tolist()
 
-    @_constant
+    @cached_property
     def theta_divisor(self) -> np.ndarray:
         """c with its zero entries set to infinity: ``|nu| / theta_divisor`` is theta."""
         return np.where(self.c > 0, self.c, np.inf)
@@ -266,7 +252,7 @@ def check_deadzone(c: np.ndarray) -> np.ndarray:
 def stage_data(Lambda: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked stage-problem data ``(W, c)`` with ``W = Lambda^{-1}/2`` symmetrized."""
     check_deadzone(c)
-    if np.linalg.eigvalsh(symmetrize(Lambda)).min() <= 0:
+    if np.linalg.eigvalsh(symmetrize(Lambda)).min(initial=math.inf) <= 0:
         raise SingularLambda("the control curvature Lambda must be positive definite")
     return symmetrize(0.5 * np.linalg.inv(Lambda)), c
 
@@ -291,16 +277,17 @@ def _require_pd_curvature(model: SystemModel):
         )
 
 
-def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = False):
+def _iterate(ops: OperatorSet, steps: int, tol: float | None):
     """Shared monotone iteration core; returns (P, iterations, newton_steps, history).
 
     With a tolerance, the infeasibility certificate (:func:`_no_psd_ratio`)
     runs at step 1 and whenever max|P| has doubled since its last run, the
     1e6 growth test stops iterates that keep growing, and a Newton finish
     (:func:`_newton_finish`) is tried after steps 64, 128, 256, ...; Newton
-    steps count against ``steps`` too.  Without one (the finite-horizon
-    recursion) every iterate is returned however large it grows, and only an
-    iterate that is no longer finite raises :class:`MaxIterations`.
+    steps count against ``steps`` too, and ``history`` is None.  Without one
+    (the finite-horizon recursion) ``history`` holds every iterate however
+    large it grows, and only an iterate that is no longer finite raises
+    :class:`MaxIterations`.
 
     A step whose smallest eigenvalue of P_next - P lies below
     -``MONOTONE_TOL`` * max(1, max|P_next|) raises
@@ -311,7 +298,7 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
     n = ops.model.n
     P = np.zeros((n, n))
     eye = np.eye(n)
-    history = [P.copy()] if collect else None
+    history = [P.copy()] if tol is None else None
     scale_ref = None
     delta = np.inf
     next_try = _NEWTON_FIRST_TRY
@@ -345,9 +332,8 @@ def _iterate(ops: OperatorSet, steps: int, tol: float | None, collect: bool = Fa
                 residual=delta,
             )
         P = P_next
-        if collect:
-            history.append(P.copy())
         if tol is None:
+            history.append(P.copy())
             continue
         if delta <= tol:
             return P, k + 1, 0, history
@@ -545,5 +531,5 @@ def finite_horizon_riccati(model: SystemModel, alpha: float, kappa: int) -> list
     kappa = check_count("kappa", kappa, 0)
     _require_pd_curvature(model)
     ops = OperatorSet(model, alpha)
-    _, _, _, history = _iterate(ops, kappa, tol=None, collect=True)
+    _, _, _, history = _iterate(ops, kappa, tol=None)
     return list(reversed(history))

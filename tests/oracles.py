@@ -9,6 +9,7 @@ the package is wrong.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -166,6 +167,41 @@ def l1_subgradient_residual(Lambda, b, c, u):
         u > 0, np.abs(s + c), np.where(u < 0, np.abs(s - c), np.maximum(np.abs(s) - c, 0.0))
     )
     return float(res.max())
+
+
+def sign_pattern_law(Lambda, b, c):
+    """Minimizers of u'Lambda u + b'u + c'|u| for each row of ``b`` by enumerating
+    the 3^m control sign patterns (m <= 4), vectorized over the rows.
+
+    A pattern s in {-1, 0, 1}^m with active set A = {i : s_i != 0} gives
+    u_A = -1/2 Lambda_AA^{-1} (b_A + c_A o s_A) and u = 0 off A.  It is
+    consistent when sign(u_A) = s_A and |b_i + 2 (Lambda u)_i| <= c_i off A,
+    the optimality conditions of the strictly convex problem, so a row away
+    from a region boundary has exactly one consistent pattern.  Returns
+    ``(U, margins, counts)``: the control of the last consistent pattern (NaN
+    where none is), the inaction margins c_i - |b_i + 2 sum_{j != i} Lambda_ij u_j|
+    at it, and the number of consistent patterns of each row.
+    """
+    Lambda = np.atleast_2d(np.asarray(Lambda, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    c = np.asarray(c, dtype=float).reshape(-1)
+    rows, m = b.shape
+    if m > 4:
+        raise ValueError(f"the enumeration takes 3^m patterns; expected m <= 4, got {m}")
+    U = np.full((rows, m), np.nan)
+    counts = np.zeros(rows, dtype=int)
+    for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=m):
+        s = np.array(pattern)
+        on = s != 0.0
+        u = np.zeros((rows, m))
+        if on.any():
+            u[:, on] = -0.5 * np.linalg.solve(Lambda[np.ix_(on, on)], (b[:, on] + c[on] * s[on]).T).T
+        pull = b + 2.0 * u @ Lambda.T
+        ok = (np.sign(u[:, on]) == s[on]).all(axis=1) & (np.abs(pull[:, ~on]) <= c[~on]).all(axis=1)
+        U[ok] = u[ok]
+        counts += ok
+    off = Lambda - np.diag(np.diag(Lambda))
+    return U, c - np.abs(b + 2.0 * U @ off.T), counts
 
 
 def sor_sweeps_reference(W, b, c, omega, z0, tol, max_iters):

@@ -39,6 +39,9 @@ README_DATA = {
 # slope the state (-0.125, -0.25, 0) and its mirror take 174 sweeps and the cells of
 # the 41 x 41 scan of [-2, 2]^2 (x3 = 0) at most 6 but two at 171, so a short sweep
 # budget fails a few known cells.  Its coupled channels also test the region labels.
+# a plant with no control channel (m = 0), with additive and growth state noise
+NO_CHANNEL_DATA = {"A": [[0.5]], "B": [[]], "C": [[1.0]], "sigma": [[0.1]], "sigma_bar_x": [[0.1]]}
+
 CYCLING_PLANT_DATA = {
     "A": [[-0.52, 0.07, -0.22], [-0.22, 0.08, -0.3], [0.39, -0.06, 0.75]],
     "B": [[-2.18, -1.68], [2.19, 2.75], [0.45, -0.08]],
@@ -188,15 +191,7 @@ def synthetic_solution(
     Wud = np.zeros(m) if Wud is None else np.asarray(Wud, dtype=float).reshape(-1)
     Sigma = np.zeros((m, n)) if Sigma is None else np.atleast_2d(np.asarray(Sigma, dtype=float))
     Lambda = np.eye(m) if Lambda is None else np.atleast_2d(np.asarray(Lambda, dtype=float))
-    forms = NoiseForms(
-        Zx=np.zeros((n, n)),
-        Wx=np.diag(Wxd),
-        Zu=np.zeros((m, m)),
-        Wu=np.diag(Wud),
-        varpi1=0.0,
-        Wxd=Wxd,
-        Wud=Wud,
-    )
+    forms = NoiseForms(varpi1=0.0, Wxd=Wxd, Wud=Wud)
     Acl = A + B @ G
     return RiccatiSolution(
         model=model,

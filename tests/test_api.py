@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -74,9 +75,51 @@ PUBLIC_NAMES = [
 ]
 
 
+# The fields of every public dataclass and NamedTuple, in order, so that adding
+# or removing a field of a result type shows in the diff as a name does.
+PUBLIC_FIELDS = {
+    "ControlResult": ("u_star", "gamma", "mu", "margins", "sub", "sor"),
+    "ControlSubproblem": ("W", "b", "c", "Lambda"),
+    "CriterionConfig": ("alpha", "kappa", "paths", "seed", "tol_fixed_point", "tol_sor", "max_iters"),
+    "EnergyEstimate": ("mean", "stderr", "kappa", "paths"),
+    "MuEstimate": ("value", "bound", "stderr", "depth", "paths"),
+    "NoiseForms": ("varpi1", "Wxd", "Wud"),
+    "NormEstimates": ("alpha", "energy", "energy_stderr", "power", "power_stderr", "details"),
+    "OneStepCheck": ("lhs", "lhs_stderr", "rhs", "rhs_stderr", "gap", "combined_stderr", "paths"),
+    "OperatorSet": ("model", "alpha"),
+    "PathEnsemble": ("states", "controls", "outputs", "seed", "noise_kind"),
+    "Policy": ("kind", "fn"),
+    "PowerEstimate": ("mean", "stderr", "growth_flag", "kappa", "paths"),
+    "RegionMap": ("axes", "ranges", "grid_x", "grid_y", "base_point", "u_star", "labels", "margins",
+                  "boundary", "inconsistent", "invalid", "mu_kind"),
+    "RiccatiSolution": ("model", "alpha", "L", "G", "Acl", "Sigma", "Lambda", "forms", "iterations",
+                        "newton_steps", "residual", "closed_loop_radius", "alpha_condition_ok"),
+    "SorState": ("z", "gamma", "nu", "theta", "iterations", "residual"),
+    "StabilityReport": ("alpha", "radius", "inverse_positive", "d_stable", "lyapunov_ok", "lyapunov_witness",
+                        "eig_ok", "max_abs_eig", "resolvent_ok", "resolvent_radius", "counter_discount_eig_ok",
+                        "verdict"),
+    "SystemModel": ("A", "B", "C", "D", "sigma", "sigma_x", "sigma_bar_x", "sigma_u", "sigma_bar_u",
+                    "criterion"),
+}
+
+
 def test_public_names_are_pinned():
     assert sorted(csviu.__all__) == PUBLIC_NAMES
     assert all(hasattr(csviu, name) for name in csviu.__all__)
+
+
+def _fields(obj):
+    """The field names of a dataclass or NamedTuple class, in order; None for anything else."""
+    if dataclasses.is_dataclass(obj):
+        return tuple(field.name for field in dataclasses.fields(obj))
+    if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"):
+        return obj._fields
+    return None
+
+
+def test_public_fields_are_pinned():
+    fields = {name: _fields(getattr(csviu, name)) for name in csviu.__all__}
+    assert {name: f for name, f in fields.items() if f is not None} == PUBLIC_FIELDS
 
 
 # -- source layout ------------------------------------------------------------

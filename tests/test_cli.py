@@ -507,6 +507,20 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith("csviu ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["riccati"], ["stability"], ["detect"], ["control", "--x", "1.0", "--mu", "asymptotic"],
+    ["simulate", "--paths", "8", "--kappa", "5"], ["norms", "--paths", "8", "--kappa", "5"],
+    ["overtake", "--kappa-grid", "2,4", "--paths", "8"], ["region", "--axes", "0", "--res", "5"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_runs_on_a_plant_with_no_control_channel(tmp_path, capsys, argv):
+    # region, control and norms used to fail with a bare ValueError of a numpy reduction
+    path = tmp_path / "no_channel.json"
+    path.write_text(json.dumps(support.NO_CHANNEL_DATA))
+    payload = _run_json(capsys, [*argv, "--model", str(path)])
+    assert payload["command"] == argv[0]
+    assert main([*argv, "--model", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestParserReuse:
     """Every ``main`` call in a process parses with one shared parser."""
 

@@ -19,6 +19,7 @@ from csviu import (
     SingularLambda,
     SystemModel,
     cost_Ju,
+    estimate_energy,
     inaction_test,
     optimal_control,
     optimal_control_batch,
@@ -220,13 +221,6 @@ class TestSorGeneral:
             state.nu + sub.W @ (state.gamma + sub.b), 0.0, atol=1e-9
         )
 
-    def test_warm_start_agrees_with_cold(self, rng):
-        sub = _random_subproblem(rng, 3)
-        cold = sor_solve(sub)
-        warm = sor_solve(sub, z0=cold.z)
-        np.testing.assert_allclose(warm.nu, cold.nu, atol=1e-9)
-        assert warm.iterations <= cold.iterations
-
     def test_batch_rows_match_single_solves(self, rng):
         root = rng.standard_normal((3, 3))
         Lambda = root @ root.T + 3.0 * np.eye(3)
@@ -304,22 +298,6 @@ def test_tolerance_and_budget_are_checked_before_sweeping(entry, setting, value,
     # TypeError, and max_iters=True and tol=True ran one sweep
     with pytest.raises(ValueError, match=f"^{setting} must be"):
         _solve_without_sweeps(entry, monkeypatch, **{setting: value})
-
-
-@pytest.mark.parametrize(
-    "z0", [[np.nan, 0.0], [np.inf, 0.0], [0.0, 1.0, 2.0], [1.0]],
-    ids=["nan", "inf", "long", "short"],
-)
-def test_warm_start_is_checked_before_sweeping(z0, monkeypatch):
-    # z0 = [nan, 0] used to run 10,000 sweeps into a MaxIterations advising a
-    # smaller omega, and a length-3 z0 failed inside numpy's reshape
-    def refuse(*args):
-        raise AssertionError("a relaxation sweep ran")
-
-    monkeypatch.setattr(csviu.control, "_sweeps_one", refuse)
-    sub = ControlSubproblem.from_parts(*CYCLING_AT_LARGE_OMEGA)
-    with pytest.raises(ValueError, match="^z0 "):
-        sor_solve(sub, z0=z0)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -1246,3 +1224,44 @@ class TestStageResiduals:
         for _ in range(100):
             probe = res.u_star + rng.standard_normal(2) * rng.choice([1e-4, 1e-2, 1.0])
             assert best <= cost_Ju(sub, probe) + 1e-12
+
+
+class TestNoControlChannel:
+    """A plant with no control channel (m = 0): every stage problem is empty, the
+    optimal law is u = 0, and its norms are those of the uncontrolled plant."""
+
+    @pytest.fixture
+    def model(self):
+        return SystemModel.from_dict(support.NO_CHANNEL_DATA)
+
+    @pytest.mark.parametrize("alpha", [0.9, 1.0])
+    def test_norms_match_the_linear_law_closed_form(self, model, alpha):
+        est = optimal_norms(solve_riccati(model, alpha=alpha), paths=50, seed=0)
+        exact = oracles.linear_law_norm(model.A, model.B, model.C, model.D, model.sigma,
+                                        model.sigma_bar_x, model.sigma_bar_u, np.zeros((0, 1)), alpha)
+        assert (est.energy if alpha < 1.0 else est.power) == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("mu_kind", ["zero", "asymptotic"])
+    def test_stage_solves_return_empty_controls(self, model, mu_kind):
+        sol = solve_riccati(model, alpha=0.9)
+        res = optimal_control(sol, [1.0], mu_kind=mu_kind)
+        assert res.u_star.shape == res.margins.shape == res.sor.theta.shape == (0,)
+        for rows in (1, 3):
+            U, Mu = optimal_control_batch(sol, np.ones((rows, 1)), mu_kind=mu_kind)
+            assert U.shape == (rows, 0) and Mu.shape == (rows, 1)
+        assert resolve_mu(sol, [1.0], mu_kind=mu_kind).shape == (1,)
+        assert inaction_test(sol, [1.0], [0.0])[1].shape == (0,)
+
+    def test_bare_solves_of_an_empty_problem(self):
+        state = sor_solve(ControlSubproblem.from_parts(np.zeros((0, 0)), [], []))
+        assert state.nu.shape == (0,) and state.residual == 0.0
+        for rows in (1, 3):
+            assert sor_solve_batch(np.zeros((0, 0)), np.zeros((rows, 0)), np.zeros(0)).shape == (rows, 0)
+
+    def test_scans_and_rollouts(self, model):
+        sol = solve_riccati(model, alpha=0.9)
+        out = scan_region(sol, axes=(0,), resolution=5)
+        assert out.labels.shape == out.margins.shape == (5, 0) and not out.invalid.any()
+        optimal, zero = (estimate_energy(model, policy, 0.9, 20, [1.0], 50, seed=3)
+                         for policy in (Policy.optimal(sol, mu_kind="asymptotic"), Policy.zero(0)))
+        assert optimal == zero

@@ -189,7 +189,6 @@ class TestRollout:
         sol = solve_riccati(model, alpha=0.9)
         est = mu_rollout(sol, [0.3, 0.3], depth=5, paths=8, seed=1)
         np.testing.assert_allclose(est.bound, mu_bound(sol), atol=1e-14)
-        assert est.kind == "rollout"
         assert est.paths == 8
 
     def test_state_length_checked(self, rng):

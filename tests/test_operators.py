@@ -24,14 +24,12 @@ class TestNoiseFormsScalar:
     U = np.array([[2.0]])
 
     def test_quadratic_growth_terms(self, scalar_ops):
+        # the growth diagonals diag(Sx'U Sx) = 0.18 and diag(Su'U Su) = 0.32 are read
+        # through the second-moment map and the curvature in the next test
         forms = scalar_ops.noise_quadratic_forms(self.U)
-        assert forms.Zx[0, 0] == pytest.approx(0.3 * 2.0 * 0.3, abs=1e-15)          # 0.18
-        assert forms.Wx[0, 0] == pytest.approx(2 * (0.3 * 2.0 * 0.2), abs=1e-15)    # 0.24
-        assert forms.Zu[0, 0] == pytest.approx(0.4 * 2.0 * 0.4, abs=1e-15)          # 0.32
-        assert forms.Wu[0, 0] == pytest.approx(2 * (0.4 * 2.0 * 0.2), abs=1e-15)    # 0.32
+        assert forms.Wxd[0] == pytest.approx(2 * (0.3 * 2.0 * 0.2), abs=1e-15)    # 0.24
+        assert forms.Wud[0] == pytest.approx(2 * (0.4 * 2.0 * 0.2), abs=1e-15)    # 0.32
         assert forms.varpi1 == pytest.approx(2.0 * (0.01 + 0.04 + 0.04), abs=1e-15)  # 0.18
-        assert forms.Wxd[0] == forms.Wx[0, 0]
-        assert forms.Wud[0] == forms.Wu[0, 0]
 
     def test_propagation_and_gain_numerators(self, scalar_ops):
         assert scalar_ops.second_moment_map(self.U)[0, 0] == pytest.approx(
@@ -52,7 +50,7 @@ class TestNoiseFormsScalar:
     def test_zero_matrix_maps_to_noise_free_values(self, scalar_ops):
         forms = scalar_ops.noise_quadratic_forms(np.zeros((1, 1)))
         assert forms.varpi1 == 0.0
-        assert not forms.Zx.any() and not forms.Wu.any()
+        assert not forms.Wxd.any() and not forms.Wud.any()
 
 
 def test_forms_match_elementwise_loops(rng):
@@ -70,17 +68,19 @@ def test_forms_match_elementwise_loops(rng):
                 [sum(S[a, i] * U[a, b] * T[b, i] for a in range(n) for b in range(n)) for i in range(q)]
             )
 
-        np.testing.assert_allclose(np.diag(forms.Zx), loop_diag(model.sigma_bar_x, model.sigma_bar_x),
-                                   atol=1e-12)
+        # with F = 0 the second-moment map is alpha (Diag(diag(Sx'U Sx)) + E' Diag(diag(Su'U Su)) E),
+        # and E = [I 0] puts the control diagonal on the first m entries
+        zx = np.diag(ops.second_moment_map(U, F=np.zeros((n, n)))) / ops.alpha
+        zu = np.diag(ops.second_moment_map(U, F=np.zeros((n, n)), G=np.eye(2, n)))[:2] / ops.alpha - zx[:2]
+        np.testing.assert_allclose(zx, loop_diag(model.sigma_bar_x, model.sigma_bar_x), atol=1e-12)
+        np.testing.assert_allclose(zu, loop_diag(model.sigma_bar_u, model.sigma_bar_u), atol=1e-12)
         np.testing.assert_allclose(
-            np.diag(forms.Wx),
+            forms.Wxd,
             loop_diag(model.sigma_bar_x, model.sigma_x) + loop_diag(model.sigma_x, model.sigma_bar_x),
             atol=1e-12,
         )
-        np.testing.assert_allclose(np.diag(forms.Zu), loop_diag(model.sigma_bar_u, model.sigma_bar_u),
-                                   atol=1e-12)
         np.testing.assert_allclose(
-            np.diag(forms.Wu),
+            forms.Wud,
             loop_diag(model.sigma_bar_u, model.sigma_u) + loop_diag(model.sigma_u, model.sigma_bar_u),
             atol=1e-12,
         )
@@ -409,8 +409,8 @@ class TestMonotoneAndLinear:
         U = rng.standard_normal((3, 3))
         V = rng.standard_normal((3, 3))
         U, V = U + U.T, V + V.T
-        for f in (ops.second_moment_map, lambda W: ops.noise_quadratic_forms(W).Zx):
-            np.testing.assert_allclose(f(U + 2.5 * V), f(U) + 2.5 * f(V), atol=1e-11)
+        np.testing.assert_allclose(ops.second_moment_map(U + 2.5 * V),
+                                   ops.second_moment_map(U) + 2.5 * ops.second_moment_map(V), atol=1e-11)
 
     def test_monotone_on_psd_order(self, rng):
         model = support.random_model(rng, n=3, m=2)
@@ -423,7 +423,6 @@ class TestMonotoneAndLinear:
             assert oracles.min_eig(ops.second_moment_map(U) - ops.second_moment_map(V)) >= -1e-10
             forms_U = ops.noise_quadratic_forms(U)
             forms_V = ops.noise_quadratic_forms(V)
-            assert np.all(np.diag(forms_U.Zx - forms_V.Zx) >= -1e-10)
             assert forms_U.varpi1 >= forms_V.varpi1 - 1e-10
 
     def test_curvature_positive_definite_on_psd(self, rng):

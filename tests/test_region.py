@@ -25,6 +25,7 @@ from csviu import (
 from csviu.cli import main
 from csviu.control import sor_solve_batch
 
+import oracles
 import support
 
 
@@ -134,8 +135,8 @@ class TestScan2D:
         feedback = csviu.control._feedback
 
         def zeroed(*args):
-            Z, Gamma, U, *rest = feedback(*args)
-            return (Z, Gamma, np.zeros_like(U), *rest)
+            U, *rest = feedback(*args)
+            return (np.zeros_like(U), *rest)
 
         monkeypatch.setattr(csviu.region, "_feedback", zeroed)
         out = scan_region(sol, resolution=9, mu_kind="zero")
@@ -271,6 +272,97 @@ class TestGainTable:
         sol = solve_riccati(support.random_model(rng, n=3, m=2), alpha=0.9)
         for signs in itertools.product((1.0, -1.0), repeat=3):
             self._assert_affine(sol, 40.0 * np.array(signs) * (1.0 + rng.random(3)))
+
+
+# the cycling plant and coupled random plants with m = 2, 3 and 4 channels, whose noise
+# is large enough for every channel to be off near the origin, at alpha = 0.95
+_REGION_PLANTS = {
+    "cycling": lambda: SystemModel.from_dict(support.CYCLING_PLANT_DATA),
+    **{f"random-m{m}": (lambda m=m: support.random_model(np.random.default_rng(40 + m), n=4, m=m,
+                                                        noise_scale=0.3, growth_scale=0.3))
+       for m in (2, 3, 4)},
+}
+
+
+class TestExactCriticalRegions:
+    """The zero-slope stage law against its sign-pattern enumeration.
+
+    With the zero slope, b = 2 Sigma x is linear in x and the deadzone
+    weights are constant, so the law is piecewise affine over at most 3^m
+    regions, one per control sign pattern; ``oracles.sign_pattern_law``
+    enumerates them.  States come at three scales and within about 1e-8 of
+    a region boundary.
+    """
+
+    @staticmethod
+    def _oracle(sol, X):
+        assert (sol.forms.Wud >= 0.0).all()
+        return oracles.sign_pattern_law(sol.Lambda, 2.0 * X @ sol.Sigma.T, sol.forms.Wud)
+
+    def _near_boundaries(self, sol, X):
+        """States on both sides of a region boundary: bisect, 30 times, between
+        successive states of ``X`` whose sign patterns differ."""
+        signs = np.sign(self._oracle(sol, X)[0])
+        pairs = (signs[:-1] != signs[1:]).any(axis=1).nonzero()[0][:300]
+        lo, hi, start = X[pairs], X[pairs + 1], signs[pairs]
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            same = (np.sign(self._oracle(sol, mid)[0]) == start).all(axis=1)[:, None]
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        return np.vstack([lo, hi])
+
+    @pytest.mark.parametrize("plant", sorted(_REGION_PLANTS))
+    def test_batch_controls(self, plant):
+        sol = solve_riccati(_REGION_PLANTS[plant](), alpha=0.95)
+        rng = np.random.default_rng(1)
+        X = np.vstack([scale * rng.standard_normal((1000, sol.model.n)) for scale in (0.1, 1.0, 5.0)])
+        near = self._near_boundaries(sol, X)
+        assert len(near) >= 400
+        X = np.vstack([X, near])
+        want, margins, counts = self._oracle(sol, X)
+        assert (counts == 1).all()
+        assert np.abs(margins[-len(near):]).min(axis=1).max() <= 1e-6
+        patterns = {tuple(p) for p in np.sign(want)}
+        assert (0.0,) * sol.model.m in patterns  # every channel off
+        assert any(0.0 in p and any(p) for p in patterns)  # a partial deadzone
+        U, _ = optimal_control_batch(sol, X, mu_kind="zero", tol=1e-12)
+        scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
+        assert (np.abs(U - want) <= 1e-11 * scale).all()
+
+    @pytest.mark.parametrize("plant", sorted(_REGION_PLANTS))
+    def test_scan_labels_margins_and_boundary(self, plant):
+        sol = solve_riccati(_REGION_PLANTS[plant](), alpha=0.95)
+        n, m = sol.model.n, sol.model.m
+        # along x1 every channel is off until |2 (Sigma x)_i| reaches c_i, and channel i
+        # reaches it first; the middle cell of each 1-D scan has on channel i margin 0,
+        # margin 5e-9, or |u| = 1e-8 just past the edge
+        pull = np.abs(2.0 * sol.Sigma[:, 0])
+        i = int(np.argmin(sol.forms.Wud / pull))
+        scans = [scan_region(sol, axes=(0,), ranges=((0.0, 2.0 * (sol.forms.Wud[i] - gap) / pull[i]),),
+                             resolution=21, mu_kind="zero", tol=1e-12)
+                 for gap in (0.0, 5e-9, -2e-8 * sol.Lambda[i, i])]
+        assert scans[0].boundary[10, i] and not scans[1].boundary[10, i] and scans[2].labels[10, i] != 0
+        base = np.random.default_rng(2).standard_normal(n)
+        scans += [scan_region(sol, axes=(0, 1), ranges=((-r, r),), resolution=21, base_point=r * base,
+                              mu_kind="zero", tol=1e-12) for r in (0.1, 1.0)]
+        for out in scans:
+            X = np.tile(out.base_point, (out.invalid.size, 1))
+            if out.grid_y is None:
+                X[:, 0] = out.grid_x
+            else:
+                X[:, 0], X[:, 1] = (g.reshape(-1) for g in np.meshgrid(out.grid_x, out.grid_y, indexing="ij"))
+            want, margins, _ = self._oracle(sol, X)
+            labels = (want > 1e-9).astype(np.int8) - (want < -1e-9).astype(np.int8)
+            got = [a.reshape(-1, m) for a in (out.labels, out.margins, out.boundary)]
+            away = np.abs(margins) > 1e-9
+            assert away.any()
+            np.testing.assert_array_equal(got[0][away], labels[away])
+            np.testing.assert_array_equal(got[2][away], False)
+            assert got[2][np.abs(margins) <= 0.5e-9].all()
+            # the margins are differences of terms of the size of c, b and 2 Lambda u
+            terms = sol.forms.Wud + np.abs(2.0 * X @ sol.Sigma.T) + 2.0 * np.abs(want) @ np.abs(sol.Lambda)
+            np.testing.assert_allclose(got[1], margins, rtol=0.0, atol=1e-11 * max(1.0, terms.max()))
+            assert not out.invalid.any() and not out.inconsistent.any()
 
 
 # Sweeps that the cycling plant's stage solves need at alpha = 0.95 over x1, x2 with

@@ -105,7 +105,7 @@ class TestSolutionInvariants:
     def test_cached_forms_match_fresh_evaluation(self, scalar_model):
         sol = solve_riccati(scalar_model, alpha=0.9)
         fresh = OperatorSet(scalar_model, 0.9).noise_quadratic_forms(sol.L)
-        np.testing.assert_allclose(sol.forms.Zx, fresh.Zx, atol=1e-14)
+        np.testing.assert_allclose(sol.forms.Wxd, fresh.Wxd, atol=1e-14)
         np.testing.assert_allclose(sol.forms.Wud, fresh.Wud, atol=1e-14)
         assert sol.forms.varpi1 == pytest.approx(fresh.varpi1, abs=1e-14)
 

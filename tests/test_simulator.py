@@ -1325,3 +1325,33 @@ class TestExactLinearLawCosts:
         for i, kappa in enumerate([10, 60]):
             z = _pooled_z([rows[i].diff for rows in runs], [rows[i].stderr for rows in runs], exact[kappa])
             assert abs(z) <= 4.0, (kappa, z)
+
+    @pytest.mark.parametrize("burn_in", [0, 20])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_power_estimates(self, kind, burn_in):
+        # the window average of |y_k|^2 over burn_in <= k < 60 at alpha = 1
+        model = SystemModel.from_dict(_QUIET_README)
+        G = np.array(_LAW_GAINS[0])
+        costs = _exact_costs(model, G, 1.0, 60, self.X0)
+        exact = (costs[59] - (costs[burn_in - 1] if burn_in else 0.0)) / (60 - burn_in)
+        runs = [estimate_power(model, Policy.linear(G), 60, self.X0, 500, seed=seed, noise_kind=kind,
+                               burn_in=burn_in) for seed in self.SEEDS]
+        assert abs(_pooled_z([run.mean for run in runs], [run.stderr for run in runs], exact)) <= 4.0
+
+    @pytest.mark.parametrize("alpha", [0.95, 1.0])
+    @pytest.mark.parametrize("mu_kind", ["zero", "asymptotic"])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_overtaking_the_optimal_law(self, kind, mu_kind, alpha):
+        # with sigma_x = sigma_u = 0 the deadzone weights and slope drives vanish, so the
+        # optimal law is the linear u = G x of the Riccati solution under either slope kind
+        model = SystemModel.from_dict(_QUIET_README)
+        sol = solve_riccati(model, alpha=alpha)
+        assert not sol.forms.Wud.any() and not sol.forms.Wxd.any()
+        G_b = np.array(_LAW_GAINS[1])
+        exact = _exact_costs(model, sol.G, alpha, 60, self.X0) - _exact_costs(model, G_b, alpha, 60, self.X0)
+        runs = [overtaking_compare(model, alpha, Policy.optimal(sol, mu_kind=mu_kind), Policy.linear(G_b),
+                                   self.X0, [10, 60], paths=500, seed=seed, noise_kind=kind)
+                for seed in self.SEEDS]
+        for i, kappa in enumerate([10, 60]):
+            z = _pooled_z([rows[i].diff for rows in runs], [rows[i].stderr for rows in runs], exact[kappa])
+            assert abs(z) <= 4.0, (kappa, z)
